@@ -10,36 +10,26 @@ import argparse
 
 from isingpursuit import (
     PursuitConfig,
-    QaoaSolverConfig,
+    SolverSpec,
     SparseSignal,
-    brute_force_solve,
-    chain_dp_solve,
+    make_patterns,
+    make_solver,
     matching_pursuit,
     measure,
-    nearest_neighbor_patterns,
-    qaoa_solve,
-    random_quadruplet_patterns,
     random_sparse_signal,
     recovery_success,
 )
 
 
 def solver_table(args) -> dict:
-    qcfg = QaoaSolverConfig(
-        depth=args.depth,
-        restarts=args.restarts,
-        max_evals=args.max_evals,
-        shots=args.shots,
-        seed=args.seed,
-    )
-    table = {
-        "brute": brute_force_solve,
-        "qaoa": lambda ms, r: qaoa_solve(ms, r, qcfg),
+    # chain DP only applies to the pair-chain Hamiltonians
+    backends = ("brute", "qaoa", "chain") if args.patterns == "nn" else ("brute", "qaoa")
+    return {
+        name: make_solver(
+            SolverSpec(name, 2 * args.depth, args.restarts, args.max_evals, args.shots), args.seed
+        )
+        for name in backends
     }
-    if args.patterns == "nn":
-        # chain DP only applies to the pair-chain Hamiltonians
-        table["chain"] = chain_dp_solve
-    return table
 
 
 def describe(signal: SparseSignal) -> str:
@@ -60,10 +50,7 @@ def main() -> None:
     args = parser.parse_args()
 
     signal = random_sparse_signal(args.n, args.sparsity, seed=args.seed)
-    if args.patterns == "nn":
-        ms = nearest_neighbor_patterns(args.n)
-    else:
-        ms = random_quadruplet_patterns(args.n, args.quadruplets, seed=args.seed)
+    ms = make_patterns(args.patterns, args.n, args.quadruplets, args.seed)
     y = measure(signal, ms)
 
     print(f"truth: {describe(signal)}")

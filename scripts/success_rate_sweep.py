@@ -20,7 +20,7 @@ def main() -> None:
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--patterns", choices=("nn", "quad"), default="quad")
     parser.add_argument("--params", type=int, nargs="+", default=[5, 9, 15, 21],
-                        help="total free-parameter counts to sweep")
+                        help="QAOA parameter counts to sweep (2*ceil(c/2) angles each)")
     parser.add_argument("--restarts", type=int, default=2)
     parser.add_argument("--max-evals", type=int, default=60)
     parser.add_argument("--shots", type=int, default=1024)

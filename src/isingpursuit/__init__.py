@@ -51,6 +51,8 @@ from .experiment import (
     ExperimentPlan,
     SolverSpec,
     SuccessReport,
+    make_patterns,
+    make_solver,
     reports_to_csv,
     reports_to_json,
     run_batch,
@@ -84,6 +86,8 @@ __all__ = [
     "decompose_evolution",
     "expectation",
     "format_gates",
+    "make_patterns",
+    "make_solver",
     "matching_pursuit",
     "measure",
     "nearest_neighbor_patterns",

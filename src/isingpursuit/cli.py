@@ -16,22 +16,20 @@ from pathlib import Path
 import numpy as np
 
 from .experiment import (
+    BACKENDS,
+    PATTERN_KINDS,
     ExperimentPlan,
     SolverSpec,
+    make_patterns,
+    make_solver,
     reports_to_csv,
     reports_to_json,
     run_batch,
     run_sweep,
 )
-from .measurement import (
-    MeasurementSet,
-    measure,
-    nearest_neighbor_patterns,
-    random_quadruplet_patterns,
-)
+from .measurement import MeasurementSet, measure
 from .pursuit import PursuitConfig, matching_pursuit
 from .signal import SparseSignal, random_sparse_signal
-from .solvers import QaoaSolverConfig, brute_force_solve, chain_dp_solve, qaoa_solve
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -41,33 +39,9 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _pattern_set(kind: str, n: int, quadruplets: int | None, seed: int | None) -> MeasurementSet:
-    if kind == "nn":
-        return nearest_neighbor_patterns(n)
-    plan = ExperimentPlan(n=n, sparsity=1, quadruplets=quadruplets)
-    return random_quadruplet_patterns(n, plan.effective_quadruplets, seed=seed)
-
-
-def _solver_fn(args: argparse.Namespace):
-    if args.solver == "brute":
-        return brute_force_solve
-    if args.solver == "chain":
-        return chain_dp_solve
-    spec = SolverSpec(
-        backend="qaoa",
-        param_count=args.params[0] if args.params else 4,
-        restarts=args.restarts,
-        max_evals=args.max_evals,
-        shots=args.shots,
-    )
-    cfg = QaoaSolverConfig(
-        depth=spec.depth,
-        restarts=spec.restarts,
-        max_evals=spec.max_evals,
-        shots=spec.shots,
-        seed=args.seed,
-    )
-    return lambda ms, r: qaoa_solve(ms, r, cfg)
+def _solver_spec(args: argparse.Namespace) -> SolverSpec:
+    """The spec the solver flags name; a --params list contributes its first count."""
+    return SolverSpec(args.solver, args.params[0], args.restarts, args.max_evals, args.shots)
 
 
 def _cmd_generate(args: argparse.Namespace) -> None:
@@ -76,7 +50,7 @@ def _cmd_generate(args: argparse.Namespace) -> None:
 
 
 def _cmd_patterns(args: argparse.Namespace) -> None:
-    ms = _pattern_set(args.patterns, args.n, args.quadruplets, args.seed)
+    ms = make_patterns(args.patterns, args.n, args.quadruplets, args.seed)
     _emit(ms.to_json(), args.out)
 
 
@@ -91,7 +65,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> None:
     y = np.asarray(json.loads(Path(args.marginals).read_text()), dtype=float)
     ms = MeasurementSet.from_json(Path(args.patterns_file).read_text())
     cfg = PursuitConfig(
-        solver=_solver_fn(args),
+        solver=make_solver(_solver_spec(args), args.seed),
         max_iterations=args.max_iterations,
         residual_tolerance=args.tolerance,
     )
@@ -109,20 +83,13 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
         if args.n is None or args.sparsity is None:
             raise ValueError("--n and --sparsity are required without --plan")
         counts = args.params
-        solver = SolverSpec(
-            backend=args.solver,
-            param_count=counts[0] if counts else 4,
-            restarts=args.restarts,
-            max_evals=args.max_evals,
-            shots=args.shots,
-        )
         plan = ExperimentPlan(
             n=args.n,
             sparsity=args.sparsity,
             trial_count=args.trials,
             pattern_kind=args.patterns,
             quadruplets=args.quadruplets,
-            solver=solver,
+            solver=_solver_spec(args),
             master_seed=args.seed if args.seed is not None else 0,
             time_limit_s=args.time_limit,
             workers=args.workers,
@@ -137,7 +104,7 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v]
+        return [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}") from exc
 
@@ -157,22 +124,22 @@ def build_parser() -> argparse.ArgumentParser:
     sizing.add_argument("--n", type=int, required=True, help="number of index bits")
 
     pattern_opts = argparse.ArgumentParser(add_help=False)
-    pattern_opts.add_argument("--patterns", choices=("nn", "quad"), default="nn")
+    pattern_opts.add_argument("--patterns", choices=PATTERN_KINDS, default="nn")
     pattern_opts.add_argument(
         "--quadruplets", type=int, default=None, help="quadruplet count (quad patterns only)"
     )
 
     solver_opts = argparse.ArgumentParser(add_help=False)
-    solver_opts.add_argument("--solver", choices=("brute", "chain", "qaoa"), default="brute")
+    solver_opts.add_argument("--solver", choices=BACKENDS, default=SolverSpec.backend)
     solver_opts.add_argument(
         "--params",
         type=_int_list,
-        default=None,
+        default=[SolverSpec.param_count],
         help="QAOA parameter count; comma-separated list sweeps counts (experiment only)",
     )
-    solver_opts.add_argument("--restarts", type=int, default=10)
-    solver_opts.add_argument("--max-evals", type=int, default=200)
-    solver_opts.add_argument("--shots", type=int, default=1024)
+    solver_opts.add_argument("--restarts", type=int, default=SolverSpec.restarts)
+    solver_opts.add_argument("--max-evals", type=int, default=SolverSpec.max_evals)
+    solver_opts.add_argument("--shots", type=int, default=SolverSpec.shots)
 
     p = sub.add_parser("generate", parents=[sizing, common], help="random sparse signal -> JSON")
     p.add_argument("--sparsity", type=int, required=True)

@@ -13,12 +13,12 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .measurement import MeasurementSet, measure, nearest_neighbor_patterns, random_quadruplet_patterns
-from .pursuit import PursuitConfig, ReconstructionResult, matching_pursuit, recovery_success
+from .pursuit import PursuitConfig, ReconstructionResult, Solver, matching_pursuit, recovery_success
 from .signal import SparseSignal, random_sparse_signal
 from .solvers import QaoaSolverConfig, brute_force_solve, chain_dp_solve, qaoa_solve
 
@@ -34,8 +34,10 @@ class TrialTimeout(RuntimeError):
 class SolverSpec:
     """Backend choice plus the QAOA knobs (ignored by the exact backends).
 
-    param_count is the total number of free circuit parameters; the circuit
-    depth is ceil(param_count / 2) layers.
+    param_count is the paper's parameter count.  The circuit has depth
+    ceil(param_count / 2) layers of one gamma and one beta each, so it runs
+    2 * depth angles: an odd count rounds up, and the paper's 5/9/15/21 run
+    6/10/16/22-angle circuits.
     """
 
     backend: str = "brute"
@@ -79,11 +81,7 @@ class ExperimentPlan:
 
     @property
     def effective_quadruplets(self) -> int:
-        """Default q keeps the pattern budget comparable to the pair census."""
-        if self.quadruplets is not None:
-            return self.quadruplets
-        # never exceed the number of distinct quadruplets available
-        return min(math.ceil(4 * (self.n - 1) / 16) + 1, math.comb(self.n, 4))
+        return self.quadruplets if self.quadruplets is not None else _default_quadruplets(self.n)
 
     @property
     def effective_max_iterations(self) -> int:
@@ -91,24 +89,12 @@ class ExperimentPlan:
         return self.max_iterations if self.max_iterations is not None else 4 * self.sparsity
 
     def config_echo(self) -> dict:
-        return {
-            "n": self.n,
-            "sparsity": self.sparsity,
-            "trial_count": self.trial_count,
-            "pattern_kind": self.pattern_kind,
-            "quadruplets": self.effective_quadruplets if self.pattern_kind == "quad" else None,
-            "solver": {
-                "backend": self.solver.backend,
-                "param_count": self.solver.param_count,
-                "restarts": self.solver.restarts,
-                "max_evals": self.solver.max_evals,
-                "shots": self.solver.shots,
-            },
-            "master_seed": self.master_seed,
-            "amplitude_floor": self.amplitude_floor,
-            "max_iterations": self.effective_max_iterations,
-            "time_limit_s": self.time_limit_s,
-        }
+        """Every field but workers, with the effective q and iteration budget."""
+        echo = asdict(self)
+        del echo["workers"]
+        echo["quadruplets"] = self.effective_quadruplets if self.pattern_kind == "quad" else None
+        echo["max_iterations"] = self.effective_max_iterations
+        return echo
 
     def config_id(self) -> str:
         tag = f"{self.solver.backend}-{self.pattern_kind}"
@@ -142,17 +128,7 @@ class SuccessReport:
             "config": self.config,
             "config_id": self.config_id,
             "rate": self.rate,
-            "trials": [
-                {
-                    "trial": t.trial,
-                    "seed": t.seed,
-                    "success": t.success,
-                    "iterations": t.iterations,
-                    "runtime_s": t.runtime_s,
-                    "capped": t.capped,
-                }
-                for t in self.trials
-            ],
+            "trials": [asdict(t) for t in self.trials],
         }
 
 
@@ -162,13 +138,25 @@ def trial_seeds(plan: ExperimentPlan) -> list[int]:
     return [int(v) for v in rng.integers(0, 2**62, size=plan.trial_count)]
 
 
-def _build_patterns(plan: ExperimentPlan, pattern_seed: int) -> MeasurementSet:
-    if plan.pattern_kind == "nn":
-        return nearest_neighbor_patterns(plan.n)
-    return random_quadruplet_patterns(plan.n, plan.effective_quadruplets, seed=pattern_seed)
+def _default_quadruplets(n: int) -> int:
+    """Keeps the pattern budget comparable to the pair census, capped by the
+    number of distinct quadruplets available."""
+    return min(math.ceil(4 * (n - 1) / 16) + 1, math.comb(n, 4))
 
 
-def _build_solver(spec: SolverSpec, solver_seed: int):
+def make_patterns(kind: str, n: int, quadruplets: int | None, seed) -> MeasurementSet:
+    """The pattern set of one kind; quadruplets None takes the default budget."""
+    if kind not in PATTERN_KINDS:
+        raise ValueError(f"pattern kind must be one of {PATTERN_KINDS}, got {kind!r}")
+    if kind == "nn":
+        return nearest_neighbor_patterns(n)
+    if quadruplets is None:
+        quadruplets = _default_quadruplets(n)
+    return random_quadruplet_patterns(n, quadruplets, seed=seed)
+
+
+def make_solver(spec: SolverSpec, seed) -> Solver:
+    """The support-detection backend a spec names; seed drives QAOA only."""
     if spec.backend == "brute":
         return brute_force_solve
     if spec.backend == "chain":
@@ -178,7 +166,7 @@ def _build_solver(spec: SolverSpec, solver_seed: int):
         restarts=spec.restarts,
         max_evals=spec.max_evals,
         shots=spec.shots,
-        seed=solver_seed,
+        seed=seed,
     )
     return lambda ms, r: qaoa_solve(ms, r, cfg)
 
@@ -194,9 +182,9 @@ def run_single(
     rng = np.random.default_rng(trial_seed)
     signal_seed, pattern_seed, solver_seed = (int(v) for v in rng.integers(0, 2**62, size=3))
     signal = random_sparse_signal(plan.n, plan.sparsity, seed=signal_seed)
-    ms = _build_patterns(plan, pattern_seed)
+    ms = make_patterns(plan.pattern_kind, plan.n, plan.quadruplets, pattern_seed)
     y = measure(signal, ms)
-    solver = _build_solver(plan.solver, solver_seed)
+    solver = make_solver(plan.solver, solver_seed)
     deadline = time.monotonic() + plan.time_limit_s
 
     def guarded(ms_, r_):

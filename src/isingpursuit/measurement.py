@@ -65,6 +65,8 @@ class MeasurementSet:
     patterns: tuple[Pattern, ...]
 
     def __post_init__(self):
+        if self.n > 63:
+            raise ValueError(f"n={self.n} exceeds 63, the width of the int64 pattern masks")
         if not self.patterns:
             raise ValueError("a measurement set needs at least one pattern")
         for p in self.patterns:

@@ -10,7 +10,7 @@ coefficient.  The per-iteration trace makes every run auditable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable
 
@@ -74,15 +74,7 @@ class ReconstructionResult:
     def to_dict(self) -> dict:
         return {
             "recovered": self.recovered.to_dict(),
-            "trace": [
-                {
-                    "position": t.position,
-                    "score": t.score,
-                    "coefficient": t.coefficient,
-                    "residual_norm": t.residual_norm,
-                }
-                for t in self.trace
-            ],
+            "trace": [asdict(t) for t in self.trace],
             "termination": self.termination.value,
         }
 
@@ -96,14 +88,17 @@ def matching_pursuit(
     """Iterate support detection, coefficient update and residual deflation.
 
     Stops when the residual 2-norm falls to the tolerance, the best solver
-    score drops below min_score, or the iteration budget runs out.
+    score drops below min_score, or the iteration budget runs out.  Raises
+    ValueError on marginals that are not all finite.
     """
     if len(y) != len(ms.patterns):
         raise ValueError(f"marginals length {len(y)} != pattern count {len(ms.patterns)}")
+    r = np.array(y, dtype=float)
+    if not np.isfinite(r).all():
+        raise ValueError("marginals must be finite")
     tol = cfg.residual_tolerance
     if tol is None:
-        tol = 1e-6 * float(np.linalg.norm(y))
-    r = np.asarray(y, dtype=float).copy()
+        tol = 1e-6 * float(np.linalg.norm(r))
     coeffs: dict[int, float] = {}
     trace: list[IterationRecord] = []
     termination = Termination.max_iterations

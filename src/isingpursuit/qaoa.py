@@ -117,9 +117,12 @@ def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
     beta with period pi up to global phase; grids and restarts cover [0, pi)
     by sweeping beta over [0, 2*pi) alongside gamma.
     """
-    n = num_qubits(state)
+    return _mix_all(state, num_qubits(state), beta)
+
+
+def _mix_all(psi: np.ndarray, n: int, beta: float) -> np.ndarray:
+    """exp(i * beta * X) on every qubit, unchecked: the hot loop's mixer."""
     c, s = np.cos(beta), np.sin(beta)
-    psi = state
     for q in range(1, n + 1):
         psi = _x_mix(psi, n, q, c, s)
     return psi
@@ -128,10 +131,7 @@ def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
 def _evolve(diag: np.ndarray, n: int, gammas, betas) -> np.ndarray:
     psi = uniform_state(n)
     for gamma, beta in zip(gammas, betas):
-        psi = psi * np.exp(1j * gamma * diag)
-        c, s = np.cos(beta), np.sin(beta)
-        for q in range(1, n + 1):
-            psi = _x_mix(psi, n, q, c, s)
+        psi = _mix_all(psi * np.exp(1j * gamma * diag), n, beta)
     return psi
 
 

@@ -43,8 +43,8 @@ class SparseSignal:
         for pos, val in self.spikes:
             if not 0 <= pos < d:
                 raise ValueError(f"position {pos} outside [0, {d})")
-            if val == 0.0:
-                raise ValueError(f"spike value at position {pos} is zero")
+            if val == 0.0 or not np.isfinite(val):
+                raise ValueError(f"spike value at position {pos} is zero or not finite: {val}")
 
     @property
     def sparsity(self) -> int:

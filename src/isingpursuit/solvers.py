@@ -65,35 +65,33 @@ def _chain_params(H: IsingHamiltonian) -> tuple[float, np.ndarray, np.ndarray]:
     return const, fields, couplings
 
 
-def _chain_extremum(
-    const: float, fields: np.ndarray, couplings: np.ndarray, n: int, maximize: bool
+def _chain_max(
+    const: float, fields: np.ndarray, couplings: np.ndarray, n: int
 ) -> tuple[int, float]:
-    """Exact chain optimum by a suffix sweep plus greedy bit selection.
+    """Exact chain maximum by a suffix sweep plus greedy bit selection.
 
     Spin s = +1 encodes bit 0, s = -1 bit 1.  Ties prefer bit 0 at the most
     significant undecided position, which makes the returned index the
-    smallest one among the optima of this pass.
+    smallest one among the maxima.
     """
-    pick = max if maximize else min
-    # best[i][b] = optimal value of sites i..n given bit b at site i
+    # best[i][b] = maximal value of sites i..n given bit b at site i
     best = np.zeros((n + 2, 2))
     for i in range(n, 0, -1):
         for b, s in ((0, 1.0), (1, -1.0)):
             v = fields[i] * s
             if i < n:
-                v += pick(couplings[i] * s + best[i + 1][0],
-                          -couplings[i] * s + best[i + 1][1])
+                v += max(couplings[i] * s + best[i + 1][0],
+                         -couplings[i] * s + best[i + 1][1])
             best[i][b] = v
     z = 0
-    better = (lambda a, c: a >= c) if maximize else (lambda a, c: a <= c)
-    b = 0 if better(best[1][0], best[1][1]) else 1
+    b = 0 if best[1][0] >= best[1][1] else 1
     z |= b << (n - 1)
     value = const + best[1][b]
     for i in range(1, n):
         s = 1.0 - 2.0 * b
         cand0 = couplings[i] * s + best[i + 1][0]
         cand1 = -couplings[i] * s + best[i + 1][1]
-        b = 0 if better(cand0, cand1) else 1
+        b = 0 if cand0 >= cand1 else 1
         z |= b << (n - i - 1)
     return z, value
 
@@ -101,14 +99,16 @@ def _chain_extremum(
 def chain_dp_solve(ms: MeasurementSet, r: np.ndarray) -> SolverOutcome:
     """Exact optimum for chain-structured Hamiltonians in O(n).
 
-    Runs one pass maximizing h and one minimizing h, then keeps the extremum
-    of larger magnitude (ties toward the maximization pass).  Raises
+    Runs one pass maximizing h and one maximizing -h (exact: IEEE negation
+    commutes with the sweep's sums and comparisons), then keeps the extremum
+    of larger magnitude (ties toward the maximization of h).  Raises
     ChainStructureError when the built Hamiltonian is not a chain.
     """
     H = build_hamiltonian(ms, r)
     const, fields, couplings = _chain_params(H)
-    z_max, v_max = _chain_extremum(const, fields, couplings, ms.n, maximize=True)
-    z_min, v_min = _chain_extremum(const, fields, couplings, ms.n, maximize=False)
+    z_max, v_max = _chain_max(const, fields, couplings, ms.n)
+    z_min, neg_min = _chain_max(-const, -fields, -couplings, ms.n)
+    v_min = 0.0 - neg_min  # not -neg_min, which turns a zero minimum into -0.0
     z = z_max if abs(v_max) >= abs(v_min) else z_min
     score = abs(column_dot(z, r, ms))
     return SolverOutcome(

@@ -2,9 +2,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from isingpursuit.cli import main
+from isingpursuit.cli import build_parser, main
+from isingpursuit.experiment import BACKENDS, PATTERN_KINDS, SolverSpec, make_solver
+from isingpursuit.measurement import MeasurementSet
+from isingpursuit.pursuit import PursuitConfig, matching_pursuit
 
 
 def run_cli(*argv):
@@ -96,9 +100,50 @@ def test_configuration_errors_exit_2(tmp_path, capsys):
 
 
 def test_bad_params_list_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("experiment", "--n", "4", "--sparsity", "1", "--params", "a,b")
-    assert exc.value.code == 2
+    for bad in ("a,b", "", "5,"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("experiment", "--n", "4", "--sparsity", "1", "--params", bad)
+        assert exc.value.code == 2
+
+
+def test_solver_and_pattern_flags_mirror_the_library():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    experiment = {a.dest: a for a in sub.choices["experiment"]._actions}
+    assert tuple(experiment["solver"].choices) == BACKENDS
+    assert tuple(experiment["patterns"].choices) == PATTERN_KINDS
+    args = build_parser().parse_args(["experiment"])
+    spec = SolverSpec()
+    assert (args.solver, args.params, args.restarts, args.max_evals, args.shots) == (
+        spec.backend, [spec.param_count], spec.restarts, spec.max_evals, spec.shots,
+    )
+
+
+def test_reconstruct_qaoa_matches_the_library_path(tmp_path, capsys):
+    sig, pat, marg = tmp_path / "sig.json", tmp_path / "pat.json", tmp_path / "y.json"
+    assert run_cli("generate", "--n", "5", "--sparsity", "2", "--seed", "8",
+                   "--out", str(sig)) == 0
+    assert run_cli("patterns", "--n", "5", "--patterns", "quad", "--seed", "8",
+                   "--out", str(pat)) == 0
+    assert run_cli("measure", "--signal", str(sig), "--patterns-file", str(pat),
+                   "--out", str(marg)) == 0
+    assert run_cli("reconstruct", "--marginals", str(marg), "--patterns-file", str(pat),
+                   "--solver", "qaoa", "--params", "5", "--restarts", "1", "--max-evals", "30",
+                   "--shots", "64", "--max-iterations", "4", "--seed", "13") == 0
+    via_cli = capsys.readouterr().out.strip()
+    ms = MeasurementSet.from_json(pat.read_text())
+    y = np.array(json.loads(marg.read_text()))
+    solver = make_solver(SolverSpec("qaoa", 5, restarts=1, max_evals=30, shots=64), 13)
+    result = matching_pursuit(y, ms, PursuitConfig(solver=solver, max_iterations=4))
+    assert via_cli == result.to_json()
+
+
+def test_index_width_beyond_the_masks_exits_2(tmp_path, capsys):
+    sig, pat = tmp_path / "sig.json", tmp_path / "pat.json"
+    sig.write_text(json.dumps({"n": 64, "spikes": [{"pos": 2**63, "val": 1.0}]}))
+    pat.write_text(json.dumps({"n": 64, "patterns": [[{"bit": 1, "val": 0}]]}))
+    assert run_cli("measure", "--signal", str(sig), "--patterns-file", str(pat)) == 2
+    assert run_cli("patterns", "--n", "64") == 2
+    assert "63" in capsys.readouterr().err
 
 
 def test_console_entry_point_exists():

@@ -7,6 +7,7 @@ from isingpursuit.experiment import (
     ExperimentPlan,
     SolverSpec,
     TrialTimeout,
+    make_patterns,
     reports_to_csv,
     reports_to_json,
     run_batch,
@@ -49,6 +50,15 @@ def test_default_quadruplet_budget_tracks_pair_census():
     assert tiny_plan(n=5).effective_quadruplets == 2
     assert tiny_plan(n=4).effective_quadruplets == 1  # C(4,4) caps the draw
     assert tiny_plan(n=4, quadruplets=1).effective_quadruplets == 1
+
+
+def test_make_patterns_shares_the_plan_default():
+    for n in (4, 5, 6, 9):
+        plan = tiny_plan(n=n, pattern_kind="quad")
+        assert len(make_patterns("quad", n, None, seed=1)) == 16 * plan.effective_quadruplets
+    assert len(make_patterns("nn", 6, None, seed=None)) == 20
+    with pytest.raises(ValueError, match="pattern kind"):
+        make_patterns("pairs", 6, None, seed=None)
 
 
 def test_trial_seeds_depend_only_on_master_seed():

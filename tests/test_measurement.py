@@ -70,6 +70,14 @@ def test_measurement_set_bounds_bits():
         MeasurementSet(3, (Pattern(((4, 0),)),))
 
 
+def test_measurement_set_caps_n_at_the_int64_masks():
+    with pytest.raises(ValueError, match="63"):
+        MeasurementSet(64, (Pattern(((1, 0),)),))
+    # n = 63 still fits: bit 1 is 2**62, below the int64 sign bit
+    ms = MeasurementSet(63, (Pattern(((1, 1),)), Pattern(((63, 1),))))
+    assert list(measure(SparseSignal(63, ((2**63 - 1, 1.0),)), ms)) == [1.0, 1.0]
+
+
 def test_value_assignment_group_orders_binary():
     group = value_assignment_group((1, 2))
     assert [tuple(v for _, v in p.constraints) for p in group] == [

@@ -35,6 +35,15 @@ def test_config_validation():
         PursuitConfig(solver=brute_force_solve, max_iterations=1, min_score=-1e-3)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_rejects_non_finite_marginals(bad):
+    ms = nearest_neighbor_patterns(4)
+    y = np.zeros(len(ms))
+    y[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        matching_pursuit(y, ms, brute_cfg())
+
+
 def test_zero_marginals_terminate_immediately():
     ms = nearest_neighbor_patterns(4)
     result = matching_pursuit(np.zeros(len(ms)), ms, brute_cfg())

@@ -21,6 +21,12 @@ def test_rejects_zero_value():
         SparseSignal(n=3, spikes=((5, 0.0),))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_rejects_non_finite_value(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SparseSignal(n=3, spikes=((5, bad),))
+
+
 def test_rejects_position_out_of_range():
     with pytest.raises(ValueError, match="outside"):
         SparseSignal(n=3, spikes=((8, 1.0),))
