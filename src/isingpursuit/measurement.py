@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .signal import SparseSignal
+from .signal import INDEX_BITS_CAP, SparseSignal
 
 # Explicit 0/1 matrices are a test oracle only; anything bigger stays implicit.
 DENSE_MATRIX_CAP = 10
@@ -65,8 +65,10 @@ class MeasurementSet:
     patterns: tuple[Pattern, ...]
 
     def __post_init__(self):
-        if self.n > 63:
-            raise ValueError(f"n={self.n} exceeds 63, the width of the int64 pattern masks")
+        if self.n > INDEX_BITS_CAP:
+            raise ValueError(
+                f"n={self.n} exceeds {INDEX_BITS_CAP}, the width of the int64 pattern masks"
+            )
         if not self.patterns:
             raise ValueError("a measurement set needs at least one pattern")
         for p in self.patterns:

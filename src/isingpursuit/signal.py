@@ -14,6 +14,15 @@ import numpy as np
 
 # dense_vector materializes 2**n floats; keep that off the table for big n.
 DENSE_VECTOR_CAP = 20
+# Indices and pattern masks are int64, so an n-bit index needs n <= 63.
+INDEX_BITS_CAP = 63
+
+
+def _check_bit_count(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"bit count must be >= 1, got {n}")
+    if n > INDEX_BITS_CAP:
+        raise ValueError(f"n={n} exceeds {INDEX_BITS_CAP}, the width of the int64 index masks")
 
 
 def bit_at(z: int, j: int, n: int) -> int:
@@ -34,8 +43,7 @@ class SparseSignal:
     spikes: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"bit count must be >= 1, got {self.n}")
+        _check_bit_count(self.n)
         d = 1 << self.n
         positions = [p for p, _ in self.spikes]
         if len(set(positions)) != len(positions):
@@ -94,6 +102,7 @@ def random_sparse_signal(
     The amplitude range is bounded away from zero so "position recovered"
     stays well-defined downstream.
     """
+    _check_bit_count(n)
     d = 1 << n
     if not 1 <= s <= d:
         raise ValueError(f"sparsity must satisfy 1 <= s <= 2**{n}, got {s}")

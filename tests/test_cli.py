@@ -146,6 +146,13 @@ def test_index_width_beyond_the_masks_exits_2(tmp_path, capsys):
     assert "63" in capsys.readouterr().err
 
 
+def test_generate_beyond_the_index_width_exits_2(capsys):
+    assert run_cli("generate", "--n", "64", "--sparsity", "1") == 2
+    err = capsys.readouterr().err
+    assert "exceeds 63" in err
+    assert "out of bounds" not in err
+
+
 def test_console_entry_point_exists():
     proc = subprocess.run(
         [sys.executable, "-m", "isingpursuit", "generate", "--n", "3",

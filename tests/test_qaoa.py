@@ -1,14 +1,18 @@
 """Statevector engine against dense linear-algebra oracles (scipy expm),
-plus gate-decomposition fidelity and optimizer behavior."""
+gate-decomposition fidelity, optimizer behavior, and the lockstep
+Nelder-Mead against scipy.optimize.minimize, which it must match exactly."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.optimize import minimize
 
 from isingpursuit.hamiltonian import IsingHamiltonian
 from isingpursuit.qaoa import (
+    FATOL,
+    XATOL,
     Gate,
     QaoaParams,
     ansatz_gates,
@@ -24,6 +28,7 @@ from isingpursuit.qaoa import (
     simulate_gates,
     uniform_state,
 )
+from isingpursuit.qaoa import _evolve, _expectations, _lockstep, _nelder_mead
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -293,3 +298,108 @@ def test_full_ansatz_gate_list_matches_statevector():
 def test_format_gates():
     gates = [Gate.cx(1, 2), Gate.rz(2, 0.5), Gate.rx(1, -1.25)]
     assert format_gates(gates).splitlines() == ["CX 1 2", "RZ 2 0.5", "RX 1 -1.25"]
+
+
+def _scipy_nelder_mead(objective, x0, maxfev):
+    return minimize(lambda x: objective(x[None])[0], x0, method="Nelder-Mead",
+                    options={"maxfev": maxfev, "xatol": XATOL, "fatol": FATOL})
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 3), st.integers(1, 90),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_lockstep_nelder_mead_matches_scipy(n, p, lanes, maxfev, zero_coord, seed):
+    # maxfev below 2p+1 truncates the initial simplex; a zero coordinate
+    # takes scipy's absolute initial step instead of the relative one
+    rng = np.random.default_rng(seed)
+    diag = rng.normal(size=1 << n)
+    starts = rng.uniform(0.0, 2.0 * np.pi, size=(lanes, 2 * p))
+    if zero_coord:
+        starts[:, 0] = 0.0
+
+    def objective(angles):
+        return -_expectations(diag, n, angles)
+
+    results = _lockstep([_nelder_mead(x0, maxfev) for x0 in starts], objective)
+    for x0, (x, fun, nfev) in zip(starts, results):
+        ref = _scipy_nelder_mead(objective, x0, maxfev)
+        assert (x.tobytes(), fun, nfev) == (ref.x.tobytes(), ref.fun, ref.nfev)
+
+
+def test_lockstep_nelder_mead_matches_scipy_when_a_shrink_runs_out():
+    # on a flat landscape almost every iteration shrinks, so this budget
+    # sweep stops inside shrinks of every length (2p = 4 angles)
+    n = 3
+    diag = np.full(1 << n, 0.9)
+
+    def objective(angles):
+        return -_expectations(diag, n, angles)
+
+    shrink_sizes = set()
+    for maxfev in range(1, 70):
+        for x0 in ([0.3, 2.0, 0.0, 5.1], [4.0, 1.0, 2.5, 0.7]):
+            x0 = np.array(x0)
+            batches = []
+
+            def recording(angles):
+                batches.append(len(angles))
+                return objective(angles)
+
+            ((x, fun, nfev),) = _lockstep([_nelder_mead(x0, maxfev)], recording)
+            ref = _scipy_nelder_mead(objective, x0, maxfev)
+            assert (x.tobytes(), fun, nfev) == (ref.x.tobytes(), ref.fun, ref.nfev)
+            # after the initial simplex, one lane sends several points only in a shrink
+            shrink_sizes.update(b for b in batches[1:] if b > 1)
+    assert shrink_sizes == {2, 3, 4}
+
+
+def _scipy_optimize(H, p, restarts, max_evals, seed, init=None):
+    """optimize as one scipy minimize per start, run one after another."""
+    rng = np.random.default_rng(seed)
+    diag = H.diagonal()
+
+    def objective(angles):
+        return -_expectations(diag, H.n, angles)
+
+    starts = [] if init is None else [init.to_vector()]
+    starts.extend(rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
+    best_x, best_val, evaluations = None, -np.inf, 0
+    for i, x0 in enumerate(starts):
+        if i == 0 and init is not None:
+            val = -objective(x0[None])[0]
+            evaluations += 1
+            if val > best_val:
+                best_val, best_x = float(val), x0
+        res = _scipy_nelder_mead(objective, x0, max_evals)
+        evaluations += res.nfev
+        if -res.fun > best_val:
+            best_val, best_x = -float(res.fun), res.x
+    return QaoaParams.from_vector(best_x), best_val, evaluations
+
+
+@settings(max_examples=40)
+@given(hamiltonians(max_n=4), st.integers(1, 3), st.integers(0, 3), st.integers(1, 60),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_optimize_matches_sequential_scipy_runs(H, p, restarts, max_evals, warm, seed):
+    init = None
+    if warm or restarts == 0:
+        rng = np.random.default_rng(seed + 1)
+        init = QaoaParams(tuple(rng.uniform(0, 2 * np.pi, p)), tuple(rng.uniform(0, 2 * np.pi, p)))
+    out = optimize(H, p, restarts, max_evals, seed=seed, init=init)
+    params, value, evaluations = _scipy_optimize(H, p, restarts, max_evals, seed, init)
+    assert (out.params, out.expectation, out.evaluations) == (params, value, evaluations)
+
+
+@pytest.mark.parametrize("rows", [4, 20])
+def test_batched_rows_equal_single_rows_bitwise(rows):
+    # at n=10, 20 rows of complex128 pass numpy's 256 KiB temporary-reuse
+    # threshold and 4 rows stay below it
+    n, p = 10, 3
+    rng = np.random.default_rng(rows)
+    diag = rng.normal(size=1 << n)
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(rows, 2 * p))
+    batched = _evolve(diag, n, angles)
+    single = np.stack([_evolve(diag, n, angles[k:k + 1])[0] for k in range(rows)])
+    assert batched.tobytes() == single.tobytes()
+    values = np.array([_expectations(diag, n, angles[k:k + 1])[0] for k in range(rows)])
+    assert _expectations(diag, n, angles).tobytes() == values.tobytes()

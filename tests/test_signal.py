@@ -32,6 +32,15 @@ def test_rejects_position_out_of_range():
         SparseSignal(n=3, spikes=((8, 1.0),))
 
 
+def test_caps_n_at_the_int64_index_width():
+    with pytest.raises(ValueError, match="exceeds 63"):
+        SparseSignal(n=64, spikes=())
+    with pytest.raises(ValueError, match="exceeds 63"):
+        random_sparse_signal(64, 1, seed=0)
+    # n = 63 still draws: positions stay below 2**63
+    assert random_sparse_signal(63, 2, seed=0).n == 63
+
+
 def test_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         SparseSignal(n=0, spikes=())
