@@ -49,8 +49,9 @@ class SolverSpec:
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.param_count < 1:
-            raise ValueError(f"param_count must be >= 1, got {self.param_count}")
+        for name in ("param_count", "restarts", "max_evals", "shots"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def depth(self) -> int:

@@ -5,16 +5,26 @@ bit fixed to 0, (I-Z)/2 per bit fixed to 1, and I on free bits.  Scaling
 the expansions by the residual entries and summing gives a generalized
 Ising Hamiltonian whose diagonal equals A^T r: the spin value on bit b
 is 1 - 2b, so bit 0 maps to +1 and bit 1 to -1.
+
+`IsingHamiltonian.diagonal` adds each term as one table through the
+measurement module's table kernel: the term on support S adds coeff times
+the 2**|S| spin products over S's bits.  Every index still receives
++coeff or -coeff exactly, term by term in dict order, so the result is bit
+for bit a per-term sign product.  `build_hamiltonian` caches each pattern's
+expansion into (support, sign) pairs by its constraint tuple and keeps the
+dict loop, so it yields the same terms, values and order as enumerating the
+subsets afresh on every call.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .measurement import MeasurementSet
+from .measurement import MeasurementSet, _add_table
 
 # Exact cancellations occur for complete value-assignment groups; drop the dust.
 COEFF_PRUNE_TOL = 1e-15
@@ -46,14 +56,9 @@ class IsingHamiltonian:
 
     def diagonal(self) -> np.ndarray:
         """All 2**n diagonal entries at once (vectorized evaluate)."""
-        d = 1 << self.n
-        zs = np.arange(d, dtype=np.int64)
-        diag = np.zeros(d)
+        diag = np.zeros(1 << self.n)
         for support, coeff in self.terms.items():
-            signs = np.ones(d)
-            for j in support:
-                signs *= 1.0 - 2.0 * ((zs >> (self.n - j)) & 1)
-            diag += coeff * signs
+            _add_table(diag, self.n, tuple(sorted(support)), coeff * _signs(len(support)))
         return diag
 
     def negated(self) -> "IsingHamiltonian":
@@ -79,6 +84,43 @@ class IsingHamiltonian:
         return "\n".join(lines)
 
 
+@lru_cache(maxsize=None)
+def _signs(k: int) -> np.ndarray:
+    """The 2**k spin products (-1)**popcount(v), read-only."""
+    signs = np.ones(1)
+    for _ in range(k):
+        signs = np.concatenate([signs, -signs])
+    signs.flags.writeable = False
+    return signs
+
+
+@lru_cache(maxsize=64)
+def _subsets(bits: tuple[int, ...]) -> tuple[frozenset[int], ...]:
+    """Every subset of the positions, by size and then in combinations order."""
+    return tuple(
+        frozenset(subset)
+        for size in range(len(bits) + 1)
+        for subset in itertools.combinations(bits, size)
+    )
+
+
+# Room for every nearest-neighbour pattern at any n <= 63 (4 * 62 of them);
+# random quadruplet patterns only recur within one measurement set.
+@lru_cache(maxsize=256)
+def _expansion(
+    constraints: tuple[tuple[int, int], ...],
+) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
+    """A pattern's Z-string supports, each with the sign (-1)**(number of its
+    bits fixed to 1).  Patterns on the same positions share the supports."""
+    values = tuple(val for _, val in constraints)
+    signs = tuple(
+        (-1) ** sum(subset)
+        for size in range(len(values) + 1)
+        for subset in itertools.combinations(values, size)
+    )
+    return _subsets(tuple(bit for bit, _ in constraints)), signs
+
+
 def _pruned(terms: dict[frozenset[int], float]) -> dict[frozenset[int], float]:
     return {s: c for s, c in terms.items() if abs(c) >= COEFF_PRUNE_TOL}
 
@@ -96,15 +138,8 @@ def build_hamiltonian(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltonian:
     for p, ri in zip(ms.patterns, r):
         if ri == 0.0:
             continue
-        k = p.k
-        base = float(ri) / (1 << k)
-        for subset in itertools.chain.from_iterable(
-            itertools.combinations(p.constraints, size) for size in range(k + 1)
-        ):
-            sign = 1
-            for _, val in subset:
-                if val:
-                    sign = -sign
-            support = frozenset(bit for bit, _ in subset)
+        base = float(ri) / (1 << p.k)
+        supports, signs = _expansion(p.constraints)
+        for support, sign in zip(supports, signs):
             terms[support] = terms.get(support, 0.0) + sign * base
     return IsingHamiltonian(ms.n, _pruned(terms))

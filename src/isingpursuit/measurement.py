@@ -4,6 +4,22 @@ A pattern fixes the values of a chosen uplet of index bits; the measurement
 matrix row it describes is 1 at every index consistent with those fixed bits
 and 0 elsewhere.  The matrix itself is never stored: measuring, column dot
 products and column norms all work directly off the bit constraints.
+
+A^T r over all 2**n indices is a sum of small tables: a pattern fixing k
+bits adds r_i at the one entry of a 2**k table, indexed by those bits' values,
+that it matches.  `_add_table` adds such a table to the 2**n accumulator in
+one broadcast add, viewing the accumulator as a block array (one axis per
+run of free bits, one per run of fixed bits) so that it needs no index
+arrays and no masks.  `all_column_dots` adds one table per run of
+consecutive patterns on the same bits with distinct values.  This is bit
+for bit the one-masked-pass-per-pattern sum: an index matches at most one
+pattern of a run, so it receives the same nonzero addends in the same
+order, and the 0.0 added at unmatched entries changes nothing, because the
+accumulator starts at +0.0 and a sum can only be -0.0 when both addends are.
+When fewer than FOLD_BITS free bits follow the last fixed bit of a large
+space, the table is first spread over those last bits, so that numpy's
+innermost loop stays long; the spread table may hold +0.0 for -0.0, which
+is exact for the same reason.
 """
 
 from __future__ import annotations
@@ -12,7 +28,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -87,6 +103,30 @@ class MeasurementSet:
             masks[i], wants[i] = p.mask_want(self.n)
         return masks, wants
 
+    @cached_property
+    def _table_runs(self) -> tuple[tuple[int, int, tuple[int, ...], np.ndarray | None], ...]:
+        """(start, stop, bits, slots) per maximal run of consecutive patterns on
+        the same sorted bit positions with pairwise distinct values.  Pattern
+        start + i fills entry slots[i] of the run's 2**k table; slots is None
+        when the run is the whole value-assignment group in binary order."""
+        runs: list[list] = []
+        for i, p in enumerate(self.patterns):
+            fixed = sorted(p.constraints)
+            bits = tuple(b for b, _ in fixed)
+            slot = 0
+            for _, val in fixed:
+                slot = 2 * slot + val
+            if runs and runs[-1][2] == bits and slot not in runs[-1][3]:
+                runs[-1][1] = i + 1
+                runs[-1][3].append(slot)
+            else:
+                runs.append([i, i + 1, bits, [slot]])
+        return tuple(
+            (start, stop, bits,
+             None if slots == list(range(1 << len(bits))) else np.array(slots))
+            for start, stop, bits, slots in runs
+        )
+
     def match_vector(self, z: int) -> np.ndarray:
         """Boolean vector over patterns: the implicit column of A at index z."""
         masks, wants = self._masks_wants
@@ -114,6 +154,75 @@ class MeasurementSet:
     @classmethod
     def from_json(cls, text: str) -> "MeasurementSet":
         return cls.from_dict(json.loads(text))
+
+
+@lru_cache(maxsize=1024)
+def _block_shapes(n: int, bits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Shapes that view a 2**n vector and a 2**k table over the sorted
+    positions `bits` as broadcast-compatible block arrays: each run of free
+    bits is one axis (size 1 in the table), each run of fixed bits another."""
+    shape: list[int] = []
+    table_shape: list[int] = []
+    prev = 0
+    for bit in bits:
+        if bit > prev + 1:
+            shape.append(1 << (bit - prev - 1))
+            table_shape.append(1)
+        if prev and bit == prev + 1:
+            shape[-1] *= 2
+            table_shape[-1] *= 2
+        else:
+            shape.append(2)
+            table_shape.append(2)
+        prev = bit
+    if prev < n:
+        shape.append(1 << (n - prev))
+        table_shape.append(1)
+    return tuple(shape), tuple(table_shape)
+
+
+# numpy runs a broadcast add one innermost block at a time.  With fewer than
+# FOLD_BITS free bits after the last fixed one, that block holds a handful of
+# entries and the per-block overhead dominates (about 6x slower at n=16).
+# Below 2 * FOLD_BITS bits the whole add is too short for folding to pay.
+FOLD_BITS = 6
+
+
+@lru_cache(maxsize=1024)
+def _fold(n: int, bits: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
+    """(m, table_bits, block_bits) that widen a short innermost block to the
+    last FOLD_BITS bits: the table is first spread over an m-bit space whose
+    low FOLD_BITS bits stand for those bits, then added on `block_bits`, the
+    fixed bits above them plus every bit in them.  None when no fold is due."""
+    if n < 2 * FOLD_BITS or not bits or n - bits[-1] >= FOLD_BITS:
+        return None
+    low = n - FOLD_BITS
+    high = tuple(bit for bit in bits if bit <= low)
+    table_bits = tuple(range(1, len(high) + 1)) + tuple(
+        len(high) + bit - low for bit in bits if bit > low
+    )
+    return len(high) + FOLD_BITS, table_bits, high + tuple(range(low + 1, n + 1))
+
+
+def _add_blocks(acc: np.ndarray, n: int, bits: tuple[int, ...], table: np.ndarray) -> None:
+    shape, table_shape = _block_shapes(n, bits)
+    view = acc.reshape(shape)
+    view += table.reshape(table_shape)
+
+
+def _add_table(acc: np.ndarray, n: int, bits: tuple[int, ...], table: np.ndarray) -> None:
+    """acc[z] += table[v] for every index z, where v reads z's bits at the
+    sorted positions `bits`, the first one most significant.  One broadcast
+    add over block views of both arrays: no index arrays, no masks.  A short
+    innermost block is first folded into a larger table (see `_fold`), which
+    turns a -0.0 entry into +0.0: exact as long as acc holds no -0.0."""
+    fold = _fold(n, bits)
+    if fold is not None:
+        m, table_bits, bits = fold
+        spread = np.zeros(1 << m)
+        _add_blocks(spread, m, table_bits, table)
+        table = spread
+    _add_blocks(acc, n, bits, table)
 
 
 def value_assignment_group(positions: tuple[int, ...]) -> tuple[Pattern, ...]:
@@ -180,11 +289,6 @@ def complete_patterns(n: int) -> MeasurementSet:
     return MeasurementSet(n=n, patterns=value_assignment_group(tuple(range(1, n + 1))))
 
 
-def pattern_matches(p: Pattern, z: int, n: int) -> bool:
-    """Whether index z satisfies every constraint: the implicit entry A[i, z]."""
-    return all((z >> (n - bit)) & 1 == val for bit, val in p.constraints)
-
-
 def measure(signal: SparseSignal, ms: MeasurementSet) -> np.ndarray:
     """Marginals y = A x: y[i] sums spike values consistent with pattern i."""
     if signal.n != ms.n:
@@ -215,18 +319,13 @@ def all_column_dots(r: np.ndarray, ms: MeasurementSet) -> np.ndarray:
     """The full vector A^T r over all 2**n indices (exhaustive, small n only)."""
     if len(r) != len(ms.patterns):
         raise ValueError(f"residual length {len(r)} != pattern count {len(ms.patterns)}")
-    zs = np.arange(1 << ms.n, dtype=np.int64)
+    r = np.asarray(r, dtype=float)
     acc = np.zeros(1 << ms.n)
-    masks, wants = ms._masks_wants
-    for mask, want, ri in zip(masks, wants, r):
-        acc[(zs & mask) == want] += ri
+    for start, stop, bits, slots in ms._table_runs:
+        if slots is None:
+            table = r[start:stop]
+        else:
+            table = np.zeros(1 << len(bits))
+            table[slots] = r[start:stop]
+        _add_table(acc, ms.n, bits, table)
     return acc
-
-
-def dense_matrix(ms: MeasurementSet) -> np.ndarray:
-    """Materialize A as an (M, 2**n) 0/1 array.  Test oracle only."""
-    if ms.n > DENSE_MATRIX_CAP:
-        raise ValueError(f"dense A at n={ms.n} exceeds cap {DENSE_MATRIX_CAP}")
-    zs = np.arange(1 << ms.n, dtype=np.int64)
-    masks, wants = ms._masks_wants
-    return ((zs[None, :] & masks[:, None]) == wants[:, None]).astype(float)

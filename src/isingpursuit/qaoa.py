@@ -330,12 +330,16 @@ def optimize(
     evaluations per start) from `restarts` uniform random starts in
     [0, 2*pi)**(2p), all run in lockstep; an optional warm start is tried
     first and its raw value is kept as a candidate, so warm-started results
-    never regress.  Deterministic for a fixed seed; best-effort, never raises.
+    never regress.  Deterministic for a fixed seed and best-effort; raises
+    ValueError only for a depth or an evaluation budget below 1, or for no
+    start at all.
     """
     if p < 1:
         raise ValueError(f"depth must be >= 1, got {p}")
     if restarts < 1 and init is None:
         raise ValueError("need at least one restart or a warm start")
+    if max_evals < 1:
+        raise ValueError(f"max_evals must be >= 1, got {max_evals}")
     rng = np.random.default_rng(seed)
     diag = H.diagonal()
     n = H.n

@@ -25,11 +25,6 @@ def _check_bit_count(n: int) -> None:
         raise ValueError(f"n={n} exceeds {INDEX_BITS_CAP}, the width of the int64 index masks")
 
 
-def bit_at(z: int, j: int, n: int) -> int:
-    """Bit j (1-based, MSB-first) of the n-bit index z."""
-    return (z >> (n - j)) & 1
-
-
 @dataclass(frozen=True)
 class SparseSignal:
     """A sparse vector of length 2**n as (position, value) spikes.
@@ -122,10 +117,3 @@ def random_sparse_signal(
     spikes = tuple((int(p), float(v)) for p, v in zip(positions, values))
     return SparseSignal(n=n, spikes=spikes)
 
-
-def from_dense(x: np.ndarray, n: int) -> SparseSignal:
-    """Re-sparsify a dense vector (inverse of SparseSignal.dense)."""
-    if len(x) != 1 << n:
-        raise ValueError(f"expected length {1 << n}, got {len(x)}")
-    spikes = tuple((int(p), float(v)) for p, v in enumerate(x) if v != 0.0)
-    return SparseSignal(n=n, spikes=spikes)

@@ -99,6 +99,19 @@ def test_configuration_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_empty_qaoa_budget_exits_2_before_any_trial(monkeypatch, capsys):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("isingpursuit.cli.run_batch", no_trials)
+    monkeypatch.setattr("isingpursuit.cli.run_sweep", no_trials)
+    assert run_cli("experiment", "--n", "4", "--sparsity", "1", "--solver", "qaoa",
+                   "--max-evals", "0") == 2
+    err = capsys.readouterr().err
+    assert "max_evals must be >= 1, got 0" in err
+    assert "NoneType" not in err
+
+
 def test_bad_params_list_is_a_usage_error(capsys):
     for bad in ("a,b", "", "5,"):
         with pytest.raises(SystemExit) as exc:

@@ -15,14 +15,14 @@ from isingpursuit.measurement import (
     column_dot,
     column_norm_sq,
     complete_patterns,
-    dense_matrix,
     measure,
     nearest_neighbor_patterns,
-    pattern_matches,
     random_quadruplet_patterns,
     value_assignment_group,
 )
 from isingpursuit.signal import SparseSignal, random_sparse_signal
+
+from oracles import dense_matrix, pattern_matches
 
 
 def test_mask_want():

@@ -206,6 +206,15 @@ def test_optimize_validates_inputs():
         optimize(H, p=2, restarts=1, init=QaoaParams((0.1,), (0.2,)))
 
 
+def test_optimize_rejects_an_empty_evaluation_budget():
+    H = IsingHamiltonian(2, {frozenset({1, 2}): 1.0})
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_evals must be >= 1"):
+            optimize(H, p=1, restarts=1, max_evals=bad)
+        with pytest.raises(ValueError, match="max_evals must be >= 1"):
+            optimize(H, p=1, restarts=0, max_evals=bad, init=QaoaParams((0.1,), (0.2,)))
+
+
 def test_sampling_from_a_basis_state():
     psi = np.zeros(8, dtype=complex)
     psi[5] = 1.0

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from isingpursuit.signal import SparseSignal, bit_at, from_dense, random_sparse_signal
+from isingpursuit.signal import SparseSignal, random_sparse_signal
+
+from oracles import bit_at, from_dense
 
 
 def test_bit_at_is_msb_first():

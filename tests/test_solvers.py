@@ -12,7 +12,6 @@ from isingpursuit.measurement import (
     all_column_dots,
     column_dot,
     complete_patterns,
-    dense_matrix,
     measure,
     nearest_neighbor_patterns,
     random_quadruplet_patterns,
@@ -26,6 +25,7 @@ from isingpursuit.solvers import (
     qaoa_solve,
 )
 
+from oracles import dense_matrix
 from test_measurement import measurement_sets
 
 
