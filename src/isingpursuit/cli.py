@@ -28,7 +28,7 @@ from .experiment import (
     run_sweep,
 )
 from .measurement import MeasurementSet, measure
-from .pursuit import PursuitConfig, matching_pursuit
+from .pursuit import DegenerateColumnError, PursuitConfig, matching_pursuit
 from .signal import SparseSignal, random_sparse_signal
 
 
@@ -185,7 +185,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, TypeError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, FileNotFoundError, json.JSONDecodeError,
+            DegenerateColumnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

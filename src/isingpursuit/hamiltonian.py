@@ -10,15 +10,26 @@ is 1 - 2b, so bit 0 maps to +1 and bit 1 to -1.
 measurement module's table kernel: the term on support S adds coeff times
 the 2**|S| spin products over S's bits.  Every index still receives
 +coeff or -coeff exactly, term by term in dict order, so the result is bit
-for bit a per-term sign product.  `build_hamiltonian` caches each pattern's
-expansion into (support, sign) pairs by its constraint tuple and keeps the
-dict loop, so it yields the same terms, values and order as enumerating the
-subsets afresh on every call.
+for bit a per-term sign product.
+
+`build_hamiltonian` runs no per-entry Python loop, yet sums bit for bit as
+the dict loop `terms[S] = terms.get(S, 0.0) + sign * r_i / 2**k` over the
+patterns with r_i != 0.0.  Each measurement set caches an expansion plan
+(`MeasurementSet._expansion_plan`) that gives every (pattern, support)
+entry a row, its support's, and a column, its rank among that support's
+entries in pattern order.  A call scatters the addends into zero blocks of
+such rows and runs np.add.accumulate along them: a strictly sequential sum
+in the loop's order, starting from the +0.0 in column 0 as terms.get does.
+(np.sum and np.add.reduceat would not do: they sum runs of 8 or more
+pairwise.)  Patterns with r_i == 0.0 add +-0.0 instead of being skipped,
+which changes nothing, because a sum started at +0.0 never holds -0.0 and
+x + 0.0 == x otherwise.  Keys go in the loop's order, that is by the first
+entry of a pattern with r_i != 0.0 that names them, and the pruning is the
+loop's.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -94,33 +105,6 @@ def _signs(k: int) -> np.ndarray:
     return signs
 
 
-@lru_cache(maxsize=64)
-def _subsets(bits: tuple[int, ...]) -> tuple[frozenset[int], ...]:
-    """Every subset of the positions, by size and then in combinations order."""
-    return tuple(
-        frozenset(subset)
-        for size in range(len(bits) + 1)
-        for subset in itertools.combinations(bits, size)
-    )
-
-
-# Room for every nearest-neighbour pattern at any n <= 63 (4 * 62 of them);
-# random quadruplet patterns only recur within one measurement set.
-@lru_cache(maxsize=256)
-def _expansion(
-    constraints: tuple[tuple[int, int], ...],
-) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
-    """A pattern's Z-string supports, each with the sign (-1)**(number of its
-    bits fixed to 1).  Patterns on the same positions share the supports."""
-    values = tuple(val for _, val in constraints)
-    signs = tuple(
-        (-1) ** sum(subset)
-        for size in range(len(values) + 1)
-        for subset in itertools.combinations(values, size)
-    )
-    return _subsets(tuple(bit for bit, _ in constraints)), signs
-
-
 def _pruned(terms: dict[frozenset[int], float]) -> dict[frozenset[int], float]:
     return {s: c for s, c in terms.items() if abs(c) >= COEFF_PRUNE_TOL}
 
@@ -131,15 +115,30 @@ def build_hamiltonian(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltonian:
     Pattern i with k fixed bits contributes r_i / 2**k to every subset of
     its fixed positions, signed by the product of (1 - 2*value) over the
     subset.  Like supports merge additively; near-zero results are pruned.
+
+    The sum is bit for bit the dict loop that skips patterns with r_i == 0.0
+    and adds each other pattern's signed terms to terms.get(S, 0.0) (see the
+    module docstring): each support's addends fill one row of the plan's
+    blocks after a leading +0.0, in pattern order, and np.add.accumulate
+    sums the row strictly left to right.  A skipped pattern's +-0.0 addends
+    are exact no-ops.  Supports keep the order in which an entry of an
+    unskipped pattern first names them.
     """
     if len(r) != len(ms.patterns):
         raise ValueError(f"residual length {len(r)} != pattern count {len(ms.patterns)}")
-    terms: dict[frozenset[int], float] = {}
-    for p, ri in zip(ms.patterns, r):
-        if ri == 0.0:
-            continue
-        base = float(ri) / (1 << p.k)
-        supports, signs = _expansion(p.constraints)
-        for support, sign in zip(supports, signs):
-            terms[support] = terms.get(support, 0.0) + sign * base
-    return IsingHamiltonian(ms.n, _pruned(terms))
+    r = np.asarray(r, dtype=float)
+    plan = ms._expansion_plan
+    flat = np.zeros(plan.blocks[-1][1])
+    flat[plan.slot] = plan.sign * (r / plan.scale)[plan.pattern]
+    totals = np.concatenate([
+        np.add.accumulate(flat[start:stop].reshape(-1, width), axis=1)[:, -1]
+        for start, stop, width in plan.blocks
+    ])
+    live = np.flatnonzero((r != 0.0)[plan.pattern])
+    first = np.full(len(plan.supports), len(plan.pattern))
+    np.minimum.at(first, plan.support[live], live)
+    # a support no live entry names totals +0.0, so pruning drops it
+    order = np.argsort(first)
+    order = order[np.abs(totals[order]) >= COEFF_PRUNE_TOL].tolist()
+    terms = dict(zip([plan.supports[s] for s in order], totals[order].tolist()))
+    return IsingHamiltonian(ms.n, terms)

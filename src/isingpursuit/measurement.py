@@ -20,6 +20,11 @@ When fewer than FOLD_BITS free bits follow the last fixed bit of a large
 space, the table is first spread over those last bits, so that numpy's
 innermost loop stays long; the spread table may hold +0.0 for -0.0, which
 is exact for the same reason.
+
+Z-string expansions of the patterns are cached on the set too
+(`_expansion_plan`, used by the Hamiltonian builder), and
+`nearest_neighbor_patterns` builds its set once per n, so the masks, table
+runs and plan of a nearest-neighbour set are made once per process.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +77,27 @@ class Pattern:
             mask |= 1 << shift
             want |= val << shift
         return mask, want
+
+
+class ExpansionPlan(NamedTuple):
+    """Every pattern's Z-string expansion, one entry per (pattern, subset of
+    its fixed positions), in pattern order and, within a pattern, by subset
+    size and then in combinations order over its constraint tuple.  Entry e
+    adds sign[e] * r[pattern[e]] / scale[pattern[e]] to the term on
+    supports[support[e]].
+
+    The addends go into a flat zero buffer of row-major blocks, each given
+    by its (start, stop, width) in `blocks`.  A support owns one block row, and
+    entry e sits at slot[e], one column past the number of earlier entries
+    on its support, so that every row starts with +0.0."""
+
+    supports: tuple[frozenset[int], ...]  # one per block row
+    support: np.ndarray
+    pattern: np.ndarray
+    sign: np.ndarray  # (-1.0)**(number of the subset's bits fixed to 1)
+    scale: np.ndarray  # 2.0**k per pattern
+    slot: np.ndarray
+    blocks: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -127,6 +154,46 @@ class MeasurementSet:
             for start, stop, bits, slots in runs
         )
 
+    @cached_property
+    def _expansion_plan(self) -> ExpansionPlan:
+        split = [tuple(zip(*p.constraints)) or ((), ()) for p in self.patterns]  # (bits, values)
+        ids: dict[frozenset[int], int] = {}
+        rows: dict[tuple[int, ...], np.ndarray] = {}
+        for bits, _ in split:
+            if bits not in rows:
+                rows[bits] = np.array([ids.setdefault(s, len(ids)) for s in _subsets(bits)])
+        first_seen = np.concatenate([rows[bits] for bits, _ in split])
+        # Rows go in order of their entry count, cut into blocks where the
+        # count passes a power of two, so padding at most doubles a block.
+        counts = np.bincount(first_seen)
+        row_order = np.argsort(counts, kind="stable")
+        row = np.empty_like(row_order)
+        row[row_order] = np.arange(len(row_order))
+        counts = counts[row_order]
+        starts = np.flatnonzero(np.diff(np.frexp(counts - 1)[1], prepend=-1))
+        stops = np.append(starts[1:], len(counts))
+        widths = counts[stops - 1] + 1
+        row_width = np.repeat(widths, stops - starts)
+        row_start = np.cumsum(row_width) - row_width
+        support_ids = row[first_seen]
+        # an entry's rank: the number of earlier entries on its support
+        rank = np.empty_like(support_ids)
+        rank[np.argsort(support_ids, kind="stable")] = (
+            np.arange(len(support_ids)) - np.repeat(np.cumsum(counts) - counts, counts)
+        )
+        ks = np.array([len(bits) for bits, _ in split])
+        supports = tuple(ids)
+        return ExpansionPlan(
+            supports=tuple(supports[i] for i in row_order.tolist()),
+            support=support_ids,
+            pattern=np.repeat(np.arange(len(ks)), 1 << ks),
+            sign=np.concatenate([_parities(values) for _, values in split]),
+            scale=np.ldexp(1.0, ks),
+            slot=row_start[support_ids] + rank + 1,
+            blocks=tuple(zip(row_start[starts].tolist(),
+                             (row_start + row_width)[stops - 1].tolist(), widths.tolist())),
+        )
+
     def match_vector(self, z: int) -> np.ndarray:
         """Boolean vector over patterns: the implicit column of A at index z."""
         masks, wants = self._masks_wants
@@ -154,6 +221,29 @@ class MeasurementSet:
     @classmethod
     def from_json(cls, text: str) -> "MeasurementSet":
         return cls.from_dict(json.loads(text))
+
+
+@lru_cache(maxsize=64)
+def _subsets(bits: tuple[int, ...]) -> tuple[frozenset[int], ...]:
+    """Every subset of the positions, by size and then in combinations order."""
+    return tuple(
+        frozenset(subset)
+        for size in range(len(bits) + 1)
+        for subset in itertools.combinations(bits, size)
+    )
+
+
+@lru_cache(maxsize=64)
+def _parities(values: tuple[int, ...]) -> np.ndarray:
+    """(-1.0)**(number of ones) of every subset of the values, in the order of
+    `_subsets`: the signs of a pattern's Z-string terms.  Read-only."""
+    signs = np.array([
+        (-1.0) ** sum(subset)
+        for size in range(len(values) + 1)
+        for subset in itertools.combinations(values, size)
+    ])
+    signs.flags.writeable = False
+    return signs
 
 
 @lru_cache(maxsize=1024)
@@ -238,10 +328,19 @@ def nearest_neighbor_patterns(n: int) -> MeasurementSet:
     """All four value assignments for each adjacent bit pair: M = 4(n-1).
 
     Ordering is pair-major, value-combination minor (00, 01, 10, 11), so
-    marginal indices are stable across runs.
+    marginal indices are stable across runs.  The set is built once per n
+    and shared, together with its cached masks, table runs and expansion
+    plan; it is frozen, so callers cannot tell the difference.
     """
     if n < 2:
         raise ValueError(f"nearest-neighbor patterns need n >= 2, got {n}")
+    return _nearest_neighbor_patterns(n)
+
+
+# Memoised apart from the public function, which stays a plain function so
+# that perfbench's tracer, which wraps plain functions only, still sees it.
+@lru_cache(maxsize=None)
+def _nearest_neighbor_patterns(n: int) -> MeasurementSet:
     patterns: list[Pattern] = []
     for i in range(1, n):
         patterns.extend(value_assignment_group((i, i + 1)))

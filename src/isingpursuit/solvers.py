@@ -43,12 +43,12 @@ def brute_force_solve(ms: MeasurementSet, r: np.ndarray) -> SolverOutcome:
     return SolverOutcome(z, score, {"backend": "brute", "scanned": len(dots)})
 
 
-def _chain_params(H: IsingHamiltonian) -> tuple[float, np.ndarray, np.ndarray]:
+def _chain_params(H: IsingHamiltonian) -> tuple[float, list[float], list[float]]:
     """Split terms into constant, per-site fields and adjacent couplings."""
     n = H.n
     const = 0.0
-    fields = np.zeros(n + 1)
-    couplings = np.zeros(n)  # couplings[i] pairs sites (i, i+1)
+    fields = [0.0] * (n + 1)
+    couplings = [0.0] * n  # couplings[i] pairs sites (i, i+1)
     for support, coeff in H.terms.items():
         if len(support) == 0:
             const = coeff
@@ -66,23 +66,27 @@ def _chain_params(H: IsingHamiltonian) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def _chain_max(
-    const: float, fields: np.ndarray, couplings: np.ndarray, n: int
+    const: float, fields: list[float], couplings: list[float], n: int
 ) -> tuple[int, float]:
     """Exact chain maximum by a suffix sweep plus greedy bit selection.
 
     Spin s = +1 encodes bit 0, s = -1 bit 1.  Ties prefer bit 0 at the most
     significant undecided position, which makes the returned index the
-    smallest one among the maxima.
+    smallest one among the maxima.  Plain floats throughout: the same IEEE
+    sums and comparisons as numpy scalars, without their per-element cost.
     """
-    # best[i][b] = maximal value of sites i..n given bit b at site i
-    best = np.zeros((n + 2, 2))
+    # best[i] = (maximal value of sites i..n given bit 0, given bit 1 at site i)
+    best = [(0.0, 0.0)] * (n + 2)
     for i in range(n, 0, -1):
-        for b, s in ((0, 1.0), (1, -1.0)):
+        pair = []
+        for s in (1.0, -1.0):
             v = fields[i] * s
             if i < n:
-                v += max(couplings[i] * s + best[i + 1][0],
-                         -couplings[i] * s + best[i + 1][1])
-            best[i][b] = v
+                stay = couplings[i] * s + best[i + 1][0]
+                flip = -couplings[i] * s + best[i + 1][1]
+                v += flip if flip > stay else stay  # max(stay, flip)
+            pair.append(v)
+        best[i] = tuple(pair)
     z = 0
     b = 0 if best[1][0] >= best[1][1] else 1
     z |= b << (n - 1)
@@ -107,7 +111,9 @@ def chain_dp_solve(ms: MeasurementSet, r: np.ndarray) -> SolverOutcome:
     H = build_hamiltonian(ms, r)
     const, fields, couplings = _chain_params(H)
     z_max, v_max = _chain_max(const, fields, couplings, ms.n)
-    z_min, neg_min = _chain_max(-const, -fields, -couplings, ms.n)
+    z_min, neg_min = _chain_max(
+        -const, [-f for f in fields], [-c for c in couplings], ms.n
+    )
     v_min = 0.0 - neg_min  # not -neg_min, which turns a zero minimum into -0.0
     z = z_max if abs(v_max) >= abs(v_min) else z_min
     score = abs(column_dot(z, r, ms))

@@ -7,6 +7,9 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# Five times the default 100 examples, for a deeper search on every CI push;
+# tests that set their own count scale it by the loaded profile's depth.
+settings.register_profile("ci", settings.get_profile("default"), max_examples=500)
 settings.load_profile("default")
 
 

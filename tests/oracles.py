@@ -3,8 +3,10 @@
 `all_column_dots_masked`, `diagonal_per_term` and `build_hamiltonian_itertools`
 are the straightforward forms of the table kernel's three callers: one
 masked pass per pattern, one sign product per term, one `itertools` subset
-loop per pattern.  The kernel must agree with them bit for bit.  The other
-helpers materialize what the package keeps implicit.
+loop per pattern.  The kernel must agree with them bit for bit.
+`chain_dp_solve_arrays` is the chain dynamic program on numpy arrays and
+scalars, which the float-list `chain_dp_solve` must match exactly.  The
+other helpers materialize what the package keeps implicit.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import itertools
 
 import numpy as np
 
-from isingpursuit.hamiltonian import IsingHamiltonian, _pruned
-from isingpursuit.measurement import DENSE_MATRIX_CAP, MeasurementSet, Pattern
+from isingpursuit.hamiltonian import IsingHamiltonian, _pruned, build_hamiltonian
+from isingpursuit.measurement import DENSE_MATRIX_CAP, MeasurementSet, Pattern, column_dot
 from isingpursuit.signal import SparseSignal
+from isingpursuit.solvers import ChainStructureError, SolverOutcome
 
 
 def bit_at(z: int, j: int, n: int) -> int:
@@ -86,3 +89,62 @@ def build_hamiltonian_itertools(ms: MeasurementSet, r: np.ndarray) -> IsingHamil
             support = frozenset(bit for bit, _ in subset)
             terms[support] = terms.get(support, 0.0) + sign * base
     return IsingHamiltonian(ms.n, _pruned(terms))
+
+
+def _chain_params_arrays(H: IsingHamiltonian) -> tuple[float, np.ndarray, np.ndarray]:
+    n = H.n
+    const = 0.0
+    fields = np.zeros(n + 1)
+    couplings = np.zeros(n)  # couplings[i] pairs sites (i, i+1)
+    for support, coeff in H.terms.items():
+        if len(support) == 0:
+            const = coeff
+        elif len(support) == 1:
+            (i,) = support
+            fields[i] = coeff
+        elif len(support) == 2:
+            i, j = sorted(support)
+            if j != i + 1:
+                raise ChainStructureError(f"non-adjacent coupling {sorted(support)}")
+            couplings[i] = coeff
+        else:
+            raise ChainStructureError(f"interaction of order {len(support)}: {sorted(support)}")
+    return const, fields, couplings
+
+
+def _chain_max_arrays(
+    const: float, fields: np.ndarray, couplings: np.ndarray, n: int
+) -> tuple[int, float]:
+    best = np.zeros((n + 2, 2))
+    for i in range(n, 0, -1):
+        for b, s in ((0, 1.0), (1, -1.0)):
+            v = fields[i] * s
+            if i < n:
+                v += max(couplings[i] * s + best[i + 1][0],
+                         -couplings[i] * s + best[i + 1][1])
+            best[i][b] = v
+    z = 0
+    b = 0 if best[1][0] >= best[1][1] else 1
+    z |= b << (n - 1)
+    value = const + best[1][b]
+    for i in range(1, n):
+        s = 1.0 - 2.0 * b
+        cand0 = couplings[i] * s + best[i + 1][0]
+        cand1 = -couplings[i] * s + best[i + 1][1]
+        b = 0 if cand0 >= cand1 else 1
+        z |= b << (n - i - 1)
+    return z, value
+
+
+def chain_dp_solve_arrays(ms: MeasurementSet, r: np.ndarray) -> SolverOutcome:
+    """chain_dp_solve with the fields, couplings and DP table in numpy arrays."""
+    H = build_hamiltonian(ms, r)
+    const, fields, couplings = _chain_params_arrays(H)
+    z_max, v_max = _chain_max_arrays(const, fields, couplings, ms.n)
+    z_min, neg_min = _chain_max_arrays(-const, -fields, -couplings, ms.n)
+    v_min = 0.0 - neg_min
+    z = z_max if abs(v_max) >= abs(v_min) else z_min
+    score = abs(column_dot(z, r, ms))
+    return SolverOutcome(
+        z, score, {"backend": "chain_dp", "max_value": v_max, "min_value": v_min}
+    )

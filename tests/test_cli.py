@@ -9,6 +9,7 @@ from isingpursuit.cli import build_parser, main
 from isingpursuit.experiment import BACKENDS, PATTERN_KINDS, SolverSpec, make_solver
 from isingpursuit.measurement import MeasurementSet
 from isingpursuit.pursuit import PursuitConfig, matching_pursuit
+from isingpursuit.solvers import SolverOutcome
 
 
 def run_cli(*argv):
@@ -110,6 +111,19 @@ def test_empty_qaoa_budget_exits_2_before_any_trial(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "max_evals must be >= 1, got 0" in err
     assert "NoneType" not in err
+
+
+def test_degenerate_solver_choice_exits_2(tmp_path, monkeypatch, capsys):
+    pat, marg = tmp_path / "pat.json", tmp_path / "y.json"
+    pat.write_text(json.dumps({"n": 2, "patterns": [[{"bit": 1, "val": 0}]]}))
+    marg.write_text("[1.0]")
+    # index 0b10 has bit 1 set, so the only pattern misses it
+    monkeypatch.setattr("isingpursuit.cli.make_solver",
+                        lambda spec, seed: lambda ms, r: SolverOutcome(0b10, 1.0))
+    assert run_cli("reconstruct", "--marginals", str(marg), "--patterns-file", str(pat)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver chose index 2 matching no pattern")
+    assert "Traceback" not in err
 
 
 def test_bad_params_list_is_a_usage_error(capsys):

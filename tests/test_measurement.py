@@ -102,6 +102,14 @@ def test_nearest_neighbor_rejects_n1():
         nearest_neighbor_patterns(1)
 
 
+def test_nearest_neighbor_sets_are_built_once_per_n():
+    ms = nearest_neighbor_patterns(7)
+    assert nearest_neighbor_patterns(7) is ms
+    assert nearest_neighbor_patterns(8) is not ms
+    groups = (value_assignment_group((i, i + 1)) for i in range(1, 7))
+    assert ms == MeasurementSet(7, sum(groups, ()))
+
+
 def test_every_index_matches_one_pattern_per_pair():
     ms = nearest_neighbor_patterns(5)
     for z in range(32):
