@@ -9,10 +9,17 @@ export, not for the hot path.
 
 One kernel evolves every state.  `_evolve` takes a (K, 2p) array of angle
 rows and returns the (K, 2**n) array of ansatz states, so a layer costs the
-same few numpy calls for K rows as for one; `ansatz_state`, the single
-layers and the RX gates of `simulate_gates` are its K = 1 case.  Each row
-comes out bitwise equal to evolving it alone, which pins two details: the
-phase multiply's operand order and a 1-D dot per row for the expectation.
+same few numpy calls for K rows as for one.  Its steps live in
+`_StateBuffers`: two ping-pong (K, 2**n) buffers and one temporary,
+allocated once per call, with every qubit's views built up front.  A layer
+is then one exp, one phase multiply and three ufunc calls per qubit, each
+writing through `out=`, with no array made inside the loop.
+`ansatz_state`, the single layers and the RX gates of `simulate_gates` run
+the same steps with K = 1.  `out=` changes where a result lands, not how
+it is rounded: every amplitude meets the same operands, in the same order,
+as with fresh arrays.  So each row comes out bitwise equal to evolving it
+alone, which pins two details: the phase multiply's operand order and a
+1-D dot per row for the expectation.
 
 `optimize` runs its restarts in lockstep.  Each start is a generator that
 replays scipy's Nelder-Mead step for step and yields the points it needs
@@ -102,36 +109,69 @@ def uniform_state(n: int) -> np.ndarray:
     return np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
 
 
+class _StateBuffers:
+    """Two ping-pong (K, 2**n) complex state buffers and one temporary, with
+    every qubit's views into them built once.  The state sits in `psi`.
+
+    A mixer step on qubit q (MSB-first) reads the (K, 2**(q-1), 2, 2**(n-q))
+    view of the current buffer, whose axis 2 is the qubit's bit, and writes
+    the same view of the other one; reversing axis 2 pairs each amplitude
+    with its partner.  So a step makes no array and calls no reshape.
+    """
+
+    def __init__(self, K: int, n: int):
+        self.bufs = [np.empty((K, 1 << n), dtype=complex) for _ in range(3)]
+        self.tmp, self.cur = self.bufs[2], 0
+        views = [[b.reshape(K, 1 << (q - 1), 2, 1 << (n - q)) for q in range(1, n + 1)]
+                 for b in self.bufs]
+        # steps[b][q - 1]: (source, reversed source, destination, temporary)
+        # of the step on qubit q that reads buffer b
+        self.steps = [[(views[b][i], views[b][i][:, :, ::-1], views[1 - b][i], views[2][i])
+                       for i in range(n)] for b in (0, 1)]
+        # sweeps[b]: the steps on qubits 1..n in turn, the first reading buffer b
+        self.sweeps = [[self.steps[(b + i) % 2][i] for i in range(n)] for b in (0, 1)]
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self.bufs[self.cur]
+
+    def phase(self, psi: np.ndarray, jg: np.ndarray, diag: np.ndarray) -> None:
+        """Row k of psi times exp(jg[k] * diag), into the current buffer;
+        psi may be that buffer itself.
+
+        The operand order is pinned: the FMA complex multiply rounds
+        psi * ph and ph * psi differently, and numpy's expression form
+        `psi * np.exp(...)` swaps them once the exp temporary reaches 256 KiB.
+        """
+        ph = np.multiply(jg, diag, out=self.tmp)
+        np.exp(ph, out=ph)
+        np.multiply(psi, ph, out=self.psi)
+
+    def mix(self, c, js, qubit: int | None = None) -> None:
+        """Apply [[c, js], [js, c]] (js = i*s) on one qubit, or on every qubit
+        in turn when qubit is None, of every row.  c and js are scalars or
+        per-row arrays of shape (K, 1, 1, 1)."""
+        steps = self.sweeps[self.cur] if qubit is None else [self.steps[self.cur][qubit - 1]]
+        for src, flip, dst, tmp in steps:
+            np.multiply(c, src, out=dst)
+            np.multiply(js, flip, out=tmp)
+            np.add(dst, tmp, out=dst)
+        self.cur = (self.cur + len(steps)) % 2
+
+
+def _mixer_factors(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(beta) as complex and i*sin(beta), entry by entry: exp(i*beta*X)
+    on one qubit is [[c, js], [js, c]]."""
+    return np.cos(betas).astype(complex), 1j * np.sin(betas)
+
+
 def apply_phase_layer(state: np.ndarray, H: IsingHamiltonian, gamma: float) -> np.ndarray:
     """amplitude_z *= exp(i * gamma * h(z)); exact, norm preserving."""
     if num_qubits(state) != H.n:
         raise ValueError(f"state has {num_qubits(state)} qubits but H has {H.n}")
-    return _phase(state[None], H.diagonal(), np.array([gamma]))[0]
-
-
-def _phase(psi: np.ndarray, diag: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Row k of psi times exp(i * gammas[k] * diag), into a new (K, 2**n) array.
-
-    The operand order is pinned: in `psi * np.exp(...)` numpy reuses the
-    exp temporary once it reaches 256 KiB and computes exp * psi instead,
-    which the FMA complex multiply rounds differently.
-    """
-    ph = np.exp(1j * gammas[:, None] * diag)
-    return np.multiply(psi, ph, out=ph)
-
-
-def _x_mix(psi: np.ndarray, n: int, qubit: int, c, js) -> np.ndarray:
-    """Apply [[c, js], [js, c]] (js = i*s) on one qubit, MSB-first, of every
-    row of the (K, 2**n) array psi.
-
-    c and js are scalars or per-row arrays of shape (K, 1, 1, 1).
-    Axis 2 of the view is the qubit's bit, so reversing it pairs each
-    amplitude with its partner.
-    """
-    v = psi.reshape(len(psi), 1 << (qubit - 1), 2, 1 << (n - qubit))
-    out = c * v
-    out += js * v[:, :, ::-1]
-    return out.reshape(psi.shape)
+    kernel = _StateBuffers(1, H.n)
+    kernel.phase(state[None], 1j * np.array([[gamma]]), H.diagonal())
+    return kernel.psi[0]
 
 
 def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
@@ -141,32 +181,38 @@ def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
     beta with period pi up to global phase; grids and restarts cover [0, pi)
     by sweeping beta over [0, 2*pi) alongside gamma.
     """
-    return _mix_all(state[None], num_qubits(state), np.array([beta]))[0]
-
-
-def _mix_all(psi: np.ndarray, n: int, betas: np.ndarray) -> np.ndarray:
-    """exp(i * betas[k] * X) on every qubit of row k, unchecked."""
-    c = np.cos(betas).reshape(-1, 1, 1, 1).astype(complex)
-    js = 1j * np.sin(betas).reshape(-1, 1, 1, 1)
-    for q in range(1, n + 1):
-        psi = _x_mix(psi, n, q, c, js)
-    return psi
+    kernel = _StateBuffers(1, num_qubits(state))
+    kernel.psi[0] = state
+    kernel.mix(*_mixer_factors(np.array([beta])))
+    return kernel.psi[0]
 
 
 def _evolve(diag: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
     """Ansatz states for a (K, 2p) array of angle rows [gammas, betas]: (K, 2**n).
 
-    Each row is bitwise the state that evolving it alone gives.
+    The set-up takes i*gamma, cos(beta) as complex and i*sin(beta) for all p
+    layers at once and allocates the state buffers with their views.  Each
+    layer then makes its phases in the temporary, multiplies them in, and
+    runs three ufunc calls per qubit, all through `out=`.  `out=` only says
+    where a result lands: every amplitude meets the same operands, in the
+    same order and through the same numpy loops, as in the form that makes
+    a fresh array per step, so each row is bitwise the state that evolving
+    it alone gives.
     """
-    p = angles.shape[1] // 2
+    K, p = len(angles), angles.shape[1] // 2
+    jg = 1j * angles[:, :p].T[:, :, None]  # (p, K, 1)
+    c, js = _mixer_factors(angles[:, p:].T[:, :, None, None, None])  # (p, K, 1, 1, 1)
+    kernel = _StateBuffers(K, n)
     psi = uniform_state(n)[None]  # the first phase layer broadcasts it to K rows
     for layer in range(p):
-        psi = _phase(psi, diag, angles[:, layer])
-        psi = _mix_all(psi, n, angles[:, p + layer])
+        kernel.phase(psi, jg[layer], diag)
+        kernel.mix(c[layer], js[layer])
+        psi = kernel.psi
     return psi
 
 
-# Rows evolved per numpy call, capped so the states stay near 4 MiB at large n.
+# Rows evolved per call, capped so that each of the kernel's three
+# (K, 2**n) buffers stays near 4 MiB, about 12 MiB in all, at large n.
 _BATCH_BYTES = 1 << 22
 
 
@@ -415,7 +461,9 @@ def ansatz_gates(H: IsingHamiltonian, params: QaoaParams) -> list[Gate]:
 def simulate_gates(state: np.ndarray, gates: list[Gate]) -> np.ndarray:
     """Apply a gate list by exact 1- and 2-qubit statevector updates."""
     n = num_qubits(state)
-    psi = state.copy()
+    kernel = _StateBuffers(1, n)
+    kernel.psi[0] = state
+    psi = kernel.psi[0]  # CX and RZ write through this view of the current buffer
     for g in gates:
         for q in g.qubits:
             if not 1 <= q <= n:
@@ -443,7 +491,8 @@ def simulate_gates(state: np.ndarray, gates: list[Gate]) -> np.ndarray:
             view[tuple(sel1)] *= np.exp(+0.5j * g.angle)
         elif g.name == "RX":
             (q,) = g.qubits
-            psi = _x_mix(psi[None], n, q, np.cos(g.angle / 2), 1j * -np.sin(g.angle / 2))[0]
+            kernel.mix(np.cos(g.angle / 2), 1j * -np.sin(g.angle / 2), q)
+            psi = kernel.psi[0]
         else:
             raise ValueError(f"unknown gate {g.name!r}")
     return psi

@@ -12,6 +12,7 @@ keeping whichever extremum is larger in magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,26 +44,32 @@ def brute_force_solve(ms: MeasurementSet, r: np.ndarray) -> SolverOutcome:
     return SolverOutcome(z, score, {"backend": "brute", "scanned": len(dots)})
 
 
+@lru_cache(maxsize=4096)
+def _chain_slot(support: frozenset) -> tuple[int, int]:
+    """Where a chain term's coefficient goes: (0, 0) for the constant, (1, i)
+    for the field at site i and (2, i) for the coupling of sites (i, i+1)."""
+    if len(support) == 0:
+        return 0, 0
+    if len(support) == 1:
+        (i,) = support
+        return 1, i
+    if len(support) == 2:
+        i, j = sorted(support)
+        if j != i + 1:
+            raise ChainStructureError(f"non-adjacent coupling {sorted(support)}")
+        return 2, i
+    raise ChainStructureError(f"interaction of order {len(support)}: {sorted(support)}")
+
+
 def _chain_params(H: IsingHamiltonian) -> tuple[float, list[float], list[float]]:
     """Split terms into constant, per-site fields and adjacent couplings."""
     n = H.n
-    const = 0.0
-    fields = [0.0] * (n + 1)
-    couplings = [0.0] * n  # couplings[i] pairs sites (i, i+1)
+    # couplings[i] pairs sites (i, i+1)
+    const, fields, couplings = slots = ([0.0], [0.0] * (n + 1), [0.0] * n)
     for support, coeff in H.terms.items():
-        if len(support) == 0:
-            const = coeff
-        elif len(support) == 1:
-            (i,) = support
-            fields[i] = coeff
-        elif len(support) == 2:
-            i, j = sorted(support)
-            if j != i + 1:
-                raise ChainStructureError(f"non-adjacent coupling {sorted(support)}")
-            couplings[i] = coeff
-        else:
-            raise ChainStructureError(f"interaction of order {len(support)}: {sorted(support)}")
-    return const, fields, couplings
+        kind, i = _chain_slot(support)
+        slots[kind][i] = coeff
+    return const[0], fields, couplings
 
 
 def _chain_max(

@@ -5,8 +5,11 @@ are the straightforward forms of the table kernel's three callers: one
 masked pass per pattern, one sign product per term, one `itertools` subset
 loop per pattern.  The kernel must agree with them bit for bit.
 `chain_dp_solve_arrays` is the chain dynamic program on numpy arrays and
-scalars, which the float-list `chain_dp_solve` must match exactly.  The
-other helpers materialize what the package keeps implicit.
+scalars, which the float-list `chain_dp_solve` must match exactly.
+`evolve_per_qubit` is the ansatz kernel with a fresh array for every phase
+and every qubit's mixer, which the buffer kernel `qaoa._evolve` and the
+single layers must match bit for bit.  The other helpers materialize what
+the package keeps implicit.
 """
 
 from __future__ import annotations
@@ -148,3 +151,52 @@ def chain_dp_solve_arrays(ms: MeasurementSet, r: np.ndarray) -> SolverOutcome:
     return SolverOutcome(
         z, score, {"backend": "chain_dp", "max_value": v_max, "min_value": v_min}
     )
+
+
+def phase_rows(psi: np.ndarray, diag: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """Row k of psi times exp(i * gammas[k] * diag), into a new (K, 2**n) array.
+
+    `psi * np.exp(...)` would compute exp * psi once the exp temporary
+    reaches 256 KiB, which the FMA complex multiply rounds differently.
+    """
+    ph = np.exp(1j * gammas[:, None] * diag)
+    return np.multiply(psi, ph, out=ph)
+
+
+def x_mix_rows(psi: np.ndarray, n: int, qubit: int, c, js) -> np.ndarray:
+    """Apply [[c, js], [js, c]] (js = i*s) on one qubit, MSB-first, of every
+    row of the (K, 2**n) array psi; c and js are scalars or (K, 1, 1, 1)."""
+    v = psi.reshape(len(psi), 1 << (qubit - 1), 2, 1 << (n - qubit))
+    out = c * v
+    out += js * v[:, :, ::-1]
+    return out.reshape(psi.shape)
+
+
+def mix_rows(psi: np.ndarray, n: int, betas: np.ndarray) -> np.ndarray:
+    """exp(i * betas[k] * X) on every qubit of row k."""
+    c = np.cos(betas).reshape(-1, 1, 1, 1).astype(complex)
+    js = 1j * np.sin(betas).reshape(-1, 1, 1, 1)
+    for q in range(1, n + 1):
+        psi = x_mix_rows(psi, n, q, c, js)
+    return psi
+
+
+def evolve_per_qubit(diag: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
+    """Ansatz states for a (K, 2p) array of angle rows [gammas, betas]: (K, 2**n),
+    one fresh array per phase layer and per qubit's mixer."""
+    p = angles.shape[1] // 2
+    psi = np.full((1, 1 << n), 2.0 ** (-n / 2), dtype=complex)
+    for layer in range(p):
+        psi = phase_rows(psi, diag, angles[:, layer])
+        psi = mix_rows(psi, n, angles[:, p + layer])
+    return psi
+
+
+def simulate_rx_per_qubit(state: np.ndarray, gates) -> np.ndarray:
+    """simulate_gates for a list of RX gates, one fresh array per gate."""
+    n = len(state).bit_length() - 1
+    psi = state[None]
+    for g in gates:
+        (q,) = g.qubits
+        psi = x_mix_rows(psi, n, q, np.cos(g.angle / 2), 1j * -np.sin(g.angle / 2))
+    return psi[0]

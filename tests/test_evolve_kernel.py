@@ -1,0 +1,160 @@
+"""The buffer kernel of `qaoa` against the per-qubit kernel in `oracles`,
+bit for bit: `_evolve` and `_expectations` on batches of angle rows, the
+single phase and mixer layers, and the RX gates of `simulate_gates`."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from isingpursuit.hamiltonian import IsingHamiltonian
+from isingpursuit.qaoa import (
+    Gate,
+    _evolve,
+    _expectations,
+    apply_mixer_layer,
+    apply_phase_layer,
+    simulate_gates,
+)
+
+from oracles import evolve_per_qubit, mix_rows, phase_rows, simulate_rx_per_qubit
+
+# 1 under the default profile, 5 under --hypothesis-profile=ci.
+DEPTH = settings.default.max_examples // 100
+
+# Zero and negative angles, tiny and huge magnitudes.
+ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -np.pi, 2.0**50, -(2.0**50)]),
+    st.floats(-20.0, 20.0, allow_nan=False),
+    st.builds(lambda m, e: m * 2.0**e, st.floats(-1.0, 1.0), st.integers(-1074, 50)),
+)
+# Signed zeros, subnormals and huge values on the diagonal.
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**50, -(2.0**50)]),
+    st.builds(lambda m, e: m * 2.0**e, st.floats(-1.0, 1.0), st.integers(-1074, 50)),
+)
+
+
+def wide_values(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal draws, each scaled by 2**e for e in [-60, 50) when rng says so."""
+    x = rng.normal(size=shape)
+    if rng.random() < 0.5:
+        x *= 2.0 ** rng.integers(-60, 50, size=shape)
+    return x
+
+
+def overwrite(draw, a: np.ndarray, values) -> None:
+    """Put a few drawn values at drawn flat positions of a."""
+    flat = a.reshape(-1)
+    for _ in range(draw(st.integers(0, 8))):
+        flat[draw(st.integers(0, len(flat) - 1))] = draw(values)
+
+
+@st.composite
+def evolve_cases(draw):
+    n, K, p = draw(st.integers(1, 12)), draw(st.integers(1, 24)), draw(st.integers(1, 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    diag = wide_values(rng, 1 << n)
+    angles = rng.uniform(-2.0 * np.pi, 4.0 * np.pi, size=(K, 2 * p))
+    overwrite(draw, diag, ENTRIES)
+    overwrite(draw, angles, ANGLES)
+    return diag, n, angles
+
+
+def fixed_case(n: int, K: int, p: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=1 << n), n, rng.uniform(0.0, 2.0 * np.pi, size=(K, 2 * p))
+
+
+# At n=10, K=20 rows of complex128 pass numpy's 256 KiB temporary-reuse
+# threshold, where `psi * np.exp(...)` would swap its operands.
+THRESHOLD = fixed_case(10, 20, 3, 0)
+# Zero, negative and signed-zero angles on a diagonal mostly of signed zeros.
+ZEROS = (np.array([0.0, -0.0, -0.0, 0.0, 5e-324, -0.0, 1.0, -1.0]), 3,
+         np.array([[0.0, -0.0, -1.5, 0.0], [-0.0, 0.0, 0.0, -0.0], [-2.0, -0.0, -0.0, -3.0]]))
+
+
+@settings(max_examples=100 * DEPTH)
+@given(evolve_cases())
+@example(THRESHOLD)
+@example(ZEROS)
+@example(fixed_case(12, 24, 11, 1))
+@example(fixed_case(1, 1, 1, 2))
+def test_evolve_and_expectations_are_bitwise_the_per_qubit_kernel(case):
+    diag, n, angles = case
+    with np.errstate(all="ignore"):
+        expected = evolve_per_qubit(diag, n, angles)
+        assert _evolve(diag, n, angles).tobytes() == expected.tobytes()
+        values = np.array([row @ diag for row in np.abs(expected) ** 2])
+        assert _expectations(diag, n, angles).tobytes() == values.tobytes()
+
+
+# Every sign combination of a zero amplitude.  The sign of each zero that
+# comes out follows from the exact operands: in an RX gate, i * -sin(t / 2)
+# and -i * sin(t / 2) give different zeros.
+SIGNED_ZEROS = np.array([complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)])
+
+
+@st.composite
+def hamiltonians(draw):
+    n = draw(st.integers(1, 12))
+    supports = draw(st.lists(
+        st.frozensets(st.integers(1, n), max_size=min(n, 6)), max_size=12, unique=True,
+    ))
+    return IsingHamiltonian(n, {s: draw(ENTRIES) for s in supports})
+
+
+@st.composite
+def states(draw, n):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = wide_values(rng, 1 << n) + 1j * wide_values(rng, 1 << n)
+    overwrite(draw, psi.view(float), ENTRIES)
+    return psi
+
+
+@settings(max_examples=200 * DEPTH)
+@given(hamiltonians().flatmap(lambda H: st.tuples(st.just(H), states(H.n))), ANGLES, ANGLES)
+@example((IsingHamiltonian(2, {frozenset({1}): -0.0, frozenset({1, 2}): 2.0}), SIGNED_ZEROS),
+         -0.75, 0.5)
+def test_single_layers_are_bitwise_the_per_qubit_steps(H_state, gamma, beta):
+    H, psi = H_state
+    with np.errstate(all="ignore"):
+        phased = phase_rows(psi[None], H.diagonal(), np.array([gamma]))[0]
+        assert apply_phase_layer(psi, H, gamma).tobytes() == phased.tobytes()
+        mixed = mix_rows(psi[None], H.n, np.array([beta]))[0]
+        assert apply_mixer_layer(psi, beta).tobytes() == mixed.tobytes()
+
+
+@st.composite
+def rx_circuits(draw):
+    n = draw(st.integers(1, 12))
+    gates = draw(st.lists(st.builds(Gate.rx, st.integers(1, n), ANGLES), max_size=30))
+    return draw(states(n)), gates
+
+
+@settings(max_examples=200 * DEPTH)
+@given(rx_circuits())
+@example((SIGNED_ZEROS, [Gate.rx(1, 0.5)]))
+def test_rx_gates_are_bitwise_the_per_qubit_steps(circuit):
+    psi, gates = circuit
+    with np.errstate(all="ignore"):
+        assert simulate_gates(psi, gates).tobytes() == simulate_rx_per_qubit(psi, gates).tobytes()
+
+
+@settings(max_examples=100 * DEPTH)
+@given(rx_circuits(), st.data())
+def test_one_gate_list_equals_its_gates_one_call_each(circuit, data):
+    """CX and RZ write through the view of the buffer that RX steps swap."""
+    psi, gates = circuit
+    n = len(psi).bit_length() - 1
+    for _ in range(data.draw(st.integers(0, 10))):
+        if n > 1 and data.draw(st.booleans()):
+            control, target = data.draw(st.permutations(range(1, n + 1)))[:2]
+            gate = Gate.cx(control, target)
+        else:
+            gate = Gate.rz(data.draw(st.integers(1, n)), data.draw(ANGLES))
+        gates.insert(data.draw(st.integers(0, len(gates))), gate)
+    stepwise = psi
+    with np.errstate(all="ignore"):
+        for g in gates:
+            stepwise = simulate_gates(stepwise, [g])
+        assert simulate_gates(psi, gates).tobytes() == stepwise.tobytes()
