@@ -12,30 +12,27 @@ the 2**|S| spin products over S's bits.  Every index still receives
 +coeff or -coeff exactly, term by term in dict order, so the result is bit
 for bit a per-term sign product.
 
-`build_hamiltonian` runs no per-entry Python loop, yet sums bit for bit as
-the dict loop `terms[S] = terms.get(S, 0.0) + sign * r_i / 2**k` over the
-patterns with r_i != 0.0.  Each measurement set caches an expansion plan
-(`MeasurementSet._expansion_plan`) that gives every (pattern, support)
-entry a row, its support's, and a column, its rank among that support's
-entries in pattern order.  A call scatters the addends into zero blocks of
-such rows and runs np.add.accumulate along them: a strictly sequential sum
-in the loop's order, starting from the +0.0 in column 0 as terms.get does.
-(np.sum and np.add.reduceat would not do: they sum runs of 8 or more
-pairwise.)  Patterns with r_i == 0.0 add +-0.0 instead of being skipped,
-which changes nothing, because a sum started at +0.0 never holds -0.0 and
-x + 0.0 == x otherwise.  Keys go in the loop's order, that is by the first
-entry of a pattern with r_i != 0.0 that names them, and the pruning is the
-loop's.
+`build_hamiltonian` works on the set's table runs (see the measurement
+module): a run on k positions holds a 2**k table of residuals, 0.0 where no
+pattern fills a slot, and its expansion is the table's k-bit Walsh-Hadamard
+transform scaled by 2**-k.  Only the filled slots enter the sum, so a run
+of m patterns costs m * 2**k products, as many as expanding each pattern
+alone.  The cached `MeasurementSet._transform_plan` groups the runs by table
+size and pattern count, holds each pattern's row of the transform and names
+every entry's support.  Both sums have a defined order: np.add.accumulate
+sums each transform entry over the run's patterns in set order (np.sum's
+order depends on the memory layout, a matrix product's on the BLAS), and
+np.bincount adds the entries, run by run, to totals started at +0.0.  Keys
+go in the order in which the set's runs first name them, whatever r holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .measurement import MeasurementSet, _add_table
+from .measurement import MeasurementSet, _add_table, _signs
 
 # Exact cancellations occur for complete value-assignment groups; drop the dust.
 COEFF_PRUNE_TOL = 1e-15
@@ -95,16 +92,6 @@ class IsingHamiltonian:
         return "\n".join(lines)
 
 
-@lru_cache(maxsize=None)
-def _signs(k: int) -> np.ndarray:
-    """The 2**k spin products (-1)**popcount(v), read-only."""
-    signs = np.ones(1)
-    for _ in range(k):
-        signs = np.concatenate([signs, -signs])
-    signs.flags.writeable = False
-    return signs
-
-
 def _pruned(terms: dict[frozenset[int], float]) -> dict[frozenset[int], float]:
     return {s: c for s, c in terms.items() if abs(c) >= COEFF_PRUNE_TOL}
 
@@ -116,29 +103,18 @@ def build_hamiltonian(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltonian:
     its fixed positions, signed by the product of (1 - 2*value) over the
     subset.  Like supports merge additively; near-zero results are pruned.
 
-    The sum is bit for bit the dict loop that skips patterns with r_i == 0.0
-    and adds each other pattern's signed terms to terms.get(S, 0.0) (see the
-    module docstring): each support's addends fill one row of the plan's
-    blocks after a leading +0.0, in pattern order, and np.add.accumulate
-    sums the row strictly left to right.  A skipped pattern's +-0.0 addends
-    are exact no-ops.  Supports keep the order in which an entry of an
-    unskipped pattern first names them.
+    Each run of patterns on the same k positions contributes the scaled
+    Walsh-Hadamard transform of its residual table, summed over the run's
+    patterns (see the module docstring).  Keys go in the order in which the
+    set's runs name them.
     """
     if len(r) != len(ms.patterns):
         raise ValueError(f"residual length {len(r)} != pattern count {len(ms.patterns)}")
     r = np.asarray(r, dtype=float)
-    plan = ms._expansion_plan
-    flat = np.zeros(plan.blocks[-1][1])
-    flat[plan.slot] = plan.sign * (r / plan.scale)[plan.pattern]
-    totals = np.concatenate([
-        np.add.accumulate(flat[start:stop].reshape(-1, width), axis=1)[:, -1]
-        for start, stop, width in plan.blocks
-    ])
-    live = np.flatnonzero((r != 0.0)[plan.pattern])
-    first = np.full(len(plan.supports), len(plan.pattern))
-    np.minimum.at(first, plan.support[live], live)
-    # a support no live entry names totals +0.0, so pruning drops it
-    order = np.argsort(first)
-    order = order[np.abs(totals[order]) >= COEFF_PRUNE_TOL].tolist()
-    terms = dict(zip([plan.supports[s] for s in order], totals[order].tolist()))
-    return IsingHamiltonian(ms.n, terms)
+    supports, ids, groups = ms._transform_plan
+    entries = np.empty(len(ids))
+    for index, rows, places in groups:
+        entries[places] = np.add.accumulate(r[index][:, :, None] * rows, axis=1)[:, -1]
+    totals = np.bincount(ids, weights=entries)
+    keep = np.flatnonzero(np.abs(totals) >= COEFF_PRUNE_TOL).tolist()
+    return IsingHamiltonian(ms.n, dict(zip([supports[i] for i in keep], totals[keep].tolist())))

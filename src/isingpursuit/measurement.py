@@ -21,10 +21,10 @@ space, the table is first spread over those last bits, so that numpy's
 innermost loop stays long; the spread table may hold +0.0 for -0.0, which
 is exact for the same reason.
 
-Z-string expansions of the patterns are cached on the set too
-(`_expansion_plan`, used by the Hamiltonian builder), and
-`nearest_neighbor_patterns` builds its set once per n, so the masks, table
-runs and plan of a nearest-neighbour set are made once per process.
+The Hamiltonian builder reads the same runs as Walsh-Hadamard transforms
+(`_transform_plan`), and `nearest_neighbor_patterns` builds its set once
+per n, so the masks, table runs and plan of a nearest-neighbour set are made
+once per process.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -77,27 +76,6 @@ class Pattern:
             mask |= 1 << shift
             want |= val << shift
         return mask, want
-
-
-class ExpansionPlan(NamedTuple):
-    """Every pattern's Z-string expansion, one entry per (pattern, subset of
-    its fixed positions), in pattern order and, within a pattern, by subset
-    size and then in combinations order over its constraint tuple.  Entry e
-    adds sign[e] * r[pattern[e]] / scale[pattern[e]] to the term on
-    supports[support[e]].
-
-    The addends go into a flat zero buffer of row-major blocks, each given
-    by its (start, stop, width) in `blocks`.  A support owns one block row, and
-    entry e sits at slot[e], one column past the number of earlier entries
-    on its support, so that every row starts with +0.0."""
-
-    supports: tuple[frozenset[int], ...]  # one per block row
-    support: np.ndarray
-    pattern: np.ndarray
-    sign: np.ndarray  # (-1.0)**(number of the subset's bits fixed to 1)
-    scale: np.ndarray  # 2.0**k per pattern
-    slot: np.ndarray
-    blocks: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -155,44 +133,35 @@ class MeasurementSet:
         )
 
     @cached_property
-    def _expansion_plan(self) -> ExpansionPlan:
-        split = [tuple(zip(*p.constraints)) or ((), ()) for p in self.patterns]  # (bits, values)
+    def _transform_plan(self) -> tuple[tuple[frozenset[int], ...], np.ndarray,
+                                       tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
+        """(supports, ids, groups) for the Hamiltonian builder.  Entry s of a
+        run's transform belongs to the positions whose table bits s sets; ids
+        names that support for every entry, run by run, and supports go in the
+        order the runs first name them.  A group holds the runs with the same
+        table size k and pattern count m: their (runs, m) indices into r, the
+        (runs, m, 2**k) transform rows (-1)**popcount(slot & s) / 2**k of
+        their patterns, and the (runs, 2**k) places of their entries in ids."""
         ids: dict[frozenset[int], int] = {}
-        rows: dict[tuple[int, ...], np.ndarray] = {}
-        for bits, _ in split:
-            if bits not in rows:
-                rows[bits] = np.array([ids.setdefault(s, len(ids)) for s in _subsets(bits)])
-        first_seen = np.concatenate([rows[bits] for bits, _ in split])
-        # Rows go in order of their entry count, cut into blocks where the
-        # count passes a power of two, so padding at most doubles a block.
-        counts = np.bincount(first_seen)
-        row_order = np.argsort(counts, kind="stable")
-        row = np.empty_like(row_order)
-        row[row_order] = np.arange(len(row_order))
-        counts = counts[row_order]
-        starts = np.flatnonzero(np.diff(np.frexp(counts - 1)[1], prepend=-1))
-        stops = np.append(starts[1:], len(counts))
-        widths = counts[stops - 1] + 1
-        row_width = np.repeat(widths, stops - starts)
-        row_start = np.cumsum(row_width) - row_width
-        support_ids = row[first_seen]
-        # an entry's rank: the number of earlier entries on its support
-        rank = np.empty_like(support_ids)
-        rank[np.argsort(support_ids, kind="stable")] = (
-            np.arange(len(support_ids)) - np.repeat(np.cumsum(counts) - counts, counts)
-        )
-        ks = np.array([len(bits) for bits, _ in split])
-        supports = tuple(ids)
-        return ExpansionPlan(
-            supports=tuple(supports[i] for i in row_order.tolist()),
-            support=support_ids,
-            pattern=np.repeat(np.arange(len(ks)), 1 << ks),
-            sign=np.concatenate([_parities(values) for _, values in split]),
-            scale=np.ldexp(1.0, ks),
-            slot=row_start[support_ids] + rank + 1,
-            blocks=tuple(zip(row_start[starts].tolist(),
-                             (row_start + row_width)[stops - 1].tolist(), widths.tolist())),
-        )
+        named: dict[tuple[int, ...], list[int]] = {}
+        support_ids: list[int] = []
+        groups: dict[tuple[int, int], list[tuple[int, int, np.ndarray]]] = {}
+        for start, stop, bits, slots in self._table_runs:
+            k = len(bits)
+            if bits not in named:
+                named[bits] = [ids.setdefault(frozenset(b for i, b in enumerate(bits)
+                                                        if s >> (k - 1 - i) & 1), len(ids))
+                               for s in range(1 << k)]
+            groups.setdefault((k, stop - start), []).append(
+                (start, len(support_ids), np.arange(1 << k) if slots is None else slots))
+            support_ids.extend(named[bits])
+        plan = []
+        for (k, m), runs in groups.items():
+            starts, firsts, slots = (np.array(column) for column in zip(*runs))
+            values = np.arange(1 << k)
+            rows = np.ldexp(_signs(k)[slots[:, :, None] & values], -k)
+            plan.append((starts[:, None] + np.arange(m), rows, firsts[:, None] + values))
+        return tuple(ids), np.array(support_ids), tuple(plan)
 
     def match_vector(self, z: int) -> np.ndarray:
         """Boolean vector over patterns: the implicit column of A at index z."""
@@ -223,25 +192,12 @@ class MeasurementSet:
         return cls.from_dict(json.loads(text))
 
 
-@lru_cache(maxsize=64)
-def _subsets(bits: tuple[int, ...]) -> tuple[frozenset[int], ...]:
-    """Every subset of the positions, by size and then in combinations order."""
-    return tuple(
-        frozenset(subset)
-        for size in range(len(bits) + 1)
-        for subset in itertools.combinations(bits, size)
-    )
-
-
-@lru_cache(maxsize=64)
-def _parities(values: tuple[int, ...]) -> np.ndarray:
-    """(-1.0)**(number of ones) of every subset of the values, in the order of
-    `_subsets`: the signs of a pattern's Z-string terms.  Read-only."""
-    signs = np.array([
-        (-1.0) ** sum(subset)
-        for size in range(len(values) + 1)
-        for subset in itertools.combinations(values, size)
-    ])
+@lru_cache(maxsize=None)
+def _signs(k: int) -> np.ndarray:
+    """The 2**k spin products (-1)**popcount(v), read-only."""
+    signs = np.ones(1)
+    for _ in range(k):
+        signs = np.concatenate([signs, -signs])
     signs.flags.writeable = False
     return signs
 
@@ -329,7 +285,7 @@ def nearest_neighbor_patterns(n: int) -> MeasurementSet:
 
     Ordering is pair-major, value-combination minor (00, 01, 10, 11), so
     marginal indices are stable across runs.  The set is built once per n
-    and shared, together with its cached masks, table runs and expansion
+    and shared, together with its cached masks, table runs and transform
     plan; it is frozen, so callers cannot tell the difference.
     """
     if n < 2:

@@ -11,8 +11,8 @@ One kernel evolves every state.  `_evolve` takes a (K, 2p) array of angle
 rows and returns the (K, 2**n) array of ansatz states, so a layer costs the
 same few numpy calls for K rows as for one.  Its steps live in
 `_StateBuffers`: two ping-pong (K, 2**n) buffers and one temporary,
-allocated once per call, with every qubit's views built up front.  A layer
-is then one exp, one phase multiply and three ufunc calls per qubit, each
+allocated once per call, with each sweep's views built on first use.  A
+layer is then one exp, one phase multiply and three ufunc calls per qubit, each
 writing through `out=`, with no array made inside the loop.
 `ansatz_state`, the single layers and the RX gates of `simulate_gates` run
 the same steps with K = 1.  `out=` changes where a result lands, not how
@@ -111,7 +111,7 @@ def uniform_state(n: int) -> np.ndarray:
 
 class _StateBuffers:
     """Two ping-pong (K, 2**n) complex state buffers and one temporary, with
-    every qubit's views into them built once.  The state sits in `psi`.
+    each mixer step's views built on first use.  The state sits in `psi`.
 
     A mixer step on qubit q (MSB-first) reads the (K, 2**(q-1), 2, 2**(n-q))
     view of the current buffer, whose axis 2 is the qubit's bit, and writes
@@ -121,23 +121,16 @@ class _StateBuffers:
 
     def __init__(self, K: int, n: int):
         self.bufs = [np.empty((K, 1 << n), dtype=complex) for _ in range(3)]
-        self.tmp, self.cur = self.bufs[2], 0
-        views = [[b.reshape(K, 1 << (q - 1), 2, 1 << (n - q)) for q in range(1, n + 1)]
-                 for b in self.bufs]
-        # steps[b][q - 1]: (source, reversed source, destination, temporary)
-        # of the step on qubit q that reads buffer b
-        self.steps = [[(views[b][i], views[b][i][:, :, ::-1], views[1 - b][i], views[2][i])
-                       for i in range(n)] for b in (0, 1)]
-        # sweeps[b]: the steps on qubits 1..n in turn, the first reading buffer b
-        self.sweeps = [[self.steps[(b + i) % 2][i] for i in range(n)] for b in (0, 1)]
+        self.tmp, self.cur, self.n = self.bufs[2], 0, n
+        self.steps: dict = {}  # by (buffer read first, qubit or None for all)
 
     @property
     def psi(self) -> np.ndarray:
         return self.bufs[self.cur]
 
     def phase(self, psi: np.ndarray, jg: np.ndarray, diag: np.ndarray) -> None:
-        """Row k of psi times exp(jg[k] * diag), into the current buffer;
-        psi may be that buffer itself.
+        """Row k of psi times exp(jg[k] * diag), into buffer 0, so that every
+        sweep of the mixer that follows starts there; psi may be any buffer.
 
         The operand order is pinned: the FMA complex multiply rounds
         psi * ph and ph * psi differently, and numpy's expression form
@@ -145,13 +138,19 @@ class _StateBuffers:
         """
         ph = np.multiply(jg, diag, out=self.tmp)
         np.exp(ph, out=ph)
+        self.cur = 0
         np.multiply(psi, ph, out=self.psi)
 
     def mix(self, c, js, qubit: int | None = None) -> None:
         """Apply [[c, js], [js, c]] (js = i*s) on one qubit, or on every qubit
         in turn when qubit is None, of every row.  c and js are scalars or
         per-row arrays of shape (K, 1, 1, 1)."""
-        steps = self.sweeps[self.cur] if qubit is None else [self.steps[self.cur][qubit - 1]]
+        if (self.cur, qubit) not in self.steps:  # (source, its reverse, destination, temporary)
+            qubits = range(1, self.n + 1) if qubit is None else [qubit]
+            views = [[a.reshape(len(a), 1 << (q - 1), 2, -1) for a in self.bufs] for q in qubits]
+            self.steps[self.cur, qubit] = [(v[b], v[b][:, :, ::-1], v[1 - b], v[2]) for v, b
+                                           in zip(views, [self.cur, 1 - self.cur] * self.n)]
+        steps = self.steps[self.cur, qubit]
         for src, flip, dst, tmp in steps:
             np.multiply(c, src, out=dst)
             np.multiply(js, flip, out=tmp)
@@ -191,13 +190,12 @@ def _evolve(diag: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
     """Ansatz states for a (K, 2p) array of angle rows [gammas, betas]: (K, 2**n).
 
     The set-up takes i*gamma, cos(beta) as complex and i*sin(beta) for all p
-    layers at once and allocates the state buffers with their views.  Each
-    layer then makes its phases in the temporary, multiplies them in, and
-    runs three ufunc calls per qubit, all through `out=`.  `out=` only says
-    where a result lands: every amplitude meets the same operands, in the
-    same order and through the same numpy loops, as in the form that makes
-    a fresh array per step, so each row is bitwise the state that evolving
-    it alone gives.
+    layers at once and allocates the state buffers.  Each layer then makes
+    its phases in the temporary, multiplies them in, and runs three ufunc
+    calls per qubit, all through `out=`.  `out=` only says where a result
+    lands: every amplitude meets the same operands, in the same order and
+    through the same numpy loops, as in the form that makes a fresh array
+    per step, so each row is bitwise the state that evolving it alone gives.
     """
     K, p = len(angles), angles.shape[1] // 2
     jg = 1j * angles[:, :p].T[:, :, None]  # (p, K, 1)

@@ -1,9 +1,16 @@
 """Reference implementations that the tests compare the package against.
 
-`all_column_dots_masked`, `diagonal_per_term` and `build_hamiltonian_itertools`
-are the straightforward forms of the table kernel's three callers: one
-masked pass per pattern, one sign product per term, one `itertools` subset
-loop per pattern.  The kernel must agree with them bit for bit.
+`all_column_dots_masked` and `diagonal_per_term` are the straightforward
+forms of the table kernel's two callers: one masked pass per pattern, one
+sign product per term.  The kernel must agree with them bit for bit.
+`build_hamiltonian_walsh` is the Hamiltonian builder in plain Python: each
+run of patterns on the same positions as a Walsh-Hadamard transform of its
+residual table, summed over the run's patterns and then run by run, in the
+builder's order, which it must match bit for bit.
+`build_hamiltonian_itertools` expands every pattern's subsets with
+`itertools` and sums pattern by pattern: the same Hamiltonian in another
+summation order, so the builder must give it the same supports and
+coefficients up to rounding.
 `chain_dp_solve_arrays` is the chain dynamic program on numpy arrays and
 scalars, which the float-list `chain_dp_solve` must match exactly.
 `evolve_per_qubit` is the ansatz kernel with a fresh array for every phase
@@ -91,6 +98,35 @@ def build_hamiltonian_itertools(ms: MeasurementSet, r: np.ndarray) -> IsingHamil
                     sign = -sign
             support = frozenset(bit for bit, _ in subset)
             terms[support] = terms.get(support, 0.0) + sign * base
+    return IsingHamiltonian(ms.n, _pruned(terms))
+
+
+def build_hamiltonian_walsh(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltonian:
+    """build_hamiltonian in plain Python, summed in the same order: each
+    run's transform entry over the run's patterns in set order, then each
+    support's entries run by run, from 0.0."""
+    runs: list[tuple[tuple[int, ...], dict[int, float]]] = []  # (bits, {value: r_i})
+    for p, ri in zip(ms.patterns, r):
+        fixed = sorted(p.constraints)
+        bits = tuple(b for b, _ in fixed)
+        value = sum(val << (len(fixed) - 1 - i) for i, (_, val) in enumerate(fixed))
+        if runs and runs[-1][0] == bits and value not in runs[-1][1]:
+            runs[-1][1][value] = float(ri)
+        else:
+            runs.append((bits, {value: float(ri)}))
+    entries = []  # (support, transform entry) in run order
+    for bits, table in runs:
+        k = len(bits)
+        for s in range(1 << k):
+            support = frozenset(b for i, b in enumerate(bits) if (s >> (k - 1 - i)) & 1)
+            total = None
+            for v, ri in table.items():  # the run's patterns in set order
+                term = ri * ((-1.0) ** bin(v & s).count("1") / 2**k)
+                total = term if total is None else total + term
+            entries.append((support, total))
+    terms = {support: 0.0 for support, _ in entries}  # the order runs name them
+    for support, total in entries:
+        terms[support] += total
     return IsingHamiltonian(ms.n, _pruned(terms))
 
 
