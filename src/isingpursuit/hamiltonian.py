@@ -51,6 +51,13 @@ class IsingHamiltonian:
                 if not 1 <= j <= self.n:
                     raise ValueError(f"qubit {j} outside [1, {self.n}]")
 
+    @classmethod
+    def _unchecked(cls, n: int, terms: dict[frozenset[int], float]) -> "IsingHamiltonian":
+        """Skip __post_init__'s check, for supports already known to lie in [1, n]."""
+        H = cls.__new__(cls)
+        H.n, H.terms = n, terms
+        return H
+
     def evaluate(self, z: int) -> float:
         """Diagonal entry at basis index z: sum of coeff * prod of spin values."""
         total = 0.0
@@ -117,4 +124,6 @@ def build_hamiltonian(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltonian:
         entries[places] = np.add.accumulate(r[index][:, :, None] * rows, axis=1)[:, -1]
     totals = np.bincount(ids, weights=entries)
     keep = np.flatnonzero(np.abs(totals) >= COEFF_PRUNE_TOL).tolist()
-    return IsingHamiltonian(ms.n, dict(zip([supports[i] for i in keep], totals[keep].tolist())))
+    # the set bounded every support when it was built
+    return IsingHamiltonian._unchecked(
+        ms.n, dict(zip([supports[i] for i in keep], totals[keep].tolist())))

@@ -28,6 +28,16 @@ or all points of a shrink.  Every round, the points of all live starts go
 through the kernel as one batch.  Each start therefore returns exactly the
 x, value and evaluation count that scipy.optimize.minimize returns for it,
 while the package itself does not depend on scipy.
+
+Asked for the top of -H as well, `optimize` runs -H's starts as mirrored
+lanes of the same batches, over H's diagonal.  Since exp(i*gamma*(-h)) =
+exp(i*(-gamma)*h), a mirrored lane sends its points with their gammas
+negated and takes 0.0 - <H> as its <-H>.  Every value is bit for bit the
+one -H's own diagonal gives.  IEEE products and sums commute with
+negation, so each phase angle (-gamma)*h(z) equals gamma*(-h(z)); the
+amplitudes then differ at most in the sign of an exact zero, which
+|amp|**2 drops; and each row's dot with -h is its negated dot with h,
+except that an exact zero sum is +0.0 both ways, as 0.0 - <H> gives.
 """
 
 from __future__ import annotations
@@ -65,6 +75,10 @@ class QaoaParams:
 
     def to_vector(self) -> np.ndarray:
         return np.array(self.gammas + self.betas)
+
+    def mirrored(self) -> "QaoaParams":
+        """The gammas negated: these angles on H give the state these give on -H."""
+        return QaoaParams(tuple(-g for g in self.gammas), self.betas)
 
 
 @dataclass(frozen=True)
@@ -247,6 +261,20 @@ class OptimizeOutcome:
     evaluations: int
 
 
+@dataclass(frozen=True)
+class PairedOutcome:
+    """One lockstep run over H and -H: each target's best, with `minus`
+    in -H's own angles and expectation."""
+
+    plus: OptimizeOutcome
+    minus: OptimizeOutcome
+
+    @property
+    def evaluations(self) -> int:
+        """Evaluations over both targets."""
+        return self.plus.evaluations + self.minus.evaluations
+
+
 # Nelder-Mead stopping tolerances on the simplex spread in x and in f.
 XATOL = 1e-4
 FATOL = 1e-7
@@ -360,6 +388,33 @@ def _lockstep(lanes: list, objective) -> list:
     return results
 
 
+def _mirrored(lane, p: int):
+    """Run a Nelder-Mead lane over -H on H's objective -<H>: its points go
+    out with their p gammas negated, and each value comes back as -<-H>,
+    with <-H> = 0.0 - <H> (see the module docstring)."""
+    flip = np.repeat([-1.0, 1.0], p)
+    values = None
+    while True:
+        try:
+            points = lane.send(values)
+        except StopIteration as stop:
+            return stop.value
+        expectations = -(yield points * flip)
+        values = -(0.0 - expectations)
+
+
+def _best(outcomes: list) -> OptimizeOutcome:
+    """The first start with the highest expectation, and all starts' evaluations."""
+    best_x: np.ndarray | None = None
+    best_val = -np.inf
+    evaluations = 0
+    for x, fun, nfev in outcomes:
+        evaluations += nfev
+        if -fun > best_val:
+            best_val, best_x = -float(fun), x
+    return OptimizeOutcome(QaoaParams.from_vector(best_x), best_val, evaluations)
+
+
 def optimize(
     H: IsingHamiltonian,
     p: int,
@@ -367,7 +422,9 @@ def optimize(
     max_evals: int = 200,
     seed=None,
     init: QaoaParams | None = None,
-) -> OptimizeOutcome:
+    *,
+    negated_seed=None,
+) -> OptimizeOutcome | PairedOutcome:
     """Maximize expectation(ansatz_state(H, .), H) over 2p angles.
 
     Derivative-free simplex search (Nelder-Mead, at most max_evals
@@ -377,11 +434,19 @@ def optimize(
     never regress.  Deterministic for a fixed seed and best-effort; raises
     ValueError only for a depth or an evaluation budget below 1, or for no
     start at all.
+
+    With `negated_seed`, -H is maximized as well, from `restarts` starts
+    drawn from that seed, and a PairedOutcome is returned.  -H's starts run
+    as mirrored lanes of the same batches over H's diagonal, and each
+    target's result is bitwise the one a separate call on H or on
+    H.negated() with its seed returns.  The warm start applies to H only.
     """
     if p < 1:
         raise ValueError(f"depth must be >= 1, got {p}")
     if restarts < 1 and init is None:
         raise ValueError("need at least one restart or a warm start")
+    if restarts < 1 and negated_seed is not None:
+        raise ValueError("-H needs at least one restart: the warm start applies to H only")
     if max_evals < 1:
         raise ValueError(f"max_evals must be >= 1, got {max_evals}")
     rng = np.random.default_rng(seed)
@@ -394,23 +459,23 @@ def optimize(
             raise ValueError(f"warm start has depth {init.p}, expected {p}")
         starts.append(init.to_vector())
     starts.extend(rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
+    lanes = [_nelder_mead(x0, max_evals) for x0 in starts]
+    if negated_seed is not None:
+        neg_rng = np.random.default_rng(negated_seed)
+        neg_starts = [neg_rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts)]
+        lanes += [_mirrored(_nelder_mead(x0, max_evals), p) for x0 in neg_starts]
 
     def objective(angles: np.ndarray) -> np.ndarray:
         return -_expectations(diag, n, angles)
 
-    outcomes = _lockstep([_nelder_mead(x0, max_evals) for x0 in starts], objective)
+    outcomes = _lockstep(lanes, objective)
+    plus, minus = outcomes[:len(starts)], outcomes[len(starts):]
     if init is not None:
         # keep the raw warm-start value even if the simplex wanders off
-        outcomes.insert(0, (starts[0], objective(starts[0][None])[0], 1))
-
-    best_x: np.ndarray | None = None
-    best_val = -np.inf
-    evaluations = 0
-    for x, fun, nfev in outcomes:
-        evaluations += nfev
-        if -fun > best_val:
-            best_val, best_x = -float(fun), x
-    return OptimizeOutcome(QaoaParams.from_vector(best_x), best_val, evaluations)
+        plus.insert(0, (starts[0], objective(starts[0][None])[0], 1))
+    if negated_seed is None:
+        return _best(plus)
+    return PairedOutcome(_best(plus), _best(minus))
 
 
 def sample_candidates(state: np.ndarray, shots: int, seed=None) -> list[int]:

@@ -6,7 +6,9 @@ best-effort simulated QAOA search.  All of them report a score recomputed
 through column_dot at the returned position, so reported scores are always
 reproducible independently of the search path.  The absolute value is
 handled by solving both the maximization and the minimization of h and
-keeping whichever extremum is larger in magnitude.
+keeping whichever extremum is larger in magnitude.  The QAOA backend
+searches both in one lockstep run over H's diagonal, with -H's circuits
+as H's circuits with their gammas negated.
 """
 
 from __future__ import annotations
@@ -141,12 +143,15 @@ class QaoaSolverConfig:
 def qaoa_solve(
     ms: MeasurementSet, r: np.ndarray, cfg: QaoaSolverConfig = QaoaSolverConfig()
 ) -> SolverOutcome:
-    """Best-effort support detection through two QAOA runs.
+    """Best-effort support detection through one QAOA run over two targets.
 
-    One run targets the top of h, one the top of -h.  Candidates sampled
-    from both optimized states are pooled and rescored by |column_dot|;
-    the best-scoring candidate wins (ties to the smallest index).  Only the
-    reported score is guaranteed, not global optimality.
+    One lockstep `optimize` call searches for the top of h and, in mirrored
+    lanes on H's diagonal, the top of -h; each target keeps its own seed
+    streams, for the starts and for the samples.  Candidates sampled from
+    both optimized states (-h's as H's state at its gammas negated) are
+    pooled and rescored by |column_dot|; the best-scoring candidate wins
+    (ties to the smallest index).  Only the reported score is guaranteed,
+    not global optimality.
     """
     H = build_hamiltonian(ms, r)
     if H.max_support_size() == 0:
@@ -156,20 +161,20 @@ def qaoa_solve(
             z, abs(column_dot(z, r, ms)), {"backend": "qaoa", "flat": True}
         )
     seeds = np.random.SeedSequence(cfg.seed).spawn(4)
+    out = qaoa.optimize(
+        H, p=cfg.depth, restarts=cfg.restarts, max_evals=cfg.max_evals,
+        seed=seeds[0], negated_seed=seeds[2],
+    )
     candidates: set[int] = set()
     diagnostics: dict = {"backend": "qaoa"}
-    for label, target, opt_seed, sample_seed in (
-        ("max", H, seeds[0], seeds[1]),
-        ("min", H.negated(), seeds[2], seeds[3]),
+    for label, best, params, sample_seed in (
+        ("max", out.plus, out.plus.params, seeds[1]),
+        ("min", out.minus, out.minus.params.mirrored(), seeds[3]),
     ):
-        out = qaoa.optimize(
-            target, p=cfg.depth, restarts=cfg.restarts, max_evals=cfg.max_evals,
-            seed=opt_seed,
-        )
-        state = qaoa.ansatz_state(target, out.params)
+        state = qaoa.ansatz_state(H, params)
         candidates.update(qaoa.sample_candidates(state, cfg.shots, seed=sample_seed))
-        diagnostics[f"{label}_expectation"] = out.expectation
-        diagnostics[f"{label}_evaluations"] = out.evaluations
+        diagnostics[f"{label}_expectation"] = best.expectation
+        diagnostics[f"{label}_evaluations"] = best.evaluations
     best_z = -1
     best_score = -1.0
     for z in sorted(candidates):

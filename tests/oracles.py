@@ -15,8 +15,11 @@ coefficients up to rounding.
 scalars, which the float-list `chain_dp_solve` must match exactly.
 `evolve_per_qubit` is the ansatz kernel with a fresh array for every phase
 and every qubit's mixer, which the buffer kernel `qaoa._evolve` and the
-single layers must match bit for bit.  The other helpers materialize what
-the package keeps implicit.
+single layers must match bit for bit.
+`qaoa_solve_two_calls` is the QAOA backend with one `optimize` call on H
+and one on `H.negated()`, each sampled from its own target's state, which
+the one-call `qaoa_solve` must match bit for bit.  The other helpers
+materialize what the package keeps implicit.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ import itertools
 
 import numpy as np
 
+from isingpursuit import qaoa
 from isingpursuit.hamiltonian import IsingHamiltonian, _pruned, build_hamiltonian
 from isingpursuit.measurement import DENSE_MATRIX_CAP, MeasurementSet, Pattern, column_dot
 from isingpursuit.signal import SparseSignal
-from isingpursuit.solvers import ChainStructureError, SolverOutcome
+from isingpursuit.solvers import ChainStructureError, QaoaSolverConfig, SolverOutcome
 
 
 def bit_at(z: int, j: int, n: int) -> int:
@@ -236,3 +240,33 @@ def simulate_rx_per_qubit(state: np.ndarray, gates) -> np.ndarray:
         (q,) = g.qubits
         psi = x_mix_rows(psi, n, q, np.cos(g.angle / 2), 1j * -np.sin(g.angle / 2))
     return psi[0]
+
+
+def qaoa_solve_two_calls(ms: MeasurementSet, r: np.ndarray, cfg: QaoaSolverConfig) -> SolverOutcome:
+    """qaoa_solve as two optimize calls, one on H and one on H.negated(),
+    each followed by the ansatz state and samples of its own target."""
+    H = build_hamiltonian(ms, r)
+    if H.max_support_size() == 0:
+        z = 0
+        return SolverOutcome(z, abs(column_dot(z, r, ms)), {"backend": "qaoa", "flat": True})
+    seeds = np.random.SeedSequence(cfg.seed).spawn(4)
+    candidates: set[int] = set()
+    diagnostics: dict = {"backend": "qaoa"}
+    for label, target, opt_seed, sample_seed in (
+        ("max", H, seeds[0], seeds[1]),
+        ("min", H.negated(), seeds[2], seeds[3]),
+    ):
+        out = qaoa.optimize(target, p=cfg.depth, restarts=cfg.restarts,
+                            max_evals=cfg.max_evals, seed=opt_seed)
+        state = qaoa.ansatz_state(target, out.params)
+        candidates.update(qaoa.sample_candidates(state, cfg.shots, seed=sample_seed))
+        diagnostics[f"{label}_expectation"] = out.expectation
+        diagnostics[f"{label}_evaluations"] = out.evaluations
+    best_z = -1
+    best_score = -1.0
+    for z in sorted(candidates):
+        score = abs(column_dot(z, r, ms))
+        if score > best_score:
+            best_z, best_score = z, score
+    diagnostics["candidates"] = len(candidates)
+    return SolverOutcome(best_z, best_score, diagnostics)

@@ -61,6 +61,19 @@ def test_rejects_qubits_outside_range():
         IsingHamiltonian(2, {frozenset({3}): 1.0})
 
 
+def test_rejects_qubit_zero():
+    with pytest.raises(ValueError, match="outside"):
+        IsingHamiltonian(2, {frozenset({0}): 1.0})
+
+
+@settings(max_examples=60)
+@given(measurement_sets(), st.integers(0, 2**31))
+def test_built_supports_pass_the_range_check(ms, seed):
+    # build_hamiltonian skips the check: the set bounded its bits already
+    H = build_hamiltonian(ms, np.random.default_rng(seed).normal(size=len(ms)))
+    assert IsingHamiltonian(H.n, H.terms) == H
+
+
 def test_diagonal_agrees_with_evaluate():
     H = IsingHamiltonian(4, {frozenset(): 0.3, frozenset({2, 4}): -1.2, frozenset({1}): 0.7})
     assert np.allclose(H.diagonal(), [H.evaluate(z) for z in range(16)])
