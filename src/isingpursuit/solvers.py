@@ -6,7 +6,9 @@ best-effort simulated QAOA search.  All of them report a score recomputed
 through column_dot at the returned position, so reported scores are always
 reproducible independently of the search path.  The absolute value is
 handled by solving both the maximization and the minimization of h and
-keeping whichever extremum is larger in magnitude.  The QAOA backend
+keeping whichever extremum is larger in magnitude.  The chain backend
+fills the max and the min tables in one fused sweep, exact because IEEE
+negation commutes with its sums and comparisons; the QAOA backend
 searches both in one lockstep run over H's diagonal, with -H's circuits
 as H's circuits with their gammas negated.
 """
@@ -37,11 +39,14 @@ class SolverOutcome:
 
 
 def brute_force_solve(ms: MeasurementSet, r: np.ndarray) -> SolverOutcome:
-    """Exhaustive scan of all 2**n columns; exact, ties to the smallest index."""
+    """Exhaustive scan of all 2**n columns; exact, ties to the smallest index.
+
+    |A^T r| is taken in place, so no second 2**n array is allocated.
+    """
     if ms.n > BRUTE_FORCE_CAP:
         raise ValueError(f"brute force at n={ms.n} exceeds cap {BRUTE_FORCE_CAP}")
     dots = all_column_dots(r, ms)
-    z = int(np.argmax(np.abs(dots)))
+    z = int(np.argmax(np.abs(dots, out=dots)))
     score = abs(column_dot(z, r, ms))
     return SolverOutcome(z, score, {"backend": "brute", "scanned": len(dots)})
 
@@ -74,56 +79,58 @@ def _chain_params(H: IsingHamiltonian) -> tuple[float, list[float], list[float]]
     return const[0], fields, couplings
 
 
-def _chain_max(
+def _chain_extrema(
     const: float, fields: list[float], couplings: list[float], n: int
-) -> tuple[int, float]:
-    """Exact chain maximum by a suffix sweep plus greedy bit selection.
+) -> tuple[int, float, int, float]:
+    """Exact chain maximum and minimum in one suffix sweep plus greedy bit
+    selection: (z_max, max_value, z_min, min_value).
 
     Spin s = +1 encodes bit 0, s = -1 bit 1.  Ties prefer bit 0 at the most
-    significant undecided position, which makes the returned index the
-    smallest one among the maxima.  Plain floats throughout: the same IEEE
-    sums and comparisons as numpy scalars, without their per-element cost.
+    significant undecided position, which makes each returned index the
+    smallest one among the maxima (minima).  The min tables are bit for bit
+    what a max sweep over the negated fields and couplings would hold,
+    negated (-max(-a, -b) == min(a, b) and (-x) + (-y) == -(x + y) exactly,
+    up to the sign of a zero sum, which no comparison sees); the tie rules
+    are that sweep's, mirrored.  Plain floats throughout: the same IEEE sums
+    and comparisons as numpy scalars, without their per-element cost.
     """
-    # best[i] = (maximal value of sites i..n given bit 0, given bit 1 at site i)
-    best = [(0.0, 0.0)] * (n + 2)
-    for i in range(n, 0, -1):
-        pair = []
-        for s in (1.0, -1.0):
-            v = fields[i] * s
-            if i < n:
-                stay = couplings[i] * s + best[i + 1][0]
-                flip = -couplings[i] * s + best[i + 1][1]
-                v += flip if flip > stay else stay  # max(stay, flip)
-            pair.append(v)
-        best[i] = tuple(pair)
-    z = 0
-    b = 0 if best[1][0] >= best[1][1] else 1
-    z |= b << (n - 1)
-    value = const + best[1][b]
+    # hi[i], lo[i] = (maximal, minimal value of sites i..n given bit 0, given
+    # bit 1 at site i); gjk is the candidate for bit j at i and bit k at i+1
+    hi = [(0.0, 0.0)] * (n + 2)
+    lo = hi.copy()
+    hi[n] = lo[n] = (fields[n], -fields[n])
+    for i in range(n - 1, 0, -1):
+        f, c = fields[i], couplings[i]
+        (h0, h1), (l0, l1) = hi[i + 1], lo[i + 1]
+        g00, g01, g10, g11 = c + h0, -c + h1, -c + h0, c + h1
+        hi[i] = (f + (g01 if g01 > g00 else g00), -f + (g11 if g11 > g10 else g10))
+        g00, g01, g10, g11 = c + l0, -c + l1, -c + l0, c + l1
+        lo[i] = (f + (g01 if g01 < g00 else g00), -f + (g11 if g11 < g10 else g10))
+    b = 0 if hi[1][0] >= hi[1][1] else 1
+    m = 0 if lo[1][0] <= lo[1][1] else 1
+    v_max = const + hi[1][b]
+    v_min = const + lo[1][m] + 0.0  # a zero minimum is +0.0, never -0.0
+    z_max, z_min = b, m
     for i in range(1, n):
-        s = 1.0 - 2.0 * b
-        cand0 = couplings[i] * s + best[i + 1][0]
-        cand1 = -couplings[i] * s + best[i + 1][1]
-        b = 0 if cand0 >= cand1 else 1
-        z |= b << (n - i - 1)
-    return z, value
+        c = couplings[i]
+        (h0, h1), (l0, l1) = hi[i + 1], lo[i + 1]
+        b = 0 if (-c if b else c) + h0 >= (c if b else -c) + h1 else 1
+        m = 0 if (-c if m else c) + l0 <= (c if m else -c) + l1 else 1
+        z_max, z_min = z_max << 1 | b, z_min << 1 | m
+    return z_max, v_max, z_min, v_min
 
 
 def chain_dp_solve(ms: MeasurementSet, r: np.ndarray) -> SolverOutcome:
     """Exact optimum for chain-structured Hamiltonians in O(n).
 
-    Runs one pass maximizing h and one maximizing -h (exact: IEEE negation
-    commutes with the sweep's sums and comparisons), then keeps the extremum
-    of larger magnitude (ties toward the maximization of h).  Raises
+    One fused pass fills the max and the min tables of h together, then
+    keeps the extremum of larger magnitude (ties toward the maximization of
+    h).  It is bitwise the two-pass form that maximizes h and -h, since IEEE
+    negation commutes with the sweep's sums and comparisons.  Raises
     ChainStructureError when the built Hamiltonian is not a chain.
     """
     H = build_hamiltonian(ms, r)
-    const, fields, couplings = _chain_params(H)
-    z_max, v_max = _chain_max(const, fields, couplings, ms.n)
-    z_min, neg_min = _chain_max(
-        -const, [-f for f in fields], [-c for c in couplings], ms.n
-    )
-    v_min = 0.0 - neg_min  # not -neg_min, which turns a zero minimum into -0.0
+    z_max, v_max, z_min, v_min = _chain_extrema(*_chain_params(H), ms.n)
     z = z_max if abs(v_max) >= abs(v_min) else z_min
     score = abs(column_dot(z, r, ms))
     return SolverOutcome(

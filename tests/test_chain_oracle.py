@@ -1,15 +1,17 @@
 """chain_dp_solve against the numpy-array form of the chain dynamic program
 in `oracles`: the same position, score and diagnostics, compared by repr,
-on nearest-neighbour sets of every size up to the index-width cap."""
+on nearest-neighbour sets of every size up to the index-width cap.  The
+fused max/min sweep is also checked on raw chains, signed zeros included,
+against the oracle's max sweep run twice, once on the negated chain."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingpursuit.measurement import nearest_neighbor_patterns
-from isingpursuit.solvers import chain_dp_solve
+from isingpursuit.solvers import _chain_extrema, chain_dp_solve
 
-from oracles import chain_dp_solve_arrays
+from oracles import _chain_max_arrays, chain_dp_solve_arrays
 from test_table_kernel import DEPTH, ENTRIES
 
 # Few distinct values, many of them equal or zero: fields and couplings
@@ -36,6 +38,46 @@ def fingerprint(out) -> str:
 @given(chain_cases())
 @example((nearest_neighbor_patterns(5), np.zeros(16)))
 @example((nearest_neighbor_patterns(4), np.array([1.0, 0.0, 0.0, 1.0] * 3)))
+# all zero: min_value is +0.0
+@example((nearest_neighbor_patterns(2), np.zeros(4)))
+# h = 1 at z=3 and -1 at z=0: |max| == |min|, so the position is the max's
+@example((nearest_neighbor_patterns(2), np.array([-1.0, 0.0, 0.0, 1.0])))
+# zero fields, h = -1 at z=1 and z=2: the min's tie rule picks z=1
+@example((nearest_neighbor_patterns(2), np.array([0.0, -1.0, -1.0, 0.0])))
+# couplings +0.5, -0.5, ... and no fields: max 31 and min -31, each twice
+@example((nearest_neighbor_patterns(63), np.concatenate(
+    [0.5 * (-1.0) ** i * np.array([1.0, -1.0, -1.0, 1.0]) for i in range(62)])))
 def test_chain_dp_matches_the_array_oracle(case):
     ms, r = case
     assert fingerprint(chain_dp_solve(ms, r)) == fingerprint(chain_dp_solve_arrays(ms, r))
+
+
+def two_pass_extrema(const, fields, couplings, n):
+    """The oracle's max sweep on the chain and on its negation."""
+    fields, couplings = np.array(fields), np.array(couplings)
+    z_max, v_max = _chain_max_arrays(const, fields, couplings, n)
+    z_min, neg_min = _chain_max_arrays(-const, -fields, -couplings, n)
+    return z_max, float(v_max), z_min, float(0.0 - neg_min)
+
+
+SIGNED = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 5e-324, -5e-324])
+
+
+@st.composite
+def raw_chains(draw):
+    n = draw(st.integers(1, 63))
+    entries = draw(st.sampled_from([SIGNED, ENTRIES, st.one_of(SIGNED, ENTRIES)]))
+    fields = draw(st.lists(entries, min_size=n, max_size=n))
+    couplings = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    # index 0 of both lists is unused: fields[i] is site i, couplings[i] pairs (i, i+1)
+    return draw(entries), [0.0, *fields], [0.0, *couplings], n
+
+
+@settings(max_examples=100 * DEPTH)
+@given(raw_chains())
+# -0.0 constant and field: const + min sums to -0.0, which must come out
+# +0.0, as the two-pass form's 0.0 - max(-h) gives
+@example((-0.0, [0.0, -0.0], [0.0], 1))
+def test_fused_sweep_matches_two_max_sweeps(chain):
+    fused = _chain_extrema(*chain)
+    assert repr(fused) == repr(two_pass_extrema(*chain))

@@ -1,6 +1,8 @@
 """Support-detection backends: brute force vs the dense argmax, chain DP vs
 brute force, and soundness/dominance of the sampled QAOA search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,31 @@ def test_brute_respects_qubit_cap():
     ms = MeasurementSet(21, (Pattern(((1, 0),)),))
     with pytest.raises(ValueError, match="cap"):
         brute_force_solve(ms, np.ones(1))
+
+
+def test_brute_ties_across_signs_to_the_smallest_index():
+    # dyadic entries, so A^T r is exact: -0.75 at 6 and 7, +0.75 at 8 and 9
+    ms = nearest_neighbor_patterns(4)
+    r = np.array([0.0, -0.5, 0.5, 0.0, 0.25, 0.0, 0.0, -0.25, 0.0, 0.0, 0.0, 0.0])
+    dots = dense_matrix(ms).T @ r
+    assert np.flatnonzero(np.abs(dots) == 0.75).tolist() == [6, 7, 8, 9]
+    out = brute_force_solve(ms, r)
+    assert (out.position, out.score) == (6, 0.75)
+
+
+def test_brute_makes_no_second_index_space_array():
+    # |A^T r| is taken in place: the peak is one 2**n float64 vector plus
+    # small tables, where a fresh np.abs(dots) would double it
+    ms = nearest_neighbor_patterns(16)
+    r = np.random.default_rng(0).normal(size=len(ms))
+    brute_force_solve(ms, r)  # the set's cached runs and masks, built once
+    tracemalloc.start()
+    try:
+        brute_force_solve(ms, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (1 << 16) * 8
 
 
 @settings(max_examples=60)
