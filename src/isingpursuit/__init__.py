@@ -41,15 +41,14 @@ from .qaoa import (
 from .signal import SparseSignal, random_sparse_signal
 from .solvers import (
     ChainStructureError,
-    QaoaSolverConfig,
     SolverOutcome,
+    SolverSpec,
     brute_force_solve,
     chain_dp_solve,
     qaoa_solve,
 )
 from .experiment import (
     ExperimentPlan,
-    SolverSpec,
     SuccessReport,
     make_patterns,
     make_solver,
@@ -68,7 +67,6 @@ __all__ = [
     "Pattern",
     "PursuitConfig",
     "QaoaParams",
-    "QaoaSolverConfig",
     "ReconstructionResult",
     "SolverOutcome",
     "SolverSpec",

@@ -20,42 +20,13 @@ import numpy as np
 from .measurement import MeasurementSet, measure, nearest_neighbor_patterns, random_quadruplet_patterns
 from .pursuit import PursuitConfig, ReconstructionResult, Solver, matching_pursuit, recovery_success
 from .signal import SparseSignal, random_sparse_signal
-from .solvers import QaoaSolverConfig, brute_force_solve, chain_dp_solve, qaoa_solve
+from .solvers import BACKENDS, SolverSpec, brute_force_solve, chain_dp_solve, qaoa_solve
 
 PATTERN_KINDS = ("nn", "quad")
-BACKENDS = ("brute", "chain", "qaoa")
 
 
 class TrialTimeout(RuntimeError):
     """A trial exceeded its wall-clock budget between solver calls."""
-
-
-@dataclass(frozen=True)
-class SolverSpec:
-    """Backend choice plus the QAOA knobs (ignored by the exact backends).
-
-    param_count is the paper's parameter count.  The circuit has depth
-    ceil(param_count / 2) layers of one gamma and one beta each, so it runs
-    2 * depth angles: an odd count rounds up, and the paper's 5/9/15/21 run
-    6/10/16/22-angle circuits.
-    """
-
-    backend: str = "brute"
-    param_count: int = 4
-    restarts: int = 10
-    max_evals: int = 200
-    shots: int = 1024
-
-    def __post_init__(self):
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        for name in ("param_count", "restarts", "max_evals", "shots"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    @property
-    def depth(self) -> int:
-        return math.ceil(self.param_count / 2)
 
 
 @dataclass(frozen=True)
@@ -162,14 +133,7 @@ def make_solver(spec: SolverSpec, seed) -> Solver:
         return brute_force_solve
     if spec.backend == "chain":
         return chain_dp_solve
-    cfg = QaoaSolverConfig(
-        depth=spec.depth,
-        restarts=spec.restarts,
-        max_evals=spec.max_evals,
-        shots=spec.shots,
-        seed=seed,
-    )
-    return lambda ms, r: qaoa_solve(ms, r, cfg)
+    return lambda ms, r: qaoa_solve(ms, r, spec, seed)
 
 
 def run_single(

@@ -39,7 +39,7 @@ import numpy as np
 
 from .signal import INDEX_BITS_CAP, SparseSignal
 
-# Explicit 0/1 matrices are a test oracle only; anything bigger stays implicit.
+# The largest n of complete_patterns, whose 2**n patterns form an explicit matrix.
 DENSE_MATRIX_CAP = 10
 
 
@@ -307,28 +307,21 @@ def random_quadruplet_patterns(n: int, q: int, seed=None) -> MeasurementSet:
     """q distinct random bit quadruplets, each with all 16 value assignments.
 
     M = 16q.  Quadruplets are drawn uniformly over the C(n, 4) position
-    subsets, without repetition across the set.
+    subsets, without repetition across the set; n is checked against
+    INDEX_BITS_CAP first, so the subset list holds at most C(63, 4) = 595,665.
     """
     if n < 4:
         raise ValueError(f"quadruplet patterns need n >= 4, got {n}")
+    if n > INDEX_BITS_CAP:
+        raise ValueError(f"n={n} exceeds {INDEX_BITS_CAP}, the width of the int64 pattern masks")
     if q < 1:
         raise ValueError(f"quadruplet count must be >= 1, got {q}")
     total = math.comb(n, 4)
     if q > total:
         raise ValueError(f"cannot draw {q} distinct quadruplets from C({n},4) = {total}")
     rng = np.random.default_rng(seed)
-    if total <= 1_000_000:
-        combos = list(itertools.combinations(range(1, n + 1), 4))
-        picked = rng.choice(total, size=q, replace=False)
-        quadruplets = [combos[i] for i in picked]
-    else:
-        seen: set[tuple[int, ...]] = set()
-        quadruplets = []
-        while len(quadruplets) < q:
-            quad = tuple(sorted(int(b) + 1 for b in rng.choice(n, size=4, replace=False)))
-            if quad not in seen:
-                seen.add(quad)
-                quadruplets.append(quad)
+    combos = list(itertools.combinations(range(1, n + 1), 4))
+    quadruplets = [combos[i] for i in rng.choice(total, size=q, replace=False)]
     patterns: list[Pattern] = []
     for quad in quadruplets:
         patterns.extend(value_assignment_group(quad))
@@ -348,10 +341,9 @@ def measure(signal: SparseSignal, ms: MeasurementSet) -> np.ndarray:
     """Marginals y = A x: y[i] sums spike values consistent with pattern i."""
     if signal.n != ms.n:
         raise ValueError(f"signal has n={signal.n} but measurement set has n={ms.n}")
-    masks, wants = ms._masks_wants
     y = np.zeros(len(ms.patterns))
     for pos, val in signal.spikes:
-        y[(pos & masks) == wants] += val
+        y[ms.match_vector(pos)] += val
     return y
 
 

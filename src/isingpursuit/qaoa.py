@@ -531,27 +531,14 @@ def simulate_gates(state: np.ndarray, gates: list[Gate]) -> np.ndarray:
         for q in g.qubits:
             if not 1 <= q <= n:
                 raise ValueError(f"gate {g.name} touches qubit {q} outside [1, {n}]")
+        # the gate's qubits as the leading axes
+        view = np.moveaxis(psi.reshape((2,) * n), [q - 1 for q in g.qubits],
+                           range(len(g.qubits)))
         if g.name == "CX":
-            control, target = g.qubits
-            view = psi.reshape((2,) * n)
-            sel0 = [slice(None)] * n
-            sel1 = [slice(None)] * n
-            sel0[control - 1] = 1
-            sel1[control - 1] = 1
-            sel0[target - 1] = 0
-            sel1[target - 1] = 1
-            a = view[tuple(sel0)].copy()
-            view[tuple(sel0)] = view[tuple(sel1)]
-            view[tuple(sel1)] = a
+            view[1] = view[1, ::-1].copy()
         elif g.name == "RZ":
-            (q,) = g.qubits
-            view = psi.reshape((2,) * n)
-            sel0 = [slice(None)] * n
-            sel1 = [slice(None)] * n
-            sel0[q - 1] = 0
-            sel1[q - 1] = 1
-            view[tuple(sel0)] *= np.exp(-0.5j * g.angle)
-            view[tuple(sel1)] *= np.exp(+0.5j * g.angle)
+            view[0] *= np.exp(-0.5j * g.angle)
+            view[1] *= np.exp(+0.5j * g.angle)
         elif g.name == "RX":
             (q,) = g.qubits
             kernel.mix(np.cos(g.angle / 2), 1j * -np.sin(g.angle / 2), q)

@@ -2,19 +2,21 @@
 
 Three interchangeable backends share one outcome type: an exhaustive scan,
 an exact chain dynamic program for nearest-neighbor structure, and a
-best-effort simulated QAOA search.  All of them report a score recomputed
-through column_dot at the returned position, so reported scores are always
-reproducible independently of the search path.  The absolute value is
-handled by solving both the maximization and the minimization of h and
-keeping whichever extremum is larger in magnitude.  The chain backend
-fills the max and the min tables in one fused sweep, exact because IEEE
-negation commutes with its sums and comparisons; the QAOA backend
-searches both in one lockstep run over H's diagonal, with -H's circuits
-as H's circuits with their gammas negated.
+best-effort simulated QAOA search.  A SolverSpec names the backend and
+carries the QAOA knobs, with one set of defaults and checks.  All of them
+report a score recomputed through column_dot at the returned position, so
+reported scores are always reproducible independently of the search path.
+The absolute value is handled by solving both the maximization and the
+minimization of h and keeping whichever extremum is larger in magnitude.
+The chain backend fills the max and the min tables in one fused sweep,
+exact because IEEE negation commutes with its sums and comparisons; the
+QAOA backend searches both in one lockstep run over H's diagonal, with
+-H's circuits as H's circuits with their gammas negated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -24,6 +26,7 @@ from . import qaoa
 from .hamiltonian import IsingHamiltonian, build_hamiltonian
 from .measurement import MeasurementSet, all_column_dots, column_dot
 
+BACKENDS = ("brute", "chain", "qaoa")
 BRUTE_FORCE_CAP = 20
 
 
@@ -139,26 +142,46 @@ def chain_dp_solve(ms: MeasurementSet, r: np.ndarray) -> SolverOutcome:
 
 
 @dataclass(frozen=True)
-class QaoaSolverConfig:
-    depth: int = 2
+class SolverSpec:
+    """Backend choice plus the QAOA knobs (ignored by the exact backends).
+
+    param_count is the paper's parameter count.  The circuit has depth
+    ceil(param_count / 2) layers of one gamma and one beta each, so it runs
+    2 * depth angles: an odd count rounds up, and the paper's 5/9/15/21 run
+    6/10/16/22-angle circuits.
+    """
+
+    backend: str = "brute"
+    param_count: int = 4
     restarts: int = 10
     max_evals: int = 200
     shots: int = 1024
-    seed: int | None = None
+
+    def __post_init__(self):
+        if self.backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
+        for name in ("param_count", "restarts", "max_evals", "shots"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
+    @property
+    def depth(self) -> int:
+        return math.ceil(self.param_count / 2)
 
 
 def qaoa_solve(
-    ms: MeasurementSet, r: np.ndarray, cfg: QaoaSolverConfig = QaoaSolverConfig()
+    ms: MeasurementSet, r: np.ndarray, spec: SolverSpec = SolverSpec("qaoa"), seed=None
 ) -> SolverOutcome:
     """Best-effort support detection through one QAOA run over two targets.
 
     One lockstep `optimize` call searches for the top of h and, in mirrored
     lanes on H's diagonal, the top of -h; each target keeps its own seed
-    streams, for the starts and for the samples.  Candidates sampled from
-    both optimized states (-h's as H's state at its gammas negated) are
-    pooled and rescored by |column_dot|; the best-scoring candidate wins
-    (ties to the smallest index).  Only the reported score is guaranteed,
-    not global optimality.
+    streams, for the starts and for the samples, spawned from seed.  The
+    spec gives the depth, restarts, evaluation budget and shots; its backend
+    is not read.  Candidates sampled from both optimized states (-h's as H's
+    state at its gammas negated) are pooled and rescored by |column_dot|;
+    the best-scoring candidate wins (ties to the smallest index).  Only the
+    reported score is guaranteed, not global optimality.
     """
     H = build_hamiltonian(ms, r)
     if H.max_support_size() == 0:
@@ -167,9 +190,9 @@ def qaoa_solve(
         return SolverOutcome(
             z, abs(column_dot(z, r, ms)), {"backend": "qaoa", "flat": True}
         )
-    seeds = np.random.SeedSequence(cfg.seed).spawn(4)
+    seeds = np.random.SeedSequence(seed).spawn(4)
     out = qaoa.optimize(
-        H, p=cfg.depth, restarts=cfg.restarts, max_evals=cfg.max_evals,
+        H, p=spec.depth, restarts=spec.restarts, max_evals=spec.max_evals,
         seed=seeds[0], negated_seed=seeds[2],
     )
     candidates: set[int] = set()
@@ -179,7 +202,7 @@ def qaoa_solve(
         ("min", out.minus, out.minus.params.mirrored(), seeds[3]),
     ):
         state = qaoa.ansatz_state(H, params)
-        candidates.update(qaoa.sample_candidates(state, cfg.shots, seed=sample_seed))
+        candidates.update(qaoa.sample_candidates(state, spec.shots, seed=sample_seed))
         diagnostics[f"{label}_expectation"] = best.expectation
         diagnostics[f"{label}_evaluations"] = best.evaluations
     best_z = -1

@@ -16,6 +16,9 @@ scalars, which the float-list `chain_dp_solve` must match exactly.
 `evolve_per_qubit` is the ansatz kernel with a fresh array for every phase
 and every qubit's mixer, which the buffer kernel `qaoa._evolve` and the
 single layers must match bit for bit.
+`simulate_gates_selectors` writes CX and RZ through index lists that
+select each gate qubit's halves of the state, which the axis-moving
+`simulate_gates` must match bit for bit.
 `qaoa_solve_two_calls` is the QAOA backend with one `optimize` call on H
 and one on `H.negated()`, each sampled from its own target's state, which
 the one-call `qaoa_solve` must match bit for bit.  The other helpers
@@ -32,7 +35,7 @@ from isingpursuit import qaoa
 from isingpursuit.hamiltonian import IsingHamiltonian, _pruned, build_hamiltonian
 from isingpursuit.measurement import DENSE_MATRIX_CAP, MeasurementSet, Pattern, column_dot
 from isingpursuit.signal import SparseSignal
-from isingpursuit.solvers import ChainStructureError, QaoaSolverConfig, SolverOutcome
+from isingpursuit.solvers import ChainStructureError, SolverOutcome, SolverSpec
 
 
 def bit_at(z: int, j: int, n: int) -> int:
@@ -242,24 +245,60 @@ def simulate_rx_per_qubit(state: np.ndarray, gates) -> np.ndarray:
     return psi[0]
 
 
-def qaoa_solve_two_calls(ms: MeasurementSet, r: np.ndarray, cfg: QaoaSolverConfig) -> SolverOutcome:
+def simulate_gates_selectors(state: np.ndarray, gates) -> np.ndarray:
+    """simulate_gates with CX and RZ written through per-gate lists of
+    slices that pick the 0 and 1 halves of each of the gate's qubits."""
+    n = qaoa.num_qubits(state)
+    kernel = qaoa._StateBuffers(1, n)
+    kernel.psi[0] = state
+    psi = kernel.psi[0]
+    for g in gates:
+        if g.name == "CX":
+            control, target = g.qubits
+            view = psi.reshape((2,) * n)
+            sel0 = [slice(None)] * n
+            sel1 = [slice(None)] * n
+            sel0[control - 1] = 1
+            sel1[control - 1] = 1
+            sel0[target - 1] = 0
+            sel1[target - 1] = 1
+            a = view[tuple(sel0)].copy()
+            view[tuple(sel0)] = view[tuple(sel1)]
+            view[tuple(sel1)] = a
+        elif g.name == "RZ":
+            (q,) = g.qubits
+            view = psi.reshape((2,) * n)
+            sel0 = [slice(None)] * n
+            sel1 = [slice(None)] * n
+            sel0[q - 1] = 0
+            sel1[q - 1] = 1
+            view[tuple(sel0)] *= np.exp(-0.5j * g.angle)
+            view[tuple(sel1)] *= np.exp(+0.5j * g.angle)
+        else:
+            (q,) = g.qubits
+            kernel.mix(np.cos(g.angle / 2), 1j * -np.sin(g.angle / 2), q)
+            psi = kernel.psi[0]
+    return psi
+
+
+def qaoa_solve_two_calls(ms: MeasurementSet, r: np.ndarray, spec: SolverSpec, seed) -> SolverOutcome:
     """qaoa_solve as two optimize calls, one on H and one on H.negated(),
     each followed by the ansatz state and samples of its own target."""
     H = build_hamiltonian(ms, r)
     if H.max_support_size() == 0:
         z = 0
         return SolverOutcome(z, abs(column_dot(z, r, ms)), {"backend": "qaoa", "flat": True})
-    seeds = np.random.SeedSequence(cfg.seed).spawn(4)
+    seeds = np.random.SeedSequence(seed).spawn(4)
     candidates: set[int] = set()
     diagnostics: dict = {"backend": "qaoa"}
     for label, target, opt_seed, sample_seed in (
         ("max", H, seeds[0], seeds[1]),
         ("min", H.negated(), seeds[2], seeds[3]),
     ):
-        out = qaoa.optimize(target, p=cfg.depth, restarts=cfg.restarts,
-                            max_evals=cfg.max_evals, seed=opt_seed)
+        out = qaoa.optimize(target, p=spec.depth, restarts=spec.restarts,
+                            max_evals=spec.max_evals, seed=opt_seed)
         state = qaoa.ansatz_state(target, out.params)
-        candidates.update(qaoa.sample_candidates(state, cfg.shots, seed=sample_seed))
+        candidates.update(qaoa.sample_candidates(state, spec.shots, seed=sample_seed))
         diagnostics[f"{label}_expectation"] = out.expectation
         diagnostics[f"{label}_evaluations"] = out.evaluations
     best_z = -1

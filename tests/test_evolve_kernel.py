@@ -1,6 +1,7 @@
 """The buffer kernel of `qaoa` against the per-qubit kernel in `oracles`,
 bit for bit: `_evolve` and `_expectations` on batches of angle rows, the
-single phase and mixer layers, and the RX gates of `simulate_gates`."""
+single phase and mixer layers, and the RX gates of `simulate_gates`; and
+its CX and RZ gates against the selector form in `oracles`."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -16,7 +17,13 @@ from isingpursuit.qaoa import (
     simulate_gates,
 )
 
-from oracles import evolve_per_qubit, mix_rows, phase_rows, simulate_rx_per_qubit
+from oracles import (
+    evolve_per_qubit,
+    mix_rows,
+    phase_rows,
+    simulate_gates_selectors,
+    simulate_rx_per_qubit,
+)
 
 # 1 under the default profile, 5 under --hypothesis-profile=ci.
 DEPTH = settings.default.max_examples // 100
@@ -158,3 +165,23 @@ def test_one_gate_list_equals_its_gates_one_call_each(circuit, data):
         for g in gates:
             stepwise = simulate_gates(stepwise, [g])
         assert simulate_gates(psi, gates).tobytes() == stepwise.tobytes()
+
+
+@st.composite
+def gate_circuits(draw):
+    n = draw(st.integers(1, 8))
+    qubits = st.integers(1, n)
+    kinds = [st.builds(Gate.rz, qubits, ANGLES), st.builds(Gate.rx, qubits, ANGLES)]
+    if n > 1:
+        kinds.append(st.permutations(range(1, n + 1)).map(lambda qs: Gate.cx(qs[0], qs[1])))
+    return draw(states(n)), draw(st.lists(st.one_of(kinds), max_size=30))
+
+
+@settings(max_examples=200 * DEPTH)
+@given(gate_circuits())
+@example((SIGNED_ZEROS, [Gate.rz(2, -0.0), Gate.cx(2, 1), Gate.rx(1, 0.5), Gate.rz(1, 3.0)]))
+@example((np.arange(8) * (1.0 + 0.5j), [Gate.cx(3, 1), Gate.cx(1, 2), Gate.rz(3, 0.25)]))
+def test_cx_and_rz_are_bitwise_the_selector_form(circuit):
+    psi, gates = circuit
+    with np.errstate(all="ignore"):
+        assert simulate_gates(psi, gates).tobytes() == simulate_gates_selectors(psi, gates).tobytes()

@@ -28,7 +28,7 @@ from isingpursuit.qaoa import (
     _nelder_mead,
     optimize,
 )
-from isingpursuit.solvers import QaoaSolverConfig, qaoa_solve
+from isingpursuit.solvers import SolverSpec, qaoa_solve
 
 from oracles import qaoa_solve_two_calls
 from test_qaoa import hamiltonians
@@ -64,17 +64,17 @@ def measurement_sets(draw):
 def solve_cases(draw):
     ms = draw(measurement_sets())
     r = np.array(draw(st.lists(RESIDUALS, min_size=len(ms), max_size=len(ms))))
-    cfg = QaoaSolverConfig(
-        depth=draw(st.integers(1, 4)),
+    spec = SolverSpec(
+        "qaoa",
+        2 * draw(st.integers(1, 4)),
         restarts=draw(st.integers(1, 3)),
         max_evals=draw(st.integers(1, 60)),
         shots=draw(st.integers(1, 64)),
-        seed=draw(st.integers(0, 2**32 - 1)),
     )
-    return ms, r, cfg
+    return ms, r, spec, draw(st.integers(0, 2**32 - 1))
 
 
-def recorded(solve, ms, r, cfg):
+def recorded(solve, ms, r, spec, seed):
     """solve's outcome, with the bytes of every ansatz state it makes and every
     list of samples it draws, in call order."""
     states, samples = [], []
@@ -92,7 +92,7 @@ def recorded(solve, ms, r, cfg):
 
     with mock.patch.object(qaoa, "ansatz_state", record_state), \
             mock.patch.object(qaoa, "sample_candidates", record_samples):
-        out = solve(ms, r, cfg)
+        out = solve(ms, r, spec, seed)
     return out, states, samples
 
 
@@ -105,14 +105,14 @@ FLAT = (MeasurementSet(1, (Pattern(((1, 0),)), Pattern(((1, 1),)))), np.array([0
 
 @settings(max_examples=100 * DEPTH)
 @given(solve_cases())
-@example((*SIGNED_ZEROS, QaoaSolverConfig(depth=2, restarts=2, max_evals=40, shots=8, seed=3)))
-@example((*FLAT, QaoaSolverConfig(depth=1, restarts=1, max_evals=10, shots=4, seed=0)))
+@example((*SIGNED_ZEROS, SolverSpec("qaoa", 4, restarts=2, max_evals=40, shots=8), 3))
+@example((*FLAT, SolverSpec("qaoa", 2, restarts=1, max_evals=10, shots=4), 0))
 @example((nearest_neighbor_patterns(4), np.array([1.0, -1.0, 0.5, 0.0] * 3),
-          QaoaSolverConfig(depth=3, restarts=3, max_evals=60, shots=16, seed=5)))
+          SolverSpec("qaoa", 6, restarts=3, max_evals=60, shots=16), 5))
 def test_qaoa_solve_is_bitwise_the_two_call_path(case):
-    ms, r, cfg = case
-    out, states, samples = recorded(qaoa_solve, ms, r, cfg)
-    ref, ref_states, ref_samples = recorded(qaoa_solve_two_calls, ms, r, cfg)
+    ms, r, spec, seed = case
+    out, states, samples = recorded(qaoa_solve, ms, r, spec, seed)
+    ref, ref_states, ref_samples = recorded(qaoa_solve_two_calls, ms, r, spec, seed)
     assert (out.position, repr(out.score)) == (ref.position, repr(ref.score))
     # repr tells -0.0 from 0.0 and keeps the key order
     assert repr(out.diagnostics) == repr(ref.diagnostics)
@@ -152,7 +152,7 @@ def test_mirrored_lane_is_bitwise_a_lane_on_negated_h(case):
 def test_qaoa_solve_makes_one_optimize_call_and_three_diagonals():
     ms = nearest_neighbor_patterns(4)
     r = np.linspace(-1.0, 1.0, len(ms))
-    cfg = QaoaSolverConfig(depth=2, restarts=2, max_evals=30, shots=16, seed=9)
+    spec = SolverSpec("qaoa", 4, restarts=2, max_evals=30, shots=16)
     calls = []
     real_optimize = qaoa.optimize
 
@@ -163,9 +163,9 @@ def test_qaoa_solve_makes_one_optimize_call_and_three_diagonals():
     with mock.patch.object(qaoa, "optimize", spy), \
             mock.patch.object(IsingHamiltonian, "diagonal", autospec=True,
                               side_effect=IsingHamiltonian.diagonal) as diagonal:
-        out = qaoa_solve(ms, r, cfg)
+        out = qaoa_solve(ms, r, spec, 9)
     ((args, kwargs, paired),) = calls
-    assert isinstance(args[0], IsingHamiltonian) and kwargs["p"] == cfg.depth
+    assert isinstance(args[0], IsingHamiltonian) and kwargs["p"] == spec.depth
     assert paired.evaluations == (out.diagnostics["max_evaluations"]
                                   + out.diagnostics["min_evaluations"])
     assert diagonal.call_count == 3

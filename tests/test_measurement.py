@@ -1,7 +1,9 @@
 """Pattern generators and the implicit measurement matrix, checked against a
 dense 0/1 materialization of A wherever n is small enough to afford one."""
 
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -139,6 +141,28 @@ def test_quadruplet_determinism():
     assert random_quadruplet_patterns(8, 4, seed=3) == random_quadruplet_patterns(
         8, 4, seed=3
     )
+
+
+# Drawn by the list path before its unreachable rejection branch was deleted.
+@pytest.mark.parametrize("n, q, seed, quads", [
+    (6, 3, 7, [(2, 3, 5, 6), (1, 3, 5, 6), (2, 3, 4, 5)]),
+    (10, 5, 123, [(1, 2, 4, 9), (2, 5, 6, 10), (1, 2, 3, 7), (4, 6, 9, 10), (3, 4, 5, 7)]),
+    (16, 16, 1, [(6, 7, 9, 16), (1, 5, 8, 15), (2, 4, 8, 11), (2, 3, 7, 16),
+                 (8, 10, 11, 15), (11, 13, 14, 15), (5, 6, 13, 14), (6, 7, 8, 9),
+                 (1, 2, 9, 10), (2, 9, 10, 16), (2, 3, 5, 6), (2, 8, 10, 13),
+                 (3, 4, 8, 14), (3, 5, 10, 16), (1, 13, 14, 15), (6, 10, 11, 14)]),
+    (63, 3, 2024, [(16, 18, 30, 50), (2, 14, 35, 61), (5, 8, 12, 48)]),
+])
+def test_quadruplet_seeded_picks_are_pinned(n, q, seed, quads):
+    groups = tuple(p for quad in quads for p in value_assignment_group(quad))
+    assert random_quadruplet_patterns(n, q, seed=seed) == MeasurementSet(n, groups)
+
+
+@pytest.mark.parametrize("n", [64, 71, 72])
+def test_quadruplets_check_the_mask_cap_before_enumerating(n):
+    with mock.patch.object(itertools, "combinations", side_effect=AssertionError("enumerated")):
+        with pytest.raises(ValueError, match="exceeds 63"):
+            random_quadruplet_patterns(n, 1, seed=0)
 
 
 def test_quadruplet_errors():

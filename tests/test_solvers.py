@@ -21,7 +21,7 @@ from isingpursuit.measurement import (
 from isingpursuit.signal import SparseSignal
 from isingpursuit.solvers import (
     ChainStructureError,
-    QaoaSolverConfig,
+    SolverSpec,
     brute_force_solve,
     chain_dp_solve,
     qaoa_solve,
@@ -130,7 +130,7 @@ def test_chain_agrees_with_brute_force(n, seed):
 
 def test_qaoa_flat_objective_short_circuits():
     ms = MeasurementSet(3, (Pattern(()),))
-    out = qaoa_solve(ms, np.array([0.8]), QaoaSolverConfig(seed=0))
+    out = qaoa_solve(ms, np.array([0.8]), seed=0)
     assert (out.position, out.score) == (0, 0.8)
     assert out.diagnostics.get("flat") is True
 
@@ -138,9 +138,9 @@ def test_qaoa_flat_objective_short_circuits():
 def test_qaoa_is_seed_deterministic():
     ms = nearest_neighbor_patterns(4)
     r = np.random.default_rng(3).normal(size=len(ms))
-    cfg = QaoaSolverConfig(depth=1, restarts=2, max_evals=40, shots=128, seed=9)
-    a = qaoa_solve(ms, r, cfg)
-    b = qaoa_solve(ms, r, cfg)
+    spec = SolverSpec("qaoa", 2, restarts=2, max_evals=40, shots=128)
+    a = qaoa_solve(ms, r, spec, 9)
+    b = qaoa_solve(ms, r, spec, 9)
     assert (a.position, a.score) == (b.position, b.score)
 
 
@@ -149,8 +149,8 @@ def test_qaoa_is_seed_deterministic():
 def test_qaoa_score_is_sound_and_dominated(seed):
     ms = random_quadruplet_patterns(5, 2, seed=seed)
     r = np.random.default_rng(seed).normal(size=len(ms))
-    cfg = QaoaSolverConfig(depth=1, restarts=1, max_evals=30, shots=64, seed=seed)
-    out = qaoa_solve(ms, r, cfg)
+    spec = SolverSpec("qaoa", 2, restarts=1, max_evals=30, shots=64)
+    out = qaoa_solve(ms, r, spec, seed)
     assert out.score == abs(column_dot(out.position, r, ms))
     assert out.score <= brute_force_solve(ms, r).score + 1e-12
 
@@ -162,8 +162,8 @@ def test_qaoa_finds_single_spike_under_full_joint_measurement():
         ms = random_quadruplet_patterns(4, 1, seed=seed)
         sig = SparseSignal(4, ((11, 1.0),))
         y = measure(sig, ms)
-        cfg = QaoaSolverConfig(depth=2, restarts=3, max_evals=100, shots=512, seed=seed)
-        if qaoa_solve(ms, y, cfg).position == 11:
+        spec = SolverSpec("qaoa", 4, restarts=3, max_evals=100, shots=512)
+        if qaoa_solve(ms, y, spec, seed).position == 11:
             hits += 1
     assert hits >= 18
 
@@ -174,7 +174,7 @@ def test_every_backend_reports_reproducible_scores():
     for solve in (
         brute_force_solve,
         chain_dp_solve,
-        lambda m, rr: qaoa_solve(m, rr, QaoaSolverConfig(depth=1, restarts=1, max_evals=30, shots=64, seed=1)),
+        lambda m, rr: qaoa_solve(m, rr, SolverSpec("qaoa", 2, restarts=1, max_evals=30, shots=64), 1),
     ):
         out = solve(ms, r)
         assert out.score == abs(column_dot(out.position, r, ms))
