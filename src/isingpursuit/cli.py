@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,8 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
     if counts and len(counts) > 1:
         reports = run_sweep(plan, list(counts))
     else:
+        if counts:
+            plan = replace(plan, solver=replace(plan.solver, param_count=counts[0]))
         reports = [run_batch(plan)]
     text = reports_to_csv(reports) if args.format == "csv" else reports_to_json(reports)
     _emit(text, args.out)

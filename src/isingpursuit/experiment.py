@@ -50,6 +50,10 @@ class ExperimentPlan:
             raise ValueError(
                 f"pattern_kind must be one of {PATTERN_KINDS}, got {self.pattern_kind!r}"
             )
+        if not self.time_limit_s >= 0:
+            raise ValueError(f"time_limit_s must be >= 0, got {self.time_limit_s}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     @property
     def effective_quadruplets(self) -> int:

@@ -76,19 +76,8 @@ class IsingHamiltonian:
             _add_table(diag, self.n, tuple(sorted(support)), coeff * _signs(len(support)))
         return diag
 
-    def negated(self) -> "IsingHamiltonian":
-        return IsingHamiltonian(self.n, {s: -c for s, c in self.terms.items()})
-
     def max_support_size(self) -> int:
         return max((len(s) for s in self.terms), default=0)
-
-    def __add__(self, other: "IsingHamiltonian") -> "IsingHamiltonian":
-        if self.n != other.n:
-            raise ValueError(f"cannot add Hamiltonians on {self.n} and {other.n} qubits")
-        merged = dict(self.terms)
-        for support, coeff in other.terms.items():
-            merged[support] = merged.get(support, 0.0) + coeff
-        return IsingHamiltonian(self.n, _pruned(merged))
 
     def dump(self) -> str:
         """One line per term, "coeff  Z_i Z_j ...", sorted by support."""
@@ -97,10 +86,6 @@ class IsingHamiltonian:
             zs = " ".join(f"Z_{j}" for j in sorted(support))
             lines.append(f"{self.terms[support]:+.12g}  {zs}".rstrip())
         return "\n".join(lines)
-
-
-def _pruned(terms: dict[frozenset[int], float]) -> dict[frozenset[int], float]:
-    return {s: c for s, c in terms.items() if abs(c) >= COEFF_PRUNE_TOL}
 
 
 def build_hamiltonian(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltonian:

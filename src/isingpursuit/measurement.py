@@ -63,9 +63,12 @@ class Pattern:
             if val not in (0, 1):
                 raise ValueError(f"fixed value must be 0 or 1, got {val}")
 
-    @property
-    def k(self) -> int:
-        return len(self.constraints)
+    @classmethod
+    def _unchecked(cls, constraints: tuple[tuple[int, int], ...]) -> "Pattern":
+        """Skip __post_init__'s check, for constraints already known to be valid."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "constraints", constraints)
+        return p
 
     def mask_want(self, n: int) -> tuple[int, int]:
         """(mask, want) such that z matches iff z & mask == want."""
@@ -272,12 +275,14 @@ def _add_table(acc: np.ndarray, n: int, bits: tuple[int, ...], table: np.ndarray
 
 
 def value_assignment_group(positions: tuple[int, ...]) -> tuple[Pattern, ...]:
-    """All 2**k patterns fixing the given positions, in binary value order."""
-    k = len(positions)
-    return tuple(
-        Pattern(tuple(zip(positions, values)))
-        for values in itertools.product((0, 1), repeat=k)
-    )
+    """All 2**k patterns fixing the given positions, in binary value order.
+
+    The first pattern checks the positions; the values are 0 or 1 by
+    construction, so the others skip the check.
+    """
+    values = itertools.product((0, 1), repeat=len(positions))
+    first = Pattern(tuple(zip(positions, next(values))))
+    return (first,) + tuple(Pattern._unchecked(tuple(zip(positions, v))) for v in values)
 
 
 def nearest_neighbor_patterns(n: int) -> MeasurementSet:

@@ -22,6 +22,9 @@ from .solvers import SolverOutcome
 
 Solver = Callable[[MeasurementSet, np.ndarray], SolverOutcome]
 
+# Pursuit stops once the solver's best score falls below this floor.
+MIN_SCORE = 1e-9
+
 
 class DegenerateColumnError(RuntimeError):
     """A solver returned a position whose column is absent from the measurement set."""
@@ -43,15 +46,12 @@ class PursuitConfig:
     solver: Solver
     max_iterations: int
     residual_tolerance: float | None = None
-    min_score: float = 1e-9
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.residual_tolerance is not None and self.residual_tolerance < 0:
             raise ValueError("residual_tolerance must be >= 0")
-        if self.min_score < 0:
-            raise ValueError("min_score must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def matching_pursuit(
     """Iterate support detection, coefficient update and residual deflation.
 
     Stops when the residual 2-norm falls to the tolerance, the best solver
-    score drops below min_score, or the iteration budget runs out.  Raises
+    score drops below MIN_SCORE, or the iteration budget runs out.  Raises
     ValueError on marginals that are not all finite.
     """
     if len(y) != len(ms.patterns):
@@ -107,7 +107,7 @@ def matching_pursuit(
     else:
         for _ in range(cfg.max_iterations):
             outcome = cfg.solver(ms, r)
-            if outcome.score < cfg.min_score:
+            if outcome.score < MIN_SCORE:
                 termination = Termination.score_floor
                 break
             z = outcome.position

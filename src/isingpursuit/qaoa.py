@@ -438,8 +438,8 @@ def optimize(
     With `negated_seed`, -H is maximized as well, from `restarts` starts
     drawn from that seed, and a PairedOutcome is returned.  -H's starts run
     as mirrored lanes of the same batches over H's diagonal, and each
-    target's result is bitwise the one a separate call on H or on
-    H.negated() with its seed returns.  The warm start applies to H only.
+    target's result is bitwise the one a separate call on H or on -H
+    with its seed returns.  The warm start applies to H only.
     """
     if p < 1:
         raise ValueError(f"depth must be >= 1, got {p}")

@@ -12,8 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# dense_vector materializes 2**n floats; keep that off the table for big n.
+# The largest n whose 2**n positions are materialized: random_sparse_signal
+# draws from the full range up to it and by rejection above it.
 DENSE_VECTOR_CAP = 20
+# Spike amplitudes are bounded away from zero so that "position recovered"
+# stays well-defined downstream.
+SPIKE_VALUE_RANGE = (0.1, 1.0)
 # Indices and pattern masks are int64, so an n-bit index needs n <= 63.
 INDEX_BITS_CAP = 63
 
@@ -49,23 +53,8 @@ class SparseSignal:
             if val == 0.0 or not np.isfinite(val):
                 raise ValueError(f"spike value at position {pos} is zero or not finite: {val}")
 
-    @property
-    def sparsity(self) -> int:
-        return len(self.spikes)
-
     def positions(self) -> set[int]:
         return {p for p, _ in self.spikes}
-
-    def dense(self) -> np.ndarray:
-        """Full-length vector with spike values placed at their positions."""
-        if self.n > DENSE_VECTOR_CAP:
-            raise ValueError(
-                f"refusing to materialize 2**{self.n} entries (cap {DENSE_VECTOR_CAP})"
-            )
-        x = np.zeros(1 << self.n)
-        for pos, val in self.spikes:
-            x[pos] = val
-        return x
 
     def to_dict(self) -> dict:
         return {
@@ -86,24 +75,13 @@ class SparseSignal:
         return cls.from_dict(json.loads(text))
 
 
-def random_sparse_signal(
-    n: int,
-    s: int,
-    value_range: tuple[float, float] = (0.1, 1.0),
-    seed=None,
-) -> SparseSignal:
-    """Draw s spikes at distinct uniform positions with uniform positive values.
-
-    The amplitude range is bounded away from zero so "position recovered"
-    stays well-defined downstream.
-    """
+def random_sparse_signal(n: int, s: int, seed=None) -> SparseSignal:
+    """Draw s spikes at distinct uniform positions with values uniform over
+    SPIKE_VALUE_RANGE."""
     _check_bit_count(n)
     d = 1 << n
     if not 1 <= s <= d:
         raise ValueError(f"sparsity must satisfy 1 <= s <= 2**{n}, got {s}")
-    lo, hi = value_range
-    if not 0.0 < lo < hi:
-        raise ValueError(f"value range must be positive and increasing, got {value_range}")
     rng = np.random.default_rng(seed)
     if n <= DENSE_VECTOR_CAP:
         positions = rng.choice(d, size=s, replace=False)
@@ -113,7 +91,7 @@ def random_sparse_signal(
         while len(chosen) < s:
             chosen.add(int(rng.integers(0, d)))
         positions = sorted(chosen)
-    values = rng.uniform(lo, hi, size=s)
+    values = rng.uniform(*SPIKE_VALUE_RANGE, size=s)
     spikes = tuple((int(p), float(v)) for p, v in zip(positions, values))
     return SparseSignal(n=n, spikes=spikes)
 

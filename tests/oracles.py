@@ -20,7 +20,7 @@ single layers must match bit for bit.
 select each gate qubit's halves of the state, which the axis-moving
 `simulate_gates` must match bit for bit.
 `qaoa_solve_two_calls` is the QAOA backend with one `optimize` call on H
-and one on `H.negated()`, each sampled from its own target's state, which
+and one on `negated(H)`, each sampled from its own target's state, which
 the one-call `qaoa_solve` must match bit for bit.  The other helpers
 materialize what the package keeps implicit.
 """
@@ -32,9 +32,9 @@ import itertools
 import numpy as np
 
 from isingpursuit import qaoa
-from isingpursuit.hamiltonian import IsingHamiltonian, _pruned, build_hamiltonian
+from isingpursuit.hamiltonian import COEFF_PRUNE_TOL, IsingHamiltonian, build_hamiltonian
 from isingpursuit.measurement import DENSE_MATRIX_CAP, MeasurementSet, Pattern, column_dot
-from isingpursuit.signal import SparseSignal
+from isingpursuit.signal import DENSE_VECTOR_CAP, SparseSignal
 from isingpursuit.solvers import ChainStructureError, SolverOutcome, SolverSpec
 
 
@@ -43,8 +43,18 @@ def bit_at(z: int, j: int, n: int) -> int:
     return (z >> (n - j)) & 1
 
 
+def dense_vector(sig: SparseSignal) -> np.ndarray:
+    """Full-length vector with spike values placed at their positions."""
+    if sig.n > DENSE_VECTOR_CAP:
+        raise ValueError(f"refusing to materialize 2**{sig.n} entries (cap {DENSE_VECTOR_CAP})")
+    x = np.zeros(1 << sig.n)
+    for pos, val in sig.spikes:
+        x[pos] = val
+    return x
+
+
 def from_dense(x: np.ndarray, n: int) -> SparseSignal:
-    """Re-sparsify a dense vector (inverse of SparseSignal.dense)."""
+    """Re-sparsify a dense vector (inverse of dense_vector)."""
     if len(x) != 1 << n:
         raise ValueError(f"expected length {1 << n}, got {len(x)}")
     spikes = tuple((int(p), float(v)) for p, v in enumerate(x) if v != 0.0)
@@ -75,6 +85,16 @@ def all_column_dots_masked(r: np.ndarray, ms: MeasurementSet) -> np.ndarray:
     return acc
 
 
+def negated(H: IsingHamiltonian) -> IsingHamiltonian:
+    """-H, term by term."""
+    return IsingHamiltonian(H.n, {s: -c for s, c in H.terms.items()})
+
+
+def pruned(terms: dict[frozenset[int], float]) -> dict[frozenset[int], float]:
+    """The terms whose coefficients build_hamiltonian would keep."""
+    return {s: c for s, c in terms.items() if abs(c) >= COEFF_PRUNE_TOL}
+
+
 def diagonal_per_term(H: IsingHamiltonian) -> np.ndarray:
     """H's diagonal by one 2**n sign product per term."""
     d = 1 << H.n
@@ -94,7 +114,7 @@ def build_hamiltonian_itertools(ms: MeasurementSet, r: np.ndarray) -> IsingHamil
     for p, ri in zip(ms.patterns, r):
         if ri == 0.0:
             continue
-        k = p.k
+        k = len(p.constraints)
         base = float(ri) / (1 << k)
         for subset in itertools.chain.from_iterable(
             itertools.combinations(p.constraints, size) for size in range(k + 1)
@@ -105,7 +125,7 @@ def build_hamiltonian_itertools(ms: MeasurementSet, r: np.ndarray) -> IsingHamil
                     sign = -sign
             support = frozenset(bit for bit, _ in subset)
             terms[support] = terms.get(support, 0.0) + sign * base
-    return IsingHamiltonian(ms.n, _pruned(terms))
+    return IsingHamiltonian(ms.n, pruned(terms))
 
 
 def build_hamiltonian_walsh(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltonian:
@@ -134,7 +154,7 @@ def build_hamiltonian_walsh(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltoni
     terms = {support: 0.0 for support, _ in entries}  # the order runs name them
     for support, total in entries:
         terms[support] += total
-    return IsingHamiltonian(ms.n, _pruned(terms))
+    return IsingHamiltonian(ms.n, pruned(terms))
 
 
 def _chain_params_arrays(H: IsingHamiltonian) -> tuple[float, np.ndarray, np.ndarray]:
@@ -282,7 +302,7 @@ def simulate_gates_selectors(state: np.ndarray, gates) -> np.ndarray:
 
 
 def qaoa_solve_two_calls(ms: MeasurementSet, r: np.ndarray, spec: SolverSpec, seed) -> SolverOutcome:
-    """qaoa_solve as two optimize calls, one on H and one on H.negated(),
+    """qaoa_solve as two optimize calls, one on H and one on negated(H),
     each followed by the ansatz state and samples of its own target."""
     H = build_hamiltonian(ms, r)
     if H.max_support_size() == 0:
@@ -293,7 +313,7 @@ def qaoa_solve_two_calls(ms: MeasurementSet, r: np.ndarray, spec: SolverSpec, se
     diagnostics: dict = {"backend": "qaoa"}
     for label, target, opt_seed, sample_seed in (
         ("max", H, seeds[0], seeds[1]),
-        ("min", H.negated(), seeds[2], seeds[3]),
+        ("min", negated(H), seeds[2], seeds[3]),
     ):
         out = qaoa.optimize(target, p=spec.depth, restarts=spec.restarts,
                             max_evals=spec.max_evals, seed=opt_seed)

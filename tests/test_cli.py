@@ -92,6 +92,38 @@ def test_experiment_accepts_a_plan_file(tmp_path, capsys):
     assert data[0]["config"]["master_seed"] == 3
 
 
+@pytest.mark.parametrize("counts", [[9], [9, 9]])
+def test_plan_file_parameter_counts_match_the_params_flag(tmp_path, capsys, counts):
+    # one count sets the plan's QAOA parameter count, as --params 9 does;
+    # two counts run a sweep either way
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "n": 4, "sparsity": 1, "trial_count": 2, "master_seed": 5, "parameter_counts": counts,
+        "solver": {"backend": "qaoa", "restarts": 1, "max_evals": 10, "shots": 16},
+    }))
+    assert run_cli("experiment", "--plan", str(plan), "--format", "json") == 0
+    via_plan = json.loads(capsys.readouterr().out)
+    assert run_cli("experiment", "--n", "4", "--sparsity", "1", "--trials", "2", "--seed", "5",
+                   "--time-limit", "60", "--solver", "qaoa",
+                   "--params", ",".join(map(str, counts)), "--restarts", "1",
+                   "--max-evals", "10", "--shots", "16", "--format", "json") == 0
+    via_flags = json.loads(capsys.readouterr().out)
+    for report in via_plan + via_flags:
+        for trial in report["trials"]:
+            trial["runtime_s"] = 0.0
+    assert via_plan == via_flags
+    assert via_plan[-1]["config_id"] == "qaoa-nn-params9"
+
+
+@pytest.mark.parametrize("flags", [["--workers", "0"], ["--time-limit", "nan"],
+                                   ["--workers", "0", "--time-limit", "nan"]])
+def test_experiment_rejects_workers_and_time_limits_that_do_nothing(flags, capsys):
+    assert run_cli("experiment", "--n", "4", "--sparsity", "1", "--trials", "2", *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_configuration_errors_exit_2(tmp_path, capsys):
     assert run_cli("generate", "--n", "3", "--sparsity", "99") == 2
     assert run_cli("experiment", "--sparsity", "2") == 2

@@ -52,6 +52,25 @@ def test_plan_validation():
         tiny_plan(pattern_kind="pairs")
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_plan_rejects_fewer_than_one_worker(workers):
+    # workers < 1 used to run serially without a word
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        tiny_plan(workers=workers)
+
+
+@pytest.mark.parametrize("limit", [float("nan"), -1.0])
+def test_plan_rejects_a_time_limit_that_cannot_cap(limit):
+    # a nan limit never caps a trial, a negative one caps every trial
+    with pytest.raises(ValueError, match="time_limit_s must be >= 0"):
+        tiny_plan(time_limit_s=limit)
+
+
+def test_plan_accepts_zero_and_infinite_time_limits():
+    assert tiny_plan(time_limit_s=0.0).time_limit_s == 0.0
+    assert tiny_plan(time_limit_s=float("inf")).time_limit_s == float("inf")
+
+
 def test_default_quadruplet_budget_tracks_pair_census():
     assert tiny_plan(n=6, sparsity=3).effective_quadruplets == 3
     assert tiny_plan(n=5).effective_quadruplets == 2

@@ -30,7 +30,7 @@ from isingpursuit.qaoa import (
 )
 from isingpursuit.solvers import SolverSpec, qaoa_solve
 
-from oracles import qaoa_solve_two_calls
+from oracles import negated, qaoa_solve_two_calls
 from test_qaoa import hamiltonians
 
 # 1 under the default profile, 5 under --hypothesis-profile=ci.
@@ -138,15 +138,15 @@ ALL_ZERO = (IsingHamiltonian(2, {frozenset({1}): 1.0}), 1, np.zeros(2), 3)
 @example(ALL_ZERO)
 def test_mirrored_lane_is_bitwise_a_lane_on_negated_h(case):
     H, p, x0, max_evals = case
-    diag, negated = H.diagonal(), H.negated().diagonal()
+    diag, neg_diag = H.diagonal(), negated(H).diagonal()
     ((x, fun, nfev),) = _lockstep([_mirrored(_nelder_mead(x0, max_evals), p)],
                                   lambda angles: -_expectations(diag, H.n, angles))
     ((ref_x, ref_fun, ref_nfev),) = _lockstep([_nelder_mead(x0, max_evals)],
-                                              lambda angles: -_expectations(negated, H.n, angles))
+                                              lambda angles: -_expectations(neg_diag, H.n, angles))
     assert (x.tobytes(), repr(fun), nfev) == (ref_x.tobytes(), repr(ref_fun), ref_nfev)
     params = QaoaParams.from_vector(x)
     state = qaoa.ansatz_state(H, params.mirrored())
-    assert state.tobytes() == qaoa.ansatz_state(H.negated(), params).tobytes()
+    assert state.tobytes() == qaoa.ansatz_state(negated(H), params).tobytes()
 
 
 def test_qaoa_solve_makes_one_optimize_call_and_three_diagonals():

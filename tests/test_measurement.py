@@ -24,7 +24,7 @@ from isingpursuit.measurement import (
 )
 from isingpursuit.signal import SparseSignal, random_sparse_signal
 
-from oracles import dense_matrix, pattern_matches
+from oracles import dense_matrix, dense_vector, pattern_matches
 
 
 def test_mask_want():
@@ -85,6 +85,21 @@ def test_value_assignment_group_orders_binary():
     assert [tuple(v for _, v in p.constraints) for p in group] == [
         (0, 0), (0, 1), (1, 0), (1, 1),
     ]
+
+
+@given(st.integers(1, 10).flatmap(
+    lambda n: st.lists(st.integers(1, n), unique=True, max_size=min(n, 5))))
+def test_value_assignment_group_patterns_pass_the_check_they_skip(positions):
+    group = value_assignment_group(tuple(positions))
+    assert len(set(group)) == 1 << len(positions)
+    for p in group:
+        assert Pattern(p.constraints) == p
+
+
+@pytest.mark.parametrize("positions", [(2, 2), (0, 1), (3, -1)])
+def test_value_assignment_group_checks_its_positions(positions):
+    with pytest.raises(ValueError, match="distinct|1-based"):
+        value_assignment_group(positions)
 
 
 def test_nearest_neighbor_census():
@@ -178,7 +193,7 @@ def test_complete_patterns_identity_measurement():
     ms = complete_patterns(3)
     assert len(ms) == 8
     sig = SparseSignal(3, ((5, 0.7), (2, -0.3)))
-    assert np.allclose(measure(sig, ms), sig.dense())
+    assert np.allclose(measure(sig, ms), dense_vector(sig))
 
 
 def test_complete_patterns_cap():
@@ -235,11 +250,16 @@ def measurement_sets(draw, max_n=8):
     return MeasurementSet(n, tuple(patterns))
 
 
+@given(measurement_sets(max_n=10))
+def test_built_patterns_pass_the_check_they_skip(ms):
+    assert all(Pattern(p.constraints) == p for p in ms.patterns)
+
+
 @settings(max_examples=60)
 @given(measurement_sets(), st.integers(0, 2**31))
 def test_measure_matches_dense_product(ms, seed):
     sig = random_sparse_signal(ms.n, min(3, 1 << ms.n), seed=seed)
-    assert np.allclose(measure(sig, ms), dense_matrix(ms) @ sig.dense(), atol=1e-12)
+    assert np.allclose(measure(sig, ms), dense_matrix(ms) @ dense_vector(sig), atol=1e-12)
 
 
 @settings(max_examples=60)

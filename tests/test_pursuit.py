@@ -31,8 +31,6 @@ def test_config_validation():
         PursuitConfig(solver=brute_force_solve, max_iterations=0)
     with pytest.raises(ValueError):
         PursuitConfig(solver=brute_force_solve, max_iterations=1, residual_tolerance=-1.0)
-    with pytest.raises(ValueError):
-        PursuitConfig(solver=brute_force_solve, max_iterations=1, min_score=-1e-3)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -88,11 +86,11 @@ def test_budget_is_respected_and_reported():
 
 
 def test_score_floor_termination():
-    ms = nearest_neighbor_patterns(4)
-    sig = SparseSignal(4, ((3, 0.5),))
-    result = matching_pursuit(
-        measure(sig, ms), ms, brute_cfg(min_score=10.0)
-    )
+    # two copies of one pattern with marginals +1 and -1: every column's
+    # dot with the residual is 0, below MIN_SCORE, though the residual is not
+    pattern = Pattern(((1, 0), (3, 1)))
+    ms = MeasurementSet(4, (pattern, pattern))
+    result = matching_pursuit(np.array([1.0, -1.0]), ms, brute_cfg())
     assert result.termination == Termination.score_floor
     assert result.recovered.spikes == ()
 

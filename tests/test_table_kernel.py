@@ -224,7 +224,7 @@ def test_build_hamiltonian_is_bitwise_the_walsh_oracle_and_the_itertools_sum_up_
     ms, r = case
     # one transform row per pattern: m * 2**k products for a run of m patterns
     rows = [rows for _, rows, _ in ms._transform_plan[2]]
-    assert sum(a.size for a in rows) == sum(1 << p.k for p in ms.patterns)
+    assert sum(a.size for a in rows) == sum(1 << len(p.constraints) for p in ms.patterns)
     H, oracle = build_hamiltonian(ms, r), build_hamiltonian_walsh(ms, r)
     assert list(H.terms) == list(oracle.terms)
     assert np.array_equal(bits_of(list(H.terms.values())), bits_of(list(oracle.terms.values())))
@@ -235,7 +235,7 @@ def test_build_hamiltonian_is_bitwise_the_walsh_oracle_and_the_itertools_sum_up_
     # summation order, a key differing only where one order's total lies
     # within that rounding of the pruning threshold.
     itertools_terms = build_hamiltonian_itertools(ms, r).terms
-    tol = ORDER_TOL * sum(abs(float(ri)) / 2**p.k for p, ri in zip(ms.patterns, r))
+    tol = ORDER_TOL * sum(abs(float(ri)) / 2**len(p.constraints) for p, ri in zip(ms.patterns, r))
     both = H.terms.keys() & itertools_terms.keys()
     for support in H.terms.keys() | itertools_terms.keys():
         ours, theirs = H.terms.get(support, 0.0), itertools_terms.get(support, 0.0)
