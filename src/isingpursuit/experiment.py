@@ -19,7 +19,7 @@ import numpy as np
 
 from .measurement import MeasurementSet, measure, nearest_neighbor_patterns, random_quadruplet_patterns
 from .pursuit import PursuitConfig, ReconstructionResult, Solver, matching_pursuit, recovery_success
-from .signal import SparseSignal, random_sparse_signal
+from .signal import SparseSignal, _check_bit_count, random_sparse_signal
 from .solvers import BACKENDS, SolverSpec, brute_force_solve, chain_dp_solve, qaoa_solve
 
 PATTERN_KINDS = ("nn", "quad")
@@ -44,6 +44,11 @@ class ExperimentPlan:
     workers: int = 1
 
     def __post_init__(self):
+        _check_bit_count(self.n)
+        if not 1 <= self.sparsity <= 1 << self.n:
+            raise ValueError(f"sparsity must satisfy 1 <= s <= 2**{self.n}, got {self.sparsity}")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.trial_count < 1:
             raise ValueError(f"trial_count must be >= 1, got {self.trial_count}")
         if self.pattern_kind not in PATTERN_KINDS:

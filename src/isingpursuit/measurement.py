@@ -291,10 +291,13 @@ def nearest_neighbor_patterns(n: int) -> MeasurementSet:
     Ordering is pair-major, value-combination minor (00, 01, 10, 11), so
     marginal indices are stable across runs.  The set is built once per n
     and shared, together with its cached masks, table runs and transform
-    plan; it is frozen, so callers cannot tell the difference.
+    plan; it is frozen, so callers cannot tell the difference.  n is checked
+    against INDEX_BITS_CAP before any pattern is built.
     """
     if n < 2:
         raise ValueError(f"nearest-neighbor patterns need n >= 2, got {n}")
+    if n > INDEX_BITS_CAP:
+        raise ValueError(f"n={n} exceeds {INDEX_BITS_CAP}, the width of the int64 pattern masks")
     return _nearest_neighbor_patterns(n)
 
 

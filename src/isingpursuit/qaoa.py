@@ -9,17 +9,23 @@ export, not for the hot path.
 
 One kernel evolves every state.  `_evolve` takes a (K, 2p) array of angle
 rows and returns the (K, 2**n) array of ansatz states, so a layer costs the
-same few numpy calls for K rows as for one.  Its steps live in
-`_StateBuffers`: two ping-pong (K, 2**n) buffers and one temporary,
-allocated once per call, with each sweep's views built on first use.  A
-layer is then one exp, one phase multiply and three ufunc calls per qubit, each
-writing through `out=`, with no array made inside the loop.
-`ansatz_state`, the single layers and the RX gates of `simulate_gates` run
-the same steps with K = 1.  `out=` changes where a result lands, not how
-it is rounded: every amplitude meets the same operands, in the same order,
-as with fresh arrays.  So each row comes out bitwise equal to evolving it
-alone, which pins two details: the phase multiply's operand order and a
-1-D dot per row for the expectation.
+same few numpy calls for K rows as for one.  Its steps live in a workspace,
+`_StateBuffers`: two ping-pong state buffers, one temporary, two factor
+rows and the diagonal as complex.  `optimize` makes one workspace per run,
+as wide as its widest round, and every round evolves in the first rows of
+it, through views built once per row count; `ansatz_state`, the single
+layers and the RX gates of `simulate_gates` make one with K = 1 per call,
+so a state they return is never written over.  A layer is one exp, one
+phase multiply, two factor-row fills and three ufunc calls per qubit, each
+writing through `out=`, with no array made inside the loop.  Writing cos(beta)
+and i*sin(beta) across whole rows lets both products of a mixer step run
+on same-shape contiguous operands, numpy's cheapest call; the add pairs the
+amplitudes through a reversed view.  `out=`, reused memory and factors
+repeated along a row change where a result lands, not how it is rounded:
+every amplitude meets the same operands, in the same order, as with fresh
+arrays and broadcast factors.  So each row comes out bitwise equal to
+evolving it alone, which pins two details: the phase multiply's operand
+order and a 1-D dot per row for the expectation.
 
 `optimize` runs its restarts in lockstep.  Each start is a generator that
 replays scipy's Nelder-Mead step for step and yields the points it needs
@@ -124,33 +130,53 @@ def uniform_state(n: int) -> np.ndarray:
 
 
 class _StateBuffers:
-    """Two ping-pong (K, 2**n) complex state buffers and one temporary, with
-    each mixer step's views built on first use.  The state sits in `psi`.
+    """The evolve kernel's workspace: two ping-pong (K, 2**n) complex state
+    buffers, one temporary, two factor rows and the diagonal as complex.
 
-    A mixer step on qubit q (MSB-first) reads the (K, 2**(q-1), 2, 2**(n-q))
-    view of the current buffer, whose axis 2 is the qubit's bit, and writes
-    the same view of the other one; reversing axis 2 pairs each amplitude
-    with its partner.  So a step makes no array and calls no reshape.
+    `optimize` makes one workspace per run, K rows wide, and every batch
+    of the run evolves in the first rows of it; `ansatz_state`, the single
+    layers and `simulate_gates` make one with K = 1 per call.  A batch of
+    `rows` rows reads and writes `[:rows]` views, and each sweep's views
+    are built once per (rows, buffer read first, qubit), on first use.  The
+    state sits in `psi`.
+
+    A mixer step on qubit q (MSB-first) applies [[c, js], [js, c]] with c
+    and js written across every entry of the factor rows, so both products
+    run on same-shape contiguous operands: `c * src` into the other buffer
+    and `js * src` into the temporary.  The add then pairs each amplitude
+    with its partner through the (rows, 2**(q-1), 2, 2**(n-q)) view, whose
+    axis 2 is the qubit's bit, reversed on the temporary.  Every amplitude
+    gets c * psi[j] + js * psi[1-j], the same operands in the same order as
+    with factors broadcast from (K, 1, 1, 1).
     """
 
-    def __init__(self, K: int, n: int):
+    def __init__(self, K: int, n: int, diag: np.ndarray | None = None):
         self.bufs = [np.empty((K, 1 << n), dtype=complex) for _ in range(3)]
-        self.tmp, self.cur, self.n = self.bufs[2], 0, n
-        self.steps: dict = {}  # by (buffer read first, qubit or None for all)
+        self.factors = [np.empty((K, 1 << n), dtype=complex) for _ in range(2)]
+        self.n, self.cur, self.rows = n, 0, K
+        self.diag = diag
+        if diag is not None:  # the evolve kernel's inputs, made once
+            self.start = uniform_state(n)[None]
+            # numpy would cast it inside every phase multiply, to the same values
+            self.cdiag = diag.astype(complex)
+        self.steps: dict = {}  # by (rows, buffer read first, qubit or None for all)
+        self.probs: dict = {}  # by rows: float views over the temporary
 
     @property
     def psi(self) -> np.ndarray:
-        return self.bufs[self.cur]
+        return self.bufs[self.cur][:self.rows]
 
-    def phase(self, psi: np.ndarray, jg: np.ndarray, diag: np.ndarray) -> None:
+    def phase(self, psi: np.ndarray, jg: np.ndarray) -> None:
         """Row k of psi times exp(jg[k] * diag), into buffer 0, so that every
         sweep of the mixer that follows starts there; psi may be any buffer.
+        The batch has len(jg) rows.
 
         The operand order is pinned: the FMA complex multiply rounds
         psi * ph and ph * psi differently, and numpy's expression form
         `psi * np.exp(...)` swaps them once the exp temporary reaches 256 KiB.
         """
-        ph = np.multiply(jg, diag, out=self.tmp)
+        self.rows = len(jg)
+        ph = np.multiply(jg, self.cdiag, out=self.bufs[2][:self.rows])
         np.exp(ph, out=ph)
         self.cur = 0
         np.multiply(psi, ph, out=self.psi)
@@ -158,18 +184,39 @@ class _StateBuffers:
     def mix(self, c, js, qubit: int | None = None) -> None:
         """Apply [[c, js], [js, c]] (js = i*s) on one qubit, or on every qubit
         in turn when qubit is None, of every row.  c and js are scalars or
-        per-row arrays of shape (K, 1, 1, 1)."""
-        if (self.cur, qubit) not in self.steps:  # (source, its reverse, destination, temporary)
+        per-row arrays of shape (rows, 1)."""
+        key = (self.rows, self.cur, qubit)
+        if key not in self.steps:
+            rows = self.rows
+            flat = [a[:rows] for a in self.bufs]
             qubits = range(1, self.n + 1) if qubit is None else [qubit]
-            views = [[a.reshape(len(a), 1 << (q - 1), 2, -1) for a in self.bufs] for q in qubits]
-            self.steps[self.cur, qubit] = [(v[b], v[b][:, :, ::-1], v[1 - b], v[2]) for v, b
-                                           in zip(views, [self.cur, 1 - self.cur] * self.n)]
-        steps = self.steps[self.cur, qubit]
-        for src, flip, dst, tmp in steps:
-            np.multiply(c, src, out=dst)
-            np.multiply(js, flip, out=tmp)
-            np.add(dst, tmp, out=dst)
+            steps = []
+            for q, b in zip(qubits, [self.cur, 1 - self.cur] * self.n):
+                # source, destination, temporary, then the last two with the qubit's bit as axis 2
+                dst, tmp = (a.reshape(rows, 1 << (q - 1), 2, -1) for a in (flat[1 - b], flat[2]))
+                steps.append((flat[b], flat[1 - b], flat[2], dst, tmp[:, :, ::-1]))
+            self.steps[key] = [f[:rows] for f in self.factors], steps
+        (fc, fjs), steps = self.steps[key]
+        fc[...] = c
+        fjs[...] = js
+        for src, dst, tmp, pairs, flip in steps:
+            np.multiply(fc, src, out=dst)
+            np.multiply(fjs, src, out=tmp)
+            np.add(pairs, flip, out=pairs)
         self.cur = (self.cur + len(steps)) % 2
+
+    def expectations(self) -> list:
+        """<h> for each row of psi, through |amp|**2 in the temporary.  Each
+        row's sum is a 1-D dot on a contiguous row: a matrix-vector product
+        would sum in another order."""
+        rows = self.rows
+        if rows not in self.probs:
+            floats = self.bufs[2].reshape(-1).view(float)
+            self.probs[rows] = floats[:rows << self.n].reshape(rows, -1)
+        probs = self.probs[rows]
+        np.abs(self.psi, out=probs)
+        np.square(probs, out=probs)  # what `** 2` runs
+        return [row @ self.diag for row in probs]
 
 
 def _mixer_factors(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,8 +229,8 @@ def apply_phase_layer(state: np.ndarray, H: IsingHamiltonian, gamma: float) -> n
     """amplitude_z *= exp(i * gamma * h(z)); exact, norm preserving."""
     if num_qubits(state) != H.n:
         raise ValueError(f"state has {num_qubits(state)} qubits but H has {H.n}")
-    kernel = _StateBuffers(1, H.n)
-    kernel.phase(state[None], 1j * np.array([[gamma]]), H.diagonal())
+    kernel = _StateBuffers(1, H.n, H.diagonal())
+    kernel.phase(state[None], 1j * np.array([[gamma]]))
     return kernel.psi[0]
 
 
@@ -200,48 +247,52 @@ def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
     return kernel.psi[0]
 
 
-def _evolve(diag: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
-    """Ansatz states for a (K, 2p) array of angle rows [gammas, betas]: (K, 2**n).
+def _evolve(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
+    """Ansatz states for a (rows, 2p) array of angle rows [gammas, betas],
+    at most the workspace's K: the workspace's (rows, 2**n) state view,
+    which the next batch overwrites.
 
     The set-up takes i*gamma, cos(beta) as complex and i*sin(beta) for all p
-    layers at once and allocates the state buffers.  Each layer then makes
-    its phases in the temporary, multiplies them in, and runs three ufunc
-    calls per qubit, all through `out=`.  `out=` only says where a result
-    lands: every amplitude meets the same operands, in the same order and
-    through the same numpy loops, as in the form that makes a fresh array
-    per step, so each row is bitwise the state that evolving it alone gives.
+    layers at once.  Each layer then makes its phases in the temporary,
+    multiplies them in, writes its factor rows and runs three ufunc calls
+    per qubit, all through `out=`, in memory the workspace holds for the
+    whole run.  That only says where a result lands: every amplitude meets
+    the same operands, in the same order, as in the form that makes a fresh
+    array per step and broadcasts each row's factors, so each row is bitwise
+    the state that evolving it alone gives (the oracle tests check this).
     """
-    K, p = len(angles), angles.shape[1] // 2
-    jg = 1j * angles[:, :p].T[:, :, None]  # (p, K, 1)
-    c, js = _mixer_factors(angles[:, p:].T[:, :, None, None, None])  # (p, K, 1, 1, 1)
-    kernel = _StateBuffers(K, n)
-    psi = uniform_state(n)[None]  # the first phase layer broadcasts it to K rows
+    p = angles.shape[1] // 2
+    jg = 1j * angles[:, :p].T[:, :, None]  # (p, rows, 1)
+    c, js = _mixer_factors(angles[:, p:].T[:, :, None])  # (p, rows, 1)
+    psi = kernel.start  # the first phase layer broadcasts it to every row
     for layer in range(p):
-        kernel.phase(psi, jg[layer], diag)
+        kernel.phase(psi, jg[layer])
         kernel.mix(c[layer], js[layer])
         psi = kernel.psi
     return psi
 
 
-# Rows evolved per call, capped so that each of the kernel's three
-# (K, 2**n) buffers stays near 4 MiB, about 12 MiB in all, at large n.
+# Rows per batch, capped so that each of the workspace's five (K, 2**n)
+# complex arrays (two state buffers, the temporary and two factor rows)
+# stays within 4 MiB: 20 MiB in all up to n = 18, plus 16 * 2**n bytes for
+# the complex diagonal.  From n = 19 one row is wider than 4 MiB, and the
+# workspace takes 96 * 2**n bytes.
 _BATCH_BYTES = 1 << 22
 
 
-def _expectations(diag: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
-    """<h> for each row of angles.  Each row's sum is a 1-D dot on a
-    contiguous row: a matrix-vector product would sum in another order."""
-    rows = max(1, _BATCH_BYTES >> (n + 4))
+def _expectations(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
+    """<h> for each row of angles, in batches of up to the workspace's K rows."""
+    K = len(kernel.bufs[0])
     out = np.empty(len(angles))
-    for lo in range(0, len(angles), rows):
-        probs = np.abs(_evolve(diag, n, angles[lo:lo + rows])) ** 2
-        out[lo:lo + len(probs)] = [row @ diag for row in probs]
+    for lo in range(0, len(angles), K):
+        _evolve(kernel, angles[lo:lo + K])
+        out[lo:lo + kernel.rows] = kernel.expectations()
     return out
 
 
 def ansatz_state(H: IsingHamiltonian, params: QaoaParams) -> np.ndarray:
     """Uniform start, then alternating phase and mixer layers."""
-    return _evolve(H.diagonal(), H.n, params.to_vector()[None])[0]
+    return _evolve(_StateBuffers(1, H.n, H.diagonal()), params.to_vector()[None])[0]
 
 
 def expectation(state: np.ndarray, H: IsingHamiltonian) -> float:
@@ -465,8 +516,12 @@ def optimize(
         neg_starts = [neg_rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts)]
         lanes += [_mirrored(_nelder_mead(x0, max_evals), p) for x0 in neg_starts]
 
+    # as wide as the widest round, every lane's initial simplex, within _BATCH_BYTES
+    widest = len(lanes) * min(2 * p + 1, max_evals)
+    kernel = _StateBuffers(min(widest, max(1, _BATCH_BYTES >> (n + 4))), n, diag)
+
     def objective(angles: np.ndarray) -> np.ndarray:
-        return -_expectations(diag, n, angles)
+        return -_expectations(kernel, angles)
 
     outcomes = _lockstep(lanes, objective)
     plus, minus = outcomes[:len(starts)], outcomes[len(starts):]

@@ -15,7 +15,11 @@ coefficients up to rounding.
 scalars, which the float-list `chain_dp_solve` must match exactly.
 `evolve_per_qubit` is the ansatz kernel with a fresh array for every phase
 and every qubit's mixer, which the buffer kernel `qaoa._evolve` and the
-single layers must match bit for bit.
+single layers must match bit for bit.  `evolve_broadcast` and
+`expectations_broadcast` are the buffer kernel with a fresh workspace per
+call and mixer factors broadcast from (K, 1, 1, 1), which one reused
+`qaoa._StateBuffers` workspace, with its same-shape factor rows, must
+match bit for bit at every row count it is driven through.
 `simulate_gates_selectors` writes CX and RZ through index lists that
 select each gate qubit's halves of the state, which the axis-moving
 `simulate_gates` must match bit for bit.
@@ -255,6 +259,66 @@ def evolve_per_qubit(diag: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray
     return psi
 
 
+class BroadcastBuffers:
+    """The evolve kernel with a fresh workspace per call: two ping-pong
+    (K, 2**n) complex state buffers and one temporary, with each mixer
+    step's views built on first use.  The state sits in `psi`.  A mixer
+    step multiplies by factors broadcast from (K, 1, 1, 1), one of them on
+    the reversed view, and adds: three ufunc calls per qubit."""
+
+    def __init__(self, K: int, n: int):
+        self.bufs = [np.empty((K, 1 << n), dtype=complex) for _ in range(3)]
+        self.tmp, self.cur, self.n = self.bufs[2], 0, n
+        self.steps: dict = {}  # by (buffer read first, qubit or None for all)
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self.bufs[self.cur]
+
+    def phase(self, psi: np.ndarray, jg: np.ndarray, diag: np.ndarray) -> None:
+        """Row k of psi times exp(jg[k] * diag), into buffer 0."""
+        ph = np.multiply(jg, diag, out=self.tmp)
+        np.exp(ph, out=ph)
+        self.cur = 0
+        np.multiply(psi, ph, out=self.psi)
+
+    def mix(self, c, js, qubit: int | None = None) -> None:
+        """Apply [[c, js], [js, c]] on one qubit, or on every qubit in turn
+        when qubit is None; c and js are scalars or of shape (K, 1, 1, 1)."""
+        if (self.cur, qubit) not in self.steps:  # (source, its reverse, destination, temporary)
+            qubits = range(1, self.n + 1) if qubit is None else [qubit]
+            views = [[a.reshape(len(a), 1 << (q - 1), 2, -1) for a in self.bufs] for q in qubits]
+            self.steps[self.cur, qubit] = [(v[b], v[b][:, :, ::-1], v[1 - b], v[2]) for v, b
+                                           in zip(views, [self.cur, 1 - self.cur] * self.n)]
+        steps = self.steps[self.cur, qubit]
+        for src, flip, dst, tmp in steps:
+            np.multiply(c, src, out=dst)
+            np.multiply(js, flip, out=tmp)
+            np.add(dst, tmp, out=dst)
+        self.cur = (self.cur + len(steps)) % 2
+
+
+def evolve_broadcast(diag: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
+    """Ansatz states for a (K, 2p) array of angle rows on a fresh BroadcastBuffers."""
+    K, p = len(angles), angles.shape[1] // 2
+    jg = 1j * angles[:, :p].T[:, :, None]  # (p, K, 1)
+    betas = angles[:, p:].T[:, :, None, None, None]  # (p, K, 1, 1, 1)
+    c, js = np.cos(betas).astype(complex), 1j * np.sin(betas)
+    kernel = BroadcastBuffers(K, n)
+    psi = np.full((1, 1 << n), 2.0 ** (-n / 2), dtype=complex)
+    for layer in range(p):
+        kernel.phase(psi, jg[layer], diag)
+        kernel.mix(c[layer], js[layer])
+        psi = kernel.psi
+    return psi
+
+
+def expectations_broadcast(diag: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
+    """<h> for each row of angles: a 1-D dot per row of |evolve_broadcast|**2."""
+    probs = np.abs(evolve_broadcast(diag, n, angles)) ** 2
+    return np.array([row @ diag for row in probs])
+
+
 def simulate_rx_per_qubit(state: np.ndarray, gates) -> np.ndarray:
     """simulate_gates for a list of RX gates, one fresh array per gate."""
     n = len(state).bit_length() - 1
@@ -269,7 +333,7 @@ def simulate_gates_selectors(state: np.ndarray, gates) -> np.ndarray:
     """simulate_gates with CX and RZ written through per-gate lists of
     slices that pick the 0 and 1 halves of each of the gate's qubits."""
     n = qaoa.num_qubits(state)
-    kernel = qaoa._StateBuffers(1, n)
+    kernel = BroadcastBuffers(1, n)
     kernel.psi[0] = state
     psi = kernel.psi[0]
     for g in gates:

@@ -124,6 +124,27 @@ def test_experiment_rejects_workers_and_time_limits_that_do_nothing(flags, capsy
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("plan", [{"sparsity": 0}, {"sparsity": 65},
+                                  {"sparsity": 1, "max_iterations": 0}])
+def test_experiment_rejects_a_plan_no_trial_can_run_before_any_worker(
+        plan, tmp_path, monkeypatch, capsys):
+    def no_workers(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr("isingpursuit.experiment.ProcessPoolExecutor", no_workers)
+    monkeypatch.setattr("isingpursuit.cli.run_batch", no_workers)
+    if "max_iterations" in plan:  # the plan file is the only way to set it
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"n": 6, "workers": 2, **plan}))
+        assert run_cli("experiment", "--plan", str(path)) == 2
+    else:
+        assert run_cli("experiment", "--n", "6", "--sparsity", str(plan["sparsity"]),
+                       "--workers", "2") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_configuration_errors_exit_2(tmp_path, capsys):
     assert run_cli("generate", "--n", "3", "--sparsity", "99") == 2
     assert run_cli("experiment", "--sparsity", "2") == 2

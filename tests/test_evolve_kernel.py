@@ -11,6 +11,7 @@ from isingpursuit.hamiltonian import IsingHamiltonian
 from isingpursuit.qaoa import (
     Gate,
     _evolve,
+    _StateBuffers,
     _expectations,
     apply_mixer_layer,
     apply_phase_layer,
@@ -90,9 +91,10 @@ def test_evolve_and_expectations_are_bitwise_the_per_qubit_kernel(case):
     diag, n, angles = case
     with np.errstate(all="ignore"):
         expected = evolve_per_qubit(diag, n, angles)
-        assert _evolve(diag, n, angles).tobytes() == expected.tobytes()
+        kernel = _StateBuffers(len(angles), n, diag)
+        assert _evolve(kernel, angles).tobytes() == expected.tobytes()
         values = np.array([row @ diag for row in np.abs(expected) ** 2])
-        assert _expectations(diag, n, angles).tobytes() == values.tobytes()
+        assert _expectations(kernel, angles).tobytes() == values.tobytes()
 
 
 # Every sign combination of a zero amplitude.  The sign of each zero that

@@ -52,6 +52,30 @@ def test_plan_validation():
         tiny_plan(pattern_kind="pairs")
 
 
+@pytest.mark.parametrize("n, sparsity, match", [
+    (4, 0, "sparsity must satisfy 1 <= s <= 2\\*\\*4, got 0"),
+    (4, 17, "sparsity must satisfy 1 <= s <= 2\\*\\*4, got 17"),
+    (0, 1, "bit count must be >= 1, got 0"),
+    (64, 1, "n=64 exceeds 63"),
+])
+def test_plan_rejects_a_signal_it_cannot_draw(n, sparsity, match):
+    # sparsity 0 used to pass, with no iterations, until a trial drew its signal
+    with pytest.raises(ValueError, match=match):
+        tiny_plan(n=n, sparsity=sparsity)
+
+
+def test_plan_accepts_the_edges_of_the_signal_range():
+    assert tiny_plan(n=4, sparsity=16).sparsity == 16
+    assert tiny_plan(n=63, sparsity=1, pattern_kind="quad").n == 63
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_plan_rejects_an_iteration_budget_below_one(budget):
+    with pytest.raises(ValueError, match=f"max_iterations must be >= 1, got {budget}"):
+        tiny_plan(max_iterations=budget)
+    assert tiny_plan(max_iterations=1).effective_max_iterations == 1
+
+
 @pytest.mark.parametrize("workers", [0, -2])
 def test_plan_rejects_fewer_than_one_worker(workers):
     # workers < 1 used to run serially without a word

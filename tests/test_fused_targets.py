@@ -23,6 +23,7 @@ from isingpursuit.measurement import (
 from isingpursuit.qaoa import (
     QaoaParams,
     _expectations,
+    _StateBuffers,
     _lockstep,
     _mirrored,
     _nelder_mead,
@@ -139,10 +140,12 @@ ALL_ZERO = (IsingHamiltonian(2, {frozenset({1}): 1.0}), 1, np.zeros(2), 3)
 def test_mirrored_lane_is_bitwise_a_lane_on_negated_h(case):
     H, p, x0, max_evals = case
     diag, neg_diag = H.diagonal(), negated(H).diagonal()
+    kernel = _StateBuffers(2 * p + 1, H.n, diag)
+    neg_kernel = _StateBuffers(2 * p + 1, H.n, neg_diag)
     ((x, fun, nfev),) = _lockstep([_mirrored(_nelder_mead(x0, max_evals), p)],
-                                  lambda angles: -_expectations(diag, H.n, angles))
+                                  lambda angles: -_expectations(kernel, angles))
     ((ref_x, ref_fun, ref_nfev),) = _lockstep([_nelder_mead(x0, max_evals)],
-                                              lambda angles: -_expectations(neg_diag, H.n, angles))
+                                              lambda angles: -_expectations(neg_kernel, angles))
     assert (x.tobytes(), repr(fun), nfev) == (ref_x.tobytes(), repr(ref_fun), ref_nfev)
     params = QaoaParams.from_vector(x)
     state = qaoa.ansatz_state(H, params.mirrored())

@@ -180,6 +180,15 @@ def test_quadruplets_check_the_mask_cap_before_enumerating(n):
             random_quadruplet_patterns(n, 1, seed=0)
 
 
+@pytest.mark.parametrize("n", [64, 20000])
+def test_nearest_neighbors_check_the_mask_cap_before_building(n):
+    # the cap used to be checked only by MeasurementSet, after all 4(n-1) patterns
+    with mock.patch("isingpursuit.measurement.value_assignment_group",
+                    side_effect=AssertionError("built")):
+        with pytest.raises(ValueError, match="exceeds 63"):
+            nearest_neighbor_patterns(n)
+
+
 def test_quadruplet_errors():
     with pytest.raises(ValueError):
         random_quadruplet_patterns(3, 1)

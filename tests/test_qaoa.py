@@ -28,7 +28,7 @@ from isingpursuit.qaoa import (
     simulate_gates,
     uniform_state,
 )
-from isingpursuit.qaoa import _evolve, _expectations, _lockstep, _nelder_mead
+from isingpursuit.qaoa import _evolve, _expectations, _lockstep, _nelder_mead, _StateBuffers
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -326,8 +326,10 @@ def test_lockstep_nelder_mead_matches_scipy(n, p, lanes, maxfev, zero_coord, see
     if zero_coord:
         starts[:, 0] = 0.0
 
+    kernel = _StateBuffers(4, n, diag)
+
     def objective(angles):
-        return -_expectations(diag, n, angles)
+        return -_expectations(kernel, angles)
 
     results = _lockstep([_nelder_mead(x0, maxfev) for x0 in starts], objective)
     for x0, (x, fun, nfev) in zip(starts, results):
@@ -341,8 +343,10 @@ def test_lockstep_nelder_mead_matches_scipy_when_a_shrink_runs_out():
     n = 3
     diag = np.full(1 << n, 0.9)
 
+    kernel = _StateBuffers(4, n, diag)
+
     def objective(angles):
-        return -_expectations(diag, n, angles)
+        return -_expectations(kernel, angles)
 
     shrink_sizes = set()
     for maxfev in range(1, 70):
@@ -367,8 +371,10 @@ def _scipy_optimize(H, p, restarts, max_evals, seed, init=None):
     rng = np.random.default_rng(seed)
     diag = H.diagonal()
 
+    kernel = _StateBuffers(4, H.n, diag)
+
     def objective(angles):
-        return -_expectations(diag, H.n, angles)
+        return -_expectations(kernel, angles)
 
     starts = [] if init is None else [init.to_vector()]
     starts.extend(rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
@@ -407,8 +413,8 @@ def test_batched_rows_equal_single_rows_bitwise(rows):
     rng = np.random.default_rng(rows)
     diag = rng.normal(size=1 << n)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(rows, 2 * p))
-    batched = _evolve(diag, n, angles)
-    single = np.stack([_evolve(diag, n, angles[k:k + 1])[0] for k in range(rows)])
-    assert batched.tobytes() == single.tobytes()
-    values = np.array([_expectations(diag, n, angles[k:k + 1])[0] for k in range(rows)])
-    assert _expectations(diag, n, angles).tobytes() == values.tobytes()
+    kernel = _StateBuffers(rows, n, diag)
+    single = np.stack([_evolve(kernel, angles[k:k + 1])[0].copy() for k in range(rows)])
+    values = np.array([_expectations(kernel, angles[k:k + 1])[0] for k in range(rows)])
+    assert _evolve(kernel, angles).tobytes() == single.tobytes()
+    assert _expectations(kernel, angles).tobytes() == values.tobytes()

@@ -1,0 +1,131 @@
+"""One reused kernel workspace against the broadcast kernel in `oracles`,
+bit for bit: `_evolve` and `_expectations` through a sequence of row
+counts on one `_StateBuffers`, as an `optimize` run drives it.  Also: one
+`optimize` call builds exactly one workspace, sized to its widest round;
+RX gates with scalar factors match the broadcast kernel; and a state that
+`ansatz_state` returned is never written over."""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from isingpursuit import qaoa
+from isingpursuit.hamiltonian import IsingHamiltonian
+from isingpursuit.qaoa import (
+    Gate,
+    QaoaParams,
+    _evolve,
+    _expectations,
+    _StateBuffers,
+    ansatz_state,
+    apply_mixer_layer,
+    apply_phase_layer,
+    optimize,
+    simulate_gates,
+)
+
+from oracles import evolve_broadcast, expectations_broadcast, simulate_gates_selectors
+from test_evolve_kernel import ANGLES, ENTRIES, SIGNED_ZEROS, overwrite, rx_circuits, wide_values
+
+# 1 under the default profile, 5 under --hypothesis-profile=ci.
+DEPTH = settings.default.max_examples // 100
+
+
+@st.composite
+def workspace_runs(draw):
+    """A diagonal, the workspace's row count and a sequence of angle batches,
+    some of them wider than the workspace."""
+    n, p = draw(st.integers(1, 10)), draw(st.integers(1, 11))
+    widths = draw(st.lists(st.integers(1, 28), min_size=1, max_size=6))
+    K = draw(st.integers(1, max(widths)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    diag = wide_values(rng, 1 << n)
+    overwrite(draw, diag, ENTRIES)
+    batches = []
+    for width in widths:
+        angles = rng.uniform(-2.0 * np.pi, 4.0 * np.pi, size=(width, 2 * p))
+        overwrite(draw, angles, ANGLES)
+        batches.append(angles)
+    return diag, n, K, batches
+
+
+def fixed_run(n: int, p: int, widths, seed: int, K: int | None = None):
+    rng = np.random.default_rng(seed)
+    batches = [rng.uniform(0.0, 2.0 * np.pi, size=(w, 2 * p)) for w in widths]
+    return rng.normal(size=1 << n), n, K or max(widths), batches
+
+
+# Signed zeros on the diagonal and in the angles.
+ZEROS = (np.array([0.0, -0.0, -0.0, 0.0, 5e-324, -0.0, 1.0, -1.0]), 3, 3,
+         [np.array([[0.0, -0.0, -1.5, 0.0], [-0.0, 0.0, 0.0, -0.0], [-2.0, -0.0, -0.0, -3.0]]),
+          np.array([[-0.0, -0.0, -0.0, -0.0]])])
+
+
+@settings(max_examples=100 * DEPTH)
+@given(workspace_runs())
+@example(fixed_run(10, 3, [28, 4, 1, 9, 4], 0))
+@example(fixed_run(6, 11, [28, 4, 1, 9, 4], 1, K=9))
+@example(fixed_run(1, 1, [1, 3, 2], 2))
+@example(ZEROS)
+def test_one_workspace_through_many_row_counts_is_bitwise_the_broadcast_kernel(run):
+    diag, n, K, batches = run
+    kernel = _StateBuffers(K, n, diag)
+    with np.errstate(all="ignore"):
+        for angles in batches:
+            if len(angles) <= K:
+                expected = evolve_broadcast(diag, n, angles)
+                assert _evolve(kernel, angles).tobytes() == expected.tobytes()
+            values = expectations_broadcast(diag, n, angles)
+            assert _expectations(kernel, angles).tobytes() == values.tobytes()
+
+
+@settings(max_examples=100 * DEPTH)
+@given(rx_circuits())
+@example((SIGNED_ZEROS, [Gate.rx(1, 0.5), Gate.rx(2, -0.0), Gate.rx(1, 0.5)]))
+def test_rx_gates_with_scalar_factors_are_bitwise_the_broadcast_kernel(circuit):
+    # with RX gates only, the oracle is BroadcastBuffers.mix with scalar factors
+    psi, gates = circuit
+    with np.errstate(all="ignore"):
+        expected = simulate_gates_selectors(psi, gates)
+        assert simulate_gates(psi, gates).tobytes() == expected.tobytes()
+
+
+def quad_hamiltonian() -> IsingHamiltonian:
+    return IsingHamiltonian(4, {frozenset({1, 2}): 0.5, frozenset({2, 3, 4}): -1.25,
+                                frozenset({4}): 0.75, frozenset(): 0.1})
+
+
+def test_optimize_builds_one_workspace_for_its_widest_round():
+    H = quad_hamiltonian()
+    with mock.patch.object(qaoa, "_StateBuffers", wraps=_StateBuffers) as built:
+        paired = optimize(H, p=2, restarts=2, max_evals=30, seed=0, negated_seed=1)
+    assert paired.evaluations == 4 * 30
+    # 2 starts on H and 2 on -H, each with a 2p + 1 point initial simplex
+    assert [c.args[:2] for c in built.call_args_list] == [(4 * 5, 4)]
+
+
+def test_optimize_workspace_is_capped_by_the_batch_budget():
+    H = quad_hamiltonian()
+    with mock.patch.object(qaoa, "_StateBuffers", wraps=_StateBuffers) as built, \
+            mock.patch.object(qaoa, "_BATCH_BYTES", 3 << (H.n + 4)):
+        capped = optimize(H, p=2, restarts=2, max_evals=30, seed=0, negated_seed=1)
+    assert [c.args[:2] for c in built.call_args_list] == [(3, 4)]
+    # batches split across the 3 rows give the same bits
+    paired = optimize(H, p=2, restarts=2, max_evals=30, seed=0, negated_seed=1)
+    assert repr(capped) == repr(paired)
+
+
+def test_ansatz_state_is_not_written_over_by_later_calls():
+    H = quad_hamiltonian()
+    params = QaoaParams((0.3, 1.1), (0.7, 2.0))
+    state = ansatz_state(H, params)
+    before = state.tobytes()
+    ansatz_state(H, QaoaParams((2.0, 0.1), (0.4, 0.9)))
+    optimize(H, p=2, restarts=2, max_evals=20, seed=3, negated_seed=4)
+    apply_mixer_layer(state.copy(), 0.5)
+    apply_phase_layer(state.copy(), H, 0.5)
+    simulate_gates(state.copy(), [Gate.rx(1, 0.3), Gate.cx(1, 2), Gate.rx(2, 0.3)])
+    assert state.tobytes() == before
+    assert ansatz_state(H, params).tobytes() == before
