@@ -14,8 +14,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .experiment import (
     BACKENDS,
     PATTERN_KINDS,
@@ -63,7 +61,7 @@ def _cmd_measure(args: argparse.Namespace) -> None:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> None:
-    y = np.asarray(json.loads(Path(args.marginals).read_text()), dtype=float)
+    y = json.loads(Path(args.marginals).read_text())
     ms = MeasurementSet.from_json(Path(args.patterns_file).read_text())
     cfg = PursuitConfig(
         solver=make_solver(_solver_spec(args), args.seed),
@@ -91,7 +89,7 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
             pattern_kind=args.patterns,
             quadruplets=args.quadruplets,
             solver=_solver_spec(args),
-            master_seed=args.seed if args.seed is not None else 0,
+            master_seed=args.seed if args.seed is not None else ExperimentPlan.master_seed,
             time_limit_s=args.time_limit,
             workers=args.workers,
         )
@@ -127,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     sizing.add_argument("--n", type=int, required=True, help="number of index bits")
 
     pattern_opts = argparse.ArgumentParser(add_help=False)
-    pattern_opts.add_argument("--patterns", choices=PATTERN_KINDS, default="nn")
+    pattern_opts.add_argument("--patterns", choices=PATTERN_KINDS,
+                              default=ExperimentPlan.pattern_kind)
     pattern_opts.add_argument(
         "--quadruplets", type=int, default=None, help="quadruplet count (quad patterns only)"
     )
@@ -174,9 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, default=None, help="number of index bits")
     p.add_argument("--sparsity", type=int, default=None)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--time-limit", type=float, default=60.0, help="per-trial seconds")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--trials", type=int, default=ExperimentPlan.trial_count)
+    p.add_argument("--time-limit", type=float, default=ExperimentPlan.time_limit_s,
+                   help="per-trial seconds")
+    p.add_argument("--workers", type=int, default=ExperimentPlan.workers)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--plan", default=None, help="plan JSON file (overrides other flags)")
     p.set_defaults(func=_cmd_experiment)
@@ -188,8 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, TypeError, KeyError, FileNotFoundError, json.JSONDecodeError,
-            DegenerateColumnError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, DegenerateColumnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

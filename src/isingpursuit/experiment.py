@@ -18,8 +18,9 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .measurement import MeasurementSet, measure, nearest_neighbor_patterns, random_quadruplet_patterns
-from .pursuit import PursuitConfig, ReconstructionResult, Solver, matching_pursuit, recovery_success
-from .signal import SparseSignal, _check_bit_count, random_sparse_signal
+from .pursuit import (AMPLITUDE_FLOOR, PursuitConfig, ReconstructionResult, Solver,
+                      matching_pursuit, recovery_success)
+from .signal import SparseSignal, _check_sparsity, random_sparse_signal
 from .solvers import BACKENDS, SolverSpec, brute_force_solve, chain_dp_solve, qaoa_solve
 
 PATTERN_KINDS = ("nn", "quad")
@@ -38,15 +39,13 @@ class ExperimentPlan:
     quadruplets: int | None = None
     solver: SolverSpec = SolverSpec()
     master_seed: int = 0
-    amplitude_floor: float = 1e-6
+    amplitude_floor: float = AMPLITUDE_FLOOR
     max_iterations: int | None = None
     time_limit_s: float = 60.0
     workers: int = 1
 
     def __post_init__(self):
-        _check_bit_count(self.n)
-        if not 1 <= self.sparsity <= 1 << self.n:
-            raise ValueError(f"sparsity must satisfy 1 <= s <= 2**{self.n}, got {self.sparsity}")
+        _check_sparsity(self.n, self.sparsity)
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.trial_count < 1:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurement import MeasurementSet, _add_table, _signs
+from .measurement import MeasurementSet, _add_table, _per_pattern, _signs
 
 # Exact cancellations occur for complete value-assignment groups; drop the dust.
 COEFF_PRUNE_TOL = 1e-15
@@ -100,9 +100,7 @@ def build_hamiltonian(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltonian:
     patterns (see the module docstring).  Keys go in the order in which the
     set's runs name them.
     """
-    if len(r) != len(ms.patterns):
-        raise ValueError(f"residual length {len(r)} != pattern count {len(ms.patterns)}")
-    r = np.asarray(r, dtype=float)
+    r = _per_pattern(r, ms)
     supports, ids, groups = ms._transform_plan
     entries = np.empty(len(ids))
     for index, rows, places in groups:

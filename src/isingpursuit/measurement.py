@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .signal import INDEX_BITS_CAP, SparseSignal
+from .signal import SparseSignal, _check_bit_count, _read_int
 
 # The largest n of complete_patterns, whose 2**n patterns form an explicit matrix.
 DENSE_MATRIX_CAP = 10
@@ -89,10 +89,7 @@ class MeasurementSet:
     patterns: tuple[Pattern, ...]
 
     def __post_init__(self):
-        if self.n > INDEX_BITS_CAP:
-            raise ValueError(
-                f"n={self.n} exceeds {INDEX_BITS_CAP}, the width of the int64 pattern masks"
-            )
+        _check_bit_count(self.n)
         if not self.patterns:
             raise ValueError("a measurement set needs at least one pattern")
         for p in self.patterns:
@@ -185,10 +182,10 @@ class MeasurementSet:
     @classmethod
     def from_dict(cls, data: dict) -> "MeasurementSet":
         patterns = tuple(
-            Pattern(tuple((int(c["bit"]), int(c["val"])) for c in row))
+            Pattern(tuple((_read_int(c["bit"], "bit"), _read_int(c["val"], "val")) for c in row))
             for row in data["patterns"]
         )
-        return cls(n=int(data["n"]), patterns=patterns)
+        return cls(n=_read_int(data["n"], "n"), patterns=patterns)
 
     @classmethod
     def from_json(cls, text: str) -> "MeasurementSet":
@@ -285,6 +282,9 @@ def value_assignment_group(positions: tuple[int, ...]) -> tuple[Pattern, ...]:
     return (first,) + tuple(Pattern._unchecked(tuple(zip(positions, v))) for v in values)
 
 
+_NEAREST_NEIGHBOR_SETS: dict[int, MeasurementSet] = {}
+
+
 def nearest_neighbor_patterns(n: int) -> MeasurementSet:
     """All four value assignments for each adjacent bit pair: M = 4(n-1).
 
@@ -296,19 +296,11 @@ def nearest_neighbor_patterns(n: int) -> MeasurementSet:
     """
     if n < 2:
         raise ValueError(f"nearest-neighbor patterns need n >= 2, got {n}")
-    if n > INDEX_BITS_CAP:
-        raise ValueError(f"n={n} exceeds {INDEX_BITS_CAP}, the width of the int64 pattern masks")
-    return _nearest_neighbor_patterns(n)
-
-
-# Memoised apart from the public function, which stays a plain function so
-# that perfbench's tracer, which wraps plain functions only, still sees it.
-@lru_cache(maxsize=None)
-def _nearest_neighbor_patterns(n: int) -> MeasurementSet:
-    patterns: list[Pattern] = []
-    for i in range(1, n):
-        patterns.extend(value_assignment_group((i, i + 1)))
-    return MeasurementSet(n=n, patterns=tuple(patterns))
+    _check_bit_count(n)
+    if n not in _NEAREST_NEIGHBOR_SETS:
+        patterns = [p for i in range(1, n) for p in value_assignment_group((i, i + 1))]
+        _NEAREST_NEIGHBOR_SETS[n] = MeasurementSet(n=n, patterns=tuple(patterns))
+    return _NEAREST_NEIGHBOR_SETS[n]
 
 
 def random_quadruplet_patterns(n: int, q: int, seed=None) -> MeasurementSet:
@@ -320,8 +312,7 @@ def random_quadruplet_patterns(n: int, q: int, seed=None) -> MeasurementSet:
     """
     if n < 4:
         raise ValueError(f"quadruplet patterns need n >= 4, got {n}")
-    if n > INDEX_BITS_CAP:
-        raise ValueError(f"n={n} exceeds {INDEX_BITS_CAP}, the width of the int64 pattern masks")
+    _check_bit_count(n)
     if q < 1:
         raise ValueError(f"quadruplet count must be >= 1, got {q}")
     total = math.comb(n, 4)
@@ -338,8 +329,6 @@ def random_quadruplet_patterns(n: int, q: int, seed=None) -> MeasurementSet:
 
 def complete_patterns(n: int) -> MeasurementSet:
     """All 2**n patterns fixing every bit: the identity measurement."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     if n > DENSE_MATRIX_CAP:
         raise ValueError(f"complete pattern set has 2**{n} rows (cap {DENSE_MATRIX_CAP})")
     return MeasurementSet(n=n, patterns=value_assignment_group(tuple(range(1, n + 1))))
@@ -355,11 +344,17 @@ def measure(signal: SparseSignal, ms: MeasurementSet) -> np.ndarray:
     return y
 
 
+def _per_pattern(v, ms: MeasurementSet, name: str = "residual") -> np.ndarray:
+    """v as a float array, checked to be a vector with one entry per pattern of ms."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (len(ms.patterns),):
+        raise ValueError(f"{name} must be a length-{len(ms.patterns)} vector, got shape {v.shape}")
+    return v
+
+
 def column_dot(z: int, r: np.ndarray, ms: MeasurementSet) -> float:
     """Signed correlation of column z with r: the entry (A^T r)_z."""
-    if len(r) != len(ms.patterns):
-        raise ValueError(f"residual length {len(r)} != pattern count {len(ms.patterns)}")
-    return float(np.sum(r[ms.match_vector(z)]))
+    return float(np.sum(_per_pattern(r, ms)[ms.match_vector(z)]))
 
 
 def column_norm_sq(z: int, ms: MeasurementSet) -> int:
@@ -372,9 +367,7 @@ def column_norm_sq(z: int, ms: MeasurementSet) -> int:
 
 def all_column_dots(r: np.ndarray, ms: MeasurementSet) -> np.ndarray:
     """The full vector A^T r over all 2**n indices (exhaustive, small n only)."""
-    if len(r) != len(ms.patterns):
-        raise ValueError(f"residual length {len(r)} != pattern count {len(ms.patterns)}")
-    r = np.asarray(r, dtype=float)
+    r = _per_pattern(r, ms)
     acc = np.zeros(1 << ms.n)
     for start, stop, bits, slots in ms._table_runs:
         if slots is None:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measurement import MeasurementSet, column_dot, column_norm_sq
+from .measurement import MeasurementSet, _per_pattern, column_dot, column_norm_sq
 from .signal import SparseSignal
 from .solvers import SolverOutcome
 
@@ -24,6 +24,8 @@ Solver = Callable[[MeasurementSet, np.ndarray], SolverOutcome]
 
 # Pursuit stops once the solver's best score falls below this floor.
 MIN_SCORE = 1e-9
+# A true spike counts as recovered when its recovered weight reaches this floor.
+AMPLITUDE_FLOOR = 1e-6
 
 
 class DegenerateColumnError(RuntimeError):
@@ -89,11 +91,10 @@ def matching_pursuit(
 
     Stops when the residual 2-norm falls to the tolerance, the best solver
     score drops below MIN_SCORE, or the iteration budget runs out.  Raises
-    ValueError on marginals that are not all finite.
+    ValueError on marginals that are not a finite vector with one entry per
+    pattern.
     """
-    if len(y) != len(ms.patterns):
-        raise ValueError(f"marginals length {len(y)} != pattern count {len(ms.patterns)}")
-    r = np.array(y, dtype=float)
+    r = _per_pattern(y, ms, "marginals").copy()
     if not np.isfinite(r).all():
         raise ValueError("marginals must be finite")
     tol = cfg.residual_tolerance
@@ -135,7 +136,7 @@ def matching_pursuit(
 
 
 def recovery_success(
-    truth: SparseSignal, result: ReconstructionResult, amplitude_floor: float = 1e-6
+    truth: SparseSignal, result: ReconstructionResult, amplitude_floor: float = AMPLITUDE_FLOOR
 ) -> bool:
     """True iff every true spike position carries recovered weight above the floor.
 

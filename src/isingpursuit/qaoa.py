@@ -329,6 +329,9 @@ class PairedOutcome:
 # Nelder-Mead stopping tolerances on the simplex spread in x and in f.
 XATOL = 1e-4
 FATOL = 1e-7
+# Default random starts, and default evaluation budget per start.
+RESTARTS = 10
+MAX_EVALS = 200
 
 
 def _nelder_mead(x0: np.ndarray, maxfev: int):
@@ -469,8 +472,8 @@ def _best(outcomes: list) -> OptimizeOutcome:
 def optimize(
     H: IsingHamiltonian,
     p: int,
-    restarts: int = 10,
-    max_evals: int = 200,
+    restarts: int = RESTARTS,
+    max_evals: int = MAX_EVALS,
     seed=None,
     init: QaoaParams | None = None,
     *,

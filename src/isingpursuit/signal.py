@@ -18,7 +18,8 @@ DENSE_VECTOR_CAP = 20
 # Spike amplitudes are bounded away from zero so that "position recovered"
 # stays well-defined downstream.
 SPIKE_VALUE_RANGE = (0.1, 1.0)
-# Indices and pattern masks are int64, so an n-bit index needs n <= 63.
+# Indices and pattern masks are int64, so an n-bit index needs n <= 63.  Signals,
+# pattern sets and plans all check it through _check_bit_count.
 INDEX_BITS_CAP = 63
 
 
@@ -26,7 +27,21 @@ def _check_bit_count(n: int) -> None:
     if n < 1:
         raise ValueError(f"bit count must be >= 1, got {n}")
     if n > INDEX_BITS_CAP:
-        raise ValueError(f"n={n} exceeds {INDEX_BITS_CAP}, the width of the int64 index masks")
+        raise ValueError(f"n={n} exceeds {INDEX_BITS_CAP}, the width of the int64 pattern masks")
+
+
+def _check_sparsity(n: int, s: int) -> None:
+    """n as _check_bit_count checks it, and 1 <= s <= 2**n."""
+    _check_bit_count(n)
+    if not 1 <= s <= 1 << n:
+        raise ValueError(f"sparsity must satisfy 1 <= s <= 2**{n}, got {s}")
+
+
+def _read_int(value, name: str) -> int:
+    """A JSON integer field: an int, or a float with an integral value such as 3.0."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +82,8 @@ class SparseSignal:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SparseSignal":
-        spikes = tuple((int(s["pos"]), float(s["val"])) for s in data["spikes"])
-        return cls(n=int(data["n"]), spikes=spikes)
+        spikes = tuple((_read_int(s["pos"], "pos"), float(s["val"])) for s in data["spikes"])
+        return cls(n=_read_int(data["n"], "n"), spikes=spikes)
 
     @classmethod
     def from_json(cls, text: str) -> "SparseSignal":
@@ -78,10 +93,8 @@ class SparseSignal:
 def random_sparse_signal(n: int, s: int, seed=None) -> SparseSignal:
     """Draw s spikes at distinct uniform positions with values uniform over
     SPIKE_VALUE_RANGE."""
-    _check_bit_count(n)
+    _check_sparsity(n, s)
     d = 1 << n
-    if not 1 <= s <= d:
-        raise ValueError(f"sparsity must satisfy 1 <= s <= 2**{n}, got {s}")
     rng = np.random.default_rng(seed)
     if n <= DENSE_VECTOR_CAP:
         positions = rng.choice(d, size=s, replace=False)

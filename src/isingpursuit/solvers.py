@@ -153,8 +153,8 @@ class SolverSpec:
 
     backend: str = "brute"
     param_count: int = 4
-    restarts: int = 10
-    max_evals: int = 200
+    restarts: int = qaoa.RESTARTS
+    max_evals: int = qaoa.MAX_EVALS
     shots: int = 1024
 
     def __post_init__(self):

@@ -1,6 +1,8 @@
 """Property tests for the checks where inputs enter the system: non-finite
-marginals and spike values, the 63-bit width of the index masks, empty
-solver budgets, and a solver choice whose column no pattern measures."""
+marginals and spike values, marginals that are not one vector entry per
+pattern, the 63-bit width of the index masks, integer fields of the JSON
+loaders, empty solver budgets, and a solver choice whose column no pattern
+measures."""
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingpursuit import qaoa
+from isingpursuit.experiment import ExperimentPlan
 from isingpursuit.hamiltonian import IsingHamiltonian
 from isingpursuit.measurement import (
     MeasurementSet,
@@ -49,6 +52,7 @@ WIDTH_CHECKED = {
     "MeasurementSet": lambda n: MeasurementSet(n, (Pattern(((n, 1),)),)),
     "nearest_neighbor_patterns": nearest_neighbor_patterns,
     "random_quadruplet_patterns": lambda n: random_quadruplet_patterns(n, 1, seed=n),
+    "ExperimentPlan": lambda n: ExperimentPlan(n, 1),
 }
 
 
@@ -63,6 +67,76 @@ def test_index_width_is_63_bits(build, n):
     else:
         with pytest.raises(ValueError, match=f"n={n} exceeds {INDEX_BITS_CAP}"):
             build(n)
+
+
+@pytest.mark.parametrize("build", WIDTH_CHECKED.values(), ids=WIDTH_CHECKED.keys())
+def test_every_width_check_gives_the_same_message(build):
+    # the cap is checked in one place: signal._check_bit_count
+    with pytest.raises(ValueError) as info:
+        build(INDEX_BITS_CAP + 1)
+    assert str(info.value) == "n=64 exceeds 63, the width of the int64 pattern masks"
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_measurement_sets_need_at_least_one_bit(n):
+    # MeasurementSet used to check only the upper end of the range
+    with pytest.raises(ValueError, match=f"bit count must be >= 1, got {n}"):
+        MeasurementSet(n, (Pattern(()),))
+
+
+@given(st.integers(2, 8), st.data())
+def test_marginals_must_be_one_vector_entry_per_pattern(n, data):
+    # a (M, 1) column used to pass with brute force and fail in numpy with the others
+    ms = nearest_neighbor_patterns(n)
+    shape = data.draw(st.lists(st.integers(0, len(ms) + 1), max_size=3).map(tuple)
+                      .filter(lambda shape: shape != (len(ms),)))
+    cfg = PursuitConfig(solver=brute_force_solve, max_iterations=4)
+    with pytest.raises(ValueError, match=f"marginals must be a length-{len(ms)} vector"):
+        matching_pursuit(np.zeros(shape), ms, cfg)
+
+
+def _signal(n=6, pos=3):
+    return SparseSignal.from_dict({"n": n, "spikes": [{"pos": pos, "val": 0.5}]})
+
+
+def _patterns(n=6, bit=2, val=1):
+    return MeasurementSet.from_dict({"n": n, "patterns": [[{"bit": bit, "val": val}]]})
+
+
+# (loader, JSON field, integers the field may hold)
+INTEGER_FIELDS = {
+    "signal-n": (lambda v: _signal(n=v), "n", st.integers(2, INDEX_BITS_CAP)),
+    "signal-pos": (lambda v: _signal(pos=v), "pos", st.integers(0, 63)),
+    "patterns-n": (lambda v: _patterns(n=v), "n", st.integers(2, INDEX_BITS_CAP)),
+    "patterns-bit": (lambda v: _patterns(bit=v), "bit", st.integers(1, 6)),
+    "patterns-val": (lambda v: _patterns(val=v), "val", st.integers(0, 1)),
+}
+NOT_INTEGERS = st.one_of(
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    st.floats().filter(lambda x: not x.is_integer()),
+)
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS.values(), ids=INTEGER_FIELDS.keys())
+@given(value=NOT_INTEGERS)
+@example(value=6.9)
+@example(value=True)
+@example(value="3")
+def test_loaders_reject_integer_fields_that_are_not_integers(field, value):
+    # int() used to truncate 6.9 to 6 and read true as 1
+    load, name, _ = field
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        load(value)
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS.values(), ids=INTEGER_FIELDS.keys())
+@given(data=st.data())
+def test_loaders_read_integral_floats_as_integers(field, data):
+    load, _, integers = field
+    value = data.draw(integers)
+    assert load(float(value)) == load(value)
 
 
 @given(st.sampled_from(BUDGETS), st.integers(-2**31, 0), st.sampled_from(BACKENDS))

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -6,9 +7,18 @@ import numpy as np
 import pytest
 
 from isingpursuit.cli import build_parser, main
-from isingpursuit.experiment import BACKENDS, PATTERN_KINDS, SolverSpec, make_solver
+from isingpursuit.experiment import (
+    BACKENDS,
+    PATTERN_KINDS,
+    ExperimentPlan,
+    SolverSpec,
+    SuccessReport,
+    TrialRecord,
+    make_solver,
+)
 from isingpursuit.measurement import MeasurementSet
-from isingpursuit.pursuit import PursuitConfig, matching_pursuit
+from isingpursuit.pursuit import PursuitConfig, matching_pursuit, recovery_success
+from isingpursuit.qaoa import optimize
 from isingpursuit.solvers import SolverOutcome
 
 
@@ -196,6 +206,93 @@ def test_solver_and_pattern_flags_mirror_the_library():
     assert (args.solver, args.params, args.restarts, args.max_evals, args.shots) == (
         spec.backend, [spec.param_count], spec.restarts, spec.max_evals, spec.shots,
     )
+
+
+def test_experiment_flags_default_to_the_plan_defaults(monkeypatch, capsys):
+    plans = []
+
+    def record(plan):
+        plans.append(plan)
+        return SuccessReport(plan.config_echo(), plan.config_id(),
+                             (TrialRecord(0, 0, True, 1, 0.0),))
+
+    monkeypatch.setattr("isingpursuit.cli.run_batch", record)
+    assert run_cli("experiment", "--n", "6", "--sparsity", "2") == 0
+    assert plans == [ExperimentPlan(n=6, sparsity=2)]
+    defaults = {name: parameter.default
+                for fn in (optimize, recovery_success)
+                for name, parameter in inspect.signature(fn).parameters.items()}
+    assert (defaults["restarts"], defaults["max_evals"]) == (SolverSpec.restarts,
+                                                              SolverSpec.max_evals)
+    assert defaults["amplitude_floor"] == ExperimentPlan.amplitude_floor
+
+
+@pytest.fixture
+def pipeline_files(tmp_path):
+    """A signal, its n=6 nearest-neighbour patterns and their marginals, as files."""
+    files = {name: tmp_path / f"{name}.json" for name in ("sig", "pat", "y")}
+    assert run_cli("generate", "--n", "6", "--sparsity", "1", "--seed", "4",
+                   "--out", str(files["sig"])) == 0
+    assert run_cli("patterns", "--n", "6", "--out", str(files["pat"])) == 0
+    assert run_cli("measure", "--signal", str(files["sig"]), "--patterns-file",
+                   str(files["pat"]), "--out", str(files["y"])) == 0
+    return {name: str(path) for name, path in files.items()}
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n", "4", "--sparsity", "1", "--out", "{dir}"],
+    ["measure", "--signal", "{dir}", "--patterns-file", "{pat}"],
+    ["measure", "--signal", "{sig}", "--patterns-file", "{dir}"],
+    ["reconstruct", "--marginals", "{dir}", "--patterns-file", "{pat}"],
+    ["reconstruct", "--marginals", "{y}", "--patterns-file", "{dir}"],
+    ["experiment", "--plan", "{dir}"],
+], ids=["generate-out", "measure-signal", "measure-patterns", "reconstruct-marginals",
+        "reconstruct-patterns", "experiment-plan"])
+def test_a_directory_as_a_file_exits_2(argv, pipeline_files, tmp_path, capsys):
+    # IsADirectoryError used to escape main as a traceback with exit 1
+    capsys.readouterr()
+    names = {**pipeline_files, "dir": str(tmp_path)}
+    assert run_cli(*(arg.format(**names) for arg in argv)) == 2
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("file, data, field", [
+    ("sig", {"n": 6.9, "spikes": [{"pos": 3, "val": 1.0}]}, "n"),
+    ("sig", {"n": 6, "spikes": [{"pos": 3.7, "val": 1.0}]}, "pos"),
+    ("sig", {"n": True, "spikes": [{"pos": 0, "val": 1.0}]}, "n"),
+    ("pat", {"n": 6, "patterns": [[{"bit": 2.5, "val": 1}]]}, "bit"),
+    ("pat", {"n": 6, "patterns": [[{"bit": 2, "val": 1.9}]]}, "val"),
+])
+def test_measure_rejects_non_integer_json_fields(file, data, field, pipeline_files, capsys):
+    # int() used to truncate these to n=6, position 3 and the constraint (2, 1)
+    with open(pipeline_files[file], "w") as f:
+        json.dump(data, f)
+    capsys.readouterr()
+    assert run_cli("measure", "--signal", pipeline_files["sig"],
+                   "--patterns-file", pipeline_files["pat"]) == 2
+    assert f"{field} must be an integer" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("marginals", [[[0.1 * i] for i in range(20)], 0.5],
+                         ids=["column", "scalar"])
+def test_reconstruct_rejects_marginals_that_are_not_a_vector(
+        backend, marginals, pipeline_files, capsys):
+    # the column used to run under brute force and fail in numpy under chain and qaoa
+    with open(pipeline_files["y"], "w") as f:
+        json.dump(marginals, f)
+    capsys.readouterr()
+    assert run_cli("reconstruct", "--marginals", pipeline_files["y"],
+                   "--patterns-file", pipeline_files["pat"], "--solver", backend) == 2
+    assert "marginals must be a length-20 vector" in _one_error_line(capsys)
 
 
 def test_reconstruct_qaoa_matches_the_library_path(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Pattern generators and the implicit measurement matrix, checked against a
 dense 0/1 materialization of A wherever n is small enough to afford one."""
 
+import inspect
 import itertools
 import math
 from unittest import mock
@@ -178,6 +179,17 @@ def test_quadruplets_check_the_mask_cap_before_enumerating(n):
     with mock.patch.object(itertools, "combinations", side_effect=AssertionError("enumerated")):
         with pytest.raises(ValueError, match="exceeds 63"):
             random_quadruplet_patterns(n, 1, seed=0)
+
+
+def test_nearest_neighbor_sets_come_from_a_plain_function_built_once_per_n():
+    # a plain function, not an lru_cache wrapper, so that tracers can wrap it
+    assert inspect.isfunction(nearest_neighbor_patterns)
+    assert not hasattr(nearest_neighbor_patterns, "cache_info")
+    ms = nearest_neighbor_patterns(7)
+    assert nearest_neighbor_patterns(7) is ms
+    with mock.patch("isingpursuit.measurement.value_assignment_group",
+                    side_effect=AssertionError("built again")):
+        assert nearest_neighbor_patterns(7) is ms
 
 
 @pytest.mark.parametrize("n", [64, 20000])
