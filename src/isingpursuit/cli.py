@@ -28,7 +28,7 @@ from .experiment import (
 )
 from .measurement import MeasurementSet, measure
 from .pursuit import DegenerateColumnError, PursuitConfig, matching_pursuit
-from .signal import SparseSignal, random_sparse_signal
+from .signal import SparseSignal, _read_float, random_sparse_signal
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -41,6 +41,20 @@ def _emit(text: str, out: str | None) -> None:
 def _solver_spec(args: argparse.Namespace) -> SolverSpec:
     """The spec the solver flags name; a --params list contributes its first count."""
     return SolverSpec(args.solver, args.params[0], args.restarts, args.max_evals, args.shots)
+
+
+def _json_object(value, name: str) -> dict:
+    if type(value) is not dict:
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _read_marginals(value):
+    """Every number read by _read_float; lists keep their nesting, so that a
+    column or a scalar still fails the shape check in matching_pursuit."""
+    if type(value) is list:
+        return [_read_marginals(v) for v in value]
+    return _read_float(value, "marginal")
 
 
 def _cmd_generate(args: argparse.Namespace) -> None:
@@ -61,7 +75,7 @@ def _cmd_measure(args: argparse.Namespace) -> None:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> None:
-    y = json.loads(Path(args.marginals).read_text())
+    y = _read_marginals(json.loads(Path(args.marginals).read_text()))
     ms = MeasurementSet.from_json(Path(args.patterns_file).read_text())
     cfg = PursuitConfig(
         solver=make_solver(_solver_spec(args), args.seed),
@@ -74,9 +88,9 @@ def _cmd_reconstruct(args: argparse.Namespace) -> None:
 
 def _cmd_experiment(args: argparse.Namespace) -> None:
     if args.plan:
-        raw = json.loads(Path(args.plan).read_text())
+        raw = _json_object(json.loads(Path(args.plan).read_text()), "plan")
         counts = raw.pop("parameter_counts", None)
-        solver = SolverSpec(**raw.pop("solver", {}))
+        solver = SolverSpec(**_json_object(raw.pop("solver", {}), "plan solver"))
         plan = ExperimentPlan(solver=solver, **raw)
     else:
         if args.n is None or args.sparsity is None:

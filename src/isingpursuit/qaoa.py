@@ -11,21 +11,27 @@ One kernel evolves every state.  `_evolve` takes a (K, 2p) array of angle
 rows and returns the (K, 2**n) array of ansatz states, so a layer costs the
 same few numpy calls for K rows as for one.  Its steps live in a workspace,
 `_StateBuffers`: two ping-pong state buffers, one temporary, two factor
-rows and the diagonal as complex.  `optimize` makes one workspace per run,
+rows, and the diagonal's distinct values as complex levels with an int64
+index from each entry to its level.  `optimize` makes one workspace per run,
 as wide as its widest round, and every round evolves in the first rows of
 it, through views built once per row count; `ansatz_state`, the single
 layers and the RX gates of `simulate_gates` make one with K = 1 per call,
-so a state they return is never written over.  A layer is one exp, one
-phase multiply, two factor-row fills and three ufunc calls per qubit, each
-writing through `out=`, with no array made inside the loop.  Writing cos(beta)
-and i*sin(beta) across whole rows lets both products of a mixer step run
-on same-shape contiguous operands, numpy's cheapest call; the add pairs the
-amplitudes through a reversed view.  `out=`, reused memory and factors
-repeated along a row change where a result lands, not how it is rounded:
-every amplitude meets the same operands, in the same order, as with fresh
-arrays and broadcast factors.  So each row comes out bitwise equal to
-evolving it alone, which pins two details: the phase multiply's operand
-order and a 1-D dot per row for the expectation.
+so a state they return is never written over.  A layer's phase step is
+one exp per row and level, in a (rows, levels) table, one gather of the
+table into full rows and one phase multiply; its mixer is two factor-row
+fills and three ufunc calls per qubit.  Every step writes its result
+through `out=` into the workspace, so no result array is made inside the
+loop (numpy still takes iterator buffers for the paired add and for the
+first layer's broadcast start).  Writing cos(beta) and i*sin(beta) across
+whole rows lets both products of a mixer step run on same-shape contiguous
+operands, numpy's cheapest call; the add pairs the amplitudes through a
+reversed view.  `out=`, reused memory, factors repeated along a row and
+phases gathered from the level table change where a result lands, not how
+it is rounded: equal diagonal bits give equal phase products and exps, and
+every amplitude meets the same operands, in the same order, as with an exp
+per entry, fresh arrays and broadcast factors.  So each row comes out
+bitwise equal to evolving it alone, which pins two details: the phase
+multiply's operand order and a 1-D dot per row for the expectation.
 
 `optimize` runs its restarts in lockstep.  Each start is a generator that
 replays scipy's Nelder-Mead step for step and yields the points it needs
@@ -131,7 +137,9 @@ def uniform_state(n: int) -> np.ndarray:
 
 class _StateBuffers:
     """The evolve kernel's workspace: two ping-pong (K, 2**n) complex state
-    buffers, one temporary, two factor rows and the diagonal as complex.
+    buffers, one temporary and two factor rows; and, given a diagonal, its
+    distinct values by bit pattern as complex `levels`, with `level_of`,
+    the int64 index of each entry's level.
 
     `optimize` makes one workspace per run, K rows wide, and every batch
     of the run evolves in the first rows of it; `ansatz_state`, the single
@@ -157,8 +165,9 @@ class _StateBuffers:
         self.diag = diag
         if diag is not None:  # the evolve kernel's inputs, made once
             self.start = uniform_state(n)[None]
-            # numpy would cast it inside every phase multiply, to the same values
-            self.cdiag = diag.astype(complex)
+            # the distinct entries by bit pattern, so +0.0 and -0.0 stay apart
+            bits, self.level_of = np.unique(diag.view(np.int64), return_inverse=True)
+            self.levels = bits.view(float).astype(complex)
         self.steps: dict = {}  # by (rows, buffer read first, qubit or None for all)
         self.probs: dict = {}  # by rows: float views over the temporary
 
@@ -171,13 +180,22 @@ class _StateBuffers:
         sweep of the mixer that follows starts there; psi may be any buffer.
         The batch has len(jg) rows.
 
+        The exp runs once per row and level, in a (rows, levels) table in
+        the first factor row, which the mixer only writes afterwards, and
+        np.take gathers the table into the temporary.  Equal diagonal bits
+        give equal products and exps, so each entry gets the bits an exp
+        per entry gives.
+
         The operand order is pinned: the FMA complex multiply rounds
         psi * ph and ph * psi differently, and numpy's expression form
         `psi * np.exp(...)` swaps them once the exp temporary reaches 256 KiB.
         """
-        self.rows = len(jg)
-        ph = np.multiply(jg, self.cdiag, out=self.bufs[2][:self.rows])
-        np.exp(ph, out=ph)
+        rows = self.rows = len(jg)
+        table = self.factors[0].reshape(-1)[:rows * len(self.levels)].reshape(rows, -1)
+        np.multiply(jg, self.levels, out=table)
+        np.exp(table, out=table)
+        # mode="clip" never clips here; the default mode would buffer `out`
+        ph = np.take(table, self.level_of, axis=1, out=self.bufs[2][:rows], mode="clip")
         self.cur = 0
         np.multiply(psi, ph, out=self.psi)
 
@@ -253,13 +271,15 @@ def _evolve(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
     which the next batch overwrites.
 
     The set-up takes i*gamma, cos(beta) as complex and i*sin(beta) for all p
-    layers at once.  Each layer then makes its phases in the temporary,
-    multiplies them in, writes its factor rows and runs three ufunc calls
-    per qubit, all through `out=`, in memory the workspace holds for the
-    whole run.  That only says where a result lands: every amplitude meets
-    the same operands, in the same order, as in the form that makes a fresh
-    array per step and broadcasts each row's factors, so each row is bitwise
-    the state that evolving it alone gives (the oracle tests check this).
+    layers at once.  Each layer then makes its phase table over the
+    diagonal's levels, gathers it into the temporary, multiplies it in,
+    writes its factor rows and runs three ufunc calls per qubit, all
+    through `out=`, in memory the workspace holds for the whole run.  That
+    only says where a result lands: every amplitude meets the same operands,
+    in the same order, as in the form that takes an exp per entry, makes a
+    fresh array per step and broadcasts each row's factors, so each row is
+    bitwise the state that evolving it alone gives (the oracle tests check
+    this).
     """
     p = angles.shape[1] // 2
     jg = 1j * angles[:, :p].T[:, :, None]  # (p, rows, 1)
@@ -274,9 +294,10 @@ def _evolve(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
 
 # Rows per batch, capped so that each of the workspace's five (K, 2**n)
 # complex arrays (two state buffers, the temporary and two factor rows)
-# stays within 4 MiB: 20 MiB in all up to n = 18, plus 16 * 2**n bytes for
-# the complex diagonal.  From n = 19 one row is wider than 4 MiB, and the
-# workspace takes 96 * 2**n bytes.
+# stays within 4 MiB: 20 MiB in all up to n = 18, plus 8 * 2**n bytes for
+# the level index and 16 bytes per level, at most 24 * 2**n bytes.  From
+# n = 19 one row is wider than 4 MiB, and the workspace takes at most
+# 104 * 2**n bytes.
 _BATCH_BYTES = 1 << 22
 
 

@@ -8,6 +8,7 @@ measurement and hamiltonian modules and must not drift.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,18 @@ def _read_int(value, name: str) -> int:
     if type(value) is int or type(value) is float and value.is_integer():
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _read_float(value, name: str) -> float:
+    """A JSON number field: an int or a float, finite as a float."""
+    if type(value) is int or type(value) is float:
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +95,8 @@ class SparseSignal:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SparseSignal":
-        spikes = tuple((_read_int(s["pos"], "pos"), float(s["val"])) for s in data["spikes"])
+        spikes = tuple((_read_int(s["pos"], "pos"), _read_float(s["val"], "val"))
+                       for s in data["spikes"])
         return cls(n=_read_int(data["n"], "n"), spikes=spikes)
 
     @classmethod

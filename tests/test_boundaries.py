@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingpursuit import qaoa
+from isingpursuit.cli import _read_marginals
 from isingpursuit.experiment import ExperimentPlan
 from isingpursuit.hamiltonian import IsingHamiltonian
 from isingpursuit.measurement import (
@@ -137,6 +138,43 @@ def test_loaders_read_integral_floats_as_integers(field, data):
     load, _, integers = field
     value = data.draw(integers)
     assert load(float(value)) == load(value)
+
+
+# Booleans, strings, null, non-finite floats and integers beyond the float
+# range: no JSON value a float field may hold.
+NOT_NUMBERS = st.one_of(
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    NON_FINITE,
+    st.integers(min_value=2**1024).map(lambda v: v * (-1) ** (v % 2)),
+)
+NUMBERS = st.one_of(st.integers(-2**53, 2**53), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(value=st.one_of(NOT_NUMBERS, st.lists(st.floats(-1.0, 1.0), max_size=2)))
+@example(value=True)
+@example(value="0.5")
+@example(value=None)
+@example(value=10**400)
+def test_spike_values_must_be_json_numbers(value):
+    # float() used to read true as 1.0 and "0.5" as 0.5
+    with pytest.raises(ValueError, match="^val must be a number, got "):
+        SparseSignal.from_dict({"n": 6, "spikes": [{"pos": 3, "val": value}]})
+
+
+@given(NUMBERS.filter(lambda v: v != 0))
+def test_spike_values_read_every_finite_json_number_as_a_float(value):
+    (spike,) = SparseSignal.from_dict({"n": 6, "spikes": [{"pos": 3, "val": value}]}).spikes
+    assert type(spike[1]) is float and spike == (3, float(value))
+
+
+@given(st.lists(NUMBERS, min_size=1, max_size=20), st.data())
+def test_marginals_files_must_hold_json_numbers(marginals, data):
+    assert _read_marginals(marginals) == [float(v) for v in marginals]
+    marginals[data.draw(st.integers(0, len(marginals) - 1))] = data.draw(NOT_NUMBERS)
+    with pytest.raises(ValueError, match="^marginal must be a number, got "):
+        _read_marginals(marginals)
 
 
 @given(st.sampled_from(BUDGETS), st.integers(-2**31, 0), st.sampled_from(BACKENDS))

@@ -295,6 +295,32 @@ def test_reconstruct_rejects_marginals_that_are_not_a_vector(
     assert "marginals must be a length-20 vector" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_reconstruct_rejects_boolean_marginals(backend, pipeline_files, capsys):
+    # true used to be read as 1.0, and the run exited 0
+    with open(pipeline_files["y"], "w") as f:
+        json.dump([True] * 20, f)
+    capsys.readouterr()
+    assert run_cli("reconstruct", "--marginals", pipeline_files["y"],
+                   "--patterns-file", pipeline_files["pat"], "--solver", backend) == 2
+    assert "marginal must be a number, got True" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("data, name", [
+    ("abc", "plan"),
+    ([6, 2], "plan"),
+    (None, "plan"),
+    ({"n": 6, "sparsity": 2, "solver": "qaoa"}, "plan solver"),
+    ({"n": 6, "sparsity": 2, "solver": ["qaoa"]}, "plan solver"),
+])
+def test_experiment_plan_and_its_solver_must_be_json_objects(data, name, tmp_path, capsys):
+    # `raw.pop` and `SolverSpec(**...)` used to escape main as tracebacks
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("experiment", "--plan", str(path)) == 2
+    assert f"{name} must be a JSON object, got " in _one_error_line(capsys)
+
+
 def test_reconstruct_qaoa_matches_the_library_path(tmp_path, capsys):
     sig, pat, marg = tmp_path / "sig.json", tmp_path / "pat.json", tmp_path / "y.json"
     assert run_cli("generate", "--n", "5", "--sparsity", "2", "--seed", "8",

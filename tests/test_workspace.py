@@ -3,12 +3,14 @@ bit for bit: `_evolve` and `_expectations` through a sequence of row
 counts on one `_StateBuffers`, as an `optimize` run drives it.  Also: one
 `optimize` call builds exactly one workspace, sized to its widest round;
 RX gates with scalar factors match the broadcast kernel; and a state that
-`ansatz_state` returned is never written over."""
+`ansatz_state` returned is never written over.  And the phase step's
+table of distinct diagonal values against the per-entry exp in `oracles`,
+on diagonals with few, all or one distinct value."""
 
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isingpursuit import qaoa
@@ -26,8 +28,22 @@ from isingpursuit.qaoa import (
     simulate_gates,
 )
 
-from oracles import evolve_broadcast, expectations_broadcast, simulate_gates_selectors
-from test_evolve_kernel import ANGLES, ENTRIES, SIGNED_ZEROS, overwrite, rx_circuits, wide_values
+from oracles import (
+    evolve_broadcast,
+    evolve_per_qubit,
+    expectations_broadcast,
+    phase_rows,
+    simulate_gates_selectors,
+)
+from test_evolve_kernel import (
+    ANGLES,
+    ENTRIES,
+    SIGNED_ZEROS,
+    overwrite,
+    rx_circuits,
+    states,
+    wide_values,
+)
 
 # 1 under the default profile, 5 under --hypothesis-profile=ci.
 DEPTH = settings.default.max_examples // 100
@@ -79,6 +95,61 @@ def test_one_workspace_through_many_row_counts_is_bitwise_the_broadcast_kernel(r
                 assert _evolve(kernel, angles).tobytes() == expected.tobytes()
             values = expectations_broadcast(diag, n, angles)
             assert _expectations(kernel, angles).tobytes() == values.tobytes()
+
+
+@st.composite
+def level_runs(draw):
+    """A diagonal of one of three kinds: entries from a pool of 2 to 8
+    values that holds +0.0 and -0.0, all entries distinct, or one value.
+    Then the workspace's row count, angle batches of varying widths and a
+    state with signed zeros for a single phase step."""
+    n, p = draw(st.integers(1, 10)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["pool", "distinct", "single"]))
+    if kind == "pool":
+        pool = np.array([0.0, -0.0] + draw(st.lists(ENTRIES, max_size=6)))
+        diag = pool[rng.integers(0, len(pool), size=1 << n)]
+    elif kind == "distinct":
+        diag = np.unique(wide_values(rng, 1 << n))
+        assume(len(diag) == 1 << n)
+        rng.shuffle(diag)
+    else:
+        diag = np.full(1 << n, draw(ENTRIES))
+    widths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    batches = []
+    for width in widths:
+        angles = rng.uniform(-2.0 * np.pi, 4.0 * np.pi, size=(width, 2 * p))
+        overwrite(draw, angles, ANGLES)
+        batches.append(angles)
+    return diag, n, draw(st.integers(1, max(widths))), batches, draw(states(n)), draw(ANGLES)
+
+
+@settings(max_examples=100 * DEPTH)
+@given(level_runs())
+@example((np.array([0.0, -0.0, -0.0, 0.0]), 2, 2, [np.array([[-1.5, 0.5], [0.75, -0.0]])],
+          SIGNED_ZEROS, -0.75))
+def test_phase_over_distinct_levels_is_bitwise_the_per_entry_exp(run):
+    diag, n, K, batches, psi, gamma = run
+    kernel = _StateBuffers(K, n, diag)
+    assert len(kernel.levels) == len(set(diag.view(np.int64).tolist()))
+    with np.errstate(all="ignore"):
+        for angles in batches:
+            if len(angles) <= K:
+                expected = evolve_per_qubit(diag, n, angles)
+                assert _evolve(kernel, angles).tobytes() == expected.tobytes()
+            values = expectations_broadcast(diag, n, angles)
+            assert _expectations(kernel, angles).tobytes() == values.tobytes()
+        single = _StateBuffers(1, n, diag)
+        single.phase(psi[None], 1j * np.array([[gamma]]))
+        expected = phase_rows(psi[None], diag, np.array([gamma]))
+        assert single.psi.tobytes() == expected.tobytes()
+
+
+def test_signed_zeros_are_two_levels():
+    kernel = _StateBuffers(1, 2, np.array([0.0, -0.0, 0.0, -0.0]))
+    assert len(kernel.levels) == 2
+    assert sorted(np.signbit(kernel.levels.real).tolist()) == [False, True]
+    assert np.signbit(kernel.levels.real[kernel.level_of]).tolist() == [False, True, False, True]
 
 
 @settings(max_examples=100 * DEPTH)
