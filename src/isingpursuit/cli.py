@@ -28,7 +28,13 @@ from .experiment import (
 )
 from .measurement import MeasurementSet, measure
 from .pursuit import DegenerateColumnError, PursuitConfig, matching_pursuit
-from .signal import SparseSignal, _read_float, random_sparse_signal
+from .signal import SparseSignal, _read_float, _read_int, random_sparse_signal
+
+# A plan file's number fields and its solver's; the two that may be null stay null.
+_INT_FIELDS = {"n", "sparsity", "trial_count", "quadruplets", "master_seed", "max_iterations",
+               "workers", "param_count", "restarts", "max_evals", "shots"}
+_FLOAT_FIELDS = {"amplitude_floor", "time_limit_s"}
+_NULLABLE_FIELDS = {"quadruplets", "max_iterations"}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -43,10 +49,18 @@ def _solver_spec(args: argparse.Namespace) -> SolverSpec:
     return SolverSpec(args.solver, args.params[0], args.restarts, args.max_evals, args.shots)
 
 
-def _json_object(value, name: str) -> dict:
+def _plan_fields(value, name: str) -> dict:
+    """A plan, or its solver: a JSON object whose integer fields are read by
+    _read_int and whose float fields by _read_float."""
     if type(value) is not dict:
         raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
-    return value
+    fields = dict(value)
+    for key, field in fields.items():
+        if key in _INT_FIELDS and not (field is None and key in _NULLABLE_FIELDS):
+            fields[key] = _read_int(field, key)
+        elif key in _FLOAT_FIELDS:
+            fields[key] = _read_float(field, key)
+    return fields
 
 
 def _read_marginals(value):
@@ -88,9 +102,12 @@ def _cmd_reconstruct(args: argparse.Namespace) -> None:
 
 def _cmd_experiment(args: argparse.Namespace) -> None:
     if args.plan:
-        raw = _json_object(json.loads(Path(args.plan).read_text()), "plan")
-        counts = raw.pop("parameter_counts", None)
-        solver = SolverSpec(**_json_object(raw.pop("solver", {}), "plan solver"))
+        raw = _plan_fields(json.loads(Path(args.plan).read_text()), "plan")
+        counts = raw.pop("parameter_counts", [])
+        if type(counts) is not list:
+            raise ValueError(f"parameter_counts must be a JSON list, got {type(counts).__name__}")
+        counts = [_read_int(count, "parameter_counts") for count in counts]
+        solver = SolverSpec(**_plan_fields(raw.pop("solver", {}), "plan solver"))
         plan = ExperimentPlan(solver=solver, **raw)
     else:
         if args.n is None or args.sparsity is None:

@@ -34,22 +34,22 @@ bitwise equal to evolving it alone, which pins two details: the phase
 multiply's operand order and a 1-D dot per row for the expectation.
 
 `optimize` runs its restarts in lockstep.  Each start is a generator that
-replays scipy's Nelder-Mead step for step and yields the points it needs
-next: its whole initial simplex, one reflection, expansion or contraction,
-or all points of a shrink.  Every round, the points of all live starts go
-through the kernel as one batch.  Each start therefore returns exactly the
-x, value and evaluation count that scipy.optimize.minimize returns for it,
-while the package itself does not depend on scipy.
+replays scipy's Nelder-Mead step for step, in fewer numpy calls, and yields
+the points it needs next: its whole initial simplex, one reflection,
+expansion or contraction, or all points of a shrink.  Every round, the
+points of all live starts go through the kernel as one batch.  Each start
+returns exactly the x, value and evaluation count that scipy's minimize
+returns for it, while the package itself does not depend on scipy.
 
 Asked for the top of -H as well, `optimize` runs -H's starts as mirrored
-lanes of the same batches, over H's diagonal.  Since exp(i*gamma*(-h)) =
-exp(i*(-gamma)*h), a mirrored lane sends its points with their gammas
-negated and takes 0.0 - <H> as its <-H>.  Every value is bit for bit the
-one -H's own diagonal gives.  IEEE products and sums commute with
-negation, so each phase angle (-gamma)*h(z) equals gamma*(-h(z)); the
-amplitudes then differ at most in the sign of an exact zero, which
-|amp|**2 drops; and each row's dot with -h is its negated dot with h,
-except that an exact zero sum is +0.0 both ways, as 0.0 - <H> gives.
+lanes of the same batches, over H's diagonal: exp(i*gamma*(-h)) =
+exp(i*(-gamma)*h), so `_lockstep` negates their rows' gammas by a
+row sign and maps each value v = -<H> to -<-H> as -(0.0 - -v).  Every value
+is bit for bit the one -H's own diagonal gives.  IEEE products and sums
+commute with negation, so each phase angle (-gamma)*h(z) equals
+gamma*(-h(z)); the amplitudes then differ at most in the sign of an exact
+zero, which |amp|**2 drops; and each row's dot with -h is its negated dot
+with h, except that an exact zero sum is +0.0 both ways, as 0.0 - <H> gives.
 """
 
 from __future__ import annotations
@@ -144,9 +144,9 @@ class _StateBuffers:
     `optimize` makes one workspace per run, K rows wide, and every batch
     of the run evolves in the first rows of it; `ansatz_state`, the single
     layers and `simulate_gates` make one with K = 1 per call.  A batch of
-    `rows` rows reads and writes `[:rows]` views, and each sweep's views
-    are built once per (rows, buffer read first, qubit), on first use.  The
-    state sits in `psi`.
+    `rows` rows reads and writes `[:rows]` views, built on first use: the
+    phase step's and the expectations' once per rows, each sweep's once per
+    (rows, buffer read first, qubit).  The state sits in `psi`.
 
     A mixer step on qubit q (MSB-first) applies [[c, js], [js, c]] with c
     and js written across every entry of the factor rows, so both products
@@ -169,7 +169,7 @@ class _StateBuffers:
             bits, self.level_of = np.unique(diag.view(np.int64), return_inverse=True)
             self.levels = bits.view(float).astype(complex)
         self.steps: dict = {}  # by (rows, buffer read first, qubit or None for all)
-        self.probs: dict = {}  # by rows: float views over the temporary
+        self.views: dict = {}  # by rows: the phase step's and the expectations' views
 
     @property
     def psi(self) -> np.ndarray:
@@ -182,7 +182,7 @@ class _StateBuffers:
 
         The exp runs once per row and level, in a (rows, levels) table in
         the first factor row, which the mixer only writes afterwards, and
-        np.take gathers the table into the temporary.  Equal diagonal bits
+        `take` gathers the table into the temporary.  Equal diagonal bits
         give equal products and exps, so each entry gets the bits an exp
         per entry gives.
 
@@ -191,13 +191,17 @@ class _StateBuffers:
         `psi * np.exp(...)` swaps them once the exp temporary reaches 256 KiB.
         """
         rows = self.rows = len(jg)
-        table = self.factors[0].reshape(-1)[:rows * len(self.levels)].reshape(rows, -1)
+        if rows not in self.views:  # the table, the temporary, buffer 0 and |amp|**2's floats
+            table = self.factors[0].reshape(-1)[:rows * len(self.levels)].reshape(rows, -1)
+            floats = self.bufs[2].reshape(-1).view(float)[:rows << self.n].reshape(rows, -1)
+            self.views[rows] = table, self.bufs[2][:rows], self.bufs[0][:rows], floats
+        table, ph, out, self.probs = self.views[rows]
         np.multiply(jg, self.levels, out=table)
         np.exp(table, out=table)
         # mode="clip" never clips here; the default mode would buffer `out`
-        ph = np.take(table, self.level_of, axis=1, out=self.bufs[2][:rows], mode="clip")
+        table.take(self.level_of, axis=1, out=ph, mode="clip")
         self.cur = 0
-        np.multiply(psi, ph, out=self.psi)
+        np.multiply(psi, ph, out=out)
 
     def mix(self, c, js, qubit: int | None = None) -> None:
         """Apply [[c, js], [js, c]] (js = i*s) on one qubit, or on every qubit
@@ -223,18 +227,13 @@ class _StateBuffers:
             np.add(pairs, flip, out=pairs)
         self.cur = (self.cur + len(steps)) % 2
 
-    def expectations(self) -> list:
-        """<h> for each row of psi, through |amp|**2 in the temporary.  Each
-        row's sum is a 1-D dot on a contiguous row: a matrix-vector product
-        would sum in another order."""
-        rows = self.rows
-        if rows not in self.probs:
-            floats = self.bufs[2].reshape(-1).view(float)
-            self.probs[rows] = floats[:rows << self.n].reshape(rows, -1)
-        probs = self.probs[rows]
-        np.abs(self.psi, out=probs)
-        np.square(probs, out=probs)  # what `** 2` runs
-        return [row @ self.diag for row in probs]
+    def expectations(self, out: np.ndarray) -> None:
+        """<h> for each row of psi into out, through |amp|**2 in the temporary
+        (the last phase step's view).  np.vecdot runs a 1-D dot on each
+        contiguous row: a matrix-vector product would sum in another order."""
+        np.abs(self.psi, out=self.probs)
+        np.square(self.probs, out=self.probs)  # what `** 2` runs
+        np.vecdot(self.probs, self.diag, out=out)
 
 
 def _mixer_factors(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,15 +270,11 @@ def _evolve(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
     which the next batch overwrites.
 
     The set-up takes i*gamma, cos(beta) as complex and i*sin(beta) for all p
-    layers at once.  Each layer then makes its phase table over the
-    diagonal's levels, gathers it into the temporary, multiplies it in,
-    writes its factor rows and runs three ufunc calls per qubit, all
-    through `out=`, in memory the workspace holds for the whole run.  That
-    only says where a result lands: every amplitude meets the same operands,
-    in the same order, as in the form that takes an exp per entry, makes a
-    fresh array per step and broadcasts each row's factors, so each row is
-    bitwise the state that evolving it alone gives (the oracle tests check
-    this).
+    layers at once.  Each layer then runs the workspace's phase step and
+    mixer sweep, all through `out=`.  Every amplitude meets the same
+    operands, in the same order, as with an exp per entry, a fresh array
+    per step and broadcast factors, so each row is bitwise the state that
+    evolving it alone gives (the oracle tests check this).
     """
     p = angles.shape[1] // 2
     jg = 1j * angles[:, :p].T[:, :, None]  # (p, rows, 1)
@@ -307,7 +302,7 @@ def _expectations(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
     out = np.empty(len(angles))
     for lo in range(0, len(angles), K):
         _evolve(kernel, angles[lo:lo + K])
-        out[lo:lo + kernel.rows] = kernel.expectations()
+        kernel.expectations(out[lo:lo + kernel.rows])
     return out
 
 
@@ -366,6 +361,12 @@ def _nelder_mead(x0: np.ndarray, maxfev: int):
     initial simplex keeps inf for vertices past maxfev; an expansion or
     contraction that finds no budget left drops the reflected point; and a
     shrink that runs out moves the next vertex but keeps its old value.
+
+    Fewer numpy calls give scipy's bits: one spread |sim[-1, 0] - sim[0, 0]|
+    above XATOL (or NaN) fails the convergence test before the full test
+    would; the reflection drops the exact copy rho * sim[-1] (rho = 1); and
+    array methods and indexing by the sort order replace np.max, np.argsort
+    and np.take.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
@@ -373,28 +374,24 @@ def _nelder_mead(x0: np.ndarray, maxfev: int):
     sim = np.empty((N + 1, N), dtype=x0.dtype)
     sim[0] = x0
     for k in range(N):
-        y = np.array(x0, copy=True)
-        if y[k] != 0:
-            y[k] = (1 + nonzdelt) * y[k]
-        else:
-            y[k] = zdelt
-        sim[k + 1] = y
+        sim[k + 1] = x0
+        sim[k + 1, k] = (1 + nonzdelt) * x0[k] if x0[k] != 0 else zdelt
     fsim = np.full((N + 1,), np.inf, dtype=float)
     nfev = min(N + 1, maxfev)
     if nfev > 0:
         fsim[:nfev] = yield sim[:nfev]
     # scipy sorts twice here; argsort need not be stable, so keep both
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
 
     while nfev < maxfev:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= XATOL
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL):
+        if (abs(sim[-1, 0] - sim[0, 0]) <= XATOL
+                and np.abs(sim[1:] - sim[0]).max() <= XATOL
+                and np.abs(fsim[0] - fsim[1:]).max() <= FATOL):
             break
         xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = (1 + rho) * xbar - rho * sim[-1]
+        xr = (1 + rho) * xbar - sim[-1]
         (fxr,) = yield xr[None]
         nfev += 1
         if fxr < fsim[0]:
@@ -402,10 +399,7 @@ def _nelder_mead(x0: np.ndarray, maxfev: int):
             if nfev < maxfev:
                 (fxe,) = yield xe[None]
                 nfev += 1
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         elif nfev < maxfev:
@@ -430,19 +424,22 @@ def _nelder_mead(x0: np.ndarray, maxfev: int):
                 if m > 0:
                     fsim[1:m + 1] = yield sim[1:m + 1]
                     nfev += m
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim), nfev
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
+    return sim[0], fsim.min(), nfev
 
 
-def _lockstep(lanes: list, objective) -> list:
+def _lockstep(lanes: list, objective, mirrored: int = 0) -> list:
     """Run generator lanes to completion together.  Each round, the points
     every live lane is waiting on go to `objective` as one (m, N) array, and
     each lane is sent its own slice of the m values.  Returns the lanes'
-    return values in order."""
+    return values in order.  The last `mirrored` lanes run over -H (see the
+    module docstring): their rows, last in the batch, are multiplied in
+    place by the row sign [-1] * p + [1] * p, and their values v go back as
+    -(0.0 - -v)."""
     results: list = [None] * len(lanes)
     pending: dict = {}
+    first_mirrored, sign = len(lanes) - mirrored, None
 
     def advance(i, values):
         try:
@@ -455,7 +452,13 @@ def _lockstep(lanes: list, objective) -> list:
         advance(i, None)
     while pending:
         live = list(pending.items())
-        values = objective(np.concatenate([points for _, points in live]))
+        batch = np.concatenate([points for _, points in live])
+        split = sum(len(points) for i, points in live if i < first_mirrored)
+        if split < len(batch):
+            sign = np.repeat([-1.0, 1.0], batch.shape[1] // 2) if sign is None else sign
+            batch[split:] *= sign
+        values = objective(batch)
+        values[split:] = -(0.0 - -values[split:])
         lo = 0
         for i, points in live:
             advance(i, values[lo:lo + len(points)])
@@ -463,26 +466,9 @@ def _lockstep(lanes: list, objective) -> list:
     return results
 
 
-def _mirrored(lane, p: int):
-    """Run a Nelder-Mead lane over -H on H's objective -<H>: its points go
-    out with their p gammas negated, and each value comes back as -<-H>,
-    with <-H> = 0.0 - <H> (see the module docstring)."""
-    flip = np.repeat([-1.0, 1.0], p)
-    values = None
-    while True:
-        try:
-            points = lane.send(values)
-        except StopIteration as stop:
-            return stop.value
-        expectations = -(yield points * flip)
-        values = -(0.0 - expectations)
-
-
 def _best(outcomes: list) -> OptimizeOutcome:
     """The first start with the highest expectation, and all starts' evaluations."""
-    best_x: np.ndarray | None = None
-    best_val = -np.inf
-    evaluations = 0
+    best_x, best_val, evaluations = None, -np.inf, 0
     for x, fun, nfev in outcomes:
         evaluations += nfev
         if -fun > best_val:
@@ -525,29 +511,26 @@ def optimize(
     if max_evals < 1:
         raise ValueError(f"max_evals must be >= 1, got {max_evals}")
     rng = np.random.default_rng(seed)
-    diag = H.diagonal()
-    n = H.n
-
     starts = []
     if init is not None:
         if init.p != p:
             raise ValueError(f"warm start has depth {init.p}, expected {p}")
         starts.append(init.to_vector())
     starts.extend(rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
-    lanes = [_nelder_mead(x0, max_evals) for x0 in starts]
+    neg_starts = []
     if negated_seed is not None:
         neg_rng = np.random.default_rng(negated_seed)
         neg_starts = [neg_rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts)]
-        lanes += [_mirrored(_nelder_mead(x0, max_evals), p) for x0 in neg_starts]
+    lanes = [_nelder_mead(x0, max_evals) for x0 in starts + neg_starts]
 
     # as wide as the widest round, every lane's initial simplex, within _BATCH_BYTES
     widest = len(lanes) * min(2 * p + 1, max_evals)
-    kernel = _StateBuffers(min(widest, max(1, _BATCH_BYTES >> (n + 4))), n, diag)
+    kernel = _StateBuffers(min(widest, max(1, _BATCH_BYTES >> (H.n + 4))), H.n, H.diagonal())
 
     def objective(angles: np.ndarray) -> np.ndarray:
         return -_expectations(kernel, angles)
 
-    outcomes = _lockstep(lanes, objective)
+    outcomes = _lockstep(lanes, objective, len(neg_starts))
     plus, minus = outcomes[:len(starts)], outcomes[len(starts):]
     if init is not None:
         # keep the raw warm-start value even if the simplex wanders off

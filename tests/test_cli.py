@@ -321,6 +321,46 @@ def test_experiment_plan_and_its_solver_must_be_json_objects(data, name, tmp_pat
     assert f"{name} must be a JSON object, got " in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"parameter_counts": [True]}, "parameter_counts must be an integer, got True"),
+    ({"parameter_counts": {"a": 1}}, "parameter_counts must be a JSON list, got dict"),
+    ({"solver": {"backend": "qaoa", "shots": "8"}}, "shots must be an integer, got '8'"),
+    ({"max_iterations": 2.5}, "max_iterations must be an integer, got 2.5"),
+    ({"time_limit_s": "5"}, "time_limit_s must be a number, got '5'"),
+], ids=["bool-count", "counts-object", "string-shots", "fractional-iterations", "string-limit"])
+def test_experiment_plan_fields_must_be_json_numbers(fields, message, tmp_path, monkeypatch,
+                                                     capsys):
+    # [true] used to run to exit 0 as qaoa-nn-paramsTrue, {"a": 1} printed `error: 0`,
+    # and "8" and 2.5 failed inside the solver with messages naming no field
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("isingpursuit.cli.run_batch", no_trials)
+    monkeypatch.setattr("isingpursuit.cli.run_sweep", no_trials)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"n": 4, "sparsity": 1, "trial_count": 1, **fields}))
+    assert run_cli("experiment", "--plan", str(path)) == 2
+    assert message in _one_error_line(capsys)
+
+
+def test_experiment_plan_reads_integral_floats_as_integers(tmp_path, capsys):
+    # as measure reads "n": 4.0; 4.0 used to fail in a shift and [5.0] to run as params5.0
+    reports = []
+    for n, sparsity, count in ((4, 1, 5), (4.0, 1.0, 5.0)):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({
+            "n": n, "sparsity": sparsity, "trial_count": 2, "parameter_counts": [count],
+            "solver": {"backend": "qaoa", "restarts": 1.0, "max_evals": 10, "shots": 16},
+        }))
+        assert run_cli("experiment", "--plan", str(path), "--format", "json") == 0
+        (report,) = json.loads(capsys.readouterr().out)
+        for trial in report["trials"]:
+            trial["runtime_s"] = 0.0
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[1]["config_id"] == "qaoa-nn-params5"
+
+
 def test_reconstruct_qaoa_matches_the_library_path(tmp_path, capsys):
     sig, pat, marg = tmp_path / "sig.json", tmp_path / "pat.json", tmp_path / "y.json"
     assert run_cli("generate", "--n", "5", "--sparsity", "2", "--seed", "8",

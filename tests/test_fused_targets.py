@@ -1,8 +1,8 @@
 """qaoa_solve's one lockstep run over H and -H against the two-call path in
 `oracles`, bit for bit: position, score, diagnostics, both sampled states
 and their samples.  A mirrored lane, which runs -H on H's diagonal with its
-gammas negated, is also checked on its own, from starts whose gammas are
-exactly zero."""
+gammas negated by `_lockstep`'s row sign, is also checked on its own, from
+starts whose gammas are exactly zero."""
 
 import math
 from unittest import mock
@@ -25,7 +25,6 @@ from isingpursuit.qaoa import (
     _expectations,
     _StateBuffers,
     _lockstep,
-    _mirrored,
     _nelder_mead,
     optimize,
 )
@@ -142,8 +141,8 @@ def test_mirrored_lane_is_bitwise_a_lane_on_negated_h(case):
     diag, neg_diag = H.diagonal(), negated(H).diagonal()
     kernel = _StateBuffers(2 * p + 1, H.n, diag)
     neg_kernel = _StateBuffers(2 * p + 1, H.n, neg_diag)
-    ((x, fun, nfev),) = _lockstep([_mirrored(_nelder_mead(x0, max_evals), p)],
-                                  lambda angles: -_expectations(kernel, angles))
+    ((x, fun, nfev),) = _lockstep([_nelder_mead(x0, max_evals)],
+                                  lambda angles: -_expectations(kernel, angles), mirrored=1)
     ((ref_x, ref_fun, ref_nfev),) = _lockstep([_nelder_mead(x0, max_evals)],
                                               lambda angles: -_expectations(neg_kernel, angles))
     assert (x.tobytes(), repr(fun), nfev) == (ref_x.tobytes(), repr(ref_fun), ref_nfev)

@@ -1,0 +1,60 @@
+"""`qaoa.optimize`, whose `_lockstep` runs -H's lanes under a row sign
+and whose Nelder-Mead step takes scipy's arrays in fewer numpy calls,
+against `oracles.optimize_lanes`, which wraps each -H lane in a generator
+and writes the step with scipy's own calls.  The outcomes must have the
+same repr, which tells -0.0 from 0.0: every angle, value and evaluation
+count."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from isingpursuit.hamiltonian import IsingHamiltonian
+from isingpursuit.qaoa import QaoaParams, optimize
+
+from oracles import optimize_lanes
+from test_qaoa import hamiltonians
+
+# 1 under the default profile, 5 under --hypothesis-profile=ci.
+DEPTH = settings.default.max_examples // 100
+
+ANGLES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2 * np.pi, 2 * np.pi))
+
+
+@st.composite
+def flat_hamiltonians(draw):
+    """A constant diagonal: every value ties, so most steps shrink."""
+    n = draw(st.integers(1, 8))
+    return IsingHamiltonian(n, {frozenset(): draw(st.sampled_from([0.0, -0.0, 0.9, -2.0]))})
+
+
+@st.composite
+def optimize_cases(draw):
+    H = draw(st.one_of(hamiltonians(max_n=8), flat_hamiltonians()))
+    p = draw(st.integers(1, 5))
+    # budgets below 2p + 1 truncate the initial simplex
+    max_evals = draw(st.integers(1, 90))
+    init = None
+    if draw(st.booleans()):
+        x = draw(st.lists(ANGLES, min_size=2 * p, max_size=2 * p))
+        init = QaoaParams(tuple(x[:p]), tuple(x[p:]))
+    restarts = draw(st.integers(0 if init is not None else 1, 3))
+    negated_seed = draw(st.none() | st.integers(0, 2**32 - 1)) if restarts else None
+    return H, p, restarts, max_evals, draw(st.integers(0, 2**32 - 1)), init, negated_seed
+
+
+FLAT = IsingHamiltonian(3, {frozenset(): 0.9})
+
+
+@settings(max_examples=100 * DEPTH)
+@given(optimize_cases())
+@example((FLAT, 2, 2, 69, 0, QaoaParams((0.3, 2.0), (0.0, 5.1)), 7))
+@example((FLAT, 2, 1, 4, 1, None, 2))
+@example((IsingHamiltonian(2, {frozenset({1}): 1.0}), 2, 1, 50, 3,
+          QaoaParams((0.0, -0.0), (1.3, 0.4)), 4))
+@example((IsingHamiltonian(2, {frozenset({1}): 1.0}), 1, 0, 3, 5, QaoaParams((0.0,), (0.0,)), None))
+def test_optimize_is_bitwise_the_generator_oracle(case):
+    H, p, restarts, max_evals, seed, init, negated_seed = case
+    out = optimize(H, p, restarts, max_evals, seed, init, negated_seed=negated_seed)
+    ref = optimize_lanes(H, p, restarts, max_evals, seed, init, negated_seed=negated_seed)
+    assert repr(out) == repr(ref)
