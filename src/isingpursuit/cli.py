@@ -121,6 +121,7 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
             quadruplets=args.quadruplets,
             solver=_solver_spec(args),
             master_seed=args.seed if args.seed is not None else ExperimentPlan.master_seed,
+            max_iterations=args.max_iterations,
             time_limit_s=args.time_limit,
             workers=args.workers,
         )
@@ -168,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--params",
         type=_int_list,
         default=[SolverSpec.param_count],
-        help="QAOA parameter count; comma-separated list sweeps counts (experiment only)",
+        help="QAOA parameter count; a comma-separated list sweeps them and chain-NN",
     )
     solver_opts.add_argument("--restarts", type=int, default=SolverSpec.restarts)
     solver_opts.add_argument("--max-evals", type=int, default=SolverSpec.max_evals)
@@ -205,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="number of index bits")
     p.add_argument("--sparsity", type=int, default=None)
     p.add_argument("--trials", type=int, default=ExperimentPlan.trial_count)
+    p.add_argument("--max-iterations", type=int, default=ExperimentPlan.max_iterations)
     p.add_argument("--time-limit", type=float, default=ExperimentPlan.time_limit_s,
                    help="per-trial seconds")
     p.add_argument("--workers", type=int, default=ExperimentPlan.workers)

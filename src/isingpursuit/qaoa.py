@@ -12,26 +12,26 @@ rows and returns the (K, 2**n) array of ansatz states, so a layer costs the
 same few numpy calls for K rows as for one.  Its steps live in a workspace,
 `_StateBuffers`: two ping-pong state buffers, one temporary, two factor
 rows, and the diagonal's distinct values as complex levels with an int64
-index from each entry to its level.  `optimize` makes one workspace per run,
-as wide as its widest round, and every round evolves in the first rows of
-it, through views built once per row count; `ansatz_state`, the single
-layers and the RX gates of `simulate_gates` make one with K = 1 per call,
-so a state they return is never written over.  A layer's phase step is
-one exp per row and level, in a (rows, levels) table, one gather of the
-table into full rows and one phase multiply; its mixer is two factor-row
-fills and three ufunc calls per qubit.  Every step writes its result
-through `out=` into the workspace, so no result array is made inside the
-loop (numpy still takes iterator buffers for the paired add and for the
-first layer's broadcast start).  Writing cos(beta) and i*sin(beta) across
-whole rows lets both products of a mixer step run on same-shape contiguous
-operands, numpy's cheapest call; the add pairs the amplitudes through a
-reversed view.  `out=`, reused memory, factors repeated along a row and
-phases gathered from the level table change where a result lands, not how
-it is rounded: equal diagonal bits give equal phase products and exps, and
-every amplitude meets the same operands, in the same order, as with an exp
-per entry, fresh arrays and broadcast factors.  So each row comes out
-bitwise equal to evolving it alone, which pins two details: the phase
-multiply's operand order and a 1-D dot per row for the expectation.
+index from each entry to its level.  `optimize` makes one workspace per
+run, as wide as its widest round, and every round evolves in the first rows
+of it, through views built once per row count; `ansatz_state` and the
+single layers make one with K = 1 per call, so a state they return is never
+written over.  A layer's phase step is one exp per row and level, in a
+(rows, levels) table, one gather of the table into full rows and one phase
+multiply; its mixer is two factor-row fills and three ufunc calls per
+qubit.  Every step writes its result through `out=` into the workspace, so
+no result array is made inside the loop (numpy still takes iterator buffers
+for the paired add and for the first layer's broadcast start).  Writing
+cos(beta) and i*sin(beta) across whole rows lets both products of a mixer
+step run on same-shape contiguous operands, numpy's cheapest call; the add
+pairs the amplitudes through a reversed view.  `out=`, reused memory,
+factors repeated along a row and phases gathered from the level table
+change where a result lands, not how it is rounded: equal diagonal bits
+give equal phase products and exps, and every amplitude meets the same
+operands, in the same order, as with an exp per entry, fresh arrays and
+broadcast factors.  So each row comes out bitwise equal to evolving it
+alone, which pins two details: the phase multiply's operand order and a 1-D
+dot per row for the expectation.
 
 `optimize` runs its restarts in lockstep.  Each start is a generator that
 replays scipy's Nelder-Mead step for step, in fewer numpy calls, and yields
@@ -142,11 +142,11 @@ class _StateBuffers:
     the int64 index of each entry's level.
 
     `optimize` makes one workspace per run, K rows wide, and every batch
-    of the run evolves in the first rows of it; `ansatz_state`, the single
-    layers and `simulate_gates` make one with K = 1 per call.  A batch of
-    `rows` rows reads and writes `[:rows]` views, built on first use: the
-    phase step's and the expectations' once per rows, each sweep's once per
-    (rows, buffer read first, qubit).  The state sits in `psi`.
+    of the run evolves in the first rows of it; `ansatz_state` and the
+    single layers make one with K = 1 per call.  A batch of `rows` rows
+    reads and writes `[:rows]` views, built on first use: the phase step's
+    and the expectations' once per rows, each sweep's once per (rows,
+    buffer read first).  The state sits in `psi`.
 
     A mixer step on qubit q (MSB-first) applies [[c, js], [js, c]] with c
     and js written across every entry of the factor rows, so both products
@@ -168,7 +168,7 @@ class _StateBuffers:
             # the distinct entries by bit pattern, so +0.0 and -0.0 stay apart
             bits, self.level_of = np.unique(diag.view(np.int64), return_inverse=True)
             self.levels = bits.view(float).astype(complex)
-        self.steps: dict = {}  # by (rows, buffer read first, qubit or None for all)
+        self.steps: dict = {}  # by (rows, buffer read first)
         self.views: dict = {}  # by rows: the phase step's and the expectations' views
 
     @property
@@ -203,17 +203,15 @@ class _StateBuffers:
         self.cur = 0
         np.multiply(psi, ph, out=out)
 
-    def mix(self, c, js, qubit: int | None = None) -> None:
-        """Apply [[c, js], [js, c]] (js = i*s) on one qubit, or on every qubit
-        in turn when qubit is None, of every row.  c and js are scalars or
-        per-row arrays of shape (rows, 1)."""
-        key = (self.rows, self.cur, qubit)
+    def mix(self, c, js) -> None:
+        """Apply [[c, js], [js, c]] (js = i*s) on every qubit in turn, of
+        every row.  c and js are scalars or per-row arrays of shape (rows, 1)."""
+        key = (self.rows, self.cur)
         if key not in self.steps:
             rows = self.rows
             flat = [a[:rows] for a in self.bufs]
-            qubits = range(1, self.n + 1) if qubit is None else [qubit]
             steps = []
-            for q, b in zip(qubits, [self.cur, 1 - self.cur] * self.n):
+            for q, b in zip(range(1, self.n + 1), [self.cur, 1 - self.cur] * self.n):
                 # source, destination, temporary, then the last two with the qubit's bit as axis 2
                 dst, tmp = (a.reshape(rows, 1 << (q - 1), 2, -1) for a in (flat[1 - b], flat[2]))
                 steps.append((flat[b], flat[1 - b], flat[2], dst, tmp[:, :, ::-1]))
@@ -547,7 +545,7 @@ def sample_candidates(state: np.ndarray, shots: int, seed=None) -> list[int]:
     probs = np.abs(state) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
-    return [int(z) for z in rng.choice(len(probs), size=shots, p=probs)]
+    return rng.choice(len(probs), size=shots, p=probs).tolist()
 
 
 def decompose_evolution(H: IsingHamiltonian, t: float) -> list[Gate]:
@@ -584,11 +582,10 @@ def ansatz_gates(H: IsingHamiltonian, params: QaoaParams) -> list[Gate]:
 
 
 def simulate_gates(state: np.ndarray, gates: list[Gate]) -> np.ndarray:
-    """Apply a gate list by exact 1- and 2-qubit statevector updates."""
+    """Apply a gate list by exact 1- and 2-qubit updates, each through a view
+    of a complex copy of state; RX meets the mixer step's operands in order."""
     n = num_qubits(state)
-    kernel = _StateBuffers(1, n)
-    kernel.psi[0] = state
-    psi = kernel.psi[0]  # CX and RZ write through this view of the current buffer
+    psi = state.astype(complex)
     for g in gates:
         for q in g.qubits:
             if not 1 <= q <= n:
@@ -602,9 +599,7 @@ def simulate_gates(state: np.ndarray, gates: list[Gate]) -> np.ndarray:
             view[0] *= np.exp(-0.5j * g.angle)
             view[1] *= np.exp(+0.5j * g.angle)
         elif g.name == "RX":
-            (q,) = g.qubits
-            kernel.mix(np.cos(g.angle / 2), 1j * -np.sin(g.angle / 2), q)
-            psi = kernel.psi[0]
+            view[...] = np.cos(g.angle / 2) * view + 1j * -np.sin(g.angle / 2) * view[::-1]
         else:
             raise ValueError(f"unknown gate {g.name!r}")
     return psi

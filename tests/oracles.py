@@ -14,23 +14,19 @@ coefficients up to rounding.
 `chain_dp_solve_arrays` is the chain dynamic program on numpy arrays and
 scalars, which the float-list `chain_dp_solve` must match exactly.
 `evolve_per_qubit` is the ansatz kernel with a fresh array for every phase
-and every qubit's mixer, which the buffer kernel `qaoa._evolve` and the
-single layers must match bit for bit.  `evolve_broadcast` and
-`expectations_broadcast` are the buffer kernel with a fresh workspace per
-call and mixer factors broadcast from (K, 1, 1, 1), which one reused
-`qaoa._StateBuffers` workspace, with its same-shape factor rows, must
-match bit for bit at every row count it is driven through.
+and every qubit's mixer, and `expectations_per_qubit` its 1-D dot per row:
+the buffer kernel `qaoa._evolve`, one reused `qaoa._StateBuffers`
+workspace at every row count it is driven through, and the single layers
+must match them bit for bit.
 `simulate_gates_selectors` writes CX and RZ through index lists that
 select each gate qubit's halves of the state, which the axis-moving
 `simulate_gates` must match bit for bit.
 `qaoa_solve_two_calls` is the QAOA backend with one `optimize` call on H
 and one on `negated(H)`, each sampled from its own target's state, which
-the one-call `qaoa_solve` must match bit for bit.  `optimize_lanes` is
-`qaoa.optimize` as scipy's Nelder-Mead step written with scipy's own numpy
-calls (`nelder_mead_lane`), -H's lanes wrapped in a generator that negates
-their gammas and maps their values (`mirrored_lane`), and a lockstep loop
-that knows no -H (`lockstep_lanes`); `optimize` must return its outcome bit
-for bit.  The other helpers materialize what the package keeps implicit.
+the one-call `qaoa_solve` must match bit for bit.  `optimize` has no
+reference here: scipy's Nelder-Mead, run start by start on H and on
+`negated(H)`, is its reference (`test_qaoa._scipy_optimize`).  The other
+helpers materialize what the package keeps implicit.
 """
 
 from __future__ import annotations
@@ -263,63 +259,9 @@ def evolve_per_qubit(diag: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray
     return psi
 
 
-class BroadcastBuffers:
-    """The evolve kernel with a fresh workspace per call: two ping-pong
-    (K, 2**n) complex state buffers and one temporary, with each mixer
-    step's views built on first use.  The state sits in `psi`.  A mixer
-    step multiplies by factors broadcast from (K, 1, 1, 1), one of them on
-    the reversed view, and adds: three ufunc calls per qubit."""
-
-    def __init__(self, K: int, n: int):
-        self.bufs = [np.empty((K, 1 << n), dtype=complex) for _ in range(3)]
-        self.tmp, self.cur, self.n = self.bufs[2], 0, n
-        self.steps: dict = {}  # by (buffer read first, qubit or None for all)
-
-    @property
-    def psi(self) -> np.ndarray:
-        return self.bufs[self.cur]
-
-    def phase(self, psi: np.ndarray, jg: np.ndarray, diag: np.ndarray) -> None:
-        """Row k of psi times exp(jg[k] * diag), into buffer 0."""
-        ph = np.multiply(jg, diag, out=self.tmp)
-        np.exp(ph, out=ph)
-        self.cur = 0
-        np.multiply(psi, ph, out=self.psi)
-
-    def mix(self, c, js, qubit: int | None = None) -> None:
-        """Apply [[c, js], [js, c]] on one qubit, or on every qubit in turn
-        when qubit is None; c and js are scalars or of shape (K, 1, 1, 1)."""
-        if (self.cur, qubit) not in self.steps:  # (source, its reverse, destination, temporary)
-            qubits = range(1, self.n + 1) if qubit is None else [qubit]
-            views = [[a.reshape(len(a), 1 << (q - 1), 2, -1) for a in self.bufs] for q in qubits]
-            self.steps[self.cur, qubit] = [(v[b], v[b][:, :, ::-1], v[1 - b], v[2]) for v, b
-                                           in zip(views, [self.cur, 1 - self.cur] * self.n)]
-        steps = self.steps[self.cur, qubit]
-        for src, flip, dst, tmp in steps:
-            np.multiply(c, src, out=dst)
-            np.multiply(js, flip, out=tmp)
-            np.add(dst, tmp, out=dst)
-        self.cur = (self.cur + len(steps)) % 2
-
-
-def evolve_broadcast(diag: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
-    """Ansatz states for a (K, 2p) array of angle rows on a fresh BroadcastBuffers."""
-    K, p = len(angles), angles.shape[1] // 2
-    jg = 1j * angles[:, :p].T[:, :, None]  # (p, K, 1)
-    betas = angles[:, p:].T[:, :, None, None, None]  # (p, K, 1, 1, 1)
-    c, js = np.cos(betas).astype(complex), 1j * np.sin(betas)
-    kernel = BroadcastBuffers(K, n)
-    psi = np.full((1, 1 << n), 2.0 ** (-n / 2), dtype=complex)
-    for layer in range(p):
-        kernel.phase(psi, jg[layer], diag)
-        kernel.mix(c[layer], js[layer])
-        psi = kernel.psi
-    return psi
-
-
-def expectations_broadcast(diag: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
-    """<h> for each row of angles: a 1-D dot per row of |evolve_broadcast|**2."""
-    probs = np.abs(evolve_broadcast(diag, n, angles)) ** 2
+def expectations_per_qubit(diag: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
+    """<h> for each row of angles: a 1-D dot per row of |evolve_per_qubit|**2."""
+    probs = np.abs(evolve_per_qubit(diag, n, angles)) ** 2
     return np.array([row @ diag for row in probs])
 
 
@@ -335,11 +277,10 @@ def simulate_rx_per_qubit(state: np.ndarray, gates) -> np.ndarray:
 
 def simulate_gates_selectors(state: np.ndarray, gates) -> np.ndarray:
     """simulate_gates with CX and RZ written through per-gate lists of
-    slices that pick the 0 and 1 halves of each of the gate's qubits."""
+    slices that pick the 0 and 1 halves of each of the gate's qubits, and
+    each RX as a fresh `x_mix_rows` array."""
     n = qaoa.num_qubits(state)
-    kernel = BroadcastBuffers(1, n)
-    kernel.psi[0] = state
-    psi = kernel.psi[0]
+    psi = state.astype(complex)
     for g in gates:
         if g.name == "CX":
             control, target = g.qubits
@@ -364,8 +305,8 @@ def simulate_gates_selectors(state: np.ndarray, gates) -> np.ndarray:
             view[tuple(sel1)] *= np.exp(+0.5j * g.angle)
         else:
             (q,) = g.qubits
-            kernel.mix(np.cos(g.angle / 2), 1j * -np.sin(g.angle / 2), q)
-            psi = kernel.psi[0]
+            c, js = np.cos(g.angle / 2), 1j * -np.sin(g.angle / 2)
+            psi = x_mix_rows(psi[None], n, q, c, js)[0]
     return psi
 
 
@@ -397,152 +338,3 @@ def qaoa_solve_two_calls(ms: MeasurementSet, r: np.ndarray, spec: SolverSpec, se
             best_z, best_score = z, score
     diagnostics["candidates"] = len(candidates)
     return SolverOutcome(best_z, best_score, diagnostics)
-
-
-def nelder_mead_lane(x0: np.ndarray, maxfev: int):
-    """Nelder-Mead minimisation from x0, scipy's step written out with
-    scipy's own numpy calls, as a generator.
-
-    A generator: it yields an (m, N) array of points, is sent their m values,
-    and returns (x, fun, nfev).  The initial simplex and a shrink yield all
-    their points at once.  The budget cuts exactly where scipy's does: the
-    initial simplex keeps inf for vertices past maxfev; an expansion or
-    contraction that finds no budget left drops the reflected point; and a
-    shrink that runs out moves the next vertex but keeps its old value.
-    """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    nonzdelt, zdelt = 0.05, 0.00025
-    N = len(x0)
-    sim = np.empty((N + 1, N), dtype=x0.dtype)
-    sim[0] = x0
-    for k in range(N):
-        y = np.array(x0, copy=True)
-        if y[k] != 0:
-            y[k] = (1 + nonzdelt) * y[k]
-        else:
-            y[k] = zdelt
-        sim[k + 1] = y
-    fsim = np.full((N + 1,), np.inf, dtype=float)
-    nfev = min(N + 1, maxfev)
-    if nfev > 0:
-        fsim[:nfev] = yield sim[:nfev]
-    # scipy sorts twice here; argsort need not be stable, so keep both
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-
-    while nfev < maxfev:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= qaoa.XATOL
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= qaoa.FATOL):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        (fxr,) = yield xr[None]
-        nfev += 1
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            if nfev < maxfev:
-                (fxe,) = yield xe[None]
-                nfev += 1
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif nfev < maxfev:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                (fxc,) = yield xc[None]
-                nfev += 1
-                doshrink = not fxc <= fxr
-                if not doshrink:
-                    sim[-1], fsim[-1] = xc, fxc
-            else:  # inside contraction
-                xcc = (1 - psi) * xbar + psi * sim[-1]
-                (fxcc,) = yield xcc[None]
-                nfev += 1
-                doshrink = not fxcc < fsim[-1]
-                if not doshrink:
-                    sim[-1], fsim[-1] = xcc, fxcc
-            if doshrink:
-                m = min(N, maxfev - nfev)
-                moved = min(N, m + 1)
-                sim[1:moved + 1] = sim[0] + sigma * (sim[1:moved + 1] - sim[0])
-                if m > 0:
-                    fsim[1:m + 1] = yield sim[1:m + 1]
-                    nfev += m
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim), nfev
-
-
-def lockstep_lanes(lanes: list, objective) -> list:
-    """Run generator lanes to completion together.  Each round, the points
-    every live lane is waiting on go to `objective` as one (m, N) array, and
-    each lane is sent its own slice of the m values.  Returns the lanes'
-    return values in order."""
-    results: list = [None] * len(lanes)
-    pending: dict = {}
-
-    def advance(i, values):
-        try:
-            pending[i] = lanes[i].send(values)
-        except StopIteration as stop:
-            pending.pop(i, None)
-            results[i] = stop.value
-
-    for i in range(len(lanes)):
-        advance(i, None)
-    while pending:
-        live = list(pending.items())
-        values = objective(np.concatenate([points for _, points in live]))
-        lo = 0
-        for i, points in live:
-            advance(i, values[lo:lo + len(points)])
-            lo += len(points)
-    return results
-
-
-def mirrored_lane(lane, p: int):
-    """Run a Nelder-Mead lane over -H on H's objective -<H>: its points go
-    out with their p gammas negated, and each value comes back as -<-H>,
-    with <-H> = 0.0 - <H> (see the qaoa module docstring)."""
-    flip = np.repeat([-1.0, 1.0], p)
-    values = None
-    while True:
-        try:
-            points = lane.send(values)
-        except StopIteration as stop:
-            return stop.value
-        expectations = -(yield points * flip)
-        values = -(0.0 - expectations)
-
-
-def optimize_lanes(H: IsingHamiltonian, p: int, restarts: int, max_evals: int, seed=None,
-                   init: qaoa.QaoaParams | None = None, *, negated_seed=None):
-    """qaoa.optimize with -H's starts wrapped in `mirrored_lane` generators,
-    driven by `lockstep_lanes`, with every value from a fresh
-    `expectations_broadcast`."""
-    diag = H.diagonal()
-
-    def objective(angles: np.ndarray) -> np.ndarray:
-        return -expectations_broadcast(diag, H.n, angles)
-
-    rng = np.random.default_rng(seed)
-    starts = [] if init is None else [init.to_vector()]
-    starts.extend(rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
-    lanes = [nelder_mead_lane(x0, max_evals) for x0 in starts]
-    if negated_seed is not None:
-        neg_rng = np.random.default_rng(negated_seed)
-        neg_starts = [neg_rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts)]
-        lanes += [mirrored_lane(nelder_mead_lane(x0, max_evals), p) for x0 in neg_starts]
-    outcomes = lockstep_lanes(lanes, objective)
-    plus, minus = outcomes[:len(starts)], outcomes[len(starts):]
-    if init is not None:
-        plus.insert(0, (starts[0], objective(starts[0][None])[0], 1))
-    if negated_seed is None:
-        return qaoa._best(plus)
-    return qaoa.PairedOutcome(qaoa._best(plus), qaoa._best(minus))

@@ -143,16 +143,44 @@ def test_experiment_rejects_a_plan_no_trial_can_run_before_any_worker(
 
     monkeypatch.setattr("isingpursuit.experiment.ProcessPoolExecutor", no_workers)
     monkeypatch.setattr("isingpursuit.cli.run_batch", no_workers)
-    if "max_iterations" in plan:  # the plan file is the only way to set it
+    argv = ["--n", "6", "--workers", "2"]
+    for field, value in plan.items():  # --sparsity and --max-iterations
+        argv += ["--" + field.replace("_", "-"), str(value)]
+    assert run_cli("experiment", *argv) == 2
+    if "max_iterations" in plan:  # the same plan from a plan file
         path = tmp_path / "plan.json"
         path.write_text(json.dumps({"n": 6, "workers": 2, **plan}))
         assert run_cli("experiment", "--plan", str(path)) == 2
-    else:
-        assert run_cli("experiment", "--n", "6", "--sparsity", str(plan["sparsity"]),
-                       "--workers", "2") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert all(line.startswith("error: ") for line in err.splitlines())
     assert "Traceback" not in err
+
+
+def test_max_iterations_flag_gives_the_plan_files_csv(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "n": 4, "sparsity": 2, "trial_count": 2, "pattern_kind": "quad", "master_seed": 2,
+        "max_iterations": 3, "parameter_counts": [2, 4],
+        "solver": {"backend": "qaoa", "restarts": 1, "max_evals": 10, "shots": 16},
+    }))
+    assert run_cli("experiment", "--plan", str(plan)) == 0
+    via_plan = capsys.readouterr().out
+    assert run_cli("experiment", "--n", "4", "--sparsity", "2", "--trials", "2",
+                   "--patterns", "quad", "--seed", "2", "--max-iterations", "3",
+                   "--params", "2,4", "--restarts", "1", "--max-evals", "10",
+                   "--shots", "16") == 0
+    via_flags = capsys.readouterr().out
+
+    def without_runtimes(csv: str) -> list[list[str]]:
+        rows = [line.split(",") for line in csv.splitlines()]
+        column = rows[0].index("runtime_s")
+        return [row[:column] + row[column + 1:] for row in rows]
+
+    assert without_runtimes(via_plan) == without_runtimes(via_flags)
+    # the chain baseline's first trial runs into the cap; 4 * sparsity would allow 8
+    assert via_flags.splitlines()[1].startswith("chain-nn,chain,nn,,0,")
+    assert without_runtimes(via_flags)[1][-2] == "3"
 
 
 def test_configuration_errors_exit_2(tmp_path, capsys):

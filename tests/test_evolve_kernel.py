@@ -152,7 +152,7 @@ def test_rx_gates_are_bitwise_the_per_qubit_steps(circuit):
 @settings(max_examples=100 * DEPTH)
 @given(rx_circuits(), st.data())
 def test_one_gate_list_equals_its_gates_one_call_each(circuit, data):
-    """CX and RZ write through the view of the buffer that RX steps swap."""
+    """CX, RZ and RX all write through views of one copy of the state."""
     psi, gates = circuit
     n = len(psi).bit_length() - 1
     for _ in range(data.draw(st.integers(0, 10))):

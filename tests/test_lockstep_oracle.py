@@ -1,19 +1,19 @@
 """`qaoa.optimize`, whose `_lockstep` runs -H's lanes under a row sign
 and whose Nelder-Mead step takes scipy's arrays in fewer numpy calls,
-against `oracles.optimize_lanes`, which wraps each -H lane in a generator
-and writes the step with scipy's own calls.  The outcomes must have the
-same repr, which tells -0.0 from 0.0: every angle, value and evaluation
-count."""
+against scipy's Nelder-Mead run start by start: `test_qaoa._scipy_optimize`
+on H with `seed`, and on `oracles.negated(H)` with `negated_seed`.  The
+outcomes must have the same repr, which tells -0.0 from 0.0: every angle,
+value and evaluation count."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingpursuit.hamiltonian import IsingHamiltonian
-from isingpursuit.qaoa import QaoaParams, optimize
+from isingpursuit.qaoa import OptimizeOutcome, PairedOutcome, QaoaParams, optimize
 
-from oracles import optimize_lanes
-from test_qaoa import hamiltonians
+from oracles import negated
+from test_qaoa import _scipy_optimize, hamiltonians
 
 # 1 under the default profile, 5 under --hypothesis-profile=ci.
 DEPTH = settings.default.max_examples // 100
@@ -53,8 +53,11 @@ FLAT = IsingHamiltonian(3, {frozenset(): 0.9})
 @example((IsingHamiltonian(2, {frozenset({1}): 1.0}), 2, 1, 50, 3,
           QaoaParams((0.0, -0.0), (1.3, 0.4)), 4))
 @example((IsingHamiltonian(2, {frozenset({1}): 1.0}), 1, 0, 3, 5, QaoaParams((0.0,), (0.0,)), None))
-def test_optimize_is_bitwise_the_generator_oracle(case):
+def test_optimize_is_bitwise_sequential_scipy_runs(case):
     H, p, restarts, max_evals, seed, init, negated_seed = case
     out = optimize(H, p, restarts, max_evals, seed, init, negated_seed=negated_seed)
-    ref = optimize_lanes(H, p, restarts, max_evals, seed, init, negated_seed=negated_seed)
+    ref = OptimizeOutcome(*_scipy_optimize(H, p, restarts, max_evals, seed, init))
+    if negated_seed is not None:
+        ref = PairedOutcome(ref, OptimizeOutcome(
+            *_scipy_optimize(negated(H), p, restarts, max_evals, negated_seed)))
     assert repr(out) == repr(ref)

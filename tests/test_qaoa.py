@@ -218,7 +218,9 @@ def test_optimize_rejects_an_empty_evaluation_budget():
 def test_sampling_from_a_basis_state():
     psi = np.zeros(8, dtype=complex)
     psi[5] = 1.0
-    assert sample_candidates(psi, 50, seed=0) == [5] * 50
+    drawn = sample_candidates(psi, 50, seed=0)
+    assert drawn == [5] * 50
+    assert all(type(z) is int for z in drawn)
 
 
 def test_sampling_uniform_frequencies_within_5_sigma():

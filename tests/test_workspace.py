@@ -1,11 +1,12 @@
-"""One reused kernel workspace against the broadcast kernel in `oracles`,
+"""One reused kernel workspace against the per-qubit kernel in `oracles`,
 bit for bit: `_evolve` and `_expectations` through a sequence of row
 counts on one `_StateBuffers`, as an `optimize` run drives it.  Also: one
 `optimize` call builds exactly one workspace, sized to its widest round;
-RX gates with scalar factors match the broadcast kernel; and a state that
-`ansatz_state` returned is never written over.  And the phase step's
-table of distinct diagonal values against the per-entry exp in `oracles`,
-on diagonals with few, all or one distinct value."""
+RX gates with scalar factors match the selector form's `x_mix_rows`
+steps; and a state that `ansatz_state` returned is never written over.
+And the phase step's table of distinct diagonal values against the
+per-entry exp in `oracles`, on diagonals with few, all or one distinct
+value."""
 
 from unittest import mock
 
@@ -29,9 +30,8 @@ from isingpursuit.qaoa import (
 )
 
 from oracles import (
-    evolve_broadcast,
     evolve_per_qubit,
-    expectations_broadcast,
+    expectations_per_qubit,
     phase_rows,
     simulate_gates_selectors,
 )
@@ -85,15 +85,15 @@ ZEROS = (np.array([0.0, -0.0, -0.0, 0.0, 5e-324, -0.0, 1.0, -1.0]), 3, 3,
 @example(fixed_run(6, 11, [28, 4, 1, 9, 4], 1, K=9))
 @example(fixed_run(1, 1, [1, 3, 2], 2))
 @example(ZEROS)
-def test_one_workspace_through_many_row_counts_is_bitwise_the_broadcast_kernel(run):
+def test_one_workspace_through_many_row_counts_is_bitwise_the_per_qubit_kernel(run):
     diag, n, K, batches = run
     kernel = _StateBuffers(K, n, diag)
     with np.errstate(all="ignore"):
         for angles in batches:
             if len(angles) <= K:
-                expected = evolve_broadcast(diag, n, angles)
+                expected = evolve_per_qubit(diag, n, angles)
                 assert _evolve(kernel, angles).tobytes() == expected.tobytes()
-            values = expectations_broadcast(diag, n, angles)
+            values = expectations_per_qubit(diag, n, angles)
             assert _expectations(kernel, angles).tobytes() == values.tobytes()
 
 
@@ -137,7 +137,7 @@ def test_phase_over_distinct_levels_is_bitwise_the_per_entry_exp(run):
             if len(angles) <= K:
                 expected = evolve_per_qubit(diag, n, angles)
                 assert _evolve(kernel, angles).tobytes() == expected.tobytes()
-            values = expectations_broadcast(diag, n, angles)
+            values = expectations_per_qubit(diag, n, angles)
             assert _expectations(kernel, angles).tobytes() == values.tobytes()
         single = _StateBuffers(1, n, diag)
         single.phase(psi[None], 1j * np.array([[gamma]]))
@@ -155,8 +155,8 @@ def test_signed_zeros_are_two_levels():
 @settings(max_examples=100 * DEPTH)
 @given(rx_circuits())
 @example((SIGNED_ZEROS, [Gate.rx(1, 0.5), Gate.rx(2, -0.0), Gate.rx(1, 0.5)]))
-def test_rx_gates_with_scalar_factors_are_bitwise_the_broadcast_kernel(circuit):
-    # with RX gates only, the oracle is BroadcastBuffers.mix with scalar factors
+def test_rx_gates_with_scalar_factors_are_bitwise_the_selector_form(circuit):
+    # with RX gates only, the oracle is x_mix_rows with scalar factors
     psi, gates = circuit
     with np.errstate(all="ignore"):
         expected = simulate_gates_selectors(psi, gates)
