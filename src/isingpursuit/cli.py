@@ -89,6 +89,9 @@ def _cmd_measure(args: argparse.Namespace) -> None:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> None:
+    if len(args.params) != 1:
+        raise ValueError(f"reconstruct takes one --params count, got {len(args.params)}; "
+                         "experiment sweeps a list")
     y = _read_marginals(json.loads(Path(args.marginals).read_text()))
     ms = MeasurementSet.from_json(Path(args.patterns_file).read_text())
     cfg = PursuitConfig(
@@ -165,12 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     solver_opts = argparse.ArgumentParser(add_help=False)
     solver_opts.add_argument("--solver", choices=BACKENDS, default=SolverSpec.backend)
-    solver_opts.add_argument(
-        "--params",
-        type=_int_list,
-        default=[SolverSpec.param_count],
-        help="QAOA parameter count; a comma-separated list sweeps them and chain-NN",
-    )
+    solver_opts.add_argument("--params", type=_int_list, default=[SolverSpec.param_count],
+                             help="QAOA parameter count")
     solver_opts.add_argument("--restarts", type=int, default=SolverSpec.restarts)
     solver_opts.add_argument("--max-evals", type=int, default=SolverSpec.max_evals)
     solver_opts.add_argument("--shots", type=int, default=SolverSpec.shots)
@@ -194,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--marginals", required=True, help="marginals JSON file")
     p.add_argument("--patterns-file", required=True, help="pattern set JSON file")
-    p.add_argument("--max-iterations", type=int, default=32)
+    p.add_argument("--max-iterations", type=int, default=32,
+                   help="pursuit steps at most (default: %(default)s)")
     p.add_argument("--tolerance", type=float, default=None, help="residual stop threshold")
     p.set_defaults(func=_cmd_reconstruct)
 
@@ -202,11 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         parents=[pattern_opts, solver_opts, common],
         help="seeded trial batch or parameter sweep -> CSV/JSON report",
+        description="A comma-separated --params list runs a sweep: chain-NN, then QAOA "
+                    "at each count, on the same trial seeds.",
     )
     p.add_argument("--n", type=int, default=None, help="number of index bits")
     p.add_argument("--sparsity", type=int, default=None)
     p.add_argument("--trials", type=int, default=ExperimentPlan.trial_count)
-    p.add_argument("--max-iterations", type=int, default=ExperimentPlan.max_iterations)
+    p.add_argument("--max-iterations", type=int, default=ExperimentPlan.max_iterations,
+                   help="pursuit steps per trial at most (default: 4 * sparsity)")
     p.add_argument("--time-limit", type=float, default=ExperimentPlan.time_limit_s,
                    help="per-trial seconds")
     p.add_argument("--workers", type=int, default=ExperimentPlan.workers)

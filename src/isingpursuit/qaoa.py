@@ -14,9 +14,9 @@ same few numpy calls for K rows as for one.  Its steps live in a workspace,
 rows, and the diagonal's distinct values as complex levels with an int64
 index from each entry to its level.  `optimize` makes one workspace per
 run, as wide as its widest round, and every round evolves in the first rows
-of it, through views built once per row count; `ansatz_state` and the
-single layers make one with K = 1 per call, so a state they return is never
-written over.  A layer's phase step is one exp per row and level, in a
+of it, through views built once per row count; `ansatz_state` and
+`apply_phase_layer` make one with K = 1 per call, so a state they return is
+never written over.  A layer's phase step is one exp per row and level, in a
 (rows, levels) table, one gather of the table into full rows and one phase
 multiply; its mixer is two factor-row fills and three ufunc calls per
 qubit.  Every step writes its result through `out=` into the workspace, so
@@ -136,14 +136,14 @@ def uniform_state(n: int) -> np.ndarray:
 
 
 class _StateBuffers:
-    """The evolve kernel's workspace: two ping-pong (K, 2**n) complex state
-    buffers, one temporary and two factor rows; and, given a diagonal, its
-    distinct values by bit pattern as complex `levels`, with `level_of`,
-    the int64 index of each entry's level.
+    """The evolve kernel's workspace for one diagonal: two ping-pong
+    (K, 2**n) complex state buffers, one temporary and two factor rows; and
+    the diagonal's distinct values by bit pattern as complex `levels`, with
+    `level_of`, the int64 index of each entry's level.
 
     `optimize` makes one workspace per run, K rows wide, and every batch
-    of the run evolves in the first rows of it; `ansatz_state` and the
-    single layers make one with K = 1 per call.  A batch of `rows` rows
+    of the run evolves in the first rows of it; `ansatz_state` and
+    `apply_phase_layer` make one with K = 1 per call.  A batch of `rows` rows
     reads and writes `[:rows]` views, built on first use: the phase step's
     and the expectations' once per rows, each sweep's once per (rows,
     buffer read first).  The state sits in `psi`.
@@ -158,16 +158,15 @@ class _StateBuffers:
     with factors broadcast from (K, 1, 1, 1).
     """
 
-    def __init__(self, K: int, n: int, diag: np.ndarray | None = None):
+    def __init__(self, K: int, n: int, diag: np.ndarray):
         self.bufs = [np.empty((K, 1 << n), dtype=complex) for _ in range(3)]
         self.factors = [np.empty((K, 1 << n), dtype=complex) for _ in range(2)]
         self.n, self.cur, self.rows = n, 0, K
         self.diag = diag
-        if diag is not None:  # the evolve kernel's inputs, made once
-            self.start = uniform_state(n)[None]
-            # the distinct entries by bit pattern, so +0.0 and -0.0 stay apart
-            bits, self.level_of = np.unique(diag.view(np.int64), return_inverse=True)
-            self.levels = bits.view(float).astype(complex)
+        self.start = uniform_state(n)[None]
+        # the distinct entries by bit pattern, so +0.0 and -0.0 stay apart
+        bits, self.level_of = np.unique(diag.view(np.int64), return_inverse=True)
+        self.levels = bits.view(float).astype(complex)
         self.steps: dict = {}  # by (rows, buffer read first)
         self.views: dict = {}  # by rows: the phase step's and the expectations' views
 
@@ -246,19 +245,6 @@ def apply_phase_layer(state: np.ndarray, H: IsingHamiltonian, gamma: float) -> n
         raise ValueError(f"state has {num_qubits(state)} qubits but H has {H.n}")
     kernel = _StateBuffers(1, H.n, H.diagonal())
     kernel.phase(state[None], 1j * np.array([[gamma]]))
-    return kernel.psi[0]
-
-
-def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
-    """Apply exp(i * beta * X) to every qubit.
-
-    exp(i*beta*X) = cos(beta) I + i sin(beta) X, so the layer is periodic in
-    beta with period pi up to global phase; grids and restarts cover [0, pi)
-    by sweeping beta over [0, 2*pi) alongside gamma.
-    """
-    kernel = _StateBuffers(1, num_qubits(state))
-    kernel.psi[0] = state
-    kernel.mix(*_mixer_factors(np.array([beta])))
     return kernel.psi[0]
 
 

@@ -17,10 +17,13 @@ scalars, which the float-list `chain_dp_solve` must match exactly.
 and every qubit's mixer, and `expectations_per_qubit` its 1-D dot per row:
 the buffer kernel `qaoa._evolve`, one reused `qaoa._StateBuffers`
 workspace at every row count it is driven through, and the single layers
-must match them bit for bit.
+`qaoa.apply_phase_layer` and `apply_mixer_layer` must match them bit for
+bit.  `apply_mixer_layer` is no reference: it runs the package's mixer
+sweep alone, in a one-row workspace over a zero diagonal.
 `simulate_gates_selectors` writes CX and RZ through index lists that
-select each gate qubit's halves of the state, which the axis-moving
-`simulate_gates` must match bit for bit.
+select each gate qubit's halves of the state, and each RX as one
+`x_mix_rows` step, which the axis-moving `simulate_gates` must match bit
+for bit.
 `qaoa_solve_two_calls` is the QAOA backend with one `optimize` call on H
 and one on `negated(H)`, each sampled from its own target's state, which
 the one-call `qaoa_solve` must match bit for bit.  `optimize` has no
@@ -265,14 +268,15 @@ def expectations_per_qubit(diag: np.ndarray, n: int, angles: np.ndarray) -> np.n
     return np.array([row @ diag for row in probs])
 
 
-def simulate_rx_per_qubit(state: np.ndarray, gates) -> np.ndarray:
-    """simulate_gates for a list of RX gates, one fresh array per gate."""
-    n = len(state).bit_length() - 1
-    psi = state[None]
-    for g in gates:
-        (q,) = g.qubits
-        psi = x_mix_rows(psi, n, q, np.cos(g.angle / 2), 1j * -np.sin(g.angle / 2))
-    return psi[0]
+def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
+    """exp(i * beta * X) on every qubit: the kernel's mixer sweep on one row
+    of a workspace over a zero diagonal.  The layer is periodic in beta with
+    period pi up to global phase."""
+    n = qaoa.num_qubits(state)
+    kernel = qaoa._StateBuffers(1, n, np.zeros(1 << n))
+    kernel.psi[0] = state
+    kernel.mix(*qaoa._mixer_factors(np.array([beta])))
+    return kernel.psi[0]
 
 
 def simulate_gates_selectors(state: np.ndarray, gates) -> np.ndarray:

@@ -224,6 +224,16 @@ def test_bad_params_list_is_a_usage_error(capsys):
         assert exc.value.code == 2
 
 
+def test_max_iterations_help_states_each_default():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    helps = {name: " ".join(sub.choices[name].format_help().split())
+             for name in ("reconstruct", "experiment")}
+    assert "MAX_ITERATIONS pursuit steps at most (default: 32)" in helps["reconstruct"]
+    assert "(default: 4 * sparsity)" in helps["experiment"]
+    assert ExperimentPlan(n=6, sparsity=3).effective_max_iterations == 4 * 3
+    assert "sweep" not in helps["reconstruct"]
+
+
 def test_solver_and_pattern_flags_mirror_the_library():
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     experiment = {a.dest: a for a in sub.choices["experiment"]._actions}
@@ -332,6 +342,14 @@ def test_reconstruct_rejects_boolean_marginals(backend, pipeline_files, capsys):
     assert run_cli("reconstruct", "--marginals", pipeline_files["y"],
                    "--patterns-file", pipeline_files["pat"], "--solver", backend) == 2
     assert "marginal must be a number, got True" in _one_error_line(capsys)
+
+
+def test_reconstruct_rejects_a_params_list_before_reading_any_file(tmp_path, capsys):
+    # a list used to run its first count silently
+    missing = str(tmp_path / "missing.json")
+    assert run_cli("reconstruct", "--marginals", missing, "--patterns-file", missing,
+                   "--params", "5,9") == 2
+    assert "--params" in _one_error_line(capsys)
 
 
 @pytest.mark.parametrize("data, name", [

@@ -17,7 +17,6 @@ from isingpursuit.qaoa import (
     QaoaParams,
     ansatz_gates,
     ansatz_state,
-    apply_mixer_layer,
     apply_phase_layer,
     decompose_evolution,
     expectation,
@@ -29,6 +28,8 @@ from isingpursuit.qaoa import (
     uniform_state,
 )
 from isingpursuit.qaoa import _evolve, _expectations, _lockstep, _nelder_mead, _StateBuffers
+
+from oracles import apply_mixer_layer
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 

@@ -2,8 +2,7 @@
 bit for bit: `_evolve` and `_expectations` through a sequence of row
 counts on one `_StateBuffers`, as an `optimize` run drives it.  Also: one
 `optimize` call builds exactly one workspace, sized to its widest round;
-RX gates with scalar factors match the selector form's `x_mix_rows`
-steps; and a state that `ansatz_state` returned is never written over.
+and a state that `ansatz_state` returned is never written over.
 And the phase step's table of distinct diagonal values against the
 per-entry exp in `oracles`, on diagonals with few, all or one distinct
 value."""
@@ -23,24 +22,22 @@ from isingpursuit.qaoa import (
     _expectations,
     _StateBuffers,
     ansatz_state,
-    apply_mixer_layer,
     apply_phase_layer,
     optimize,
     simulate_gates,
 )
 
 from oracles import (
+    apply_mixer_layer,
     evolve_per_qubit,
     expectations_per_qubit,
     phase_rows,
-    simulate_gates_selectors,
 )
 from test_evolve_kernel import (
     ANGLES,
     ENTRIES,
     SIGNED_ZEROS,
     overwrite,
-    rx_circuits,
     states,
     wide_values,
 )
@@ -150,17 +147,6 @@ def test_signed_zeros_are_two_levels():
     assert len(kernel.levels) == 2
     assert sorted(np.signbit(kernel.levels.real).tolist()) == [False, True]
     assert np.signbit(kernel.levels.real[kernel.level_of]).tolist() == [False, True, False, True]
-
-
-@settings(max_examples=100 * DEPTH)
-@given(rx_circuits())
-@example((SIGNED_ZEROS, [Gate.rx(1, 0.5), Gate.rx(2, -0.0), Gate.rx(1, 0.5)]))
-def test_rx_gates_with_scalar_factors_are_bitwise_the_selector_form(circuit):
-    # with RX gates only, the oracle is x_mix_rows with scalar factors
-    psi, gates = circuit
-    with np.errstate(all="ignore"):
-        expected = simulate_gates_selectors(psi, gates)
-        assert simulate_gates(psi, gates).tobytes() == expected.tobytes()
 
 
 def quad_hamiltonian() -> IsingHamiltonian:
