@@ -21,6 +21,15 @@ space, the table is first spread over those last bits, so that numpy's
 innermost loop stays long; the spread table may hold +0.0 for -0.0, which
 is exact for the same reason.
 
+Sliding-window sets, whose runs are the whole value-assignment groups on
+bits (1..k), (2..k+1), ..., (n-k+1..n) in that order (nearest-neighbour
+sets are k = 2), take prefix stages instead (`_window_stages`): the sum over
+the first j runs depends only on bits 1..j+k-1, so stage j extends stage
+j-1 by one low bit with 2**k strided adds of one table entry each, and only
+the last stage spans 2**n entries.  Every index still receives the same
+addends in the same order, from a +0.0 start, so the result is bit for bit
+the table kernel's.
+
 The Hamiltonian builder reads the same runs as Walsh-Hadamard transforms
 (`_transform_plan`), and `nearest_neighbor_patterns` builds its set once
 per n, so the masks, table runs and plan of a nearest-neighbour set are made
@@ -131,6 +140,20 @@ class MeasurementSet:
              None if slots == list(range(1 << len(bits))) else np.array(slots))
             for start, stop, bits, slots in runs
         )
+
+    @cached_property
+    def _window_width(self) -> int | None:
+        """k when the table runs are the whole value-assignment groups in
+        binary order on the sliding windows (1..k), (2..k+1), ..., (n-k+1..n),
+        one run per window in that order, with k >= 1; None otherwise."""
+        runs = self._table_runs
+        k = len(runs[0][2])
+        if k == 0 or len(runs) != self.n - k + 1:
+            return None
+        for first, (_, _, bits, slots) in enumerate(runs, start=1):
+            if slots is not None or bits != tuple(range(first, first + k)):
+                return None
+        return k
 
     @cached_property
     def _transform_plan(self) -> tuple[tuple[frozenset[int], ...], np.ndarray,
@@ -365,9 +388,62 @@ def column_norm_sq(z: int, ms: MeasurementSet) -> int:
     return int(np.count_nonzero(ms.match_vector(z)))
 
 
+def _extend_stage(out: np.ndarray, prev: np.ndarray, table: list[float]) -> None:
+    """out[2w + b] = prev[w] + table[2u + b] for u the low k-1 bits of w,
+    where table holds 2**k entries: one strided add of a Python float per
+    table entry."""
+    size = len(table)
+    for v, entry in enumerate(table):
+        np.add(prev[v >> 1::size >> 1], entry, out[v::size])
+
+
+def _window_stages(r: np.ndarray, n: int, k: int) -> np.ndarray:
+    """A^T r for a sliding-window set of width k (see `_window_width`).
+
+    Stage j holds, for every value of bits 1..j+k-1, the sum of the first j
+    runs' entries: stage 1 is 0.0 + r's first table (the +0.0 start turns
+    -0.0 into +0.0, as the table kernel's zero accumulator does), and stage
+    j adds run j's entry, read on bits j..j+k-1, to stage j-1's entry on
+    bits 1..j+k-2.  The stages alternate between the output's two halves so
+    that stage n-k fills its second half; the last stage then writes the
+    first half from that stage's first quarter, and the second half from a
+    copy of its last quarter.  The peak is 1.25 * 2**n floats.
+    """
+    size = 1 << k
+    out = np.empty(1 << n)
+    if n == k:
+        return np.add(0.0, r, out)
+    half = 1 << (n - 1)
+
+    def stage(j: int) -> np.ndarray:
+        length = 1 << (j + k - 1)
+        return out[half:half + length] if (n - k - j) % 2 == 0 else out[:length]
+
+    tables = r.tolist()
+    prev = np.add(0.0, r[:size], stage(1))
+    for j in range(2, n - k + 1):
+        cur = stage(j)
+        _extend_stage(cur, prev, tables[(j - 1) * size:j * size])
+        prev = cur
+    table = tables[(n - k) * size:]
+    _extend_stage(out[:half], prev[:half // 2], table)
+    _extend_stage(out[half:], prev[half // 2:].copy(), table)
+    return out
+
+
 def all_column_dots(r: np.ndarray, ms: MeasurementSet) -> np.ndarray:
-    """The full vector A^T r over all 2**n indices (exhaustive, small n only)."""
+    """The full vector A^T r over all 2**n indices (exhaustive, small n only).
+
+    A sliding-window set (nearest-neighbour sets among them) takes the
+    prefix stages of `_window_stages`; every other set adds one table per
+    run with `_add_table`.  Both give every index the same addends in the
+    same order from +0.0, so both are bit for bit the one-masked-pass-per-
+    pattern sum.
+    """
     r = _per_pattern(r, ms)
+    k = ms._window_width
+    if k is not None:
+        return _window_stages(r, ms.n, k)
     acc = np.zeros(1 << ms.n)
     for start, stop, bits, slots in ms._table_runs:
         if slots is None:

@@ -44,7 +44,9 @@ class SolverOutcome:
 def brute_force_solve(ms: MeasurementSet, r: np.ndarray) -> SolverOutcome:
     """Exhaustive scan of all 2**n columns; exact, ties to the smallest index.
 
-    |A^T r| is taken in place, so no second 2**n array is allocated.
+    |A^T r| is taken in place, so no second 2**n array is allocated: the
+    peak is the 2**n vector itself, plus, for a sliding-window set, the
+    quarter-size temporary of its last prefix stage.
     """
     if ms.n > BRUTE_FORCE_CAP:
         raise ValueError(f"brute force at n={ms.n} exceeds cap {BRUTE_FORCE_CAP}")

@@ -59,10 +59,15 @@ def test_brute_ties_across_signs_to_the_smallest_index():
     assert (out.position, out.score) == (6, 0.75)
 
 
-def test_brute_makes_no_second_index_space_array():
+@pytest.mark.parametrize("ms", [
+    pytest.param(nearest_neighbor_patterns(16), id="nn"),
+    pytest.param(random_quadruplet_patterns(16, 16, seed=0), id="quad"),
+])
+def test_brute_makes_no_second_index_space_array(ms):
     # |A^T r| is taken in place: the peak is one 2**n float64 vector plus
-    # small tables, where a fresh np.abs(dots) would double it
-    ms = nearest_neighbor_patterns(16)
+    # small tables (the table kernel, random quadruplets) or a quarter-size
+    # copy (the prefix stages, nearest neighbours), where a fresh
+    # np.abs(dots) would double it
     r = np.random.default_rng(0).normal(size=len(ms))
     brute_force_solve(ms, r)  # the set's cached runs and masks, built once
     tracemalloc.start()

@@ -1,9 +1,11 @@
 """The table kernel's callers against their reference forms in `oracles`,
-bit for bit: A^T r by runs of patterns, H's diagonal by sign tables, and
-build_hamiltonian by the Walsh-Hadamard transform of each run's table,
-summed in the builder's order."""
+bit for bit: A^T r by runs of patterns or by the prefix stages of a
+sliding-window set, H's diagonal by sign tables, and build_hamiltonian by
+the Walsh-Hadamard transform of each run's table, summed in the builder's
+order."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +17,7 @@ from isingpursuit.measurement import (
     all_column_dots,
     complete_patterns,
     nearest_neighbor_patterns,
+    value_assignment_group,
 )
 
 from oracles import (
@@ -85,6 +88,85 @@ INTERLEAVED = (
 @example(INTERLEAVED)
 def test_all_column_dots_is_bitwise_the_masked_passes(case):
     ms, r = case
+    assert np.array_equal(bits_of(all_column_dots(r, ms)), bits_of(all_column_dots_masked(r, ms)))
+
+
+def window_groups(n: int, k: int) -> list[tuple[Pattern, ...]]:
+    """The value-assignment groups on bits (1..k), (2..k+1), ..., (n-k+1..n)."""
+    return [value_assignment_group(tuple(range(first, first + k))) for first in range(1, n - k + 2)]
+
+
+def joined(n: int, groups: list[tuple[Pattern, ...]]) -> MeasurementSet:
+    return MeasurementSet(n, tuple(p for group in groups for p in group))
+
+
+def entries_for(draw, ms: MeasurementSet) -> np.ndarray:
+    return np.array(draw(st.lists(ENTRIES, min_size=len(ms), max_size=len(ms))))
+
+
+@st.composite
+def window_cases(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 16))
+    ms = joined(n, window_groups(n, k))
+    return ms, k, entries_for(draw, ms)
+
+
+def window_example(n: int, k: int) -> tuple[MeasurementSet, int, np.ndarray]:
+    """Signed zeros, a subnormal and addends below one ulp of their neighbours."""
+    ms = joined(n, window_groups(n, k))
+    return ms, k, np.resize([-0.0, 1e-17, 0.5, -1e-17, 0.0, 5e-324, -0.5, 2.5, -0.0], len(ms))
+
+
+@settings(max_examples=60 * DEPTH)
+@given(window_cases())
+@example(window_example(16, 1))
+@example(window_example(16, 4))
+@example(window_example(3, 3))
+def test_window_sets_take_the_prefix_stages_bitwise(case):
+    ms, k, r = case
+    assert ms._window_width == k
+    assert np.array_equal(bits_of(all_column_dots(r, ms)), bits_of(all_column_dots_masked(r, ms)))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+@settings(max_examples=4 * DEPTH)
+@given(st.data())
+def test_nearest_neighbour_sets_take_the_prefix_stages_bitwise(n, data):
+    ms = nearest_neighbor_patterns(n)
+    r = entries_for(data.draw, ms)
+    assert ms._window_width == 2
+    assert np.array_equal(bits_of(all_column_dots(r, ms)), bits_of(all_column_dots_masked(r, ms)))
+
+
+@st.composite
+def near_window_cases(draw):
+    """A window set with one run dropped, two runs swapped, a run repeated,
+    or one pattern missing from a group: each goes through the table kernel."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k + 1, 12))
+    groups = window_groups(n, k)
+    i = draw(st.integers(0, len(groups) - 1))
+    change = draw(st.sampled_from(["drop", "swap", "repeat", "missing"]))
+    if change == "drop":
+        del groups[i]
+    elif change == "swap":
+        j = draw(st.integers(0, len(groups) - 1).filter(lambda j: j != i))
+        groups[i], groups[j] = groups[j], groups[i]
+    elif change == "repeat":
+        groups.insert(draw(st.integers(0, len(groups))), groups[i])
+    else:
+        missing = draw(st.integers(0, len(groups[i]) - 1))
+        groups[i] = groups[i][:missing] + groups[i][missing + 1:]
+    ms = joined(n, groups)
+    return ms, entries_for(draw, ms)
+
+
+@settings(max_examples=60 * DEPTH)
+@given(near_window_cases())
+def test_near_window_sets_keep_the_table_kernel_bitwise(case):
+    ms, r = case
+    assert ms._window_width is None
     assert np.array_equal(bits_of(all_column_dots(r, ms)), bits_of(all_column_dots_masked(r, ms)))
 
 
