@@ -20,7 +20,7 @@ import numpy as np
 from .measurement import MeasurementSet, measure, nearest_neighbor_patterns, random_quadruplet_patterns
 from .pursuit import (AMPLITUDE_FLOOR, PursuitConfig, ReconstructionResult, Solver,
                       matching_pursuit, recovery_success)
-from .signal import SparseSignal, _check_sparsity, random_sparse_signal
+from .signal import SparseSignal, _check_dense_size, _check_sparsity, random_sparse_signal
 from .solvers import BACKENDS, SolverSpec, brute_force_solve, chain_dp_solve, qaoa_solve
 
 PATTERN_KINDS = ("nn", "quad")
@@ -46,6 +46,8 @@ class ExperimentPlan:
 
     def __post_init__(self):
         _check_sparsity(self.n, self.sparsity)
+        if self.solver.backend in ("brute", "qaoa"):  # each step builds a 2**n array
+            _check_dense_size(self.n)
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.trial_count < 1:
@@ -194,17 +196,15 @@ def run_batch(plan: ExperimentPlan) -> SuccessReport:
 def run_sweep(plan: ExperimentPlan, parameter_counts: list[int]) -> list[SuccessReport]:
     """One report per QAOA parameter count, preceded by the classical reference.
 
-    The reference is the chain solver on nearest-neighbor patterns.  All
-    reports share trial seeds, so comparisons are paired.
+    The reference is the chain solver on nearest-neighbor patterns.  Every
+    plan is checked before any trial runs, and all share trial seeds (paired).
     """
     if not parameter_counts or any(c < 1 for c in parameter_counts):
         raise ValueError("parameter counts must be a non-empty list of ints >= 1")
     baseline = replace(plan, solver=SolverSpec(backend="chain"), pattern_kind="nn")
-    reports = [run_batch(baseline)]
-    for count in parameter_counts:
-        qaoa_plan = replace(plan, solver=replace(plan.solver, backend="qaoa", param_count=count))
-        reports.append(run_batch(qaoa_plan))
-    return reports
+    arms = [replace(plan, solver=replace(plan.solver, backend="qaoa", param_count=count))
+            for count in parameter_counts]
+    return [run_batch(arm) for arm in [baseline, *arms]]
 
 
 CSV_HEADER = "config,solver,patterns,param_count,trial,seed,success,iterations,runtime_s,capped"

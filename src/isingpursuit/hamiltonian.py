@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measurement import MeasurementSet, _add_table, _per_pattern, _signs
+from .signal import _check_dense_size
 
 # Exact cancellations occur for complete value-assignment groups; drop the dust.
 COEFF_PRUNE_TOL = 1e-15
@@ -70,7 +71,8 @@ class IsingHamiltonian:
         return total
 
     def diagonal(self) -> np.ndarray:
-        """All 2**n diagonal entries at once (vectorized evaluate)."""
+        """All 2**n diagonal entries at once, for n <= DENSE_VECTOR_CAP."""
+        _check_dense_size(self.n)
         diag = np.zeros(1 << self.n)
         for support, coeff in self.terms.items():
             _add_table(diag, self.n, tuple(sorted(support)), coeff * _signs(len(support)))

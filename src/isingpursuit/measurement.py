@@ -46,7 +46,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .signal import SparseSignal, _check_bit_count, _read_int
+from .signal import SparseSignal, _check_bit_count, _check_dense_size, _read_int
 
 # The largest n of complete_patterns, whose 2**n patterns form an explicit matrix.
 DENSE_MATRIX_CAP = 10
@@ -432,7 +432,7 @@ def _window_stages(r: np.ndarray, n: int, k: int) -> np.ndarray:
 
 
 def all_column_dots(r: np.ndarray, ms: MeasurementSet) -> np.ndarray:
-    """The full vector A^T r over all 2**n indices (exhaustive, small n only).
+    """The full vector A^T r over all 2**n indices, for n <= DENSE_VECTOR_CAP.
 
     A sliding-window set (nearest-neighbour sets among them) takes the
     prefix stages of `_window_stages`; every other set adds one table per
@@ -440,6 +440,7 @@ def all_column_dots(r: np.ndarray, ms: MeasurementSet) -> np.ndarray:
     same order from +0.0, so both are bit for bit the one-masked-pass-per-
     pattern sum.
     """
+    _check_dense_size(ms.n)
     r = _per_pattern(r, ms)
     k = ms._window_width
     if k is not None:

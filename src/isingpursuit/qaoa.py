@@ -14,24 +14,25 @@ same few numpy calls for K rows as for one.  Its steps live in a workspace,
 rows, and the diagonal's distinct values as complex levels with an int64
 index from each entry to its level.  `optimize` makes one workspace per
 run, as wide as its widest round, and every round evolves in the first rows
-of it, through views built once per row count; `ansatz_state` and
+of it, through one view set per row count; `ansatz_state` and
 `apply_phase_layer` make one with K = 1 per call, so a state they return is
-never written over.  A layer's phase step is one exp per row and level, in a
-(rows, levels) table, one gather of the table into full rows and one phase
-multiply; its mixer is two factor-row fills and three ufunc calls per
-qubit.  Every step writes its result through `out=` into the workspace, so
-no result array is made inside the loop (numpy still takes iterator buffers
-for the paired add and for the first layer's broadcast start).  Writing
-cos(beta) and i*sin(beta) across whole rows lets both products of a mixer
-step run on same-shape contiguous operands, numpy's cheapest call; the add
-pairs the amplitudes through a reversed view.  `out=`, reused memory,
-factors repeated along a row and phases gathered from the level table
-change where a result lands, not how it is rounded: equal diagonal bits
-give equal phase products and exps, and every amplitude meets the same
-operands, in the same order, as with an exp per entry, fresh arrays and
-broadcast factors.  So each row comes out bitwise equal to evolving it
-alone, which pins two details: the phase multiply's operand order and a 1-D
-dot per row for the expectation.
+never written over.  A layer's phase step is one exp per row and level, in
+a (rows, levels) table, one gather of the table into full rows and one
+phase multiply into buffer 0; its mixer is two factor-row fills and three
+ufunc calls per qubit, in a sweep that starts at buffer 0.  Every step
+writes its result through `out=` into the workspace, so no result array is
+made inside the loop (numpy still takes iterator buffers for the paired add
+and for the first layer's broadcast start).  Writing cos(beta) and
+i*sin(beta) across whole rows lets both products of a mixer step run on
+same-shape contiguous operands, numpy's cheapest call; the add pairs the
+amplitudes through a reversed view.  `out=`, reused memory, factors
+repeated along a row and phases gathered from the level table change where
+a result lands, not how it is rounded: equal diagonal bits give equal phase
+products and exps, and every amplitude meets the same operands, in the same
+order, as with an exp per entry, fresh arrays and broadcast factors.  So
+each row comes out bitwise equal to evolving it alone, which pins two
+details: the phase multiply's operand order and a 1-D dot per row for the
+expectation.
 
 `optimize` runs its restarts in lockstep.  Each start is a generator that
 replays scipy's Nelder-Mead step for step, in fewer numpy calls, and yields
@@ -54,13 +55,13 @@ with h, except that an exact zero sum is +0.0 both ways, as 0.0 - <H> gives.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hamiltonian import IsingHamiltonian
-
-QUBIT_CAP = 20
+from .signal import _check_dense_size
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,11 @@ def num_qubits(state: np.ndarray) -> int:
 
 def uniform_state(n: int) -> np.ndarray:
     """The uniform superposition: every amplitude 2**(-n/2)."""
-    if not 1 <= n <= QUBIT_CAP:
-        raise ValueError(f"qubit count must be in [1, {QUBIT_CAP}], got {n}")
+    _check_dense_size(n)
     return np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
+
+
+_Views = namedtuple("_Views", "table temp phased factors sweep mixed probs")
 
 
 class _StateBuffers:
@@ -143,10 +146,11 @@ class _StateBuffers:
 
     `optimize` makes one workspace per run, K rows wide, and every batch
     of the run evolves in the first rows of it; `ansatz_state` and
-    `apply_phase_layer` make one with K = 1 per call.  A batch of `rows` rows
-    reads and writes `[:rows]` views, built on first use: the phase step's
-    and the expectations' once per rows, each sweep's once per (rows,
-    buffer read first).  The state sits in `psi`.
+    `apply_phase_layer` make one with K = 1 per call.  A batch of `rows`
+    rows works in `[:rows]` views, one `_Views` set per row count, built on
+    first use and kept in `at` (all K rows before the first batch).  The
+    phase step writes buffer 0, so every mixer sweep starts there; each
+    step leaves the state in `psi`.
 
     A mixer step on qubit q (MSB-first) applies [[c, js], [js, c]] with c
     and js written across every entry of the factor rows, so both products
@@ -159,25 +163,33 @@ class _StateBuffers:
     """
 
     def __init__(self, K: int, n: int, diag: np.ndarray):
+        self.start = uniform_state(n)[None]
         self.bufs = [np.empty((K, 1 << n), dtype=complex) for _ in range(3)]
         self.factors = [np.empty((K, 1 << n), dtype=complex) for _ in range(2)]
-        self.n, self.cur, self.rows = n, 0, K
-        self.diag = diag
-        self.start = uniform_state(n)[None]
+        self.n, self.diag, self.by_rows = n, diag, {}
         # the distinct entries by bit pattern, so +0.0 and -0.0 stay apart
         bits, self.level_of = np.unique(diag.view(np.int64), return_inverse=True)
         self.levels = bits.view(float).astype(complex)
-        self.steps: dict = {}  # by (rows, buffer read first)
-        self.views: dict = {}  # by rows: the phase step's and the expectations' views
+        self.at = self._views(K)
 
-    @property
-    def psi(self) -> np.ndarray:
-        return self.bufs[self.cur][:self.rows]
+    def _views(self, rows: int) -> _Views:
+        if rows not in self.by_rows:
+            flat = [a[:rows] for a in self.bufs]
+            sweep = []
+            for q in range(1, self.n + 1):
+                # source, destination, temporary, then the last two with the qubit's bit as axis 2
+                src, dst = flat[(q - 1) % 2], flat[q % 2]
+                pairs, tmp = (a.reshape(rows, 1 << (q - 1), 2, -1) for a in (dst, flat[2]))
+                sweep.append((src, dst, flat[2], pairs, tmp[:, :, ::-1]))
+            self.by_rows[rows] = _Views(
+                self.factors[0].reshape(-1)[:rows * len(self.levels)].reshape(rows, -1),
+                flat[2], flat[0], [f[:rows] for f in self.factors], sweep, flat[self.n % 2],
+                self.bufs[2].reshape(-1).view(float)[:rows << self.n].reshape(rows, -1))
+        return self.by_rows[rows]
 
     def phase(self, psi: np.ndarray, jg: np.ndarray) -> None:
-        """Row k of psi times exp(jg[k] * diag), into buffer 0, so that every
-        sweep of the mixer that follows starts there; psi may be any buffer.
-        The batch has len(jg) rows.
+        """Row k of psi (any buffer) times exp(jg[k] * diag) into buffer 0,
+        where every mixer sweep starts, through the view set of len(jg) rows.
 
         The exp runs once per row and level, in a (rows, levels) table in
         the first factor row, which the mixer only writes afterwards, and
@@ -189,48 +201,32 @@ class _StateBuffers:
         psi * ph and ph * psi differently, and numpy's expression form
         `psi * np.exp(...)` swaps them once the exp temporary reaches 256 KiB.
         """
-        rows = self.rows = len(jg)
-        if rows not in self.views:  # the table, the temporary, buffer 0 and |amp|**2's floats
-            table = self.factors[0].reshape(-1)[:rows * len(self.levels)].reshape(rows, -1)
-            floats = self.bufs[2].reshape(-1).view(float)[:rows << self.n].reshape(rows, -1)
-            self.views[rows] = table, self.bufs[2][:rows], self.bufs[0][:rows], floats
-        table, ph, out, self.probs = self.views[rows]
-        np.multiply(jg, self.levels, out=table)
-        np.exp(table, out=table)
+        at = self.at = self._views(len(jg))
+        np.multiply(jg, self.levels, out=at.table)
+        np.exp(at.table, out=at.table)
         # mode="clip" never clips here; the default mode would buffer `out`
-        table.take(self.level_of, axis=1, out=ph, mode="clip")
-        self.cur = 0
-        np.multiply(psi, ph, out=out)
+        at.table.take(self.level_of, axis=1, out=at.temp, mode="clip")
+        self.psi = np.multiply(psi, at.temp, out=at.phased)
 
     def mix(self, c, js) -> None:
-        """Apply [[c, js], [js, c]] (js = i*s) on every qubit in turn, of
-        every row.  c and js are scalars or per-row arrays of shape (rows, 1)."""
-        key = (self.rows, self.cur)
-        if key not in self.steps:
-            rows = self.rows
-            flat = [a[:rows] for a in self.bufs]
-            steps = []
-            for q, b in zip(range(1, self.n + 1), [self.cur, 1 - self.cur] * self.n):
-                # source, destination, temporary, then the last two with the qubit's bit as axis 2
-                dst, tmp = (a.reshape(rows, 1 << (q - 1), 2, -1) for a in (flat[1 - b], flat[2]))
-                steps.append((flat[b], flat[1 - b], flat[2], dst, tmp[:, :, ::-1]))
-            self.steps[key] = [f[:rows] for f in self.factors], steps
-        (fc, fjs), steps = self.steps[key]
+        """Apply [[c, js], [js, c]] (js = i*s) on every qubit in turn, from
+        buffer 0, to the last batch's rows; c and js are scalars or (rows, 1)."""
+        fc, fjs = self.at.factors
         fc[...] = c
         fjs[...] = js
-        for src, dst, tmp, pairs, flip in steps:
+        for src, dst, tmp, pairs, flip in self.at.sweep:
             np.multiply(fc, src, out=dst)
             np.multiply(fjs, src, out=tmp)
             np.add(pairs, flip, out=pairs)
-        self.cur = (self.cur + len(steps)) % 2
+        self.psi = self.at.mixed
 
     def expectations(self, out: np.ndarray) -> None:
         """<h> for each row of psi into out, through |amp|**2 in the temporary
         (the last phase step's view).  np.vecdot runs a 1-D dot on each
         contiguous row: a matrix-vector product would sum in another order."""
-        np.abs(self.psi, out=self.probs)
-        np.square(self.probs, out=self.probs)  # what `** 2` runs
-        np.vecdot(self.probs, self.diag, out=out)
+        np.abs(self.psi, out=self.at.probs)
+        np.square(self.at.probs, out=self.at.probs)  # what `** 2` runs
+        np.vecdot(self.at.probs, self.diag, out=out)
 
 
 def _mixer_factors(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,12 +259,10 @@ def _evolve(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
     p = angles.shape[1] // 2
     jg = 1j * angles[:, :p].T[:, :, None]  # (p, rows, 1)
     c, js = _mixer_factors(angles[:, p:].T[:, :, None])  # (p, rows, 1)
-    psi = kernel.start  # the first phase layer broadcasts it to every row
-    for layer in range(p):
-        kernel.phase(psi, jg[layer])
+    for layer in range(p):  # the first phase layer broadcasts the start to every row
+        kernel.phase(kernel.psi if layer else kernel.start, jg[layer])
         kernel.mix(c[layer], js[layer])
-        psi = kernel.psi
-    return psi
+    return kernel.psi
 
 
 # Rows per batch, capped so that each of the workspace's five (K, 2**n)
@@ -286,7 +280,7 @@ def _expectations(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
     out = np.empty(len(angles))
     for lo in range(0, len(angles), K):
         _evolve(kernel, angles[lo:lo + K])
-        kernel.expectations(out[lo:lo + kernel.rows])
+        kernel.expectations(out[lo:lo + K])
     return out
 
 

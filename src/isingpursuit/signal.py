@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The largest n whose 2**n positions are materialized: random_sparse_signal
+# The largest n of any 2**n-entry array, checked by _check_dense_size; random_sparse_signal
 # draws from the full range up to it and by rejection above it.
 DENSE_VECTOR_CAP = 20
 # Spike amplitudes are bounded away from zero so that "position recovered"
@@ -29,6 +29,12 @@ def _check_bit_count(n: int) -> None:
         raise ValueError(f"bit count must be >= 1, got {n}")
     if n > INDEX_BITS_CAP:
         raise ValueError(f"n={n} exceeds {INDEX_BITS_CAP}, the width of the int64 pattern masks")
+
+
+def _check_dense_size(n: int) -> None:
+    _check_bit_count(n)
+    if n > DENSE_VECTOR_CAP:
+        raise ValueError(f"n={n} exceeds {DENSE_VECTOR_CAP}, the cap on arrays of 2**n entries")
 
 
 def _check_sparsity(n: int, s: int) -> None:

@@ -27,7 +27,6 @@ from .hamiltonian import IsingHamiltonian, build_hamiltonian
 from .measurement import MeasurementSet, all_column_dots, column_dot
 
 BACKENDS = ("brute", "chain", "qaoa")
-BRUTE_FORCE_CAP = 20
 
 
 class ChainStructureError(ValueError):
@@ -48,8 +47,6 @@ def brute_force_solve(ms: MeasurementSet, r: np.ndarray) -> SolverOutcome:
     peak is the 2**n vector itself, plus, for a sliding-window set, the
     quarter-size temporary of its last prefix stage.
     """
-    if ms.n > BRUTE_FORCE_CAP:
-        raise ValueError(f"brute force at n={ms.n} exceeds cap {BRUTE_FORCE_CAP}")
     dots = all_column_dots(r, ms)
     z = int(np.argmax(np.abs(dots, out=dots)))
     score = abs(column_dot(z, r, ms))

@@ -41,7 +41,7 @@ import numpy as np
 from isingpursuit import qaoa
 from isingpursuit.hamiltonian import COEFF_PRUNE_TOL, IsingHamiltonian, build_hamiltonian
 from isingpursuit.measurement import DENSE_MATRIX_CAP, MeasurementSet, Pattern, column_dot
-from isingpursuit.signal import DENSE_VECTOR_CAP, SparseSignal
+from isingpursuit.signal import SparseSignal, _check_dense_size
 from isingpursuit.solvers import ChainStructureError, SolverOutcome, SolverSpec
 
 
@@ -52,8 +52,7 @@ def bit_at(z: int, j: int, n: int) -> int:
 
 def dense_vector(sig: SparseSignal) -> np.ndarray:
     """Full-length vector with spike values placed at their positions."""
-    if sig.n > DENSE_VECTOR_CAP:
-        raise ValueError(f"refusing to materialize 2**{sig.n} entries (cap {DENSE_VECTOR_CAP})")
+    _check_dense_size(sig.n)
     x = np.zeros(1 << sig.n)
     for pos, val in sig.spikes:
         x[pos] = val
@@ -274,7 +273,7 @@ def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
     period pi up to global phase."""
     n = qaoa.num_qubits(state)
     kernel = qaoa._StateBuffers(1, n, np.zeros(1 << n))
-    kernel.psi[0] = state
+    kernel.bufs[0][0] = state  # where every sweep starts
     kernel.mix(*qaoa._mixer_factors(np.array([beta])))
     return kernel.psi[0]
 

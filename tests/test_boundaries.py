@@ -1,8 +1,10 @@
 """Property tests for the checks where inputs enter the system: non-finite
 marginals and spike values, marginals that are not one vector entry per
-pattern, the 63-bit width of the index masks, integer fields of the JSON
-loaders, empty solver budgets, and a solver choice whose column no pattern
-measures."""
+pattern, the 63-bit width of the index masks, the cap on 2**n-entry arrays,
+integer fields of the JSON loaders, empty solver budgets, and a solver
+choice whose column no pattern measures."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,17 +14,18 @@ from hypothesis import strategies as st
 from isingpursuit import qaoa
 from isingpursuit.cli import _read_marginals
 from isingpursuit.experiment import ExperimentPlan
-from isingpursuit.hamiltonian import IsingHamiltonian
+from isingpursuit.hamiltonian import IsingHamiltonian, build_hamiltonian
 from isingpursuit.measurement import (
     MeasurementSet,
     Pattern,
+    all_column_dots,
     column_norm_sq,
     nearest_neighbor_patterns,
     random_quadruplet_patterns,
 )
 from isingpursuit.pursuit import DegenerateColumnError, PursuitConfig, matching_pursuit
-from isingpursuit.signal import INDEX_BITS_CAP, SparseSignal, random_sparse_signal
-from isingpursuit.solvers import BACKENDS, SolverOutcome, SolverSpec, brute_force_solve
+from isingpursuit.signal import DENSE_VECTOR_CAP, INDEX_BITS_CAP, SparseSignal, random_sparse_signal
+from isingpursuit.solvers import BACKENDS, SolverOutcome, SolverSpec, brute_force_solve, qaoa_solve
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 BUDGETS = ("param_count", "restarts", "max_evals", "shots")
@@ -53,7 +56,7 @@ WIDTH_CHECKED = {
     "MeasurementSet": lambda n: MeasurementSet(n, (Pattern(((n, 1),)),)),
     "nearest_neighbor_patterns": nearest_neighbor_patterns,
     "random_quadruplet_patterns": lambda n: random_quadruplet_patterns(n, 1, seed=n),
-    "ExperimentPlan": lambda n: ExperimentPlan(n, 1),
+    "ExperimentPlan": lambda n: ExperimentPlan(n, 1, solver=SolverSpec("chain")),
 }
 
 
@@ -83,6 +86,50 @@ def test_measurement_sets_need_at_least_one_bit(n):
     # MeasurementSet used to check only the upper end of the range
     with pytest.raises(ValueError, match=f"bit count must be >= 1, got {n}"):
         MeasurementSet(n, (Pattern(()),))
+
+
+def _dense_inputs(n: int):
+    """An n-bit nearest-neighbour set, a residual with no zero entry, its H."""
+    ms = nearest_neighbor_patterns(n)
+    r = np.linspace(-1.0, 2.0, len(ms))
+    return ms, r, build_hamiltonian(ms, r)
+
+
+ONE_LAYER = qaoa.QaoaParams((0.3,), (0.7,))
+# Everything that builds a 2**n array, directly or inside, and a plan that would.
+DENSE_ARRAYS = {
+    "all_column_dots": lambda ms, r, H: all_column_dots(r, ms),
+    "brute_force_solve": lambda ms, r, H: brute_force_solve(ms, r),
+    "IsingHamiltonian.diagonal": lambda ms, r, H: H.diagonal(),
+    "uniform_state": lambda ms, r, H: qaoa.uniform_state(H.n),
+    "ansatz_state": lambda ms, r, H: qaoa.ansatz_state(H, ONE_LAYER),
+    "optimize": lambda ms, r, H: qaoa.optimize(H, 1, restarts=1, max_evals=2, seed=0),
+    "qaoa_solve": lambda ms, r, H: qaoa_solve(ms, r, SolverSpec("qaoa", 2, 1, 2, 8), seed=0),
+    "ExperimentPlan": lambda ms, r, H: ExperimentPlan(H.n, 1, solver=SolverSpec("qaoa")),
+}
+# the kernels themselves, which still run at the cap
+AT_THE_CAP = ("all_column_dots", "IsingHamiltonian.diagonal", "uniform_state")
+
+
+@pytest.mark.parametrize("name", DENSE_ARRAYS)
+def test_every_2_to_the_n_array_stops_at_one_cap_before_it_is_allocated(name):
+    # qaoa_solve used to fill H's diagonal, 16 MB at n = 21, and reach a
+    # traced peak of about 185 MB before the qubit cap raised
+    call = DENSE_ARRAYS[name]
+    inputs = _dense_inputs(DENSE_VECTOR_CAP + 1)
+    with pytest.raises(ValueError):  # once untraced, so that lazy imports do not count
+        call(*inputs)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            call(*inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert str(info.value) == "n=21 exceeds 20, the cap on arrays of 2**n entries"
+    if name in AT_THE_CAP:
+        assert len(call(*_dense_inputs(DENSE_VECTOR_CAP))) == 1 << DENSE_VECTOR_CAP
 
 
 @given(st.integers(2, 8), st.data())

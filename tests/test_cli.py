@@ -135,16 +135,21 @@ def test_experiment_rejects_workers_and_time_limits_that_do_nothing(flags, capsy
 
 
 @pytest.mark.parametrize("plan", [{"sparsity": 0}, {"sparsity": 65},
-                                  {"sparsity": 1, "max_iterations": 0}])
+                                  {"sparsity": 1, "max_iterations": 0},
+                                  {"n": 21, "sparsity": 1, "solver": "brute"},
+                                  {"n": 21, "sparsity": 1, "solver": "chain", "params": "5,9"}])
 def test_experiment_rejects_a_plan_no_trial_can_run_before_any_worker(
         plan, tmp_path, monkeypatch, capsys):
+    # at n = 21 a brute plan used to fail inside trial 0, and a sweep's QAOA
+    # arms after the whole chain baseline had run
     def no_workers(*args, **kwargs):
         raise AssertionError("a worker pool started")
 
     monkeypatch.setattr("isingpursuit.experiment.ProcessPoolExecutor", no_workers)
+    monkeypatch.setattr("isingpursuit.experiment.run_batch", no_workers)
     monkeypatch.setattr("isingpursuit.cli.run_batch", no_workers)
-    argv = ["--n", "6", "--workers", "2"]
-    for field, value in plan.items():  # --sparsity and --max-iterations
+    argv = ["--workers", "2"]
+    for field, value in {"n": 6, **plan}.items():
         argv += ["--" + field.replace("_", "-"), str(value)]
     assert run_cli("experiment", *argv) == 2
     if "max_iterations" in plan:  # the same plan from a plan file
@@ -433,6 +438,19 @@ def test_index_width_beyond_the_masks_exits_2(tmp_path, capsys):
     assert run_cli("measure", "--signal", str(sig), "--patterns-file", str(pat)) == 2
     assert run_cli("patterns", "--n", "64") == 2
     assert "63" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", ["brute", "qaoa"])
+def test_reconstruct_past_the_dense_cap_exits_2(backend, tmp_path, capsys):
+    files = {name: str(tmp_path / f"{name}.json") for name in ("sig", "pat", "y")}
+    assert run_cli("generate", "--n", "21", "--sparsity", "1", "--seed", "0",
+                   "--out", files["sig"]) == 0
+    assert run_cli("patterns", "--n", "21", "--out", files["pat"]) == 0
+    assert run_cli("measure", "--signal", files["sig"], "--patterns-file", files["pat"],
+                   "--out", files["y"]) == 0
+    assert run_cli("reconstruct", "--marginals", files["y"], "--patterns-file", files["pat"],
+                   "--solver", backend) == 2
+    assert "n=21 exceeds 20, the cap on arrays of 2**n entries" in _one_error_line(capsys)
 
 
 def test_generate_beyond_the_index_width_exits_2(capsys):
