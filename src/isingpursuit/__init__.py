@@ -31,7 +31,6 @@ from .qaoa import (
     ansatz_gates,
     ansatz_state,
     decompose_evolution,
-    expectation,
     format_gates,
     optimize,
     sample_candidates,
@@ -82,7 +81,6 @@ __all__ = [
     "column_norm_sq",
     "complete_patterns",
     "decompose_evolution",
-    "expectation",
     "format_gates",
     "make_patterns",
     "make_solver",

@@ -183,7 +183,14 @@ def _run_trial(args: tuple[ExperimentPlan, int, int]) -> TrialRecord:
 
 
 def run_batch(plan: ExperimentPlan) -> SuccessReport:
-    """All trials of one configuration, optionally across worker processes."""
+    """All trials of one configuration, optionally across worker processes.
+
+    The chain solver on quadruplet patterns is refused before any trial or
+    worker starts: every solve would raise ChainStructureError.  The plan
+    itself stays valid, since run_sweep replaces its backend.
+    """
+    if plan.solver.backend == "chain" and plan.pattern_kind != "nn":
+        raise ValueError(f"the chain solver needs nn patterns, got {plan.pattern_kind!r}")
     jobs = [(plan, i, s) for i, s in enumerate(trial_seeds(plan))]
     if plan.workers > 1:
         with ProcessPoolExecutor(max_workers=plan.workers) as pool:

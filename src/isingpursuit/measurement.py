@@ -377,7 +377,7 @@ def _per_pattern(v, ms: MeasurementSet, name: str = "residual") -> np.ndarray:
 
 def column_dot(z: int, r: np.ndarray, ms: MeasurementSet) -> float:
     """Signed correlation of column z with r: the entry (A^T r)_z."""
-    return float(np.sum(_per_pattern(r, ms)[ms.match_vector(z)]))
+    return float(np.add.reduce(_per_pattern(r, ms)[ms.match_vector(z)]))
 
 
 def column_norm_sq(z: int, ms: MeasurementSet) -> int:

@@ -10,13 +10,14 @@ coefficient.  The per-iteration trace makes every run auditable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .measurement import MeasurementSet, _per_pattern, column_dot, column_norm_sq
+from .measurement import MeasurementSet, _per_pattern
 from .signal import SparseSignal
 from .solvers import SolverOutcome
 
@@ -93,17 +94,26 @@ def matching_pursuit(
     score drops below MIN_SCORE, or the iteration budget runs out.  Raises
     ValueError on marginals that are not a finite vector with one entry per
     pattern.
+
+    Each step builds the chosen column once, as the boolean match vector
+    over patterns: a binary column's squared norm is its count of matches,
+    its dot with r is the sum of r over the matches, and deflation subtracts
+    the coefficient on them.  Those are the reductions column_norm_sq and
+    column_dot run on the same vector (np.add.reduce is the reduce np.sum
+    runs), and sqrt(r . r) is what np.linalg.norm computes for a float
+    vector, so every step is bit for bit the one through those helpers.
     """
     r = _per_pattern(y, ms, "marginals").copy()
     if not np.isfinite(r).all():
         raise ValueError("marginals must be finite")
+    rnorm = math.sqrt(r.dot(r))
     tol = cfg.residual_tolerance
     if tol is None:
-        tol = 1e-6 * float(np.linalg.norm(r))
+        tol = 1e-6 * rnorm
     coeffs: dict[int, float] = {}
     trace: list[IterationRecord] = []
     termination = Termination.max_iterations
-    if float(np.linalg.norm(r)) <= tol:
+    if rnorm <= tol:
         termination = Termination.tolerance_met
     else:
         for _ in range(cfg.max_iterations):
@@ -112,15 +122,16 @@ def matching_pursuit(
                 termination = Termination.score_floor
                 break
             z = outcome.position
-            nsq = column_norm_sq(z, ms)
+            column = ms.match_vector(z)
+            nsq = np.count_nonzero(column)
             if nsq == 0:
                 raise DegenerateColumnError(
                     f"solver chose index {z} matching no pattern"
                 )
-            c = column_dot(z, r, ms) / nsq
+            c = float(np.add.reduce(r[column]) / nsq)
             coeffs[z] = coeffs.get(z, 0.0) + c
-            r[ms.match_vector(z)] -= c
-            rnorm = float(np.linalg.norm(r))
+            r[column] -= c
+            rnorm = math.sqrt(r.dot(r))
             trace.append(IterationRecord(z, outcome.score, c, rnorm))
             if rnorm <= tol:
                 termination = Termination.tolerance_met

@@ -289,14 +289,6 @@ def ansatz_state(H: IsingHamiltonian, params: QaoaParams) -> np.ndarray:
     return _evolve(_StateBuffers(1, H.n, H.diagonal()), params.to_vector()[None])[0]
 
 
-def expectation(state: np.ndarray, H: IsingHamiltonian) -> float:
-    """<state| H |state> = sum_z |amp_z|^2 h(z)."""
-    if num_qubits(state) != H.n:
-        raise ValueError(f"state has {num_qubits(state)} qubits but H has {H.n}")
-    probs = np.abs(state) ** 2
-    return float(probs @ H.diagonal())
-
-
 @dataclass(frozen=True)
 class OptimizeOutcome:
     """Best parameters found, the expectation they achieve, and the eval count."""
@@ -464,7 +456,7 @@ def optimize(
     *,
     negated_seed=None,
 ) -> OptimizeOutcome | PairedOutcome:
-    """Maximize expectation(ansatz_state(H, .), H) over 2p angles.
+    """Maximize <h> in ansatz_state(H, .) over 2p angles.
 
     Derivative-free simplex search (Nelder-Mead, at most max_evals
     evaluations per start) from `restarts` uniform random starts in

@@ -8,10 +8,10 @@ report a score recomputed through column_dot at the returned position, so
 reported scores are always reproducible independently of the search path.
 The absolute value is handled by solving both the maximization and the
 minimization of h and keeping whichever extremum is larger in magnitude.
-The chain backend fills the max and the min tables in one fused sweep,
-exact because IEEE negation commutes with its sums and comparisons; the
-QAOA backend searches both in one lockstep run over H's diagonal, with
--H's circuits as H's circuits with their gammas negated.
+The chain backend fills the max and the min tables in one fused sweep that
+records its choices, exact because IEEE negation commutes with its sums and
+comparisons; the QAOA backend searches both in one lockstep run over H's
+diagonal, with -H's circuits as H's circuits with their gammas negated.
 """
 
 from __future__ import annotations
@@ -95,29 +95,42 @@ def _chain_extrema(
     up to the sign of a zero sum, which no comparison sees); the tie rules
     are that sweep's, mirrored.  Plain floats throughout: the same IEEE sums
     and comparisons as numpy scalars, without their per-element cost.
+
+    The sweep records, per site and lane, the bit it keeps at the next site
+    given bit 0 and given bit 1 here; the selection only follows those
+    records.  A selection that recomputed them would compare the same two
+    sums, (+-c) + h0 against (-+c) + h1 on the same table entries, with the
+    complementary tie rule (bit 0 on >=, or <= for the min, where the sweep
+    takes bit 1 on >, or <), so it picks the same bit whenever no sum is
+    NaN, which only an overflowing Hamiltonian can produce.  IEEE defines
+    x - y as x + (-y), so h1 - c is bit for bit -c + h1, signed zeros
+    included.
     """
-    # hi[i], lo[i] = (maximal, minimal value of sites i..n given bit 0, given
-    # bit 1 at site i); gjk is the candidate for bit j at i and bit k at i+1
-    hi = [(0.0, 0.0)] * (n + 2)
-    lo = hi.copy()
-    hi[n] = lo[n] = (fields[n], -fields[n])
-    for i in range(n - 1, 0, -1):
-        f, c = fields[i], couplings[i]
-        (h0, h1), (l0, l1) = hi[i + 1], lo[i + 1]
-        g00, g01, g10, g11 = c + h0, -c + h1, -c + h0, c + h1
-        hi[i] = (f + (g01 if g01 > g00 else g00), -f + (g11 if g11 > g10 else g10))
-        g00, g01, g10, g11 = c + l0, -c + l1, -c + l0, c + l1
-        lo[i] = (f + (g01 if g01 < g00 else g00), -f + (g11 if g11 < g10 else g10))
-    b = 0 if hi[1][0] >= hi[1][1] else 1
-    m = 0 if lo[1][0] <= lo[1][1] else 1
-    v_max = const + hi[1][b]
-    v_min = const + lo[1][m] + 0.0  # a zero minimum is +0.0, never -0.0
+    # (h0, h1), (l0, l1): maximal, minimal value of sites i..n given bit 0,
+    # given bit 1 at site i; gjk is the candidate for bit j at i, k at i+1
+    h0 = l0 = fields[n]
+    h1 = l1 = -fields[n]
+    # steps[-i]: the max lane's bit at site i+1 given bit 0 and given bit 1
+    # at site i, then the min lane's
+    steps = []
+    for f, c in zip(fields[n - 1:0:-1], couplings[n - 1:0:-1]):
+        # pairs, not quadruples: a two-name assignment builds no tuple
+        g00, g01 = h0 + c, h1 - c
+        g10, g11 = h0 - c, h1 + c
+        t0, t1 = g01 > g00, g11 > g10
+        h0, h1 = f + (g01 if t0 else g00), (g11 if t1 else g10) - f
+        g00, g01 = l0 + c, l1 - c
+        g10, g11 = l0 - c, l1 + c
+        u0, u1 = g01 < g00, g11 < g10
+        l0, l1 = f + (g01 if u0 else g00), (g11 if u1 else g10) - f
+        steps.append((t0, t1, u0, u1))
+    b = 0 if h0 >= h1 else 1
+    m = 0 if l0 <= l1 else 1
+    v_max = const + (h1 if b else h0)
+    v_min = const + (l1 if m else l0) + 0.0  # a zero minimum is +0.0, never -0.0
     z_max, z_min = b, m
-    for i in range(1, n):
-        c = couplings[i]
-        (h0, h1), (l0, l1) = hi[i + 1], lo[i + 1]
-        b = 0 if (-c if b else c) + h0 >= (c if b else -c) + h1 else 1
-        m = 0 if (-c if m else c) + l0 <= (c if m else -c) + l1 else 1
+    for step in reversed(steps):
+        b, m = step[b], step[2 + m]
         z_max, z_min = z_max << 1 | b, z_min << 1 | m
     return z_max, v_max, z_min, v_min
 
@@ -125,10 +138,13 @@ def _chain_extrema(
 def chain_dp_solve(ms: MeasurementSet, r: np.ndarray) -> SolverOutcome:
     """Exact optimum for chain-structured Hamiltonians in O(n).
 
-    One fused pass fills the max and the min tables of h together, then
-    keeps the extremum of larger magnitude (ties toward the maximization of
-    h).  It is bitwise the two-pass form that maximizes h and -h, since IEEE
-    negation commutes with the sweep's sums and comparisons.  Raises
+    One fused pass fills the max and the min tables of h together and
+    records each choice it makes, a second pass follows those records to the
+    two indices, and the extremum of larger magnitude is kept (ties toward
+    the maximization of h).  It is bitwise the two-pass form that maximizes
+    h and -h and recomputes every choice, since IEEE negation commutes with
+    the sweep's sums and comparisons and a recorded choice is the one a
+    recomputation would make (see `_chain_extrema`).  Raises
     ChainStructureError when the built Hamiltonian is not a chain.
     """
     H = build_hamiltonian(ms, r)

@@ -26,7 +26,13 @@ select each gate qubit's halves of the state, and each RX as one
 for bit.
 `qaoa_solve_two_calls` is the QAOA backend with one `optimize` call on H
 and one on `negated(H)`, each sampled from its own target's state, which
-the one-call `qaoa_solve` must match bit for bit.  `optimize` has no
+the one-call `qaoa_solve` must match bit for bit.  `expectation` is <H> in
+one state, through H's diagonal.
+`matching_pursuit_reference` takes each pursuit step through the column
+helpers: `column_norm_sq` and `column_dot` each build the chosen column,
+deflation builds it a third time, and the residual norm is
+`np.linalg.norm`.  The one-mask `matching_pursuit` must match it bit for
+bit.  `optimize` has no
 reference here: scipy's Nelder-Mead, run start by start on H and on
 `negated(H)`, is its reference (`test_qaoa._scipy_optimize`).  The other
 helpers materialize what the package keeps implicit.
@@ -40,7 +46,10 @@ import numpy as np
 
 from isingpursuit import qaoa
 from isingpursuit.hamiltonian import COEFF_PRUNE_TOL, IsingHamiltonian, build_hamiltonian
-from isingpursuit.measurement import DENSE_MATRIX_CAP, MeasurementSet, Pattern, column_dot
+from isingpursuit.measurement import (DENSE_MATRIX_CAP, MeasurementSet, Pattern, _per_pattern,
+                                      column_dot, column_norm_sq)
+from isingpursuit.pursuit import (MIN_SCORE, DegenerateColumnError, IterationRecord,
+                                  PursuitConfig, ReconstructionResult, Termination)
 from isingpursuit.signal import SparseSignal, _check_dense_size
 from isingpursuit.solvers import ChainStructureError, SolverOutcome, SolverSpec
 
@@ -341,3 +350,49 @@ def qaoa_solve_two_calls(ms: MeasurementSet, r: np.ndarray, spec: SolverSpec, se
             best_z, best_score = z, score
     diagnostics["candidates"] = len(candidates)
     return SolverOutcome(best_z, best_score, diagnostics)
+
+
+def expectation(state: np.ndarray, H: IsingHamiltonian) -> float:
+    """<state| H |state> = sum_z |amp_z|^2 h(z)."""
+    if qaoa.num_qubits(state) != H.n:
+        raise ValueError(f"state has {qaoa.num_qubits(state)} qubits but H has {H.n}")
+    probs = np.abs(state) ** 2
+    return float(probs @ H.diagonal())
+
+
+def matching_pursuit_reference(
+    y: np.ndarray, ms: MeasurementSet, cfg: PursuitConfig
+) -> ReconstructionResult:
+    """matching_pursuit with each step through column_norm_sq, column_dot, a
+    second match vector for the deflation and np.linalg.norm."""
+    r = _per_pattern(y, ms, "marginals").copy()
+    if not np.isfinite(r).all():
+        raise ValueError("marginals must be finite")
+    tol = cfg.residual_tolerance
+    if tol is None:
+        tol = 1e-6 * float(np.linalg.norm(r))
+    coeffs: dict[int, float] = {}
+    trace: list[IterationRecord] = []
+    termination = Termination.max_iterations
+    if float(np.linalg.norm(r)) <= tol:
+        termination = Termination.tolerance_met
+    else:
+        for _ in range(cfg.max_iterations):
+            outcome = cfg.solver(ms, r)
+            if outcome.score < MIN_SCORE:
+                termination = Termination.score_floor
+                break
+            z = outcome.position
+            nsq = column_norm_sq(z, ms)
+            if nsq == 0:
+                raise DegenerateColumnError(f"solver chose index {z} matching no pattern")
+            c = column_dot(z, r, ms) / nsq
+            coeffs[z] = coeffs.get(z, 0.0) + c
+            r[ms.match_vector(z)] -= c
+            rnorm = float(np.linalg.norm(r))
+            trace.append(IterationRecord(z, outcome.score, c, rnorm))
+            if rnorm <= tol:
+                termination = Termination.tolerance_met
+                break
+    spikes = tuple((pos, val) for pos, val in sorted(coeffs.items()) if val != 0.0)
+    return ReconstructionResult(SparseSignal(n=ms.n, spikes=spikes), tuple(trace), termination)

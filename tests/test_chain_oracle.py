@@ -38,8 +38,9 @@ def fingerprint(out) -> str:
 @given(chain_cases())
 @example((nearest_neighbor_patterns(5), np.zeros(16)))
 @example((nearest_neighbor_patterns(4), np.array([1.0, 0.0, 0.0, 1.0] * 3)))
-# all zero: min_value is +0.0
+# all zero: min_value is +0.0, and every choice ties at all 62 sites
 @example((nearest_neighbor_patterns(2), np.zeros(4)))
+@example((nearest_neighbor_patterns(63), np.zeros(248)))
 # h = 1 at z=3 and -1 at z=0: |max| == |min|, so the position is the max's
 @example((nearest_neighbor_patterns(2), np.array([-1.0, 0.0, 0.0, 1.0])))
 # zero fields, h = -1 at z=1 and z=2: the min's tie rule picks z=1
@@ -78,6 +79,17 @@ def raw_chains(draw):
 # -0.0 constant and field: const + min sums to -0.0, which must come out
 # +0.0, as the two-pass form's 0.0 - max(-h) gives
 @example((-0.0, [0.0, -0.0], [0.0], 1))
+# Every comparison the sweep records ties, in both lanes, at all 62 sites:
+# all +0.0 or all -0.0 fields and couplings read the choices given bit 0;
+# a first field of -1 (+1) sends the max (min) lane to bit 1 at site 1, so
+# that lane reads the tied choices given bit 1 instead.
+@example((0.0, [0.0] * 64, [0.0] * 63, 63))
+@example((-0.0, [0.0] + [-0.0] * 63, [0.0] + [-0.0] * 62, 63))
+@example((0.0, [0.0, -1.0] + [0.0] * 62, [0.0] * 63, 63))
+@example((0.0, [0.0, 1.0] + [0.0] * 62, [0.0] * 63, 63))
+# Equal fields and zero couplings: no comparison ties, and the two lanes
+# record opposite choices at every site, bit 0 for the max, bit 1 for the min
+@example((0.0, [0.0] + [0.5] * 63, [0.0] * 63, 63))
 def test_fused_sweep_matches_two_max_sweeps(chain):
     fused = _chain_extrema(*chain)
     assert repr(fused) == repr(two_pass_extrema(*chain))

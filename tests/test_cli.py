@@ -162,6 +162,17 @@ def test_experiment_rejects_a_plan_no_trial_can_run_before_any_worker(
     assert "Traceback" not in err
 
 
+def test_chain_on_quad_patterns_exits_2_before_any_worker(monkeypatch, capsys):
+    def no_workers(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr("isingpursuit.experiment.ProcessPoolExecutor", no_workers)
+    assert run_cli("experiment", "--n", "6", "--sparsity", "1", "--trials", "2",
+                   "--solver", "chain", "--patterns", "quad", "--workers", "2") == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: the chain solver needs nn patterns, got 'quad'"]
+
+
 def test_max_iterations_flag_gives_the_plan_files_csv(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({

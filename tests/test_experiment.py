@@ -159,6 +159,19 @@ def test_time_limit_caps_trials_as_failures():
     assert report.rate == 0.0
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_batch_refuses_chain_on_quad_patterns_before_any_trial(workers, monkeypatch):
+    # each trial used to raise ChainStructureError, after the pool had started
+    def no_work(*args, **kwargs):
+        raise AssertionError("a worker pool or a trial started")
+
+    monkeypatch.setattr("isingpursuit.experiment.ProcessPoolExecutor", no_work)
+    monkeypatch.setattr("isingpursuit.experiment._run_trial", no_work)
+    plan = tiny_plan(n=6, pattern_kind="quad", solver=SolverSpec("chain"), workers=workers)
+    with pytest.raises(ValueError, match="the chain solver needs nn patterns, got 'quad'"):
+        run_batch(plan)
+
+
 def test_run_sweep_prepends_chain_baseline_and_pairs_trials():
     plan = tiny_plan(
         n=4, sparsity=1, trial_count=4, pattern_kind="quad",

@@ -19,7 +19,6 @@ from isingpursuit.qaoa import (
     ansatz_state,
     apply_phase_layer,
     decompose_evolution,
-    expectation,
     format_gates,
     num_qubits,
     optimize,
@@ -29,7 +28,7 @@ from isingpursuit.qaoa import (
 )
 from isingpursuit.qaoa import _evolve, _expectations, _lockstep, _nelder_mead, _StateBuffers
 
-from oracles import apply_mixer_layer
+from oracles import apply_mixer_layer, expectation
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
