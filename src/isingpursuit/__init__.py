@@ -13,7 +13,6 @@ from .measurement import (
     MeasurementSet,
     Pattern,
     column_dot,
-    column_norm_sq,
     complete_patterns,
     measure,
     nearest_neighbor_patterns,
@@ -78,7 +77,6 @@ __all__ = [
     "build_hamiltonian",
     "chain_dp_solve",
     "column_dot",
-    "column_norm_sq",
     "complete_patterns",
     "decompose_evolution",
     "format_gates",

@@ -33,7 +33,7 @@ from .signal import SparseSignal, _read_float, _read_int, random_sparse_signal
 # A plan file's number fields and its solver's; the two that may be null stay null.
 _INT_FIELDS = {"n", "sparsity", "trial_count", "quadruplets", "master_seed", "max_iterations",
                "workers", "param_count", "restarts", "max_evals", "shots"}
-_FLOAT_FIELDS = {"amplitude_floor", "time_limit_s"}
+_FLOAT_FIELDS = {"time_limit_s"}
 _NULLABLE_FIELDS = {"quadruplets", "max_iterations"}
 
 

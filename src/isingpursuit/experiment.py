@@ -18,8 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .measurement import MeasurementSet, measure, nearest_neighbor_patterns, random_quadruplet_patterns
-from .pursuit import (AMPLITUDE_FLOOR, PursuitConfig, ReconstructionResult, Solver,
-                      matching_pursuit, recovery_success)
+from .pursuit import PursuitConfig, ReconstructionResult, Solver, matching_pursuit, recovery_success
 from .signal import SparseSignal, _check_dense_size, _check_sparsity, random_sparse_signal
 from .solvers import BACKENDS, SolverSpec, brute_force_solve, chain_dp_solve, qaoa_solve
 
@@ -39,7 +38,6 @@ class ExperimentPlan:
     quadruplets: int | None = None
     solver: SolverSpec = SolverSpec()
     master_seed: int = 0
-    amplitude_floor: float = AMPLITUDE_FLOOR
     max_iterations: int | None = None
     time_limit_s: float = 60.0
     workers: int = 1
@@ -169,7 +167,7 @@ def run_single(
 
     cfg = PursuitConfig(solver=guarded, max_iterations=plan.effective_max_iterations)
     result = matching_pursuit(y, ms, cfg)
-    return signal, result, recovery_success(signal, result, plan.amplitude_floor)
+    return signal, result, recovery_success(signal, result)
 
 
 def _run_trial(args: tuple[ExperimentPlan, int, int]) -> TrialRecord:
@@ -206,8 +204,8 @@ def run_sweep(plan: ExperimentPlan, parameter_counts: list[int]) -> list[Success
     The reference is the chain solver on nearest-neighbor patterns.  Every
     plan is checked before any trial runs, and all share trial seeds (paired).
     """
-    if not parameter_counts or any(c < 1 for c in parameter_counts):
-        raise ValueError("parameter counts must be a non-empty list of ints >= 1")
+    if not parameter_counts:
+        raise ValueError("parameter counts must be a non-empty list")
     baseline = replace(plan, solver=SolverSpec(backend="chain"), pattern_kind="nn")
     arms = [replace(plan, solver=replace(plan.solver, backend="qaoa", param_count=count))
             for count in parameter_counts]

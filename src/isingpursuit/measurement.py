@@ -380,14 +380,6 @@ def column_dot(z: int, r: np.ndarray, ms: MeasurementSet) -> float:
     return float(np.add.reduce(_per_pattern(r, ms)[ms.match_vector(z)]))
 
 
-def column_norm_sq(z: int, ms: MeasurementSet) -> int:
-    """Squared norm of the binary column z = number of patterns matching z.
-
-    A return of 0 means the column is absent from the measurement set.
-    """
-    return int(np.count_nonzero(ms.match_vector(z)))
-
-
 def _extend_stage(out: np.ndarray, prev: np.ndarray, table: list[float]) -> None:
     """out[2w + b] = prev[w] + table[2u + b] for u the low k-1 bits of w,
     where table holds 2**k entries: one strided add of a Python float per

@@ -92,21 +92,24 @@ def matching_pursuit(
 
     Stops when the residual 2-norm falls to the tolerance, the best solver
     score drops below MIN_SCORE, or the iteration budget runs out.  Raises
-    ValueError on marginals that are not a finite vector with one entry per
-    pattern.
+    ValueError on marginals that are not a vector with one entry per
+    pattern, or whose squared norm r . r is not finite (a NaN or infinite
+    entry, or entries above about 1e154).
 
     Each step builds the chosen column once, as the boolean match vector
     over patterns: a binary column's squared norm is its count of matches,
     its dot with r is the sum of r over the matches, and deflation subtracts
-    the coefficient on them.  Those are the reductions column_norm_sq and
-    column_dot run on the same vector (np.add.reduce is the reduce np.sum
-    runs), and sqrt(r . r) is what np.linalg.norm computes for a float
-    vector, so every step is bit for bit the one through those helpers.
+    the coefficient on them.  Those are the reductions the column_norm_sq of
+    tests/oracles.py and column_dot run on the same vector (np.add.reduce is
+    the reduce np.sum runs), and sqrt(r . r) is what np.linalg.norm computes
+    for a float vector, so every step is bit for bit the one through them.
     """
     r = _per_pattern(y, ms, "marginals").copy()
-    if not np.isfinite(r).all():
-        raise ValueError("marginals must be finite")
-    rnorm = math.sqrt(r.dot(r))
+    with np.errstate(over="ignore"):
+        rnorm_sq = r.dot(r)
+    if not math.isfinite(rnorm_sq):
+        raise ValueError("marginals must be finite, and so must their squared norm")
+    rnorm = math.sqrt(rnorm_sq)
     tol = cfg.residual_tolerance
     if tol is None:
         tol = 1e-6 * rnorm
@@ -146,10 +149,9 @@ def matching_pursuit(
     )
 
 
-def recovery_success(
-    truth: SparseSignal, result: ReconstructionResult, amplitude_floor: float = AMPLITUDE_FLOOR
-) -> bool:
-    """True iff every true spike position carries recovered weight above the floor.
+def recovery_success(truth: SparseSignal, result: ReconstructionResult) -> bool:
+    """True iff every true spike position carries recovered weight of at least
+    AMPLITUDE_FLOOR in magnitude.
 
     Spurious extra positions do not count against success; recovered values
     are not compared against the true amplitudes.
@@ -158,5 +160,5 @@ def recovery_success(
         raise ValueError(f"truth has n={truth.n} but result has n={result.recovered.n}")
     recovered = result.coefficients()
     return all(
-        abs(recovered.get(pos, 0.0)) >= amplitude_floor for pos in truth.positions()
+        abs(recovered.get(pos, 0.0)) >= AMPLITUDE_FLOOR for pos in truth.positions()
     )

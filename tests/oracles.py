@@ -32,22 +32,24 @@ one state, through H's diagonal.
 helpers: `column_norm_sq` and `column_dot` each build the chosen column,
 deflation builds it a third time, and the residual norm is
 `np.linalg.norm`.  The one-mask `matching_pursuit` must match it bit for
-bit.  `optimize` has no
-reference here: scipy's Nelder-Mead, run start by start on H and on
-`negated(H)`, is its reference (`test_qaoa._scipy_optimize`).  The other
-helpers materialize what the package keeps implicit.
+bit.  `optimize`'s reference is scipy's Nelder-Mead, run start by start
+(`scipy_optimize`) on H and on `negated(H)`; `scipy_nelder_mead` is one
+such run on the kernel's objective.  The other helpers materialize what
+the package keeps implicit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+from scipy.optimize import minimize
 
 from isingpursuit import qaoa
 from isingpursuit.hamiltonian import COEFF_PRUNE_TOL, IsingHamiltonian, build_hamiltonian
 from isingpursuit.measurement import (DENSE_MATRIX_CAP, MeasurementSet, Pattern, _per_pattern,
-                                      column_dot, column_norm_sq)
+                                      column_dot)
 from isingpursuit.pursuit import (MIN_SCORE, DegenerateColumnError, IterationRecord,
                                   PursuitConfig, ReconstructionResult, Termination)
 from isingpursuit.signal import SparseSignal, _check_dense_size
@@ -360,14 +362,23 @@ def expectation(state: np.ndarray, H: IsingHamiltonian) -> float:
     return float(probs @ H.diagonal())
 
 
+def column_norm_sq(z: int, ms: MeasurementSet) -> int:
+    """Squared norm of the binary column z = number of patterns matching z.
+
+    A return of 0 means the column is absent from the measurement set.
+    """
+    return int(np.count_nonzero(ms.match_vector(z)))
+
+
 def matching_pursuit_reference(
     y: np.ndarray, ms: MeasurementSet, cfg: PursuitConfig
 ) -> ReconstructionResult:
     """matching_pursuit with each step through column_norm_sq, column_dot, a
     second match vector for the deflation and np.linalg.norm."""
     r = _per_pattern(y, ms, "marginals").copy()
-    if not np.isfinite(r).all():
-        raise ValueError("marginals must be finite")
+    with np.errstate(over="ignore"):
+        if not math.isfinite(np.linalg.norm(r)):
+            raise ValueError("marginals must be finite, and so must their squared norm")
     tol = cfg.residual_tolerance
     if tol is None:
         tol = 1e-6 * float(np.linalg.norm(r))
@@ -396,3 +407,35 @@ def matching_pursuit_reference(
                 break
     spikes = tuple((pos, val) for pos, val in sorted(coeffs.items()) if val != 0.0)
     return ReconstructionResult(SparseSignal(n=ms.n, spikes=spikes), tuple(trace), termination)
+
+
+def scipy_nelder_mead(objective, x0, maxfev):
+    """scipy's Nelder-Mead from x0 on a batch objective, one point at a time,
+    with optimize's tolerances."""
+    return minimize(lambda x: objective(x[None])[0], x0, method="Nelder-Mead",
+                    options={"maxfev": maxfev, "xatol": qaoa.XATOL, "fatol": qaoa.FATOL})
+
+
+def scipy_optimize(H: IsingHamiltonian, p: int, restarts: int, max_evals: int, seed, init=None):
+    """optimize as one scipy minimize per start, run one after another:
+    (params, expectation, evaluations)."""
+    rng = np.random.default_rng(seed)
+    kernel = qaoa._StateBuffers(4, H.n, H.diagonal())
+
+    def objective(angles):
+        return -qaoa._expectations(kernel, angles)
+
+    starts = [] if init is None else [init.to_vector()]
+    starts.extend(rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
+    best_x, best_val, evaluations = None, -np.inf, 0
+    for i, x0 in enumerate(starts):
+        if i == 0 and init is not None:
+            val = -objective(x0[None])[0]
+            evaluations += 1
+            if val > best_val:
+                best_val, best_x = float(val), x0
+        res = scipy_nelder_mead(objective, x0, max_evals)
+        evaluations += res.nfev
+        if -res.fun > best_val:
+            best_val, best_x = -float(res.fun), res.x
+    return qaoa.QaoaParams.from_vector(best_x), best_val, evaluations

@@ -1,9 +1,12 @@
 """Property tests for the checks where inputs enter the system: non-finite
-marginals and spike values, marginals that are not one vector entry per
-pattern, the 63-bit width of the index masks, the cap on 2**n-entry arrays,
-integer fields of the JSON loaders, empty solver budgets, and a solver
-choice whose column no pattern measures."""
+marginals and spike values, marginals whose squared norm overflows,
+marginals that are not one vector entry per pattern, the 63-bit width of
+the index masks, the cap on 2**n-entry arrays, integer fields of the JSON
+loaders, empty solver budgets, and a solver choice whose column no pattern
+measures."""
 
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,13 +22,14 @@ from isingpursuit.measurement import (
     MeasurementSet,
     Pattern,
     all_column_dots,
-    column_norm_sq,
     nearest_neighbor_patterns,
     random_quadruplet_patterns,
 )
 from isingpursuit.pursuit import DegenerateColumnError, PursuitConfig, matching_pursuit
 from isingpursuit.signal import DENSE_VECTOR_CAP, INDEX_BITS_CAP, SparseSignal, random_sparse_signal
 from isingpursuit.solvers import BACKENDS, SolverOutcome, SolverSpec, brute_force_solve, qaoa_solve
+
+from oracles import column_norm_sq
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 BUDGETS = ("param_count", "restarts", "max_evals", "shots")
@@ -38,6 +42,26 @@ def test_non_finite_marginals_are_rejected(n, data):
     y[data.draw(st.integers(0, len(ms) - 1))] = data.draw(NON_FINITE)
     with pytest.raises(ValueError, match="marginals must be finite"):
         matching_pursuit(y, ms, PursuitConfig(solver=brute_force_solve, max_iterations=4))
+
+
+@given(st.integers(2, 8), st.data())
+def test_marginals_whose_squared_norm_overflows_are_rejected(n, data):
+    # ||y||**2 = inf used to make the default tolerance inf, and the pursuit
+    # returned an empty recovery marked tolerance_met
+    ms = nearest_neighbor_patterns(n)
+    u = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=len(ms), max_size=len(ms))))
+    u[data.draw(st.integers(0, len(ms) - 1))] = data.draw(st.sampled_from([-1.0, 1.0]))
+    # y = u scaled to a squared norm a relative 1e-6 above or below the float64 maximum
+    above = data.draw(st.booleans())
+    scale = math.sqrt(sys.float_info.max) * math.sqrt(1 + (1e-6 if above else -1e-6))
+    y = u * (scale / math.sqrt(math.fsum(u * u)))
+    assert np.isfinite(y).all()
+    cfg = PursuitConfig(solver=brute_force_solve, max_iterations=1)
+    if above:
+        with pytest.raises(ValueError, match="marginals must be finite"):
+            matching_pursuit(y, ms, cfg)
+    else:
+        assert len(matching_pursuit(y, ms, cfg).trace) == 1
 
 
 @given(st.integers(1, INDEX_BITS_CAP), st.data())
@@ -240,6 +264,8 @@ def test_optimize_rejects_an_empty_evaluation_budget(max_evals):
     H = IsingHamiltonian(2, {frozenset({1, 2}): 1.0})
     with pytest.raises(ValueError, match=f"max_evals must be >= 1, got {max_evals}"):
         qaoa.optimize(H, 1, restarts=1, max_evals=max_evals)
+    with pytest.raises(ValueError, match=f"max_evals must be >= 1, got {max_evals}"):
+        qaoa.optimize(H, 1, restarts=0, max_evals=max_evals, init=ONE_LAYER)
 
 
 @given(st.integers(1, 8), st.data())

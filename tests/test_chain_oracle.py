@@ -12,12 +12,11 @@ from isingpursuit.measurement import nearest_neighbor_patterns
 from isingpursuit.solvers import _chain_extrema, chain_dp_solve
 
 from oracles import _chain_max_arrays, chain_dp_solve_arrays
-from test_table_kernel import DEPTH, ENTRIES
+from strategies import DEPTH, SCALED_ENTRIES, TIED
 
-# Few distinct values, many of them equal or zero: fields and couplings
-# that tie, so the DP's tie rule decides the position.
-TIED = st.sampled_from([0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 2.0])
-RESIDUAL_ENTRIES = st.sampled_from([ENTRIES, TIED, st.one_of(ENTRIES, TIED)])
+# Tied entries give fields and couplings that tie, so the DP's tie rule
+# decides the position.
+RESIDUAL_ENTRIES = st.sampled_from([SCALED_ENTRIES, TIED, st.one_of(SCALED_ENTRIES, TIED)])
 
 
 @st.composite
@@ -67,7 +66,7 @@ SIGNED = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 5e-324, -5e-324])
 @st.composite
 def raw_chains(draw):
     n = draw(st.integers(1, 63))
-    entries = draw(st.sampled_from([SIGNED, ENTRIES, st.one_of(SIGNED, ENTRIES)]))
+    entries = draw(st.sampled_from([SIGNED, SCALED_ENTRIES, st.one_of(SIGNED, SCALED_ENTRIES)]))
     fields = draw(st.lists(entries, min_size=n, max_size=n))
     couplings = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
     # index 0 of both lists is unused: fields[i] is site i, couplings[i] pairs (i, i+1)

@@ -17,7 +17,7 @@ from isingpursuit.experiment import (
     make_solver,
 )
 from isingpursuit.measurement import MeasurementSet
-from isingpursuit.pursuit import PursuitConfig, matching_pursuit, recovery_success
+from isingpursuit.pursuit import PursuitConfig, matching_pursuit
 from isingpursuit.qaoa import optimize
 from isingpursuit.solvers import SolverOutcome
 
@@ -273,12 +273,9 @@ def test_experiment_flags_default_to_the_plan_defaults(monkeypatch, capsys):
     monkeypatch.setattr("isingpursuit.cli.run_batch", record)
     assert run_cli("experiment", "--n", "6", "--sparsity", "2") == 0
     assert plans == [ExperimentPlan(n=6, sparsity=2)]
-    defaults = {name: parameter.default
-                for fn in (optimize, recovery_success)
-                for name, parameter in inspect.signature(fn).parameters.items()}
-    assert (defaults["restarts"], defaults["max_evals"]) == (SolverSpec.restarts,
-                                                              SolverSpec.max_evals)
-    assert defaults["amplitude_floor"] == ExperimentPlan.amplitude_floor
+    defaults = inspect.signature(optimize).parameters
+    assert (defaults["restarts"].default, defaults["max_evals"].default) == (
+        SolverSpec.restarts, SolverSpec.max_evals)
 
 
 @pytest.fixture

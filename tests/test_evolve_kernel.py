@@ -24,36 +24,16 @@ from oracles import (
     phase_rows,
     simulate_gates_selectors,
 )
-
-# 1 under the default profile, 5 under --hypothesis-profile=ci.
-DEPTH = settings.default.max_examples // 100
-
-# Zero and negative angles, tiny and huge magnitudes.
-ANGLES = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -np.pi, 2.0**50, -(2.0**50)]),
-    st.floats(-20.0, 20.0, allow_nan=False),
-    st.builds(lambda m, e: m * 2.0**e, st.floats(-1.0, 1.0), st.integers(-1074, 50)),
+from strategies import (
+    ANGLES,
+    DEPTH,
+    EXTREME_ENTRIES,
+    SIGNED_ZEROS,
+    overwrite,
+    states,
+    wide_hamiltonians,
+    wide_values,
 )
-# Signed zeros, subnormals and huge values on the diagonal.
-ENTRIES = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**50, -(2.0**50)]),
-    st.builds(lambda m, e: m * 2.0**e, st.floats(-1.0, 1.0), st.integers(-1074, 50)),
-)
-
-
-def wide_values(rng: np.random.Generator, shape) -> np.ndarray:
-    """Normal draws, each scaled by 2**e for e in [-60, 50) when rng says so."""
-    x = rng.normal(size=shape)
-    if rng.random() < 0.5:
-        x *= 2.0 ** rng.integers(-60, 50, size=shape)
-    return x
-
-
-def overwrite(draw, a: np.ndarray, values) -> None:
-    """Put a few drawn values at drawn flat positions of a."""
-    flat = a.reshape(-1)
-    for _ in range(draw(st.integers(0, 8))):
-        flat[draw(st.integers(0, len(flat) - 1))] = draw(values)
 
 
 @st.composite
@@ -62,7 +42,7 @@ def evolve_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     diag = wide_values(rng, 1 << n)
     angles = rng.uniform(-2.0 * np.pi, 4.0 * np.pi, size=(K, 2 * p))
-    overwrite(draw, diag, ENTRIES)
+    overwrite(draw, diag, EXTREME_ENTRIES)
     overwrite(draw, angles, ANGLES)
     return diag, n, angles
 
@@ -96,31 +76,9 @@ def test_evolve_and_expectations_are_bitwise_the_per_qubit_kernel(case):
         assert _expectations(kernel, angles).tobytes() == values.tobytes()
 
 
-# Every sign combination of a zero amplitude.  The sign of each zero that
-# comes out follows from the exact operands: in an RX gate, i * -sin(t / 2)
-# and -i * sin(t / 2) give different zeros.
-SIGNED_ZEROS = np.array([complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)])
-
-
-@st.composite
-def hamiltonians(draw):
-    n = draw(st.integers(1, 12))
-    supports = draw(st.lists(
-        st.frozensets(st.integers(1, n), max_size=min(n, 6)), max_size=12, unique=True,
-    ))
-    return IsingHamiltonian(n, {s: draw(ENTRIES) for s in supports})
-
-
-@st.composite
-def states(draw, n):
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    psi = wide_values(rng, 1 << n) + 1j * wide_values(rng, 1 << n)
-    overwrite(draw, psi.view(float), ENTRIES)
-    return psi
-
-
 @settings(max_examples=200 * DEPTH)
-@given(hamiltonians().flatmap(lambda H: st.tuples(st.just(H), states(H.n))), ANGLES, ANGLES)
+@given(wide_hamiltonians(EXTREME_ENTRIES).flatmap(lambda H: st.tuples(st.just(H), states(H.n))),
+       ANGLES, ANGLES)
 @example((IsingHamiltonian(2, {frozenset({1}): -0.0, frozenset({1, 2}): 2.0}), SIGNED_ZEROS),
          -0.75, 0.5)
 def test_single_layers_are_bitwise_the_per_qubit_steps(H_state, gamma, beta):

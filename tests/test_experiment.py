@@ -28,15 +28,6 @@ def tiny_plan(**kwargs):
 def test_solver_spec_validation():
     with pytest.raises(ValueError, match="backend"):
         SolverSpec(backend="annealer")
-    with pytest.raises(ValueError, match="param_count"):
-        SolverSpec(param_count=0)
-
-
-@pytest.mark.parametrize("budget", ["restarts", "max_evals", "shots"])
-def test_solver_spec_rejects_an_empty_qaoa_budget(budget):
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match=f"{budget} must be >= 1"):
-            SolverSpec(backend="qaoa", **{budget: bad})
 
 
 def test_parameter_count_maps_to_depth():

@@ -4,7 +4,6 @@ and their samples.  A mirrored lane, which runs -H on H's diagonal with its
 gammas negated by `_lockstep`'s row sign, is also checked on its own, from
 starts whose gammas are exactly zero."""
 
-import math
 from unittest import mock
 
 import numpy as np
@@ -14,12 +13,7 @@ from hypothesis import strategies as st
 
 from isingpursuit import qaoa
 from isingpursuit.hamiltonian import IsingHamiltonian
-from isingpursuit.measurement import (
-    MeasurementSet,
-    Pattern,
-    nearest_neighbor_patterns,
-    random_quadruplet_patterns,
-)
+from isingpursuit.measurement import MeasurementSet, Pattern, nearest_neighbor_patterns
 from isingpursuit.qaoa import (
     QaoaParams,
     _expectations,
@@ -31,10 +25,7 @@ from isingpursuit.qaoa import (
 from isingpursuit.solvers import SolverSpec, qaoa_solve
 
 from oracles import negated, qaoa_solve_two_calls
-from test_qaoa import hamiltonians
-
-# 1 under the default profile, 5 under --hypothesis-profile=ci.
-DEPTH = settings.default.max_examples // 100
+from strategies import DEPTH, hamiltonians, measurement_sets
 
 # Dyadic residuals cancel exactly, so H's diagonal holds +0.0 entries where
 # -H's negation would hold -0.0.
@@ -42,22 +33,6 @@ RESIDUALS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.25]),
     st.floats(-10.0, 10.0, allow_nan=False),
 )
-
-
-@st.composite
-def measurement_sets(draw):
-    n = draw(st.integers(1, 8))
-    kind = draw(st.sampled_from(("nn", "quad", "adhoc")))
-    if kind == "nn" and n >= 2:
-        return nearest_neighbor_patterns(n)
-    if kind == "quad" and n >= 4:
-        q = draw(st.integers(1, min(3, math.comb(n, 4))))
-        return random_quadruplet_patterns(n, q, seed=draw(st.integers(0, 2**31)))
-    patterns = []
-    for _ in range(draw(st.integers(1, 8))):
-        bits = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
-        patterns.append(Pattern(tuple((b, draw(st.integers(0, 1))) for b in bits)))
-    return MeasurementSet(n, tuple(patterns))
 
 
 @st.composite
@@ -97,7 +72,7 @@ def recorded(solve, ms, r, spec, seed):
 
 
 # H's diagonal is [1, 1, +0.0, +0.0]; -H's is [-1, -1, +0.0, +0.0].
-SIGNED_ZEROS = (MeasurementSet(2, (Pattern(((1, 0),)), Pattern(((2, 1),)))),
+SIGNED_ZERO_DIAGONAL = (MeasurementSet(2, (Pattern(((1, 0),)), Pattern(((2, 1),)))),
                 np.array([1.0, -0.0]))
 # Both values of bit 1 with equal residuals: H is the constant 0.75.
 FLAT = (MeasurementSet(1, (Pattern(((1, 0),)), Pattern(((1, 1),)))), np.array([0.75, 0.75]))
@@ -105,7 +80,7 @@ FLAT = (MeasurementSet(1, (Pattern(((1, 0),)), Pattern(((1, 1),)))), np.array([0
 
 @settings(max_examples=100 * DEPTH)
 @given(solve_cases())
-@example((*SIGNED_ZEROS, SolverSpec("qaoa", 4, restarts=2, max_evals=40, shots=8), 3))
+@example((*SIGNED_ZERO_DIAGONAL, SolverSpec("qaoa", 4, restarts=2, max_evals=40, shots=8), 3))
 @example((*FLAT, SolverSpec("qaoa", 2, restarts=1, max_evals=10, shots=4), 0))
 @example((nearest_neighbor_patterns(4), np.array([1.0, -1.0, 0.5, 0.0] * 3),
           SolverSpec("qaoa", 6, restarts=3, max_evals=60, shots=16), 5))

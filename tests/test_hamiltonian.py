@@ -10,13 +10,12 @@ from isingpursuit.hamiltonian import IsingHamiltonian, build_hamiltonian
 from isingpursuit.measurement import (
     MeasurementSet,
     Pattern,
-    all_column_dots,
     nearest_neighbor_patterns,
     random_quadruplet_patterns,
 )
 
 from oracles import negated
-from test_measurement import measurement_sets
+from strategies import measurement_sets
 
 
 def test_single_bit_one_pattern_expansion():
@@ -83,14 +82,6 @@ def test_diagonal_agrees_with_evaluate():
 def test_negated_flips_every_entry():
     H = IsingHamiltonian(3, {frozenset({1, 2}): 0.5, frozenset(): -1.0})
     assert np.allclose(negated(H).diagonal(), -H.diagonal())
-
-
-@settings(max_examples=60)
-@given(measurement_sets(), st.integers(0, 2**31))
-def test_diagonal_consistency(ms, seed):
-    r = np.random.default_rng(seed).normal(size=len(ms))
-    H = build_hamiltonian(ms, r)
-    assert np.allclose(H.diagonal(), all_column_dots(r, ms), rtol=1e-12, atol=1e-12)
 
 
 def test_nearest_neighbor_sets_build_chains():

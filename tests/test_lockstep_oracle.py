@@ -1,6 +1,6 @@
 """`qaoa.optimize`, whose `_lockstep` runs -H's lanes under a row sign
 and whose Nelder-Mead step takes scipy's arrays in fewer numpy calls,
-against scipy's Nelder-Mead run start by start: `test_qaoa._scipy_optimize`
+against scipy's Nelder-Mead run start by start: `oracles.scipy_optimize`
 on H with `seed`, and on `oracles.negated(H)` with `negated_seed`.  The
 outcomes must have the same repr, which tells -0.0 from 0.0: every angle,
 value and evaluation count."""
@@ -12,13 +12,10 @@ from hypothesis import strategies as st
 from isingpursuit.hamiltonian import IsingHamiltonian
 from isingpursuit.qaoa import OptimizeOutcome, PairedOutcome, QaoaParams, optimize
 
-from oracles import negated
-from test_qaoa import _scipy_optimize, hamiltonians
+from oracles import negated, scipy_optimize
+from strategies import DEPTH, hamiltonians
 
-# 1 under the default profile, 5 under --hypothesis-profile=ci.
-DEPTH = settings.default.max_examples // 100
-
-ANGLES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2 * np.pi, 2 * np.pi))
+WARM_ANGLES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2 * np.pi, 2 * np.pi))
 
 
 @st.composite
@@ -36,7 +33,7 @@ def optimize_cases(draw):
     max_evals = draw(st.integers(1, 90))
     init = None
     if draw(st.booleans()):
-        x = draw(st.lists(ANGLES, min_size=2 * p, max_size=2 * p))
+        x = draw(st.lists(WARM_ANGLES, min_size=2 * p, max_size=2 * p))
         init = QaoaParams(tuple(x[:p]), tuple(x[p:]))
     restarts = draw(st.integers(0 if init is not None else 1, 3))
     negated_seed = draw(st.none() | st.integers(0, 2**32 - 1)) if restarts else None
@@ -56,8 +53,8 @@ FLAT = IsingHamiltonian(3, {frozenset(): 0.9})
 def test_optimize_is_bitwise_sequential_scipy_runs(case):
     H, p, restarts, max_evals, seed, init, negated_seed = case
     out = optimize(H, p, restarts, max_evals, seed, init, negated_seed=negated_seed)
-    ref = OptimizeOutcome(*_scipy_optimize(H, p, restarts, max_evals, seed, init))
+    ref = OptimizeOutcome(*scipy_optimize(H, p, restarts, max_evals, seed, init))
     if negated_seed is not None:
         ref = PairedOutcome(ref, OptimizeOutcome(
-            *_scipy_optimize(negated(H), p, restarts, max_evals, negated_seed)))
+            *scipy_optimize(negated(H), p, restarts, max_evals, negated_seed)))
     assert repr(out) == repr(ref)

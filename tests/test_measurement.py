@@ -16,7 +16,6 @@ from isingpursuit.measurement import (
     Pattern,
     all_column_dots,
     column_dot,
-    column_norm_sq,
     complete_patterns,
     measure,
     nearest_neighbor_patterns,
@@ -25,7 +24,8 @@ from isingpursuit.measurement import (
 )
 from isingpursuit.signal import SparseSignal, random_sparse_signal
 
-from oracles import dense_matrix, dense_vector, pattern_matches
+from oracles import column_norm_sq, dense_matrix, dense_vector, pattern_matches
+from strategies import measurement_sets
 
 
 def test_mask_want():
@@ -74,9 +74,7 @@ def test_measurement_set_bounds_bits():
 
 
 def test_measurement_set_caps_n_at_the_int64_masks():
-    with pytest.raises(ValueError, match="63"):
-        MeasurementSet(64, (Pattern(((1, 0),)),))
-    # n = 63 still fits: bit 1 is 2**62, below the int64 sign bit
+    # n = 63 fits: bit 1 is 2**62, below the int64 sign bit
     ms = MeasurementSet(63, (Pattern(((1, 1),)), Pattern(((63, 1),))))
     assert list(measure(SparseSignal(63, ((2**63 - 1, 1.0),)), ms)) == [1.0, 1.0]
 
@@ -118,14 +116,6 @@ def test_nearest_neighbor_n2_is_the_single_pair():
 def test_nearest_neighbor_rejects_n1():
     with pytest.raises(ValueError):
         nearest_neighbor_patterns(1)
-
-
-def test_nearest_neighbor_sets_are_built_once_per_n():
-    ms = nearest_neighbor_patterns(7)
-    assert nearest_neighbor_patterns(7) is ms
-    assert nearest_neighbor_patterns(8) is not ms
-    groups = (value_assignment_group((i, i + 1)) for i in range(1, 7))
-    assert ms == MeasurementSet(7, sum(groups, ()))
 
 
 def test_every_index_matches_one_pattern_per_pair():
@@ -186,10 +176,12 @@ def test_nearest_neighbor_sets_come_from_a_plain_function_built_once_per_n():
     assert inspect.isfunction(nearest_neighbor_patterns)
     assert not hasattr(nearest_neighbor_patterns, "cache_info")
     ms = nearest_neighbor_patterns(7)
-    assert nearest_neighbor_patterns(7) is ms
+    groups = (value_assignment_group((i, i + 1)) for i in range(1, 7))
+    assert ms == MeasurementSet(7, sum(groups, ()))
     with mock.patch("isingpursuit.measurement.value_assignment_group",
                     side_effect=AssertionError("built again")):
         assert nearest_neighbor_patterns(7) is ms
+    assert nearest_neighbor_patterns(8) is not ms
 
 
 @pytest.mark.parametrize("n", [64, 20000])
@@ -250,25 +242,6 @@ def test_column_dot_all_ones_residual():
 def test_dense_matrix_cap():
     with pytest.raises(ValueError, match="cap"):
         dense_matrix(MeasurementSet(11, (Pattern(((1, 0),)),)))
-
-
-@st.composite
-def measurement_sets(draw, max_n=8):
-    n = draw(st.integers(2, max_n))
-    kind = draw(st.sampled_from(("nn", "quad", "adhoc")))
-    if kind == "nn":
-        return nearest_neighbor_patterns(n)
-    if kind == "quad" and n >= 4:
-        q = draw(st.integers(1, min(3, math.comb(n, 4))))
-        return random_quadruplet_patterns(n, q, seed=draw(st.integers(0, 2**31)))
-    m = draw(st.integers(1, 8))
-    patterns = []
-    for _ in range(m):
-        k = draw(st.integers(0, n))
-        bits = draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True))
-        vals = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
-        patterns.append(Pattern(tuple(zip(bits, vals))))
-    return MeasurementSet(n, tuple(patterns))
 
 
 @given(measurement_sets(max_n=10))

@@ -11,8 +11,10 @@ from isingpursuit.measurement import (
     nearest_neighbor_patterns,
 )
 from isingpursuit.pursuit import (
+    AMPLITUDE_FLOOR,
     DegenerateColumnError,
     PursuitConfig,
+    ReconstructionResult,
     Termination,
     matching_pursuit,
     recovery_success,
@@ -31,15 +33,6 @@ def test_config_validation():
         PursuitConfig(solver=brute_force_solve, max_iterations=0)
     with pytest.raises(ValueError):
         PursuitConfig(solver=brute_force_solve, max_iterations=1, residual_tolerance=-1.0)
-
-
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_rejects_non_finite_marginals(bad):
-    ms = nearest_neighbor_patterns(4)
-    y = np.zeros(len(ms))
-    y[3] = bad
-    with pytest.raises(ValueError, match="finite"):
-        matching_pursuit(y, ms, brute_cfg())
 
 
 def test_zero_marginals_terminate_immediately():
@@ -67,12 +60,6 @@ def test_two_spikes_over_six_bits_both_found():
     result = matching_pursuit(measure(sig, ms), ms, brute_cfg())
     assert sig.positions() <= result.recovered.positions()
     assert recovery_success(sig, result)
-
-
-def test_shape_mismatch_rejected():
-    ms = nearest_neighbor_patterns(4)
-    with pytest.raises(ValueError, match="length"):
-        matching_pursuit(np.ones(3), ms, brute_cfg())
 
 
 def test_budget_is_respected_and_reported():
@@ -182,10 +169,11 @@ def test_recovery_success_judges_positions_only():
 
 def test_recovery_success_applies_amplitude_floor():
     truth = SparseSignal(4, ((2, 0.5),))
-    ms = complete_patterns(4)
-    result = matching_pursuit(measure(truth, ms), ms, brute_cfg())
-    assert recovery_success(truth, result, amplitude_floor=0.4)
-    assert not recovery_success(truth, result, amplitude_floor=0.6)
+    for weight in (AMPLITUDE_FLOOR, -AMPLITUDE_FLOOR):
+        below = np.nextafter(weight, 0.0)
+        judged = [recovery_success(truth, ReconstructionResult(
+            SparseSignal(4, ((2, w),)), (), Termination.max_iterations)) for w in (weight, below)]
+        assert judged == [True, False]
 
 
 def test_recovery_success_rejects_mismatched_n():

@@ -25,8 +25,7 @@ from isingpursuit.signal import random_sparse_signal
 from isingpursuit.solvers import brute_force_solve, chain_dp_solve
 
 from oracles import matching_pursuit_reference
-from test_chain_oracle import TIED
-from test_table_kernel import DEPTH, ENTRIES, pattern_lists
+from strategies import DEPTH, SCALED_ENTRIES, TIED, pattern_lists
 
 TOLERANCES = st.sampled_from([None, 0.0, 1e-3, 0.5])
 
@@ -38,7 +37,7 @@ def marginals(draw, ms: MeasurementSet) -> np.ndarray:
         sparsity = draw(st.integers(1, min(4, 1 << ms.n)))
         signal = random_sparse_signal(ms.n, sparsity, seed=draw(st.integers(0, 2**32)))
         return measure(signal, ms)
-    entries = draw(st.sampled_from([ENTRIES, TIED]))
+    entries = draw(st.sampled_from([SCALED_ENTRIES, TIED]))
     return np.array(draw(st.lists(entries, min_size=len(ms), max_size=len(ms))))
 
 

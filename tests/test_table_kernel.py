@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isingpursuit.hamiltonian import COEFF_PRUNE_TOL, IsingHamiltonian, build_hamiltonian
+from isingpursuit.hamiltonian import COEFF_PRUNE_TOL, build_hamiltonian
 from isingpursuit.measurement import (
     MeasurementSet,
     Pattern,
@@ -26,15 +26,7 @@ from oracles import (
     build_hamiltonian_walsh,
     diagonal_per_term,
 )
-
-# 1 under the default profile, 5 under --hypothesis-profile=ci.
-DEPTH = settings.default.max_examples // 100
-
-ENTRIES = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
-    st.floats(-1e3, 1e3, allow_nan=False),
-    st.builds(lambda m, e: m * 2.0**e, st.floats(-1.0, 1.0), st.integers(-60, 20)),
-)
+from strategies import DEPTH, SCALED_ENTRIES, pattern_lists, wide_hamiltonians
 
 
 def bits_of(a: np.ndarray) -> np.ndarray:
@@ -42,35 +34,10 @@ def bits_of(a: np.ndarray) -> np.ndarray:
 
 
 @st.composite
-def pattern_lists(draw, n):
-    """Blocks of patterns on a few shared position sets: whole groups in
-    binary order on up to 5 positions, and on up to 8 positions partial
-    groups, single patterns among them, with repeated values and unsorted
-    constraint tuples.  Blocks on one position set may interleave."""
-    position_sets = draw(st.lists(
-        st.lists(st.integers(1, n), unique=True, max_size=min(n, 8)), min_size=2, max_size=3,
-    ))
-    patterns = []
-    for _ in range(draw(st.integers(2, 8))):
-        positions = draw(st.sampled_from(position_sets))
-        k = len(positions)
-        if k <= 5 and draw(st.booleans()):
-            values = range(1 << k)
-            positions = sorted(positions)
-        else:
-            values = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1,
-                                   max_size=min(1 << k, 8)))
-        for v in values:
-            fixed = [(b, (v >> (k - 1 - i)) & 1) for i, b in enumerate(positions)]
-            patterns.append(Pattern(tuple(draw(st.permutations(fixed)))))
-    return patterns
-
-
-@st.composite
 def measurement_cases(draw):
     n = draw(st.integers(1, 12))
     patterns = draw(pattern_lists(n))
-    r = draw(st.lists(ENTRIES, min_size=len(patterns), max_size=len(patterns)))
+    r = draw(st.lists(SCALED_ENTRIES, min_size=len(patterns), max_size=len(patterns)))
     return MeasurementSet(n, tuple(patterns)), np.array(r)
 
 
@@ -101,7 +68,7 @@ def joined(n: int, groups: list[tuple[Pattern, ...]]) -> MeasurementSet:
 
 
 def entries_for(draw, ms: MeasurementSet) -> np.ndarray:
-    return np.array(draw(st.lists(ENTRIES, min_size=len(ms), max_size=len(ms))))
+    return np.array(draw(st.lists(SCALED_ENTRIES, min_size=len(ms), max_size=len(ms))))
 
 
 @st.composite
@@ -189,17 +156,8 @@ def test_add_table_is_bitwise_a_gathered_add(n_bits, seed):
     assert np.array_equal(bits_of(acc), bits_of(expected))
 
 
-@st.composite
-def hamiltonians(draw):
-    n = draw(st.integers(1, 12))
-    supports = draw(st.lists(
-        st.frozensets(st.integers(1, n), max_size=min(n, 6)), max_size=12, unique=True,
-    ))
-    return IsingHamiltonian(n, {s: draw(ENTRIES) for s in supports})
-
-
 @settings(max_examples=200 * DEPTH)
-@given(hamiltonians())
+@given(wide_hamiltonians(SCALED_ENTRIES))
 def test_diagonal_is_bitwise_the_per_term_products(H):
     assert np.array_equal(bits_of(H.diagonal()), bits_of(diagonal_per_term(H)))
 

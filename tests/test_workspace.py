@@ -33,17 +33,15 @@ from oracles import (
     expectations_per_qubit,
     phase_rows,
 )
-from test_evolve_kernel import (
+from strategies import (
     ANGLES,
-    ENTRIES,
+    DEPTH,
+    EXTREME_ENTRIES,
     SIGNED_ZEROS,
     overwrite,
     states,
     wide_values,
 )
-
-# 1 under the default profile, 5 under --hypothesis-profile=ci.
-DEPTH = settings.default.max_examples // 100
 
 
 @st.composite
@@ -55,7 +53,7 @@ def workspace_runs(draw):
     K = draw(st.integers(1, max(widths)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     diag = wide_values(rng, 1 << n)
-    overwrite(draw, diag, ENTRIES)
+    overwrite(draw, diag, EXTREME_ENTRIES)
     batches = []
     for width in widths:
         angles = rng.uniform(-2.0 * np.pi, 4.0 * np.pi, size=(width, 2 * p))
@@ -104,14 +102,14 @@ def level_runs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["pool", "distinct", "single"]))
     if kind == "pool":
-        pool = np.array([0.0, -0.0] + draw(st.lists(ENTRIES, max_size=6)))
+        pool = np.array([0.0, -0.0] + draw(st.lists(EXTREME_ENTRIES, max_size=6)))
         diag = pool[rng.integers(0, len(pool), size=1 << n)]
     elif kind == "distinct":
         diag = np.unique(wide_values(rng, 1 << n))
         assume(len(diag) == 1 << n)
         rng.shuffle(diag)
     else:
-        diag = np.full(1 << n, draw(ENTRIES))
+        diag = np.full(1 << n, draw(EXTREME_ENTRIES))
     widths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
     batches = []
     for width in widths:
