@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .experiment import (
@@ -35,6 +35,8 @@ _INT_FIELDS = {"n", "sparsity", "trial_count", "quadruplets", "master_seed", "ma
                "workers", "param_count", "restarts", "max_evals", "shots"}
 _FLOAT_FIELDS = {"time_limit_s"}
 _NULLABLE_FIELDS = {"quadruplets", "max_iterations"}
+_PLAN_KEYS = (*(f.name for f in fields(ExperimentPlan)), "parameter_counts")
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverSpec))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -49,13 +51,15 @@ def _solver_spec(args: argparse.Namespace) -> SolverSpec:
     return SolverSpec(args.solver, args.params[0], args.restarts, args.max_evals, args.shots)
 
 
-def _plan_fields(value, name: str) -> dict:
-    """A plan, or its solver: a JSON object whose integer fields are read by
-    _read_int and whose float fields by _read_float."""
+def _plan_fields(value, name: str, accepted: tuple[str, ...]) -> dict:
+    """A plan, or its solver: a JSON object whose keys are all accepted, whose
+    integer fields are read by _read_int and whose float fields by _read_float."""
     if type(value) is not dict:
         raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
     fields = dict(value)
     for key, field in fields.items():
+        if key not in accepted:
+            raise ValueError(f"{name} has no field {key!r}; accepted: {', '.join(accepted)}")
         if key in _INT_FIELDS and not (field is None and key in _NULLABLE_FIELDS):
             fields[key] = _read_int(field, key)
         elif key in _FLOAT_FIELDS:
@@ -105,12 +109,12 @@ def _cmd_reconstruct(args: argparse.Namespace) -> None:
 
 def _cmd_experiment(args: argparse.Namespace) -> None:
     if args.plan:
-        raw = _plan_fields(json.loads(Path(args.plan).read_text()), "plan")
+        raw = _plan_fields(json.loads(Path(args.plan).read_text()), "plan", _PLAN_KEYS)
         counts = raw.pop("parameter_counts", [])
         if type(counts) is not list:
             raise ValueError(f"parameter_counts must be a JSON list, got {type(counts).__name__}")
         counts = [_read_int(count, "parameter_counts") for count in counts]
-        solver = SolverSpec(**_plan_fields(raw.pop("solver", {}), "plan solver"))
+        solver = SolverSpec(**_plan_fields(raw.pop("solver", {}), "plan solver", _SOLVER_KEYS))
         plan = ExperimentPlan(solver=solver, **raw)
     else:
         if args.n is None or args.sparsity is None:

@@ -29,6 +29,7 @@ go in the order in which the set's runs first name them, whatever r holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -96,11 +97,8 @@ def build_hamiltonian(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltonian:
     Pattern i with k fixed bits contributes r_i / 2**k to every subset of
     its fixed positions, signed by the product of (1 - 2*value) over the
     subset.  Like supports merge additively; near-zero results are pruned.
-
-    Each run of patterns on the same k positions contributes the scaled
-    Walsh-Hadamard transform of its residual table, summed over the run's
-    patterns (see the module docstring).  Keys go in the order in which the
-    set's runs name them.
+    Each table run adds its scaled Walsh-Hadamard transform, and keys go in
+    the order the runs name them (see the module docstring).
     """
     r = _per_pattern(r, ms)
     supports, ids, groups = ms._transform_plan
@@ -108,7 +106,7 @@ def build_hamiltonian(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltonian:
     for index, rows, places in groups:
         entries[places] = np.add.accumulate(r[index][:, :, None] * rows, axis=1)[:, -1]
     totals = np.bincount(ids, weights=entries)
-    keep = np.flatnonzero(np.abs(totals) >= COEFF_PRUNE_TOL).tolist()
+    keep = (np.abs(totals) >= COEFF_PRUNE_TOL).tolist()
     # the set bounded every support when it was built
     return IsingHamiltonian._unchecked(
-        ms.n, dict(zip([supports[i] for i in keep], totals[keep].tolist())))
+        ms.n, dict(zip(compress(supports, keep), compress(totals.tolist(), keep))))

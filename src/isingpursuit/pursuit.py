@@ -99,7 +99,7 @@ def matching_pursuit(
     Each step builds the chosen column once, as the boolean match vector
     over patterns: a binary column's squared norm is its count of matches,
     its dot with r is the sum of r over the matches, and deflation subtracts
-    the coefficient on them.  Those are the reductions the column_norm_sq of
+    the coefficient on them, in place.  Those are the reductions the column_norm_sq of
     tests/oracles.py and column_dot run on the same vector (np.add.reduce is
     the reduce np.sum runs), and sqrt(r . r) is what np.linalg.norm computes
     for a float vector, so every step is bit for bit the one through them.
@@ -133,7 +133,7 @@ def matching_pursuit(
                 )
             c = float(np.add.reduce(r[column]) / nsq)
             coeffs[z] = coeffs.get(z, 0.0) + c
-            r[column] -= c
+            np.subtract(r, c, out=r, where=column)
             rnorm = math.sqrt(r.dot(r))
             trace.append(IterationRecord(z, outcome.score, c, rnorm))
             if rnorm <= tol:

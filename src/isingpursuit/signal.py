@@ -51,15 +51,18 @@ def _read_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _is_finite(value) -> bool:
+    """math.isfinite, and False for an integer beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _read_float(value, name: str) -> float:
     """A JSON number field: an int or a float, finite as a float."""
-    if type(value) is int or type(value) is float:
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
+    if (type(value) is int or type(value) is float) and _is_finite(value):
+        return float(value)
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
@@ -84,7 +87,7 @@ class SparseSignal:
         for pos, val in self.spikes:
             if not 0 <= pos < d:
                 raise ValueError(f"position {pos} outside [0, {d})")
-            if val == 0.0 or not np.isfinite(val):
+            if val == 0.0 or not _is_finite(val):
                 raise ValueError(f"spike value at position {pos} is zero or not finite: {val}")
 
     def positions(self) -> set[int]:

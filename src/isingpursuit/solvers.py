@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,32 +52,39 @@ def brute_force_solve(ms: MeasurementSet, r: np.ndarray) -> SolverOutcome:
     return SolverOutcome(z, score, {"backend": "brute", "scanned": len(dots)})
 
 
-@lru_cache(maxsize=4096)
-def _chain_slot(support: frozenset) -> tuple[int, int]:
-    """Where a chain term's coefficient goes: (0, 0) for the constant, (1, i)
-    for the field at site i and (2, i) for the coupling of sites (i, i+1)."""
-    if len(support) == 0:
-        return 0, 0
-    if len(support) == 1:
-        (i,) = support
-        return 1, i
-    if len(support) == 2:
+# Chain support -> slot in _chain_params' flat list: 0 for the constant, i for
+# the field at site i, -1 - i for the coupling of sites (i, i+1).  Slots do not
+# depend on n, so one map serves every set (at most 126 supports for n <= 63).
+_CHAIN_SLOTS: dict[frozenset, int] = {}
+
+
+def _chain_slot(support: frozenset) -> int:
+    """Record a chain support's slot; any other support raises, unrecorded."""
+    if len(support) <= 1:
+        slot = sum(support)
+    elif len(support) == 2:
         i, j = sorted(support)
         if j != i + 1:
             raise ChainStructureError(f"non-adjacent coupling {sorted(support)}")
-        return 2, i
-    raise ChainStructureError(f"interaction of order {len(support)}: {sorted(support)}")
+        slot = -1 - i
+    else:
+        raise ChainStructureError(f"interaction of order {len(support)}: {sorted(support)}")
+    _CHAIN_SLOTS[support] = slot
+    return slot
 
 
 def _chain_params(H: IsingHamiltonian) -> tuple[float, list[float], list[float]]:
-    """Split terms into constant, per-site fields and adjacent couplings."""
+    """Constant, per-site fields and adjacent couplings: fields[i] is site i,
+    couplings[i] pairs sites (i, i+1), and neither list's index 0 is read."""
     n = H.n
-    # couplings[i] pairs sites (i, i+1)
-    const, fields, couplings = slots = ([0.0], [0.0] * (n + 1), [0.0] * n)
-    for support, coeff in H.terms.items():
-        kind, i = _chain_slot(support)
-        slots[kind][i] = coeff
-    return const[0], fields, couplings
+    flat = [0.0] * (2 * n + 1)
+    try:
+        slots = list(map(_CHAIN_SLOTS.__getitem__, H.terms))
+    except KeyError:  # a support met for the first time
+        slots = list(map(_chain_slot, H.terms))
+    for slot, coeff in zip(slots, H.terms.values()):
+        flat[slot] = coeff
+    return flat[0], flat[:n + 1], flat[:n:-1]
 
 
 def _chain_extrema(
@@ -138,17 +144,17 @@ def _chain_extrema(
 def chain_dp_solve(ms: MeasurementSet, r: np.ndarray) -> SolverOutcome:
     """Exact optimum for chain-structured Hamiltonians in O(n).
 
-    One fused pass fills the max and the min tables of h together and
-    records each choice it makes, a second pass follows those records to the
-    two indices, and the extremum of larger magnitude is kept (ties toward
-    the maximization of h).  It is bitwise the two-pass form that maximizes
-    h and -h and recomputes every choice, since IEEE negation commutes with
-    the sweep's sums and comparisons and a recorded choice is the one a
-    recomputation would make (see `_chain_extrema`).  Raises
-    ChainStructureError when the built Hamiltonian is not a chain.
+    One fused pass fills the max and the min tables of h and records its
+    choices, a second follows them to the two indices, and the extremum of
+    larger magnitude is kept (ties toward the maximization of h); this is
+    bitwise the two-pass form that maximizes h and -h (see `_chain_extrema`).
+    Raises ChainStructureError when the built Hamiltonian is not a chain, and
+    ValueError when the sweep overflows to a NaN extremum, which no argmax has.
     """
     H = build_hamiltonian(ms, r)
     z_max, v_max, z_min, v_min = _chain_extrema(*_chain_params(H), ms.n)
+    if v_max != v_max or v_min != v_min:
+        raise ValueError(f"chain sweep overflowed: max_value={v_max}, min_value={v_min}")
     z = z_max if abs(v_max) >= abs(v_min) else z_min
     score = abs(column_dot(z, r, ms))
     return SolverOutcome(

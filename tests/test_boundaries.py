@@ -1,9 +1,9 @@
 """Property tests for the checks where inputs enter the system: non-finite
-marginals and spike values, marginals whose squared norm overflows,
-marginals that are not one vector entry per pattern, the 63-bit width of
-the index masks, the cap on 2**n-entry arrays, integer fields of the JSON
-loaders, empty solver budgets, and a solver choice whose column no pattern
-measures."""
+marginals and spike values, marginals whose squared norm overflows, chain
+residuals whose sweep overflows, marginals that are not one vector entry per
+pattern, the 63-bit width of the index masks, the cap on 2**n-entry arrays,
+integer fields of the JSON loaders, empty solver budgets, and a solver choice
+whose column no pattern measures."""
 
 import math
 import sys
@@ -27,7 +27,14 @@ from isingpursuit.measurement import (
 )
 from isingpursuit.pursuit import DegenerateColumnError, PursuitConfig, matching_pursuit
 from isingpursuit.signal import DENSE_VECTOR_CAP, INDEX_BITS_CAP, SparseSignal, random_sparse_signal
-from isingpursuit.solvers import BACKENDS, SolverOutcome, SolverSpec, brute_force_solve, qaoa_solve
+from isingpursuit.solvers import (
+    BACKENDS,
+    SolverOutcome,
+    SolverSpec,
+    brute_force_solve,
+    chain_dp_solve,
+    qaoa_solve,
+)
 
 from oracles import column_norm_sq
 
@@ -69,9 +76,36 @@ def test_non_finite_spike_values_are_rejected(n, data):
     positions = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4,
                                    unique=True))
     values = [data.draw(st.floats(0.1, 1.0)) for _ in positions]
-    values[data.draw(st.integers(0, len(values) - 1))] = data.draw(NON_FINITE)
+    # an integer beyond the float range used to raise numpy's TypeError
+    beyond_floats = st.sampled_from([10**400, -10**400])
+    values[data.draw(st.integers(0, len(values) - 1))] = data.draw(
+        st.one_of(NON_FINITE, beyond_floats))
     with pytest.raises(ValueError, match="not finite"):
         SparseSignal(n, tuple(zip(positions, values)))
+
+
+@st.composite
+def overflowing_chains(draw):
+    ms = nearest_neighbor_patterns(draw(st.integers(2, 6)))
+    entries = st.sampled_from([1.7e308, -1.7e308, 1.0])
+    return ms, np.array(draw(st.lists(entries, min_size=len(ms), max_size=len(ms))))
+
+
+@given(overflowing_chains())
+# the sweep's max is inf and its min NaN; position 1 used to come back as
+# if it were the argmax
+@example((nearest_neighbor_patterns(4), np.array(
+    [1.0, 1.7e308, 1.7e308, 1.0, 1.0, 1.0, 1.7e308, 1.0, 1.7e308, 1.0, 1.0, 1.7e308])))
+def test_chain_sweeps_that_overflow_to_nan_are_refused(case):
+    ms, r = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            out = chain_dp_solve(ms, r)
+        except ValueError as exc:
+            assert str(exc).startswith("chain sweep overflowed: max_value=")
+            return
+    assert not math.isnan(out.diagnostics["max_value"])
+    assert not math.isnan(out.diagnostics["min_value"])
 
 
 WIDTH_CHECKED = {

@@ -2,16 +2,28 @@
 in `oracles`: the same position, score and diagnostics, compared by repr,
 on nearest-neighbour sets of every size up to the index-width cap.  The
 fused max/min sweep is also checked on raw chains, signed zeros included,
-against the oracle's max sweep run twice, once on the negated chain."""
+against the oracle's max sweep run twice, once on the negated chain.  The
+flat slot map that reads a Hamiltonian's chain terms is checked against the
+oracle's term-by-term split, on Hamiltonians with pruned terms and on
+quadruplet sets whose non-chain terms prune away or survive."""
+
+import re
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isingpursuit.measurement import nearest_neighbor_patterns
-from isingpursuit.solvers import _chain_extrema, chain_dp_solve
+from isingpursuit.hamiltonian import build_hamiltonian
+from isingpursuit.measurement import nearest_neighbor_patterns, random_quadruplet_patterns
+from isingpursuit.solvers import (
+    ChainStructureError,
+    _chain_extrema,
+    _chain_params,
+    chain_dp_solve,
+)
 
-from oracles import _chain_max_arrays, chain_dp_solve_arrays
+from oracles import _chain_max_arrays, _chain_params_arrays, chain_dp_solve_arrays
 from strategies import DEPTH, SCALED_ENTRIES, TIED
 
 # Tied entries give fields and couplings that tie, so the DP's tie rule
@@ -92,3 +104,57 @@ def raw_chains(draw):
 def test_fused_sweep_matches_two_max_sweeps(chain):
     fused = _chain_extrema(*chain)
     assert repr(fused) == repr(two_pass_extrema(*chain))
+
+
+def chain_terms(const, fields, couplings, n) -> str:
+    """repr of the constant, fields 1..n and couplings 1..n-1 as floats: the
+    entries the sweep reads, whatever either form keeps at index 0."""
+    return repr((float(const), [float(v) for v in fields[1:n + 1]],
+                 [float(v) for v in couplings[1:n]]))
+
+
+@settings(max_examples=100 * DEPTH)
+@given(chain_cases())
+# a constant residual on every pair: every field and coupling prunes away
+@example((nearest_neighbor_patterns(5), np.full(16, 0.5)))
+# the pairs (1, 2) and (3, 4) constant, (2, 3) not: only its terms are kept
+@example((nearest_neighbor_patterns(4), np.array([1.0] * 4 + [0.0, 1.0, 2.0, -1.0] + [-2.0] * 4)))
+# everything cancels: an empty Hamiltonian
+@example((nearest_neighbor_patterns(3), np.zeros(8)))
+def test_slot_map_matches_the_array_oracle(case):
+    ms, r = case
+    H = build_hamiltonian(ms, r)
+    assert chain_terms(*_chain_params(H), ms.n) == chain_terms(*_chain_params_arrays(H), ms.n)
+
+
+@settings(max_examples=20 * DEPTH)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(-8, 8), min_size=3, max_size=3))
+def test_quad_sets_whose_non_chain_terms_prune_away_solve(seed, per_run):
+    # one integer residual per quadruplet: each run's transform is its
+    # constant, and every other entry sums to exactly zero and is pruned
+    ms = random_quadruplet_patterns(6, 3, seed=seed)
+    r = np.repeat(np.array(per_run, dtype=float), 16)
+    assert build_hamiltonian(ms, r).max_support_size() == 0
+    assert fingerprint(chain_dp_solve(ms, r)) == fingerprint(chain_dp_solve_arrays(ms, r))
+
+
+@pytest.mark.parametrize("kept", [(0, 2), (0, 1, 2, 3)], ids=["non-adjacent", "order-4"])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_kept_non_chain_term_is_refused_on_every_call(kept, seed):
+    # a constant residual plus one Walsh function of the first quadruplet's
+    # table: of its non-constant terms only the support on `kept` survives
+    ms = random_quadruplet_patterns(6, 3, seed=seed)
+    mask = sum(1 << (3 - i) for i in kept)
+    parity = np.array([bin(s & mask).count("1") % 2 for s in range(16)])
+    r = np.ones(len(ms))
+    r[:16] += (-1.0) ** parity
+    H = build_hamiltonian(ms, r)
+    first = sorted(ms.patterns[0].constraints)
+    support = frozenset(first[i][0] for i in kept)
+    assert [s for s in H.terms if s] == [support]
+    with pytest.raises(ChainStructureError) as oracle:
+        _chain_params_arrays(H)
+    assert str(oracle.value).startswith(("non-adjacent coupling", "interaction of order 4"))
+    for _ in range(2):  # a refused support is not remembered as a slot
+        with pytest.raises(ChainStructureError, match=re.escape(str(oracle.value))):
+            chain_dp_solve(ms, r)

@@ -386,11 +386,17 @@ def test_experiment_plan_and_its_solver_must_be_json_objects(data, name, tmp_pat
     ({"solver": {"backend": "qaoa", "shots": "8"}}, "shots must be an integer, got '8'"),
     ({"max_iterations": 2.5}, "max_iterations must be an integer, got 2.5"),
     ({"time_limit_s": "5"}, "time_limit_s must be a number, got '5'"),
-], ids=["bool-count", "counts-object", "string-shots", "fractional-iterations", "string-limit"])
+    ({"trials": 2}, "plan has no field 'trials'; accepted: n, sparsity, trial_count, "),
+    ({"solver": {"backend": "qaoa", "shot": 8}},
+     "plan solver has no field 'shot'; accepted: backend, param_count, restarts, max_evals, "
+     "shots\n"),
+], ids=["bool-count", "counts-object", "string-shots", "fractional-iterations", "string-limit",
+        "misspelt-plan-field", "misspelt-solver-field"])
 def test_experiment_plan_fields_must_be_json_numbers(fields, message, tmp_path, monkeypatch,
                                                      capsys):
     # [true] used to run to exit 0 as qaoa-nn-paramsTrue, {"a": 1} printed `error: 0`,
-    # and "8" and 2.5 failed inside the solver with messages naming no field
+    # and "8" and 2.5 failed inside the solver with messages naming no field; a
+    # misspelt key ended in "__init__() got an unexpected keyword argument"
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran")
 
