@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .experiment import (
     BACKENDS,
@@ -30,41 +30,55 @@ from .measurement import MeasurementSet, measure
 from .pursuit import DegenerateColumnError, PursuitConfig, matching_pursuit
 from .signal import SparseSignal, _read_float, _read_int, random_sparse_signal
 
-# A plan file's number fields and its solver's; the two that may be null stay null.
-_INT_FIELDS = {"n", "sparsity", "trial_count", "quadruplets", "master_seed", "max_iterations",
-               "workers", "param_count", "restarts", "max_evals", "shots"}
-_FLOAT_FIELDS = {"time_limit_s"}
-_NULLABLE_FIELDS = {"quadruplets", "max_iterations"}
-_PLAN_KEYS = (*(f.name for f in fields(ExperimentPlan)), "parameter_counts")
-_SOLVER_KEYS = tuple(f.name for f in fields(SolverSpec))
+# A plan file's fields by annotation: the plan's own, then its parameter counts.
+_PLAN_HINTS = {**get_type_hints(ExperimentPlan), "parameter_counts": list[int]}
+_SOLVER_HINTS = get_type_hints(SolverSpec)
 
 
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        Path(out).write_text(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
-def _solver_spec(args: argparse.Namespace) -> SolverSpec:
-    """The spec the solver flags name; a --params list contributes its first count."""
-    return SolverSpec(args.solver, args.params[0], args.restarts, args.max_evals, args.shots)
+def _given(args: argparse.Namespace, hints: dict) -> dict:
+    """The fields among hints that flags set; a flag left out is a field left out."""
+    return {key: value for key, value in vars(args).items() if key in hints and value is not None}
 
 
-def _plan_fields(value, name: str, accepted: tuple[str, ...]) -> dict:
-    """A plan, or its solver: a JSON object whose keys are all accepted, whose
-    integer fields are read by _read_int and whose float fields by _read_float."""
+def _solver(fields: dict, counts: list[int]) -> SolverSpec:
+    """The solver a field dict names; one parameter count sets its param_count."""
+    return SolverSpec(**({**fields, "param_count": counts[0]} if len(counts) == 1 else fields))
+
+
+def _plan_fields(value, name: str, hints: dict) -> dict:
+    """A plan, or its solver: a JSON object of known fields, each read by _read_field."""
     if type(value) is not dict:
         raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
-    fields = dict(value)
-    for key, field in fields.items():
-        if key not in accepted:
-            raise ValueError(f"{name} has no field {key!r}; accepted: {', '.join(accepted)}")
-        if key in _INT_FIELDS and not (field is None and key in _NULLABLE_FIELDS):
-            fields[key] = _read_int(field, key)
-        elif key in _FLOAT_FIELDS:
-            fields[key] = _read_float(field, key)
+    fields = {}
+    for key, field in value.items():
+        if key not in hints:
+            raise ValueError(f"{name} has no field {key!r}; accepted: {', '.join(hints)}")
+        fields[key] = _read_field(field, key, hints[key])
     return fields
+
+
+def _read_field(value, name: str, hint):
+    """A plan file's value, read by its field's annotation `hint`."""
+    kinds = get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
+        return None
+    if hint is SolverSpec:
+        return _plan_fields(value, "plan solver", _SOLVER_HINTS)
+    if get_origin(hint) is list:
+        if type(value) is not list:
+            raise ValueError(f"{name} must be a JSON list, got {type(value).__name__}")
+        return [_read_field(item, name, kinds[0]) for item in value]
+    if int in kinds:
+        return _read_int(value, name)
+    return _read_float(value, name) if float in kinds else value
 
 
 def _read_marginals(value):
@@ -81,7 +95,7 @@ def _cmd_generate(args: argparse.Namespace) -> None:
 
 
 def _cmd_patterns(args: argparse.Namespace) -> None:
-    ms = make_patterns(args.patterns, args.n, args.quadruplets, args.seed)
+    ms = make_patterns(args.pattern_kind, args.n, args.quadruplets, args.seed)
     _emit(ms.to_json(), args.out)
 
 
@@ -93,51 +107,31 @@ def _cmd_measure(args: argparse.Namespace) -> None:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> None:
-    if len(args.params) != 1:
-        raise ValueError(f"reconstruct takes one --params count, got {len(args.params)}; "
+    counts = args.parameter_counts or []
+    if len(counts) > 1:
+        raise ValueError(f"reconstruct takes one --params count, got {len(counts)}; "
                          "experiment sweeps a list")
-    y = _read_marginals(json.loads(Path(args.marginals).read_text()))
-    ms = MeasurementSet.from_json(Path(args.patterns_file).read_text())
     cfg = PursuitConfig(
-        solver=make_solver(_solver_spec(args), args.seed),
+        solver=make_solver(_solver(_given(args, _SOLVER_HINTS), counts), args.seed),
         max_iterations=args.max_iterations,
         residual_tolerance=args.tolerance,
     )
+    y = _read_marginals(json.loads(Path(args.marginals).read_text()))
+    ms = MeasurementSet.from_json(Path(args.patterns_file).read_text())
     result = matching_pursuit(y, ms, cfg)
     _emit(result.to_json(), args.out)
 
 
 def _cmd_experiment(args: argparse.Namespace) -> None:
     if args.plan:
-        raw = _plan_fields(json.loads(Path(args.plan).read_text()), "plan", _PLAN_KEYS)
-        counts = raw.pop("parameter_counts", [])
-        if type(counts) is not list:
-            raise ValueError(f"parameter_counts must be a JSON list, got {type(counts).__name__}")
-        counts = [_read_int(count, "parameter_counts") for count in counts]
-        solver = SolverSpec(**_plan_fields(raw.pop("solver", {}), "plan solver", _SOLVER_KEYS))
-        plan = ExperimentPlan(solver=solver, **raw)
+        fields = _plan_fields(json.loads(Path(args.plan).read_text()), "plan", _PLAN_HINTS)
+    elif args.n is None or args.sparsity is None:
+        raise ValueError("--n and --sparsity are required without --plan")
     else:
-        if args.n is None or args.sparsity is None:
-            raise ValueError("--n and --sparsity are required without --plan")
-        counts = args.params
-        plan = ExperimentPlan(
-            n=args.n,
-            sparsity=args.sparsity,
-            trial_count=args.trials,
-            pattern_kind=args.patterns,
-            quadruplets=args.quadruplets,
-            solver=_solver_spec(args),
-            master_seed=args.seed if args.seed is not None else ExperimentPlan.master_seed,
-            max_iterations=args.max_iterations,
-            time_limit_s=args.time_limit,
-            workers=args.workers,
-        )
-    if counts and len(counts) > 1:
-        reports = run_sweep(plan, list(counts))
-    else:
-        if counts:
-            plan = replace(plan, solver=replace(plan.solver, param_count=counts[0]))
-        reports = [run_batch(plan)]
+        fields = {**_given(args, _PLAN_HINTS), "solver": _given(args, _SOLVER_HINTS)}
+    counts = fields.pop("parameter_counts", [])
+    plan = ExperimentPlan(solver=_solver(fields.pop("solver", {}), counts), **fields)
+    reports = run_sweep(plan, counts) if len(counts) > 1 else [run_batch(plan)]
     text = reports_to_csv(reports) if args.format == "csv" else reports_to_json(reports)
     _emit(text, args.out)
 
@@ -156,44 +150,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed")
-    common.add_argument("--out", default=None, help="output file (default: stdout)")
+    def common(seed_dest: str) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument("--seed", dest=seed_dest, type=int, metavar="SEED", help="RNG seed")
+        parent.add_argument("--out", default=None, help="output file (default: stdout)")
+        return parent
+
+    seeded = common("seed")  # experiment's --seed is its plan's master_seed
 
     sizing = argparse.ArgumentParser(add_help=False)
     sizing.add_argument("--n", type=int, required=True, help="number of index bits")
 
+    # Plan and solver flags store under their field's name with no default (see _given).
     pattern_opts = argparse.ArgumentParser(add_help=False)
-    pattern_opts.add_argument("--patterns", choices=PATTERN_KINDS,
+    pattern_opts.add_argument("--patterns", dest="pattern_kind", choices=PATTERN_KINDS,
                               default=ExperimentPlan.pattern_kind)
-    pattern_opts.add_argument(
-        "--quadruplets", type=int, default=None, help="quadruplet count (quad patterns only)"
-    )
+    pattern_opts.add_argument("--quadruplets", type=int,
+                              help="quadruplet count (quad patterns only)")
 
     solver_opts = argparse.ArgumentParser(add_help=False)
-    solver_opts.add_argument("--solver", choices=BACKENDS, default=SolverSpec.backend)
-    solver_opts.add_argument("--params", type=_int_list, default=[SolverSpec.param_count],
-                             help="QAOA parameter count")
-    solver_opts.add_argument("--restarts", type=int, default=SolverSpec.restarts)
-    solver_opts.add_argument("--max-evals", type=int, default=SolverSpec.max_evals)
-    solver_opts.add_argument("--shots", type=int, default=SolverSpec.shots)
+    solver_opts.add_argument("--solver", dest="backend", choices=BACKENDS)
+    solver_opts.add_argument("--params", dest="parameter_counts", type=_int_list,
+                             metavar="PARAMS", help="QAOA parameter count")
+    solver_opts.add_argument("--restarts", type=int)
+    solver_opts.add_argument("--max-evals", type=int)
+    solver_opts.add_argument("--shots", type=int)
 
-    p = sub.add_parser("generate", parents=[sizing, common], help="random sparse signal -> JSON")
+    p = sub.add_parser("generate", parents=[sizing, seeded], help="random sparse signal -> JSON")
     p.add_argument("--sparsity", type=int, required=True)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser(
-        "patterns", parents=[sizing, pattern_opts, common], help="pattern set -> JSON"
+        "patterns", parents=[sizing, pattern_opts, seeded], help="pattern set -> JSON"
     )
     p.set_defaults(func=_cmd_patterns)
 
-    p = sub.add_parser("measure", parents=[common], help="signal + patterns -> marginals JSON")
+    p = sub.add_parser("measure", parents=[seeded], help="signal + patterns -> marginals JSON")
     p.add_argument("--signal", required=True, help="signal JSON file")
     p.add_argument("--patterns-file", required=True, help="pattern set JSON file")
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser(
-        "reconstruct", parents=[solver_opts, common], help="marginals + patterns -> result JSON"
+        "reconstruct", parents=[solver_opts, seeded], help="marginals + patterns -> result JSON"
     )
     p.add_argument("--marginals", required=True, help="marginals JSON file")
     p.add_argument("--patterns-file", required=True, help="pattern set JSON file")
@@ -204,19 +202,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "experiment",
-        parents=[pattern_opts, solver_opts, common],
+        parents=[pattern_opts, solver_opts, common("master_seed")],
         help="seeded trial batch or parameter sweep -> CSV/JSON report",
         description="A comma-separated --params list runs a sweep: chain-NN, then QAOA "
                     "at each count, on the same trial seeds.",
     )
-    p.add_argument("--n", type=int, default=None, help="number of index bits")
-    p.add_argument("--sparsity", type=int, default=None)
-    p.add_argument("--trials", type=int, default=ExperimentPlan.trial_count)
-    p.add_argument("--max-iterations", type=int, default=ExperimentPlan.max_iterations,
+    p.add_argument("--n", type=int, help="number of index bits")
+    p.add_argument("--sparsity", type=int)
+    p.add_argument("--trials", dest="trial_count", type=int, metavar="TRIALS")
+    p.add_argument("--max-iterations", type=int,
                    help="pursuit steps per trial at most (default: 4 * sparsity)")
-    p.add_argument("--time-limit", type=float, default=ExperimentPlan.time_limit_s,
+    p.add_argument("--time-limit", dest="time_limit_s", type=float, metavar="TIME_LIMIT",
                    help="per-trial seconds")
-    p.add_argument("--workers", type=int, default=ExperimentPlan.workers)
+    p.add_argument("--workers", type=int)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--plan", default=None, help="plan JSON file (overrides other flags)")
     p.set_defaults(func=_cmd_experiment)

@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .measurement import MeasurementSet, measure, nearest_neighbor_patterns, random_quadruplet_patterns
+from .measurement import (MeasurementSet, _check_quadruplets, measure, nearest_neighbor_patterns,
+                          random_quadruplet_patterns)
 from .pursuit import PursuitConfig, ReconstructionResult, Solver, matching_pursuit, recovery_success
 from .signal import SparseSignal, _check_dense_size, _check_sparsity, random_sparse_signal
 from .solvers import BACKENDS, SolverSpec, brute_force_solve, chain_dp_solve, qaoa_solve
@@ -54,6 +55,8 @@ class ExperimentPlan:
             raise ValueError(
                 f"pattern_kind must be one of {PATTERN_KINDS}, got {self.pattern_kind!r}"
             )
+        if self.pattern_kind == "quad":  # every trial draws this many distinct quadruplets
+            _check_quadruplets(self.n, self.effective_quadruplets)
         if not self.time_limit_s >= 0:
             raise ValueError(f"time_limit_s must be >= 0, got {self.time_limit_s}")
         if self.workers < 1:

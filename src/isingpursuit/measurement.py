@@ -326,6 +326,17 @@ def nearest_neighbor_patterns(n: int) -> MeasurementSet:
     return _NEAREST_NEIGHBOR_SETS[n]
 
 
+def _check_quadruplets(n: int, q: int) -> None:
+    """n >= 4 and 1 <= q <= C(n, 4): q distinct quadruplets can be drawn."""
+    if n < 4:
+        raise ValueError(f"quadruplet patterns need n >= 4, got {n}")
+    if q < 1:
+        raise ValueError(f"quadruplet count must be >= 1, got {q}")
+    total = math.comb(n, 4)
+    if q > total:
+        raise ValueError(f"cannot draw {q} distinct quadruplets from C({n},4) = {total}")
+
+
 def random_quadruplet_patterns(n: int, q: int, seed=None) -> MeasurementSet:
     """q distinct random bit quadruplets, each with all 16 value assignments.
 
@@ -333,17 +344,11 @@ def random_quadruplet_patterns(n: int, q: int, seed=None) -> MeasurementSet:
     subsets, without repetition across the set; n is checked against
     INDEX_BITS_CAP first, so the subset list holds at most C(63, 4) = 595,665.
     """
-    if n < 4:
-        raise ValueError(f"quadruplet patterns need n >= 4, got {n}")
+    _check_quadruplets(n, q)
     _check_bit_count(n)
-    if q < 1:
-        raise ValueError(f"quadruplet count must be >= 1, got {q}")
-    total = math.comb(n, 4)
-    if q > total:
-        raise ValueError(f"cannot draw {q} distinct quadruplets from C({n},4) = {total}")
     rng = np.random.default_rng(seed)
     combos = list(itertools.combinations(range(1, n + 1), 4))
-    quadruplets = [combos[i] for i in rng.choice(total, size=q, replace=False)]
+    quadruplets = [combos[i] for i in rng.choice(len(combos), size=q, replace=False)]
     patterns: list[Pattern] = []
     for quad in quadruplets:
         patterns.extend(value_assignment_group(quad))

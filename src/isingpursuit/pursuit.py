@@ -53,8 +53,8 @@ class PursuitConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.residual_tolerance is not None and self.residual_tolerance < 0:
-            raise ValueError("residual_tolerance must be >= 0")
+        if self.residual_tolerance is not None and not self.residual_tolerance >= 0:
+            raise ValueError(f"residual_tolerance must be >= 0, got {self.residual_tolerance}")
 
 
 @dataclass(frozen=True)

@@ -443,6 +443,9 @@ def _best(outcomes: list) -> OptimizeOutcome:
         evaluations += nfev
         if -fun > best_val:
             best_val, best_x = -float(fun), x
+    if best_x is None:  # only a diagonal holding inf, -inf or NaN gets here
+        raise ValueError("no start reached an expectation that is not NaN: "
+                         "the Hamiltonian's diagonal is not finite")
     return OptimizeOutcome(QaoaParams.from_vector(best_x), best_val, evaluations)
 
 
@@ -463,8 +466,9 @@ def optimize(
     [0, 2*pi)**(2p), all run in lockstep; an optional warm start is tried
     first and its raw value is kept as a candidate, so warm-started results
     never regress.  Deterministic for a fixed seed and best-effort; raises
-    ValueError only for a depth or an evaluation budget below 1, or for no
-    start at all.
+    ValueError only for a depth or an evaluation budget below 1, for no
+    start at all, or when no start reaches an expectation that is not NaN,
+    which takes a diagonal that is not finite.
 
     With `negated_seed`, -H is maximized as well, from `restarts` starts
     drawn from that seed, and a PairedOutcome is returned.  -H's starts run

@@ -302,6 +302,18 @@ def test_optimize_rejects_an_empty_evaluation_budget(max_evals):
         qaoa.optimize(H, 1, restarts=0, max_evals=max_evals, init=ONE_LAYER)
 
 
+@pytest.mark.parametrize("coefficients", [
+    {frozenset({1}): 1e308, frozenset({2}): 1e308},  # the diagonal is [inf, 0, 0, -inf]
+    {frozenset({1}): math.nan},
+], ids=["overflow", "nan"])
+@pytest.mark.parametrize("negated_seed", [None, 1])
+def test_optimize_refuses_a_diagonal_that_is_not_finite(coefficients, negated_seed):
+    # every expectation is NaN, so no start is best; this used to raise a TypeError
+    H = IsingHamiltonian(2, coefficients)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="diagonal is not finite"):
+        qaoa.optimize(H, 1, restarts=1, max_evals=5, seed=0, negated_seed=negated_seed)
+
+
 @given(st.integers(1, 8), st.data())
 def test_a_solver_choice_no_pattern_measures_is_an_error(n, data):
     # every pattern fixes `bit` to 0, so no pattern measures an index with it set

@@ -2,6 +2,7 @@ import inspect
 import json
 import subprocess
 import sys
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 import pytest
@@ -137,11 +138,16 @@ def test_experiment_rejects_workers_and_time_limits_that_do_nothing(flags, capsy
 @pytest.mark.parametrize("plan", [{"sparsity": 0}, {"sparsity": 65},
                                   {"sparsity": 1, "max_iterations": 0},
                                   {"n": 21, "sparsity": 1, "solver": "brute"},
-                                  {"n": 21, "sparsity": 1, "solver": "chain", "params": "5,9"}])
+                                  {"n": 21, "sparsity": 1, "solver": "chain", "params": "5,9"},
+                                  {"sparsity": 1, "patterns": "quad", "quadruplets": 16,
+                                   "params": "5,9"},
+                                  {"sparsity": 1, "patterns": "quad", "quadruplets": 0},
+                                  {"n": 3, "sparsity": 1, "patterns": "quad"}])
 def test_experiment_rejects_a_plan_no_trial_can_run_before_any_worker(
         plan, tmp_path, monkeypatch, capsys):
     # at n = 21 a brute plan used to fail inside trial 0, and a sweep's QAOA
-    # arms after the whole chain baseline had run
+    # arms after the whole chain baseline had run; so did quadruplet counts
+    # that no draw can meet
     def no_workers(*args, **kwargs):
         raise AssertionError("a worker pool started")
 
@@ -253,13 +259,8 @@ def test_max_iterations_help_states_each_default():
 def test_solver_and_pattern_flags_mirror_the_library():
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     experiment = {a.dest: a for a in sub.choices["experiment"]._actions}
-    assert tuple(experiment["solver"].choices) == BACKENDS
-    assert tuple(experiment["patterns"].choices) == PATTERN_KINDS
-    args = build_parser().parse_args(["experiment"])
-    spec = SolverSpec()
-    assert (args.solver, args.params, args.restarts, args.max_evals, args.shots) == (
-        spec.backend, [spec.param_count], spec.restarts, spec.max_evals, spec.shots,
-    )
+    assert tuple(experiment["backend"].choices) == BACKENDS
+    assert tuple(experiment["pattern_kind"].choices) == PATTERN_KINDS
 
 
 def test_experiment_flags_default_to_the_plan_defaults(monkeypatch, capsys):
@@ -276,6 +277,21 @@ def test_experiment_flags_default_to_the_plan_defaults(monkeypatch, capsys):
     defaults = inspect.signature(optimize).parameters
     assert (defaults["restarts"].default, defaults["max_evals"].default) == (
         SolverSpec.restarts, SolverSpec.max_evals)
+
+
+def _report(plan):
+    return SuccessReport(plan.config_echo(), plan.config_id(), (TrialRecord(0, 0, True, 1, 0.0),))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_and_out_get_the_same_bytes(fmt, tmp_path, monkeypatch, capsys):
+    # print used to add a second newline to the CSV, which already ends in one
+    monkeypatch.setattr("isingpursuit.cli.run_batch", _report)
+    out = tmp_path / f"report.{fmt}"
+    argv = ["experiment", "--n", "4", "--sparsity", "1", "--format", fmt]
+    assert run_cli(*argv) == 0
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 @pytest.fixture
@@ -357,6 +373,35 @@ def test_reconstruct_rejects_boolean_marginals(backend, pipeline_files, capsys):
     assert "marginal must be a number, got True" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("flags, spec", [
+    ([], SolverSpec()),
+    (["--params", "9"], SolverSpec(param_count=9)),
+    (["--solver", "qaoa", "--restarts", "1", "--max-evals", "7", "--shots", "8"],
+     SolverSpec("qaoa", restarts=1, max_evals=7, shots=8)),
+])
+def test_reconstruct_solver_flags_default_to_the_spec_defaults(flags, spec, pipeline_files,
+                                                               monkeypatch):
+    specs = []
+
+    def record(spec_, seed):
+        specs.append(spec_)
+        return make_solver(SolverSpec("chain"), seed)
+
+    monkeypatch.setattr("isingpursuit.cli.make_solver", record)
+    assert run_cli("reconstruct", "--marginals", pipeline_files["y"],
+                   "--patterns-file", pipeline_files["pat"], *flags) == 0
+    assert specs == [spec]
+
+
+def test_reconstruct_rejects_a_nan_tolerance(pipeline_files, capsys):
+    # nan used to exit 0, and the pursuit never stopped on the tolerance
+    capsys.readouterr()
+    assert run_cli("reconstruct", "--marginals", pipeline_files["y"],
+                   "--patterns-file", pipeline_files["pat"], "--solver", "chain",
+                   "--tolerance", "nan") == 2
+    assert _one_error_line(capsys) == "error: residual_tolerance must be >= 0, got nan\n"
+
+
 def test_reconstruct_rejects_a_params_list_before_reading_any_file(tmp_path, capsys):
     # a list used to run its first count silently
     missing = str(tmp_path / "missing.json")
@@ -406,6 +451,59 @@ def test_experiment_plan_fields_must_be_json_numbers(fields, message, tmp_path, 
     path.write_text(json.dumps({"n": 4, "sparsity": 1, "trial_count": 1, **fields}))
     assert run_cli("experiment", "--plan", str(path)) == 2
     assert message in _one_error_line(capsys)
+
+
+def _annotated(kind: str) -> list[tuple[str | None, str]]:
+    """(table, name) of every plan field, and every solver field (table "solver"),
+    whose annotation names kind: "int", "float", "None", or "" for all of them."""
+    return [(table, f.name) for table, cls in ((None, ExperimentPlan), ("solver", SolverSpec))
+            for f in dataclass_fields(cls) if not kind or kind in f.type.split(" | ")]
+
+
+def _plan_file_with(table, name, value, tmp_path) -> str:
+    plan = {"n": 4, "sparsity": 1, "trial_count": 1}
+    plan.update({"solver": {name: value}} if table else {name: value})
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    return str(path)
+
+
+@pytest.mark.parametrize("table, name", _annotated("int"))
+@pytest.mark.parametrize("value", [True, "8", 2.5])
+def test_every_int_field_of_a_plan_file_takes_json_integers_only(
+        table, name, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("isingpursuit.cli.run_batch", _report)
+    assert run_cli("experiment", "--plan", _plan_file_with(table, name, value, tmp_path)) == 2
+    assert _one_error_line(capsys) == f"error: {name} must be an integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("table, name", _annotated("float"))
+@pytest.mark.parametrize("value", [True, "5"])
+def test_every_float_field_of_a_plan_file_takes_json_numbers_only(
+        table, name, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("isingpursuit.cli.run_batch", _report)
+    assert run_cli("experiment", "--plan", _plan_file_with(table, name, value, tmp_path)) == 2
+    assert _one_error_line(capsys) == f"error: {name} must be a number, got {value!r}\n"
+
+
+@pytest.mark.parametrize("table, name", _annotated(""))
+def test_a_plan_file_takes_null_only_where_the_field_allows_none(
+        table, name, tmp_path, monkeypatch, capsys):
+    plans = []
+
+    def record(plan):
+        plans.append(plan)
+        return _report(plan)
+
+    monkeypatch.setattr("isingpursuit.cli.run_batch", record)
+    status = run_cli("experiment", "--plan", _plan_file_with(table, name, None, tmp_path))
+    if (table, name) in _annotated("None"):
+        assert status == 0
+        assert getattr(plans[0], name) is None
+    else:
+        assert status == 2
+        assert f"{name} must be " in _one_error_line(capsys)
+        assert plans == []
 
 
 def test_experiment_plan_reads_integral_floats_as_integers(tmp_path, capsys):

@@ -93,6 +93,19 @@ def test_default_quadruplet_budget_tracks_pair_census():
     assert tiny_plan(n=4, quadruplets=1).effective_quadruplets == 1
 
 
+@pytest.mark.parametrize("n, quadruplets, match", [
+    (6, 16, "cannot draw 16 distinct quadruplets from C\\(6,4\\) = 15"),
+    (6, 0, "quadruplet count must be >= 1, got 0"),
+    (6, -1, "quadruplet count must be >= 1, got -1"),
+    (3, None, "quadruplet patterns need n >= 4, got 3"),
+])
+def test_plan_rejects_a_quadruplet_count_no_draw_can_meet(n, quadruplets, match):
+    # such a plan used to fail inside its first trial, after a sweep's baseline had run
+    with pytest.raises(ValueError, match=match):
+        tiny_plan(n=n, pattern_kind="quad", quadruplets=quadruplets)
+    assert tiny_plan(n=n, quadruplets=quadruplets).pattern_kind == "nn"
+
+
 def test_make_patterns_shares_the_plan_default():
     for n in (4, 5, 6, 9):
         plan = tiny_plan(n=n, pattern_kind="quad")

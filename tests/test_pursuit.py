@@ -33,6 +33,9 @@ def test_config_validation():
         PursuitConfig(solver=brute_force_solve, max_iterations=0)
     with pytest.raises(ValueError):
         PursuitConfig(solver=brute_force_solve, max_iterations=1, residual_tolerance=-1.0)
+    # a nan tolerance used to pass, and the pursuit never stopped on it
+    with pytest.raises(ValueError, match="^residual_tolerance must be >= 0, got nan$"):
+        PursuitConfig(solver=brute_force_solve, max_iterations=1, residual_tolerance=float("nan"))
 
 
 def test_zero_marginals_terminate_immediately():
