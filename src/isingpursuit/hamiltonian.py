@@ -24,11 +24,16 @@ sums each transform entry over the run's patterns in set order (np.sum's
 order depends on the memory layout, a matrix product's on the BLAS), and
 np.bincount adds the entries, run by run, to totals started at +0.0.  Keys
 go in the order in which the set's runs first name them, whatever r holds.
+
+The built Hamiltonian holds that totals vector and its prune mask, and makes
+the `terms` dict only when `terms` is first read: the kept supports in that
+order, each with its total as a float.  The chain solver reads the vector
+and mask directly through the set's chain slots and never makes the dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -40,25 +45,44 @@ from .signal import _check_dense_size
 COEFF_PRUNE_TOL = 1e-15
 
 
-@dataclass
 class IsingHamiltonian:
-    """Map from Z-string supports (frozensets of 1-based qubits) to coefficients."""
+    """Map from Z-string supports (frozensets of 1-based qubits) to coefficients.
 
-    n: int
-    terms: dict[frozenset[int], float] = field(default_factory=dict)
+    A Hamiltonian from `build_hamiltonian` holds the builder's per-support
+    totals and prune mask, and makes its `terms` dict when `terms` is first
+    read (see the module docstring).
+    """
 
-    def __post_init__(self):
+    def __init__(self, n: int, terms: dict[frozenset[int], float] | None = None):
+        self.n = n
+        self.terms = {} if terms is None else terms
         for support in self.terms:
             for j in support:
-                if not 1 <= j <= self.n:
-                    raise ValueError(f"qubit {j} outside [1, {self.n}]")
+                if not 1 <= j <= n:
+                    raise ValueError(f"qubit {j} outside [1, {n}]")
 
     @classmethod
-    def _unchecked(cls, n: int, terms: dict[frozenset[int], float]) -> "IsingHamiltonian":
-        """Skip __post_init__'s check, for supports already known to lie in [1, n]."""
+    def _built(cls, n: int, supports: tuple[frozenset[int], ...], totals: np.ndarray,
+               keep: np.ndarray) -> "IsingHamiltonian":
+        """The terms on the supports that keep selects, made when first read;
+        the supports are already known to lie in [1, n]."""
         H = cls.__new__(cls)
-        H.n, H.terms = n, terms
+        H.n, H._supports, H._totals, H._keep = n, supports, totals, keep
         return H
+
+    @cached_property
+    def terms(self) -> dict[frozenset[int], float]:
+        # only a built Hamiltonian gets here: __init__ sets terms itself
+        keep = self._keep.tolist()
+        return dict(zip(compress(self._supports, keep), compress(self._totals.tolist(), keep)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.terms) == (other.n, other.terms)
+
+    def __repr__(self) -> str:
+        return f"IsingHamiltonian(n={self.n!r}, terms={self.terms!r})"
 
     def evaluate(self, z: int) -> float:
         """Diagonal entry at basis index z: sum of coeff * prod of spin values."""
@@ -106,7 +130,5 @@ def build_hamiltonian(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltonian:
     for index, rows, places in groups:
         entries[places] = np.add.accumulate(r[index][:, :, None] * rows, axis=1)[:, -1]
     totals = np.bincount(ids, weights=entries)
-    keep = (np.abs(totals) >= COEFF_PRUNE_TOL).tolist()
     # the set bounded every support when it was built
-    return IsingHamiltonian._unchecked(
-        ms.n, dict(zip(compress(supports, keep), compress(totals.tolist(), keep))))
+    return IsingHamiltonian._built(ms.n, supports, totals, np.abs(totals) >= COEFF_PRUNE_TOL)

@@ -31,8 +31,9 @@ addends in the same order, from a +0.0 start, so the result is bit for bit
 the table kernel's.
 
 The Hamiltonian builder reads the same runs as Walsh-Hadamard transforms
-(`_transform_plan`), and `nearest_neighbor_patterns` builds its set once
-per n, so the masks, table runs and plan of a nearest-neighbour set are made
+(`_transform_plan`), the chain solver places the plan's supports through
+`_chain_slots`, and `nearest_neighbor_patterns` builds its set once per n,
+so the masks, table runs, plan and slots of a nearest-neighbour set are made
 once per process.
 """
 
@@ -186,6 +187,24 @@ class MeasurementSet:
             plan.append((starts[:, None] + np.arange(m), rows, firsts[:, None] + values))
         return tuple(ids), np.array(support_ids), tuple(plan)
 
+    @cached_property
+    def _chain_slots(self) -> np.ndarray:
+        """Each `_transform_plan` support's cell in the chain solver's flat
+        list of 2n + 2: 0 for the constant, i for the field at site i, 2n - i
+        for the coupling of sites (i, i+1), and 2n + 1 for a support that no
+        chain holds."""
+        n = self.n
+        slots = []
+        for support in self._transform_plan[0]:
+            bits = sorted(support)
+            if len(bits) <= 1:
+                slots.append(sum(bits))
+            elif len(bits) == 2 and bits[1] == bits[0] + 1:
+                slots.append(2 * n - bits[0])
+            else:
+                slots.append(2 * n + 1)
+        return np.array(slots, dtype=np.intp)
+
     def match_vector(self, z: int) -> np.ndarray:
         """Boolean vector over patterns: the implicit column of A at index z."""
         masks, wants = self._masks_wants
@@ -313,9 +332,9 @@ def nearest_neighbor_patterns(n: int) -> MeasurementSet:
 
     Ordering is pair-major, value-combination minor (00, 01, 10, 11), so
     marginal indices are stable across runs.  The set is built once per n
-    and shared, together with its cached masks, table runs and transform
-    plan; it is frozen, so callers cannot tell the difference.  n is checked
-    against INDEX_BITS_CAP before any pattern is built.
+    and shared, together with its cached masks, table runs, transform plan
+    and chain slots; it is frozen, so callers cannot tell the difference.  n
+    is checked against INDEX_BITS_CAP before any pattern is built.
     """
     if n < 2:
         raise ValueError(f"nearest-neighbor patterns need n >= 2, got {n}")

@@ -38,10 +38,12 @@ def _check_dense_size(n: int) -> None:
 
 
 def _check_sparsity(n: int, s: int) -> None:
-    """n as _check_bit_count checks it, and 1 <= s <= 2**n."""
+    """n as _check_bit_count checks it, and 1 <= s <= 2**min(n, DENSE_VECTOR_CAP):
+    above the cap, random_sparse_signal's rejection draw holds s positions in a set."""
     _check_bit_count(n)
-    if not 1 <= s <= 1 << n:
-        raise ValueError(f"sparsity must satisfy 1 <= s <= 2**{n}, got {s}")
+    bits = min(n, DENSE_VECTOR_CAP)
+    if not 1 <= s <= 1 << bits:
+        raise ValueError(f"sparsity must satisfy 1 <= s <= 2**{bits}, got {s}")
 
 
 def _read_int(value, name: str) -> int:

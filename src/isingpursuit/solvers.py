@@ -52,38 +52,24 @@ def brute_force_solve(ms: MeasurementSet, r: np.ndarray) -> SolverOutcome:
     return SolverOutcome(z, score, {"backend": "brute", "scanned": len(dots)})
 
 
-# Chain support -> slot in _chain_params' flat list: 0 for the constant, i for
-# the field at site i, -1 - i for the coupling of sites (i, i+1).  Slots do not
-# depend on n, so one map serves every set (at most 126 supports for n <= 63).
-_CHAIN_SLOTS: dict[frozenset, int] = {}
-
-
-def _chain_slot(support: frozenset) -> int:
-    """Record a chain support's slot; any other support raises, unrecorded."""
-    if len(support) <= 1:
-        slot = sum(support)
-    elif len(support) == 2:
-        i, j = sorted(support)
-        if j != i + 1:
-            raise ChainStructureError(f"non-adjacent coupling {sorted(support)}")
-        slot = -1 - i
-    else:
-        raise ChainStructureError(f"interaction of order {len(support)}: {sorted(support)}")
-    _CHAIN_SLOTS[support] = slot
-    return slot
-
-
-def _chain_params(H: IsingHamiltonian) -> tuple[float, list[float], list[float]]:
-    """Constant, per-site fields and adjacent couplings: fields[i] is site i,
-    couplings[i] pairs sites (i, i+1), and neither list's index 0 is read."""
-    n = H.n
-    flat = [0.0] * (2 * n + 1)
-    try:
-        slots = list(map(_CHAIN_SLOTS.__getitem__, H.terms))
-    except KeyError:  # a support met for the first time
-        slots = list(map(_chain_slot, H.terms))
-    for slot, coeff in zip(slots, H.terms.values()):
-        flat[slot] = coeff
+def _chain_params(
+    H: IsingHamiltonian, slots: np.ndarray
+) -> tuple[float, list[float], list[float]]:
+    """Constant, per-site fields and adjacent couplings of a built H, read
+    through its set's chain slots (see `MeasurementSet._chain_slots`):
+    fields[i] is site i, couplings[i] pairs sites (i, i+1), and neither
+    list's index 0 is read.  The first kept support that no chain holds
+    raises ChainStructureError."""
+    n, keep = H.n, H._keep
+    cells = np.zeros(2 * n + 2)
+    cells[slots[keep]] = H._totals[keep]
+    flat = cells.tolist()
+    if flat.pop():  # a kept total is never zero, so some kept support is not a chain's
+        bad = np.flatnonzero(keep & (slots == 2 * n + 1))[0]
+        support = sorted(H._supports[bad])
+        if len(support) == 2:
+            raise ChainStructureError(f"non-adjacent coupling {support}")
+        raise ChainStructureError(f"interaction of order {len(support)}: {support}")
     return flat[0], flat[:n + 1], flat[:n:-1]
 
 
@@ -152,7 +138,7 @@ def chain_dp_solve(ms: MeasurementSet, r: np.ndarray) -> SolverOutcome:
     ValueError when the sweep overflows to a NaN extremum, which no argmax has.
     """
     H = build_hamiltonian(ms, r)
-    z_max, v_max, z_min, v_min = _chain_extrema(*_chain_params(H), ms.n)
+    z_max, v_max, z_min, v_min = _chain_extrema(*_chain_params(H, ms._chain_slots), ms.n)
     if v_max != v_max or v_min != v_min:
         raise ValueError(f"chain sweep overflowed: max_value={v_max}, min_value={v_min}")
     z = z_max if abs(v_max) >= abs(v_min) else z_min

@@ -3,9 +3,10 @@ in `oracles`: the same position, score and diagnostics, compared by repr,
 on nearest-neighbour sets of every size up to the index-width cap.  The
 fused max/min sweep is also checked on raw chains, signed zeros included,
 against the oracle's max sweep run twice, once on the negated chain.  The
-flat slot map that reads a Hamiltonian's chain terms is checked against the
-oracle's term-by-term split, on Hamiltonians with pruned terms and on
-quadruplet sets whose non-chain terms prune away or survive."""
+slot scatter that reads a built Hamiltonian's chain coefficients is checked
+against the oracle's term-by-term split of its terms, on Hamiltonians with
+pruned terms and on quadruplet sets whose non-chain terms prune away or
+survive; the solver itself never makes the terms dict."""
 
 import re
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isingpursuit import solvers
 from isingpursuit.hamiltonian import build_hamiltonian
 from isingpursuit.measurement import nearest_neighbor_patterns, random_quadruplet_patterns
 from isingpursuit.solvers import (
@@ -124,7 +126,8 @@ def chain_terms(const, fields, couplings, n) -> str:
 def test_slot_map_matches_the_array_oracle(case):
     ms, r = case
     H = build_hamiltonian(ms, r)
-    assert chain_terms(*_chain_params(H), ms.n) == chain_terms(*_chain_params_arrays(H), ms.n)
+    scattered = chain_terms(*_chain_params(H, ms._chain_slots), ms.n)
+    assert scattered == chain_terms(*_chain_params_arrays(H), ms.n)
 
 
 @settings(max_examples=20 * DEPTH)
@@ -138,16 +141,22 @@ def test_quad_sets_whose_non_chain_terms_prune_away_solve(seed, per_run):
     assert fingerprint(chain_dp_solve(ms, r)) == fingerprint(chain_dp_solve_arrays(ms, r))
 
 
-@pytest.mark.parametrize("kept", [(0, 2), (0, 1, 2, 3)], ids=["non-adjacent", "order-4"])
-@pytest.mark.parametrize("seed", range(4))
-def test_a_kept_non_chain_term_is_refused_on_every_call(kept, seed):
-    # a constant residual plus one Walsh function of the first quadruplet's
-    # table: of its non-constant terms only the support on `kept` survives
+def kept_non_chain_case(kept, seed):
+    """A quadruplet set, and a constant residual plus one Walsh function of
+    the first quadruplet's table: of its non-constant terms only the support
+    on the positions `kept` indexes survives."""
     ms = random_quadruplet_patterns(6, 3, seed=seed)
     mask = sum(1 << (3 - i) for i in kept)
     parity = np.array([bin(s & mask).count("1") % 2 for s in range(16)])
     r = np.ones(len(ms))
     r[:16] += (-1.0) ** parity
+    return ms, r
+
+
+@pytest.mark.parametrize("kept", [(0, 2), (0, 1, 2, 3)], ids=["non-adjacent", "order-4"])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_kept_non_chain_term_is_refused_on_every_call(kept, seed):
+    ms, r = kept_non_chain_case(kept, seed)
     H = build_hamiltonian(ms, r)
     first = sorted(ms.patterns[0].constraints)
     support = frozenset(first[i][0] for i in kept)
@@ -158,3 +167,19 @@ def test_a_kept_non_chain_term_is_refused_on_every_call(kept, seed):
     for _ in range(2):  # a refused support is not remembered as a slot
         with pytest.raises(ChainStructureError, match=re.escape(str(oracle.value))):
             chain_dp_solve(ms, r)
+
+
+def test_chain_dp_solve_never_makes_the_terms_dict(monkeypatch):
+    built = []
+
+    def build_and_record(ms, r):
+        built.append(build_hamiltonian(ms, r))
+        return built[-1]
+
+    monkeypatch.setattr(solvers, "build_hamiltonian", build_and_record)
+    ms = nearest_neighbor_patterns(48)
+    chain_dp_solve(ms, np.random.default_rng(0).normal(size=len(ms)))
+    with pytest.raises(ChainStructureError):
+        chain_dp_solve(*kept_non_chain_case((0, 2), 0))
+    assert len(built) == 2
+    assert not any("terms" in vars(H) for H in built)

@@ -205,6 +205,18 @@ def test_max_iterations_flag_gives_the_plan_files_csv(tmp_path, capsys):
     assert without_runtimes(via_flags)[1][-2] == "3"
 
 
+@pytest.mark.parametrize("argv", [["generate"], ["experiment", "--solver", "chain"]])
+def test_a_sparsity_no_draw_can_serve_exits_2_before_any_draw(argv, monkeypatch, capsys):
+    # at n = 40 a draw by rejection toward 2**40 positions would never finish
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a draw started")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    assert run_cli(*argv, "--n", "40", "--sparsity", str(2**40)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: sparsity must satisfy 1 <= s <= 2**20, got 1099511627776\n"
+
+
 def test_configuration_errors_exit_2(tmp_path, capsys):
     assert run_cli("generate", "--n", "3", "--sparsity", "99") == 2
     assert run_cli("experiment", "--sparsity", "2") == 2

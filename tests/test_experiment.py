@@ -46,6 +46,8 @@ def test_plan_validation():
 @pytest.mark.parametrize("n, sparsity, match", [
     (4, 0, "sparsity must satisfy 1 <= s <= 2\\*\\*4, got 0"),
     (4, 17, "sparsity must satisfy 1 <= s <= 2\\*\\*4, got 17"),
+    (40, 2**40, "sparsity must satisfy 1 <= s <= 2\\*\\*20, got 1099511627776"),
+    (21, 2**20 + 1, "sparsity must satisfy 1 <= s <= 2\\*\\*20, got 1048577"),
     (0, 1, "bit count must be >= 1, got 0"),
     (64, 1, "n=64 exceeds 63"),
 ])
@@ -57,6 +59,7 @@ def test_plan_rejects_a_signal_it_cannot_draw(n, sparsity, match):
 
 def test_plan_accepts_the_edges_of_the_signal_range():
     assert tiny_plan(n=4, sparsity=16).sparsity == 16
+    assert tiny_plan(n=40, sparsity=2**20, solver=SolverSpec("chain")).sparsity == 2**20
     assert tiny_plan(n=63, sparsity=1, pattern_kind="quad", solver=SolverSpec("chain")).n == 63
 
 

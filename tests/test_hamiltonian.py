@@ -74,6 +74,16 @@ def test_built_supports_pass_the_range_check(ms, seed):
     assert IsingHamiltonian(H.n, H.terms) == H
 
 
+def test_a_built_hamiltonian_makes_its_terms_when_first_read():
+    ms = random_quadruplet_patterns(6, 2, seed=3)
+    H = build_hamiltonian(ms, np.random.default_rng(3).normal(size=len(ms)))
+    assert "terms" not in vars(H)
+    items = list(H.terms.items())
+    assert vars(H)["terms"] is H.terms
+    assert len(H.terms) == len(items) == int(np.count_nonzero(H._keep))
+    assert repr(IsingHamiltonian(H.n, dict(items))) == repr(H)
+
+
 def test_diagonal_agrees_with_evaluate():
     H = IsingHamiltonian(4, {frozenset(): 0.3, frozenset({2, 4}): -1.2, frozenset({1}): 0.7})
     assert np.allclose(H.diagonal(), [H.evaluate(z) for z in range(16)])

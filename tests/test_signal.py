@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -101,11 +103,20 @@ def test_generator_count_and_value_bounds(n, data):
         assert 0.1 <= val <= 1.0
 
 
-def test_generator_rejects_bad_sparsity():
+def test_generator_rejects_bad_sparsity(monkeypatch):
     with pytest.raises(ValueError):
         random_sparse_signal(3, 0)
     with pytest.raises(ValueError):
         random_sparse_signal(3, 9)
+    # above DENSE_VECTOR_CAP bits the draw is by rejection into a set of s
+    # positions, so s up to 2**n would never finish: refused before any draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a draw started")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for n, s in [(40, 2**40), (21, 2**20 + 1), (63, 2**63)]:
+        with pytest.raises(ValueError, match=re.escape(f"1 <= s <= 2**20, got {s}") + "$"):
+            random_sparse_signal(n, s)
 
 
 def test_generator_can_fill_the_whole_space():

@@ -268,6 +268,9 @@ def test_build_hamiltonian_is_bitwise_the_walsh_oracle_and_the_itertools_sum_up_
     H, oracle = build_hamiltonian(ms, r), build_hamiltonian_walsh(ms, r)
     assert list(H.terms) == list(oracle.terms)
     assert np.array_equal(bits_of(list(H.terms.values())), bits_of(list(oracle.terms.values())))
+    # terms is made on the first read above; a second read gives the same items
+    items = repr(list(oracle.terms.items()))
+    assert repr(list(H.terms.items())) == items
     if ms.n <= 16:  # the wide chains have no 2**n diagonal to compare
         assert np.array_equal(bits_of(H.diagonal()), bits_of(diagonal_per_term(H)))
 
