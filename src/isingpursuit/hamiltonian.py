@@ -10,7 +10,9 @@ is 1 - 2b, so bit 0 maps to +1 and bit 1 to -1.
 measurement module's table kernel: the term on support S adds coeff times
 the 2**|S| spin products over S's bits.  Every index still receives
 +coeff or -coeff exactly, term by term in dict order, so the result is bit
-for bit a per-term sign product.
+for bit a per-term sign product.  The diagonal is made on the first call and
+kept on the Hamiltonian, read-only: a QAOA solve reads it in `optimize` and
+again for its sampled states, and computes it once.
 
 `build_hamiltonian` works on the set's table runs (see the measurement
 module): a run on k positions holds a 2**k table of residuals, 0.0 where no
@@ -50,8 +52,12 @@ class IsingHamiltonian:
 
     A Hamiltonian from `build_hamiltonian` holds the builder's per-support
     totals and prune mask, and makes its `terms` dict when `terms` is first
-    read (see the module docstring).
+    read (see the module docstring).  Every Hamiltonian makes its diagonal
+    on the first `diagonal()` call and keeps it, read-only, so its terms
+    are not to change after that call.
     """
+
+    _diagonal: np.ndarray | None = None
 
     def __init__(self, n: int, terms: dict[frozenset[int], float] | None = None):
         self.n = n
@@ -96,12 +102,17 @@ class IsingHamiltonian:
         return total
 
     def diagonal(self) -> np.ndarray:
-        """All 2**n diagonal entries at once, for n <= DENSE_VECTOR_CAP."""
-        _check_dense_size(self.n)
-        diag = np.zeros(1 << self.n)
-        for support, coeff in self.terms.items():
-            _add_table(diag, self.n, tuple(sorted(support)), coeff * _signs(len(support)))
-        return diag
+        """All 2**n diagonal entries, for n <= DENSE_VECTOR_CAP: made from the
+        terms on the first call, then kept on the Hamiltonian and returned
+        read-only by every call."""
+        if self._diagonal is None:
+            _check_dense_size(self.n)
+            diag = np.zeros(1 << self.n)
+            for support, coeff in self.terms.items():
+                _add_table(diag, self.n, tuple(sorted(support)), coeff * _signs(len(support)))
+            diag.flags.writeable = False
+            self._diagonal = diag
+        return self._diagonal
 
     def max_support_size(self) -> int:
         return max((len(s) for s in self.terms), default=0)

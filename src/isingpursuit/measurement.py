@@ -404,6 +404,29 @@ def column_dot(z: int, r: np.ndarray, ms: MeasurementSet) -> float:
     return float(np.add.reduce(_per_pattern(r, ms)[ms.match_vector(z)]))
 
 
+def column_dots(zs: list[int], r: np.ndarray, ms: MeasurementSet) -> np.ndarray:
+    """column_dot(z, r, ms) for every index z in zs, bit for bit, in one pass.
+
+    The (len(zs), patterns) match matrix names each index's addends in
+    pattern order.  The rows with the same match count m are gathered into
+    one (rows, m) array of r's entries, and one np.add.reduce along axis 1
+    sums each row with the pairwise sum that column_dot's 1-D reduce runs.
+    np.add.reduceat over the rows laid end to end would not: it sums each
+    segment in another order, and differs in the last bit on most random
+    segmentings.
+    """
+    r = _per_pattern(r, ms)
+    masks, wants = ms._masks_wants
+    match = (np.asarray(zs, dtype=np.int64)[:, None] & masks) == wants
+    counts = np.count_nonzero(match, axis=1)
+    dots = np.empty(len(match))
+    for m in set(counts.tolist()):
+        rows = np.flatnonzero(counts == m)
+        picked = np.nonzero(match[rows])[1].reshape(len(rows), m)
+        dots[rows] = np.add.reduce(r[picked], axis=1)
+    return dots
+
+
 def _extend_stage(out: np.ndarray, prev: np.ndarray, table: list[float]) -> None:
     """out[2w + b] = prev[w] + table[2u + b] for u the low k-1 bits of w,
     where table holds 2**k entries: one strided add of a Python float per

@@ -14,18 +14,22 @@ same few numpy calls for K rows as for one.  Its steps live in a workspace,
 rows, and the diagonal's distinct values as complex levels with an int64
 index from each entry to its level.  `optimize` makes one workspace per
 run, as wide as its widest round, and every round evolves in the first rows
-of it, through one view set per row count; `ansatz_state` and
-`apply_phase_layer` make one with K = 1 per call, so a state they return is
-never written over.  A layer's phase step is one exp per row and level, in
-a (rows, levels) table, one gather of the table into full rows and one
-phase multiply into buffer 0; its mixer is two factor-row fills and three
-ufunc calls per qubit, in a sweep that starts at buffer 0.  Every step
-writes its result through `out=` into the workspace, so no result array is
-made inside the loop (numpy still takes iterator buffers for the paired add
-and for the first layer's broadcast start).  Writing cos(beta) and
+of it.  `ansatz_state` makes one per call, with a row for each set of
+angles it is given, so a QAOA solve evolves its two sampled states as one
+batch over the diagonal its `optimize` run made (the Hamiltonian keeps it);
+`apply_phase_layer` makes one with K = 1.  So a state they return is never
+written over.  A layer's phase step is one exp per row and level, in a
+(rows, levels) table, one gather of the table into full rows and one phase
+multiply into buffer 0; its mixer is two factor-row fills and three ufunc
+calls per qubit, in a sweep that starts at buffer 0.  The workspace binds
+both steps once per row count, with their views, levels and factor rows,
+so `_evolve`'s layer loop makes two calls per layer and no lookups.  Every
+step writes its result through `out` into the workspace, so no result
+array is made inside the loop (numpy still takes iterator buffers for the
+paired add and for the first layer's broadcast start).  Writing cos(beta) and
 i*sin(beta) across whole rows lets both products of a mixer step run on
 same-shape contiguous operands, numpy's cheapest call; the add pairs the
-amplitudes through a reversed view.  `out=`, reused memory, factors
+amplitudes through a reversed view.  `out`, reused memory, factors
 repeated along a row and phases gathered from the level table change where
 a result lands, not how it is rounded: equal diagonal bits give equal phase
 products and exps, and every amplitude meets the same operands, in the same
@@ -56,6 +60,7 @@ with h, except that an exact zero sum is +0.0 both ways, as 0.0 - <H> gives.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,7 +140,7 @@ def uniform_state(n: int) -> np.ndarray:
     return np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
 
 
-_Views = namedtuple("_Views", "table temp phased factors sweep mixed probs")
+_Views = namedtuple("_Views", "phase mix probs")
 
 
 class _StateBuffers:
@@ -145,12 +150,15 @@ class _StateBuffers:
     `level_of`, the int64 index of each entry's level.
 
     `optimize` makes one workspace per run, K rows wide, and every batch
-    of the run evolves in the first rows of it; `ansatz_state` and
-    `apply_phase_layer` make one with K = 1 per call.  A batch of `rows`
-    rows works in `[:rows]` views, one `_Views` set per row count, built on
-    first use and kept in `at` (all K rows before the first batch).  The
-    phase step writes buffer 0, so every mixer sweep starts there; each
-    step leaves the state in `psi`.
+    of the run evolves in the first rows of it; `ansatz_state` makes one
+    per call, a row for each set of angles it is given, and
+    `apply_phase_layer` one with K = 1.  A batch of `rows` rows works in
+    `[:rows]` views.  `_views` binds them once per row count, with the
+    levels and factor rows, into that batch's phase step and mixer sweep,
+    and keeps the pair in `by_rows`; `at` is the pair of the last batch
+    (all K rows before the first).  The phase step writes buffer 0, so
+    every mixer sweep starts there; each step returns the view that holds
+    the state.
 
     A mixer step on qubit q (MSB-first) applies [[c, js], [js, c]] with c
     and js written across every entry of the factor rows, so both products
@@ -173,60 +181,73 @@ class _StateBuffers:
         self.at = self._views(K)
 
     def _views(self, rows: int) -> _Views:
+        """The phase step and mixer sweep of a batch of `rows` rows, and the
+        view that `expectations` squares into, built on first use."""
         if rows not in self.by_rows:
-            flat = [a[:rows] for a in self.bufs]
-            sweep = []
-            for q in range(1, self.n + 1):
-                # source, destination, temporary, then the last two with the qubit's bit as axis 2
-                src, dst = flat[(q - 1) % 2], flat[q % 2]
-                pairs, tmp = (a.reshape(rows, 1 << (q - 1), 2, -1) for a in (dst, flat[2]))
-                sweep.append((src, dst, flat[2], pairs, tmp[:, :, ::-1]))
-            self.by_rows[rows] = _Views(
-                self.factors[0].reshape(-1)[:rows * len(self.levels)].reshape(rows, -1),
-                flat[2], flat[0], [f[:rows] for f in self.factors], sweep, flat[self.n % 2],
-                self.bufs[2].reshape(-1).view(float)[:rows << self.n].reshape(rows, -1))
+            self.by_rows[rows] = self._bind(rows)
         return self.by_rows[rows]
 
-    def phase(self, psi: np.ndarray, jg: np.ndarray) -> None:
-        """Row k of psi (any buffer) times exp(jg[k] * diag) into buffer 0,
-        where every mixer sweep starts, through the view set of len(jg) rows.
+    def _bind(self, rows: int) -> _Views:
+        """A batch's steps as closures over its `[:rows]` views, the levels
+        and the factor rows.  They pass `out` by position, which numpy
+        parses faster than the keyword, and run the same calls."""
+        multiply, add, exp = np.multiply, np.add, np.exp
+        levels, level_of = self.levels, self.level_of
+        flat = [a[:rows] for a in self.bufs]
+        phased, temp, mixed = flat[0], flat[2], flat[self.n % 2]
+        table = self.factors[0].reshape(-1)[:rows * len(levels)].reshape(rows, -1)
+        take = table.take
+        fc, fjs = (f[:rows] for f in self.factors)
+        sweep = []
+        for q in range(1, self.n + 1):
+            # source, destination, then the last two with the qubit's bit as axis 2
+            src, dst = flat[(q - 1) % 2], flat[q % 2]
+            pairs, tmp = (a.reshape(rows, 1 << (q - 1), 2, -1) for a in (dst, temp))
+            sweep.append((src, dst, pairs, tmp[:, :, ::-1]))
 
-        The exp runs once per row and level, in a (rows, levels) table in
-        the first factor row, which the mixer only writes afterwards, and
-        `take` gathers the table into the temporary.  Equal diagonal bits
-        give equal products and exps, so each entry gets the bits an exp
-        per entry gives.
+        def phase(psi: np.ndarray, jg: np.ndarray) -> np.ndarray:
+            """Row k of psi (any buffer) times exp(jg[k] * diag) into buffer 0.
 
-        The operand order is pinned: the FMA complex multiply rounds
-        psi * ph and ph * psi differently, and numpy's expression form
-        `psi * np.exp(...)` swaps them once the exp temporary reaches 256 KiB.
-        """
-        at = self.at = self._views(len(jg))
-        np.multiply(jg, self.levels, out=at.table)
-        np.exp(at.table, out=at.table)
-        # mode="clip" never clips here; the default mode would buffer `out`
-        at.table.take(self.level_of, axis=1, out=at.temp, mode="clip")
-        self.psi = np.multiply(psi, at.temp, out=at.phased)
+            The exp runs once per row and level, in a (rows, levels) table
+            in the first factor row, which the mixer only writes afterwards,
+            and `take` gathers the table into the temporary.  Equal diagonal
+            bits give equal products and exps, so each entry gets the bits
+            an exp per entry gives.
 
-    def mix(self, c, js) -> None:
-        """Apply [[c, js], [js, c]] (js = i*s) on every qubit in turn, from
-        buffer 0, to the last batch's rows; c and js are scalars or (rows, 1)."""
-        fc, fjs = self.at.factors
-        fc[...] = c
-        fjs[...] = js
-        for src, dst, tmp, pairs, flip in self.at.sweep:
-            np.multiply(fc, src, out=dst)
-            np.multiply(fjs, src, out=tmp)
-            np.add(pairs, flip, out=pairs)
-        self.psi = self.at.mixed
+            The operand order is pinned: the FMA complex multiply rounds
+            psi * ph and ph * psi differently, and numpy's expression form
+            `psi * np.exp(...)` swaps them once the exp temporary reaches
+            256 KiB.
+            """
+            multiply(jg, levels, table)
+            exp(table, table)
+            # axis 1, and mode "clip", which never clips here: the default
+            # mode would buffer `out`
+            take(level_of, 1, temp, "clip")
+            return multiply(psi, temp, phased)
 
-    def expectations(self, out: np.ndarray) -> None:
-        """<h> for each row of psi into out, through |amp|**2 in the temporary
-        (the last phase step's view).  np.vecdot runs a 1-D dot on each
+        def mix(c, js) -> np.ndarray:
+            """Apply [[c, js], [js, c]] (js = i*s) on every qubit in turn,
+            from buffer 0; c and js are scalars or (rows, 1)."""
+            fc[...] = c
+            fjs[...] = js
+            for src, dst, pairs, flip in sweep:
+                multiply(fc, src, dst)
+                multiply(fjs, src, temp)
+                add(pairs, flip, pairs)
+            return mixed
+
+        probs = self.bufs[2].reshape(-1).view(float)[:rows << self.n].reshape(rows, -1)
+        return _Views(phase, mix, probs)
+
+    def expectations(self, psi: np.ndarray, out: np.ndarray) -> None:
+        """<h> for each row of psi, the last batch's state, into out, through
+        |amp|**2 in the temporary.  np.vecdot runs a 1-D dot on each
         contiguous row: a matrix-vector product would sum in another order."""
-        np.abs(self.psi, out=self.at.probs)
-        np.square(self.at.probs, out=self.at.probs)  # what `** 2` runs
-        np.vecdot(self.at.probs, self.diag, out=out)
+        probs = self.at.probs
+        np.abs(psi, out=probs)
+        np.square(probs, out=probs)  # what `** 2` runs
+        np.vecdot(probs, self.diag, out=out)
 
 
 def _mixer_factors(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,8 +261,7 @@ def apply_phase_layer(state: np.ndarray, H: IsingHamiltonian, gamma: float) -> n
     if num_qubits(state) != H.n:
         raise ValueError(f"state has {num_qubits(state)} qubits but H has {H.n}")
     kernel = _StateBuffers(1, H.n, H.diagonal())
-    kernel.phase(state[None], 1j * np.array([[gamma]]))
-    return kernel.psi[0]
+    return kernel.at.phase(state[None], 1j * np.array([[gamma]]))[0]
 
 
 def _evolve(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
@@ -250,19 +270,23 @@ def _evolve(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
     which the next batch overwrites.
 
     The set-up takes i*gamma, cos(beta) as complex and i*sin(beta) for all p
-    layers at once.  Each layer then runs the workspace's phase step and
-    mixer sweep, all through `out=`.  Every amplitude meets the same
-    operands, in the same order, as with an exp per entry, a fresh array
-    per step and broadcast factors, so each row is bitwise the state that
-    evolving it alone gives (the oracle tests check this).
+    layers at once, and the batch's phase step and mixer sweep, bound once
+    for its row count.  Each layer then runs the two, all through `out`.
+    Every amplitude meets the same operands, in the same order, as with an
+    exp per entry, a fresh array per step and broadcast factors, so each
+    row is bitwise the state that evolving it alone gives (the oracle tests
+    check this).
     """
     p = angles.shape[1] // 2
     jg = 1j * angles[:, :p].T[:, :, None]  # (p, rows, 1)
     c, js = _mixer_factors(angles[:, p:].T[:, :, None])  # (p, rows, 1)
-    for layer in range(p):  # the first phase layer broadcasts the start to every row
-        kernel.phase(kernel.psi if layer else kernel.start, jg[layer])
-        kernel.mix(c[layer], js[layer])
-    return kernel.psi
+    at = kernel.at = kernel._views(len(angles))
+    phase, mix = at.phase, at.mix
+    psi = kernel.start  # the first phase layer broadcasts it to every row
+    for layer_jg, layer_c, layer_js in zip(jg, c, js):
+        phase(psi, layer_jg)
+        psi = mix(layer_c, layer_js)
+    return psi
 
 
 # Rows per batch, capped so that each of the workspace's five (K, 2**n)
@@ -279,14 +303,26 @@ def _expectations(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
     K = len(kernel.bufs[0])
     out = np.empty(len(angles))
     for lo in range(0, len(angles), K):
-        _evolve(kernel, angles[lo:lo + K])
-        kernel.expectations(out[lo:lo + K])
+        kernel.expectations(_evolve(kernel, angles[lo:lo + K]), out[lo:lo + K])
     return out
 
 
-def ansatz_state(H: IsingHamiltonian, params: QaoaParams) -> np.ndarray:
-    """Uniform start, then alternating phase and mixer layers."""
-    return _evolve(_StateBuffers(1, H.n, H.diagonal()), params.to_vector()[None])[0]
+def ansatz_state(H: IsingHamiltonian, params: QaoaParams | Sequence[QaoaParams]) -> np.ndarray:
+    """Uniform start, then alternating phase and mixer layers: the 1-D state
+    for one QaoaParams.
+
+    A sequence of QaoaParams of one depth evolves as the rows of one batch
+    on one workspace, over one diagonal and one level table, and gives a
+    (len(params), 2**n) array whose row k is bitwise ansatz_state(H,
+    params[k]).  Each call makes its own workspace, so no later call writes
+    over a state it returned.
+    """
+    rows = [params] if isinstance(params, QaoaParams) else list(params)
+    if len({row.p for row in rows}) != 1:
+        raise ValueError("ansatz_state needs one or more QaoaParams of one depth")
+    angles = np.array([row.to_vector() for row in rows])
+    states = _evolve(_StateBuffers(len(rows), H.n, H.diagonal()), angles)
+    return states[0] if isinstance(params, QaoaParams) else states
 
 
 @dataclass(frozen=True)

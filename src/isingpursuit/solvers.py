@@ -23,7 +23,7 @@ import numpy as np
 
 from . import qaoa
 from .hamiltonian import IsingHamiltonian, build_hamiltonian
-from .measurement import MeasurementSet, all_column_dots, column_dot
+from .measurement import MeasurementSet, all_column_dots, column_dot, column_dots
 
 BACKENDS = ("brute", "chain", "qaoa")
 
@@ -176,6 +176,20 @@ class SolverSpec:
         return math.ceil(self.param_count / 2)
 
 
+def _rescore(candidates: list[int], r: np.ndarray, ms: MeasurementSet) -> tuple[int, float]:
+    """The candidate of largest |column_dot| and that score, in one pass:
+    the first maximum, so ties go to the earliest candidate.  This is what
+    a loop that keeps a strictly larger score finds, from (-1, -1.0): a
+    NaN score never wins, and candidates that all score NaN give (-1, -1.0).
+    """
+    scores = np.abs(column_dots(candidates, r, ms))
+    scores[np.isnan(scores)] = -1.0
+    best = int(np.argmax(scores))
+    if scores[best] < 0.0:
+        return -1, -1.0
+    return int(candidates[best]), float(scores[best])
+
+
 def qaoa_solve(
     ms: MeasurementSet, r: np.ndarray, spec: SolverSpec = SolverSpec("qaoa"), seed=None
 ) -> SolverOutcome:
@@ -185,10 +199,12 @@ def qaoa_solve(
     lanes on H's diagonal, the top of -h; each target keeps its own seed
     streams, for the starts and for the samples, spawned from seed.  The
     spec gives the depth, restarts, evaluation budget and shots; its backend
-    is not read.  Candidates sampled from both optimized states (-h's as H's
-    state at its gammas negated) are pooled and rescored by |column_dot|;
-    the best-scoring candidate wins (ties to the smallest index).  Only the
-    reported score is guaranteed, not global optimality.
+    is not read.  Both optimized states (-h's as H's state at its gammas
+    negated) come from one `ansatz_state` batch, over the diagonal that
+    `optimize` made and H keeps.  The candidates sampled from them are
+    pooled in one set and rescored by |column_dot| in one pass
+    (`column_dots`); the best-scoring candidate wins (ties to the smallest
+    index).  Only the reported score is guaranteed, not global optimality.
     """
     H = build_hamiltonian(ms, r)
     if H.max_support_size() == 0:
@@ -202,21 +218,14 @@ def qaoa_solve(
         H, p=spec.depth, restarts=spec.restarts, max_evals=spec.max_evals,
         seed=seeds[0], negated_seed=seeds[2],
     )
-    candidates: set[int] = set()
+    states = qaoa.ansatz_state(H, [out.plus.params, out.minus.params.mirrored()])
     diagnostics: dict = {"backend": "qaoa"}
-    for label, best, params, sample_seed in (
-        ("max", out.plus, out.plus.params, seeds[1]),
-        ("min", out.minus, out.minus.params.mirrored(), seeds[3]),
-    ):
-        state = qaoa.ansatz_state(H, params)
-        candidates.update(qaoa.sample_candidates(state, spec.shots, seed=sample_seed))
+    for label, best in (("max", out.plus), ("min", out.minus)):
         diagnostics[f"{label}_expectation"] = best.expectation
         diagnostics[f"{label}_evaluations"] = best.evaluations
-    best_z = -1
-    best_score = -1.0
-    for z in sorted(candidates):
-        score = abs(column_dot(z, r, ms))
-        if score > best_score:
-            best_z, best_score = z, score
+    # a set, not np.unique, whose plain form imports numpy.ma (1.5 MB)
+    candidates = sorted(set().union(*(
+        qaoa.sample_candidates(state, spec.shots, seed=sample_seed)
+        for state, sample_seed in zip(states, seeds[1::2]))))
     diagnostics["candidates"] = len(candidates)
-    return SolverOutcome(best_z, best_score, diagnostics)
+    return SolverOutcome(*_rescore(candidates, r, ms), diagnostics)

@@ -26,8 +26,10 @@ select each gate qubit's halves of the state, and each RX as one
 for bit.
 `qaoa_solve_two_calls` is the QAOA backend with one `optimize` call on H
 and one on `negated(H)`, each sampled from its own target's state, which
-the one-call `qaoa_solve` must match bit for bit.  `expectation` is <H> in
-one state, through H's diagonal.
+the one-call `qaoa_solve` must match bit for bit.  It rescores its pooled
+candidates one `column_dot` call each (`rescore_per_candidate`), which the
+one-pass `measurement.column_dots` and `solvers._rescore` must match.
+`expectation` is <H> in one state, through H's diagonal.
 `matching_pursuit_reference` takes each pursuit step through the column
 helpers: `column_norm_sq` and `column_dot` each build the chosen column,
 deflation builds it a third time, and the residual norm is
@@ -285,8 +287,7 @@ def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
     n = qaoa.num_qubits(state)
     kernel = qaoa._StateBuffers(1, n, np.zeros(1 << n))
     kernel.bufs[0][0] = state  # where every sweep starts
-    kernel.mix(*qaoa._mixer_factors(np.array([beta])))
-    return kernel.psi[0]
+    return kernel.at.mix(*qaoa._mixer_factors(np.array([beta])))[0]
 
 
 def simulate_gates_selectors(state: np.ndarray, gates) -> np.ndarray:
@@ -344,14 +345,20 @@ def qaoa_solve_two_calls(ms: MeasurementSet, r: np.ndarray, spec: SolverSpec, se
         candidates.update(qaoa.sample_candidates(state, spec.shots, seed=sample_seed))
         diagnostics[f"{label}_expectation"] = out.expectation
         diagnostics[f"{label}_evaluations"] = out.evaluations
+    diagnostics["candidates"] = len(candidates)
+    return SolverOutcome(*rescore_per_candidate(sorted(candidates), r, ms), diagnostics)
+
+
+def rescore_per_candidate(candidates, r: np.ndarray, ms: MeasurementSet) -> tuple[int, float]:
+    """The candidate of largest |column_dot| and that score, by one column_dot
+    call per candidate; a later candidate wins only with a larger score."""
     best_z = -1
     best_score = -1.0
-    for z in sorted(candidates):
+    for z in candidates:
         score = abs(column_dot(z, r, ms))
         if score > best_score:
             best_z, best_score = z, score
-    diagnostics["candidates"] = len(candidates)
-    return SolverOutcome(best_z, best_score, diagnostics)
+    return best_z, best_score
 
 
 def expectation(state: np.ndarray, H: IsingHamiltonian) -> float:

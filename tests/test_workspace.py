@@ -135,9 +135,9 @@ def test_phase_over_distinct_levels_is_bitwise_the_per_entry_exp(run):
             values = expectations_per_qubit(diag, n, angles)
             assert _expectations(kernel, angles).tobytes() == values.tobytes()
         single = _StateBuffers(1, n, diag)
-        single.phase(psi[None], 1j * np.array([[gamma]]))
+        phased = single.at.phase(psi[None], 1j * np.array([[gamma]]))
         expected = phase_rows(psi[None], diag, np.array([gamma]))
-        assert single.psi.tobytes() == expected.tobytes()
+        assert phased.tobytes() == expected.tobytes()
 
 
 def test_signed_zeros_are_two_levels():
