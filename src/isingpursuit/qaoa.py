@@ -26,14 +26,16 @@ both steps once per row count, with their views, levels and factor rows,
 so `_evolve`'s layer loop makes two calls per layer and no lookups.  Every
 step writes its result through `out` into the workspace, so no result
 array is made inside the loop (numpy still takes iterator buffers for the
-paired add and for the first layer's broadcast start).  Writing cos(beta) and
-i*sin(beta) across whole rows lets both products of a mixer step run on
-same-shape contiguous operands, numpy's cheapest call; the add pairs the
-amplitudes through a reversed view.  `out`, reused memory, factors
-repeated along a row and phases gathered from the level table change where
-a result lands, not how it is rounded: equal diagonal bits give equal phase
-products and exps, and every amplitude meets the same operands, in the same
-order, as with an exp per entry, fresh arrays and broadcast factors.  So
+level table's outer product and for the first layer's broadcast start).
+Writing cos(beta) and i*sin(beta) across whole rows lets both products of a
+mixer step run on same-shape contiguous operands, numpy's cheapest call;
+a two-entry `take` then swaps the halves of each qubit's pairs from the
+temporary into the spent source, so the add is contiguous too.  `out`,
+reused memory, factors repeated along a row, partners gathered into place
+and phases gathered from the level table change where a result lands, not
+how it is rounded: equal diagonal bits give equal phase products and exps,
+and every amplitude meets the same operands, in the same order, as with an
+exp per entry, fresh arrays and broadcast factors.  So
 each row comes out bitwise equal to evolving it alone, which pins two
 details: the phase multiply's operand order and a 1-D dot per row for the
 expectation.
@@ -127,11 +129,12 @@ class Gate:
 
 
 def num_qubits(state: np.ndarray) -> int:
+    if state.ndim != 1:
+        raise ValueError(f"state of shape {state.shape} is not one-dimensional")
     size = state.shape[0]
-    n = size.bit_length() - 1
-    if state.ndim != 1 or size != 1 << n:
-        raise ValueError(f"state length {size} is not a power of two")
-    return n
+    if size & (size - 1) or not size:
+        raise ValueError(f"state of shape {state.shape}: length {size} is not a power of two")
+    return size.bit_length() - 1
 
 
 def uniform_state(n: int) -> np.ndarray:
@@ -141,6 +144,7 @@ def uniform_state(n: int) -> np.ndarray:
 
 
 _Views = namedtuple("_Views", "phase mix probs")
+_SWAP = np.array([1, 0])  # a qubit's two halves, exchanged by `take`
 
 
 class _StateBuffers:
@@ -163,11 +167,13 @@ class _StateBuffers:
     A mixer step on qubit q (MSB-first) applies [[c, js], [js, c]] with c
     and js written across every entry of the factor rows, so both products
     run on same-shape contiguous operands: `c * src` into the other buffer
-    and `js * src` into the temporary.  The add then pairs each amplitude
-    with its partner through the (rows, 2**(q-1), 2, 2**(n-q)) view, whose
-    axis 2 is the qubit's bit, reversed on the temporary.  Every amplitude
-    gets c * psi[j] + js * psi[1-j], the same operands in the same order as
-    with factors broadcast from (K, 1, 1, 1).
+    and `js * src` into the temporary.  Seen as (-1, 2, 2**(n-q)), axis 1
+    is the qubit's bit, and `take` with the index [1, 0] along it copies
+    the temporary's contiguous halves, exchanged, into the source, which
+    the step no longer reads; mode "clip" keeps numpy from buffering that
+    `out`.  One contiguous add of the source into the other buffer then
+    gives every amplitude c * psi[j] + js * psi[1-j], the same operands in
+    the same order as with factors broadcast from (K, 1, 1, 1).
     """
 
     def __init__(self, K: int, n: int, diag: np.ndarray):
@@ -200,10 +206,10 @@ class _StateBuffers:
         fc, fjs = (f[:rows] for f in self.factors)
         sweep = []
         for q in range(1, self.n + 1):
-            # source, destination, then the last two with the qubit's bit as axis 2
+            # source, destination, then two (-1, 2, 2**(n-q)) views, bit as axis 1
             src, dst = flat[(q - 1) % 2], flat[q % 2]
-            pairs, tmp = (a.reshape(rows, 1 << (q - 1), 2, -1) for a in (dst, temp))
-            sweep.append((src, dst, pairs, tmp[:, :, ::-1]))
+            halves, spent = (a.reshape(-1, 2, 1 << (self.n - q)) for a in (temp, src))
+            sweep.append((src, dst, halves.take, spent))
 
         def phase(psi: np.ndarray, jg: np.ndarray) -> np.ndarray:
             """Row k of psi (any buffer) times exp(jg[k] * diag) into buffer 0.
@@ -231,10 +237,11 @@ class _StateBuffers:
             from buffer 0; c and js are scalars or (rows, 1)."""
             fc[...] = c
             fjs[...] = js
-            for src, dst, pairs, flip in sweep:
+            for src, dst, swap, spent in sweep:
                 multiply(fc, src, dst)
                 multiply(fjs, src, temp)
-                add(pairs, flip, pairs)
+                swap(_SWAP, 1, spent, "clip")
+                add(dst, src, dst)
             return mixed
 
         probs = self.bufs[2].reshape(-1).view(float)[:rows << self.n].reshape(rows, -1)

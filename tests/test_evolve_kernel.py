@@ -66,6 +66,7 @@ ZEROS = (np.array([0.0, -0.0, -0.0, 0.0, 5e-324, -0.0, 1.0, -1.0]), 3,
 @example(ZEROS)
 @example(fixed_case(12, 24, 11, 1))
 @example(fixed_case(1, 1, 1, 2))
+@example(fixed_case(14, 2, 2, 3))  # n = 14: past the drawn n <= 12 and every QAOA bench workload
 def test_evolve_and_expectations_are_bitwise_the_per_qubit_kernel(case):
     diag, n, angles = case
     with np.errstate(all="ignore"):

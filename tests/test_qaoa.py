@@ -43,8 +43,18 @@ def test_uniform_state_bounds():
 
 
 def test_num_qubits_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        num_qubits(np.ones(3, dtype=complex))
+    H = IsingHamiltonian(1, {frozenset({1}): 1.0})
+    bad = [
+        (np.ones(3, dtype=complex), r"shape \(3,\): length 3 is not a power of two"),
+        (np.array(1.0 + 0j), r"shape \(\) is not one-dimensional"),
+        (np.ones(0, dtype=complex), r"shape \(0,\): length 0 is not a power of two"),
+        (np.ones((2, 2), dtype=complex), r"shape \(2, 2\) is not one-dimensional"),
+    ]
+    for state, message in bad:
+        for call in (num_qubits, lambda s: simulate_gates(s, []),
+                     lambda s: apply_phase_layer(s, H, 0.1)):
+            with pytest.raises(ValueError, match=message):
+                call(state)
 
 
 def test_phase_layer_gamma_zero_is_identity():

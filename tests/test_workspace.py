@@ -5,8 +5,9 @@ counts on one `_StateBuffers`, as an `optimize` run drives it.  Also: one
 and a state that `ansatz_state` returned is never written over.
 And the phase step's table of distinct diagonal values against the
 per-entry exp in `oracles`, on diagonals with few, all or one distinct
-value."""
+value.  And a mixer sweep that makes no numpy iterator buffer."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -184,3 +185,19 @@ def test_ansatz_state_is_not_written_over_by_later_calls():
     simulate_gates(state.copy(), [Gate.rx(1, 0.3), Gate.cx(1, 2), Gate.rx(2, 0.3)])
     assert state.tobytes() == before
     assert ansatz_state(H, params).tobytes() == before
+
+
+def test_a_mixer_sweep_allocates_no_iterator_buffer():
+    """Every ufunc and `take` of the sweep writes through `out` on operands
+    numpy need not buffer: a reversed operand, or `take`'s default mode,
+    makes numpy take a 132 KB buffer here on each call."""
+    kernel = _StateBuffers(8, 10, np.random.default_rng(0).normal(size=1 << 10))
+    c, js = qaoa._mixer_factors(np.linspace(0.1, 0.8, 8)[:, None])
+    kernel.at.mix(c, js)  # first use of each view and ufunc loop
+    tracemalloc.start()
+    try:
+        kernel.at.mix(c, js)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
