@@ -194,7 +194,8 @@ def run_batch(plan: ExperimentPlan) -> SuccessReport:
         raise ValueError(f"the chain solver needs nn patterns, got {plan.pattern_kind!r}")
     jobs = [(plan, i, s) for i, s in enumerate(trial_seeds(plan))]
     if plan.workers > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+        # the pool forks all its workers up front: at most one per trial
+        with ProcessPoolExecutor(max_workers=min(plan.workers, len(jobs))) as pool:
             records = list(pool.map(_run_trial, jobs))
     else:
         records = [_run_trial(job) for job in jobs]

@@ -11,34 +11,36 @@ One kernel evolves every state.  `_evolve` takes a (K, 2p) array of angle
 rows and returns the (K, 2**n) array of ansatz states, so a layer costs the
 same few numpy calls for K rows as for one.  Its steps live in a workspace,
 `_StateBuffers`: two ping-pong state buffers, one temporary, two factor
-rows, and the diagonal's distinct values as complex levels with an int64
-index from each entry to its level.  `optimize` makes one workspace per
-run, as wide as its widest round, and every round evolves in the first rows
-of it.  `ansatz_state` makes one per call, with a row for each set of
-angles it is given, so a QAOA solve evolves its two sampled states as one
-batch over the diagonal its `optimize` run made (the Hamiltonian keeps it);
-`apply_phase_layer` makes one with K = 1.  So a state they return is never
-written over.  A layer's phase step is one exp per row and level, in a
-(rows, levels) table, one gather of the table into full rows and one phase
-multiply into buffer 0; its mixer is two factor-row fills and three ufunc
-calls per qubit, in a sweep that starts at buffer 0.  The workspace binds
-both steps once per row count, with their views, levels and factor rows,
-so `_evolve`'s layer loop makes two calls per layer and no lookups.  Every
-step writes its result through `out` into the workspace, so no result
-array is made inside the loop (numpy still takes iterator buffers for the
-level table's outer product and for the first layer's broadcast start).
-Writing cos(beta) and i*sin(beta) across whole rows lets both products of a
-mixer step run on same-shape contiguous operands, numpy's cheapest call;
-a two-entry `take` then swaps the halves of each qubit's pairs from the
-temporary into the spent source, so the add is contiguous too.  `out`,
-reused memory, factors repeated along a row, partners gathered into place
-and phases gathered from the level table change where a result lands, not
-how it is rounded: equal diagonal bits give equal phase products and exps,
-and every amplitude meets the same operands, in the same order, as with an
-exp per entry, fresh arrays and broadcast factors.  So
-each row comes out bitwise equal to evolving it alone, which pins two
-details: the phase multiply's operand order and a 1-D dot per row for the
-expectation.
+rows, and the diagonal's distinct values as complex levels, kept tiled in
+one row per state row, with an int64 index from each entry to its level.
+`optimize` makes one workspace per run, as wide as its widest round, and
+every round evolves in the first rows of it.  `ansatz_state` makes one per
+call, with a row for each set of angles it is given, so a QAOA solve
+evolves its two sampled states as one batch over the diagonal its
+`optimize` run made (the Hamiltonian keeps it); `apply_phase_layer` makes
+one with K = 1.  So a state they return is never written over.  A layer's
+phase step is one exp per row and level, in a (rows, levels) table made by
+one same-shape product of the layer's i*gamma, filled across a factor row,
+with the level rows; then one gather of the table into full rows and one
+phase multiply into buffer 0.  Its mixer is two factor-row fills and three
+ufunc calls per qubit, in a sweep that starts at buffer 0.  The workspace
+binds both steps once per row count, with their views, levels and factor
+rows, so `_evolve`'s layer loop makes two calls per layer and no lookups.
+Every step writes its result through `out` into the workspace, so no
+result array is made inside the loop, and numpy buffers none of its
+operands: each has its result's type and shape, or is a 0-d value, as the
+first layer's uniform amplitude is.  Writing cos(beta) and i*sin(beta)
+across whole rows lets both products of a mixer step run on same-shape
+contiguous operands, numpy's cheapest call; a two-entry `take` then swaps
+the halves of each qubit's pairs from the temporary into the spent source,
+so the add is contiguous too.  `out`, reused memory, angles and levels
+repeated along rows, partners gathered into place and phases gathered from
+the level table change where a result lands, not how it is rounded: equal
+diagonal bits give equal phase products and exps, and every amplitude
+meets the same operands, in the same order, as with an exp per entry,
+fresh arrays and broadcast factors.  So each row comes out bitwise equal to
+evolving it alone, which pins two details: the phase multiply's operand
+order and a 1-D dot per row for the expectation.
 
 `optimize` runs its restarts in lockstep.  Each start is a generator that
 replays scipy's Nelder-Mead step for step, in fewer numpy calls, and yields
@@ -150,7 +152,8 @@ _SWAP = np.array([1, 0])  # a qubit's two halves, exchanged by `take`
 class _StateBuffers:
     """The evolve kernel's workspace for one diagonal: two ping-pong
     (K, 2**n) complex state buffers, one temporary and two factor rows; and
-    the diagonal's distinct values by bit pattern as complex `levels`, with
+    the diagonal's distinct values by bit pattern as complex `levels`, kept
+    tiled in the (K, levels) `level_rows` of which `levels` is row 0, with
     `level_of`, the int64 index of each entry's level.
 
     `optimize` makes one workspace per run, K rows wide, and every batch
@@ -177,13 +180,14 @@ class _StateBuffers:
     """
 
     def __init__(self, K: int, n: int, diag: np.ndarray):
-        self.start = uniform_state(n)[None]
+        self.start = np.array(uniform_state(n)[0])  # 0-d: the uniform amplitude
         self.bufs = [np.empty((K, 1 << n), dtype=complex) for _ in range(3)]
         self.factors = [np.empty((K, 1 << n), dtype=complex) for _ in range(2)]
         self.n, self.diag, self.by_rows = n, diag, {}
         # the distinct entries by bit pattern, so +0.0 and -0.0 stay apart
         bits, self.level_of = np.unique(diag.view(np.int64), return_inverse=True)
-        self.levels = bits.view(float).astype(complex)
+        self.level_rows = np.tile(bits.view(float).astype(complex), (K, 1))
+        self.levels = self.level_rows[0]
         self.at = self._views(K)
 
     def _views(self, rows: int) -> _Views:
@@ -198,10 +202,10 @@ class _StateBuffers:
         and the factor rows.  They pass `out` by position, which numpy
         parses faster than the keyword, and run the same calls."""
         multiply, add, exp = np.multiply, np.add, np.exp
-        levels, level_of = self.levels, self.level_of
+        level_rows, level_of = self.level_rows[:rows], self.level_of
         flat = [a[:rows] for a in self.bufs]
         phased, temp, mixed = flat[0], flat[2], flat[self.n % 2]
-        table = self.factors[0].reshape(-1)[:rows * len(levels)].reshape(rows, -1)
+        table, jrows = (f.reshape(-1)[:level_rows.size].reshape(rows, -1) for f in self.factors)
         take = table.take
         fc, fjs = (f[:rows] for f in self.factors)
         sweep = []
@@ -212,11 +216,14 @@ class _StateBuffers:
             sweep.append((src, dst, halves.take, spent))
 
         def phase(psi: np.ndarray, jg: np.ndarray) -> np.ndarray:
-            """Row k of psi (any buffer) times exp(jg[k] * diag) into buffer 0.
+            """Row k of psi (any buffer, or the 0-d start) times exp(jg[k] *
+            diag) into buffer 0.
 
             The exp runs once per row and level, in a (rows, levels) table
-            in the first factor row, which the mixer only writes afterwards,
-            and `take` gathers the table into the temporary.  Equal diagonal
+            in the first factor row, which the mixer only writes afterwards:
+            jg, filled across the same shape in the second factor row, times
+            the level rows, jg first as in the outer product jg * levels.
+            `take` then gathers the table into the temporary.  Equal diagonal
             bits give equal products and exps, so each entry gets the bits
             an exp per entry gives.
 
@@ -225,7 +232,8 @@ class _StateBuffers:
             `psi * np.exp(...)` swaps them once the exp temporary reaches
             256 KiB.
             """
-            multiply(jg, levels, table)
+            jrows[...] = jg
+            multiply(jrows, level_rows, table)
             exp(table, table)
             # axis 1, and mode "clip", which never clips here: the default
             # mode would buffer `out`
@@ -259,8 +267,10 @@ class _StateBuffers:
 
 def _mixer_factors(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cos(beta) as complex and i*sin(beta), entry by entry: exp(i*beta*X)
-    on one qubit is [[c, js], [js, c]]."""
-    return np.cos(betas).astype(complex), 1j * np.sin(betas)
+    on one qubit is [[c, js], [js, c]].  sin(beta) is cast to complex first,
+    exactly, so that the product runs on operands of one type, which numpy
+    need not buffer, and gives the bits of 1j * sin(beta)."""
+    return np.cos(betas).astype(complex), 1j * np.sin(betas).astype(complex)
 
 
 def apply_phase_layer(state: np.ndarray, H: IsingHamiltonian, gamma: float) -> np.ndarray:
@@ -277,19 +287,20 @@ def _evolve(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
     which the next batch overwrites.
 
     The set-up takes i*gamma, cos(beta) as complex and i*sin(beta) for all p
-    layers at once, and the batch's phase step and mixer sweep, bound once
-    for its row count.  Each layer then runs the two, all through `out`.
+    layers at once, each product on angles cast to complex first, as
+    `_mixer_factors` does, and the batch's phase step and mixer sweep, bound
+    once for its row count.  Each layer then runs the two, all through `out`.
     Every amplitude meets the same operands, in the same order, as with an
     exp per entry, a fresh array per step and broadcast factors, so each
     row is bitwise the state that evolving it alone gives (the oracle tests
     check this).
     """
     p = angles.shape[1] // 2
-    jg = 1j * angles[:, :p].T[:, :, None]  # (p, rows, 1)
+    jg = 1j * angles[:, :p].T[:, :, None].astype(complex)  # (p, rows, 1)
     c, js = _mixer_factors(angles[:, p:].T[:, :, None])  # (p, rows, 1)
     at = kernel.at = kernel._views(len(angles))
     phase, mix = at.phase, at.mix
-    psi = kernel.start  # the first phase layer broadcasts it to every row
+    psi = kernel.start  # the first phase layer broadcasts it to every entry
     for layer_jg, layer_c, layer_js in zip(jg, c, js):
         phase(psi, layer_jg)
         psi = mix(layer_c, layer_js)
@@ -298,10 +309,10 @@ def _evolve(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
 
 # Rows per batch, capped so that each of the workspace's five (K, 2**n)
 # complex arrays (two state buffers, the temporary and two factor rows)
-# stays within 4 MiB: 20 MiB in all up to n = 18, plus 8 * 2**n bytes for
-# the level index and 16 bytes per level, at most 24 * 2**n bytes.  From
-# n = 19 one row is wider than 4 MiB, and the workspace takes at most
-# 104 * 2**n bytes.
+# stays within 4 MiB, and so do the (K, levels) level rows, at most
+# 16 * K * 2**n bytes: at most 24 MiB + 8 * 2**n bytes in all up to n = 18,
+# with the level index.  From n = 19 one row is wider than 4 MiB, K = 1, and
+# the workspace takes at most 104 * 2**n bytes.
 _BATCH_BYTES = 1 << 22
 
 
@@ -378,8 +389,9 @@ def _nelder_mead(x0: np.ndarray, maxfev: int):
     Fewer numpy calls give scipy's bits: one spread |sim[-1, 0] - sim[0, 0]|
     above XATOL (or NaN) fails the convergence test before the full test
     would; the reflection drops the exact copy rho * sim[-1] (rho = 1); and
-    array methods and indexing by the sort order replace np.max, np.argsort
-    and np.take.
+    array methods replace np.max, np.argsort, np.take and np.add.reduce:
+    the same ufunc loops and copies with less dispatch (fancy indexing by
+    the sort order costs about three times `take` on the (N + 1, N) simplex).
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
@@ -396,14 +408,14 @@ def _nelder_mead(x0: np.ndarray, maxfev: int):
     # scipy sorts twice here; argsort need not be stable, so keep both
     for _ in range(2):
         ind = fsim.argsort()
-        sim, fsim = sim[ind], fsim[ind]
+        sim, fsim = sim.take(ind, 0), fsim.take(ind)
 
     while nfev < maxfev:
         if (abs(sim[-1, 0] - sim[0, 0]) <= XATOL
                 and np.abs(sim[1:] - sim[0]).max() <= XATOL
                 and np.abs(fsim[0] - fsim[1:]).max() <= FATOL):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / N
+        xbar = sim[:-1].sum(0) / N
         xr = (1 + rho) * xbar - sim[-1]
         (fxr,) = yield xr[None]
         nfev += 1
@@ -438,7 +450,7 @@ def _nelder_mead(x0: np.ndarray, maxfev: int):
                     fsim[1:m + 1] = yield sim[1:m + 1]
                     nfev += m
         ind = fsim.argsort()
-        sim, fsim = sim[ind], fsim[ind]
+        sim, fsim = sim.take(ind, 0), fsim.take(ind)
     return sim[0], fsim.min(), nfev
 
 
@@ -471,8 +483,11 @@ def _lockstep(lanes: list, objective, mirrored: int = 0) -> list:
             sign = np.repeat([-1.0, 1.0], batch.shape[1] // 2) if sign is None else sign
             batch[split:] *= sign
         values = objective(batch)
-        values[split:] = -(0.0 - -values[split:])
-        lo = 0
+        tail = values[split:]
+        np.negative(tail, tail)
+        np.subtract(0.0, tail, tail)
+        np.negative(tail, tail)
+        values, lo = values.tolist(), 0
         for i, points in live:
             advance(i, values[lo:lo + len(points)])
             lo += len(points)

@@ -58,12 +58,20 @@ THRESHOLD = fixed_case(10, 20, 3, 0)
 # Zero, negative and signed-zero angles on a diagonal mostly of signed zeros.
 ZEROS = (np.array([0.0, -0.0, -0.0, 0.0, 5e-324, -0.0, 1.0, -1.0]), 3,
          np.array([[0.0, -0.0, -1.5, 0.0], [-0.0, 0.0, 0.0, -0.0], [-2.0, -0.0, -0.0, -3.0]]))
+# The same at n = 10, p = 3 and 4 rows: zero, signed-zero and negative
+# gammas (first three columns) and betas, over a diagonal holding signed zeros.
+ZEROS_N10 = (np.where(np.arange(1 << 10) % 5, np.random.default_rng(4).normal(size=1024), -0.0), 10,
+             np.array([[0.0, -0.0, -1.5, -0.0, 0.0, -2.5],
+                       [-0.75, 0.0, -0.0, 0.0, -0.0, -1.0],
+                       [-0.0, -3.0, 2.0, -0.5, 1.25, 0.0],
+                       [1.0, -2.0, -0.0, -0.0, -0.75, 0.5]]))
 
 
 @settings(max_examples=100 * DEPTH)
 @given(evolve_cases())
 @example(THRESHOLD)
 @example(ZEROS)
+@example(ZEROS_N10)
 @example(fixed_case(12, 24, 11, 1))
 @example(fixed_case(1, 1, 1, 2))
 @example(fixed_case(14, 2, 2, 3))  # n = 14: past the drawn n <= 12 and every QAOA bench workload

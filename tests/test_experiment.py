@@ -240,3 +240,26 @@ def test_worker_pool_matches_serial_execution():
     assert [(t.trial, t.seed, t.success) for t in serial.trials] == [
         (t.trial, t.seed, t.success) for t in parallel.trials
     ]
+
+
+def test_run_batch_asks_for_no_more_workers_than_trials(monkeypatch):
+    # the fork start method starts every requested worker at the first submit
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("isingpursuit.experiment.ProcessPoolExecutor", SerialPool)
+    report = run_batch(tiny_plan(trial_count=3, workers=64))
+    assert asked == [3]
+    assert [t.trial for t in report.trials] == [0, 1, 2]

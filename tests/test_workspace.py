@@ -5,7 +5,8 @@ counts on one `_StateBuffers`, as an `optimize` run drives it.  Also: one
 and a state that `ansatz_state` returned is never written over.
 And the phase step's table of distinct diagonal values against the
 per-entry exp in `oracles`, on diagonals with few, all or one distinct
-value.  And a mixer sweep that makes no numpy iterator buffer."""
+value.  And a mixer sweep, and a whole batch, that make no numpy
+iterator buffer."""
 
 import tracemalloc
 from unittest import mock
@@ -201,3 +202,24 @@ def test_a_mixer_sweep_allocates_no_iterator_buffer():
     finally:
         tracemalloc.stop()
     assert peak < 1024
+
+
+def test_a_kernel_batch_allocates_only_its_set_up():
+    """A whole `_expectations` batch on a warmed workspace makes only the
+    angle set-up's small arrays: the level table as an outer product of
+    i*gamma and the levels, or the first layer's multiply by a broadcast
+    (1, 2**n) start, would make numpy take an iterator buffer of up to
+    256 KiB."""
+    rng = np.random.default_rng(0)
+    kernel = _StateBuffers(8, 10, rng.normal(size=1 << 10))
+    batches = [rng.uniform(-2.0 * np.pi, 4.0 * np.pi, size=(rows, 6)) for rows in (8, 4)]
+    for angles in batches:
+        _expectations(kernel, angles)  # first use of each row count's views
+    for angles in batches:
+        tracemalloc.start()
+        try:
+            _expectations(kernel, angles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096, (len(angles), peak)
