@@ -13,14 +13,16 @@ same few numpy calls for K rows as for one.  Its steps live in a workspace,
 `_StateBuffers`: two ping-pong state buffers, one temporary, two factor
 rows, and the diagonal's distinct values as complex levels, kept tiled in
 one row per state row, with an int64 index from each entry to its level.
-`optimize` makes one workspace per run, as wide as its widest round, and
-every round evolves in the first rows of it.  `ansatz_state` makes one per
-call, with a row for each set of angles it is given, so a QAOA solve
-evolves its two sampled states as one batch over the diagonal its
-`optimize` run made (the Hamiltonian keeps it); `apply_phase_layer` makes
-one with K = 1.  So a state they return is never written over.  A layer's
-phase step is one exp per row and level, in a (rows, levels) table made by
-one same-shape product of the layer's i*gamma, filled across a factor row,
+A workspace keeps as many rows as it is asked for, up to the `_BATCH_BYTES`
+budget, and every batch evolves in the first rows of it.  `optimize` makes
+one per run, asked for its widest round.  `ansatz_state` makes one per
+call, asked for a row for each set of angles it is given, so a QAOA solve
+evolves its two sampled states as one batch (up to n = 17) over the
+diagonal its `optimize` run made (the Hamiltonian keeps it); it copies each
+batch into the array it returns, so no later call writes over a state it
+returned.  `apply_phase_layer` makes one with K = 1.  A layer's phase step
+is one exp per row and level, in a (rows, levels) table made by one
+same-shape product of the layer's i*gamma, filled across a factor row,
 with the level rows; then one gather of the table into full rows and one
 phase multiply into buffer 0.  Its mixer is two factor-row fills and three
 ufunc calls per qubit, in a sweep that starts at buffer 0.  The workspace
@@ -145,6 +147,14 @@ def uniform_state(n: int) -> np.ndarray:
     return np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
 
 
+# Rows per batch of every workspace, capped so that each of its five (K, 2**n)
+# complex arrays (two state buffers, the temporary and two factor rows) and
+# its (K, levels) level rows stay within 4 MiB.  So a workspace holds at most
+# 24 MiB + 8 * 2**n bytes up to n = 18, with the level index, and 104 * 2**n
+# bytes from n = 19, where one row passes 4 MiB and K = 1.  Building it peaks
+# higher, by uniform_state(n) and np.unique's temporaries: 30.3 MiB at n = 18.
+_BATCH_BYTES = 1 << 22
+
 _Views = namedtuple("_Views", "phase mix probs")
 _SWAP = np.array([1, 0])  # a qubit's two halves, exchanged by `take`
 
@@ -152,20 +162,20 @@ _SWAP = np.array([1, 0])  # a qubit's two halves, exchanged by `take`
 class _StateBuffers:
     """The evolve kernel's workspace for one diagonal: two ping-pong
     (K, 2**n) complex state buffers, one temporary and two factor rows; and
-    the diagonal's distinct values by bit pattern as complex `levels`, kept
-    tiled in the (K, levels) `level_rows` of which `levels` is row 0, with
+    the diagonal's distinct values by bit pattern as complex levels, kept
+    tiled in one row per state row in the (K, levels) `level_rows`, with
     `level_of`, the int64 index of each entry's level.
 
-    `optimize` makes one workspace per run, K rows wide, and every batch
-    of the run evolves in the first rows of it; `ansatz_state` makes one
-    per call, a row for each set of angles it is given, and
-    `apply_phase_layer` one with K = 1.  A batch of `rows` rows works in
-    `[:rows]` views.  `_views` binds them once per row count, with the
-    levels and factor rows, into that batch's phase step and mixer sweep,
-    and keeps the pair in `by_rows`; `at` is the pair of the last batch
-    (all K rows before the first).  The phase step writes buffer 0, so
-    every mixer sweep starts there; each step returns the view that holds
-    the state.
+    Asked for `rows` rows, it keeps K = min(rows, _BATCH_BYTES >> (n + 4))
+    of them, and at least one.  `optimize` makes one workspace per run, as
+    wide as its widest round, and `ansatz_state` one per call, a row for
+    each set of angles it is given; both evolve in batches of at most K
+    rows.  `apply_phase_layer` makes one with K = 1.  A batch of `rows` rows
+    works in `[:rows]` views.  `_views` binds them once per row count, with
+    the levels and factor rows, into that batch's phase step, mixer sweep
+    and |amp|**2 view, and keeps the three in `by_rows`.  The phase step
+    writes buffer 0, so every mixer sweep starts there; each step returns
+    the view that holds the state.
 
     A mixer step on qubit q (MSB-first) applies [[c, js], [js, c]] with c
     and js written across every entry of the factor rows, so both products
@@ -179,7 +189,8 @@ class _StateBuffers:
     the same order as with factors broadcast from (K, 1, 1, 1).
     """
 
-    def __init__(self, K: int, n: int, diag: np.ndarray):
+    def __init__(self, rows: int, n: int, diag: np.ndarray):
+        K = min(rows, max(1, _BATCH_BYTES >> (n + 4)))
         self.start = np.array(uniform_state(n)[0])  # 0-d: the uniform amplitude
         self.bufs = [np.empty((K, 1 << n), dtype=complex) for _ in range(3)]
         self.factors = [np.empty((K, 1 << n), dtype=complex) for _ in range(2)]
@@ -187,12 +198,10 @@ class _StateBuffers:
         # the distinct entries by bit pattern, so +0.0 and -0.0 stay apart
         bits, self.level_of = np.unique(diag.view(np.int64), return_inverse=True)
         self.level_rows = np.tile(bits.view(float).astype(complex), (K, 1))
-        self.levels = self.level_rows[0]
-        self.at = self._views(K)
 
     def _views(self, rows: int) -> _Views:
         """The phase step and mixer sweep of a batch of `rows` rows, and the
-        view that `expectations` squares into, built on first use."""
+        view that `_expectations` squares into, built on first use."""
         if rows not in self.by_rows:
             self.by_rows[rows] = self._bind(rows)
         return self.by_rows[rows]
@@ -255,15 +264,6 @@ class _StateBuffers:
         probs = self.bufs[2].reshape(-1).view(float)[:rows << self.n].reshape(rows, -1)
         return _Views(phase, mix, probs)
 
-    def expectations(self, psi: np.ndarray, out: np.ndarray) -> None:
-        """<h> for each row of psi, the last batch's state, into out, through
-        |amp|**2 in the temporary.  np.vecdot runs a 1-D dot on each
-        contiguous row: a matrix-vector product would sum in another order."""
-        probs = self.at.probs
-        np.abs(psi, out=probs)
-        np.square(probs, out=probs)  # what `** 2` runs
-        np.vecdot(probs, self.diag, out=out)
-
 
 def _mixer_factors(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cos(beta) as complex and i*sin(beta), entry by entry: exp(i*beta*X)
@@ -278,7 +278,7 @@ def apply_phase_layer(state: np.ndarray, H: IsingHamiltonian, gamma: float) -> n
     if num_qubits(state) != H.n:
         raise ValueError(f"state has {num_qubits(state)} qubits but H has {H.n}")
     kernel = _StateBuffers(1, H.n, H.diagonal())
-    return kernel.at.phase(state[None], 1j * np.array([[gamma]]))[0]
+    return kernel._views(1).phase(state[None], 1j * np.array([[gamma]]))[0]
 
 
 def _evolve(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
@@ -298,8 +298,7 @@ def _evolve(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
     p = angles.shape[1] // 2
     jg = 1j * angles[:, :p].T[:, :, None].astype(complex)  # (p, rows, 1)
     c, js = _mixer_factors(angles[:, p:].T[:, :, None])  # (p, rows, 1)
-    at = kernel.at = kernel._views(len(angles))
-    phase, mix = at.phase, at.mix
+    phase, mix, _ = kernel._views(len(angles))
     psi = kernel.start  # the first phase layer broadcasts it to every entry
     for layer_jg, layer_c, layer_js in zip(jg, c, js):
         phase(psi, layer_jg)
@@ -307,21 +306,18 @@ def _evolve(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
     return psi
 
 
-# Rows per batch, capped so that each of the workspace's five (K, 2**n)
-# complex arrays (two state buffers, the temporary and two factor rows)
-# stays within 4 MiB, and so do the (K, levels) level rows, at most
-# 16 * K * 2**n bytes: at most 24 MiB + 8 * 2**n bytes in all up to n = 18,
-# with the level index.  From n = 19 one row is wider than 4 MiB, K = 1, and
-# the workspace takes at most 104 * 2**n bytes.
-_BATCH_BYTES = 1 << 22
-
-
 def _expectations(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
-    """<h> for each row of angles, in batches of up to the workspace's K rows."""
+    """<h> for each row of angles, in batches of up to the workspace's K
+    rows, through |amp|**2 in the temporary.  np.vecdot runs a 1-D dot on
+    each contiguous row: a matrix-vector product would sum in another order."""
     K = len(kernel.bufs[0])
     out = np.empty(len(angles))
     for lo in range(0, len(angles), K):
-        kernel.expectations(_evolve(kernel, angles[lo:lo + K]), out[lo:lo + K])
+        batch = angles[lo:lo + K]
+        probs = kernel._views(len(batch)).probs
+        np.abs(_evolve(kernel, batch), out=probs)
+        np.square(probs, out=probs)  # what `** 2` runs
+        np.vecdot(probs, kernel.diag, out=out[lo:lo + K])
     return out
 
 
@@ -329,17 +325,21 @@ def ansatz_state(H: IsingHamiltonian, params: QaoaParams | Sequence[QaoaParams])
     """Uniform start, then alternating phase and mixer layers: the 1-D state
     for one QaoaParams.
 
-    A sequence of QaoaParams of one depth evolves as the rows of one batch
-    on one workspace, over one diagonal and one level table, and gives a
-    (len(params), 2**n) array whose row k is bitwise ansatz_state(H,
-    params[k]).  Each call makes its own workspace, so no later call writes
-    over a state it returned.
+    A sequence of QaoaParams of one depth evolves on one workspace, over
+    one diagonal and one level table, in batches of up to its K rows, and
+    gives a (len(params), 2**n) array whose row k is bitwise ansatz_state(H,
+    params[k]).  Each batch is copied out of the workspace into that fresh
+    array, so no later call writes over a state it returned.
     """
     rows = [params] if isinstance(params, QaoaParams) else list(params)
     if len({row.p for row in rows}) != 1:
         raise ValueError("ansatz_state needs one or more QaoaParams of one depth")
     angles = np.array([row.to_vector() for row in rows])
-    states = _evolve(_StateBuffers(len(rows), H.n, H.diagonal()), angles)
+    kernel = _StateBuffers(len(rows), H.n, H.diagonal())
+    K = len(kernel.bufs[0])
+    states = np.empty((len(rows), 1 << H.n), dtype=complex)
+    for lo in range(0, len(rows), K):
+        states[lo:lo + K] = _evolve(kernel, angles[lo:lo + K])
     return states[0] if isinstance(params, QaoaParams) else states
 
 
@@ -555,9 +555,8 @@ def optimize(
         neg_starts = [neg_rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts)]
     lanes = [_nelder_mead(x0, max_evals) for x0 in starts + neg_starts]
 
-    # as wide as the widest round, every lane's initial simplex, within _BATCH_BYTES
-    widest = len(lanes) * min(2 * p + 1, max_evals)
-    kernel = _StateBuffers(min(widest, max(1, _BATCH_BYTES >> (H.n + 4))), H.n, H.diagonal())
+    # as wide as the widest round, every lane's initial simplex
+    kernel = _StateBuffers(len(lanes) * min(2 * p + 1, max_evals), H.n, H.diagonal())
 
     def objective(angles: np.ndarray) -> np.ndarray:
         return -_expectations(kernel, angles)

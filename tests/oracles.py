@@ -14,7 +14,7 @@ coefficients up to rounding.
 `chain_dp_solve_arrays` is the chain dynamic program on numpy arrays and
 scalars, which the float-list `chain_dp_solve` must match exactly.
 `evolve_per_qubit` is the ansatz kernel with a fresh array for every phase
-and every qubit's mixer, and `expectations_per_qubit` its 1-D dot per row:
+and every qubit's mixer, and `expectations_per_row` a 1-D dot per row:
 the buffer kernel `qaoa._evolve`, one reused `qaoa._StateBuffers`
 workspace at every row count it is driven through, and the single layers
 `qaoa.apply_phase_layer` and `apply_mixer_layer` must match them bit for
@@ -274,10 +274,10 @@ def evolve_per_qubit(diag: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray
     return psi
 
 
-def expectations_per_qubit(diag: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
-    """<h> for each row of angles: a 1-D dot per row of |evolve_per_qubit|**2."""
-    probs = np.abs(evolve_per_qubit(diag, n, angles)) ** 2
-    return np.array([row @ diag for row in probs])
+def expectations_per_row(states: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """<h> for each row of states, such as evolve_per_qubit's: a 1-D dot per
+    row of |amp|**2."""
+    return np.array([row @ diag for row in np.abs(states) ** 2])
 
 
 def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
@@ -287,7 +287,7 @@ def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
     n = qaoa.num_qubits(state)
     kernel = qaoa._StateBuffers(1, n, np.zeros(1 << n))
     kernel.bufs[0][0] = state  # where every sweep starts
-    return kernel.at.mix(*qaoa._mixer_factors(np.array([beta])))[0]
+    return kernel._views(1).mix(*qaoa._mixer_factors(np.array([beta])))[0]
 
 
 def simulate_gates_selectors(state: np.ndarray, gates) -> np.ndarray:

@@ -1,25 +1,17 @@
-"""The buffer kernel of `qaoa` against the per-qubit kernel in `oracles`,
-bit for bit: `_evolve` and `_expectations` on batches of angle rows, and
-the single phase and mixer layers; and `simulate_gates` against the
-selector form in `oracles`, whose RX gates are per-qubit mixer steps."""
+"""The single phase and mixer layers of `qaoa` against the per-qubit steps
+in `oracles`, bit for bit; and `simulate_gates` against the selector form
+in `oracles`, whose RX gates are per-qubit mixer steps.  `_evolve` and
+`_expectations` meet the per-qubit kernel in `test_workspace.py`."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingpursuit.hamiltonian import IsingHamiltonian
-from isingpursuit.qaoa import (
-    Gate,
-    _evolve,
-    _StateBuffers,
-    _expectations,
-    apply_phase_layer,
-    simulate_gates,
-)
+from isingpursuit.qaoa import Gate, apply_phase_layer, simulate_gates
 
 from oracles import (
     apply_mixer_layer,
-    evolve_per_qubit,
     mix_rows,
     phase_rows,
     simulate_gates_selectors,
@@ -29,60 +21,9 @@ from strategies import (
     DEPTH,
     EXTREME_ENTRIES,
     SIGNED_ZEROS,
-    overwrite,
     states,
     wide_hamiltonians,
-    wide_values,
 )
-
-
-@st.composite
-def evolve_cases(draw):
-    n, K, p = draw(st.integers(1, 12)), draw(st.integers(1, 24)), draw(st.integers(1, 11))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    diag = wide_values(rng, 1 << n)
-    angles = rng.uniform(-2.0 * np.pi, 4.0 * np.pi, size=(K, 2 * p))
-    overwrite(draw, diag, EXTREME_ENTRIES)
-    overwrite(draw, angles, ANGLES)
-    return diag, n, angles
-
-
-def fixed_case(n: int, K: int, p: int, seed: int):
-    rng = np.random.default_rng(seed)
-    return rng.normal(size=1 << n), n, rng.uniform(0.0, 2.0 * np.pi, size=(K, 2 * p))
-
-
-# At n=10, K=20 rows of complex128 pass numpy's 256 KiB temporary-reuse
-# threshold, where `psi * np.exp(...)` would swap its operands.
-THRESHOLD = fixed_case(10, 20, 3, 0)
-# Zero, negative and signed-zero angles on a diagonal mostly of signed zeros.
-ZEROS = (np.array([0.0, -0.0, -0.0, 0.0, 5e-324, -0.0, 1.0, -1.0]), 3,
-         np.array([[0.0, -0.0, -1.5, 0.0], [-0.0, 0.0, 0.0, -0.0], [-2.0, -0.0, -0.0, -3.0]]))
-# The same at n = 10, p = 3 and 4 rows: zero, signed-zero and negative
-# gammas (first three columns) and betas, over a diagonal holding signed zeros.
-ZEROS_N10 = (np.where(np.arange(1 << 10) % 5, np.random.default_rng(4).normal(size=1024), -0.0), 10,
-             np.array([[0.0, -0.0, -1.5, -0.0, 0.0, -2.5],
-                       [-0.75, 0.0, -0.0, 0.0, -0.0, -1.0],
-                       [-0.0, -3.0, 2.0, -0.5, 1.25, 0.0],
-                       [1.0, -2.0, -0.0, -0.0, -0.75, 0.5]]))
-
-
-@settings(max_examples=100 * DEPTH)
-@given(evolve_cases())
-@example(THRESHOLD)
-@example(ZEROS)
-@example(ZEROS_N10)
-@example(fixed_case(12, 24, 11, 1))
-@example(fixed_case(1, 1, 1, 2))
-@example(fixed_case(14, 2, 2, 3))  # n = 14: past the drawn n <= 12 and every QAOA bench workload
-def test_evolve_and_expectations_are_bitwise_the_per_qubit_kernel(case):
-    diag, n, angles = case
-    with np.errstate(all="ignore"):
-        expected = evolve_per_qubit(diag, n, angles)
-        kernel = _StateBuffers(len(angles), n, diag)
-        assert _evolve(kernel, angles).tobytes() == expected.tobytes()
-        values = np.array([row @ diag for row in np.abs(expected) ** 2])
-        assert _expectations(kernel, angles).tobytes() == values.tobytes()
 
 
 @settings(max_examples=200 * DEPTH)

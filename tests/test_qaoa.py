@@ -23,7 +23,7 @@ from isingpursuit.qaoa import (
     simulate_gates,
     uniform_state,
 )
-from isingpursuit.qaoa import _evolve, _expectations, _lockstep, _nelder_mead, _StateBuffers
+from isingpursuit.qaoa import _expectations, _lockstep, _nelder_mead, _StateBuffers
 
 from oracles import apply_mixer_layer, expectation, scipy_nelder_mead
 from strategies import hamiltonians
@@ -342,18 +342,3 @@ def test_lockstep_nelder_mead_matches_scipy_when_a_shrink_runs_out():
             # after the initial simplex, one lane sends several points only in a shrink
             shrink_sizes.update(b for b in batches[1:] if b > 1)
     assert shrink_sizes == {2, 3, 4}
-
-
-@pytest.mark.parametrize("rows", [4, 20])
-def test_batched_rows_equal_single_rows_bitwise(rows):
-    # at n=10, 20 rows of complex128 pass numpy's 256 KiB temporary-reuse
-    # threshold and 4 rows stay below it
-    n, p = 10, 3
-    rng = np.random.default_rng(rows)
-    diag = rng.normal(size=1 << n)
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=(rows, 2 * p))
-    kernel = _StateBuffers(rows, n, diag)
-    single = np.stack([_evolve(kernel, angles[k:k + 1])[0].copy() for k in range(rows)])
-    values = np.array([_expectations(kernel, angles[k:k + 1])[0] for k in range(rows)])
-    assert _evolve(kernel, angles).tobytes() == single.tobytes()
-    assert _expectations(kernel, angles).tobytes() == values.tobytes()
