@@ -521,12 +521,15 @@ def optimize(
 
     Derivative-free simplex search (Nelder-Mead, at most max_evals
     evaluations per start) from `restarts` uniform random starts in
-    [0, 2*pi)**(2p), all run in lockstep; an optional warm start is tried
-    first and its raw value is kept as a candidate, so warm-started results
-    never regress.  Deterministic for a fixed seed and best-effort; raises
-    ValueError only for a depth or an evaluation budget below 1, for no
-    start at all, or when no start reaches an expectation that is not NaN,
-    which takes a diagonal that is not finite.
+    [0, 2*pi)**(2p), all run in lockstep; an optional warm start runs as
+    the first lane.  Nelder-Mead evaluates its start first and its best
+    vertex never gets worse, so a warm-started result never falls below the
+    warm start's value (on an exact tie it may be another vertex).
+    Deterministic for a fixed seed and best-effort; raises ValueError only
+    for a depth or an evaluation budget below 1, for no start at all, for a
+    warm start of another depth, for `negated_seed` with no restarts, or
+    when no start reaches an expectation that is not NaN, which takes a
+    diagonal that is not finite.
 
     With `negated_seed`, -H is maximized as well, from `restarts` starts
     drawn from that seed, and a PairedOutcome is returned.  -H's starts run
@@ -563,9 +566,6 @@ def optimize(
 
     outcomes = _lockstep(lanes, objective, len(neg_starts))
     plus, minus = outcomes[:len(starts)], outcomes[len(starts):]
-    if init is not None:
-        # keep the raw warm-start value even if the simplex wanders off
-        plus.insert(0, (starts[0], objective(starts[0][None])[0], 1))
     if negated_seed is None:
         return _best(plus)
     return PairedOutcome(_best(plus), _best(minus))

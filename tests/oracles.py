@@ -435,12 +435,7 @@ def scipy_optimize(H: IsingHamiltonian, p: int, restarts: int, max_evals: int, s
     starts = [] if init is None else [init.to_vector()]
     starts.extend(rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
     best_x, best_val, evaluations = None, -np.inf, 0
-    for i, x0 in enumerate(starts):
-        if i == 0 and init is not None:
-            val = -objective(x0[None])[0]
-            evaluations += 1
-            if val > best_val:
-                best_val, best_x = float(val), x0
+    for x0 in starts:
         res = scipy_nelder_mead(objective, x0, max_evals)
         evaluations += res.nfev
         if -res.fun > best_val:

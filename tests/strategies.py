@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from isingpursuit.hamiltonian import IsingHamiltonian
+from isingpursuit.hamiltonian import IsingHamiltonian, build_hamiltonian
 from isingpursuit.measurement import (
     MeasurementSet,
     Pattern,
@@ -119,6 +119,16 @@ def measurement_sets(draw, max_n=8):
         bits = draw(st.lists(st.integers(1, n), unique=True, max_size=n))
         patterns.append(Pattern(tuple((b, draw(st.integers(0, 1))) for b in bits)))
     return MeasurementSet(n, tuple(patterns))
+
+
+@st.composite
+def built_hamiltonians(draw):
+    """build_hamiltonian on a set from `measurement_sets` and a residual of
+    every scale with signed zeros and subnormals."""
+    ms = draw(measurement_sets())
+    r = wide_values(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), len(ms))
+    overwrite(draw, r, SCALED_ENTRIES)
+    return build_hamiltonian(ms, r)
 
 
 @st.composite

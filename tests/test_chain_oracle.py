@@ -4,9 +4,11 @@ on nearest-neighbour sets of every size up to the index-width cap.  The
 fused max/min sweep is also checked on raw chains, signed zeros included,
 against the oracle's max sweep run twice, once on the negated chain.  The
 slot scatter that reads a built Hamiltonian's chain coefficients is checked
-against the oracle's term-by-term split of its terms, on Hamiltonians with
-pruned terms and on quadruplet sets whose non-chain terms prune away or
-survive; the solver itself never makes the terms dict."""
+against the oracle's term-by-term split of its terms on every draw of the
+solver's property, pruned terms and empty Hamiltonians among them; the
+solver also runs on quadruplet sets whose non-chain terms prune away, and
+refuses those whose non-chain terms survive, without making the terms
+dict."""
 
 import re
 
@@ -47,6 +49,13 @@ def fingerprint(out) -> str:
     return repr((out.position, float(out.score), plain))
 
 
+def chain_terms(const, fields, couplings, n) -> str:
+    """repr of the constant, fields 1..n and couplings 1..n-1 as floats: the
+    entries the sweep reads, whatever either form keeps at index 0."""
+    return repr((float(const), [float(v) for v in fields[1:n + 1]],
+                 [float(v) for v in couplings[1:n]]))
+
+
 @settings(max_examples=100 * DEPTH)
 @given(chain_cases())
 @example((nearest_neighbor_patterns(5), np.zeros(16)))
@@ -61,8 +70,17 @@ def fingerprint(out) -> str:
 # couplings +0.5, -0.5, ... and no fields: max 31 and min -31, each twice
 @example((nearest_neighbor_patterns(63), np.concatenate(
     [0.5 * (-1.0) ** i * np.array([1.0, -1.0, -1.0, 1.0]) for i in range(62)])))
+# a constant residual on every pair: every field and coupling prunes away
+@example((nearest_neighbor_patterns(5), np.full(16, 0.5)))
+# the pairs (1, 2) and (3, 4) constant, (2, 3) not: only its terms are kept
+@example((nearest_neighbor_patterns(4), np.array([1.0] * 4 + [0.0, 1.0, 2.0, -1.0] + [-2.0] * 4)))
+# everything cancels: an empty Hamiltonian
+@example((nearest_neighbor_patterns(3), np.zeros(8)))
 def test_chain_dp_matches_the_array_oracle(case):
     ms, r = case
+    H = build_hamiltonian(ms, r)
+    scattered = chain_terms(*_chain_params(H, ms._chain_slots), ms.n)
+    assert scattered == chain_terms(*_chain_params_arrays(H), ms.n)
     assert fingerprint(chain_dp_solve(ms, r)) == fingerprint(chain_dp_solve_arrays(ms, r))
 
 
@@ -106,28 +124,6 @@ def raw_chains(draw):
 def test_fused_sweep_matches_two_max_sweeps(chain):
     fused = _chain_extrema(*chain)
     assert repr(fused) == repr(two_pass_extrema(*chain))
-
-
-def chain_terms(const, fields, couplings, n) -> str:
-    """repr of the constant, fields 1..n and couplings 1..n-1 as floats: the
-    entries the sweep reads, whatever either form keeps at index 0."""
-    return repr((float(const), [float(v) for v in fields[1:n + 1]],
-                 [float(v) for v in couplings[1:n]]))
-
-
-@settings(max_examples=100 * DEPTH)
-@given(chain_cases())
-# a constant residual on every pair: every field and coupling prunes away
-@example((nearest_neighbor_patterns(5), np.full(16, 0.5)))
-# the pairs (1, 2) and (3, 4) constant, (2, 3) not: only its terms are kept
-@example((nearest_neighbor_patterns(4), np.array([1.0] * 4 + [0.0, 1.0, 2.0, -1.0] + [-2.0] * 4)))
-# everything cancels: an empty Hamiltonian
-@example((nearest_neighbor_patterns(3), np.zeros(8)))
-def test_slot_map_matches_the_array_oracle(case):
-    ms, r = case
-    H = build_hamiltonian(ms, r)
-    scattered = chain_terms(*_chain_params(H, ms._chain_slots), ms.n)
-    assert scattered == chain_terms(*_chain_params_arrays(H), ms.n)
 
 
 @settings(max_examples=20 * DEPTH)

@@ -158,4 +158,4 @@ def test_warm_start_alone_cannot_serve_negated_target():
     with pytest.raises(ValueError, match="-H needs at least one restart"):
         optimize(H, p=1, restarts=0, init=init, negated_seed=1)
     paired = optimize(H, p=1, restarts=1, max_evals=5, init=init, seed=0, negated_seed=1)
-    assert paired.plus.evaluations == 1 + 5 + 5 and paired.minus.evaluations == 5
+    assert paired.plus.evaluations == 5 + 5 and paired.minus.evaluations == 5

@@ -3,14 +3,23 @@ and whose Nelder-Mead step takes scipy's arrays in fewer numpy calls,
 against scipy's Nelder-Mead run start by start: `oracles.scipy_optimize`
 on H with `seed`, and on `oracles.negated(H)` with `negated_seed`.  The
 outcomes must have the same repr, which tells -0.0 from 0.0: every angle,
-value and evaluation count."""
+value and evaluation count, over one to seven lanes, budgets that truncate
+the initial simplex, and warm starts with zero coordinates.  A warm-started
+result is never worse than the kernel's value at the warm start."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingpursuit.hamiltonian import IsingHamiltonian
-from isingpursuit.qaoa import OptimizeOutcome, PairedOutcome, QaoaParams, optimize
+from isingpursuit.qaoa import (
+    OptimizeOutcome,
+    PairedOutcome,
+    QaoaParams,
+    _expectations,
+    _StateBuffers,
+    optimize,
+)
 
 from oracles import negated, scipy_optimize
 from strategies import DEPTH, hamiltonians
@@ -50,6 +59,11 @@ FLAT = IsingHamiltonian(3, {frozenset(): 0.9})
 @example((IsingHamiltonian(2, {frozenset({1}): 1.0}), 2, 1, 50, 3,
           QaoaParams((0.0, -0.0), (1.3, 0.4)), 4))
 @example((IsingHamiltonian(2, {frozenset({1}): 1.0}), 1, 0, 3, 5, QaoaParams((0.0,), (0.0,)), None))
+# the p = 1 optimum behind a zero first gamma: the warm lane beats two random
+# restarts, and its zero and negative coordinates take scipy's absolute and
+# relative initial steps
+@example((IsingHamiltonian(3, {frozenset({1, 2}): 1.0, frozenset({3}): -0.6}), 2, 2, 40, 0,
+          QaoaParams((0.0, 3.93), (-0.4, 5.15)), None))
 def test_optimize_is_bitwise_sequential_scipy_runs(case):
     H, p, restarts, max_evals, seed, init, negated_seed = case
     out = optimize(H, p, restarts, max_evals, seed, init, negated_seed=negated_seed)
@@ -58,3 +72,6 @@ def test_optimize_is_bitwise_sequential_scipy_runs(case):
         ref = PairedOutcome(ref, OptimizeOutcome(
             *scipy_optimize(negated(H), p, restarts, max_evals, negated_seed)))
     assert repr(out) == repr(ref)
+    if init is not None:  # the simplex's best vertex is never worse than its start
+        start = _expectations(_StateBuffers(1, H.n, H.diagonal()), init.to_vector()[None])[0]
+        assert (out if negated_seed is None else out.plus).expectation >= start

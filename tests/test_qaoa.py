@@ -1,6 +1,8 @@
 """Statevector engine against dense linear-algebra oracles (scipy expm),
 gate-decomposition fidelity, optimizer behavior, and the lockstep
-Nelder-Mead against scipy.optimize.minimize, which it must match exactly."""
+Nelder-Mead against scipy.optimize.minimize, which it must match exactly,
+in shrinks cut short at every length (`test_lockstep_oracle.py` runs whole
+`optimize` calls against scipy)."""
 
 import numpy as np
 import pytest
@@ -290,29 +292,6 @@ def test_full_ansatz_gate_list_matches_statevector():
 def test_format_gates():
     gates = [Gate.cx(1, 2), Gate.rz(2, 0.5), Gate.rx(1, -1.25)]
     assert format_gates(gates).splitlines() == ["CX 1 2", "RZ 2 0.5", "RX 1 -1.25"]
-
-
-@settings(max_examples=60)
-@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 3), st.integers(1, 90),
-       st.booleans(), st.integers(0, 2**32 - 1))
-def test_lockstep_nelder_mead_matches_scipy(n, p, lanes, maxfev, zero_coord, seed):
-    # maxfev below 2p+1 truncates the initial simplex; a zero coordinate
-    # takes scipy's absolute initial step instead of the relative one
-    rng = np.random.default_rng(seed)
-    diag = rng.normal(size=1 << n)
-    starts = rng.uniform(0.0, 2.0 * np.pi, size=(lanes, 2 * p))
-    if zero_coord:
-        starts[:, 0] = 0.0
-
-    kernel = _StateBuffers(4, n, diag)
-
-    def objective(angles):
-        return -_expectations(kernel, angles)
-
-    results = _lockstep([_nelder_mead(x0, maxfev) for x0 in starts], objective)
-    for x0, (x, fun, nfev) in zip(starts, results):
-        ref = scipy_nelder_mead(objective, x0, maxfev)
-        assert (x.tobytes(), fun, nfev) == (ref.x.tobytes(), ref.fun, ref.nfev)
 
 
 def test_lockstep_nelder_mead_matches_scipy_when_a_shrink_runs_out():

@@ -2,21 +2,21 @@
 bit: the pooled candidates rescored in one pass (`measurement.column_dots`
 and `solvers._rescore`) against one `column_dot` call per candidate, on
 sets whose indices match from none to over 128 patterns, where numpy's
-pairwise sum changes shape; each row of a batched `ansatz_state` against
-the single-params call; and the diagonal a Hamiltonian keeps, which is
-read-only and the per-term sign product of `oracles`."""
+pairwise sum changes shape; and each row of a batched `ansatz_state`
+against the single-params call.  The diagonal a Hamiltonian keeps is
+checked in `test_table_kernel.py`."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isingpursuit.hamiltonian import IsingHamiltonian, build_hamiltonian
+from isingpursuit.hamiltonian import IsingHamiltonian
 from isingpursuit.measurement import MeasurementSet, Pattern, column_dot, column_dots
 from isingpursuit.qaoa import QaoaParams, ansatz_state
 from isingpursuit.solvers import _rescore
 
-from oracles import diagonal_per_term, rescore_per_candidate
+from oracles import rescore_per_candidate
 from strategies import (
     ANGLES,
     DEPTH,
@@ -123,22 +123,3 @@ def test_a_batch_needs_params_of_one_depth(batch):
     H = IsingHamiltonian(2, {frozenset({1}): 1.0})
     with pytest.raises(ValueError, match="one or more QaoaParams of one depth"):
         ansatz_state(H, batch)
-
-
-@st.composite
-def built_hamiltonians(draw):
-    ms = draw(measurement_sets())
-    r = wide_values(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), len(ms))
-    overwrite(draw, r, SCALED_ENTRIES)
-    return build_hamiltonian(ms, r)
-
-
-@settings(max_examples=100 * DEPTH)
-@given(st.one_of(hamiltonians(max_n=8), built_hamiltonians()))
-def test_kept_diagonal_is_read_only_and_bitwise_per_term(H):
-    diag = H.diagonal()
-    assert H.diagonal() is diag
-    assert diag.tobytes() == diagonal_per_term(H).tobytes()
-    with pytest.raises(ValueError, match="read-only"):
-        diag[0] = 1.0
-

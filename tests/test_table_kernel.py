@@ -1,8 +1,9 @@
 """The table kernel's callers against their reference forms in `oracles`,
 bit for bit: A^T r by runs of patterns or by the prefix stages of a
-sliding-window set, H's diagonal by sign tables, and build_hamiltonian by
-the Walsh-Hadamard transform of each run's table, summed in the builder's
-order."""
+sliding-window set (the memoised nearest-neighbour sets are its width-2
+draws), H's diagonal by sign tables, kept read-only on random and built
+Hamiltonians, and build_hamiltonian by the Walsh-Hadamard transform of
+each run's table, summed in the builder's order."""
 
 import numpy as np
 import pytest
@@ -26,7 +27,13 @@ from oracles import (
     build_hamiltonian_walsh,
     diagonal_per_term,
 )
-from strategies import DEPTH, SCALED_ENTRIES, pattern_lists, wide_hamiltonians
+from strategies import (
+    DEPTH,
+    SCALED_ENTRIES,
+    built_hamiltonians,
+    pattern_lists,
+    wide_hamiltonians,
+)
 
 
 def bits_of(a: np.ndarray) -> np.ndarray:
@@ -71,38 +78,35 @@ def entries_for(draw, ms: MeasurementSet) -> np.ndarray:
     return np.array(draw(st.lists(SCALED_ENTRIES, min_size=len(ms), max_size=len(ms))))
 
 
+def window_set(n: int, k: int) -> MeasurementSet:
+    """The window set of width k on n bits; for k = 2 the memoised
+    nearest-neighbour set, which holds exactly those groups."""
+    return nearest_neighbor_patterns(n) if k == 2 else joined(n, window_groups(n, k))
+
+
 @st.composite
 def window_cases(draw):
     k = draw(st.integers(1, 4))
-    n = draw(st.integers(k, 16))
-    ms = joined(n, window_groups(n, k))
+    ms = window_set(draw(st.integers(k, 16)), k)
     return ms, k, entries_for(draw, ms)
 
 
 def window_example(n: int, k: int) -> tuple[MeasurementSet, int, np.ndarray]:
     """Signed zeros, a subnormal and addends below one ulp of their neighbours."""
-    ms = joined(n, window_groups(n, k))
+    ms = window_set(n, k)
     return ms, k, np.resize([-0.0, 1e-17, 0.5, -1e-17, 0.0, 5e-324, -0.5, 2.5, -0.0], len(ms))
 
 
-@settings(max_examples=60 * DEPTH)
+@settings(max_examples=120 * DEPTH)
 @given(window_cases())
 @example(window_example(16, 1))
 @example(window_example(16, 4))
 @example(window_example(3, 3))
+@example(window_example(2, 2))
+@example(window_example(16, 2))
 def test_window_sets_take_the_prefix_stages_bitwise(case):
     ms, k, r = case
     assert ms._window_width == k
-    assert np.array_equal(bits_of(all_column_dots(r, ms)), bits_of(all_column_dots_masked(r, ms)))
-
-
-@pytest.mark.parametrize("n", range(2, 17))
-@settings(max_examples=4 * DEPTH)
-@given(st.data())
-def test_nearest_neighbour_sets_take_the_prefix_stages_bitwise(n, data):
-    ms = nearest_neighbor_patterns(n)
-    r = entries_for(data.draw, ms)
-    assert ms._window_width == 2
     assert np.array_equal(bits_of(all_column_dots(r, ms)), bits_of(all_column_dots_masked(r, ms)))
 
 
@@ -157,9 +161,13 @@ def test_add_table_is_bitwise_a_gathered_add(n_bits, seed):
 
 
 @settings(max_examples=200 * DEPTH)
-@given(wide_hamiltonians(SCALED_ENTRIES))
+@given(st.one_of(wide_hamiltonians(SCALED_ENTRIES), built_hamiltonians()))
 def test_diagonal_is_bitwise_the_per_term_products(H):
-    assert np.array_equal(bits_of(H.diagonal()), bits_of(diagonal_per_term(H)))
+    diag = H.diagonal()
+    assert H.diagonal() is diag  # kept on the Hamiltonian, and read-only
+    assert np.array_equal(bits_of(diag), bits_of(diagonal_per_term(H)))
+    with pytest.raises(ValueError, match="read-only"):
+        diag[0] = 1.0
 
 
 # The longest sums: up to 248 entries on the empty support, whose sum a
