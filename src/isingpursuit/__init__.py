@@ -27,10 +27,8 @@ from .pursuit import (
 )
 from .qaoa import (
     QaoaParams,
-    ansatz_gates,
     ansatz_state,
     decompose_evolution,
-    format_gates,
     optimize,
     sample_candidates,
     simulate_gates,
@@ -71,7 +69,6 @@ __all__ = [
     "SparseSignal",
     "SuccessReport",
     "Termination",
-    "ansatz_gates",
     "ansatz_state",
     "brute_force_solve",
     "build_hamiltonian",
@@ -79,7 +76,6 @@ __all__ = [
     "column_dot",
     "complete_patterns",
     "decompose_evolution",
-    "format_gates",
     "make_patterns",
     "make_solver",
     "matching_pursuit",

@@ -90,17 +90,6 @@ class IsingHamiltonian:
     def __repr__(self) -> str:
         return f"IsingHamiltonian(n={self.n!r}, terms={self.terms!r})"
 
-    def evaluate(self, z: int) -> float:
-        """Diagonal entry at basis index z: sum of coeff * prod of spin values."""
-        total = 0.0
-        for support, coeff in self.terms.items():
-            sign = 1
-            for j in support:
-                if (z >> (self.n - j)) & 1:
-                    sign = -sign
-            total += coeff * sign
-        return total
-
     def diagonal(self) -> np.ndarray:
         """All 2**n diagonal entries, for n <= DENSE_VECTOR_CAP: made from the
         terms on the first call, then kept on the Hamiltonian and returned
@@ -117,17 +106,10 @@ class IsingHamiltonian:
     def max_support_size(self) -> int:
         return max((len(s) for s in self.terms), default=0)
 
-    def dump(self) -> str:
-        """One line per term, "coeff  Z_i Z_j ...", sorted by support."""
-        lines = []
-        for support in sorted(self.terms, key=lambda s: (len(s), sorted(s))):
-            zs = " ".join(f"Z_{j}" for j in sorted(support))
-            lines.append(f"{self.terms[support]:+.12g}  {zs}".rstrip())
-        return "\n".join(lines)
-
 
 def build_hamiltonian(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltonian:
-    """Assemble H = A^T r so that H.evaluate(z) == column_dot(z, r, ms).
+    """Assemble H = A^T r, so that H.diagonal()[z] and column_dot(z, r, ms)
+    agree to rounding for every basis index z.
 
     Pattern i with k fixed bits contributes r_i / 2**k to every subset of
     its fixed positions, signed by the product of (1 - 2*value) over the

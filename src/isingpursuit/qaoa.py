@@ -4,8 +4,8 @@ The ansatz alternates exact diagonal phase evolution exp(i*gamma*H) with a
 mixer layer applying exp(i*beta*X) on every qubit, starting from the uniform
 superposition.  Because H is diagonal there is no Trotter error: the phase
 layer multiplies each amplitude by exp(i*gamma*h(z)) directly.  A gate-level
-decomposition (CNOT ladder + RZ per Z string) exists for verification and
-export, not for the hot path.
+decomposition (CNOT ladder + RZ per Z string) and a gate simulator exist
+for verification, not for the hot path.
 
 One kernel evolves every state.  `_evolve` takes a (K, 2p) array of angle
 rows and returns the (K, 2**n) array of ansatz states, so a layer costs the
@@ -152,7 +152,8 @@ def uniform_state(n: int) -> np.ndarray:
 # its (K, levels) level rows stay within 4 MiB.  So a workspace holds at most
 # 24 MiB + 8 * 2**n bytes up to n = 18, with the level index, and 104 * 2**n
 # bytes from n = 19, where one row passes 4 MiB and K = 1.  Building it peaks
-# higher, by uniform_state(n) and np.unique's temporaries: 30.3 MiB at n = 18.
+# higher, by np.unique's temporaries: 32.3 MiB at n = 18 over 2**18 distinct
+# values, against 26 MiB kept (tracemalloc).
 _BATCH_BYTES = 1 << 22
 
 _Views = namedtuple("_Views", "phase mix probs")
@@ -191,7 +192,7 @@ class _StateBuffers:
 
     def __init__(self, rows: int, n: int, diag: np.ndarray):
         K = min(rows, max(1, _BATCH_BYTES >> (n + 4)))
-        self.start = np.array(uniform_state(n)[0])  # 0-d: the uniform amplitude
+        self.start = np.array(complex(2.0 ** (-n / 2)))  # 0-d: the uniform amplitude
         self.bufs = [np.empty((K, 1 << n), dtype=complex) for _ in range(3)]
         self.factors = [np.empty((K, 1 << n), dtype=complex) for _ in range(2)]
         self.n, self.diag, self.by_rows = n, diag, {}
@@ -403,8 +404,7 @@ def _nelder_mead(x0: np.ndarray, maxfev: int):
         sim[k + 1, k] = (1 + nonzdelt) * x0[k] if x0[k] != 0 else zdelt
     fsim = np.full((N + 1,), np.inf, dtype=float)
     nfev = min(N + 1, maxfev)
-    if nfev > 0:
-        fsim[:nfev] = yield sim[:nfev]
+    fsim[:nfev] = yield sim[:nfev]
     # scipy sorts twice here; argsort need not be stable, so keep both
     for _ in range(2):
         ind = fsim.argsort()
@@ -601,19 +601,6 @@ def decompose_evolution(H: IsingHamiltonian, t: float) -> list[Gate]:
     return gates
 
 
-def ansatz_gates(H: IsingHamiltonian, params: QaoaParams) -> list[Gate]:
-    """Full circuit export of the ansatz: phase layers as CNOT/RZ ladders and
-    mixer layers as RX(-2*beta) on every qubit.  Matches ansatz_state up to
-    global phase when simulated (the uniform start is applied separately).
-    """
-    gates: list[Gate] = []
-    for gamma, beta in zip(params.gammas, params.betas):
-        gates.extend(decompose_evolution(H, gamma))
-        for q in range(1, H.n + 1):
-            gates.append(Gate.rx(q, -2.0 * beta))
-    return gates
-
-
 def simulate_gates(state: np.ndarray, gates: list[Gate]) -> np.ndarray:
     """Apply a gate list by exact 1- and 2-qubit updates, each through a view
     of a complex copy of state; RX meets the mixer step's operands in order."""
@@ -636,14 +623,3 @@ def simulate_gates(state: np.ndarray, gates: list[Gate]) -> np.ndarray:
         else:
             raise ValueError(f"unknown gate {g.name!r}")
     return psi
-
-
-def format_gates(gates: list[Gate]) -> str:
-    """Plain-text export, one gate per line: "CX c t", "RZ q angle", "RX q angle"."""
-    lines = []
-    for g in gates:
-        if g.name == "CX":
-            lines.append(f"CX {g.qubits[0]} {g.qubits[1]}")
-        else:
-            lines.append(f"{g.name} {g.qubits[0]} {g.angle:.17g}")
-    return "\n".join(lines)

@@ -425,7 +425,7 @@ def scipy_nelder_mead(objective, x0, maxfev):
 
 def scipy_optimize(H: IsingHamiltonian, p: int, restarts: int, max_evals: int, seed, init=None):
     """optimize as one scipy minimize per start, run one after another:
-    (params, expectation, evaluations)."""
+    (params, expectation, evaluations), and every start's (x, fun, nfev)."""
     rng = np.random.default_rng(seed)
     kernel = qaoa._StateBuffers(4, H.n, H.diagonal())
 
@@ -434,10 +434,11 @@ def scipy_optimize(H: IsingHamiltonian, p: int, restarts: int, max_evals: int, s
 
     starts = [] if init is None else [init.to_vector()]
     starts.extend(rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
-    best_x, best_val, evaluations = None, -np.inf, 0
+    best_x, best_val, evaluations, runs = None, -np.inf, 0, []
     for x0 in starts:
         res = scipy_nelder_mead(objective, x0, max_evals)
+        runs.append((res.x, res.fun, res.nfev))
         evaluations += res.nfev
         if -res.fun > best_val:
             best_val, best_x = -float(res.fun), res.x
-    return qaoa.QaoaParams.from_vector(best_x), best_val, evaluations
+    return (qaoa.QaoaParams.from_vector(best_x), best_val, evaluations), runs

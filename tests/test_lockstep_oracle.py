@@ -2,15 +2,20 @@
 and whose Nelder-Mead step takes scipy's arrays in fewer numpy calls,
 against scipy's Nelder-Mead run start by start: `oracles.scipy_optimize`
 on H with `seed`, and on `oracles.negated(H)` with `negated_seed`.  The
-outcomes must have the same repr, which tells -0.0 from 0.0: every angle,
+outcomes, and every lane's (x, fun, nfev) beside scipy's run from the same
+start, must have the same repr, which tells -0.0 from 0.0: every angle,
 value and evaluation count, over one to seven lanes, budgets that truncate
-the initial simplex, and warm starts with zero coordinates.  A warm-started
-result is never worse than the kernel's value at the warm start."""
+the initial simplex, and warm starts with zero coordinates.  So a fault in
+a lane that loses shows too.  A warm-started result is never worse than
+the kernel's value at the warm start."""
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isingpursuit import qaoa
 from isingpursuit.hamiltonian import IsingHamiltonian
 from isingpursuit.qaoa import (
     OptimizeOutcome,
@@ -66,12 +71,22 @@ FLAT = IsingHamiltonian(3, {frozenset(): 0.9})
           QaoaParams((0.0, 3.93), (-0.4, 5.15)), None))
 def test_optimize_is_bitwise_sequential_scipy_runs(case):
     H, p, restarts, max_evals, seed, init, negated_seed = case
-    out = optimize(H, p, restarts, max_evals, seed, init, negated_seed=negated_seed)
-    ref = OptimizeOutcome(*scipy_optimize(H, p, restarts, max_evals, seed, init))
+    lanes, lockstep = [], qaoa._lockstep
+
+    def recorded(*args):
+        lanes.extend(lockstep(*args))
+        return lanes
+
+    with mock.patch.object(qaoa, "_lockstep", recorded):
+        out = optimize(H, p, restarts, max_evals, seed, init, negated_seed=negated_seed)
+    best, runs = scipy_optimize(H, p, restarts, max_evals, seed, init)
+    ref = OptimizeOutcome(*best)
     if negated_seed is not None:
-        ref = PairedOutcome(ref, OptimizeOutcome(
-            *scipy_optimize(negated(H), p, restarts, max_evals, negated_seed)))
+        best, neg_runs = scipy_optimize(negated(H), p, restarts, max_evals, negated_seed)
+        ref, runs = PairedOutcome(ref, OptimizeOutcome(*best)), runs + neg_runs
     assert repr(out) == repr(ref)
+    assert [repr((x.tolist(), fun, nfev)) for x, fun, nfev in lanes] == \
+        [repr((x.tolist(), fun, nfev)) for x, fun, nfev in runs]
     if init is not None:  # the simplex's best vertex is never worse than its start
         start = _expectations(_StateBuffers(1, H.n, H.diagonal()), init.to_vector()[None])[0]
         assert (out if negated_seed is None else out.plus).expectation >= start

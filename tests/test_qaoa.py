@@ -14,11 +14,9 @@ from isingpursuit.hamiltonian import IsingHamiltonian
 from isingpursuit.qaoa import (
     Gate,
     QaoaParams,
-    ansatz_gates,
     ansatz_state,
     apply_phase_layer,
     decompose_evolution,
-    format_gates,
     num_qubits,
     optimize,
     sample_candidates,
@@ -142,7 +140,7 @@ def test_expectation_on_basis_state():
     H = IsingHamiltonian(2, {frozenset({1}): 2.0, frozenset({1, 2}): -1.0})
     psi = np.zeros(4, dtype=complex)
     psi[2] = 1.0  # |10>
-    assert np.isclose(expectation(psi, H), H.evaluate(2))
+    assert np.isclose(expectation(psi, H), H.diagonal()[2])
 
 
 @given(hamiltonians(max_n=4), st.integers(0, 2**31))
@@ -284,14 +282,14 @@ def test_full_ansatz_gate_list_matches_statevector():
         3, {frozenset(): 0.2, frozenset({1}): -0.5, frozenset({1, 3}): 0.9}
     )
     params = QaoaParams((0.7, 1.4), (0.3, 1.1))
+    # phase layers as CNOT/RZ ladders, mixer layers as RX(-2*beta) on every qubit
+    gates = []
+    for gamma, beta in zip(params.gammas, params.betas):
+        gates += decompose_evolution(H, gamma)
+        gates += [Gate.rx(q, -2.0 * beta) for q in range(1, H.n + 1)]
     direct = ansatz_state(H, params)
-    gated = simulate_gates(uniform_state(3), ansatz_gates(H, params))
+    gated = simulate_gates(uniform_state(3), gates)
     assert _fidelity(direct, gated) >= 1 - 1e-10
-
-
-def test_format_gates():
-    gates = [Gate.cx(1, 2), Gate.rz(2, 0.5), Gate.rx(1, -1.25)]
-    assert format_gates(gates).splitlines() == ["CX 1 2", "RZ 2 0.5", "RX 1 -1.25"]
 
 
 def test_lockstep_nelder_mead_matches_scipy_when_a_shrink_runs_out():

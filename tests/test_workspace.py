@@ -218,6 +218,11 @@ def test_a_mixer_sweep_allocates_no_iterator_buffer():
     numpy need not buffer: a reversed operand, or `take`'s default mode,
     makes numpy take a 132 KB buffer here on each call."""
     kernel = _StateBuffers(8, 10, np.random.default_rng(0).normal(size=1 << 10))
+    # normalised states in buffer 0, where every sweep starts; at even n the
+    # sweep ends there too, so the second sweep also reads written rows
+    rng = np.random.default_rng(1)
+    states = rng.normal(size=(8, 1 << 10)) + 1j * rng.normal(size=(8, 1 << 10))
+    kernel.bufs[0][...] = states / np.linalg.norm(states, axis=1, keepdims=True)
     c, js = qaoa._mixer_factors(np.linspace(0.1, 0.8, 8)[:, None])
     mix = kernel._views(8).mix
     mix(c, js)  # first use of each view and ufunc loop
