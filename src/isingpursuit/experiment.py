@@ -4,7 +4,8 @@ A plan fixes the signal ensemble, the pattern kind and the solver; trials
 derive their seeds deterministically from the master seed, so two plans
 differing only in the solver consume identical signals and (for matching
 pattern kinds) identical measurements.  Reports carry one record per trial
-plus the aggregate rate and a full configuration echo.
+plus the aggregate rate, with its 95% Wilson interval in JSON, and a full
+configuration echo.
 """
 
 from __future__ import annotations
@@ -96,6 +97,24 @@ class TrialRecord:
     capped: bool = False
 
 
+# The normal quantile of 0.975, for two-sided 95% intervals.
+Z_95 = 1.959963984540054
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """The 95% Wilson score interval (Wilson, JASA 1927) of a success rate,
+    in Newcombe's form: center +- z / (2(n + z^2)) * sqrt(4npq + z^2), with
+    center (2np + z^2) / (2(n + z^2)).  The low end is exactly 0.0 when no
+    trial succeeds, and the high end exactly 1.0 when every trial does."""
+    p = successes / trials
+    denom = 2 * (trials + Z_95 ** 2)
+    center = (2 * trials * p + Z_95 ** 2) / denom
+    delta = Z_95 / denom * math.sqrt(4 * trials * p * (1 - p) + Z_95 ** 2)
+    low = 0.0 if successes == 0 else center - delta
+    high = 1.0 if successes == trials else center + delta
+    return low, high
+
+
 @dataclass(frozen=True)
 class SuccessReport:
     config: dict
@@ -107,10 +126,15 @@ class SuccessReport:
         return sum(t.success for t in self.trials) / len(self.trials)
 
     def to_dict(self) -> dict:
+        """The report as JSON data: the rate comes with its 95% Wilson
+        interval, `rate_low` and `rate_high`."""
+        low, high = wilson_interval(sum(t.success for t in self.trials), len(self.trials))
         return {
             "config": self.config,
             "config_id": self.config_id,
             "rate": self.rate,
+            "rate_low": low,
+            "rate_high": high,
             "trials": [asdict(t) for t in self.trials],
         }
 

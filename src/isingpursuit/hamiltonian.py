@@ -11,8 +11,10 @@ measurement module's table kernel: the term on support S adds coeff times
 the 2**|S| spin products over S's bits.  Every index still receives
 +coeff or -coeff exactly, term by term in dict order, so the result is bit
 for bit a per-term sign product.  The diagonal is made on the first call and
-kept on the Hamiltonian, read-only: a QAOA solve reads it in `optimize` and
-again for its sampled states, and computes it once.
+kept on the Hamiltonian, read-only.  `normalized` divides it once by its
+spread max|d - mean d| into a second Hamiltonian that keeps the quotient:
+a QAOA solve evolves that one, reading the quotient in `optimize` and again
+for its sampled states.
 
 `build_hamiltonian` works on the set's table runs (see the measurement
 module): a run on k positions holds a 2**k table of residuals, 0.0 where no
@@ -35,6 +37,7 @@ and mask directly through the set's chain slots and never makes the dict.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from itertools import compress
 
@@ -102,6 +105,29 @@ class IsingHamiltonian:
             diag.flags.writeable = False
             self._diagonal = diag
         return self._diagonal
+
+    def normalized(self) -> tuple["IsingHamiltonian", float]:
+        """This Hamiltonian divided by the spread s = max|d - mean d| of its
+        diagonal d, and s: a Hamiltonian over the same n whose kept,
+        read-only diagonal is d / s, bit for bit, made here once, and whose
+        terms are each coefficient / s (their own diagonal agrees with the
+        kept one to rounding).
+
+        The spread is taken with numpy's warnings off: a finite diagonal
+        near +-1e308 overflows its mean, and one holding inf or NaN makes
+        s NaN.  Where s is zero (a flat diagonal) or not finite, s is 1.0,
+        and the diagonal keeps its raw values.
+        """
+        d = self.diagonal()
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = float(np.abs(d - d.mean()).max())
+        if not (math.isfinite(scale) and scale > 0.0):
+            scale = 1.0
+        scaled = IsingHamiltonian(self.n, {s: c / scale for s, c in self.terms.items()})
+        diag = d / scale
+        diag.flags.writeable = False
+        scaled._diagonal = diag
+        return scaled, scale
 
     def max_support_size(self) -> int:
         return max((len(s) for s in self.terms), default=0)

@@ -12,6 +12,14 @@ The chain backend fills the max and the min tables in one fused sweep that
 records its choices, exact because IEEE negation commutes with its sums and
 comparisons; the QAOA backend searches both in one lockstep run over H's
 diagonal, with -H's circuits as H's circuits with their gammas negated.
+
+The QAOA backend evolves under H normalised: its diagonal d divided by the
+spread s = max|d - mean d| (`IsingHamiltonian.normalized`), so that the
+angles meet a landscape of one width whatever the residual's magnitude.
+Shifting d would change only a global phase, and s > 0 keeps -H's mirrored
+lanes' row sign.  Rescoring stays `column_dot` on r, so every reported score
+means what it meant; the diagnostics carry s as `scale`, and the reported
+expectations times s are H's in raw units.
 """
 
 from __future__ import annotations
@@ -199,12 +207,18 @@ def qaoa_solve(
     lanes on H's diagonal, the top of -h; each target keeps its own seed
     streams, for the starts and for the samples, spawned from seed.  The
     spec gives the depth, restarts, evaluation budget and shots; its backend
-    is not read.  Both optimized states (-h's as H's state at its gammas
-    negated) come from one `ansatz_state` batch, over the diagonal that
-    `optimize` made and H keeps.  The candidates sampled from them are
-    pooled in one set and rescored by |column_dot| in one pass
-    (`column_dots`); the best-scoring candidate wins (ties to the smallest
-    index).  Only the reported score is guaranteed, not global optimality.
+    is not read.  The search, both states and their samples run under H
+    normalised, with diagonal d / s for H's diagonal d and its spread s
+    (1.0 where the spread is zero or not finite; see the module docstring):
+    H makes d once, and the normalised Hamiltonian keeps d / s, which
+    `optimize` and the states' batch both read.  Both optimized states
+    (-h's as H's state at its gammas negated) come from one `ansatz_state`
+    batch.  The candidates sampled from them are pooled in one set and
+    rescored by |column_dot| on r in one pass (`column_dots`); the
+    best-scoring candidate wins (ties to the smallest index).  The
+    diagnostics report s as `scale`, then each target's expectation, in
+    normalised units, and evaluation count.  Only the reported score is
+    guaranteed, not global optimality.
     """
     H = build_hamiltonian(ms, r)
     if H.max_support_size() == 0:
@@ -213,13 +227,14 @@ def qaoa_solve(
         return SolverOutcome(
             z, abs(column_dot(z, r, ms)), {"backend": "qaoa", "flat": True}
         )
+    H, scale = H.normalized()  # from here on H is d / s; rescoring reads r
     seeds = np.random.SeedSequence(seed).spawn(4)
     out = qaoa.optimize(
         H, p=spec.depth, restarts=spec.restarts, max_evals=spec.max_evals,
         seed=seeds[0], negated_seed=seeds[2],
     )
     states = qaoa.ansatz_state(H, [out.plus.params, out.minus.params.mirrored()])
-    diagnostics: dict = {"backend": "qaoa"}
+    diagnostics: dict = {"backend": "qaoa", "scale": scale}
     for label, best in (("max", out.plus), ("min", out.minus)):
         diagnostics[f"{label}_expectation"] = best.expectation
         diagnostics[f"{label}_evaluations"] = best.evaluations

@@ -24,11 +24,12 @@ sweep alone, in a one-row workspace over a zero diagonal.
 select each gate qubit's halves of the state, and each RX as one
 `x_mix_rows` step, which the axis-moving `simulate_gates` must match bit
 for bit.
-`qaoa_solve_two_calls` is the QAOA backend with one `optimize` call on H
-and one on `negated(H)`, each sampled from its own target's state, which
-the one-call `qaoa_solve` must match bit for bit.  It rescores its pooled
-candidates one `column_dot` call each (`rescore_per_candidate`), which the
-one-pass `measurement.column_dots` and `solvers._rescore` must match.
+`qaoa_solve_two_calls` is the QAOA backend with one `optimize` call on
+normalised H and one on normalised `negated(H)`, each sampled from its own
+target's state, which the one-call `qaoa_solve` must match bit for bit.  It
+rescores its pooled candidates one `column_dot` call each
+(`rescore_per_candidate`), which the one-pass `measurement.column_dots` and
+`solvers._rescore` must match.
 `expectation` is <H> in one state, through H's diagonal.
 `matching_pursuit_reference` takes each pursuit step through the column
 helpers: `column_norm_sq` and `column_dot` each build the chosen column,
@@ -327,17 +328,20 @@ def simulate_gates_selectors(state: np.ndarray, gates) -> np.ndarray:
 
 def qaoa_solve_two_calls(ms: MeasurementSet, r: np.ndarray, spec: SolverSpec, seed) -> SolverOutcome:
     """qaoa_solve as two optimize calls, one on H and one on negated(H),
-    each followed by the ansatz state and samples of its own target."""
+    both normalised, each followed by the ansatz state and samples of its
+    own target.  -H's diagonal has H's spread, so both divide by one scale."""
     H = build_hamiltonian(ms, r)
     if H.max_support_size() == 0:
         z = 0
         return SolverOutcome(z, abs(column_dot(z, r, ms)), {"backend": "qaoa", "flat": True})
+    (plus, scale), (minus, neg_scale) = H.normalized(), negated(H).normalized()
+    assert neg_scale == scale
     seeds = np.random.SeedSequence(seed).spawn(4)
     candidates: set[int] = set()
-    diagnostics: dict = {"backend": "qaoa"}
+    diagnostics: dict = {"backend": "qaoa", "scale": scale}
     for label, target, opt_seed, sample_seed in (
-        ("max", H, seeds[0], seeds[1]),
-        ("min", negated(H), seeds[2], seeds[3]),
+        ("max", plus, seeds[0], seeds[1]),
+        ("min", minus, seeds[2], seeds[3]),
     ):
         out = qaoa.optimize(target, p=spec.depth, restarts=spec.restarts,
                             max_evals=spec.max_evals, seed=opt_seed)

@@ -2,8 +2,9 @@
 marginals and spike values, marginals whose squared norm overflows, chain
 residuals whose sweep overflows, marginals that are not one vector entry per
 pattern, the 63-bit width of the index masks, the cap on 2**n-entry arrays,
-integer fields of the JSON loaders, empty solver budgets, and a solver choice
-whose column no pattern measures."""
+integer fields of the JSON loaders, empty solver budgets, diagonals whose
+spread QAOA cannot divide by, and a solver choice whose column no pattern
+measures."""
 
 import math
 import sys
@@ -312,6 +313,42 @@ def test_optimize_refuses_a_diagonal_that_is_not_finite(coefficients, negated_se
     H = IsingHamiltonian(2, coefficients)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="diagonal is not finite"):
         qaoa.optimize(H, 1, restarts=1, max_evals=5, seed=0, negated_seed=negated_seed)
+
+
+# n = 1, one pattern per value of bit 1: H's diagonal is r, as built
+ONE_BIT = MeasurementSet(1, (Pattern(((1, 0),)), Pattern(((1, 1),))))
+
+
+def test_a_flat_diagonal_with_a_kept_term_evolves_raw():
+    # the Z term, -5.7e-14, survives pruning but vanishes in 1000 +- 5.7e-14
+    r = np.array([1000.0, np.nextafter(1000.0, 2000.0)])
+    H = build_hamiltonian(ONE_BIT, r)
+    assert H.max_support_size() == 1 and np.all(H.diagonal() == 1000.0)
+    scaled, scale = H.normalized()
+    assert scale == 1.0 and scaled.diagonal().tobytes() == H.diagonal().tobytes()
+    out = qaoa_solve(ONE_BIT, r, SolverSpec("qaoa", 2, 1, 10, 8), seed=0)
+    assert out.diagnostics["scale"] == 1.0 and out.position in (0, 1)
+
+
+def test_a_finite_diagonal_whose_mean_overflows_evolves_raw():
+    # the diagonal is [1.7e308, 1.5e308]: finite, but its sum overflows, and
+    # a RuntimeWarning from the mean would fail this test
+    H = build_hamiltonian(ONE_BIT, np.array([1.7e308, 1.5e308]))
+    assert np.isfinite(H.diagonal()).all()
+    scaled, scale = H.normalized()
+    assert scale == 1.0 and scaled.diagonal().tobytes() == H.diagonal().tobytes()
+
+
+def test_qaoa_solve_refuses_a_diagonal_that_is_not_finite():
+    # Z_1 and Z_2 at 0.85e308 over a constant of 1.7e308: index 0 is inf
+    ms = MeasurementSet(2, (Pattern(((1, 0),)), Pattern(((2, 0),))))
+    r = np.array([1.7e308, 1.7e308])
+    H = build_hamiltonian(ms, r)
+    with np.errstate(over="ignore"):  # the diagonal overflows as it is made
+        assert H.diagonal()[0] == np.inf
+    assert H.normalized()[1] == 1.0  # and its spread without a warning
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="diagonal is not finite"):
+        qaoa_solve(ms, r, SolverSpec("qaoa", 2, 1, 5, 8), seed=0)
 
 
 @given(st.integers(1, 8), st.data())

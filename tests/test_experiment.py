@@ -1,6 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.stats import binomtest
 
 from isingpursuit.experiment import (
     CSV_HEADER,
@@ -14,6 +17,7 @@ from isingpursuit.experiment import (
     run_single,
     run_sweep,
     trial_seeds,
+    wilson_interval,
 )
 
 
@@ -228,8 +232,20 @@ def test_json_report_round_trips():
     reports = [run_batch(tiny_plan(trial_count=2))]
     data = json.loads(reports_to_json(reports))
     assert data[0]["rate"] == reports[0].rate
+    successes = sum(t.success for t in reports[0].trials)
+    assert (data[0]["rate_low"], data[0]["rate_high"]) == wilson_interval(successes, 2)
     assert len(data[0]["trials"]) == 2
     assert data[0]["config"]["n"] == 4
+
+
+@given(st.integers(1, 200).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+def test_wilson_interval_is_scipys(case):
+    k, n = case
+    low, high = wilson_interval(k, n)
+    ci = binomtest(k, n).proportion_ci(method="wilson")
+    assert low == pytest.approx(ci.low, rel=1e-12, abs=1e-15)
+    assert high == pytest.approx(ci.high, rel=1e-12, abs=1e-15)
+    assert 0.0 <= low <= k / n <= high <= 1.0
 
 
 def test_worker_pool_matches_serial_execution():

@@ -2,7 +2,7 @@
 `oracles`, bit for bit: position, score, diagnostics, both sampled states
 and their samples.  A mirrored lane, which runs -H on H's diagonal with its
 gammas negated by `_lockstep`'s row sign, is also checked on its own, from
-starts whose gammas are exactly zero."""
+starts whose gammas are exactly zero, on H as built and normalised."""
 
 from unittest import mock
 
@@ -99,21 +99,41 @@ def test_qaoa_solve_is_bitwise_the_two_call_path(case):
 ZERO_GAMMAS = (IsingHamiltonian(2, {frozenset({1}): 1.0}), 2, np.array([0.0, -0.0, 1.3, 0.4]), 50)
 # At all-zero angles the state stays uniform and <H> = <Z_1> is exactly zero.
 ALL_ZERO = (IsingHamiltonian(2, {frozenset({1}): 1.0}), 1, np.zeros(2), 3)
-
-
-@settings(max_examples=100 * DEPTH)
-@given(st.integers(1, 4).flatmap(lambda p: st.tuples(
+# (H, p, a start of 2p angles, max_evals)
+LANE_CASES = st.integers(1, 4).flatmap(lambda p: st.tuples(
     hamiltonians(max_n=8),
     st.just(p),
     st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 2 * np.pi)),
              min_size=2 * p, max_size=2 * p).map(np.array),
     st.integers(1, 60),
-)))
+))
+
+
+@settings(max_examples=100 * DEPTH)
+@given(LANE_CASES)
 @example(ZERO_GAMMAS)
 @example(ALL_ZERO)
 def test_mirrored_lane_is_bitwise_a_lane_on_negated_h(case):
     H, p, x0, max_evals = case
-    diag, neg_diag = H.diagonal(), negated(H).diagonal()
+    check_mirrored_lane(H, negated(H), p, x0, max_evals)
+
+
+@settings(max_examples=100 * DEPTH)
+@given(LANE_CASES)
+@example((IsingHamiltonian(2, {frozenset({1}): 1.5, frozenset(): 0.25}), 2,
+          np.array([0.0, 0.7, 1.3, 0.4]), 50))  # d = [1.75, 1.75, -1.25, -1.25], s = 1.5
+def test_mirrored_normalised_lane_is_bitwise_a_lane_on_negated_normalised_h(case):
+    H, p, x0, max_evals = case
+    (scaled, scale), (neg_scaled, neg_scale) = H.normalized(), negated(H).normalized()
+    assert neg_scale == scale
+    assert neg_scaled.diagonal().tobytes() == (negated(H).diagonal() / scale).tobytes()
+    check_mirrored_lane(scaled, neg_scaled, p, x0, max_evals)
+
+
+def check_mirrored_lane(H, neg_H, p, x0, max_evals):
+    """One Nelder-Mead lane mirrored over H's diagonal against the same lane
+    run plainly over neg_H's, and the two lanes' states."""
+    diag, neg_diag = H.diagonal(), neg_H.diagonal()
     kernel = _StateBuffers(2 * p + 1, H.n, diag)
     neg_kernel = _StateBuffers(2 * p + 1, H.n, neg_diag)
     ((x, fun, nfev),) = _lockstep([_nelder_mead(x0, max_evals)],
@@ -123,33 +143,46 @@ def test_mirrored_lane_is_bitwise_a_lane_on_negated_h(case):
     assert (x.tobytes(), repr(fun), nfev) == (ref_x.tobytes(), repr(ref_fun), ref_nfev)
     params = QaoaParams.from_vector(x)
     state = qaoa.ansatz_state(H, params.mirrored())
-    assert state.tobytes() == qaoa.ansatz_state(negated(H), params).tobytes()
+    assert state.tobytes() == qaoa.ansatz_state(neg_H, params).tobytes()
 
 
 def test_qaoa_solve_makes_one_optimize_call_and_one_diagonal():
     ms = nearest_neighbor_patterns(4)
     r = np.linspace(-1.0, 1.0, len(ms))
     spec = SolverSpec("qaoa", 4, restarts=2, max_evals=30, shots=16)
-    calls, diagonals = [], []
-    real_optimize, real_diagonal = qaoa.optimize, IsingHamiltonian.diagonal
+    calls, evolved, diagonals = [], [], []
+    real_optimize, real_ansatz_state = qaoa.optimize, qaoa.ansatz_state
+    real_diagonal = IsingHamiltonian.diagonal
 
     def spy(*args, **kwargs):
         calls.append((args, kwargs, real_optimize(*args, **kwargs)))
         return calls[-1][2]
 
+    def ansatz_state(H, params):
+        evolved.append(H)
+        return real_ansatz_state(H, params)
+
     def diagonal(H):
-        diagonals.append(real_diagonal(H))
-        return diagonals[-1]
+        diagonals.append((H, real_diagonal(H)))
+        return diagonals[-1][1]
 
     with mock.patch.object(qaoa, "optimize", spy), \
+            mock.patch.object(qaoa, "ansatz_state", ansatz_state), \
             mock.patch.object(IsingHamiltonian, "diagonal", diagonal):
         out = qaoa_solve(ms, r, spec, 9)
     ((args, kwargs, paired),) = calls
-    assert isinstance(args[0], IsingHamiltonian) and kwargs["p"] == spec.depth
+    scaled = args[0]
+    assert isinstance(scaled, IsingHamiltonian) and kwargs["p"] == spec.depth
+    assert len(evolved) == 1 and evolved[0] is scaled
     assert paired.evaluations == (out.diagnostics["max_evaluations"]
                                   + out.diagnostics["min_evaluations"])
-    # read by optimize and by the sampled states' batch, made once
-    assert len(diagonals) == 2 and diagonals[1] is diagonals[0]
+    # one raw diagonal, then the scaled one, made once and read by optimize
+    # and by the sampled states' batch
+    (H, d), (by_optimize, scaled_d), (by_states, states_d) = diagonals
+    assert H is not scaled and by_optimize is by_states is scaled and states_d is scaled_d
+    s = out.diagnostics["scale"]
+    assert s == np.abs(d - d.mean()).max() and s > 0.0
+    assert scaled_d.tobytes() == (d / s).tobytes() and not scaled_d.flags.writeable
 
 
 def test_warm_start_alone_cannot_serve_negated_target():

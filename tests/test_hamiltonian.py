@@ -1,11 +1,12 @@
-"""Pauli-Z assembly checked by hand expansions, and hand values of
-`H.diagonal()`.  The identity H.diagonal()[z] == column_dot(z, r, ms), to
-rounding, is acceptance criterion 1; `test_table_kernel` holds the diagonal
-bit for bit to a sign product per term."""
+"""Pauli-Z assembly checked by hand expansions, hand values of
+`H.diagonal()`, and `H.normalized()`'s division by the diagonal's spread.
+The identity H.diagonal()[z] == column_dot(z, r, ms), to rounding, is
+acceptance criterion 1; `test_table_kernel` holds the diagonal bit for bit
+to a sign product per term."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingpursuit.hamiltonian import IsingHamiltonian, build_hamiltonian
@@ -17,7 +18,7 @@ from isingpursuit.measurement import (
 )
 
 from oracles import negated
-from strategies import measurement_sets
+from strategies import hamiltonians, measurement_sets
 
 
 def test_single_bit_one_pattern_expansion():
@@ -89,6 +90,28 @@ def test_a_built_hamiltonian_makes_its_terms_when_first_read():
 def test_negated_flips_every_entry():
     H = IsingHamiltonian(3, {frozenset({1, 2}): 0.5, frozenset(): -1.0})
     assert np.allclose(negated(H).diagonal(), -H.diagonal())
+
+
+@given(hamiltonians(max_n=6))
+@example(IsingHamiltonian(2, {frozenset(): -0.5}))  # flat: the spread is zero
+def test_normalized_divides_the_diagonal_by_its_spread(H):
+    d = H.diagonal()
+    spread = np.abs(d - d.mean()).max()
+    scaled, scale = H.normalized()
+    assert scale == (spread if spread > 0.0 else 1.0)
+    kept = scaled.diagonal()
+    assert kept.tobytes() == (d / scale).tobytes()
+    assert scaled.diagonal() is kept and not kept.flags.writeable
+    assert scaled == IsingHamiltonian(H.n, {s: c / scale for s, c in H.terms.items()})
+    if spread > 0.0:
+        assert np.abs(kept - kept.mean()).max() == pytest.approx(1.0)
+
+
+def test_normalized_hand_values():
+    # d = [1.75, 1.75, -1.25, -1.25] has mean 0.25 and spread 1.5
+    scaled, scale = IsingHamiltonian(2, {frozenset({1}): 1.5, frozenset(): 0.25}).normalized()
+    assert scale == 1.5
+    assert np.allclose(scaled.diagonal(), [7 / 6, 7 / 6, -5 / 6, -5 / 6])
 
 
 def test_nearest_neighbor_sets_build_chains():
