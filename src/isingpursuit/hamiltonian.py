@@ -113,14 +113,23 @@ class IsingHamiltonian:
         terms are each coefficient / s (their own diagonal agrees with the
         kept one to rounding).
 
-        The spread is taken with numpy's warnings off: a finite diagonal
-        near +-1e308 overflows its mean, and one holding inf or NaN makes
-        s NaN.  Where s is zero (a flat diagonal) or not finite, s is 1.0,
-        and the diagonal keeps its raw values.
+        The spread is taken on d / 2**e, then multiplied by 2**e, with e
+        the least power that keeps 2**n * max|d| / 2**e below 2**1023: so
+        neither the mean nor any entry's distance from it can overflow for a
+        finite diagonal.  e is 0 unless max|d| nears 1e308 / 2**n, and s
+        is bit for bit max|d - mean d| wherever that is finite: dividing by
+        2**e is exact above the subnormal range, and the entries it rounds
+        lie far below every ulp of so wide a spread.  numpy's warnings are
+        off: s itself overflows when the spread passes the float range, and
+        a diagonal holding inf or NaN makes it NaN.  Where s is zero (a flat
+        diagonal) or not finite, s is 1.0, and the diagonal keeps its raw
+        values.
         """
         d = self.diagonal()
         with np.errstate(over="ignore", invalid="ignore"):
-            scale = float(np.abs(d - d.mean()).max())
+            e = max(0, math.frexp(float(np.abs(d).max()))[1] + self.n + 1 - 1024)
+            shrunk = np.ldexp(d, -e)
+            scale = float(np.ldexp(np.abs(shrunk - shrunk.mean()).max(), e))
         if not (math.isfinite(scale) and scale > 0.0):
             scale = 1.0
         scaled = IsingHamiltonian(self.n, {s: c / scale for s, c in self.terms.items()})

@@ -52,6 +52,19 @@ points of all live starts go through the kernel as one batch.  Each start
 returns exactly the x, value and evaluation count that scipy's minimize
 returns for it, while the package itself does not depend on scipy.
 
+The first round holds every lane's initial simplex: its start x0 and up to
+2p vertices, each of which changes one angle of x0, the gamma or beta of
+some layer l, and so shares x0's layers before l.  That round evolves on
+shared prefixes.  `_first_round` puts each batch's rows in the order in
+which they join, the rows that start from the uniform state first, and
+`_evolve` copies x0's state after layer l - 1 into each such vertex's row
+just before layer l, so the rows in play are always the first ones of the
+workspace.  A lane's first round then costs p**2 + 2p row-layers in place
+of 2p**2 + p.  A vertex whose x0 lies in another batch (a workspace with
+fewer rows than the round) starts from the uniform state.  Since each row
+is bitwise its solo evolution, a joining row starts from exactly the bits
+its own first layers give, and every value, step and result is unchanged.
+
 Asked for the top of -H as well, `optimize` runs -H's starts as mirrored
 lanes of the same batches, over H's diagonal: exp(i*gamma*(-h)) =
 exp(i*(-gamma)*h), so `_lockstep` negates their rows' gammas by a
@@ -68,6 +81,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -282,44 +297,114 @@ def apply_phase_layer(state: np.ndarray, H: IsingHamiltonian, gamma: float) -> n
     return kernel._views(1).phase(state[None], 1j * np.array([[gamma]]))[0]
 
 
-def _evolve(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
+def _evolve(kernel: _StateBuffers, angles: np.ndarray, joins: tuple = ()) -> np.ndarray:
     """Ansatz states for a (rows, 2p) array of angle rows [gammas, betas],
     at most the workspace's K: the workspace's (rows, 2**n) state view,
     which the next batch overwrites.
 
+    `joins` lets rows skip the layers they share with other rows.  It holds
+    (layer, parents) pairs in increasing 0-based layer: before that layer,
+    the next len(parents) rows join, each from the state that row
+    parents[k] holds after the layers before it.  The rows that start from
+    the uniform state come first, so the rows in play are always the first
+    ones, in a `[:rows]` view.  A plain batch has no joins.  A joining row's
+    state is gathered through the temporary, which the phase step
+    overwrites next, so no array is made for it.
+
     The set-up takes i*gamma, cos(beta) as complex and i*sin(beta) for all p
     layers at once, each product on angles cast to complex first, as
-    `_mixer_factors` does, and the batch's phase step and mixer sweep, bound
-    once for its row count.  Each layer then runs the two, all through `out`.
-    Every amplitude meets the same operands, in the same order, as with an
-    exp per entry, a fresh array per step and broadcast factors, so each
-    row is bitwise the state that evolving it alone gives (the oracle tests
-    check this).
+    `_mixer_factors` does, and the phase step and mixer sweep of each row
+    count, bound once for it.  Each layer then runs the two, all through
+    `out`.  Every amplitude meets the same operands, in the same order, as
+    with an exp per entry, a fresh array per step and broadcast factors, so
+    each row is bitwise the state that evolving it alone gives (the oracle
+    tests check this); a joining row starts from the bits its own first
+    layers would give.
     """
     p = angles.shape[1] // 2
     jg = 1j * angles[:, :p].T[:, :, None].astype(complex)  # (p, rows, 1)
     c, js = _mixer_factors(angles[:, p:].T[:, :, None])  # (p, rows, 1)
-    phase, mix, _ = kernel._views(len(angles))
+    rows = len(angles)
+    for _, parents in joins:
+        rows -= len(parents)
+    phase, mix, _ = kernel._views(rows)
     psi = kernel.start  # the first phase layer broadcasts it to every entry
-    for layer_jg, layer_c, layer_js in zip(jg, c, js):
+    layers, done = zip(jg, c, js), 0
+    for layer, parents in joins:
+        for layer_jg, layer_c, layer_js in islice(layers, layer - done):
+            phase(psi, layer_jg[:rows])
+            psi = mix(layer_c[:rows], layer_js[:rows])
+        state, temp = kernel.bufs[kernel.n % 2], kernel.bufs[2]
+        joined = rows + len(parents)
+        state.take(parents, 0, temp[rows:joined], "clip")
+        state[rows:joined] = temp[rows:joined]
+        psi, rows, done = state[:joined], joined, layer
+        phase, mix, _ = kernel._views(rows)
+    for layer_jg, layer_c, layer_js in layers:
         phase(psi, layer_jg)
         psi = mix(layer_c, layer_js)
     return psi
 
 
-def _expectations(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _shared_prefixes(rows: int, K: int, simplex: int, p: int) -> tuple:
+    """The evolve order and each batch's `_evolve` joins for a round of
+    `rows` rows in batches of K, made of runs of `simplex` rows, each a
+    Nelder-Mead lane's initial simplex: its start x0, then vertex v = 1, 2,
+    ..., which changes coordinate v - 1 of x0, the gamma or beta of 0-based
+    layer (v - 1) % p, and so shares x0's layers before that one.  A vertex
+    joins there from x0's state when x0 is in the same batch, and starts at
+    layer 0 when it is not.  Each batch keeps its rows, in the order in
+    which they join, stably.
+
+    Every solve of one arm asks for the same schedule, so it is kept, as
+    read-only arrays."""
+    index = np.arange(rows)
+    vertex = index % simplex
+    x0 = index - vertex
+    batch = index - index % K
+    join = np.where((vertex > 0) & (x0 >= batch), (vertex - 1) % p, 0)
+    order = np.lexsort((join, batch))
+    place = order.argsort()  # each row's place in the evolve order
+    joins = []
+    for lo in range(0, rows, K):
+        rows_in_order = order[lo:lo + K]
+        ends = np.bincount(join[rows_in_order], minlength=p).cumsum().tolist()
+        parents = place[x0[rows_in_order]] - lo  # x0's row in the batch
+        joins.append(tuple((layer, parents[ends[layer - 1]:ends[layer]])
+                           for layer in range(1, p) if ends[layer] > ends[layer - 1]))
+    for array in (order, *(parents for batch_joins in joins for _, parents in batch_joins)):
+        array.flags.writeable = False
+    return order, tuple(joins)
+
+
+def _expectations(kernel: _StateBuffers, angles: np.ndarray, joins: tuple = ()) -> np.ndarray:
     """<h> for each row of angles, in batches of up to the workspace's K
     rows, through |amp|**2 in the temporary.  np.vecdot runs a 1-D dot on
-    each contiguous row: a matrix-vector product would sum in another order."""
+    each contiguous row: a matrix-vector product would sum in another order.
+    `joins`, when given, holds each batch's `_evolve` joins; a plain batch
+    has none."""
     K = len(kernel.bufs[0])
     out = np.empty(len(angles))
     for lo in range(0, len(angles), K):
         batch = angles[lo:lo + K]
         probs = kernel._views(len(batch)).probs
-        np.abs(_evolve(kernel, batch), out=probs)
+        np.abs(_evolve(kernel, batch, joins[lo // K] if joins else ()), out=probs)
         np.square(probs, out=probs)  # what `** 2` runs
         np.vecdot(probs, kernel.diag, out=out[lo:lo + K])
     return out
+
+
+def _first_round(kernel: _StateBuffers, angles: np.ndarray, simplex: int) -> np.ndarray:
+    """`_expectations` of a round made of runs of `simplex` rows, each a
+    lane's initial simplex, evolved on shared prefixes: the rows go through
+    `_expectations` in the order `_shared_prefixes` gives, with its joins,
+    and the values come back in row order, bit for bit the plain batch's."""
+    order, joins = _shared_prefixes(len(angles), len(kernel.bufs[0]), simplex,
+                                    angles.shape[1] // 2)
+    values = np.empty(len(angles))
+    values[order] = _expectations(kernel, angles[order], joins)
+    return values
 
 
 def ansatz_state(H: IsingHamiltonian, params: QaoaParams | Sequence[QaoaParams]) -> np.ndarray:
@@ -558,10 +643,15 @@ def optimize(
         neg_starts = [neg_rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts)]
     lanes = [_nelder_mead(x0, max_evals) for x0 in starts + neg_starts]
 
-    # as wide as the widest round, every lane's initial simplex
-    kernel = _StateBuffers(len(lanes) * min(2 * p + 1, max_evals), H.n, H.diagonal())
+    # The first round, the widest, holds every lane's initial simplex, in
+    # lane order, and evolves on shared prefixes; each later round is plain.
+    simplex = min(2 * p + 1, max_evals)
+    kernel = _StateBuffers(len(lanes) * simplex, H.n, H.diagonal())
+    first_round = [simplex]
 
     def objective(angles: np.ndarray) -> np.ndarray:
+        if first_round:
+            return -_first_round(kernel, angles, first_round.pop())
         return -_expectations(kernel, angles)
 
     outcomes = _lockstep(lanes, objective, len(neg_starts))

@@ -3,7 +3,7 @@ marginals and spike values, marginals whose squared norm overflows, chain
 residuals whose sweep overflows, marginals that are not one vector entry per
 pattern, the 63-bit width of the index masks, the cap on 2**n-entry arrays,
 integer fields of the JSON loaders, empty solver budgets, diagonals whose
-spread QAOA cannot divide by, and a solver choice whose column no pattern
+spread QAOA cannot divide by or whose mean overflows, and a solver choice whose column no pattern
 measures."""
 
 import math
@@ -330,13 +330,18 @@ def test_a_flat_diagonal_with_a_kept_term_evolves_raw():
     assert out.diagnostics["scale"] == 1.0 and out.position in (0, 1)
 
 
-def test_a_finite_diagonal_whose_mean_overflows_evolves_raw():
+def test_a_finite_diagonal_whose_mean_overflows_is_normalised():
     # the diagonal is [1.7e308, 1.5e308]: finite, but its sum overflows, and
-    # a RuntimeWarning from the mean would fail this test
-    H = build_hamiltonian(ONE_BIT, np.array([1.7e308, 1.5e308]))
+    # a RuntimeWarning from the mean would fail this test; it used to evolve
+    # raw, and qaoa_solve raised "diagonal is not finite"
+    r = np.array([1.7e308, 1.5e308])
+    H = build_hamiltonian(ONE_BIT, r)
     assert np.isfinite(H.diagonal()).all()
     scaled, scale = H.normalized()
-    assert scale == 1.0 and scaled.diagonal().tobytes() == H.diagonal().tobytes()
+    assert scale == (1.7e308 / 4 - 1.5e308 / 4) / 2 * 4  # the spread of d / 4, times 4
+    assert scaled.diagonal().tobytes() == (H.diagonal() / scale).tobytes()
+    out = qaoa_solve(ONE_BIT, r, SolverSpec("qaoa", 2, 1, 10, 8), seed=0)
+    assert out.diagnostics["scale"] == scale and out.position in (0, 1)
 
 
 def test_qaoa_solve_refuses_a_diagonal_that_is_not_finite():

@@ -4,6 +4,8 @@ The identity H.diagonal()[z] == column_dot(z, r, ms), to rounding, is
 acceptance criterion 1; `test_table_kernel` holds the diagonal bit for bit
 to a sign product per term."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -105,6 +107,44 @@ def test_normalized_divides_the_diagonal_by_its_spread(H):
     assert scaled == IsingHamiltonian(H.n, {s: c / scale for s, c in H.terms.items()})
     if spread > 0.0:
         assert np.abs(kept - kept.mean()).max() == pytest.approx(1.0)
+
+
+# Diagonal entries at every scale up to the float maximum, signed zeros
+# and subnormals among them, so that sums near the top overflow.
+TOP_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.builds(lambda m, e: m * 2.0**e, st.floats(-1.0, 1.0), st.integers(-1074, 1023)),
+    st.floats(-1.0, 1.0),
+)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(TOP_ENTRIES, min_size=1 << n,
+                                                     max_size=1 << n)))
+@example([1.7e308, 1.5e308])  # finite, but the sum overflows
+@example([1.7e308, 1.7e308, 1.7e308, 1.5e308])  # the sum of d / 2 still overflows
+@example([1.7e308, -1.7e308, 5e-324, 1.0])  # the large entries cancel in the sum
+@example([0.0, 1.7976931348623157e308, 1.7976931348623157e308, -1.7976931348623157e308])
+def test_normalized_spread_is_finite_for_every_finite_diagonal(entries):
+    d = np.array(entries)
+    H = IsingHamiltonian(len(d).bit_length() - 1)
+    H._diagonal = d  # as if made from terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = float(np.abs(d - d.mean()).max())
+    scaled, scale = H.normalized()
+    if math.isfinite(spread) and spread > 0.0:
+        assert repr(scale) == repr(spread)  # bit for bit the plain formula
+    elif np.all(d == d[0]):
+        assert scale == 1.0
+    else:  # the plain formula overflowed: the spread of d / 2**(n + 2) cannot
+        small = d / 2.0 ** (H.n + 2)
+        spread = float(np.abs(small - small.mean()).max()) * 2.0 ** (H.n + 2)
+        if math.isfinite(spread):
+            assert scale == pytest.approx(spread)
+            kept = scaled.diagonal()
+            assert kept.tobytes() == (d / scale).tobytes() and np.isfinite(kept).all()
+            assert np.abs(kept - kept.mean()).max() == pytest.approx(1.0)
+        else:  # the spread itself passes the float range
+            assert scale == 1.0
 
 
 def test_normalized_hand_values():

@@ -7,7 +7,9 @@ whose table of distinct diagonal values must give the per-entry exp.
 Also: each workspace keeps at most the rows the batch budget allows, and
 `optimize` and `ansatz_state` each build exactly one; a state that
 `ansatz_state` returned is never written over.  And a mixer sweep, and a
-whole batch, that make no numpy iterator buffer."""
+whole batch, that make no numpy iterator buffer.  A first `optimize` round
+on shared prefixes must give the plain batch's values bit for bit, and
+four full lanes must evolve p**2 + 2p row-layers each."""
 
 import tracemalloc
 from unittest import mock
@@ -23,6 +25,8 @@ from isingpursuit.qaoa import (
     QaoaParams,
     _evolve,
     _expectations,
+    _first_round,
+    _nelder_mead,
     _StateBuffers,
     ansatz_state,
     apply_phase_layer,
@@ -141,6 +145,79 @@ def test_one_workspace_through_many_row_counts_is_bitwise_the_per_qubit_kernel(r
             assert _expectations(kernel, angles).tobytes() == values.tobytes()
         phased = _StateBuffers(1, n, diag)._views(1).phase(psi[None], 1j * np.array([[gamma]]))
         assert phased.tobytes() == phase_rows(psi[None], diag, np.array([gamma])).tobytes()
+
+
+def first_round_case(n: int, p: int, lanes: int, mirrored: int, max_evals: int, seed: int,
+                     K: int | None = None, zeros=()):
+    """The first round of an `optimize` run with `lanes` lanes, the last
+    `mirrored` of them over -H: each lane's initial simplex, min(2p + 1,
+    max_evals) rows from `_nelder_mead`, in lane order, and the mirrored
+    rows' gammas negated by `_lockstep`'s row sign.  The starts are random,
+    with the (lane, coordinate, value) entries of `zeros` written in, as a
+    warm start may hold them.  With a workspace of K rows, the round's width
+    unless given, over a normal diagonal."""
+    rng = np.random.default_rng(seed)
+    diag = rng.normal(size=1 << n)
+    starts = rng.uniform(0.0, 2.0 * np.pi, size=(lanes, 2 * p))
+    for lane, coordinate, value in zeros:
+        starts[lane, coordinate] = value
+    batch = np.concatenate([next(_nelder_mead(x0, max_evals)) for x0 in starts])
+    simplex = min(2 * p + 1, max_evals)
+    batch[(lanes - mirrored) * simplex:] *= np.repeat([-1.0, 1.0], p)
+    return diag, n, K or len(batch), batch, simplex
+
+
+@st.composite
+def first_round_cases(draw):
+    """Up to four lanes, some mirrored, some of their starts holding zero
+    coordinates (the simplex's absolute step), budgets that truncate the
+    simplex, and workspaces that split lanes across batches."""
+    n, p, lanes = draw(st.integers(1, 8)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    max_evals = draw(st.integers(1, 2 * p + 3))
+    zeros = draw(st.lists(st.tuples(st.integers(0, lanes - 1), st.integers(0, 2 * p - 1),
+                                    st.sampled_from([0.0, -0.0])), max_size=4))
+    mirrored, seed = draw(st.integers(0, lanes)), draw(st.integers(0, 2**32 - 1))
+    K = draw(st.integers(1, lanes * min(2 * p + 1, max_evals)))
+    return first_round_case(n, p, lanes, mirrored, max_evals, seed, K, zeros)
+
+
+@settings(max_examples=100 * DEPTH)
+@given(first_round_cases())
+@example(first_round_case(6, 3, 4, 2, 60, 0))
+@example(first_round_case(4, 5, 3, 1, 60, 1, K=8, zeros=[(0, 0, 0.0), (1, 7, -0.0)]))
+@example(first_round_case(5, 4, 2, 0, 6, 2, K=5))  # a simplex cut to 6 of its 9 rows
+@example(first_round_case(18, 2, 1, 0, 60, 3))  # K = 1: every vertex starts from the uniform state
+def test_a_first_round_on_shared_prefixes_is_bitwise_the_plain_batch(case):
+    diag, n, K, batch, simplex = case
+    shared = _first_round(_StateBuffers(K, n, diag), batch, simplex)
+    plain = _expectations(_StateBuffers(K, n, diag), batch)
+    assert shared.tobytes() == plain.tobytes()
+
+
+def counted_row_layers(rows: list):
+    """Patch `_StateBuffers._bind` so that every phase step appends its
+    batch's row count to rows: one row-layer per row."""
+    bind = _StateBuffers._bind
+
+    def counting(self, count):
+        views = bind(self, count)
+
+        def phase(psi, jg):
+            rows.append(count)
+            return views.phase(psi, jg)
+        return views._replace(phase=phase)
+    return mock.patch.object(_StateBuffers, "_bind", counting)
+
+
+def test_four_full_lanes_evolve_p_squared_plus_2p_row_layers_each():
+    H = quad_hamiltonian()
+    for p in range(1, 7):
+        rows = []
+        with counted_row_layers(rows):
+            # a budget of 2p + 1 ends every lane after its initial simplex
+            shared = optimize(H, p, restarts=2, max_evals=2 * p + 1, seed=p, negated_seed=p + 100)
+        assert shared.evaluations == 4 * (2 * p + 1)
+        assert sum(rows) == 4 * (p * p + 2 * p), p  # 4 * p * (2p + 1) as a plain batch
 
 
 def test_signed_zeros_are_two_levels():
