@@ -49,7 +49,10 @@ def _given(args: argparse.Namespace, hints: dict) -> dict:
 
 
 def _solver(fields: dict, counts: list[int]) -> SolverSpec:
-    """The solver a field dict names; one parameter count sets its param_count."""
+    """The solver a field dict names: one count sets its param_count, two or more sweep qaoa."""
+    if len(counts) > 1 and fields.get("backend", "qaoa") != "qaoa":
+        raise ValueError(f"a sweep of {len(counts)} parameter counts runs the qaoa backend, "
+                         f"got {fields['backend']!r}")
     return SolverSpec(**({**fields, "param_count": counts[0]} if len(counts) == 1 else fields))
 
 

@@ -54,26 +54,28 @@ returns for it, while the package itself does not depend on scipy.
 
 The first round holds every lane's initial simplex: its start x0 and up to
 2p vertices, each of which changes one angle of x0, the gamma or beta of
-some layer l, and so shares x0's layers before l.  That round evolves on
-shared prefixes.  `_first_round` puts each batch's rows in the order in
-which they join, the rows that start from the uniform state first, and
-`_evolve` copies x0's state after layer l - 1 into each such vertex's row
-just before layer l, so the rows in play are always the first ones of the
-workspace.  A lane's first round then costs p**2 + 2p row-layers in place
-of 2p**2 + p.  A vertex whose x0 lies in another batch (a workspace with
-fewer rows than the round) starts from the uniform state.  Since each row
-is bitwise its solo evolution, a joining row starts from exactly the bits
-its own first layers give, and every value, step and result is unchanged.
+some layer l, and so shares x0's layers before l.  Given the simplex's row
+count, `_expectations` evolves that round on shared prefixes: it puts each
+batch's rows in the order in which they join, the rows that start from the
+uniform state first, and `_evolve` copies x0's state after layer l - 1 into
+each such vertex's row just before layer l, so the rows in play are always
+the first ones of the workspace.  A lane's first round then costs p**2 + 2p
+row-layers in place of 2p**2 + p.  A vertex whose x0 lies in another batch
+(a workspace with fewer rows than the round) starts from the uniform state.
+Since each row is bitwise its solo evolution, a joining row starts from
+exactly the bits its own first layers give, and every value, step and
+result is unchanged.
 
 Asked for the top of -H as well, `optimize` runs -H's starts as mirrored
 lanes of the same batches, over H's diagonal: exp(i*gamma*(-h)) =
-exp(i*(-gamma)*h), so `_lockstep` negates their rows' gammas by a
-row sign and maps each value v = -<H> to -<-H> as -(0.0 - -v).  Every value
-is bit for bit the one -H's own diagonal gives.  IEEE products and sums
-commute with negation, so each phase angle (-gamma)*h(z) equals
-gamma*(-h(z)); the amplitudes then differ at most in the sign of an exact
-zero, which |amp|**2 drops; and each row's dot with -h is its negated dot
-with h, except that an exact zero sum is +0.0 both ways, as 0.0 - <H> gives.
+exp(i*(-gamma)*h), so `_mirrored` negates the gammas of a lane's points by
+a row sign and maps each value v = -<H> back to -<-H> as -(0.0 - -v), and
+`_lockstep` drives lanes of either target alike.  Every value is bit for
+bit the one -H's own diagonal gives.  IEEE products and sums commute with
+negation, so each phase angle (-gamma)*h(z) equals gamma*(-h(z)); the
+amplitudes then differ at most in the sign of an exact zero, which |amp|**2
+drops; and each row's dot with -h is its negated dot with h, except that an
+exact zero sum is +0.0 both ways, as 0.0 - <H> gives.
 """
 
 from __future__ import annotations
@@ -378,33 +380,26 @@ def _shared_prefixes(rows: int, K: int, simplex: int, p: int) -> tuple:
     return order, tuple(joins)
 
 
-def _expectations(kernel: _StateBuffers, angles: np.ndarray, joins: tuple = ()) -> np.ndarray:
+def _expectations(kernel: _StateBuffers, angles: np.ndarray, simplex: int = 0) -> np.ndarray:
     """<h> for each row of angles, in batches of up to the workspace's K
     rows, through |amp|**2 in the temporary.  np.vecdot runs a 1-D dot on
     each contiguous row: a matrix-vector product would sum in another order.
-    `joins`, when given, holds each batch's `_evolve` joins; a plain batch
-    has none."""
+    Given `simplex`, the rows are runs of that many, each a lane's initial
+    simplex: they evolve on shared prefixes, in `_shared_prefixes`' order
+    and with its joins, and their values go back in row order, bit for bit
+    the plain batch's."""
     K = len(kernel.bufs[0])
+    if simplex:
+        order, joins = _shared_prefixes(len(angles), K, simplex, angles.shape[1] // 2)
+        angles = angles[order]
     out = np.empty(len(angles))
     for lo in range(0, len(angles), K):
         batch = angles[lo:lo + K]
         probs = kernel._views(len(batch)).probs
-        np.abs(_evolve(kernel, batch, joins[lo // K] if joins else ()), out=probs)
+        np.abs(_evolve(kernel, batch, joins[lo // K] if simplex else ()), out=probs)
         np.square(probs, out=probs)  # what `** 2` runs
         np.vecdot(probs, kernel.diag, out=out[lo:lo + K])
-    return out
-
-
-def _first_round(kernel: _StateBuffers, angles: np.ndarray, simplex: int) -> np.ndarray:
-    """`_expectations` of a round made of runs of `simplex` rows, each a
-    lane's initial simplex, evolved on shared prefixes: the rows go through
-    `_expectations` in the order `_shared_prefixes` gives, with its joins,
-    and the values come back in row order, bit for bit the plain batch's."""
-    order, joins = _shared_prefixes(len(angles), len(kernel.bufs[0]), simplex,
-                                    angles.shape[1] // 2)
-    values = np.empty(len(angles))
-    values[order] = _expectations(kernel, angles[order], joins)
-    return values
+    return out[order.argsort()] if simplex else out
 
 
 def ansatz_state(H: IsingHamiltonian, params: QaoaParams | Sequence[QaoaParams]) -> np.ndarray:
@@ -539,17 +534,27 @@ def _nelder_mead(x0: np.ndarray, maxfev: int):
     return sim[0], fsim.min(), nfev
 
 
-def _lockstep(lanes: list, objective, mirrored: int = 0) -> list:
+def _mirrored(lane, sign: np.ndarray):
+    """A lane over -H run on H's diagonal (see the module docstring): it
+    sends out each of the lane's points times the row sign [-1] * p + [1] *
+    p, and sends each value v it gets back into the lane as -(0.0 - -v)."""
+    values = None
+    while True:
+        try:
+            points = lane.send(values)
+        except StopIteration as stop:
+            return stop.value
+        values = [-(0.0 - -v) for v in (yield points * sign)]
+
+
+def _lockstep(lanes: list, objective) -> list:
     """Run generator lanes to completion together.  Each round, the points
     every live lane is waiting on go to `objective` as one (m, N) array, and
     each lane is sent its own slice of the m values.  Returns the lanes'
-    return values in order.  The last `mirrored` lanes run over -H (see the
-    module docstring): their rows, last in the batch, are multiplied in
-    place by the row sign [-1] * p + [1] * p, and their values v go back as
-    -(0.0 - -v)."""
+    return values in order.  A lane over -H comes wrapped in `_mirrored`,
+    so lanes of either target may sit anywhere in the list."""
     results: list = [None] * len(lanes)
     pending: dict = {}
-    first_mirrored, sign = len(lanes) - mirrored, None
 
     def advance(i, values):
         try:
@@ -562,17 +567,7 @@ def _lockstep(lanes: list, objective, mirrored: int = 0) -> list:
         advance(i, None)
     while pending:
         live = list(pending.items())
-        batch = np.concatenate([points for _, points in live])
-        split = sum(len(points) for i, points in live if i < first_mirrored)
-        if split < len(batch):
-            sign = np.repeat([-1.0, 1.0], batch.shape[1] // 2) if sign is None else sign
-            batch[split:] *= sign
-        values = objective(batch)
-        tail = values[split:]
-        np.negative(tail, tail)
-        np.subtract(0.0, tail, tail)
-        np.negative(tail, tail)
-        values, lo = values.tolist(), 0
+        values, lo = objective(np.concatenate([points for _, points in live])).tolist(), 0
         for i, points in live:
             advance(i, values[lo:lo + len(points)])
             lo += len(points)
@@ -637,24 +632,22 @@ def optimize(
             raise ValueError(f"warm start has depth {init.p}, expected {p}")
         starts.append(init.to_vector())
     starts.extend(rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
-    neg_starts = []
+    lanes = [_nelder_mead(x0, max_evals) for x0 in starts]
     if negated_seed is not None:
-        neg_rng = np.random.default_rng(negated_seed)
-        neg_starts = [neg_rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts)]
-    lanes = [_nelder_mead(x0, max_evals) for x0 in starts + neg_starts]
+        neg_rng, sign = np.random.default_rng(negated_seed), np.repeat([-1.0, 1.0], p)
+        neg_starts = (neg_rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
+        lanes += [_mirrored(_nelder_mead(x0, max_evals), sign) for x0 in neg_starts]
 
     # The first round, the widest, holds every lane's initial simplex, in
     # lane order, and evolves on shared prefixes; each later round is plain.
     simplex = min(2 * p + 1, max_evals)
     kernel = _StateBuffers(len(lanes) * simplex, H.n, H.diagonal())
-    first_round = [simplex]
+    first_round = iter([simplex])
 
     def objective(angles: np.ndarray) -> np.ndarray:
-        if first_round:
-            return -_first_round(kernel, angles, first_round.pop())
-        return -_expectations(kernel, angles)
+        return -_expectations(kernel, angles, next(first_round, 0))
 
-    outcomes = _lockstep(lanes, objective, len(neg_starts))
+    outcomes = _lockstep(lanes, objective)
     plus, minus = outcomes[:len(starts)], outcomes[len(starts):]
     if negated_seed is None:
         return _best(plus)

@@ -7,7 +7,7 @@ from dataclasses import fields as dataclass_fields
 import numpy as np
 import pytest
 
-from isingpursuit.cli import build_parser, main
+from isingpursuit.cli import _solver, build_parser, main
 from isingpursuit.experiment import (
     BACKENDS,
     PATTERN_KINDS,
@@ -177,6 +177,28 @@ def test_chain_on_quad_patterns_exits_2_before_any_worker(monkeypatch, capsys):
                    "--solver", "chain", "--patterns", "quad", "--workers", "2") == 2
     err = capsys.readouterr().err
     assert err.splitlines() == ["error: the chain solver needs nn patterns, got 'quad'"]
+
+
+@pytest.mark.parametrize("backend", ["brute", "chain"])
+def test_a_sweep_refuses_a_backend_other_than_qaoa_before_any_trial(
+        backend, tmp_path, monkeypatch, capsys):
+    # a sweep used to run its QAOA arms after the baseline, ignoring the backend
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("isingpursuit.cli.run_batch", no_trials)
+    monkeypatch.setattr("isingpursuit.cli.run_sweep", no_trials)
+    assert run_cli("experiment", "--n", "6", "--sparsity", "2", "--solver", backend,
+                   "--params", "5,9") == 2
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"n": 6, "sparsity": 2, "parameter_counts": [5, 9, 15],
+                                "solver": {"backend": backend}}))
+    assert run_cli("experiment", "--plan", str(path)) == 2
+    message = "parameter counts runs the qaoa backend, got " + repr(backend)
+    assert capsys.readouterr().err.splitlines() == [
+        "error: a sweep of 2 " + message, "error: a sweep of 3 " + message]
+    # one count still sets the spec's param_count, whatever its backend
+    assert _solver({"backend": backend}, [5]) == SolverSpec(backend, param_count=5)
 
 
 def test_max_iterations_flag_gives_the_plan_files_csv(tmp_path, capsys):

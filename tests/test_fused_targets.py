@@ -1,8 +1,10 @@
 """qaoa_solve's one lockstep run over H and -H against the two-call path in
 `oracles`, bit for bit: position, score, diagnostics, both sampled states
 and their samples.  A mirrored lane, which runs -H on H's diagonal with its
-gammas negated by `_lockstep`'s row sign, is also checked on its own, from
-starts whose gammas are exactly zero, on H as built and normalised."""
+gammas negated by `_mirrored`'s row sign, is also checked on its own, from
+starts whose gammas are exactly zero, on H as built and normalised; and
+lanes of both targets in any order must each return what they return run
+alone."""
 
 from unittest import mock
 
@@ -19,6 +21,7 @@ from isingpursuit.qaoa import (
     _expectations,
     _StateBuffers,
     _lockstep,
+    _mirrored,
     _nelder_mead,
     optimize,
 )
@@ -99,35 +102,31 @@ def test_qaoa_solve_is_bitwise_the_two_call_path(case):
 ZERO_GAMMAS = (IsingHamiltonian(2, {frozenset({1}): 1.0}), 2, np.array([0.0, -0.0, 1.3, 0.4]), 50)
 # At all-zero angles the state stays uniform and <H> = <Z_1> is exactly zero.
 ALL_ZERO = (IsingHamiltonian(2, {frozenset({1}): 1.0}), 1, np.zeros(2), 3)
+
+
+def starts(p: int):
+    """A start of 2p angles in [0, 2*pi], signed zeros among them."""
+    return st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 2 * np.pi)),
+                    min_size=2 * p, max_size=2 * p).map(np.array)
+
+
 # (H, p, a start of 2p angles, max_evals)
 LANE_CASES = st.integers(1, 4).flatmap(lambda p: st.tuples(
-    hamiltonians(max_n=8),
-    st.just(p),
-    st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 2 * np.pi)),
-             min_size=2 * p, max_size=2 * p).map(np.array),
-    st.integers(1, 60),
-))
+    hamiltonians(max_n=8), st.just(p), starts(p), st.integers(1, 60)))
 
 
 @settings(max_examples=100 * DEPTH)
-@given(LANE_CASES)
-@example(ZERO_GAMMAS)
-@example(ALL_ZERO)
-def test_mirrored_lane_is_bitwise_a_lane_on_negated_h(case):
-    H, p, x0, max_evals = case
-    check_mirrored_lane(H, negated(H), p, x0, max_evals)
-
-
-@settings(max_examples=100 * DEPTH)
-@given(LANE_CASES)
+@given(LANE_CASES, st.booleans())
+@example(ZERO_GAMMAS, False)
+@example(ALL_ZERO, False)
 @example((IsingHamiltonian(2, {frozenset({1}): 1.5, frozenset(): 0.25}), 2,
-          np.array([0.0, 0.7, 1.3, 0.4]), 50))  # d = [1.75, 1.75, -1.25, -1.25], s = 1.5
-def test_mirrored_normalised_lane_is_bitwise_a_lane_on_negated_normalised_h(case):
+          np.array([0.0, 0.7, 1.3, 0.4]), 50), True)  # d = [1.75, 1.75, -1.25, -1.25], s = 1.5
+def test_mirrored_lane_is_bitwise_a_lane_on_negated_h(case, normalise):
     H, p, x0, max_evals = case
-    (scaled, scale), (neg_scaled, neg_scale) = H.normalized(), negated(H).normalized()
-    assert neg_scale == scale
-    assert neg_scaled.diagonal().tobytes() == (negated(H).diagonal() / scale).tobytes()
-    check_mirrored_lane(scaled, neg_scaled, p, x0, max_evals)
+    neg_H = negated(H)
+    if normalise:
+        (H, _), (neg_H, _) = H.normalized(), neg_H.normalized()
+    check_mirrored_lane(H, neg_H, p, x0, max_evals)
 
 
 def check_mirrored_lane(H, neg_H, p, x0, max_evals):
@@ -136,14 +135,52 @@ def check_mirrored_lane(H, neg_H, p, x0, max_evals):
     diag, neg_diag = H.diagonal(), neg_H.diagonal()
     kernel = _StateBuffers(2 * p + 1, H.n, diag)
     neg_kernel = _StateBuffers(2 * p + 1, H.n, neg_diag)
-    ((x, fun, nfev),) = _lockstep([_nelder_mead(x0, max_evals)],
-                                  lambda angles: -_expectations(kernel, angles), mirrored=1)
+    lane = _mirrored(_nelder_mead(x0, max_evals), np.repeat([-1.0, 1.0], p))
+    ((x, fun, nfev),) = _lockstep([lane], lambda angles: -_expectations(kernel, angles))
     ((ref_x, ref_fun, ref_nfev),) = _lockstep([_nelder_mead(x0, max_evals)],
                                               lambda angles: -_expectations(neg_kernel, angles))
     assert (x.tobytes(), repr(fun), nfev) == (ref_x.tobytes(), repr(ref_fun), ref_nfev)
     params = QaoaParams.from_vector(x)
     state = qaoa.ansatz_state(H, params.mirrored())
     assert state.tobytes() == qaoa.ansatz_state(neg_H, params).tobytes()
+
+
+@st.composite
+def mixed_lanes(draw):
+    """H, a depth p, one to five lanes of one budget, each (mirrored, x0),
+    so that lanes over H and over -H interleave in any order, and a
+    workspace width that may split a lane's simplex across batches."""
+    H, p = draw(hamiltonians(max_n=6)), draw(st.integers(1, 4))
+    lanes = draw(st.lists(st.tuples(st.booleans(), starts(p)), min_size=1, max_size=5))
+    max_evals = draw(st.integers(1, 60))
+    K = draw(st.integers(1, len(lanes) * min(2 * p + 1, max_evals)))
+    return H, p, lanes, max_evals, K
+
+
+@settings(max_examples=100 * DEPTH)
+@given(mixed_lanes())
+@example((IsingHamiltonian(2, {frozenset({1}): 1.0}), 2,
+          [(True, np.array([0.0, -0.0, 1.3, 0.4])), (False, np.array([0.5, 2.0, 1.0, 0.1])),
+           (True, np.array([3.0, 0.2, 0.0, 4.0]))], 40, 15))
+def test_lockstep_runs_every_lane_as_alone_in_any_order(case):
+    """Lanes over H and mirrored lanes over -H, in any order, driven
+    together as `optimize` drives them, first round on shared prefixes:
+    each returns what it returns run alone, over H's diagonal, or over
+    negated(H)'s when mirrored."""
+    H, p, lanes, max_evals, K = case
+    sign = np.repeat([-1.0, 1.0], p)
+    kernel = _StateBuffers(K, H.n, H.diagonal())
+    first_round = iter([min(2 * p + 1, max_evals)])
+    together = _lockstep(
+        [_mirrored(_nelder_mead(x0, max_evals), sign) if mirrored else _nelder_mead(x0, max_evals)
+         for mirrored, x0 in lanes],
+        lambda angles: -_expectations(kernel, angles, next(first_round, 0)))
+    alone = {mirrored: _StateBuffers(2 * p + 1, H.n, (negated(H) if mirrored else H).diagonal())
+             for mirrored in (False, True)}
+    for (mirrored, x0), (x, fun, nfev) in zip(lanes, together):
+        ((ref_x, ref_fun, ref_nfev),) = _lockstep(
+            [_nelder_mead(x0, max_evals)], lambda angles: -_expectations(alone[mirrored], angles))
+        assert repr((x.tolist(), fun, nfev)) == repr((ref_x.tolist(), ref_fun, ref_nfev))
 
 
 def test_qaoa_solve_makes_one_optimize_call_and_one_diagonal():

@@ -107,6 +107,10 @@ def test_normalized_divides_the_diagonal_by_its_spread(H):
     assert scaled == IsingHamiltonian(H.n, {s: c / scale for s, c in H.terms.items()})
     if spread > 0.0:
         assert np.abs(kept - kept.mean()).max() == pytest.approx(1.0)
+    # -H has the same spread, so its mirrored lanes run on the same scale
+    neg_scaled, neg_scale = negated(H).normalized()
+    assert neg_scale == scale
+    assert neg_scaled.diagonal().tobytes() == (negated(H).diagonal() / scale).tobytes()
 
 
 # Diagonal entries at every scale up to the float maximum, signed zeros

@@ -1,4 +1,4 @@
-"""`qaoa.optimize`, whose `_lockstep` runs -H's lanes under a row sign
+"""`qaoa.optimize`, whose `_mirrored` lanes run -H under a row sign
 and whose Nelder-Mead step takes scipy's arrays in fewer numpy calls,
 against scipy's Nelder-Mead run start by start: `oracles.scipy_optimize`
 on H with `seed`, and on `oracles.negated(H)` with `negated_seed`.  The

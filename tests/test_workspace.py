@@ -25,7 +25,6 @@ from isingpursuit.qaoa import (
     QaoaParams,
     _evolve,
     _expectations,
-    _first_round,
     _nelder_mead,
     _StateBuffers,
     ansatz_state,
@@ -152,7 +151,7 @@ def first_round_case(n: int, p: int, lanes: int, mirrored: int, max_evals: int, 
     """The first round of an `optimize` run with `lanes` lanes, the last
     `mirrored` of them over -H: each lane's initial simplex, min(2p + 1,
     max_evals) rows from `_nelder_mead`, in lane order, and the mirrored
-    rows' gammas negated by `_lockstep`'s row sign.  The starts are random,
+    rows' gammas negated by `_mirrored`'s row sign.  The starts are random,
     with the (lane, coordinate, value) entries of `zeros` written in, as a
     warm start may hold them.  With a workspace of K rows, the round's width
     unless given, over a normal diagonal."""
@@ -189,7 +188,7 @@ def first_round_cases(draw):
 @example(first_round_case(18, 2, 1, 0, 60, 3))  # K = 1: every vertex starts from the uniform state
 def test_a_first_round_on_shared_prefixes_is_bitwise_the_plain_batch(case):
     diag, n, K, batch, simplex = case
-    shared = _first_round(_StateBuffers(K, n, diag), batch, simplex)
+    shared = _expectations(_StateBuffers(K, n, diag), batch, simplex)
     plain = _expectations(_StateBuffers(K, n, diag), batch)
     assert shared.tobytes() == plain.tobytes()
 
