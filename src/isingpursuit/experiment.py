@@ -21,7 +21,8 @@ import numpy as np
 from .measurement import (MeasurementSet, _check_quadruplets, measure, nearest_neighbor_patterns,
                           random_quadruplet_patterns)
 from .pursuit import PursuitConfig, ReconstructionResult, Solver, matching_pursuit, recovery_success
-from .signal import SparseSignal, _check_dense_size, _check_sparsity, random_sparse_signal
+from .signal import (SparseSignal, _check_dense_size, _check_sparsity, _read_int_fields,
+                     random_sparse_signal)
 from .solvers import BACKENDS, SolverSpec, brute_force_solve, chain_dp_solve, qaoa_solve
 
 PATTERN_KINDS = ("nn", "quad")
@@ -45,6 +46,8 @@ class ExperimentPlan:
     workers: int = 1
 
     def __post_init__(self):
+        _read_int_fields(self, "n", "sparsity", "trial_count", "master_seed", "workers",
+                         optional=("quadruplets", "max_iterations"))
         _check_sparsity(self.n, self.sparsity)
         if self.solver.backend in ("brute", "qaoa"):  # each step builds a 2**n array
             _check_dense_size(self.n)

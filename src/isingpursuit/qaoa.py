@@ -20,7 +20,7 @@ call, asked for a row for each set of angles it is given, so a QAOA solve
 evolves its two sampled states as one batch (up to n = 17) over the
 diagonal its `optimize` run made (the Hamiltonian keeps it); it copies each
 batch into the array it returns, so no later call writes over a state it
-returned.  `apply_phase_layer` makes one with K = 1.  A layer's phase step
+returned.  No other function makes one.  A layer's phase step
 is one exp per row and level, in a (rows, levels) table made by one
 same-shape product of the layer's i*gamma, filled across a factor row,
 with the level rows; then one gather of the table into full rows and one
@@ -94,12 +94,15 @@ from .signal import _check_dense_size
 
 @dataclass(frozen=True)
 class QaoaParams:
-    """Per-layer angles; depth p = len(gammas) = len(betas), 2p free parameters."""
+    """Per-layer angles; depth p = len(gammas) = len(betas), 2p free parameters.
+    Any sequences of numbers are kept as tuples of floats."""
 
     gammas: tuple[float, ...]
     betas: tuple[float, ...]
 
     def __post_init__(self):
+        for name in ("gammas", "betas"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if len(self.gammas) != len(self.betas):
             raise ValueError("gammas and betas must have equal length")
         if len(self.gammas) < 1:
@@ -112,7 +115,7 @@ class QaoaParams:
     @classmethod
     def from_vector(cls, x: np.ndarray) -> "QaoaParams":
         p = len(x) // 2
-        return cls(tuple(float(v) for v in x[:p]), tuple(float(v) for v in x[p:]))
+        return cls(x[:p], x[p:])
 
     def to_vector(self) -> np.ndarray:
         return np.array(self.gammas + self.betas)
@@ -188,12 +191,11 @@ class _StateBuffers:
     of them, and at least one.  `optimize` makes one workspace per run, as
     wide as its widest round, and `ansatz_state` one per call, a row for
     each set of angles it is given; both evolve in batches of at most K
-    rows.  `apply_phase_layer` makes one with K = 1.  A batch of `rows` rows
-    works in `[:rows]` views.  `_views` binds them once per row count, with
-    the levels and factor rows, into that batch's phase step, mixer sweep
-    and |amp|**2 view, and keeps the three in `by_rows`.  The phase step
-    writes buffer 0, so every mixer sweep starts there; each step returns
-    the view that holds the state.
+    rows.  A batch of `rows` rows works in `[:rows]` views.  `_views` binds
+    them once per row count, with the levels and factor rows, into that
+    batch's phase step, mixer sweep and |amp|**2 view, and keeps the three
+    in `by_rows`.  The phase step writes buffer 0, so every mixer sweep
+    starts there; each step returns the view that holds the state.
 
     A mixer step on qubit q (MSB-first) applies [[c, js], [js, c]] with c
     and js written across every entry of the factor rows, so both products
@@ -295,8 +297,7 @@ def apply_phase_layer(state: np.ndarray, H: IsingHamiltonian, gamma: float) -> n
     """amplitude_z *= exp(i * gamma * h(z)); exact, norm preserving."""
     if num_qubits(state) != H.n:
         raise ValueError(f"state has {num_qubits(state)} qubits but H has {H.n}")
-    kernel = _StateBuffers(1, H.n, H.diagonal())
-    return kernel._views(1).phase(state[None], 1j * np.array([[gamma]]))[0]
+    return np.multiply(state, np.exp(1j * gamma * H.diagonal()))  # the kernel's operand order
 
 
 def _evolve(kernel: _StateBuffers, angles: np.ndarray, joins: tuple = ()) -> np.ndarray:
@@ -350,7 +351,7 @@ def _evolve(kernel: _StateBuffers, angles: np.ndarray, joins: tuple = ()) -> np.
 
 @lru_cache(maxsize=64)
 def _shared_prefixes(rows: int, K: int, simplex: int, p: int) -> tuple:
-    """The evolve order and each batch's `_evolve` joins for a round of
+    """The evolve order, its inverse and each batch's joins for a round of
     `rows` rows in batches of K, made of runs of `simplex` rows, each a
     Nelder-Mead lane's initial simplex: its start x0, then vertex v = 1, 2,
     ..., which changes coordinate v - 1 of x0, the gamma or beta of 0-based
@@ -375,9 +376,9 @@ def _shared_prefixes(rows: int, K: int, simplex: int, p: int) -> tuple:
         parents = place[x0[rows_in_order]] - lo  # x0's row in the batch
         joins.append(tuple((layer, parents[ends[layer - 1]:ends[layer]])
                            for layer in range(1, p) if ends[layer] > ends[layer - 1]))
-    for array in (order, *(parents for batch_joins in joins for _, parents in batch_joins)):
+    for array in (order, place, *(parents for batch_joins in joins for _, parents in batch_joins)):
         array.flags.writeable = False
-    return order, tuple(joins)
+    return order, place, tuple(joins)
 
 
 def _expectations(kernel: _StateBuffers, angles: np.ndarray, simplex: int = 0) -> np.ndarray:
@@ -390,7 +391,7 @@ def _expectations(kernel: _StateBuffers, angles: np.ndarray, simplex: int = 0) -
     the plain batch's."""
     K = len(kernel.bufs[0])
     if simplex:
-        order, joins = _shared_prefixes(len(angles), K, simplex, angles.shape[1] // 2)
+        order, place, joins = _shared_prefixes(len(angles), K, simplex, angles.shape[1] // 2)
         angles = angles[order]
     out = np.empty(len(angles))
     for lo in range(0, len(angles), K):
@@ -399,7 +400,7 @@ def _expectations(kernel: _StateBuffers, angles: np.ndarray, simplex: int = 0) -
         np.abs(_evolve(kernel, batch, joins[lo // K] if simplex else ()), out=probs)
         np.square(probs, out=probs)  # what `** 2` runs
         np.vecdot(probs, kernel.diag, out=out[lo:lo + K])
-    return out[order.argsort()] if simplex else out
+    return out[place] if simplex else out
 
 
 def ansatz_state(H: IsingHamiltonian, params: QaoaParams | Sequence[QaoaParams]) -> np.ndarray:

@@ -47,10 +47,21 @@ def _check_sparsity(n: int, s: int) -> None:
 
 
 def _read_int(value, name: str) -> int:
-    """A JSON integer field: an int, or a float with an integral value such as 3.0."""
-    if type(value) is int or type(value) is float and value.is_integer():
+    """An integer field: a Python or numpy integer, or a float with an integral
+    value such as 3.0, as JSON may write one; never a bool."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            or isinstance(value, (float, np.floating)) and float(value).is_integer()):
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _read_int_fields(record, *names: str, optional: tuple[str, ...] = ()) -> None:
+    """Read each named field of a frozen dataclass through _read_int and keep
+    it as an int; a field named in `optional` may also hold None."""
+    for name in names + optional:
+        value = getattr(record, name)
+        if value is not None or name not in optional:
+            object.__setattr__(record, name, _read_int(value, name))
 
 
 def _is_finite(value) -> bool:

@@ -16,10 +16,12 @@ scalars, which the float-list `chain_dp_solve` must match exactly.
 `evolve_per_qubit` is the ansatz kernel with a fresh array for every phase
 and every qubit's mixer, and `expectations_per_row` a 1-D dot per row:
 the buffer kernel `qaoa._evolve`, one reused `qaoa._StateBuffers`
-workspace at every row count it is driven through, and the single layers
-`qaoa.apply_phase_layer` and `apply_mixer_layer` must match them bit for
-bit.  `apply_mixer_layer` is no reference: it runs the package's mixer
-sweep alone, in a one-row workspace over a zero diagonal.
+workspace at every row count it is driven through, its one-row phase step
+and `apply_mixer_layer` must match them bit for bit, and so must
+`qaoa.apply_phase_layer`, which builds no workspace: it is `phase_rows`'s
+per-entry formula on one row.  `apply_mixer_layer` is no reference: it
+runs the package's mixer sweep alone, in a one-row workspace over a zero
+diagonal.
 `simulate_gates_selectors` writes CX and RZ through index lists that
 select each gate qubit's halves of the state, and each RX as one
 `x_mix_rows` step, which the axis-moving `simulate_gates` must match bit

@@ -2,9 +2,9 @@
 marginals and spike values, marginals whose squared norm overflows, chain
 residuals whose sweep overflows, marginals that are not one vector entry per
 pattern, the 63-bit width of the index masks, the cap on 2**n-entry arrays,
-integer fields of the JSON loaders, empty solver budgets, diagonals whose
-spread QAOA cannot divide by or whose mean overflows, and a solver choice whose column no pattern
-measures."""
+integer fields of the JSON loaders and of specs and plans built in Python,
+empty solver budgets, diagonals whose spread QAOA cannot divide by or whose
+mean overflows, and a solver choice whose column no pattern measures."""
 
 import math
 import sys
@@ -292,6 +292,53 @@ def test_empty_solver_budgets_are_rejected(budget, value, backend):
 @given(st.sampled_from(BUDGETS), st.integers(1, 2**31))
 def test_positive_solver_budgets_are_kept(budget, value):
     assert getattr(SolverSpec("qaoa", **{budget: value}), budget) == value
+
+
+def _plan(**fields):
+    return ExperimentPlan(**{"n": 6, "sparsity": 2, **fields})
+
+
+# (constructor, field, integers the field may hold) for every integer field
+# of a solver spec and a plan built in Python
+SPEC_FIELDS = {
+    **{f"SolverSpec-{name}": (lambda v, name=name: SolverSpec("qaoa", **{name: v}), name,
+                              st.integers(1, 2**31)) for name in BUDGETS},
+    "ExperimentPlan-n": (lambda v: _plan(n=v), "n", st.integers(2, DENSE_VECTOR_CAP)),
+    **{f"ExperimentPlan-{name}": (lambda v, name=name: _plan(**{name: v}), name, integers)
+       for name, integers in (("sparsity", st.integers(1, 64)),
+                              ("trial_count", st.integers(1, 2**31)),
+                              ("quadruplets", st.integers(1, 2**31)),
+                              ("master_seed", st.integers(0, 2**62)),
+                              ("max_iterations", st.integers(1, 2**31)),
+                              ("workers", st.integers(1, 2**31)))},
+}
+OPTIONAL_FIELDS = ("quadruplets", "max_iterations")
+
+
+@pytest.mark.parametrize("field", SPEC_FIELDS.values(), ids=SPEC_FIELDS.keys())
+@given(value=st.one_of(NOT_INTEGERS, st.sampled_from([np.True_, np.float64(2.5)])))
+@example(value=True)
+@example(value=2.5)
+@example(value=1.5)
+def test_specs_and_plans_reject_integer_fields_that_are_not_integers(field, value):
+    # param_count=True ran depth 1; shots=2.5 and restarts=1.5 failed inside
+    # a trial, and n=6.0 at its first shift
+    build, name, _ = field
+    if value is None and name in OPTIONAL_FIELDS:
+        assert getattr(build(value), name) is None
+        return
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        build(value)
+
+
+@pytest.mark.parametrize("field", SPEC_FIELDS.values(), ids=SPEC_FIELDS.keys())
+@given(data=st.data())
+def test_specs_and_plans_keep_integral_numbers_as_ints(field, data):
+    build, name, integers = field
+    value = data.draw(integers)
+    kinds = [np.int64, np.uint64] + [float, np.float64] * (value <= 2**53)
+    spec = build(data.draw(st.sampled_from(kinds))(value))
+    assert spec == build(value) and type(getattr(spec, name)) is int
 
 
 @given(st.integers(-2**31, 0))

@@ -28,11 +28,16 @@ from strategies import (
 )
 
 
+SIGNED_ZERO_FIELD = IsingHamiltonian(2, {frozenset({1}): -0.0, frozenset({1, 2}): 2.0})
+
+
 @settings(max_examples=200 * DEPTH)
 @given(wide_hamiltonians(EXTREME_ENTRIES).flatmap(lambda H: st.tuples(st.just(H), states(H.n))),
        ANGLES, ANGLES)
-@example((IsingHamiltonian(2, {frozenset({1}): -0.0, frozenset({1, 2}): 2.0}), SIGNED_ZEROS),
-         -0.75, 0.5)
+@example((SIGNED_ZERO_FIELD, SIGNED_ZEROS), -0.75, 0.5)
+@example((SIGNED_ZERO_FIELD, np.array([0.5, -0.0, 1.25, -2.0])), -0.75, 0.5)  # a float64 state
+@example((SIGNED_ZERO_FIELD, SIGNED_ZEROS), -2, 0.5)  # an int gamma
+@example((SIGNED_ZERO_FIELD, SIGNED_ZEROS), np.float64(-0.0), 0.5)  # a numpy-scalar gamma
 def test_single_layers_are_bitwise_the_per_qubit_steps(H_state, gamma, beta):
     H, psi = H_state
     with np.errstate(all="ignore"):

@@ -186,6 +186,18 @@ def test_optimize_warm_start_never_regresses():
     assert deep.expectation >= shallow.expectation - 1e-12
 
 
+@pytest.mark.parametrize("sequence", [np.array, list, tuple])
+def test_params_from_any_number_sequences_run_one_circuit(sequence):
+    H = IsingHamiltonian(2, {frozenset({1, 2}): 1.0, frozenset({1}): 0.5})
+    given = QaoaParams(sequence([0.1, 0.2]), sequence([0.3, 0.4]))
+    params = QaoaParams((0.1, 0.2), (0.3, 0.4))
+    assert given.p == 2 and given == params and hash(given) == hash(params)
+    assert given.to_vector().tolist() == [0.1, 0.2, 0.3, 0.4]
+    assert ansatz_state(H, given).tobytes() == ansatz_state(H, params).tobytes()
+    warm = optimize(H, p=2, restarts=0, max_evals=5, init=given)
+    assert repr(warm) == repr(optimize(H, p=2, restarts=0, max_evals=5, init=params))
+
+
 def test_optimize_validates_inputs():
     H = IsingHamiltonian(1, {frozenset({1}): 1.0})
     with pytest.raises(ValueError):

@@ -5,11 +5,12 @@ diagonals that are wide, hold a few values with signed zeros among them,
 hold all distinct values or hold one value; and the single phase step,
 whose table of distinct diagonal values must give the per-entry exp.
 Also: each workspace keeps at most the rows the batch budget allows, and
-`optimize` and `ansatz_state` each build exactly one; a state that
-`ansatz_state` returned is never written over.  And a mixer sweep, and a
-whole batch, that make no numpy iterator buffer.  A first `optimize` round
-on shared prefixes must give the plain batch's values bit for bit, and
-four full lanes must evolve p**2 + 2p row-layers each."""
+`optimize` and `ansatz_state` each build exactly one, and the reference
+`apply_phase_layer` none; a state that `ansatz_state` returned is never
+written over.  And a mixer sweep, and a whole batch, that make no numpy
+iterator buffer.  A first `optimize` round on shared prefixes must give
+the plain batch's values bit for bit, and four full lanes must evolve
+p**2 + 2p row-layers each."""
 
 import tracemalloc
 from unittest import mock
@@ -247,6 +248,14 @@ def test_optimize_builds_one_workspace_for_its_widest_round():
     assert paired.evaluations == 4 * 30
     # 2 starts on H and 2 on -H, each with a 2p + 1 point initial simplex
     assert [c.args[:2] for c in built.call_args_list] == [(4 * 5, 4)]
+
+
+def test_the_phase_layer_reference_builds_no_workspace():
+    H = quad_hamiltonian()
+    state = ansatz_state(H, QaoaParams((0.3,), (0.7,)))
+    with mock.patch.object(qaoa, "_StateBuffers", wraps=_StateBuffers) as built:
+        apply_phase_layer(state, H, 0.5)
+    assert built.call_count == 0
 
 
 def test_optimize_workspace_is_capped_by_the_batch_budget():
