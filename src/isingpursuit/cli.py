@@ -153,10 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    output = argparse.ArgumentParser(add_help=False)  # measure draws nothing at random
+    output.add_argument("--out", default=None, help="output file (default: stdout)")
+
     def common(seed_dest: str) -> argparse.ArgumentParser:
-        parent = argparse.ArgumentParser(add_help=False)
+        parent = argparse.ArgumentParser(add_help=False, parents=[output])
         parent.add_argument("--seed", dest=seed_dest, type=int, metavar="SEED", help="RNG seed")
-        parent.add_argument("--out", default=None, help="output file (default: stdout)")
         return parent
 
     seeded = common("seed")  # experiment's --seed is its plan's master_seed
@@ -188,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_patterns)
 
-    p = sub.add_parser("measure", parents=[seeded], help="signal + patterns -> marginals JSON")
+    p = sub.add_parser("measure", parents=[output], help="signal + patterns -> marginals JSON")
     p.add_argument("--signal", required=True, help="signal JSON file")
     p.add_argument("--patterns-file", required=True, help="pattern set JSON file")
     p.set_defaults(func=_cmd_measure)

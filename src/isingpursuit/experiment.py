@@ -61,6 +61,10 @@ class ExperimentPlan:
             )
         if self.pattern_kind == "quad":  # every trial draws this many distinct quadruplets
             _check_quadruplets(self.n, self.effective_quadruplets)
+        limit = self.time_limit_s
+        if isinstance(limit, bool) or not isinstance(limit, (int, float, np.integer, np.floating)):
+            raise ValueError(f"time_limit_s must be a number, got {limit!r}")
+        object.__setattr__(self, "time_limit_s", float(limit))
         if not self.time_limit_s >= 0:
             raise ValueError(f"time_limit_s must be >= 0, got {self.time_limit_s}")
         if self.workers < 1:

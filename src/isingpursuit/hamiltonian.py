@@ -29,10 +29,12 @@ order depends on the memory layout, a matrix product's on the BLAS), and
 np.bincount adds the entries, run by run, to totals started at +0.0.  Keys
 go in the order in which the set's runs first name them, whatever r holds.
 
-The built Hamiltonian holds that totals vector and its prune mask, and makes
-the `terms` dict only when `terms` is first read: the kept supports in that
-order, each with its total as a float.  The chain solver reads the vector
-and mask directly through the set's chain slots and never makes the dict.
+Every Hamiltonian holds supports, a float64 totals vector and a keep mask,
+and makes the `terms` dict only when `terms` is first read: the kept supports
+in order, each with its total as a float.  The builder keeps its summed totals
+and prune mask, a dict's coefficients are copied and all kept, and `normalized`
+divides the totals.  The chain solver reads the vector and mask directly
+through the set's chain slots and never makes the dict.
 """
 
 from __future__ import annotations
@@ -53,35 +55,35 @@ COEFF_PRUNE_TOL = 1e-15
 class IsingHamiltonian:
     """Map from Z-string supports (frozensets of 1-based qubits) to coefficients.
 
-    A Hamiltonian from `build_hamiltonian` holds the builder's per-support
-    totals and prune mask, and makes its `terms` dict when `terms` is first
-    read (see the module docstring).  Every Hamiltonian makes its diagonal
-    on the first `diagonal()` call and keeps it, read-only, so its terms
-    are not to change after that call.
+    Every Hamiltonian, from a dict or from `build_hamiltonian`, holds its
+    supports, totals and keep mask, and makes its `terms` dict when `terms`
+    is first read (see the module docstring); a dict given here is copied,
+    so later changes to it do not reach the Hamiltonian.  Its diagonal is
+    made on the first `diagonal()` call and kept, read-only.
     """
 
     _diagonal: np.ndarray | None = None
 
     def __init__(self, n: int, terms: dict[frozenset[int], float] | None = None):
-        self.n = n
-        self.terms = {} if terms is None else terms
-        for support in self.terms:
+        terms = {} if terms is None else terms
+        for support in terms:
             for j in support:
                 if not 1 <= j <= n:
                     raise ValueError(f"qubit {j} outside [1, {n}]")
+        self.n, self._supports, self._keep = n, tuple(terms), np.ones(len(terms), bool)
+        self._totals = np.fromiter(terms.values(), float, len(terms))
 
     @classmethod
     def _built(cls, n: int, supports: tuple[frozenset[int], ...], totals: np.ndarray,
                keep: np.ndarray) -> "IsingHamiltonian":
         """The terms on the supports that keep selects, made when first read;
-        the supports are already known to lie in [1, n]."""
+        the supports are already known to lie in [1, n] and totals is float64."""
         H = cls.__new__(cls)
         H.n, H._supports, H._totals, H._keep = n, supports, totals, keep
         return H
 
     @cached_property
     def terms(self) -> dict[frozenset[int], float]:
-        # only a built Hamiltonian gets here: __init__ sets terms itself
         keep = self._keep.tolist()
         return dict(zip(compress(self._supports, keep), compress(self._totals.tolist(), keep)))
 
@@ -110,7 +112,7 @@ class IsingHamiltonian:
         """This Hamiltonian divided by the spread s = max|d - mean d| of its
         diagonal d, and s: a Hamiltonian over the same n whose kept,
         read-only diagonal is d / s, bit for bit, made here once, and whose
-        terms are each coefficient / s (their own diagonal agrees with the
+        totals are each total / s (the diagonal of its terms agrees with the
         kept one to rounding).
 
         The spread is taken on d / 2**e, then multiplied by 2**e, with e
@@ -132,7 +134,7 @@ class IsingHamiltonian:
             scale = float(np.ldexp(np.abs(shrunk - shrunk.mean()).max(), e))
         if not (math.isfinite(scale) and scale > 0.0):
             scale = 1.0
-        scaled = IsingHamiltonian(self.n, {s: c / scale for s, c in self.terms.items()})
+        scaled = IsingHamiltonian._built(self.n, self._supports, self._totals / scale, self._keep)
         diag = d / scale
         diag.flags.writeable = False
         scaled._diagonal = diag

@@ -55,7 +55,8 @@ DENSE_MATRIX_CAP = 10
 
 @dataclass(frozen=True)
 class Pattern:
-    """One measurement row: a list of (bit position, fixed value) constraints.
+    """One measurement row: a list of (bit position, fixed value) constraints,
+    kept as a tuple of pairs.
 
     Bit positions are 1-based with bit 1 the most significant.  An empty
     constraint list is the all-ones row.
@@ -64,6 +65,7 @@ class Pattern:
     constraints: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "constraints", tuple((b, v) for b, v in self.constraints))
         bits = [b for b, _ in self.constraints]
         if len(set(bits)) != len(bits):
             raise ValueError("constrained bit positions must be pairwise distinct")
@@ -93,12 +95,14 @@ class Pattern:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """An ordered list of patterns over a common n-bit index space."""
+    """An ordered list of patterns over a common n-bit index space, kept as a
+    tuple: the cached masks, runs and plans below read it."""
 
     n: int
     patterns: tuple[Pattern, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "patterns", tuple(self.patterns))
         _check_bit_count(self.n)
         if not self.patterns:
             raise ValueError("a measurement set needs at least one pattern")

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .measurement import MeasurementSet, _per_pattern
-from .signal import SparseSignal
+from .signal import SparseSignal, _read_int_fields
 from .solvers import SolverOutcome
 
 Solver = Callable[[MeasurementSet, np.ndarray], SolverOutcome]
@@ -51,6 +51,7 @@ class PursuitConfig:
     residual_tolerance: float | None = None
 
     def __post_init__(self):
+        _read_int_fields(self, "max_iterations")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.residual_tolerance is not None and not self.residual_tolerance >= 0:

@@ -85,13 +85,15 @@ class SparseSignal:
 
     Positions are pairwise distinct and values nonzero.  Empty spike lists
     are allowed so that reconstruction results can represent "nothing
-    recovered"; the random generator always emits at least one spike.
+    recovered"; the random generator always emits at least one spike.  Any
+    sequence of pairs is kept as a tuple of pairs.
     """
 
     n: int
     spikes: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "spikes", tuple((p, v) for p, v in self.spikes))
         _check_bit_count(self.n)
         d = 1 << self.n
         positions = [p for p, _ in self.spikes]

@@ -299,7 +299,7 @@ def _plan(**fields):
 
 
 # (constructor, field, integers the field may hold) for every integer field
-# of a solver spec and a plan built in Python
+# of a solver spec, a plan and a pursuit config built in Python
 SPEC_FIELDS = {
     **{f"SolverSpec-{name}": (lambda v, name=name: SolverSpec("qaoa", **{name: v}), name,
                               st.integers(1, 2**31)) for name in BUDGETS},
@@ -311,8 +311,12 @@ SPEC_FIELDS = {
                               ("master_seed", st.integers(0, 2**62)),
                               ("max_iterations", st.integers(1, 2**31)),
                               ("workers", st.integers(1, 2**31)))},
+    "PursuitConfig-max_iterations": (lambda v: PursuitConfig(brute_force_solve, v),
+                                     "max_iterations", st.integers(1, 2**31)),
 }
-OPTIONAL_FIELDS = ("quadruplets", "max_iterations")
+# a plan leaves these to their defaults when None; a pursuit config needs its budget
+OPTIONAL_FIELDS = tuple(SPEC_FIELDS[f"ExperimentPlan-{name}"]
+                        for name in ("quadruplets", "max_iterations"))
 
 
 @pytest.mark.parametrize("field", SPEC_FIELDS.values(), ids=SPEC_FIELDS.keys())
@@ -322,9 +326,10 @@ OPTIONAL_FIELDS = ("quadruplets", "max_iterations")
 @example(value=1.5)
 def test_specs_and_plans_reject_integer_fields_that_are_not_integers(field, value):
     # param_count=True ran depth 1; shots=2.5 and restarts=1.5 failed inside
-    # a trial, and n=6.0 at its first shift
+    # a trial, and n=6.0 at its first shift; PursuitConfig(solve, True) ran
+    # one pursuit step, and 2.5 failed inside matching_pursuit
     build, name, _ = field
-    if value is None and name in OPTIONAL_FIELDS:
+    if value is None and field in OPTIONAL_FIELDS:
         assert getattr(build(value), name) is None
         return
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):

@@ -280,6 +280,16 @@ def test_bad_params_list_is_a_usage_error(capsys):
         assert exc.value.code == 2
 
 
+def test_measure_takes_no_seed(pipeline_files, capsys):
+    # measure draws nothing at random; --seed used to be accepted and ignored
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("measure", "--seed", "0", "--signal", pipeline_files["sig"],
+                "--patterns-file", pipeline_files["pat"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
+
 def test_max_iterations_help_states_each_default():
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     helps = {name: " ".join(sub.choices[name].format_help().split())

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -91,6 +92,22 @@ def test_plan_rejects_a_time_limit_that_cannot_cap(limit):
 def test_plan_accepts_zero_and_infinite_time_limits():
     assert tiny_plan(time_limit_s=0.0).time_limit_s == 0.0
     assert tiny_plan(time_limit_s=float("inf")).time_limit_s == float("inf")
+
+
+@pytest.mark.parametrize("limit", [True, np.True_, "5", None],
+                         ids=["bool", "numpy-bool", "str", "None"])
+def test_plan_rejects_a_time_limit_that_is_not_a_number(limit):
+    # True used to run with a 1 s limit and echo true; "5" raised a TypeError
+    with pytest.raises(ValueError, match="^time_limit_s must be a number, got "):
+        tiny_plan(time_limit_s=limit)
+
+
+@pytest.mark.parametrize("limit", [5, np.int64(5), np.float32(5.0), np.float64(5.0)],
+                         ids=["int", "int64", "float32", "float64"])
+def test_plan_keeps_a_numeric_time_limit_as_a_float(limit):
+    plan = tiny_plan(time_limit_s=limit)
+    assert type(plan.time_limit_s) is float and plan.time_limit_s == 5.0
+    assert plan == tiny_plan(time_limit_s=5.0)
 
 
 def test_default_quadruplet_budget_tracks_pair_census():

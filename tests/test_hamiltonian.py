@@ -81,12 +81,28 @@ def test_built_supports_pass_the_range_check(ms, seed):
 
 def test_a_built_hamiltonian_makes_its_terms_when_first_read():
     ms = random_quadruplet_patterns(6, 2, seed=3)
-    H = build_hamiltonian(ms, np.random.default_rng(3).normal(size=len(ms)))
-    assert "terms" not in vars(H)
-    items = list(H.terms.items())
-    assert vars(H)["terms"] is H.terms
-    assert len(H.terms) == len(items) == int(np.count_nonzero(H._keep))
-    assert repr(IsingHamiltonian(H.n, dict(items))) == repr(H)
+    built = build_hamiltonian(ms, np.random.default_rng(3).normal(size=len(ms)))
+    # a dict-made Hamiltonian takes the same path, and its integers come back as floats
+    from_dict = IsingHamiltonian(3, {frozenset({1, 3}): 0.5, frozenset(): -2})
+    for H in (built, from_dict):
+        assert "terms" not in vars(H)
+        items = list(H.terms.items())
+        assert vars(H)["terms"] is H.terms
+        assert len(H.terms) == len(items) == int(np.count_nonzero(H._keep))
+        assert repr(IsingHamiltonian(H.n, dict(items))) == repr(H)
+    assert repr(from_dict.terms) == repr({frozenset({1, 3}): 0.5, frozenset(): -2.0})
+
+
+def test_a_hamiltonian_keeps_its_terms_when_the_given_dict_changes():
+    # the dict used to be kept as given: changed after diagonal(), H.terms
+    # read the new coefficient while the kept diagonal held the old one
+    terms = {frozenset({1}): 1.0}
+    H = IsingHamiltonian(1, terms)
+    assert H.diagonal().tolist() == [1.0, -1.0]
+    terms[frozenset({1})] = 2.0
+    assert H.terms == {frozenset({1}): 1.0}
+    assert H == IsingHamiltonian(1, {frozenset({1}): 1.0})
+    assert H.diagonal().tolist() == [1.0, -1.0]
 
 
 def test_negated_flips_every_entry():
@@ -94,13 +110,25 @@ def test_negated_flips_every_entry():
     assert np.allclose(negated(H).diagonal(), -H.diagonal())
 
 
-@given(hamiltonians(max_n=6))
+# Built from normal residuals: the residuals of every scale that
+# `built_hamiltonians` draws can put the mean far above the spread, where the
+# kept spread is 1 only to the rounding of the mean.
+BUILT_HAMILTONIANS = st.builds(
+    lambda ms, seed: build_hamiltonian(ms, np.random.default_rng(seed).normal(size=len(ms))),
+    measurement_sets(max_n=6), st.integers(0, 2**31),
+)
+
+
+@given(st.one_of(hamiltonians(max_n=6), BUILT_HAMILTONIANS))
 @example(IsingHamiltonian(2, {frozenset(): -0.5}))  # flat: the spread is zero
 def test_normalized_divides_the_diagonal_by_its_spread(H):
     d = H.diagonal()
     spread = np.abs(d - d.mean()).max()
     scaled, scale = H.normalized()
     assert scale == (spread if spread > 0.0 else 1.0)
+    # normalized() makes no dict: the quotient's terms are made when first read
+    assert "terms" not in vars(scaled)
+    assert repr(scaled.terms) == repr({s: c / scale for s, c in H.terms.items()})
     kept = scaled.diagonal()
     assert kept.tobytes() == (d / scale).tobytes()
     assert scaled.diagonal() is kept and not kept.flags.writeable

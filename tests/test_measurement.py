@@ -222,6 +222,26 @@ def test_measure_single_spike_examples():
     assert measure(sig, miss)[0] == 0.0
 
 
+def test_signals_patterns_and_sets_built_from_lists_keep_tuples():
+    # built from lists, these could not be hashed and compared unequal to
+    # their tuple twins, and a set cached its masks over its caller's list
+    spikes, constraints = [[3, 0.5], [12, -1.0]], [[1, 1], [3, 0]]
+    signal, pattern = SparseSignal(4, spikes), Pattern(constraints)
+    patterns = [pattern, Pattern(((2, 0),))]
+    ms = MeasurementSet(4, patterns)
+    y = measure(signal, ms)
+    spikes[0][1] = 9.0
+    spikes.append([0, 2.0])
+    constraints.append([4, 1])
+    patterns.append(Pattern(((4, 1),)))
+    twins = (SparseSignal(4, ((3, 0.5), (12, -1.0))), Pattern(((1, 1), (3, 0))),
+             MeasurementSet(4, (Pattern(((1, 1), (3, 0))), Pattern(((2, 0),)))))
+    for value, twin in zip((signal, pattern, ms), twins):
+        assert value == twin and hash(value) == hash(twin)
+    assert y.tolist() == [-1.0, 0.5]
+    assert measure(signal, ms).tobytes() == measure(twins[0], twins[2]).tobytes() == y.tobytes()
+
+
 def test_measure_rejects_mismatched_n():
     with pytest.raises(ValueError, match="n="):
         measure(SparseSignal(4, ((0, 1.0),)), nearest_neighbor_patterns(5))
