@@ -4,6 +4,12 @@ Subcommands cover the full pipeline: `generate` a sparse signal, build
 `patterns`, `measure` marginals, `reconstruct` from marginals, and run a
 batch `experiment`.  Everything is JSON in / JSON (or CSV) out so stages
 can be chained through files.
+
+Each input field is read once, by the record that holds it: a signal,
+pattern set, plan or solver spec checks its own fields when built, so
+file values go to the constructors as JSON gives them.  The CLI reads only
+what no record holds: that a plan and its solver are JSON objects of known
+keys, a plan's parameter counts, and the marginals.
 """
 
 from __future__ import annotations
@@ -11,8 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 from .experiment import (
     BACKENDS,
@@ -30,9 +36,9 @@ from .measurement import MeasurementSet, measure
 from .pursuit import DegenerateColumnError, PursuitConfig, matching_pursuit
 from .signal import SparseSignal, _read_float, _read_int, random_sparse_signal
 
-# A plan file's fields by annotation: the plan's own, then its parameter counts.
-_PLAN_HINTS = {**get_type_hints(ExperimentPlan), "parameter_counts": list[int]}
-_SOLVER_HINTS = get_type_hints(SolverSpec)
+# A plan file's keys: the plan's fields, then its parameter counts; and its solver's.
+_PLAN_KEYS = (*(f.name for f in fields(ExperimentPlan)), "parameter_counts")
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverSpec))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -43,9 +49,9 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _given(args: argparse.Namespace, hints: dict) -> dict:
-    """The fields among hints that flags set; a flag left out is a field left out."""
-    return {key: value for key, value in vars(args).items() if key in hints and value is not None}
+def _given(args: argparse.Namespace, keys: tuple) -> dict:
+    """The fields among keys that flags set; a flag left out is a field left out."""
+    return {key: value for key, value in vars(args).items() if key in keys and value is not None}
 
 
 def _solver(fields: dict, counts: list[int]) -> SolverSpec:
@@ -56,32 +62,28 @@ def _solver(fields: dict, counts: list[int]) -> SolverSpec:
     return SolverSpec(**({**fields, "param_count": counts[0]} if len(counts) == 1 else fields))
 
 
-def _plan_fields(value, name: str, hints: dict) -> dict:
-    """A plan, or its solver: a JSON object of known fields, each read by _read_field."""
+def _json_object(value, name: str, keys: tuple) -> dict:
+    """value, a JSON object whose every key is one of keys."""
     if type(value) is not dict:
         raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
-    fields = {}
-    for key, field in value.items():
-        if key not in hints:
-            raise ValueError(f"{name} has no field {key!r}; accepted: {', '.join(hints)}")
-        fields[key] = _read_field(field, key, hints[key])
-    return fields
+    for key in value:
+        if key not in keys:
+            raise ValueError(f"{name} has no field {key!r}; accepted: {', '.join(keys)}")
+    return value
 
 
-def _read_field(value, name: str, hint):
-    """A plan file's value, read by its field's annotation `hint`."""
-    kinds = get_args(hint) or (hint,)
-    if value is None and type(None) in kinds:
-        return None
-    if hint is SolverSpec:
-        return _plan_fields(value, "plan solver", _SOLVER_HINTS)
-    if get_origin(hint) is list:
-        if type(value) is not list:
-            raise ValueError(f"{name} must be a JSON list, got {type(value).__name__}")
-        return [_read_field(item, name, kinds[0]) for item in value]
-    if int in kinds:
-        return _read_int(value, name)
-    return _read_float(value, name) if float in kinds else value
+def _plan_fields(value) -> dict:
+    """A plan file's fields, its solver's and its parameter counts, each read
+    once: ExperimentPlan and SolverSpec read their own fields when built, and
+    the counts, which neither holds, are read here."""
+    plan = _json_object(value, "plan", _PLAN_KEYS)
+    if "solver" in plan:
+        _json_object(plan["solver"], "plan solver", _SOLVER_KEYS)
+    counts = plan.get("parameter_counts", [])
+    if type(counts) is not list:
+        raise ValueError(f"parameter_counts must be a JSON list, got {type(counts).__name__}")
+    plan["parameter_counts"] = [_read_int(count, "parameter_counts") for count in counts]
+    return plan
 
 
 def _read_marginals(value):
@@ -115,7 +117,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> None:
         raise ValueError(f"reconstruct takes one --params count, got {len(counts)}; "
                          "experiment sweeps a list")
     cfg = PursuitConfig(
-        solver=make_solver(_solver(_given(args, _SOLVER_HINTS), counts), args.seed),
+        solver=make_solver(_solver(_given(args, _SOLVER_KEYS), counts), args.seed),
         max_iterations=args.max_iterations,
         residual_tolerance=args.tolerance,
     )
@@ -127,13 +129,13 @@ def _cmd_reconstruct(args: argparse.Namespace) -> None:
 
 def _cmd_experiment(args: argparse.Namespace) -> None:
     if args.plan:
-        fields = _plan_fields(json.loads(Path(args.plan).read_text()), "plan", _PLAN_HINTS)
+        given = _plan_fields(json.loads(Path(args.plan).read_text()))
     elif args.n is None or args.sparsity is None:
         raise ValueError("--n and --sparsity are required without --plan")
     else:
-        fields = {**_given(args, _PLAN_HINTS), "solver": _given(args, _SOLVER_HINTS)}
-    counts = fields.pop("parameter_counts", [])
-    plan = ExperimentPlan(solver=_solver(fields.pop("solver", {}), counts), **fields)
+        given = {**_given(args, _PLAN_KEYS), "solver": _given(args, _SOLVER_KEYS)}
+    counts = given.pop("parameter_counts", [])
+    plan = ExperimentPlan(solver=_solver(given.pop("solver", {}), counts), **given)
     reports = run_sweep(plan, counts) if len(counts) > 1 else [run_batch(plan)]
     text = reports_to_csv(reports) if args.format == "csv" else reports_to_json(reports)
     _emit(text, args.out)

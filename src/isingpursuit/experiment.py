@@ -21,8 +21,8 @@ import numpy as np
 from .measurement import (MeasurementSet, _check_quadruplets, measure, nearest_neighbor_patterns,
                           random_quadruplet_patterns)
 from .pursuit import PursuitConfig, ReconstructionResult, Solver, matching_pursuit, recovery_success
-from .signal import (SparseSignal, _check_dense_size, _check_sparsity, _read_int_fields,
-                     random_sparse_signal)
+from .signal import (SparseSignal, _check_dense_size, _check_sparsity, _read_float,
+                     _read_int_fields, random_sparse_signal)
 from .solvers import BACKENDS, SolverSpec, brute_force_solve, chain_dp_solve, qaoa_solve
 
 PATTERN_KINDS = ("nn", "quad")
@@ -48,6 +48,8 @@ class ExperimentPlan:
     def __post_init__(self):
         _read_int_fields(self, "n", "sparsity", "trial_count", "master_seed", "workers",
                          optional=("quadruplets", "max_iterations"))
+        if not isinstance(self.solver, SolverSpec):
+            raise ValueError(f"solver must be a SolverSpec, got {self.solver!r}")
         _check_sparsity(self.n, self.sparsity)
         if self.solver.backend in ("brute", "qaoa"):  # each step builds a 2**n array
             _check_dense_size(self.n)
@@ -61,10 +63,8 @@ class ExperimentPlan:
             )
         if self.pattern_kind == "quad":  # every trial draws this many distinct quadruplets
             _check_quadruplets(self.n, self.effective_quadruplets)
-        limit = self.time_limit_s
-        if isinstance(limit, bool) or not isinstance(limit, (int, float, np.integer, np.floating)):
-            raise ValueError(f"time_limit_s must be a number, got {limit!r}")
-        object.__setattr__(self, "time_limit_s", float(limit))
+        object.__setattr__(self, "time_limit_s",
+                           _read_float(self.time_limit_s, "time_limit_s", finite=False))
         if not self.time_limit_s >= 0:
             raise ValueError(f"time_limit_s must be >= 0, got {self.time_limit_s}")
         if self.workers < 1:

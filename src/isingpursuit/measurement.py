@@ -47,7 +47,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .signal import SparseSignal, _check_bit_count, _check_dense_size, _read_int
+from .signal import (SparseSignal, _check_bit_count, _check_dense_size, _read_int,
+                     _read_int_fields)
 
 # The largest n of complete_patterns, whose 2**n patterns form an explicit matrix.
 DENSE_MATRIX_CAP = 10
@@ -56,7 +57,7 @@ DENSE_MATRIX_CAP = 10
 @dataclass(frozen=True)
 class Pattern:
     """One measurement row: a list of (bit position, fixed value) constraints,
-    kept as a tuple of pairs.
+    kept as a tuple of pairs, each bit and value read by _read_int.
 
     Bit positions are 1-based with bit 1 the most significant.  An empty
     constraint list is the all-ones row.
@@ -65,7 +66,8 @@ class Pattern:
     constraints: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "constraints", tuple((b, v) for b, v in self.constraints))
+        object.__setattr__(self, "constraints", tuple((_read_int(b, "bit"), _read_int(v, "val"))
+                                                      for b, v in self.constraints))
         bits = [b for b, _ in self.constraints]
         if len(set(bits)) != len(bits):
             raise ValueError("constrained bit positions must be pairwise distinct")
@@ -96,12 +98,14 @@ class Pattern:
 @dataclass(frozen=True)
 class MeasurementSet:
     """An ordered list of patterns over a common n-bit index space, kept as a
-    tuple: the cached masks, runs and plans below read it."""
+    tuple: the cached masks, runs and plans below read it.  n is read by
+    _read_int, as every integer field of a record is."""
 
     n: int
     patterns: tuple[Pattern, ...]
 
     def __post_init__(self):
+        _read_int_fields(self, "n")
         object.__setattr__(self, "patterns", tuple(self.patterns))
         _check_bit_count(self.n)
         if not self.patterns:
@@ -227,11 +231,9 @@ class MeasurementSet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MeasurementSet":
-        patterns = tuple(
-            Pattern(tuple((_read_int(c["bit"], "bit"), _read_int(c["val"], "val")) for c in row))
-            for row in data["patterns"]
-        )
-        return cls(n=_read_int(data["n"], "n"), patterns=patterns)
+        patterns = tuple(Pattern(tuple((c["bit"], c["val"]) for c in row))
+                         for row in data["patterns"])
+        return cls(n=data["n"], patterns=patterns)
 
     @classmethod
     def from_json(cls, text: str) -> "MeasurementSet":
@@ -320,11 +322,13 @@ def _add_table(acc: np.ndarray, n: int, bits: tuple[int, ...], table: np.ndarray
 def value_assignment_group(positions: tuple[int, ...]) -> tuple[Pattern, ...]:
     """All 2**k patterns fixing the given positions, in binary value order.
 
-    The first pattern checks the positions; the values are 0 or 1 by
-    construction, so the others skip the check.
+    The first pattern checks the positions, and the others take them as it
+    read them; the values are 0 or 1 by construction, so the others skip
+    the check.
     """
     values = itertools.product((0, 1), repeat=len(positions))
     first = Pattern(tuple(zip(positions, next(values))))
+    positions = tuple(b for b, _ in first.constraints)
     return (first,) + tuple(Pattern._unchecked(tuple(zip(positions, v))) for v in values)
 
 

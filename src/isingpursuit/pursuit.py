@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .measurement import MeasurementSet, _per_pattern
-from .signal import SparseSignal, _read_int_fields
+from .signal import SparseSignal, _read_float, _read_int_fields
 from .solvers import SolverOutcome
 
 Solver = Callable[[MeasurementSet, np.ndarray], SolverOutcome]
@@ -54,8 +54,11 @@ class PursuitConfig:
         _read_int_fields(self, "max_iterations")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.residual_tolerance is not None and not self.residual_tolerance >= 0:
-            raise ValueError(f"residual_tolerance must be >= 0, got {self.residual_tolerance}")
+        if self.residual_tolerance is not None:
+            tolerance = _read_float(self.residual_tolerance, "residual_tolerance", finite=False)
+            if not tolerance >= 0:
+                raise ValueError(f"residual_tolerance must be >= 0, got {tolerance}")
+            object.__setattr__(self, "residual_tolerance", tolerance)
 
 
 @dataclass(frozen=True)

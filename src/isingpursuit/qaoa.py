@@ -89,7 +89,7 @@ from itertools import islice
 import numpy as np
 
 from .hamiltonian import IsingHamiltonian
-from .signal import _check_dense_size
+from .signal import _check_dense_size, _read_int
 
 
 @dataclass(frozen=True)
@@ -607,10 +607,11 @@ def optimize(
     vertex never gets worse, so a warm-started result never falls below the
     warm start's value (on an exact tie it may be another vertex).
     Deterministic for a fixed seed and best-effort; raises ValueError only
-    for a depth or an evaluation budget below 1, for no start at all, for a
-    warm start of another depth, for `negated_seed` with no restarts, or
-    when no start reaches an expectation that is not NaN, which takes a
-    diagonal that is not finite.
+    for a p, restarts or max_evals that is not an integer (as _read_int
+    reads one), for a depth or an evaluation budget below 1, for no start
+    at all, for a warm start of another depth, for `negated_seed` with no
+    restarts, or when no start reaches an expectation that is not NaN,
+    which takes a diagonal that is not finite.
 
     With `negated_seed`, -H is maximized as well, from `restarts` starts
     drawn from that seed, and a PairedOutcome is returned.  -H's starts run
@@ -618,6 +619,8 @@ def optimize(
     target's result is bitwise the one a separate call on H or on -H
     with its seed returns.  The warm start applies to H only.
     """
+    p, restarts, max_evals = (_read_int(p, "p"), _read_int(restarts, "restarts"),
+                              _read_int(max_evals, "max_evals"))
     if p < 1:
         raise ValueError(f"depth must be >= 1, got {p}")
     if restarts < 1 and init is None:
@@ -657,6 +660,7 @@ def optimize(
 
 def sample_candidates(state: np.ndarray, shots: int, seed=None) -> list[int]:
     """shots i.i.d. basis-index draws from |amp_z|^2."""
+    shots = _read_int(shots, "shots")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs = np.abs(state) ** 2

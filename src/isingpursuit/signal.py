@@ -49,6 +49,8 @@ def _check_sparsity(n: int, s: int) -> None:
 def _read_int(value, name: str) -> int:
     """An integer field: a Python or numpy integer, or a float with an integral
     value such as 3.0, as JSON may write one; never a bool."""
+    if type(value) is int:
+        return value
     if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             or isinstance(value, (float, np.floating)) and float(value).is_integer()):
         return int(value)
@@ -72,10 +74,16 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _read_float(value, name: str) -> float:
-    """A JSON number field: an int or a float, finite as a float."""
-    if (type(value) is int or type(value) is float) and _is_finite(value):
-        return float(value)
+def _read_float(value, name: str, finite: bool = True) -> float:
+    """A number field as a float: a Python or numpy int or float, never a bool.
+    It must be finite as a float; with finite False, inf and nan are kept for
+    the caller's range check, but an integer beyond the float range is not."""
+    if type(value) is float and math.isfinite(value):
+        return value
+    if type(value) is int or isinstance(value, (float, np.integer, np.floating)):
+        if _is_finite(value) or not finite and type(value) is not int:
+            return float(value)
+        raise ValueError(f"{name} must be a number, got {value!r}, which is not finite")
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
@@ -86,14 +94,18 @@ class SparseSignal:
     Positions are pairwise distinct and values nonzero.  Empty spike lists
     are allowed so that reconstruction results can represent "nothing
     recovered"; the random generator always emits at least one spike.  Any
-    sequence of pairs is kept as a tuple of pairs.
+    sequence of pairs is kept as a tuple of pairs, n and each position read
+    by _read_int and each value by _read_float, so numpy scalars are kept as
+    Python numbers and a bool is refused.
     """
 
     n: int
     spikes: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "spikes", tuple((p, v) for p, v in self.spikes))
+        _read_int_fields(self, "n")
+        object.__setattr__(self, "spikes", tuple((_read_int(p, "pos"), _read_float(v, "val"))
+                                                 for p, v in self.spikes))
         _check_bit_count(self.n)
         d = 1 << self.n
         positions = [p for p, _ in self.spikes]
@@ -102,8 +114,8 @@ class SparseSignal:
         for pos, val in self.spikes:
             if not 0 <= pos < d:
                 raise ValueError(f"position {pos} outside [0, {d})")
-            if val == 0.0 or not _is_finite(val):
-                raise ValueError(f"spike value at position {pos} is zero or not finite: {val}")
+            if val == 0.0:
+                raise ValueError(f"spike value at position {pos} is zero")
 
     def positions(self) -> set[int]:
         return {p for p, _ in self.spikes}
@@ -119,9 +131,7 @@ class SparseSignal:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SparseSignal":
-        spikes = tuple((_read_int(s["pos"], "pos"), _read_float(s["val"], "val"))
-                       for s in data["spikes"])
-        return cls(n=_read_int(data["n"], "n"), spikes=spikes)
+        return cls(n=data["n"], spikes=tuple((s["pos"], s["val"]) for s in data["spikes"]))
 
     @classmethod
     def from_json(cls, text: str) -> "SparseSignal":
@@ -143,6 +153,5 @@ def random_sparse_signal(n: int, s: int, seed=None) -> SparseSignal:
             chosen.add(int(rng.integers(0, d)))
         positions = sorted(chosen)
     values = rng.uniform(*SPIKE_VALUE_RANGE, size=s)
-    spikes = tuple((int(p), float(v)) for p, v in zip(positions, values))
-    return SparseSignal(n=n, spikes=spikes)
+    return SparseSignal(n=n, spikes=tuple(zip(positions, values)))
 

@@ -2,9 +2,10 @@
 marginals and spike values, marginals whose squared norm overflows, chain
 residuals whose sweep overflows, marginals that are not one vector entry per
 pattern, the 63-bit width of the index masks, the cap on 2**n-entry arrays,
-integer fields of the JSON loaders and of specs and plans built in Python,
-empty solver budgets, diagonals whose spread QAOA cannot divide by or whose
-mean overflows, and a solver choice whose column no pattern measures."""
+integer fields of the JSON loaders and of records built in Python, the
+counts of the QAOA entry points, empty solver budgets, diagonals whose
+spread QAOA cannot divide by or whose mean overflows, and a solver choice
+whose column no pattern measures."""
 
 import math
 import sys
@@ -210,13 +211,21 @@ def _patterns(n=6, bit=2, val=1):
     return MeasurementSet.from_dict({"n": n, "patterns": [[{"bit": bit, "val": val}]]})
 
 
-# (loader, JSON field, integers the field may hold)
+# (loader or constructor, field, integers the field may hold): each record
+# reads its fields when built, so a loader and a constructor refuse alike
 INTEGER_FIELDS = {
     "signal-n": (lambda v: _signal(n=v), "n", st.integers(2, INDEX_BITS_CAP)),
     "signal-pos": (lambda v: _signal(pos=v), "pos", st.integers(0, 63)),
     "patterns-n": (lambda v: _patterns(n=v), "n", st.integers(2, INDEX_BITS_CAP)),
     "patterns-bit": (lambda v: _patterns(bit=v), "bit", st.integers(1, 6)),
     "patterns-val": (lambda v: _patterns(val=v), "val", st.integers(0, 1)),
+    "SparseSignal-n": (lambda v: SparseSignal(v, ((3, 0.5),)), "n",
+                       st.integers(2, INDEX_BITS_CAP)),
+    "SparseSignal-pos": (lambda v: SparseSignal(6, ((v, 0.5),)), "pos", st.integers(0, 63)),
+    "Pattern-bit": (lambda v: Pattern(((v, 1),)), "bit", st.integers(1, 6)),
+    "Pattern-val": (lambda v: Pattern(((2, v),)), "val", st.integers(0, 1)),
+    "MeasurementSet-n": (lambda v: MeasurementSet(v, (Pattern(((2, 1),)),)), "n",
+                         st.integers(2, INDEX_BITS_CAP)),
 }
 NOT_INTEGERS = st.one_of(
     st.booleans(),
@@ -232,7 +241,9 @@ NOT_INTEGERS = st.one_of(
 @example(value=True)
 @example(value="3")
 def test_loaders_reject_integer_fields_that_are_not_integers(field, value):
-    # int() used to truncate 6.9 to 6 and read true as 1
+    # int() used to truncate 6.9 to 6 and read true as 1; built in Python, a
+    # position or bit of 6.9 was kept and failed later in numpy, and
+    # SparseSignal(6, ((True, 0.5),)) was a spike at position 1
     load, name, _ = field
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         load(value)
@@ -344,6 +355,23 @@ def test_specs_and_plans_keep_integral_numbers_as_ints(field, data):
     kinds = [np.int64, np.uint64] + [float, np.float64] * (value <= 2**53)
     spec = build(data.draw(st.sampled_from(kinds))(value))
     assert spec == build(value) and type(getattr(spec, name)) is int
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda H: qaoa.optimize(H, True), "p"),
+    (lambda H: qaoa.optimize(H, 2.5), "p"),
+    (lambda H: qaoa.optimize(H, 1, restarts=1.5), "restarts"),
+    (lambda H: qaoa.optimize(H, 1, max_evals=True), "max_evals"),
+    (lambda H: qaoa.sample_candidates(qaoa.uniform_state(H.n), 2.5), "shots"),
+    (lambda H: qaoa.sample_candidates(qaoa.uniform_state(H.n), np.True_), "shots"),
+], ids=["bool-p", "fractional-p", "fractional-restarts", "bool-max-evals",
+        "fractional-shots", "numpy-bool-shots"])
+def test_qaoa_counts_must_be_integers(call, name):
+    # optimize(H, True) ran a depth-1 circuit, and the fractional counts
+    # raised numpy's TypeError, which named no argument
+    H = IsingHamiltonian(2, {frozenset({1}): 1.0})
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call(H)
 
 
 @given(st.integers(-2**31, 0))

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import subprocess
 import sys
 from dataclasses import fields as dataclass_fields
@@ -16,6 +17,8 @@ from isingpursuit.experiment import (
     SuccessReport,
     TrialRecord,
     make_solver,
+    reports_to_json,
+    run_batch,
 )
 from isingpursuit.measurement import MeasurementSet
 from isingpursuit.pursuit import PursuitConfig, matching_pursuit
@@ -548,6 +551,21 @@ def test_a_plan_file_takes_null_only_where_the_field_allows_none(
         assert status == 2
         assert f"{name} must be " in _one_error_line(capsys)
         assert plans == []
+
+
+def test_a_plan_file_runs_an_infinite_time_limit_as_the_python_plan(tmp_path, capsys):
+    # "time_limit_s": Infinity used to be refused, though ExperimentPlan takes math.inf
+    path = tmp_path / "plan.json"
+    path.write_text('{"n": 4, "sparsity": 1, "trial_count": 2, "time_limit_s": Infinity}')
+    assert run_cli("experiment", "--plan", str(path), "--format", "json") == 0
+    plan = ExperimentPlan(n=4, sparsity=1, trial_count=2, time_limit_s=math.inf)
+    reports = [json.loads(capsys.readouterr().out)[0],
+               json.loads(reports_to_json([run_batch(plan)]))[0]]
+    for report in reports:
+        for trial in report["trials"]:
+            trial["runtime_s"] = 0.0
+    assert reports[0] == reports[1]
+    assert reports[0]["config"]["time_limit_s"] == math.inf
 
 
 def test_experiment_plan_reads_integral_floats_as_integers(tmp_path, capsys):

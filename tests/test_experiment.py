@@ -102,6 +102,14 @@ def test_plan_rejects_a_time_limit_that_is_not_a_number(limit):
         tiny_plan(time_limit_s=limit)
 
 
+@pytest.mark.parametrize("solver", [{"backend": "qaoa"}, "qaoa", None],
+                         ids=["dict", "str", "None"])
+def test_plan_rejects_a_solver_that_is_not_a_solver_spec(solver):
+    # a dict used to raise AttributeError: 'dict' object has no attribute 'backend'
+    with pytest.raises(ValueError, match="^solver must be a SolverSpec, got "):
+        tiny_plan(solver=solver)
+
+
 @pytest.mark.parametrize("limit", [5, np.int64(5), np.float32(5.0), np.float64(5.0)],
                          ids=["int", "int64", "float32", "float64"])
 def test_plan_keeps_a_numeric_time_limit_as_a_float(limit):

@@ -242,6 +242,29 @@ def test_signals_patterns_and_sets_built_from_lists_keep_tuples():
     assert measure(signal, ms).tobytes() == measure(twins[0], twins[2]).tobytes() == y.tobytes()
 
 
+@pytest.mark.parametrize("integer, number", [
+    (np.int64, np.float64), (np.uint8, np.float32), (np.int16, np.int32), (np.float64, np.float16),
+])
+def test_signals_and_sets_built_from_numpy_scalars_round_trip_through_json(integer, number):
+    # SparseSignal(4, ((np.int64(2), 1.0),)).to_json() used to raise TypeError,
+    # and so did a set holding a value-assignment group on numpy positions
+    signal = SparseSignal(integer(6), ((integer(3), number(2)), (integer(40), number(-3))))
+    pattern = Pattern(((integer(2), integer(1)), (integer(3), integer(0))))
+    ms = MeasurementSet(integer(6), (pattern,))
+    again = SparseSignal.from_json(signal.to_json())
+    assert again == signal == SparseSignal(6, ((3, 2.0), (40, -3.0)))
+    twin = MeasurementSet(6, (Pattern(((2, 1), (3, 0))),))
+    assert MeasurementSet.from_json(ms.to_json()) == ms == twin
+    group = MeasurementSet(integer(6), value_assignment_group((integer(1), integer(4))))
+    assert MeasurementSet.from_json(group.to_json()) == group
+    assert {type(b) for p in group.patterns for b, _ in p.constraints} == {int}
+    for record in (signal, again):
+        assert {type(record.n), *(type(p) for p, _ in record.spikes)} == {int}
+        assert [type(v) for _, v in record.spikes] == [float, float]
+    assert {type(ms.n), *(type(x) for c in ms.patterns[0].constraints for x in c)} == {int}
+    assert measure(signal, ms).tobytes() == measure(again, ms).tobytes()
+
+
 def test_measure_rejects_mismatched_n():
     with pytest.raises(ValueError, match="n="):
         measure(SparseSignal(4, ((0, 1.0),)), nearest_neighbor_patterns(5))

@@ -38,6 +38,21 @@ def test_config_validation():
         PursuitConfig(solver=brute_force_solve, max_iterations=1, residual_tolerance=float("nan"))
 
 
+@pytest.mark.parametrize("tolerance", [True, np.True_, "1"], ids=["bool", "numpy-bool", "str"])
+def test_config_rejects_a_tolerance_that_is_not_a_number(tolerance):
+    # True used to be kept as a tolerance of 1, and "1" raised a TypeError
+    with pytest.raises(ValueError, match="^residual_tolerance must be a number, got "):
+        brute_cfg(residual_tolerance=tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [1, np.int64(1), np.float32(1.0), float("inf")],
+                         ids=["int", "int64", "float32", "inf"])
+def test_config_keeps_a_numeric_tolerance_as_a_float(tolerance):
+    cfg = brute_cfg(residual_tolerance=tolerance)
+    assert type(cfg.residual_tolerance) is float and cfg.residual_tolerance == float(tolerance)
+    assert brute_cfg().residual_tolerance is None
+
+
 def test_zero_marginals_terminate_immediately():
     ms = nearest_neighbor_patterns(4)
     result = matching_pursuit(np.zeros(len(ms)), ms, brute_cfg())
