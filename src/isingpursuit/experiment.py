@@ -21,8 +21,8 @@ import numpy as np
 from .measurement import (MeasurementSet, _check_quadruplets, measure, nearest_neighbor_patterns,
                           random_quadruplet_patterns)
 from .pursuit import PursuitConfig, ReconstructionResult, Solver, matching_pursuit, recovery_success
-from .signal import (SparseSignal, _check_dense_size, _check_sparsity, _read_float,
-                     _read_int_fields, random_sparse_signal)
+from .signal import (SparseSignal, _check_dense_size, _check_sparsity, _read_count, _read_fields,
+                     _read_float, _read_int, random_sparse_signal)
 from .solvers import BACKENDS, SolverSpec, brute_force_solve, chain_dp_solve, qaoa_solve
 
 PATTERN_KINDS = ("nn", "quad")
@@ -46,17 +46,15 @@ class ExperimentPlan:
     workers: int = 1
 
     def __post_init__(self):
-        _read_int_fields(self, "n", "sparsity", "trial_count", "master_seed", "workers",
-                         optional=("quadruplets", "max_iterations"))
+        _read_fields(self, _read_int, "n", "sparsity", "master_seed", optional=("quadruplets",))
+        _read_fields(self, _read_count, "trial_count", "workers", optional=("max_iterations",))
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if not isinstance(self.solver, SolverSpec):
             raise ValueError(f"solver must be a SolverSpec, got {self.solver!r}")
         _check_sparsity(self.n, self.sparsity)
         if self.solver.backend in ("brute", "qaoa"):  # each step builds a 2**n array
             _check_dense_size(self.n)
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.trial_count < 1:
-            raise ValueError(f"trial_count must be >= 1, got {self.trial_count}")
         if self.pattern_kind not in PATTERN_KINDS:
             raise ValueError(
                 f"pattern_kind must be one of {PATTERN_KINDS}, got {self.pattern_kind!r}"
@@ -67,8 +65,6 @@ class ExperimentPlan:
                            _read_float(self.time_limit_s, "time_limit_s", finite=False))
         if not self.time_limit_s >= 0:
             raise ValueError(f"time_limit_s must be >= 0, got {self.time_limit_s}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     @property
     def effective_quadruplets(self) -> int:

@@ -46,7 +46,7 @@ from itertools import compress
 import numpy as np
 
 from .measurement import MeasurementSet, _add_table, _per_pattern, _signs
-from .signal import _check_dense_size
+from .signal import _check_dense_size, _read_float, _read_int
 
 # Exact cancellations occur for complete value-assignment groups; drop the dust.
 COEFF_PRUNE_TOL = 1e-15
@@ -58,20 +58,28 @@ class IsingHamiltonian:
     Every Hamiltonian, from a dict or from `build_hamiltonian`, holds its
     supports, totals and keep mask, and makes its `terms` dict when `terms`
     is first read (see the module docstring); a dict given here is copied,
-    so later changes to it do not reach the Hamiltonian.  Its diagonal is
-    made on the first `diagonal()` call and kept, read-only.
+    so later changes to it do not reach the Hamiltonian.  n and every qubit
+    are read by _read_int, so a support of integral floats is the support of
+    their ints, and every coefficient by _read_float, which keeps inf and
+    NaN.  Its diagonal is made on the first `diagonal()` call and kept,
+    read-only.
     """
 
     _diagonal: np.ndarray | None = None
 
     def __init__(self, n: int, terms: dict[frozenset[int], float] | None = None):
-        terms = {} if terms is None else terms
-        for support in terms:
+        n, terms = _read_int(n, "n"), {} if terms is None else terms
+        supports = list(terms)
+        for i, support in enumerate(supports):
             for j in support:
-                if not 1 <= j <= n:
-                    raise ValueError(f"qubit {j} outside [1, {n}]")
-        self.n, self._supports, self._keep = n, tuple(terms), np.ones(len(terms), bool)
-        self._totals = np.fromiter(terms.values(), float, len(terms))
+                if type(j) is not int or not 1 <= j <= n:  # plain ints in range need no reading
+                    qubit = _read_int(j, "qubit")
+                    if not 1 <= qubit <= n:
+                        raise ValueError(f"qubit {qubit} outside [1, {n}]")
+                    supports[i] = frozenset(_read_int(j, "qubit") for j in support)
+        self.n, self._supports, self._keep = n, tuple(supports), np.ones(len(terms), bool)
+        self._totals = np.fromiter((_read_float(c, "coefficient", finite=False)
+                                    for c in terms.values()), float, len(terms))
 
     @classmethod
     def _built(cls, n: int, supports: tuple[frozenset[int], ...], totals: np.ndarray,

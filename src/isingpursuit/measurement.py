@@ -47,8 +47,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .signal import (SparseSignal, _check_bit_count, _check_dense_size, _read_int,
-                     _read_int_fields)
+from .signal import (SparseSignal, _check_bit_count, _check_dense_size, _read_count, _read_fields,
+                     _read_int)
 
 # The largest n of complete_patterns, whose 2**n patterns form an explicit matrix.
 DENSE_MATRIX_CAP = 10
@@ -105,7 +105,7 @@ class MeasurementSet:
     patterns: tuple[Pattern, ...]
 
     def __post_init__(self):
-        _read_int_fields(self, "n")
+        _read_fields(self, _read_int, "n")
         object.__setattr__(self, "patterns", tuple(self.patterns))
         _check_bit_count(self.n)
         if not self.patterns:
@@ -213,10 +213,19 @@ class MeasurementSet:
                 slots.append(2 * n + 1)
         return np.array(slots, dtype=np.intp)
 
+    def _read_index(self, z) -> int:
+        """z as an index in [0, 2**n): an integer as _read_int reads one."""
+        if type(z) is not int or not 0 <= z < 1 << self.n:
+            z = _read_int(z, "index")
+            if not 0 <= z < 1 << self.n:
+                raise ValueError(f"index {z} outside [0, {1 << self.n})")
+        return z
+
     def match_vector(self, z: int) -> np.ndarray:
-        """Boolean vector over patterns: the implicit column of A at index z."""
+        """Boolean vector over patterns: the implicit column of A at index z,
+        which must be an integer in [0, 2**n)."""
         masks, wants = self._masks_wants
-        return (z & masks) == wants
+        return (self._read_index(z) & masks) == wants
 
     def to_dict(self) -> dict:
         return {
@@ -342,8 +351,10 @@ def nearest_neighbor_patterns(n: int) -> MeasurementSet:
     marginal indices are stable across runs.  The set is built once per n
     and shared, together with its cached masks, table runs, transform plan
     and chain slots; it is frozen, so callers cannot tell the difference.  n
-    is checked against INDEX_BITS_CAP before any pattern is built.
+    is read by _read_int and checked against INDEX_BITS_CAP before any
+    pattern is built.
     """
+    n = _read_int(n, "n")
     if n < 2:
         raise ValueError(f"nearest-neighbor patterns need n >= 2, got {n}")
     _check_bit_count(n)
@@ -357,8 +368,7 @@ def _check_quadruplets(n: int, q: int) -> None:
     """n >= 4 and 1 <= q <= C(n, 4): q distinct quadruplets can be drawn."""
     if n < 4:
         raise ValueError(f"quadruplet patterns need n >= 4, got {n}")
-    if q < 1:
-        raise ValueError(f"quadruplet count must be >= 1, got {q}")
+    _read_count(q, "quadruplet count")
     total = math.comb(n, 4)
     if q > total:
         raise ValueError(f"cannot draw {q} distinct quadruplets from C({n},4) = {total}")
@@ -370,7 +380,9 @@ def random_quadruplet_patterns(n: int, q: int, seed=None) -> MeasurementSet:
     M = 16q.  Quadruplets are drawn uniformly over the C(n, 4) position
     subsets, without repetition across the set; n is checked against
     INDEX_BITS_CAP first, so the subset list holds at most C(63, 4) = 595,665.
+    n and q are read by _read_int before either check.
     """
+    n, q = _read_int(n, "n"), _read_int(q, "q")
     _check_quadruplets(n, q)
     _check_bit_count(n)
     rng = np.random.default_rng(seed)
@@ -384,6 +396,7 @@ def random_quadruplet_patterns(n: int, q: int, seed=None) -> MeasurementSet:
 
 def complete_patterns(n: int) -> MeasurementSet:
     """All 2**n patterns fixing every bit: the identity measurement."""
+    n = _read_int(n, "n")
     if n > DENSE_MATRIX_CAP:
         raise ValueError(f"complete pattern set has 2**{n} rows (cap {DENSE_MATRIX_CAP})")
     return MeasurementSet(n=n, patterns=value_assignment_group(tuple(range(1, n + 1))))
@@ -408,12 +421,14 @@ def _per_pattern(v, ms: MeasurementSet, name: str = "residual") -> np.ndarray:
 
 
 def column_dot(z: int, r: np.ndarray, ms: MeasurementSet) -> float:
-    """Signed correlation of column z with r: the entry (A^T r)_z."""
+    """Signed correlation of column z with r: the entry (A^T r)_z, for an
+    index z that match_vector reads."""
     return float(np.add.reduce(_per_pattern(r, ms)[ms.match_vector(z)]))
 
 
 def column_dots(zs: list[int], r: np.ndarray, ms: MeasurementSet) -> np.ndarray:
-    """column_dot(z, r, ms) for every index z in zs, bit for bit, in one pass.
+    """column_dot(z, r, ms) for every index z in zs, bit for bit, in one pass;
+    each z is read as match_vector reads it.
 
     The (len(zs), patterns) match matrix names each index's addends in
     pattern order.  The rows with the same match count m are gathered into
@@ -425,7 +440,7 @@ def column_dots(zs: list[int], r: np.ndarray, ms: MeasurementSet) -> np.ndarray:
     """
     r = _per_pattern(r, ms)
     masks, wants = ms._masks_wants
-    match = (np.asarray(zs, dtype=np.int64)[:, None] & masks) == wants
+    match = (np.array([ms._read_index(z) for z in zs], dtype=np.int64)[:, None] & masks) == wants
     counts = np.count_nonzero(match, axis=1)
     dots = np.empty(len(match))
     for m in set(counts.tolist()):

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .measurement import MeasurementSet, _per_pattern
-from .signal import SparseSignal, _read_float, _read_int_fields
+from .signal import SparseSignal, _read_count, _read_fields, _read_float
 from .solvers import SolverOutcome
 
 Solver = Callable[[MeasurementSet, np.ndarray], SolverOutcome]
@@ -51,9 +51,7 @@ class PursuitConfig:
     residual_tolerance: float | None = None
 
     def __post_init__(self):
-        _read_int_fields(self, "max_iterations")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        _read_fields(self, _read_count, "max_iterations")
         if self.residual_tolerance is not None:
             tolerance = _read_float(self.residual_tolerance, "residual_tolerance", finite=False)
             if not tolerance >= 0:

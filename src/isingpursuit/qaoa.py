@@ -89,20 +89,21 @@ from itertools import islice
 import numpy as np
 
 from .hamiltonian import IsingHamiltonian
-from .signal import _check_dense_size, _read_int
+from .signal import _check_dense_size, _read_count, _read_float, _read_int
 
 
 @dataclass(frozen=True)
 class QaoaParams:
     """Per-layer angles; depth p = len(gammas) = len(betas), 2p free parameters.
-    Any sequences of numbers are kept as tuples of floats."""
+    Any sequences of numbers are kept as tuples of floats, each angle read
+    by _read_float, so it must be a finite number and not a bool."""
 
     gammas: tuple[float, ...]
     betas: tuple[float, ...]
 
     def __post_init__(self):
         for name in ("gammas", "betas"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            object.__setattr__(self, name, tuple(_read_float(v, name) for v in getattr(self, name)))
         if len(self.gammas) != len(self.betas):
             raise ValueError("gammas and betas must have equal length")
         if len(self.gammas) < 1:
@@ -162,7 +163,9 @@ def num_qubits(state: np.ndarray) -> int:
 
 
 def uniform_state(n: int) -> np.ndarray:
-    """The uniform superposition: every amplitude 2**(-n/2)."""
+    """The uniform superposition: every amplitude 2**(-n/2); n is read by
+    _read_int."""
+    n = _read_int(n, "n")
     _check_dense_size(n)
     return np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
 
@@ -608,7 +611,7 @@ def optimize(
     warm start's value (on an exact tie it may be another vertex).
     Deterministic for a fixed seed and best-effort; raises ValueError only
     for a p, restarts or max_evals that is not an integer (as _read_int
-    reads one), for a depth or an evaluation budget below 1, for no start
+    reads one), for a p or max_evals below 1 (as _read_count), for no start
     at all, for a warm start of another depth, for `negated_seed` with no
     restarts, or when no start reaches an expectation that is not NaN,
     which takes a diagonal that is not finite.
@@ -619,16 +622,13 @@ def optimize(
     target's result is bitwise the one a separate call on H or on -H
     with its seed returns.  The warm start applies to H only.
     """
-    p, restarts, max_evals = (_read_int(p, "p"), _read_int(restarts, "restarts"),
-                              _read_int(max_evals, "max_evals"))
-    if p < 1:
-        raise ValueError(f"depth must be >= 1, got {p}")
+    # restarts may be 0 with a warm start
+    p, restarts, max_evals = (_read_count(p, "p"), _read_int(restarts, "restarts"),
+                              _read_count(max_evals, "max_evals"))
     if restarts < 1 and init is None:
         raise ValueError("need at least one restart or a warm start")
     if restarts < 1 and negated_seed is not None:
         raise ValueError("-H needs at least one restart: the warm start applies to H only")
-    if max_evals < 1:
-        raise ValueError(f"max_evals must be >= 1, got {max_evals}")
     rng = np.random.default_rng(seed)
     starts = []
     if init is not None:
@@ -660,9 +660,7 @@ def optimize(
 
 def sample_candidates(state: np.ndarray, shots: int, seed=None) -> list[int]:
     """shots i.i.d. basis-index draws from |amp_z|^2."""
-    shots = _read_int(shots, "shots")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = _read_count(shots, "shots")
     probs = np.abs(state) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)

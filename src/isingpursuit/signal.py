@@ -25,9 +25,7 @@ INDEX_BITS_CAP = 63
 
 
 def _check_bit_count(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"bit count must be >= 1, got {n}")
-    if n > INDEX_BITS_CAP:
+    if _read_count(n, "bit count") > INDEX_BITS_CAP:
         raise ValueError(f"n={n} exceeds {INDEX_BITS_CAP}, the width of the int64 pattern masks")
 
 
@@ -57,13 +55,22 @@ def _read_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _read_int_fields(record, *names: str, optional: tuple[str, ...] = ()) -> None:
-    """Read each named field of a frozen dataclass through _read_int and keep
-    it as an int; a field named in `optional` may also hold None."""
+def _read_count(value, name: str) -> int:
+    """A count: an integer as _read_int reads one, of at least 1."""
+    value = _read_int(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _read_fields(record, reader, *names: str, optional: tuple[str, ...] = ()) -> None:
+    """Read each named field of a frozen dataclass through reader (_read_int
+    or _read_count) and keep what it returns; a field named in `optional`
+    may also hold None."""
     for name in names + optional:
         value = getattr(record, name)
         if value is not None or name not in optional:
-            object.__setattr__(record, name, _read_int(value, name))
+            object.__setattr__(record, name, reader(value, name))
 
 
 def _is_finite(value) -> bool:
@@ -103,7 +110,7 @@ class SparseSignal:
     spikes: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        _read_int_fields(self, "n")
+        _read_fields(self, _read_int, "n")
         object.__setattr__(self, "spikes", tuple((_read_int(p, "pos"), _read_float(v, "val"))
                                                  for p, v in self.spikes))
         _check_bit_count(self.n)
@@ -140,7 +147,8 @@ class SparseSignal:
 
 def random_sparse_signal(n: int, s: int, seed=None) -> SparseSignal:
     """Draw s spikes at distinct uniform positions with values uniform over
-    SPIKE_VALUE_RANGE."""
+    SPIKE_VALUE_RANGE; n and s are read by _read_int first."""
+    n, s = _read_int(n, "n"), _read_int(s, "s")
     _check_sparsity(n, s)
     d = 1 << n
     rng = np.random.default_rng(seed)

@@ -32,7 +32,7 @@ import numpy as np
 from . import qaoa
 from .hamiltonian import IsingHamiltonian, build_hamiltonian
 from .measurement import MeasurementSet, all_column_dots, column_dot, column_dots
-from .signal import _read_int_fields
+from .signal import _read_count, _read_fields
 
 BACKENDS = ("brute", "chain", "qaoa")
 
@@ -176,11 +176,7 @@ class SolverSpec:
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        names = ("param_count", "restarts", "max_evals", "shots")
-        _read_int_fields(self, *names)
-        for name in names:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _read_fields(self, _read_count, "param_count", "restarts", "max_evals", "shots")
 
     @property
     def depth(self) -> int:

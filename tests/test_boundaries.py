@@ -2,10 +2,11 @@
 marginals and spike values, marginals whose squared norm overflows, chain
 residuals whose sweep overflows, marginals that are not one vector entry per
 pattern, the 63-bit width of the index masks, the cap on 2**n-entry arrays,
-integer fields of the JSON loaders and of records built in Python, the
-counts of the QAOA entry points, empty solver budgets, diagonals whose
-spread QAOA cannot divide by or whose mean overflows, and a solver choice
-whose column no pattern measures."""
+integer fields of the JSON loaders, of records built in Python and of the
+generators, the counts of the QAOA entry points, empty solver budgets and
+every other count below one, QAOA angles and Hamiltonian coefficients that
+are not numbers, diagonals whose spread QAOA cannot divide by or whose mean
+overflows, and a solver choice whose column no pattern measures."""
 
 import math
 import sys
@@ -24,6 +25,7 @@ from isingpursuit.measurement import (
     MeasurementSet,
     Pattern,
     all_column_dots,
+    complete_patterns,
     nearest_neighbor_patterns,
     random_quadruplet_patterns,
 )
@@ -211,8 +213,9 @@ def _patterns(n=6, bit=2, val=1):
     return MeasurementSet.from_dict({"n": n, "patterns": [[{"bit": bit, "val": val}]]})
 
 
-# (loader or constructor, field, integers the field may hold): each record
-# reads its fields when built, so a loader and a constructor refuse alike
+# (loader, constructor or generator, field, integers the field may hold):
+# each record reads its fields when built, so a loader and a constructor
+# refuse alike, and each generator reads its counts before any range check
 INTEGER_FIELDS = {
     "signal-n": (lambda v: _signal(n=v), "n", st.integers(2, INDEX_BITS_CAP)),
     "signal-pos": (lambda v: _signal(pos=v), "pos", st.integers(0, 63)),
@@ -226,6 +229,21 @@ INTEGER_FIELDS = {
     "Pattern-val": (lambda v: Pattern(((2, v),)), "val", st.integers(0, 1)),
     "MeasurementSet-n": (lambda v: MeasurementSet(v, (Pattern(((2, 1),)),)), "n",
                          st.integers(2, INDEX_BITS_CAP)),
+    "random_sparse_signal-n": (lambda v: random_sparse_signal(v, 1, seed=0), "n",
+                               st.integers(1, INDEX_BITS_CAP)),
+    "random_sparse_signal-s": (lambda v: random_sparse_signal(6, v, seed=0), "s",
+                               st.integers(1, 64)),
+    "nearest_neighbor_patterns-n": (nearest_neighbor_patterns, "n", st.integers(2, INDEX_BITS_CAP)),
+    "random_quadruplet_patterns-n": (lambda v: random_quadruplet_patterns(v, 1, seed=0), "n",
+                                     st.integers(4, 12)),
+    "random_quadruplet_patterns-q": (lambda v: random_quadruplet_patterns(6, v, seed=0), "q",
+                                     st.integers(1, 15)),
+    "complete_patterns-n": (complete_patterns, "n", st.integers(1, 8)),
+    "uniform_state-n": (lambda v: qaoa.uniform_state(v).tobytes(), "n", st.integers(1, 12)),
+    "IsingHamiltonian-n": (lambda v: IsingHamiltonian(v, {frozenset({1}): 0.5}), "n",
+                           st.integers(1, INDEX_BITS_CAP)),
+    "IsingHamiltonian-qubit": (lambda v: IsingHamiltonian(6, {frozenset({v, 2}): 0.5}), "qubit",
+                               st.integers(1, 6)),
 }
 NOT_INTEGERS = st.one_of(
     st.booleans(),
@@ -255,6 +273,23 @@ def test_loaders_read_integral_floats_as_integers(field, data):
     load, _, integers = field
     value = data.draw(integers)
     assert load(float(value)) == load(value)
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS.values(), ids=INTEGER_FIELDS.keys())
+@given(data=st.data())
+def test_loaders_read_numpy_integers_as_integers(field, data):
+    load, _, integers = field
+    value = data.draw(integers)
+    assert load(data.draw(st.sampled_from([np.int64, np.uint8]))(value)) == load(value)
+
+
+@pytest.mark.parametrize("qubit", [1.0, np.float32(1.0), np.int64(1)])
+def test_a_hamiltonian_reads_integral_qubits_as_ints(qubit):
+    # a support frozenset({1.0}) passed the range check, then diagonal() raised a TypeError
+    H = IsingHamiltonian(3, {frozenset({qubit, 3}): np.float32(0.5)})
+    twin = IsingHamiltonian(3, {frozenset({1, 3}): 0.5})
+    assert H == twin and [type(j) for support in H.terms for j in support] == [int, int]
+    assert H.diagonal().tobytes() == twin.diagonal().tobytes()
 
 
 # Booleans, strings, null, non-finite floats and integers beyond the float
@@ -303,6 +338,36 @@ def test_empty_solver_budgets_are_rejected(budget, value, backend):
 @given(st.sampled_from(BUDGETS), st.integers(1, 2**31))
 def test_positive_solver_budgets_are_kept(budget, value):
     assert getattr(SolverSpec("qaoa", **{budget: value}), budget) == value
+
+
+TWO_QUBITS = IsingHamiltonian(2, {frozenset({1}): 1.0})
+# (call, name in the message) for every count that must be at least 1
+COUNTS = {
+    "optimize-p": (lambda v: qaoa.optimize(TWO_QUBITS, v), "p"),
+    "optimize-max_evals": (lambda v: qaoa.optimize(TWO_QUBITS, 1, max_evals=v), "max_evals"),
+    "sample_candidates-shots": (lambda v: qaoa.sample_candidates(qaoa.uniform_state(2), v),
+                                "shots"),
+    **{f"SolverSpec-{name}": (lambda v, name=name: SolverSpec("qaoa", **{name: v}), name)
+       for name in BUDGETS},
+    **{f"ExperimentPlan-{name}": (lambda v, name=name: ExperimentPlan(6, 2, **{name: v}), name)
+       for name in ("trial_count", "workers", "max_iterations")},
+    "ExperimentPlan-quadruplets": (
+        lambda v: ExperimentPlan(6, 2, pattern_kind="quad", quadruplets=v), "quadruplet count"),
+    "PursuitConfig-max_iterations": (lambda v: PursuitConfig(brute_force_solve, v),
+                                     "max_iterations"),
+    "random_quadruplet_patterns-q": (lambda v: random_quadruplet_patterns(6, v),
+                                     "quadruplet count"),
+}
+
+
+@pytest.mark.parametrize("count", COUNTS.values(), ids=COUNTS.keys())
+@given(value=st.integers(-2**31, 0))
+@example(value=0)
+def test_every_count_below_one_gets_the_same_message(count, value):
+    # optimize(H, p=0) used to say "depth must be >= 1"
+    call, name = count
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+        call(value)
 
 
 def _plan(**fields):
@@ -372,6 +437,30 @@ def test_qaoa_counts_must_be_integers(call, name):
     H = IsingHamiltonian(2, {frozenset({1}): 1.0})
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         call(H)
+
+
+@pytest.mark.parametrize("name", ["gammas", "betas"])
+@given(value=NOT_NUMBERS)
+@example(value="0.1")
+@example(value=True)
+@example(value=math.nan)
+def test_qaoa_angles_must_be_finite_numbers(name, value):
+    # float() used to read "0.1" as 0.1 and True as 1.0, and kept NaN angles
+    angles = {"gammas": (0.1,), "betas": (0.2,), name: (0.3, value)}
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
+        qaoa.QaoaParams(**angles)
+
+
+@given(value=st.one_of(st.booleans(), st.text(max_size=4), st.none(),
+                       st.integers(min_value=2**1024)))
+@example(value="1")
+@example(value=True)
+def test_hamiltonian_coefficients_must_be_numbers(value):
+    # np.fromiter used to read "1" and True as 1.0; inf and NaN stay accepted
+    with pytest.raises(ValueError, match="^coefficient must be a number, got "):
+        IsingHamiltonian(2, {frozenset({1}): 0.5, frozenset({2}): value})
+    for kept in (math.inf, math.nan):
+        assert repr(IsingHamiltonian(2, {frozenset({1}): kept}).terms[frozenset({1})]) == repr(kept)
 
 
 @given(st.integers(-2**31, 0))

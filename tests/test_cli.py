@@ -145,7 +145,8 @@ def test_experiment_rejects_workers_and_time_limits_that_do_nothing(flags, capsy
                                   {"sparsity": 1, "patterns": "quad", "quadruplets": 16,
                                    "params": "5,9"},
                                   {"sparsity": 1, "patterns": "quad", "quadruplets": 0},
-                                  {"n": 3, "sparsity": 1, "patterns": "quad"}])
+                                  {"n": 3, "sparsity": 1, "patterns": "quad"},
+                                  {"sparsity": 1, "seed": -1}])
 def test_experiment_rejects_a_plan_no_trial_can_run_before_any_worker(
         plan, tmp_path, monkeypatch, capsys):
     # at n = 21 a brute plan used to fail inside trial 0, and a sweep's QAOA

@@ -82,6 +82,15 @@ def test_plan_rejects_fewer_than_one_worker(workers):
         tiny_plan(workers=workers)
 
 
+@pytest.mark.parametrize("seed", [-1, -2**62])
+def test_plan_rejects_a_negative_master_seed(seed):
+    # such a plan used to build, and run_batch raised numpy's "expected
+    # non-negative integer", which named no field
+    with pytest.raises(ValueError, match=f"^master_seed must be >= 0, got {seed}$"):
+        tiny_plan(master_seed=seed)
+    assert tiny_plan(master_seed=0).master_seed == 0
+
+
 @pytest.mark.parametrize("limit", [float("nan"), -1.0])
 def test_plan_rejects_a_time_limit_that_cannot_cap(limit):
     # a nan limit never caps a trial, a negative one caps every trial

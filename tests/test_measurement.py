@@ -16,6 +16,7 @@ from isingpursuit.measurement import (
     Pattern,
     all_column_dots,
     column_dot,
+    column_dots,
     complete_patterns,
     measure,
     nearest_neighbor_patterns,
@@ -273,6 +274,36 @@ def test_measure_rejects_mismatched_n():
 def test_column_dot_checks_length():
     with pytest.raises(ValueError, match="length"):
         column_dot(0, np.ones(3), nearest_neighbor_patterns(3))
+
+
+# Each reads the index z of an n = 3 set, over a residual r.
+INDEX_READERS = {
+    "column_dot": lambda z, r, ms: column_dot(z, r, ms),
+    "column_dots": lambda z, r, ms: column_dots([2, z], r, ms),
+    "match_vector": lambda z, r, ms: ms.match_vector(z),
+}
+
+
+@pytest.mark.parametrize("read", INDEX_READERS.values(), ids=INDEX_READERS.keys())
+@pytest.mark.parametrize("z", [8, 11, -5, 2**70, True, np.True_, 2.7, "3", None])
+def test_column_indices_must_be_integers_in_range(read, z):
+    # at n = 3, column_dot(11, ...) and column_dot(-5, ...) returned index 3's
+    # dot, True read as index 1, and column_dots([2.7, 11], ...) gave indices 2 and 3
+    ms = nearest_neighbor_patterns(3)
+    with pytest.raises(ValueError, match="^index (must be an integer|-?[0-9]+ outside)"):
+        read(z, np.arange(len(ms), dtype=float), ms)
+
+
+@given(measurement_sets(max_n=10), st.data())
+def test_column_dots_read_in_range_indices_as_column_dot_does(ms, data):
+    zs = data.draw(st.lists(st.integers(0, (1 << ms.n) - 1), max_size=20))
+    typed = [data.draw(st.sampled_from([int, np.int64, np.uint16, float, np.float64]))(z)
+             for z in zs]
+    r = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(ms), max_size=len(ms))))
+    expected = np.array([column_dot(z, r, ms) for z in zs], dtype=float)
+    assert column_dots(typed, r, ms).tobytes() == column_dots(zs, r, ms).tobytes()
+    assert column_dots(zs, r, ms).tobytes() == expected.tobytes()
+    assert [column_dot(z, r, ms) for z in typed] == expected.tolist()
 
 
 def test_column_dot_all_ones_residual():
