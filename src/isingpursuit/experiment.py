@@ -22,7 +22,7 @@ from .measurement import (MeasurementSet, _check_quadruplets, measure, nearest_n
                           random_quadruplet_patterns)
 from .pursuit import PursuitConfig, ReconstructionResult, Solver, matching_pursuit, recovery_success
 from .signal import (SparseSignal, _check_dense_size, _check_sparsity, _read_count, _read_fields,
-                     _read_float, _read_int, random_sparse_signal)
+                     _read_float, _read_int, _read_seed, random_sparse_signal)
 from .solvers import BACKENDS, SolverSpec, brute_force_solve, chain_dp_solve, qaoa_solve
 
 PATTERN_KINDS = ("nn", "quad")
@@ -46,10 +46,9 @@ class ExperimentPlan:
     workers: int = 1
 
     def __post_init__(self):
-        _read_fields(self, _read_int, "n", "sparsity", "master_seed", optional=("quadruplets",))
+        _read_fields(self, _read_int, "n", "sparsity", optional=("quadruplets",))
         _read_fields(self, _read_count, "trial_count", "workers", optional=("max_iterations",))
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        _read_fields(self, _read_seed, "master_seed")
         if not isinstance(self.solver, SolverSpec):
             raise ValueError(f"solver must be a SolverSpec, got {self.solver!r}")
         _check_sparsity(self.n, self.sparsity)

@@ -46,7 +46,7 @@ from itertools import compress
 import numpy as np
 
 from .measurement import MeasurementSet, _add_table, _per_pattern, _signs
-from .signal import _check_dense_size, _read_float, _read_int
+from .signal import _check_bit_count, _check_dense_size, _read_float, _read_int
 
 # Exact cancellations occur for complete value-assignment groups; drop the dust.
 COEFF_PRUNE_TOL = 1e-15
@@ -60,15 +60,17 @@ class IsingHamiltonian:
     is first read (see the module docstring); a dict given here is copied,
     so later changes to it do not reach the Hamiltonian.  n and every qubit
     are read by _read_int, so a support of integral floats is the support of
-    their ints, and every coefficient by _read_float, which keeps inf and
-    NaN.  Its diagonal is made on the first `diagonal()` call and kept,
-    read-only.
+    their ints, n is checked by _check_bit_count when built, as signals and
+    pattern sets check theirs, and every coefficient is read by _read_float,
+    which keeps inf and NaN.  Its diagonal is made on the first `diagonal()`
+    call and kept, read-only.
     """
 
     _diagonal: np.ndarray | None = None
 
     def __init__(self, n: int, terms: dict[frozenset[int], float] | None = None):
         n, terms = _read_int(n, "n"), {} if terms is None else terms
+        _check_bit_count(n)
         supports = list(terms)
         for i, support in enumerate(supports):
             for j in support:

@@ -48,7 +48,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .signal import (SparseSignal, _check_bit_count, _check_dense_size, _read_count, _read_fields,
-                     _read_int)
+                     _read_int, _read_seed)
 
 # The largest n of complete_patterns, whose 2**n patterns form an explicit matrix.
 DENSE_MATRIX_CAP = 10
@@ -380,9 +380,11 @@ def random_quadruplet_patterns(n: int, q: int, seed=None) -> MeasurementSet:
     M = 16q.  Quadruplets are drawn uniformly over the C(n, 4) position
     subsets, without repetition across the set; n is checked against
     INDEX_BITS_CAP first, so the subset list holds at most C(63, 4) = 595,665.
-    n and q are read by _read_int before either check.
+    n and q are read by _read_int before either check, and a seed that is
+    not None by _read_seed.
     """
     n, q = _read_int(n, "n"), _read_int(q, "q")
+    seed = None if seed is None else _read_seed(seed)
     _check_quadruplets(n, q)
     _check_bit_count(n)
     rng = np.random.default_rng(seed)

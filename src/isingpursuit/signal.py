@@ -63,6 +63,15 @@ def _read_count(value, name: str) -> int:
     return value
 
 
+def _read_seed(value, name: str = "seed") -> int:
+    """A seed: an integer as _read_int reads one, of at least 0, as
+    np.random.default_rng takes one."""
+    value = _read_int(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def _read_fields(record, reader, *names: str, optional: tuple[str, ...] = ()) -> None:
     """Read each named field of a frozen dataclass through reader (_read_int
     or _read_count) and keep what it returns; a field named in `optional`
@@ -147,8 +156,10 @@ class SparseSignal:
 
 def random_sparse_signal(n: int, s: int, seed=None) -> SparseSignal:
     """Draw s spikes at distinct uniform positions with values uniform over
-    SPIKE_VALUE_RANGE; n and s are read by _read_int first."""
+    SPIKE_VALUE_RANGE; n and s are read by _read_int first, and a seed that
+    is not None by _read_seed."""
     n, s = _read_int(n, "n"), _read_int(s, "s")
+    seed = None if seed is None else _read_seed(seed)
     _check_sparsity(n, s)
     d = 1 << n
     rng = np.random.default_rng(seed)

@@ -2,16 +2,19 @@
 
 Three interchangeable backends share one outcome type: an exhaustive scan,
 an exact chain dynamic program for nearest-neighbor structure, and a
-best-effort simulated QAOA search.  A SolverSpec names the backend and
-carries the QAOA knobs, with one set of defaults and checks.  All of them
+best-effort simulated QAOA proposer.  A SolverSpec names the backend and
+carries the QAOA knobs, with one set of defaults and checks; its schedule
+picks the QAOA angles, by default as the best of a fixed grid of linear
+ramps, or by a Nelder-Mead search.  All of them
 report a score recomputed through column_dot at the returned position, so
 reported scores are always reproducible independently of the search path.
 The absolute value is handled by solving both the maximization and the
 minimization of h and keeping whichever extremum is larger in magnitude.
 The chain backend fills the max and the min tables in one fused sweep that
 records its choices, exact because IEEE negation commutes with its sums and
-comparisons; the QAOA backend searches both in one lockstep run over H's
-diagonal, with -H's circuits as H's circuits with their gammas negated.
+comparisons; the QAOA backend picks both targets' angles in one `optimize`
+run over H's diagonal, with -H's circuits as H's circuits with their gammas
+negated.
 
 The QAOA backend evolves under H normalised: its diagonal d divided by the
 spread s = max|d - mean d| (`IsingHamiltonian.normalized`), so that the
@@ -32,7 +35,7 @@ import numpy as np
 from . import qaoa
 from .hamiltonian import IsingHamiltonian, build_hamiltonian
 from .measurement import MeasurementSet, all_column_dots, column_dot, column_dots
-from .signal import _read_count, _read_fields
+from .signal import _read_count, _read_fields, _read_seed
 
 BACKENDS = ("brute", "chain", "qaoa")
 
@@ -165,6 +168,13 @@ class SolverSpec:
     ceil(param_count / 2) layers of one gamma and one beta each, so it runs
     2 * depth angles: an odd count rounds up, and the paper's 5/9/15/21 run
     6/10/16/22-angle circuits.
+
+    schedule picks the angles (see `qaoa.optimize`).  "ramp", the default,
+    reads param_count and shots: each target keeps the best row of a fixed
+    grid of linear ramps, so its circuit of any depth has two free numbers.
+    "search" reads param_count, restarts, max_evals and shots: a Nelder-Mead
+    search from `restarts` random starts of at most `max_evals` evaluations
+    each.  Every field is checked whichever schedule runs.
     """
 
     backend: str = "brute"
@@ -172,10 +182,13 @@ class SolverSpec:
     restarts: int = qaoa.RESTARTS
     max_evals: int = qaoa.MAX_EVALS
     shots: int = 1024
+    schedule: str = "ramp"
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
+        if self.schedule not in qaoa.SCHEDULES:
+            raise ValueError(f"schedule must be one of {qaoa.SCHEDULES}, got {self.schedule!r}")
         _read_fields(self, _read_count, "param_count", "restarts", "max_evals", "shots")
 
     @property
@@ -202,15 +215,17 @@ def qaoa_solve(
 ) -> SolverOutcome:
     """Best-effort support detection through one QAOA run over two targets.
 
-    One lockstep `optimize` call searches for the top of h and, in mirrored
-    lanes on H's diagonal, the top of -h; each target keeps its own seed
-    streams, for the starts and for the samples, spawned from seed.  The
-    spec gives the depth, restarts, evaluation budget and shots; its backend
-    is not read.  The search, both states and their samples run under H
-    normalised, with diagonal d / s for H's diagonal d and its spread s
-    (1.0 where the spread is zero or not finite; see the module docstring):
-    H makes d once, and the normalised Hamiltonian keeps d / s, which
-    `optimize` and the states' batch both read.  Both optimized states
+    One `optimize` call, under the spec's schedule, picks angles for the top
+    of h and, in mirrored lanes on H's diagonal, the top of -h; each target
+    keeps its own seed streams, for the search's starts and for the samples,
+    spawned from seed, which is read by _read_seed unless None.  The spec
+    gives the schedule, the depth, the search's restarts and evaluation
+    budget, and the shots; its backend is not read.  The angles, both states
+    and their samples run under H normalised, with diagonal d / s for H's
+    diagonal d and its spread s (1.0 where the spread is zero or not
+    finite; see the module docstring): H makes d once, and the normalised
+    Hamiltonian keeps d / s, which `optimize` and the states' batch both
+    read.  Both chosen states
     (-h's as H's state at its gammas negated) come from one `ansatz_state`
     batch.  The candidates sampled from them are pooled in one set and
     rescored by |column_dot| on r in one pass (`column_dots`); the
@@ -219,6 +234,7 @@ def qaoa_solve(
     normalised units, and evaluation count.  Only the reported score is
     guaranteed, not global optimality.
     """
+    seed = None if seed is None else _read_seed(seed)
     H = build_hamiltonian(ms, r)
     if H.max_support_size() == 0:
         # flat objective: every index scores the same
@@ -230,7 +246,7 @@ def qaoa_solve(
     seeds = np.random.SeedSequence(seed).spawn(4)
     out = qaoa.optimize(
         H, p=spec.depth, restarts=spec.restarts, max_evals=spec.max_evals,
-        seed=seeds[0], negated_seed=seeds[2],
+        seed=seeds[0], negated_seed=seeds[2], schedule=spec.schedule,
     )
     states = qaoa.ansatz_state(H, [out.plus.params, out.minus.params.mirrored()])
     diagnostics: dict = {"backend": "qaoa", "scale": scale}

@@ -329,9 +329,10 @@ def simulate_gates_selectors(state: np.ndarray, gates) -> np.ndarray:
 
 
 def qaoa_solve_two_calls(ms: MeasurementSet, r: np.ndarray, spec: SolverSpec, seed) -> SolverOutcome:
-    """qaoa_solve as two optimize calls, one on H and one on negated(H),
-    both normalised, each followed by the ansatz state and samples of its
-    own target.  -H's diagonal has H's spread, so both divide by one scale."""
+    """qaoa_solve as two optimize calls under the spec's schedule, one on H
+    and one on negated(H), both normalised, each followed by the ansatz state
+    and samples of its own target.  -H's diagonal has H's spread, so both
+    divide by one scale."""
     H = build_hamiltonian(ms, r)
     if H.max_support_size() == 0:
         z = 0
@@ -346,7 +347,7 @@ def qaoa_solve_two_calls(ms: MeasurementSet, r: np.ndarray, spec: SolverSpec, se
         ("min", minus, seeds[2], seeds[3]),
     ):
         out = qaoa.optimize(target, p=spec.depth, restarts=spec.restarts,
-                            max_evals=spec.max_evals, seed=opt_seed)
+                            max_evals=spec.max_evals, seed=opt_seed, schedule=spec.schedule)
         state = qaoa.ansatz_state(target, out.params)
         candidates.update(qaoa.sample_candidates(state, spec.shots, seed=sample_seed))
         diagnostics[f"{label}_expectation"] = out.expectation

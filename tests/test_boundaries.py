@@ -9,6 +9,7 @@ are not numbers, diagonals whose spread QAOA cannot divide by or whose mean
 overflows, and a solver choice whose column no pattern measures."""
 
 import math
+import re
 import sys
 import tracemalloc
 
@@ -119,6 +120,7 @@ WIDTH_CHECKED = {
     "nearest_neighbor_patterns": nearest_neighbor_patterns,
     "random_quadruplet_patterns": lambda n: random_quadruplet_patterns(n, 1, seed=n),
     "ExperimentPlan": lambda n: ExperimentPlan(n, 1, solver=SolverSpec("chain")),
+    "IsingHamiltonian": lambda n: IsingHamiltonian(n, {}),
 }
 
 
@@ -340,6 +342,13 @@ def test_positive_solver_budgets_are_kept(budget, value):
     assert getattr(SolverSpec("qaoa", **{budget: value}), budget) == value
 
 
+@pytest.mark.parametrize("schedule", ["anneal", "Ramp", "", None, 1])
+def test_an_unknown_schedule_is_refused_by_name(schedule):
+    with pytest.raises(ValueError, match=r"^schedule must be one of \('ramp', 'search'\), got "):
+        SolverSpec("qaoa", schedule=schedule)
+    assert SolverSpec("qaoa").schedule == "ramp"
+
+
 TWO_QUBITS = IsingHamiltonian(2, {frozenset({1}): 1.0})
 # (call, name in the message) for every count that must be at least 1
 COUNTS = {
@@ -357,6 +366,7 @@ COUNTS = {
                                      "max_iterations"),
     "random_quadruplet_patterns-q": (lambda v: random_quadruplet_patterns(6, v),
                                      "quadruplet count"),
+    "IsingHamiltonian-n": (lambda v: IsingHamiltonian(v, {}), "bit count"),
 }
 
 
@@ -478,10 +488,13 @@ def test_optimize_rejects_an_empty_evaluation_budget(max_evals):
 ], ids=["overflow", "nan"])
 @pytest.mark.parametrize("negated_seed", [None, 1])
 def test_optimize_refuses_a_diagonal_that_is_not_finite(coefficients, negated_seed):
-    # every expectation is NaN, so no start is best; this used to raise a TypeError
+    # every expectation is NaN, so no start or grid row is best; this used to
+    # raise a TypeError
     H = IsingHamiltonian(2, coefficients)
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="diagonal is not finite"):
-        qaoa.optimize(H, 1, restarts=1, max_evals=5, seed=0, negated_seed=negated_seed)
+    for schedule in qaoa.SCHEDULES:
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="diagonal is not finite"):
+            qaoa.optimize(H, 1, restarts=1, max_evals=5, seed=0, negated_seed=negated_seed,
+                          schedule=schedule)
 
 
 # n = 1, one pattern per value of bit 1: H's diagonal is r, as built
@@ -521,8 +534,35 @@ def test_qaoa_solve_refuses_a_diagonal_that_is_not_finite():
     with np.errstate(over="ignore"):  # the diagonal overflows as it is made
         assert H.diagonal()[0] == np.inf
     assert H.normalized()[1] == 1.0  # and its spread without a warning
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="diagonal is not finite"):
-        qaoa_solve(ms, r, SolverSpec("qaoa", 2, 1, 5, 8), seed=0)
+    for schedule in qaoa.SCHEDULES:
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="diagonal is not finite"):
+            qaoa_solve(ms, r, SolverSpec("qaoa", 2, 1, 5, 8, schedule), seed=0)
+
+
+# every public entry that takes a seed, and the plan's master seed
+SEEDED = {
+    "random_sparse_signal": (lambda v: random_sparse_signal(6, 1, seed=v), "seed"),
+    "random_quadruplet_patterns": (lambda v: random_quadruplet_patterns(6, 1, seed=v), "seed"),
+    "qaoa_solve": (lambda v: qaoa_solve(ONE_BIT, np.array([1.0, 0.5]), SolverSpec("qaoa", 2),
+                                        seed=v), "seed"),
+    "ExperimentPlan": (lambda v: ExperimentPlan(6, 2, master_seed=v), "master_seed"),
+}
+
+
+@pytest.mark.parametrize("entry", SEEDED.values(), ids=SEEDED.keys())
+@given(value=st.one_of(st.integers(-2**70, -1), st.sampled_from([2.5, True, "3"])))
+@example(value=-1)
+def test_a_seed_is_a_non_negative_integer_named_in_the_error(entry, value):
+    # a negative seed used to reach np.random.default_rng, whose error names
+    # no argument
+    call, name = entry
+    message = (f"{name} must be >= 0, got {value}" if type(value) is int
+               else f"{name} must be an integer, got {value!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+    call(0)
+    call(np.int64(7))
+    call(2.0)
 
 
 @given(st.integers(1, 8), st.data())

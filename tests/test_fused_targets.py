@@ -1,10 +1,11 @@
 """qaoa_solve's one lockstep run over H and -H against the two-call path in
-`oracles`, bit for bit: position, score, diagnostics, both sampled states
-and their samples.  A mirrored lane, which runs -H on H's diagonal with its
-gammas negated by `_mirrored`'s row sign, is also checked on its own, from
-starts whose gammas are exactly zero, on H as built and normalised; and
-lanes of both targets in any order must each return what they return run
-alone."""
+`oracles`, bit for bit, under either schedule: position, score,
+diagnostics, both sampled states and their samples.  Each target of a
+paired ramp is checked against a ramp on its own diagonal.  A mirrored
+lane, which runs -H on H's diagonal with its gammas negated by
+`_mirrored`'s row sign, is also checked on its own, from starts whose
+gammas are exactly zero, on H as built and normalised; and lanes of both
+targets in any order must each return what they return run alone."""
 
 from unittest import mock
 
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingpursuit import qaoa
-from isingpursuit.hamiltonian import IsingHamiltonian
+from isingpursuit.hamiltonian import IsingHamiltonian, build_hamiltonian
 from isingpursuit.measurement import MeasurementSet, Pattern, nearest_neighbor_patterns
 from isingpursuit.qaoa import (
     QaoaParams,
@@ -39,7 +40,7 @@ RESIDUALS = st.one_of(
 
 
 @st.composite
-def solve_cases(draw):
+def solve_cases(draw, schedule):
     ms = draw(measurement_sets())
     r = np.array(draw(st.lists(RESIDUALS, min_size=len(ms), max_size=len(ms))))
     spec = SolverSpec(
@@ -48,6 +49,7 @@ def solve_cases(draw):
         restarts=draw(st.integers(1, 3)),
         max_evals=draw(st.integers(1, 60)),
         shots=draw(st.integers(1, 64)),
+        schedule=schedule,
     )
     return ms, r, spec, draw(st.integers(0, 2**32 - 1))
 
@@ -82,13 +84,26 @@ FLAT = (MeasurementSet(1, (Pattern(((1, 0),)), Pattern(((1, 1),)))), np.array([0
 
 
 @settings(max_examples=100 * DEPTH)
-@given(solve_cases())
-@example((*SIGNED_ZERO_DIAGONAL, SolverSpec("qaoa", 4, restarts=2, max_evals=40, shots=8), 3))
-@example((*FLAT, SolverSpec("qaoa", 2, restarts=1, max_evals=10, shots=4), 0))
+@given(solve_cases("search"))
+@example((*SIGNED_ZERO_DIAGONAL,
+          SolverSpec("qaoa", 4, restarts=2, max_evals=40, shots=8, schedule="search"), 3))
+@example((*FLAT, SolverSpec("qaoa", 2, restarts=1, max_evals=10, shots=4, schedule="search"), 0))
 @example((nearest_neighbor_patterns(4), np.array([1.0, -1.0, 0.5, 0.0] * 3),
-          SolverSpec("qaoa", 6, restarts=3, max_evals=60, shots=16), 5))
+          SolverSpec("qaoa", 6, restarts=3, max_evals=60, shots=16, schedule="search"), 5))
 def test_qaoa_solve_is_bitwise_the_two_call_path(case):
-    ms, r, spec, seed = case
+    check_two_call_path(*case)
+
+
+@settings(max_examples=50 * DEPTH)
+@given(solve_cases("ramp"))
+@example((*SIGNED_ZERO_DIAGONAL, SolverSpec("qaoa", 4, shots=8), 3))
+@example((nearest_neighbor_patterns(4), np.array([1.0, -1.0, 0.5, 0.0] * 3),
+          SolverSpec("qaoa", 6, shots=16), 5))
+def test_qaoa_solve_under_the_ramp_is_bitwise_the_two_call_path(case):
+    check_two_call_path(*case)
+
+
+def check_two_call_path(ms, r, spec, seed):
     out, states, samples = recorded(qaoa_solve, ms, r, spec, seed)
     ref, ref_states, ref_samples = recorded(qaoa_solve_two_calls, ms, r, spec, seed)
     assert (out.position, repr(out.score)) == (ref.position, repr(ref.score))
@@ -97,6 +112,21 @@ def test_qaoa_solve_is_bitwise_the_two_call_path(case):
     assert states == ref_states  # the -H state second
     assert samples == ref_samples
     assert set().union(*samples) == set().union(*ref_samples)
+
+
+@settings(max_examples=50 * DEPTH)
+@given(hamiltonians(max_n=8), st.integers(1, 6), st.booleans())
+@example(IsingHamiltonian(2, {frozenset({1}): 1.0}), 2, False)
+@example(build_hamiltonian(*SIGNED_ZERO_DIAGONAL), 2, False)
+def test_each_target_of_a_paired_ramp_is_bitwise_a_ramp_on_its_own_diagonal(H, p, normalise):
+    neg_H = negated(H)
+    if normalise:
+        (H, _), (neg_H, _) = H.normalized(), neg_H.normalized()
+    paired = optimize(H, p, negated_seed=0, schedule="ramp")
+    for got, target in ((paired.plus, H), (paired.minus, neg_H)):
+        alone = optimize(target, p, schedule="ramp")
+        assert repr(got) == repr(alone)
+        assert alone.evaluations == len(qaoa.ramp_grid(p))
 
 
 ZERO_GAMMAS = (IsingHamiltonian(2, {frozenset({1}): 1.0}), 2, np.array([0.0, -0.0, 1.3, 0.4]), 50)

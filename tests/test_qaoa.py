@@ -19,13 +19,20 @@ from isingpursuit.qaoa import (
     decompose_evolution,
     num_qubits,
     optimize,
+    ramp_grid,
     sample_candidates,
     simulate_gates,
     uniform_state,
 )
 from isingpursuit.qaoa import _expectations, _lockstep, _nelder_mead, _StateBuffers
 
-from oracles import apply_mixer_layer, expectation, scipy_nelder_mead
+from oracles import (
+    apply_mixer_layer,
+    evolve_per_qubit,
+    expectation,
+    expectations_per_row,
+    scipy_nelder_mead,
+)
 from strategies import hamiltonians
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -206,6 +213,40 @@ def test_optimize_validates_inputs():
         optimize(H, p=1, restarts=0)
     with pytest.raises(ValueError, match="depth"):
         optimize(H, p=2, restarts=1, init=QaoaParams((0.1,), (0.2,)))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 11])
+def test_ramp_grid_rows_follow_the_linear_ramp_formula(p):
+    slopes = [8 * k / 5 for k in range(1, 6)]
+    mixes = [-3.0, -1.5, 0.0, 1.5, 3.0]
+    expected = [[a * (l + 0.5) / p for l in range(p)] + [b * (1 - (l + 0.5) / p) for l in range(p)]
+                for a in slopes for b in mixes]
+    grid = ramp_grid(p)
+    assert grid.tolist() == expected
+    assert grid is ramp_grid(p) and not grid.flags.writeable
+
+
+@settings(max_examples=60)
+@given(hamiltonians(max_n=6), st.integers(1, 5))
+def test_ramp_keeps_the_first_best_grid_row(H, p):
+    grid = ramp_grid(p)
+    values = expectations_per_row(evolve_per_qubit(H.diagonal(), H.n, grid), H.diagonal())
+    best = int(np.argmax(values))  # the first maximum
+    out = optimize(H, p, schedule="ramp")
+    assert out.params.to_vector().tobytes() == grid[best].tobytes()
+    assert repr(out.expectation) == repr(float(values[best]))
+    assert out.evaluations == len(grid) == 25
+
+
+def test_ramp_reads_no_search_settings():
+    H = IsingHamiltonian(3, {frozenset({1, 2}): 1.0, frozenset({3}): -0.6})
+    ramp = optimize(H, 2, schedule="ramp")
+    assert repr(optimize(H, 2, restarts=0, max_evals=1, seed=5, schedule="ramp")) == repr(ramp)
+    with pytest.raises(ValueError, match="a warm start needs the search schedule"):
+        optimize(H, 1, init=QaoaParams((0.1,), (0.2,)), schedule="ramp")
+    message = r"schedule must be one of \('ramp', 'search'\), got 'anneal'"
+    with pytest.raises(ValueError, match=message):
+        optimize(H, 1, schedule="anneal")
 
 
 def test_sampling_from_a_basis_state():
