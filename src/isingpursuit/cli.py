@@ -34,7 +34,6 @@ from .experiment import (
 )
 from .measurement import MeasurementSet, measure
 from .pursuit import DegenerateColumnError, PursuitConfig, matching_pursuit
-from .qaoa import SCHEDULES
 from .signal import SparseSignal, _read_float, _read_int, random_sparse_signal
 
 # A plan file's keys: the plan's fields, then its parameter counts; and its solver's.
@@ -180,10 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     solver_opts.add_argument("--solver", dest="backend", choices=BACKENDS)
     solver_opts.add_argument("--params", dest="parameter_counts", type=_int_list,
                              metavar="PARAMS", help="QAOA parameter count")
-    solver_opts.add_argument("--schedule", choices=SCHEDULES,
-                             help="how QAOA picks its angles (default: ramp)")
-    solver_opts.add_argument("--restarts", type=int, help="(search schedule only)")
-    solver_opts.add_argument("--max-evals", type=int, help="(search schedule only)")
+    solver_opts.add_argument("--restarts", type=int,
+                             help="checked, not read: QAOA angles come from a fixed ramp grid")
+    solver_opts.add_argument("--max-evals", type=int,
+                             help="checked, not read: QAOA angles come from a fixed ramp grid")
     solver_opts.add_argument("--shots", type=int)
 
     p = sub.add_parser("generate", parents=[sizing, seeded], help="random sparse signal -> JSON")

@@ -44,28 +44,24 @@ fresh arrays and broadcast factors.  So each row comes out bitwise equal to
 evolving it alone, which pins two details: the phase multiply's operand
 order and a 1-D dot per row for the expectation.
 
-`optimize` picks angles by one of two schedules, each lane a generator
-that yields the points it needs next and returns its x, value and
-evaluation count.  Every round, the points of all live lanes go through the
-kernel as one batch (`_lockstep`).
+`optimize` picks angles by one of two schedules.  The "ramp" schedule,
+the one `qaoa_solve` runs, searches nothing.  `ramp_grid(p)` holds one row
+of 2p angles per slope a in RAMP_SLOPES and mix b in RAMP_MIXES, a linear
+ramp: gamma_l = a * (l + 1/2) / p and beta_l = b * (1 - (l + 1/2) / p) at
+layer l, the discretised annealing path from which Sack and Serbyn start
+QAOA (Quantum 5, 491 (2021)), run with no optimiser as in linear-ramp QAOA
+(Montanez-Barrera and Michielsen, 2024).  Every row goes through the kernel
+in one plain batch, and each target keeps its first best row.  A ramp
+circuit of any depth thus has two free numbers.
 
-The "ramp" schedule searches nothing.  `ramp_grid(p)` holds one row of 2p
-angles per slope a in RAMP_SLOPES and mix b in RAMP_MIXES, a linear ramp:
-gamma_l = a * (l + 1/2) / p and beta_l = b * (1 - (l + 1/2) / p) at layer
-l, the discretised annealing path from which Sack and Serbyn start QAOA
-(Quantum 5, 491 (2021)), run with no optimiser as in linear-ramp QAOA
-(Montanez-Barrera and Michielsen, 2024).  Each target's grid is one lane,
-`_grid`, that yields every row in one round and returns an outcome per row,
-as lanes of one point each would, so both targets' grids are one plain
-batch and each target keeps its first best row.  A ramp circuit of any
-depth thus has two free numbers.
-
-The "search" schedule runs its restarts in lockstep.  Each start replays
-scipy's Nelder-Mead step for step, in fewer numpy calls, and yields its
+The "search" schedule, `optimize`'s default, runs its restarts in
+lockstep.  Each start is a generator that replays scipy's Nelder-Mead step
+for step, in fewer numpy calls, and yields the points it needs next: its
 whole initial simplex, one reflection, expansion or contraction, or all
-points of a shrink.  Each start returns exactly the x, value and evaluation
-count that scipy's minimize returns for it, while the package itself does
-not depend on scipy.
+points of a shrink.  Every round, the points of all live starts go through
+the kernel as one batch (`_lockstep`).  Each start returns exactly the x,
+value and evaluation count that scipy's minimize returns for it, while the
+package itself does not depend on scipy.
 
 The search's first round holds every lane's initial simplex: its start x0
 and up to 2p vertices, each of which changes one angle of x0, the gamma or
@@ -81,11 +77,13 @@ Since each row is bitwise its solo evolution, a joining row starts from
 exactly the bits its own first layers give, and every value, step and
 result is unchanged.
 
-Asked for the top of -H as well, `optimize` runs -H's lanes, under either
-schedule, as mirrored lanes of the same batches, over H's diagonal:
-exp(i*gamma*(-h)) = exp(i*(-gamma)*h), so `_mirrored` negates the gammas
-of a lane's points by a row sign and maps each value v = -<H> back to -<-H>
-as -(0.0 - -v), and `_lockstep` drives lanes of either target alike.  Every value is bit for
+Asked for the top of -H as well, `optimize` runs -H's rows in the same
+batches, over H's diagonal: exp(i*gamma*(-h)) = exp(i*(-gamma)*h), so -H's
+ramp rows are H's rows times a row sign that negates their gammas, and
+-H's search starts run as lanes wrapped in `_mirrored`, which negates the
+gammas of a lane's points by that sign; `_lockstep` drives lanes of either
+target alike.  Each value v = -<H> of such a row is mapped back to -<-H>
+as -(0.0 - -v), and every value is bit for
 bit the one -H's own diagonal gives.  IEEE products and sums commute with
 negation, so each phase angle (-gamma)*h(z) equals gamma*(-h(z)); the
 amplitudes then differ at most in the sign of an exact zero, which |amp|**2
@@ -614,24 +612,14 @@ def _best(outcomes: list) -> OptimizeOutcome:
     return OptimizeOutcome(QaoaParams.from_vector(best_x), best_val, evaluations)
 
 
-@lru_cache(maxsize=64)
 def ramp_grid(p: int) -> np.ndarray:
     """The ramp schedule's angle rows [gammas, betas], one per slope a and
     mix b, slope-major: at layer l = 0 .. p - 1, gamma_l = a * (l + 1/2) / p
-    and beta_l = b * (1 - (l + 1/2) / p).  Kept per depth, read-only."""
+    and beta_l = b * (1 - (l + 1/2) / p)."""
     t = np.arange(p) + 0.5
     gammas = RAMP_SLOPES[:, None] * t / p
     betas = RAMP_MIXES[:, None] * (1 - t / p)
-    grid = np.hstack([gammas.repeat(len(RAMP_MIXES), 0), np.tile(betas, (len(RAMP_SLOPES), 1))])
-    grid.flags.writeable = False
-    return grid
-
-
-def _grid(rows: np.ndarray):
-    """A lane of one round: it yields all its rows at once and returns one
-    (x, fun, 1) per row, what as many lanes of one point each would return."""
-    values = yield rows
-    return [(x, fun, 1) for x, fun in zip(rows, values)]
+    return np.hstack([gammas.repeat(len(RAMP_MIXES), 0), np.tile(betas, (len(RAMP_SLOPES), 1))])
 
 
 def optimize(
@@ -656,7 +644,7 @@ def optimize(
     be another vertex).  Deterministic for a fixed seed and best-effort.
 
     With schedule "ramp": no search.  Every row of `ramp_grid(p)` is
-    evaluated in one round, and the first best row wins; the evaluation
+    evaluated in one batch, and the first best row wins; the evaluation
     count is the rows evaluated.  The ramp reads neither
     restarts, max_evals nor seed (they are still checked) and takes no warm
     start.
@@ -670,7 +658,7 @@ def optimize(
 
     With `negated_seed`, -H is maximized as well and a PairedOutcome is
     returned; the search draws -H's `restarts` starts from that seed.
-    -H's lanes run mirrored in the same batches over H's diagonal, and each
+    -H's rows run in the same batches over H's diagonal, and each
     target's result is bitwise the one a separate call on H or on -H (with
     its seed) returns.  The warm start applies to H only.
     """
@@ -684,42 +672,43 @@ def optimize(
         if init is not None:
             raise ValueError("a warm start needs the search schedule")
         grid = ramp_grid(p)
-        lanes = [_grid(grid)]
-        if negated_seed is not None:
-            lanes.append(_mirrored(_grid(grid), sign))
-        width, first_round = len(lanes) * len(grid), iter(())  # one plain round
-    else:
-        if restarts < 1 and init is None:
-            raise ValueError("need at least one restart or a warm start")
-        if restarts < 1 and negated_seed is not None:
-            raise ValueError("-H needs at least one restart: the warm start applies to H only")
-        rng = np.random.default_rng(seed)
-        starts = []
-        if init is not None:
-            if init.p != p:
-                raise ValueError(f"warm start has depth {init.p}, expected {p}")
-            starts.append(init.to_vector())
-        starts.extend(rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
-        lanes = [_nelder_mead(x0, max_evals) for x0 in starts]
-        if negated_seed is not None:
-            neg_rng = np.random.default_rng(negated_seed)
-            neg_starts = (neg_rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
-            lanes += [_mirrored(_nelder_mead(x0, max_evals), sign) for x0 in neg_starts]
-        # The first round, the widest, holds every lane's initial simplex, in
-        # lane order, and evolves on shared prefixes; each later round is plain.
-        simplex = min(2 * p + 1, max_evals)
-        width, first_round = len(lanes) * simplex, iter([simplex])
+        rows = grid if negated_seed is None else np.vstack([grid, grid * sign])
+        values = (-_expectations(_StateBuffers(len(rows), H.n, H.diagonal()), rows)).tolist()
+        plus = _best([(x, v, 1) for x, v in zip(grid, values)])
+        if negated_seed is None:
+            return plus
+        # -H's rows map their values back as `_mirrored` does
+        minus = [(x, -(0.0 - -v), 1) for x, v in zip(grid, values[len(grid):])]
+        return PairedOutcome(plus, _best(minus))
 
-    kernel = _StateBuffers(width, H.n, H.diagonal())
+    if restarts < 1 and init is None:
+        raise ValueError("need at least one restart or a warm start")
+    if restarts < 1 and negated_seed is not None:
+        raise ValueError("-H needs at least one restart: the warm start applies to H only")
+    rng = np.random.default_rng(seed)
+    starts = []
+    if init is not None:
+        if init.p != p:
+            raise ValueError(f"warm start has depth {init.p}, expected {p}")
+        starts.append(init.to_vector())
+    starts.extend(rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
+    lanes = [_nelder_mead(x0, max_evals) for x0 in starts]
+    if negated_seed is not None:
+        neg_rng = np.random.default_rng(negated_seed)
+        neg_starts = (neg_rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
+        lanes += [_mirrored(_nelder_mead(x0, max_evals), sign) for x0 in neg_starts]
+
+    # The first round, the widest, holds every lane's initial simplex, in
+    # lane order, and evolves on shared prefixes; each later round is plain.
+    simplex = min(2 * p + 1, max_evals)
+    kernel = _StateBuffers(len(lanes) * simplex, H.n, H.diagonal())
+    first_round = iter([simplex])
 
     def objective(angles: np.ndarray) -> np.ndarray:
         return -_expectations(kernel, angles, next(first_round, 0))
 
     outcomes = _lockstep(lanes, objective)
-    if schedule == "ramp":  # each lane returned its rows' outcomes
-        plus, minus = outcomes[0], outcomes[-1]
-    else:
-        plus, minus = outcomes[:len(starts)], outcomes[len(starts):]
+    plus, minus = outcomes[:len(starts)], outcomes[len(starts):]
     if negated_seed is None:
         return _best(plus)
     return PairedOutcome(_best(plus), _best(minus))

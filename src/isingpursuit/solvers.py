@@ -3,24 +3,23 @@
 Three interchangeable backends share one outcome type: an exhaustive scan,
 an exact chain dynamic program for nearest-neighbor structure, and a
 best-effort simulated QAOA proposer.  A SolverSpec names the backend and
-carries the QAOA knobs, with one set of defaults and checks; its schedule
-picks the QAOA angles, by default as the best of a fixed grid of linear
-ramps, or by a Nelder-Mead search.  All of them
-report a score recomputed through column_dot at the returned position, so
+carries the QAOA knobs, with one set of defaults and checks; the QAOA
+angles are each target's best row of a fixed grid of linear ramps.  All of
+them report a score recomputed through column_dot at the returned position, so
 reported scores are always reproducible independently of the search path.
 The absolute value is handled by solving both the maximization and the
 minimization of h and keeping whichever extremum is larger in magnitude.
 The chain backend fills the max and the min tables in one fused sweep that
 records its choices, exact because IEEE negation commutes with its sums and
 comparisons; the QAOA backend picks both targets' angles in one `optimize`
-run over H's diagonal, with -H's circuits as H's circuits with their gammas
-negated.
+batch over H's diagonal, with -H's circuits as H's circuits with their
+gammas negated.
 
 The QAOA backend evolves under H normalised: its diagonal d divided by the
 spread s = max|d - mean d| (`IsingHamiltonian.normalized`), so that the
 angles meet a landscape of one width whatever the residual's magnitude.
 Shifting d would change only a global phase, and s > 0 keeps -H's mirrored
-lanes' row sign.  Rescoring stays `column_dot` on r, so every reported score
+rows' sign.  Rescoring stays `column_dot` on r, so every reported score
 means what it meant; the diagnostics carry s as `scale`, and the reported
 expectations times s are H's in raw units.
 """
@@ -169,12 +168,10 @@ class SolverSpec:
     2 * depth angles: an odd count rounds up, and the paper's 5/9/15/21 run
     6/10/16/22-angle circuits.
 
-    schedule picks the angles (see `qaoa.optimize`).  "ramp", the default,
-    reads param_count and shots: each target keeps the best row of a fixed
-    grid of linear ramps, so its circuit of any depth has two free numbers.
-    "search" reads param_count, restarts, max_evals and shots: a Nelder-Mead
-    search from `restarts` random starts of at most `max_evals` evaluations
-    each.  Every field is checked whichever schedule runs.
+    qaoa_solve reads param_count and shots: each target keeps the best row
+    of a fixed grid of linear ramps (`qaoa.optimize`'s "ramp" schedule), so
+    its circuit of any depth has two free numbers.  restarts and max_evals,
+    the Nelder-Mead search's budgets, are checked but not read.
     """
 
     backend: str = "brute"
@@ -182,13 +179,10 @@ class SolverSpec:
     restarts: int = qaoa.RESTARTS
     max_evals: int = qaoa.MAX_EVALS
     shots: int = 1024
-    schedule: str = "ramp"
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.schedule not in qaoa.SCHEDULES:
-            raise ValueError(f"schedule must be one of {qaoa.SCHEDULES}, got {self.schedule!r}")
         _read_fields(self, _read_count, "param_count", "restarts", "max_evals", "shots")
 
     @property
@@ -215,12 +209,11 @@ def qaoa_solve(
 ) -> SolverOutcome:
     """Best-effort support detection through one QAOA run over two targets.
 
-    One `optimize` call, under the spec's schedule, picks angles for the top
-    of h and, in mirrored lanes on H's diagonal, the top of -h; each target
-    keeps its own seed streams, for the search's starts and for the samples,
-    spawned from seed, which is read by _read_seed unless None.  The spec
-    gives the schedule, the depth, the search's restarts and evaluation
-    budget, and the shots; its backend is not read.  The angles, both states
+    One `optimize` call under the ramp schedule picks angles for the top of
+    h and, in mirrored rows on H's diagonal, the top of -h; each target
+    keeps its own seed stream for its samples, spawned from seed, which is
+    read by _read_seed unless None.  The spec gives the depth and the shots;
+    its backend, restarts and max_evals are not read.  The angles, both states
     and their samples run under H normalised, with diagonal d / s for H's
     diagonal d and its spread s (1.0 where the spread is zero or not
     finite; see the module docstring): H makes d once, and the normalised
@@ -244,10 +237,9 @@ def qaoa_solve(
         )
     H, scale = H.normalized()  # from here on H is d / s; rescoring reads r
     seeds = np.random.SeedSequence(seed).spawn(4)
-    out = qaoa.optimize(
-        H, p=spec.depth, restarts=spec.restarts, max_evals=spec.max_evals,
-        seed=seeds[0], negated_seed=seeds[2], schedule=spec.schedule,
-    )
+    # the ramp reads no seed: seeds[2] only asks it for -H, and the samples
+    # keep seeds[1] and seeds[3]
+    out = qaoa.optimize(H, p=spec.depth, negated_seed=seeds[2], schedule="ramp")
     states = qaoa.ansatz_state(H, [out.plus.params, out.minus.params.mirrored()])
     diagnostics: dict = {"backend": "qaoa", "scale": scale}
     for label, best in (("max", out.plus), ("min", out.minus)):

@@ -329,10 +329,10 @@ def simulate_gates_selectors(state: np.ndarray, gates) -> np.ndarray:
 
 
 def qaoa_solve_two_calls(ms: MeasurementSet, r: np.ndarray, spec: SolverSpec, seed) -> SolverOutcome:
-    """qaoa_solve as two optimize calls under the spec's schedule, one on H
-    and one on negated(H), both normalised, each followed by the ansatz state
-    and samples of its own target.  -H's diagonal has H's spread, so both
-    divide by one scale."""
+    """qaoa_solve as two ramp optimize calls, one on H and one on
+    negated(H), both normalised, each followed by the ansatz state and
+    samples of its own target.  -H's diagonal has H's spread, so both divide
+    by one scale."""
     H = build_hamiltonian(ms, r)
     if H.max_support_size() == 0:
         z = 0
@@ -342,12 +342,8 @@ def qaoa_solve_two_calls(ms: MeasurementSet, r: np.ndarray, spec: SolverSpec, se
     seeds = np.random.SeedSequence(seed).spawn(4)
     candidates: set[int] = set()
     diagnostics: dict = {"backend": "qaoa", "scale": scale}
-    for label, target, opt_seed, sample_seed in (
-        ("max", plus, seeds[0], seeds[1]),
-        ("min", minus, seeds[2], seeds[3]),
-    ):
-        out = qaoa.optimize(target, p=spec.depth, restarts=spec.restarts,
-                            max_evals=spec.max_evals, seed=opt_seed, schedule=spec.schedule)
+    for label, target, sample_seed in (("max", plus, seeds[1]), ("min", minus, seeds[3])):
+        out = qaoa.optimize(target, p=spec.depth, schedule="ramp")
         state = qaoa.ansatz_state(target, out.params)
         candidates.update(qaoa.sample_candidates(state, spec.shots, seed=sample_seed))
         diagnostics[f"{label}_expectation"] = out.expectation

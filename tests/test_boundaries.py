@@ -342,13 +342,6 @@ def test_positive_solver_budgets_are_kept(budget, value):
     assert getattr(SolverSpec("qaoa", **{budget: value}), budget) == value
 
 
-@pytest.mark.parametrize("schedule", ["anneal", "Ramp", "", None, 1])
-def test_an_unknown_schedule_is_refused_by_name(schedule):
-    with pytest.raises(ValueError, match=r"^schedule must be one of \('ramp', 'search'\), got "):
-        SolverSpec("qaoa", schedule=schedule)
-    assert SolverSpec("qaoa").schedule == "ramp"
-
-
 TWO_QUBITS = IsingHamiltonian(2, {frozenset({1}): 1.0})
 # (call, name in the message) for every count that must be at least 1
 COUNTS = {
@@ -534,9 +527,8 @@ def test_qaoa_solve_refuses_a_diagonal_that_is_not_finite():
     with np.errstate(over="ignore"):  # the diagonal overflows as it is made
         assert H.diagonal()[0] == np.inf
     assert H.normalized()[1] == 1.0  # and its spread without a warning
-    for schedule in qaoa.SCHEDULES:
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="diagonal is not finite"):
-            qaoa_solve(ms, r, SolverSpec("qaoa", 2, 1, 5, 8, schedule), seed=0)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="diagonal is not finite"):
+        qaoa_solve(ms, r, SolverSpec("qaoa", 2, 1, 5, 8), seed=0)
 
 
 # every public entry that takes a seed, and the plan's master seed

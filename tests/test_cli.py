@@ -22,7 +22,7 @@ from isingpursuit.experiment import (
 )
 from isingpursuit.measurement import MeasurementSet
 from isingpursuit.pursuit import PursuitConfig, matching_pursuit
-from isingpursuit.qaoa import SCHEDULES, optimize
+from isingpursuit.qaoa import optimize
 from isingpursuit.solvers import SolverOutcome
 
 
@@ -426,7 +426,6 @@ def test_reconstruct_rejects_boolean_marginals(backend, pipeline_files, capsys):
     (["--params", "9"], SolverSpec(param_count=9)),
     (["--solver", "qaoa", "--restarts", "1", "--max-evals", "7", "--shots", "8"],
      SolverSpec("qaoa", restarts=1, max_evals=7, shots=8)),
-    (["--solver", "qaoa", "--schedule", "search"], SolverSpec("qaoa", schedule="search")),
 ])
 def test_reconstruct_solver_flags_default_to_the_spec_defaults(flags, spec, pipeline_files,
                                                                monkeypatch):
@@ -453,29 +452,6 @@ def test_a_negative_seed_exits_2_naming_the_seed(argv, pipeline_files, capsys):
     capsys.readouterr()
     assert run_cli(*(arg.format(**pipeline_files) for arg in argv)) == 2
     assert _one_error_line(capsys) == "error: seed must be >= 0, got -1\n"
-
-
-def test_schedule_flag_and_plan_key_choose_the_qaoa_schedule(tmp_path, monkeypatch):
-    plans = []
-
-    def record(plan):
-        plans.append(plan)
-        return _report(plan)
-
-    monkeypatch.setattr("isingpursuit.cli.run_batch", record)
-    assert run_cli("experiment", "--n", "4", "--sparsity", "1", "--solver", "qaoa",
-                   "--schedule", "search") == 0
-    path = tmp_path / "plan.json"
-    path.write_text(json.dumps({"n": 4, "sparsity": 1,
-                                "solver": {"backend": "qaoa", "schedule": "search"}}))
-    assert run_cli("experiment", "--plan", str(path)) == 0
-    assert [plan.solver.schedule for plan in plans] == ["search", "search"]
-    assert plans[0] == plans[1]
-    sub = next(a for a in build_parser()._actions if a.dest == "command")
-    for name in ("reconstruct", "experiment"):
-        actions = {a.dest: a for a in sub.choices[name]._actions}
-        assert tuple(actions["schedule"].choices) == SCHEDULES
-        assert actions["restarts"].help == actions["max_evals"].help == "(search schedule only)"
 
 
 def test_reconstruct_rejects_a_nan_tolerance(pipeline_files, capsys):
@@ -519,7 +495,7 @@ def test_experiment_plan_and_its_solver_must_be_json_objects(data, name, tmp_pat
     ({"trials": 2}, "plan has no field 'trials'; accepted: n, sparsity, trial_count, "),
     ({"solver": {"backend": "qaoa", "shot": 8}},
      "plan solver has no field 'shot'; accepted: backend, param_count, restarts, max_evals, "
-     "shots, schedule\n"),
+     "shots\n"),
 ], ids=["bool-count", "counts-object", "string-shots", "fractional-iterations", "string-limit",
         "misspelt-plan-field", "misspelt-solver-field"])
 def test_experiment_plan_fields_must_be_json_numbers(fields, message, tmp_path, monkeypatch,

@@ -1,11 +1,11 @@
-"""qaoa_solve's one lockstep run over H and -H against the two-call path in
-`oracles`, bit for bit, under either schedule: position, score,
-diagnostics, both sampled states and their samples.  Each target of a
-paired ramp is checked against a ramp on its own diagonal.  A mirrored
-lane, which runs -H on H's diagonal with its gammas negated by
-`_mirrored`'s row sign, is also checked on its own, from starts whose
-gammas are exactly zero, on H as built and normalised; and lanes of both
-targets in any order must each return what they return run alone."""
+"""qaoa_solve's one ramp batch over H and -H against the two-call path in
+`oracles`, bit for bit: position, score, diagnostics, both sampled states
+and their samples.  Each target of a paired ramp is checked against a ramp
+on its own diagonal.  A mirrored search lane, which runs -H on H's
+diagonal with its gammas negated by `_mirrored`'s row sign, is also checked
+on its own, from starts whose gammas are exactly zero, on H as built and
+normalised; and lanes of both targets in any order must each return what
+they return run alone."""
 
 from unittest import mock
 
@@ -40,17 +40,10 @@ RESIDUALS = st.one_of(
 
 
 @st.composite
-def solve_cases(draw, schedule):
+def solve_cases(draw):
     ms = draw(measurement_sets())
     r = np.array(draw(st.lists(RESIDUALS, min_size=len(ms), max_size=len(ms))))
-    spec = SolverSpec(
-        "qaoa",
-        2 * draw(st.integers(1, 4)),
-        restarts=draw(st.integers(1, 3)),
-        max_evals=draw(st.integers(1, 60)),
-        shots=draw(st.integers(1, 64)),
-        schedule=schedule,
-    )
+    spec = SolverSpec("qaoa", 2 * draw(st.integers(1, 4)), shots=draw(st.integers(1, 64)))
     return ms, r, spec, draw(st.integers(0, 2**32 - 1))
 
 
@@ -84,26 +77,13 @@ FLAT = (MeasurementSet(1, (Pattern(((1, 0),)), Pattern(((1, 1),)))), np.array([0
 
 
 @settings(max_examples=100 * DEPTH)
-@given(solve_cases("search"))
-@example((*SIGNED_ZERO_DIAGONAL,
-          SolverSpec("qaoa", 4, restarts=2, max_evals=40, shots=8, schedule="search"), 3))
-@example((*FLAT, SolverSpec("qaoa", 2, restarts=1, max_evals=10, shots=4, schedule="search"), 0))
-@example((nearest_neighbor_patterns(4), np.array([1.0, -1.0, 0.5, 0.0] * 3),
-          SolverSpec("qaoa", 6, restarts=3, max_evals=60, shots=16, schedule="search"), 5))
-def test_qaoa_solve_is_bitwise_the_two_call_path(case):
-    check_two_call_path(*case)
-
-
-@settings(max_examples=50 * DEPTH)
-@given(solve_cases("ramp"))
+@given(solve_cases())
 @example((*SIGNED_ZERO_DIAGONAL, SolverSpec("qaoa", 4, shots=8), 3))
+@example((*FLAT, SolverSpec("qaoa", 2, shots=4), 0))
 @example((nearest_neighbor_patterns(4), np.array([1.0, -1.0, 0.5, 0.0] * 3),
           SolverSpec("qaoa", 6, shots=16), 5))
-def test_qaoa_solve_under_the_ramp_is_bitwise_the_two_call_path(case):
-    check_two_call_path(*case)
-
-
-def check_two_call_path(ms, r, spec, seed):
+def test_qaoa_solve_is_bitwise_the_two_call_path(case):
+    ms, r, spec, seed = case
     out, states, samples = recorded(qaoa_solve, ms, r, spec, seed)
     ref, ref_states, ref_samples = recorded(qaoa_solve_two_calls, ms, r, spec, seed)
     assert (out.position, repr(out.score)) == (ref.position, repr(ref.score))
@@ -250,6 +230,15 @@ def test_qaoa_solve_makes_one_optimize_call_and_one_diagonal():
     s = out.diagnostics["scale"]
     assert s == np.abs(d - d.mean()).max() and s > 0.0
     assert scaled_d.tobytes() == (d / s).tobytes() and not scaled_d.flags.writeable
+
+
+def test_qaoa_solve_reads_no_search_budget():
+    # the ramp picks the angles, so restarts and max_evals change nothing
+    ms, r = nearest_neighbor_patterns(4), np.linspace(-1.0, 1.0, 12)
+    outs = [qaoa_solve(ms, r, SolverSpec("qaoa", 4, restarts, max_evals, 16), 9)
+            for restarts, max_evals in ((1, 1), (10, 200), (3, 7))]
+    assert len({repr(out) for out in outs}) == 1
+    assert outs[0].diagnostics["max_evaluations"] == len(qaoa.ramp_grid(2))
 
 
 def test_warm_start_alone_cannot_serve_negated_target():
