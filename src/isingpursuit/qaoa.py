@@ -17,7 +17,7 @@ A workspace keeps as many rows as it is asked for, up to the `_BATCH_BYTES`
 budget, and every batch evolves in the first rows of it.  `optimize` makes
 one per run, asked for its widest round.  `ansatz_state` makes one per
 call, asked for a row for each set of angles it is given, so a QAOA solve
-evolves its two sampled states as one batch (up to n = 17) over the
+evolves its two sampled states as one batch (up to n = 11) over the
 diagonal its `optimize` run made (the Hamiltonian keeps it); it copies each
 batch into the array it returns, so no later call writes over a state it
 returned.  No other function makes one.  A layer's phase step
@@ -51,8 +51,9 @@ ramp: gamma_l = a * (l + 1/2) / p and beta_l = b * (1 - (l + 1/2) / p) at
 layer l, the discretised annealing path from which Sack and Serbyn start
 QAOA (Quantum 5, 491 (2021)), run with no optimiser as in linear-ramp QAOA
 (Montanez-Barrera and Michielsen, 2024).  Every row goes through the kernel
-in one plain batch, and each target keeps its first best row.  A ramp
-circuit of any depth thus has two free numbers.
+in one `_expectations` call, as plain batches of the workspace's rows, and
+each target keeps its first best row.  A ramp circuit of any depth thus has
+two free numbers.
 
 The "search" schedule, `optimize`'s default, runs its restarts in
 lockstep.  Each start is a generator that replays scipy's Nelder-Mead step
@@ -185,12 +186,16 @@ def uniform_state(n: int) -> np.ndarray:
 
 # Rows per batch of every workspace, capped so that each of its five (K, 2**n)
 # complex arrays (two state buffers, the temporary and two factor rows) and
-# its (K, levels) level rows stay within 4 MiB.  So a workspace holds at most
-# 24 MiB + 8 * 2**n bytes up to n = 18, with the level index, and 104 * 2**n
-# bytes from n = 19, where one row passes 4 MiB and K = 1.  Building it peaks
-# higher, by np.unique's temporaries: 32.3 MiB at n = 18 over 2**18 distinct
-# values, against 26 MiB kept (tracemalloc).
-_BATCH_BYTES = 1 << 22
+# its (K, levels) level rows stay within 64 KiB, so that a batch works in a
+# core's L2 cache.  A batch that spills it costs more per row: the ramp's
+# 50 rows at n = 10, p = 3 took 12.7 ms in one batch under 4 MiB per array
+# and 7.7 ms in batches of 4 under 64 KiB (2-core Xeon, 2 MiB L2 per core;
+# CHANGES.md has the sweep).  So a workspace holds at most 384 KiB + 8 * 2**n
+# bytes up to n = 12, with the level index, and 104 * 2**n bytes from
+# n = 13, where one row passes 64 KiB and K = 1.  Building it peaks higher,
+# by np.unique's temporaries: 32.3 MiB at n = 18 over 2**18 distinct values,
+# against 26 MiB kept (tracemalloc).
+_BATCH_BYTES = 1 << 16
 
 _Views = namedtuple("_Views", "phase mix probs")
 _SWAP = np.array([1, 0])  # a qubit's two halves, exchanged by `take`
@@ -204,13 +209,13 @@ class _StateBuffers:
     `level_of`, the int64 index of each entry's level.
 
     Asked for `rows` rows, it keeps K = min(rows, _BATCH_BYTES >> (n + 4))
-    of them, and at least one.  `optimize` makes one workspace per run, as
-    wide as its widest round, and `ansatz_state` one per call, a row for
-    each set of angles it is given; both evolve in batches of at most K
-    rows.  A batch of `rows` rows works in `[:rows]` views.  `_views` binds
-    them once per row count, with the levels and factor rows, into that
-    batch's phase step, mixer sweep and |amp|**2 view, and keeps the three
-    in `by_rows`.  The phase step writes buffer 0, so every mixer sweep
+    of them, and at least one: up to 64 rows at n = 6, 4 at n = 10 and one
+    from n = 12.  `optimize` makes one workspace per run, as wide as its
+    widest round, and `ansatz_state` one per call, a row for each set of
+    angles it is given; both evolve in batches of at most K rows.  A batch
+    of `rows` rows works in `[:rows]` views.  `_views` binds them once per
+    row count, with the levels and factor rows, into that batch's phase
+    step, mixer sweep and |amp|**2 view, and keeps the three in `by_rows`.  The phase step writes buffer 0, so every mixer sweep
     starts there; each step returns the view that holds the state.
 
     A mixer step on qubit q (MSB-first) applies [[c, js], [js, c]] with c
@@ -644,8 +649,8 @@ def optimize(
     be another vertex).  Deterministic for a fixed seed and best-effort.
 
     With schedule "ramp": no search.  Every row of `ramp_grid(p)` is
-    evaluated in one batch, and the first best row wins; the evaluation
-    count is the rows evaluated.  The ramp reads neither
+    evaluated in one `_expectations` call, and the first best row wins; the
+    evaluation count is the rows evaluated.  The ramp reads neither
     restarts, max_evals nor seed (they are still checked) and takes no warm
     start.
 

@@ -4,23 +4,27 @@ counts on one `_StateBuffers`, as an `optimize` run drives it, on
 diagonals that are wide, hold a few values with signed zeros among them,
 hold all distinct values or hold one value; and the single phase step,
 whose table of distinct diagonal values must give the per-entry exp.
-Also: each workspace keeps at most the rows the batch budget allows, and
+Also: each workspace keeps the most rows the batch budget allows, and
 `optimize` and `ansatz_state` each build exactly one, and the reference
-`apply_phase_layer` none; a state that `ansatz_state` returned is never
-written over.  And a mixer sweep, and a whole batch, that make no numpy
-iterator buffer.  A first `optimize` round on shared prefixes must give
-the plain batch's values bit for bit, and four full lanes must evolve
-p**2 + 2p row-layers each."""
+`apply_phase_layer` none; a ramp `optimize` and a QAOA solve at n = 10
+give the same outcomes with the ramp's rows split into batches as in one
+batch; a state that `ansatz_state` returned is never written over.  And
+a mixer sweep, and a whole batch, that make no numpy iterator buffer.  A
+first `optimize` round on shared prefixes must give the plain batch's
+values bit for bit, and four full lanes must evolve p**2 + 2p row-layers
+each."""
 
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isingpursuit import qaoa
-from isingpursuit.hamiltonian import IsingHamiltonian
+from isingpursuit.hamiltonian import IsingHamiltonian, build_hamiltonian
+from isingpursuit.measurement import measure, random_quadruplet_patterns
 from isingpursuit.qaoa import (
     Gate,
     QaoaParams,
@@ -33,6 +37,8 @@ from isingpursuit.qaoa import (
     optimize,
     simulate_gates,
 )
+from isingpursuit.signal import random_sparse_signal
+from isingpursuit.solvers import SolverSpec, qaoa_solve
 
 from oracles import (
     apply_mixer_layer,
@@ -57,8 +63,8 @@ def workspace_runs(draw):
     pool of 2 to 8 values that holds +0.0 and -0.0; all entries distinct;
     or one value.  Then the workspace's row count and up to four angle
     batches, some of them wider than the workspace, or at n = 11 and 12 one
-    batch as wide as it; and a state with extreme entries and a gamma for a
-    single phase step."""
+    batch as wide as the rows asked for; and a state with extreme entries
+    and a gamma for a single phase step."""
     n, p = draw(st.integers(1, 12)), draw(st.integers(1, 11))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["wide", "pool", "distinct", "single"]))
@@ -77,7 +83,7 @@ def workspace_runs(draw):
     if n <= 10:
         widths = draw(st.lists(st.integers(1, 28), min_size=1, max_size=4))
         K = draw(st.integers(1, max(widths)))
-    else:  # past 256 KiB from 8 rows at n = 11, and the oracle stays cheap
+    else:  # past the 2 rows kept at n = 11 and the 1 at n = 12; a cheap oracle
         K = draw(st.integers(1, 8))
         widths = [K]
     batches = []
@@ -102,8 +108,9 @@ def seeded_run(n: int, p: int, widths, seed: int, K: int | None = None):
 
 
 # At n = 10, 20 rows of complex128 pass numpy's 256 KiB temporary-reuse
-# threshold, where `psi * np.exp(...)` would swap its operands; its first
-# row alone, in a one-row workspace, stays below it.
+# threshold, where `psi * np.exp(...)` would swap its operands, and run in
+# batches of the 4 rows the workspace keeps; its first row alone, in a
+# one-row workspace, stays below it.  One row reaches it from n = 14.
 THRESHOLD = seeded_run(10, 3, [20], 0)
 ONE_ROW = seeded_run(10, 3, [1], 0)
 # Signed zeros on the diagonal and in the angles.
@@ -126,7 +133,8 @@ ZEROS_N10 = fixed_run(np.where(np.arange(1 << 10) % 5, np.random.default_rng(4).
 @example(seeded_run(1, 1, [1, 3, 2], 2))
 @example(seeded_run(1, 1, [1], 2))
 @example(seeded_run(12, 11, [24], 1))
-@example(seeded_run(14, 2, [2], 3))  # n = 14: past the drawn n <= 12 and every QAOA bench workload
+@example(seeded_run(11, 2, [2, 3], 3))  # the widest n at which the workspace keeps 2 rows
+@example(seeded_run(14, 2, [1, 2], 3))  # n = 14: past the drawn n <= 12 and every QAOA bench workload
 @example(THRESHOLD)
 @example(ONE_ROW)
 @example(ZEROS)
@@ -139,7 +147,7 @@ def test_one_workspace_through_many_row_counts_is_bitwise_the_per_qubit_kernel(r
     with np.errstate(all="ignore"):
         for angles in batches:
             expected = evolve_per_qubit(diag, n, angles)
-            if len(angles) <= K:
+            if len(angles) <= len(kernel.bufs[0]):
                 assert _evolve(kernel, angles).tobytes() == expected.tobytes()
             values = expectations_per_row(expected, diag)
             assert _expectations(kernel, angles).tobytes() == values.tobytes()
@@ -281,6 +289,32 @@ def test_ansatz_state_evolves_within_the_batch_budget():
         assert row.tobytes() == ansatz_state(H, params).tobytes()
 
 
+def test_every_workspace_keeps_the_most_rows_within_the_batch_budget():
+    for n in range(1, 17):
+        K = len(_StateBuffers(50, n, np.zeros(1 << n)).bufs[0])
+        assert K == 1 or K * 16 * 2**n <= qaoa._BATCH_BYTES, n
+        assert K == 50 or (K + 1) * 16 * 2**n > qaoa._BATCH_BYTES, n
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_split_ramp_batches_give_the_one_batch_outcomes(p):
+    """At n = 10 on 10 quadruplets, a ramp `optimize` and a QAOA solve give
+    the same outcomes with the ramp's 50 rows in one batch, under a 4 MiB
+    budget, as in the batches the budget splits them into."""
+    ms = random_quadruplet_patterns(10, 10, seed=p)
+    r = measure(random_sparse_signal(10, 3, seed=p), ms)
+    H, _ = build_hamiltonian(ms, r).normalized()
+    runs, widths = [], []
+    for budget in (1 << 22, qaoa._BATCH_BYTES):
+        kernels = []
+        with recording_workspaces(kernels), mock.patch.object(qaoa, "_BATCH_BYTES", budget):
+            runs.append((repr(optimize(H, p, negated_seed=p, schedule="ramp")),
+                         repr(qaoa_solve(ms, r, SolverSpec("qaoa", 2 * p, shots=64), seed=p))))
+        widths.append(len(kernels[0].bufs[0]))
+    assert widths[0] == 50 > widths[1]
+    assert runs[0] == runs[1]
+
+
 def test_ansatz_state_is_not_written_over_by_later_calls():
     H = quad_hamiltonian()
     batch = [QaoaParams((0.3, 1.1), (0.7, 2.0)), QaoaParams((2.0, 0.1), (0.4, 0.9))]
@@ -301,15 +335,16 @@ def test_ansatz_state_is_not_written_over_by_later_calls():
 def test_a_mixer_sweep_allocates_no_iterator_buffer():
     """Every ufunc and `take` of the sweep writes through `out` on operands
     numpy need not buffer: a reversed operand, or `take`'s default mode,
-    makes numpy take a 132 KB buffer here on each call."""
-    kernel = _StateBuffers(8, 10, np.random.default_rng(0).normal(size=1 << 10))
+    makes numpy take a 66 KB buffer here on each call."""
+    # 4 rows: as many as the workspace keeps at n = 10
+    kernel = _StateBuffers(4, 10, np.random.default_rng(0).normal(size=1 << 10))
     # normalised states in buffer 0, where every sweep starts; at even n the
     # sweep ends there too, so the second sweep also reads written rows
     rng = np.random.default_rng(1)
-    states = rng.normal(size=(8, 1 << 10)) + 1j * rng.normal(size=(8, 1 << 10))
+    states = rng.normal(size=(4, 1 << 10)) + 1j * rng.normal(size=(4, 1 << 10))
     kernel.bufs[0][...] = states / np.linalg.norm(states, axis=1, keepdims=True)
-    c, js = qaoa._mixer_factors(np.linspace(0.1, 0.8, 8)[:, None])
-    mix = kernel._views(8).mix
+    c, js = qaoa._mixer_factors(np.linspace(0.1, 0.8, 4)[:, None])
+    mix = kernel._views(4).mix
     mix(c, js)  # first use of each view and ufunc loop
     tracemalloc.start()
     try:
@@ -324,11 +359,10 @@ def test_a_kernel_batch_allocates_only_its_set_up():
     """A whole `_expectations` batch on a warmed workspace makes only the
     angle set-up's small arrays: the level table as an outer product of
     i*gamma and the levels, or the first layer's multiply by a broadcast
-    (1, 2**n) start, would make numpy take an iterator buffer of up to
-    256 KiB."""
+    (1, 2**n) start, would make numpy allocate up to 198 KB here."""
     rng = np.random.default_rng(0)
-    kernel = _StateBuffers(8, 10, rng.normal(size=1 << 10))
-    batches = [rng.uniform(-2.0 * np.pi, 4.0 * np.pi, size=(rows, 6)) for rows in (8, 4)]
+    kernel = _StateBuffers(4, 10, rng.normal(size=1 << 10))  # the most rows kept at n = 10
+    batches = [rng.uniform(-2.0 * np.pi, 4.0 * np.pi, size=(rows, 6)) for rows in (4, 2)]
     for angles in batches:
         _expectations(kernel, angles)  # first use of each row count's views
     for angles in batches:
