@@ -46,14 +46,14 @@ order and a 1-D dot per row for the expectation.
 
 `optimize` picks angles by one of two schedules.  The "ramp" schedule,
 the one `qaoa_solve` runs, searches nothing.  `ramp_grid(p)` holds one row
-of 2p angles per slope a in RAMP_SLOPES and mix b in RAMP_MIXES, a linear
-ramp: gamma_l = a * (l + 1/2) / p and beta_l = b * (1 - (l + 1/2) / p) at
-layer l, the discretised annealing path from which Sack and Serbyn start
+of 2p angles per slope a in RAMP_SLOPES, a linear ramp at the one mix
+b = RAMP_MIX: gamma_l = a * (l + 1/2) / p and beta_l = b * (1 - (l + 1/2) / p)
+at layer l, the discretised annealing path from which Sack and Serbyn start
 QAOA (Quantum 5, 491 (2021)), run with no optimiser as in linear-ramp QAOA
-(Montanez-Barrera and Michielsen, 2024).  Every row goes through the kernel
-in one `_expectations` call, as plain batches of the workspace's rows, and
-each target keeps its first best row.  A ramp circuit of any depth thus has
-two free numbers.
+(Montanez-Barrera and Michielsen, 2024).  No other mix won: b = 0 leaves the
+uniform state, and of a 5 x 5 grid with b in linspace(-3, 3, 5), no b <= 0
+row was ever chosen.  All rows go through the kernel in one `_expectations`
+call, and each target keeps its first best row: one free number, a.
 
 The "search" schedule, `optimize`'s default, runs its restarts in
 lockstep.  Each start is a generator that replays scipy's Nelder-Mead step
@@ -187,8 +187,8 @@ def uniform_state(n: int) -> np.ndarray:
 # Rows per batch of every workspace, capped so that each of its five (K, 2**n)
 # complex arrays (two state buffers, the temporary and two factor rows) and
 # its (K, levels) level rows stay within 64 KiB, so that a batch works in a
-# core's L2 cache.  A batch that spills it costs more per row: the ramp's
-# 50 rows at n = 10, p = 3 took 12.7 ms in one batch under 4 MiB per array
+# core's L2 cache.  A batch that spills it costs more per row: 50 ramp
+# rows at n = 10, p = 3 took 12.7 ms in one batch under 4 MiB per array
 # and 7.7 ms in batches of 4 under 64 KiB (2-core Xeon, 2 MiB L2 per core;
 # CHANGES.md has the sweep).  So a workspace holds at most 384 KiB + 8 * 2**n
 # bytes up to n = 12, with the level index, and 104 * 2**n bytes from
@@ -478,11 +478,11 @@ MAX_EVALS = 200
 # How `optimize` picks angles: a Nelder-Mead search, or the best row of a
 # fixed grid of linear ramps.
 SCHEDULES = ("ramp", "search")
-# The ramp grid: slopes a = 8k/5 (k = 1 .. 5) of the gammas and mixes b on
-# [-3, 3] of the betas; a > 0 suffices, since (gamma, beta) -> (-gamma, -beta)
-# conjugates the state and leaves its probabilities unchanged.
+# The ramp grid: slopes a = 8k/5 (k = 1 .. 5) of the gammas at one mix b of
+# the betas (see the module docstring); a > 0 suffices, since (gamma, beta) ->
+# (-gamma, -beta) conjugates the state and leaves its probabilities unchanged.
 RAMP_SLOPES = 8.0 * np.arange(1, 6) / 5
-RAMP_MIXES = np.linspace(-3.0, 3.0, 5)
+RAMP_MIX = 1.5
 
 
 def _nelder_mead(x0: np.ndarray, maxfev: int):
@@ -618,13 +618,13 @@ def _best(outcomes: list) -> OptimizeOutcome:
 
 
 def ramp_grid(p: int) -> np.ndarray:
-    """The ramp schedule's angle rows [gammas, betas], one per slope a and
-    mix b, slope-major: at layer l = 0 .. p - 1, gamma_l = a * (l + 1/2) / p
-    and beta_l = b * (1 - (l + 1/2) / p)."""
+    """The ramp schedule's angle rows [gammas, betas], one per slope a in
+    RAMP_SLOPES: at layer l = 0 .. p - 1, gamma_l = a * (l + 1/2) / p and
+    beta_l = RAMP_MIX * (1 - (l + 1/2) / p).  p is read by _read_count."""
+    p = _read_count(p, "p")
     t = np.arange(p) + 0.5
-    gammas = RAMP_SLOPES[:, None] * t / p
-    betas = RAMP_MIXES[:, None] * (1 - t / p)
-    return np.hstack([gammas.repeat(len(RAMP_MIXES), 0), np.tile(betas, (len(RAMP_SLOPES), 1))])
+    betas = np.broadcast_to(RAMP_MIX * (1 - t / p), (len(RAMP_SLOPES), p))
+    return np.hstack([RAMP_SLOPES[:, None] * t / p, betas])
 
 
 def optimize(

@@ -170,7 +170,7 @@ class SolverSpec:
 
     qaoa_solve reads param_count and shots: each target keeps the best row
     of a fixed grid of linear ramps (`qaoa.optimize`'s "ramp" schedule), so
-    its circuit of any depth has two free numbers.  restarts and max_evals,
+    its circuit of any depth has one free number.  restarts and max_evals,
     the Nelder-Mead search's budgets, are checked but not read.
     """
 

@@ -173,6 +173,22 @@ def test_run_single_is_reproducible():
     assert ok_a == ok_b
 
 
+def test_n10_quad_ramp_verdicts_are_pinned_beside_brute_force():
+    """The README's n = 10 quad plan on 20 trial seeds that no grid choice
+    read.  64 shots draw 6% of the 1,024 indices, so the circuit, not the
+    shot count, finds each support (at n = 6, 1,024 shots cover them all):
+    a ramp with its mix or gamma signs flipped, b = 0, or gammas and betas
+    swapped fails 19 or 20 of these trials.  -H's mirrored rows are checked
+    bit for bit in test_fused_targets.py."""
+    verdicts = {}
+    for backend in ("qaoa", "brute"):
+        plan = ExperimentPlan(n=10, sparsity=3, pattern_kind="quad", quadruplets=10,
+                              solver=SolverSpec(backend, 5, shots=64), max_iterations=3)
+        verdicts[backend] = "".join(str(int(run_single(plan, seed)[2]))
+                                    for seed in range(300000, 300020))
+    assert verdicts == {"qaoa": "1" * 20, "brute": "1" * 20}
+
+
 def test_easy_regime_succeeds_with_both_exact_solvers():
     for backend in ("brute", "chain"):
         plan = tiny_plan(n=6, sparsity=2, solver=SolverSpec(backend=backend))

@@ -218,10 +218,20 @@ def test_optimize_validates_inputs():
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 11])
 def test_ramp_grid_rows_follow_the_linear_ramp_formula(p):
     slopes = [8 * k / 5 for k in range(1, 6)]
-    mixes = [-3.0, -1.5, 0.0, 1.5, 3.0]
-    expected = [[a * (l + 0.5) / p for l in range(p)] + [b * (1 - (l + 0.5) / p) for l in range(p)]
-                for a in slopes for b in mixes]
+    expected = [[a * (l + 0.5) / p for l in range(p)] + [1.5 * (1 - (l + 0.5) / p) for l in range(p)]
+                for a in slopes]
     assert ramp_grid(p).tolist() == expected
+
+
+@pytest.mark.parametrize("p, message", [
+    (2.5, "p must be an integer, got 2.5"),
+    (True, "p must be an integer, got True"),
+    (0, "p must be >= 1, got 0"),
+    (-1, "p must be >= 1, got -1"),
+])
+def test_ramp_grid_reads_its_depth_as_a_count(p, message):
+    with pytest.raises(ValueError, match=message):
+        ramp_grid(p)
 
 
 @settings(max_examples=60)
@@ -233,7 +243,7 @@ def test_ramp_keeps_the_first_best_grid_row(H, p):
     out = optimize(H, p, schedule="ramp")
     assert out.params.to_vector().tobytes() == grid[best].tobytes()
     assert repr(out.expectation) == repr(float(values[best]))
-    assert out.evaluations == len(grid) == 25
+    assert out.evaluations == len(grid) == 5
 
 
 def test_ramp_reads_no_search_settings():

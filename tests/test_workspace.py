@@ -299,7 +299,7 @@ def test_every_workspace_keeps_the_most_rows_within_the_batch_budget():
 @pytest.mark.parametrize("p", [3, 5])
 def test_split_ramp_batches_give_the_one_batch_outcomes(p):
     """At n = 10 on 10 quadruplets, a ramp `optimize` and a QAOA solve give
-    the same outcomes with the ramp's 50 rows in one batch, under a 4 MiB
+    the same outcomes with the ramp's 10 rows in one batch, under a 4 MiB
     budget, as in the batches the budget splits them into."""
     ms = random_quadruplet_patterns(10, 10, seed=p)
     r = measure(random_sparse_signal(10, 3, seed=p), ms)
@@ -311,7 +311,7 @@ def test_split_ramp_batches_give_the_one_batch_outcomes(p):
             runs.append((repr(optimize(H, p, negated_seed=p, schedule="ramp")),
                          repr(qaoa_solve(ms, r, SolverSpec("qaoa", 2 * p, shots=64), seed=p))))
         widths.append(len(kernels[0].bufs[0]))
-    assert widths[0] == 50 > widths[1]
+    assert widths[0] == 10 > widths[1]
     assert runs[0] == runs[1]
 
 
