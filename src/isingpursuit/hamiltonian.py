@@ -6,12 +6,13 @@ the expansions by the residual entries and summing gives a generalized
 Ising Hamiltonian whose diagonal equals A^T r: the spin value on bit b
 is 1 - 2b, so bit 0 maps to +1 and bit 1 to -1.
 
-`IsingHamiltonian.diagonal` adds each term as one table through the
-measurement module's table kernel: the term on support S adds coeff times
-the 2**|S| spin products over S's bits.  Every index still receives
-+coeff or -coeff exactly, term by term in dict order, so the result is bit
-for bit a per-term sign product.  The diagonal is made on the first call and
-kept on the Hamiltonian, read-only.  `normalized` divides it once by its
+`IsingHamiltonian.diagonal` is the Walsh-Hadamard transform of the kept
+totals, each placed at its support's bit mask (Fino and Algazi, IEEE Trans.
+Comput. C-25, 1142 (1976)): n stages of 2**n adds, not a 2**n add per term.
+Stage j pairs the entries that differ in qubit j, w[2i] = v[i] + v[i + h]
+and w[2i + 1] = v[i] - v[i + h] for h = 2**(n-1), so every entry sums its
+signed totals in one fixed tree.  The diagonal is made on the first call
+and kept on the Hamiltonian, read-only.  `normalized` divides it once by its
 spread max|d - mean d| into a second Hamiltonian that keeps the quotient:
 a QAOA solve evolves that one, reading the quotient in `optimize` and again
 for its sampled states.
@@ -29,12 +30,12 @@ order depends on the memory layout, a matrix product's on the BLAS), and
 np.bincount adds the entries, run by run, to totals started at +0.0.  Keys
 go in the order in which the set's runs first name them, whatever r holds.
 
-Every Hamiltonian holds supports, a float64 totals vector and a keep mask,
-and makes the `terms` dict only when `terms` is first read: the kept supports
-in order, each with its total as a float.  The builder keeps its summed totals
-and prune mask, a dict's coefficients are copied and all kept, and `normalized`
-divides the totals.  The chain solver reads the vector and mask directly
-through the set's chain slots and never makes the dict.
+Every Hamiltonian holds supports, their int64 bit masks (a set's
+`_support_masks`, made once for a dict), float64 totals and a keep mask, and
+makes the `terms` dict only when `terms` is first read: the kept supports in
+order, each with its total as a float.  The builder keeps its summed totals
+and prune mask, a dict's coefficients are copied and all kept, and
+`normalized` divides the totals.  No chain or QAOA solve makes the dict.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from itertools import compress
 
 import numpy as np
 
-from .measurement import MeasurementSet, _add_table, _per_pattern, _signs
+from .measurement import MeasurementSet, _bit_masks, _per_pattern
 from .signal import _check_bit_count, _check_dense_size, _read_float, _read_int
 
 # Exact cancellations occur for complete value-assignment groups; drop the dust.
@@ -80,16 +81,17 @@ class IsingHamiltonian:
                         raise ValueError(f"qubit {qubit} outside [1, {n}]")
                     supports[i] = frozenset(_read_int(j, "qubit") for j in support)
         self.n, self._supports, self._keep = n, tuple(supports), np.ones(len(terms), bool)
+        self._masks = _bit_masks(n, supports)
         self._totals = np.fromiter((_read_float(c, "coefficient", finite=False)
                                     for c in terms.values()), float, len(terms))
 
     @classmethod
-    def _built(cls, n: int, supports: tuple[frozenset[int], ...], totals: np.ndarray,
-               keep: np.ndarray) -> "IsingHamiltonian":
+    def _built(cls, n: int, supports: tuple[frozenset[int], ...], masks: np.ndarray,
+               totals: np.ndarray, keep: np.ndarray) -> "IsingHamiltonian":
         """The terms on the supports that keep selects, made when first read;
-        the supports are already known to lie in [1, n] and totals is float64."""
+        the supports, with their masks, already lie in [1, n]; totals is float64."""
         H = cls.__new__(cls)
-        H.n, H._supports, H._totals, H._keep = n, supports, totals, keep
+        H.n, H._supports, H._masks, H._totals, H._keep = n, supports, masks, totals, keep
         return H
 
     @cached_property
@@ -106,16 +108,19 @@ class IsingHamiltonian:
         return f"IsingHamiltonian(n={self.n!r}, terms={self.terms!r})"
 
     def diagonal(self) -> np.ndarray:
-        """All 2**n diagonal entries, for n <= DENSE_VECTOR_CAP: made from the
-        terms on the first call, then kept on the Hamiltonian and returned
-        read-only by every call."""
+        """All 2**n diagonal entries, for n <= DENSE_VECTOR_CAP, by the module
+        docstring's transform (2n ufunc calls), kept from the first call and
+        returned read-only.  A -0.0 total can leave -0.0: -0.0 - +0.0 is -0.0."""
         if self._diagonal is None:
             _check_dense_size(self.n)
-            diag = np.zeros(1 << self.n)
-            for support, coeff in self.terms.items():
-                _add_table(diag, self.n, tuple(sorted(support)), coeff * _signs(len(support)))
-            diag.flags.writeable = False
-            self._diagonal = diag
+            v, w, h = np.zeros(1 << self.n), np.empty(1 << self.n), 1 << (self.n - 1)
+            v[self._masks[self._keep]] = self._totals[self._keep]
+            for _ in range(self.n):
+                np.add(v[:h], v[h:], w[0::2])
+                np.subtract(v[:h], v[h:], w[1::2])
+                v, w = w, v
+            v.flags.writeable = False
+            self._diagonal = v
         return self._diagonal
 
     def normalized(self) -> tuple["IsingHamiltonian", float]:
@@ -144,14 +149,14 @@ class IsingHamiltonian:
             scale = float(np.ldexp(np.abs(shrunk - shrunk.mean()).max(), e))
         if not (math.isfinite(scale) and scale > 0.0):
             scale = 1.0
-        scaled = IsingHamiltonian._built(self.n, self._supports, self._totals / scale, self._keep)
+        scaled = self._built(self.n, self._supports, self._masks, self._totals / scale, self._keep)
         diag = d / scale
         diag.flags.writeable = False
         scaled._diagonal = diag
         return scaled, scale
 
     def max_support_size(self) -> int:
-        return max((len(s) for s in self.terms), default=0)
+        return max(map(len, compress(self._supports, self._keep.tolist())), default=0)
 
 
 def build_hamiltonian(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltonian:
@@ -171,4 +176,5 @@ def build_hamiltonian(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltonian:
         entries[places] = np.add.accumulate(r[index][:, :, None] * rows, axis=1)[:, -1]
     totals = np.bincount(ids, weights=entries)
     # the set bounded every support when it was built
-    return IsingHamiltonian._built(ms.n, supports, totals, np.abs(totals) >= COEFF_PRUNE_TOL)
+    return IsingHamiltonian._built(ms.n, supports, ms._support_masks, totals,
+                                   np.abs(totals) >= COEFF_PRUNE_TOL)

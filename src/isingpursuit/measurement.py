@@ -31,10 +31,10 @@ addends in the same order, from a +0.0 start, so the result is bit for bit
 the table kernel's.
 
 The Hamiltonian builder reads the same runs as Walsh-Hadamard transforms
-(`_transform_plan`), the chain solver places the plan's supports through
-`_chain_slots`, and `nearest_neighbor_patterns` builds its set once per n,
-so the masks, table runs, plan and slots of a nearest-neighbour set are made
-once per process.
+(`_transform_plan`), H's diagonal and the chain solver place the plan's
+supports through `_support_masks` and `_chain_slots`, and
+`nearest_neighbor_patterns` builds its set once per n, so the masks, table
+runs, plan and slots of a nearest-neighbour set are made once per process.
 """
 
 from __future__ import annotations
@@ -196,6 +196,10 @@ class MeasurementSet:
         return tuple(ids), np.array(support_ids), tuple(plan)
 
     @cached_property
+    def _support_masks(self) -> np.ndarray:  # of the `_transform_plan` supports
+        return _bit_masks(self.n, self._transform_plan[0])
+
+    @cached_property
     def _chain_slots(self) -> np.ndarray:
         """Each `_transform_plan` support's cell in the chain solver's flat
         list of 2n + 2: 0 for the constant, i for the field at site i, 2n - i
@@ -247,6 +251,11 @@ class MeasurementSet:
     @classmethod
     def from_json(cls, text: str) -> "MeasurementSet":
         return cls.from_dict(json.loads(text))
+
+
+def _bit_masks(n: int, supports) -> np.ndarray:
+    """The int64 mask of each support: the sum of 1 << (n - b) over its 1-based bits b."""
+    return np.fromiter((sum(1 << (n - b) for b in s) for s in supports), np.int64, len(supports))
 
 
 @lru_cache(maxsize=None)

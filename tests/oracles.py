@@ -1,8 +1,12 @@
 """Reference implementations that the tests compare the package against.
 
-`all_column_dots_masked` and `diagonal_per_term` are the straightforward
-forms of the table kernel's two callers: one masked pass per pattern, one
-sign product per term.  The kernel must agree with them bit for bit.
+`all_column_dots_masked` is the straightforward form of the table
+kernel's caller, one masked pass per pattern, which the kernel must match
+bit for bit.  `diagonal_walsh` is H's diagonal in plain Python floats: the
+same placement at the supports' bit masks and the same butterfly stages,
+in the same order, which `H.diagonal()` must match bit for bit.
+`diagonal_per_term` sums one sign product per term, in another order: the
+same diagonal up to rounding.
 `build_hamiltonian_walsh` is the Hamiltonian builder in plain Python: each
 run of patterns on the same positions as a Walsh-Hadamard transform of its
 residual table, summed over the run's patterns and then run by run, in the
@@ -128,6 +132,21 @@ def diagonal_per_term(H: IsingHamiltonian) -> np.ndarray:
             signs *= 1.0 - 2.0 * ((zs >> (H.n - j)) & 1)
         diag += coeff * signs
     return diag
+
+
+def diagonal_walsh(H: IsingHamiltonian) -> np.ndarray:
+    """H's diagonal by the Walsh-Hadamard transform in plain Python floats:
+    each term's coefficient at its support's mask, sum of 2**(n - j) over
+    its qubits j, in a list of 2**n +0.0; then n stages, each writing
+    v[i] + v[i + h] to entry 2i and v[i] - v[i + h] to entry 2i + 1."""
+    n = H.n
+    v = [0.0] * (1 << n)
+    for support, coeff in H.terms.items():
+        v[sum(2 ** (n - j) for j in support)] = coeff
+    h = len(v) // 2
+    for _ in range(n):
+        v = [x for a, b in zip(v[:h], v[h:]) for x in (a + b, a - b)]
+    return np.array(v)
 
 
 def build_hamiltonian_itertools(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltonian:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isingpursuit.hamiltonian import IsingHamiltonian
 from isingpursuit.measurement import (
     MeasurementSet,
     Pattern,
@@ -121,6 +122,17 @@ def test_qaoa_flat_objective_short_circuits():
     out = qaoa_solve(ms, np.array([0.8]), seed=0)
     assert (out.position, out.score) == (0, 0.8)
     assert out.diagnostics.get("flat") is True
+
+
+@pytest.mark.parametrize("ms", [MeasurementSet(3, (Pattern(()),)),
+                                random_quadruplet_patterns(10, 10, seed=0)], ids=["flat", "quad"])
+def test_qaoa_solve_never_makes_the_terms_dict(ms, monkeypatch):
+    # the flat test and the diagonal read the supports, masks and totals
+    read = []
+    monkeypatch.setattr(IsingHamiltonian, "terms", property(lambda H: read.append(H) or {}))
+    r = np.random.default_rng(0).normal(size=len(ms))
+    qaoa_solve(ms, r, SolverSpec("qaoa", 5, shots=64), seed=0)
+    assert read == []
 
 
 def test_qaoa_is_seed_deterministic():

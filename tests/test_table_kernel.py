@@ -1,16 +1,17 @@
-"""The table kernel's callers against their reference forms in `oracles`,
-bit for bit: A^T r by runs of patterns or by the prefix stages of a
-sliding-window set (the memoised nearest-neighbour sets are its width-2
-draws), H's diagonal by sign tables, kept read-only on random and built
-Hamiltonians, and build_hamiltonian by the Walsh-Hadamard transform of
-each run's table, summed in the builder's order."""
+"""The table kernel and the transforms against their reference forms in
+`oracles`, bit for bit: A^T r by runs of patterns or by the prefix stages
+of a sliding-window set (the memoised nearest-neighbour sets are its
+width-2 draws), H's diagonal by the Walsh-Hadamard transform of its
+placed totals, kept read-only on random and built Hamiltonians, and
+build_hamiltonian by the Walsh-Hadamard transform of each run's table,
+summed in the builder's order."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isingpursuit.hamiltonian import COEFF_PRUNE_TOL, build_hamiltonian
+from isingpursuit.hamiltonian import COEFF_PRUNE_TOL, IsingHamiltonian, build_hamiltonian
 from isingpursuit.measurement import (
     MeasurementSet,
     Pattern,
@@ -18,14 +19,17 @@ from isingpursuit.measurement import (
     all_column_dots,
     complete_patterns,
     nearest_neighbor_patterns,
+    random_quadruplet_patterns,
     value_assignment_group,
 )
+from isingpursuit.signal import DENSE_VECTOR_CAP
 
 from oracles import (
     all_column_dots_masked,
     build_hamiltonian_itertools,
     build_hamiltonian_walsh,
     diagonal_per_term,
+    diagonal_walsh,
 )
 from strategies import (
     DEPTH,
@@ -160,14 +164,39 @@ def test_add_table_is_bitwise_a_gathered_add(n_bits, seed):
     assert np.array_equal(bits_of(acc), bits_of(expected))
 
 
+# A -0.0 coefficient placed in the +0.0 vector meets +0.0 in every stage,
+# and -0.0 - +0.0 is -0.0: the constant's -0.0 survives at index 1.  The
+# per-term sum starts at +0.0 and never leaves -0.0; the QAOA workspace keeps
+# its levels apart by bit pattern, so either zero evolves as itself.
+NEGATIVE_ZERO = IsingHamiltonian(1, {frozenset(): -0.0})
+
+
 @settings(max_examples=200 * DEPTH)
 @given(st.one_of(wide_hamiltonians(SCALED_ENTRIES), built_hamiltonians()))
-def test_diagonal_is_bitwise_the_per_term_products(H):
+@example(NEGATIVE_ZERO)
+def test_diagonal_is_bitwise_the_walsh_oracle_and_the_per_term_sum_to_rounding(H):
     diag = H.diagonal()
     assert H.diagonal() is diag  # kept on the Hamiltonian, and read-only
-    assert np.array_equal(bits_of(diag), bits_of(diagonal_per_term(H)))
+    assert np.array_equal(bits_of(diag), bits_of(diagonal_walsh(H)))
     with pytest.raises(ValueError, match="read-only"):
         diag[0] = 1.0
+    # Each entry is a depth-n tree over the signed totals, the per-term sum a
+    # chain of T - 1 adds: to first order they differ by at most
+    # (n + T - 1) * eps / 2 * sum |c|, and the tolerance is over twice that.
+    coeffs = list(H.terms.values())
+    tol = (H.n + len(coeffs)) * np.finfo(float).eps * sum(map(abs, coeffs))
+    assert np.all(np.abs(diag - diagonal_per_term(H)) <= tol)
+    if H is NEGATIVE_ZERO:
+        assert bits_of(diag).tolist() == bits_of([0.0, -0.0]).tolist()
+
+
+def test_a_built_diagonal_at_the_dense_cap_matches_all_column_dots():
+    # the largest transform: 20 stages of 2**19 adds, against the table kernel
+    ms = random_quadruplet_patterns(DENSE_VECTOR_CAP, 20, seed=20)
+    r = np.random.default_rng(20).normal(size=len(ms))
+    dots = all_column_dots(r, ms)
+    deviation = np.abs(build_hamiltonian(ms, r).diagonal() - dots) / np.maximum(np.abs(dots), 1.0)
+    assert deviation.max() <= 1e-12  # criterion 1's tolerance
 
 
 # The longest sums: up to 248 entries on the empty support, whose sum a
@@ -280,7 +309,7 @@ def test_build_hamiltonian_is_bitwise_the_walsh_oracle_and_the_itertools_sum_up_
     items = repr(list(oracle.terms.items()))
     assert repr(list(H.terms.items())) == items
     if ms.n <= 16:  # the wide chains have no 2**n diagonal to compare
-        assert np.array_equal(bits_of(H.diagonal()), bits_of(diagonal_per_term(H)))
+        assert np.array_equal(bits_of(H.diagonal()), bits_of(diagonal_walsh(H)))
 
     # The pattern-by-pattern sum: the same supports and coefficients up to
     # summation order, a key differing only where one order's total lies
