@@ -15,7 +15,7 @@ rows, and the diagonal's distinct values as complex levels, kept tiled in
 one row per state row, with an int64 index from each entry to its level.
 A workspace keeps as many rows as it is asked for, up to the `_BATCH_BYTES`
 budget, and every batch evolves in the first rows of it.  `optimize` makes
-one per run, asked for its widest round.  `ansatz_state` makes one per
+one per run, asked for its widest batch.  `ansatz_state` makes one per
 call, asked for a row for each set of angles it is given, so a QAOA solve
 evolves its two sampled states as one batch (up to n = 11) over the
 diagonal its `optimize` run made (the Hamiltonian keeps it); it copies each
@@ -52,44 +52,22 @@ at layer l, the discretised annealing path from which Sack and Serbyn start
 QAOA (Quantum 5, 491 (2021)), run with no optimiser as in linear-ramp QAOA
 (Montanez-Barrera and Michielsen, 2024).  No other mix won: b = 0 leaves the
 uniform state, and of a 5 x 5 grid with b in linspace(-3, 3, 5), no b <= 0
-row was ever chosen.  All rows go through the kernel in one `_expectations`
-call, and each target keeps its first best row: one free number, a.
+row was ever chosen.  The ramp picks angles for the top of H and of -H at
+once: all rows of both go through the kernel in one `_expectations` call,
+and each target keeps its first best row: one free number, a.
 
-The "search" schedule, `optimize`'s default, runs its restarts in
-lockstep.  Each start is a generator that replays scipy's Nelder-Mead step
-for step, in fewer numpy calls, and yields the points it needs next: its
-whole initial simplex, one reflection, expansion or contraction, or all
-points of a shrink.  Every round, the points of all live starts go through
-the kernel as one batch (`_lockstep`).  Each start returns exactly the x,
-value and evaluation count that scipy's minimize returns for it, while the
-package itself does not depend on scipy.
+-H's rows run over H's diagonal: exp(i*gamma*(-h)) = exp(i*(-gamma)*h), so
+they are H's rows times a row sign that negates their gammas.  Each value
+v = -<H> of such a row is mapped back to -<-H> as -(0.0 - -v), and every
+value is bit for bit the one -H's own diagonal gives.  IEEE products and
+sums commute with negation, so each phase angle (-gamma)*h(z) equals
+gamma*(-h(z)); the amplitudes then differ at most in the sign of an exact
+zero, which |amp|**2 drops; and each row's dot with -h is its negated dot
+with h, except that an exact zero sum is +0.0 both ways, as 0.0 - <H> gives.
 
-The search's first round holds every lane's initial simplex: its start x0
-and up to 2p vertices, each of which changes one angle of x0, the gamma or
-beta of some layer l, and so shares x0's layers before l.  Given the
-simplex's row count, `_expectations` evolves that round on shared prefixes: it puts each
-batch's rows in the order in which they join, the rows that start from the
-uniform state first, and `_evolve` copies x0's state after layer l - 1 into
-each such vertex's row just before layer l, so the rows in play are always
-the first ones of the workspace.  A lane's first round then costs p**2 + 2p
-row-layers in place of 2p**2 + p.  A vertex whose x0 lies in another batch
-(a workspace with fewer rows than the round) starts from the uniform state.
-Since each row is bitwise its solo evolution, a joining row starts from
-exactly the bits its own first layers give, and every value, step and
-result is unchanged.
-
-Asked for the top of -H as well, `optimize` runs -H's rows in the same
-batches, over H's diagonal: exp(i*gamma*(-h)) = exp(i*(-gamma)*h), so -H's
-ramp rows are H's rows times a row sign that negates their gammas, and
--H's search starts run as lanes wrapped in `_mirrored`, which negates the
-gammas of a lane's points by that sign; `_lockstep` drives lanes of either
-target alike.  Each value v = -<H> of such a row is mapped back to -<-H>
-as -(0.0 - -v), and every value is bit for
-bit the one -H's own diagonal gives.  IEEE products and sums commute with
-negation, so each phase angle (-gamma)*h(z) equals gamma*(-h(z)); the
-amplitudes then differ at most in the sign of an exact zero, which |amp|**2
-drops; and each row's dot with -h is its negated dot with h, except that an
-exact zero sum is +0.0 both ways, as 0.0 - <H> gives.
+The "search" schedule, `optimize`'s default, runs a Nelder-Mead search
+from each start in turn, each step for step as scipy's minimize runs it,
+while the package itself does not depend on scipy.
 """
 
 from __future__ import annotations
@@ -97,13 +75,11 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
 from .hamiltonian import IsingHamiltonian
-from .signal import _check_dense_size, _read_count, _read_float, _read_int
+from .signal import _check_dense_size, _read_count, _read_float, _read_int, _read_seed
 
 
 @dataclass(frozen=True)
@@ -211,7 +187,7 @@ class _StateBuffers:
     Asked for `rows` rows, it keeps K = min(rows, _BATCH_BYTES >> (n + 4))
     of them, and at least one: up to 64 rows at n = 6, 4 at n = 10 and one
     from n = 12.  `optimize` makes one workspace per run, as wide as its
-    widest round, and `ansatz_state` one per call, a row for each set of
+    widest batch, and `ansatz_state` one per call, a row for each set of
     angles it is given; both evolve in batches of at most K rows.  A batch
     of `rows` rows works in `[:rows]` views.  `_views` binds them once per
     row count, with the levels and factor rows, into that batch's phase
@@ -321,107 +297,44 @@ def apply_phase_layer(state: np.ndarray, H: IsingHamiltonian, gamma: float) -> n
     return np.multiply(state, np.exp(1j * gamma * H.diagonal()))  # the kernel's operand order
 
 
-def _evolve(kernel: _StateBuffers, angles: np.ndarray, joins: tuple = ()) -> np.ndarray:
+def _evolve(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
     """Ansatz states for a (rows, 2p) array of angle rows [gammas, betas],
     at most the workspace's K: the workspace's (rows, 2**n) state view,
     which the next batch overwrites.
 
-    `joins` lets rows skip the layers they share with other rows.  It holds
-    (layer, parents) pairs in increasing 0-based layer: before that layer,
-    the next len(parents) rows join, each from the state that row
-    parents[k] holds after the layers before it.  The rows that start from
-    the uniform state come first, so the rows in play are always the first
-    ones, in a `[:rows]` view.  A plain batch has no joins.  A joining row's
-    state is gathered through the temporary, which the phase step
-    overwrites next, so no array is made for it.
-
     The set-up takes i*gamma, cos(beta) as complex and i*sin(beta) for all p
     layers at once, each product on angles cast to complex first, as
-    `_mixer_factors` does, and the phase step and mixer sweep of each row
-    count, bound once for it.  Each layer then runs the two, all through
+    `_mixer_factors` does, and the batch's phase step and mixer sweep, bound
+    once for its row count.  Each layer then runs the two, all through
     `out`.  Every amplitude meets the same operands, in the same order, as
     with an exp per entry, a fresh array per step and broadcast factors, so
     each row is bitwise the state that evolving it alone gives (the oracle
-    tests check this); a joining row starts from the bits its own first
-    layers would give.
+    tests check this).
     """
     p = angles.shape[1] // 2
     jg = 1j * angles[:, :p].T[:, :, None].astype(complex)  # (p, rows, 1)
     c, js = _mixer_factors(angles[:, p:].T[:, :, None])  # (p, rows, 1)
-    rows = len(angles)
-    for _, parents in joins:
-        rows -= len(parents)
-    phase, mix, _ = kernel._views(rows)
+    phase, mix, _ = kernel._views(len(angles))
     psi = kernel.start  # the first phase layer broadcasts it to every entry
-    layers, done = zip(jg, c, js), 0
-    for layer, parents in joins:
-        for layer_jg, layer_c, layer_js in islice(layers, layer - done):
-            phase(psi, layer_jg[:rows])
-            psi = mix(layer_c[:rows], layer_js[:rows])
-        state, temp = kernel.bufs[kernel.n % 2], kernel.bufs[2]
-        joined = rows + len(parents)
-        state.take(parents, 0, temp[rows:joined], "clip")
-        state[rows:joined] = temp[rows:joined]
-        psi, rows, done = state[:joined], joined, layer
-        phase, mix, _ = kernel._views(rows)
-    for layer_jg, layer_c, layer_js in layers:
+    for layer_jg, layer_c, layer_js in zip(jg, c, js):
         phase(psi, layer_jg)
         psi = mix(layer_c, layer_js)
     return psi
 
 
-@lru_cache(maxsize=64)
-def _shared_prefixes(rows: int, K: int, simplex: int, p: int) -> tuple:
-    """The evolve order, its inverse and each batch's joins for a round of
-    `rows` rows in batches of K, made of runs of `simplex` rows, each a
-    Nelder-Mead lane's initial simplex: its start x0, then vertex v = 1, 2,
-    ..., which changes coordinate v - 1 of x0, the gamma or beta of 0-based
-    layer (v - 1) % p, and so shares x0's layers before that one.  A vertex
-    joins there from x0's state when x0 is in the same batch, and starts at
-    layer 0 when it is not.  Each batch keeps its rows, in the order in
-    which they join, stably.
-
-    Every solve of one arm asks for the same schedule, so it is kept, as
-    read-only arrays."""
-    index = np.arange(rows)
-    vertex = index % simplex
-    x0 = index - vertex
-    batch = index - index % K
-    join = np.where((vertex > 0) & (x0 >= batch), (vertex - 1) % p, 0)
-    order = np.lexsort((join, batch))
-    place = order.argsort()  # each row's place in the evolve order
-    joins = []
-    for lo in range(0, rows, K):
-        rows_in_order = order[lo:lo + K]
-        ends = np.bincount(join[rows_in_order], minlength=p).cumsum().tolist()
-        parents = place[x0[rows_in_order]] - lo  # x0's row in the batch
-        joins.append(tuple((layer, parents[ends[layer - 1]:ends[layer]])
-                           for layer in range(1, p) if ends[layer] > ends[layer - 1]))
-    for array in (order, place, *(parents for batch_joins in joins for _, parents in batch_joins)):
-        array.flags.writeable = False
-    return order, place, tuple(joins)
-
-
-def _expectations(kernel: _StateBuffers, angles: np.ndarray, simplex: int = 0) -> np.ndarray:
+def _expectations(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
     """<h> for each row of angles, in batches of up to the workspace's K
     rows, through |amp|**2 in the temporary.  np.vecdot runs a 1-D dot on
-    each contiguous row: a matrix-vector product would sum in another order.
-    Given `simplex`, the rows are runs of that many, each a lane's initial
-    simplex: they evolve on shared prefixes, in `_shared_prefixes`' order
-    and with its joins, and their values go back in row order, bit for bit
-    the plain batch's."""
+    each contiguous row: a matrix-vector product would sum in another order."""
     K = len(kernel.bufs[0])
-    if simplex:
-        order, place, joins = _shared_prefixes(len(angles), K, simplex, angles.shape[1] // 2)
-        angles = angles[order]
     out = np.empty(len(angles))
     for lo in range(0, len(angles), K):
         batch = angles[lo:lo + K]
         probs = kernel._views(len(batch)).probs
-        np.abs(_evolve(kernel, batch, joins[lo // K] if simplex else ()), out=probs)
+        np.abs(_evolve(kernel, batch), out=probs)
         np.square(probs, out=probs)  # what `** 2` runs
         np.vecdot(probs, kernel.diag, out=out[lo:lo + K])
-    return out[place] if simplex else out
+    return out
 
 
 def ansatz_state(H: IsingHamiltonian, params: QaoaParams | Sequence[QaoaParams]) -> np.ndarray:
@@ -457,8 +370,8 @@ class OptimizeOutcome:
 
 @dataclass(frozen=True)
 class PairedOutcome:
-    """One lockstep run over H and -H: each target's best, with `minus`
-    in -H's own angles and expectation."""
+    """The ramp's outcome over H and -H: each target's first best grid row,
+    with `minus` in -H's own angles and expectation."""
 
     plus: OptimizeOutcome
     minus: OptimizeOutcome
@@ -485,17 +398,19 @@ RAMP_SLOPES = 8.0 * np.arange(1, 6) / 5
 RAMP_MIX = 1.5
 
 
-def _nelder_mead(x0: np.ndarray, maxfev: int):
-    """Nelder-Mead minimisation from x0, step for step as scipy.optimize.minimize
-    runs it with method="Nelder-Mead" and options maxfev, xatol=XATOL and
-    fatol=FATOL (no bounds, adaptive=False; checked against scipy 1.17).
+def _nelder_mead(f, x0: np.ndarray, maxfev: int) -> tuple:
+    """Nelder-Mead minimisation of f from x0, step for step as
+    scipy.optimize.minimize runs it with method="Nelder-Mead" and options
+    maxfev, xatol=XATOL and fatol=FATOL (no bounds, adaptive=False; checked
+    against scipy 1.17).  Returns (x, fun, nfev).
 
-    A generator: it yields an (m, N) array of points, is sent their m values,
-    and returns (x, fun, nfev).  The initial simplex and a shrink yield all
-    their points at once.  The budget cuts exactly where scipy's does: the
-    initial simplex keeps inf for vertices past maxfev; an expansion or
-    contraction that finds no budget left drops the reflected point; and a
-    shrink that runs out moves the next vertex but keeps its old value.
+    f is a batch objective: it maps an (m, N) array of points to their m
+    values.  The initial simplex and a shrink pass all their points in one
+    call, every other step one point.  The budget cuts exactly where scipy's
+    does: the initial simplex keeps inf for vertices past maxfev; an
+    expansion or contraction that finds no budget left drops the reflected
+    point; and a shrink that runs out moves the next vertex but keeps its
+    old value.
 
     Fewer numpy calls give scipy's bits: one spread |sim[-1, 0] - sim[0, 0]|
     above XATOL (or NaN) fails the convergence test before the full test
@@ -514,7 +429,7 @@ def _nelder_mead(x0: np.ndarray, maxfev: int):
         sim[k + 1, k] = (1 + nonzdelt) * x0[k] if x0[k] != 0 else zdelt
     fsim = np.full((N + 1,), np.inf, dtype=float)
     nfev = min(N + 1, maxfev)
-    fsim[:nfev] = yield sim[:nfev]
+    fsim[:nfev] = f(sim[:nfev])
     # scipy sorts twice here; argsort need not be stable, so keep both
     for _ in range(2):
         ind = fsim.argsort()
@@ -527,12 +442,12 @@ def _nelder_mead(x0: np.ndarray, maxfev: int):
             break
         xbar = sim[:-1].sum(0) / N
         xr = (1 + rho) * xbar - sim[-1]
-        (fxr,) = yield xr[None]
+        (fxr,) = f(xr[None])
         nfev += 1
         if fxr < fsim[0]:
             xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
             if nfev < maxfev:
-                (fxe,) = yield xe[None]
+                (fxe,) = f(xe[None])
                 nfev += 1
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
@@ -540,14 +455,14 @@ def _nelder_mead(x0: np.ndarray, maxfev: int):
         elif nfev < maxfev:
             if fxr < fsim[-1]:  # outside contraction
                 xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                (fxc,) = yield xc[None]
+                (fxc,) = f(xc[None])
                 nfev += 1
                 doshrink = not fxc <= fxr
                 if not doshrink:
                     sim[-1], fsim[-1] = xc, fxc
             else:  # inside contraction
                 xcc = (1 - psi) * xbar + psi * sim[-1]
-                (fxcc,) = yield xcc[None]
+                (fxcc,) = f(xcc[None])
                 nfev += 1
                 doshrink = not fxcc < fsim[-1]
                 if not doshrink:
@@ -557,51 +472,11 @@ def _nelder_mead(x0: np.ndarray, maxfev: int):
                 moved = min(N, m + 1)
                 sim[1:moved + 1] = sim[0] + sigma * (sim[1:moved + 1] - sim[0])
                 if m > 0:
-                    fsim[1:m + 1] = yield sim[1:m + 1]
+                    fsim[1:m + 1] = f(sim[1:m + 1])
                     nfev += m
         ind = fsim.argsort()
         sim, fsim = sim.take(ind, 0), fsim.take(ind)
     return sim[0], fsim.min(), nfev
-
-
-def _mirrored(lane, sign: np.ndarray):
-    """A lane over -H run on H's diagonal (see the module docstring): it
-    sends out each of the lane's points times the row sign [-1] * p + [1] *
-    p, and sends each value v it gets back into the lane as -(0.0 - -v)."""
-    values = None
-    while True:
-        try:
-            points = lane.send(values)
-        except StopIteration as stop:
-            return stop.value
-        values = [-(0.0 - -v) for v in (yield points * sign)]
-
-
-def _lockstep(lanes: list, objective) -> list:
-    """Run generator lanes to completion together.  Each round, the points
-    every live lane is waiting on go to `objective` as one (m, N) array, and
-    each lane is sent its own slice of the m values.  Returns the lanes'
-    return values in order.  A lane over -H comes wrapped in `_mirrored`,
-    so lanes of either target may sit anywhere in the list."""
-    results: list = [None] * len(lanes)
-    pending: dict = {}
-
-    def advance(i, values):
-        try:
-            pending[i] = lanes[i].send(values)
-        except StopIteration as stop:
-            pending.pop(i, None)
-            results[i] = stop.value
-
-    for i in range(len(lanes)):
-        advance(i, None)
-    while pending:
-        live = list(pending.items())
-        values, lo = objective(np.concatenate([points for _, points in live])).tolist(), 0
-        for i, points in live:
-            advance(i, values[lo:lo + len(points)])
-            lo += len(points)
-    return results
 
 
 def _best(outcomes: list) -> OptimizeOutcome:
@@ -635,61 +510,53 @@ def optimize(
     seed=None,
     init: QaoaParams | None = None,
     *,
-    negated_seed=None,
     schedule: str = "search",
 ) -> OptimizeOutcome | PairedOutcome:
     """Maximize <h> in ansatz_state(H, .) over 2p angles.
 
     With schedule "search", the default: derivative-free simplex search
     (Nelder-Mead, at most max_evals evaluations per start) from `restarts`
-    uniform random starts in [0, 2*pi)**(2p), all run in lockstep; an
-    optional warm start runs as the first lane.  Nelder-Mead evaluates its
+    uniform random starts in [0, 2*pi)**(2p), drawn from seed, run one after
+    another; an optional warm start runs first.  Nelder-Mead evaluates its
     start first and its best vertex never gets worse, so a warm-started
     result never falls below the warm start's value (on an exact tie it may
     be another vertex).  Deterministic for a fixed seed and best-effort.
 
-    With schedule "ramp": no search.  Every row of `ramp_grid(p)` is
-    evaluated in one `_expectations` call, and the first best row wins; the
-    evaluation count is the rows evaluated.  The ramp reads neither
-    restarts, max_evals nor seed (they are still checked) and takes no warm
-    start.
+    With schedule "ramp": no search, and a PairedOutcome for H and -H.
+    Every row of `ramp_grid(p)`, and each of them mirrored for -H, is
+    evaluated in one `_expectations` call, over H's diagonal, and each
+    target's first best row wins; its evaluation count is its rows
+    evaluated, and its result is bitwise the one a ramp on its own diagonal
+    gives.  The ramp reads neither restarts, max_evals nor seed (they are
+    still checked) and takes no warm start.
 
-    Raises ValueError for an unknown schedule, for a p, restarts or
-    max_evals that is not an integer (as _read_int reads one), for a p or
-    max_evals below 1 (as _read_count), when no row or start reaches an
-    expectation that is not NaN, which takes a diagonal that is not finite,
-    and, for the search, for no start at all, for a warm start of another
-    depth, and for `negated_seed` with no restarts.
-
-    With `negated_seed`, -H is maximized as well and a PairedOutcome is
-    returned; the search draws -H's `restarts` starts from that seed.
-    -H's rows run in the same batches over H's diagonal, and each
-    target's result is bitwise the one a separate call on H or on -H (with
-    its seed) returns.  The warm start applies to H only.
+    Raises ValueError for an unknown schedule, for a p, max_evals or
+    restarts that is not an integer (as _read_int reads one), for a p or
+    max_evals below 1 (as _read_count), for a negative restarts, for a seed
+    that is not None and not a non-negative integer (as _read_seed), when
+    no row or start reaches an expectation that is not NaN, which takes a
+    diagonal that is not finite, and, for the search, for no start at all
+    and for a warm start of another depth.
     """
     if schedule not in SCHEDULES:
         raise ValueError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
     # restarts may be 0 with a warm start
-    p, restarts, max_evals = (_read_count(p, "p"), _read_int(restarts, "restarts"),
+    p, restarts, max_evals = (_read_count(p, "p"), _read_seed(restarts, "restarts"),
                               _read_count(max_evals, "max_evals"))
-    sign = np.repeat([-1.0, 1.0], p)
+    seed = None if seed is None else _read_seed(seed)
     if schedule == "ramp":
         if init is not None:
             raise ValueError("a warm start needs the search schedule")
         grid = ramp_grid(p)
-        rows = grid if negated_seed is None else np.vstack([grid, grid * sign])
+        # -H's rows: H's with their gammas negated (see the module docstring)
+        rows = np.vstack([grid, grid * np.repeat([-1.0, 1.0], p)])
         values = (-_expectations(_StateBuffers(len(rows), H.n, H.diagonal()), rows)).tolist()
-        plus = _best([(x, v, 1) for x, v in zip(grid, values)])
-        if negated_seed is None:
-            return plus
-        # -H's rows map their values back as `_mirrored` does
+        plus = [(x, v, 1) for x, v in zip(grid, values)]
         minus = [(x, -(0.0 - -v), 1) for x, v in zip(grid, values[len(grid):])]
-        return PairedOutcome(plus, _best(minus))
+        return PairedOutcome(_best(plus), _best(minus))
 
     if restarts < 1 and init is None:
         raise ValueError("need at least one restart or a warm start")
-    if restarts < 1 and negated_seed is not None:
-        raise ValueError("-H needs at least one restart: the warm start applies to H only")
     rng = np.random.default_rng(seed)
     starts = []
     if init is not None:
@@ -697,26 +564,13 @@ def optimize(
             raise ValueError(f"warm start has depth {init.p}, expected {p}")
         starts.append(init.to_vector())
     starts.extend(rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
-    lanes = [_nelder_mead(x0, max_evals) for x0 in starts]
-    if negated_seed is not None:
-        neg_rng = np.random.default_rng(negated_seed)
-        neg_starts = (neg_rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
-        lanes += [_mirrored(_nelder_mead(x0, max_evals), sign) for x0 in neg_starts]
-
-    # The first round, the widest, holds every lane's initial simplex, in
-    # lane order, and evolves on shared prefixes; each later round is plain.
-    simplex = min(2 * p + 1, max_evals)
-    kernel = _StateBuffers(len(lanes) * simplex, H.n, H.diagonal())
-    first_round = iter([simplex])
+    # the widest batch is an initial simplex
+    kernel = _StateBuffers(min(2 * p + 1, max_evals), H.n, H.diagonal())
 
     def objective(angles: np.ndarray) -> np.ndarray:
-        return -_expectations(kernel, angles, next(first_round, 0))
+        return -_expectations(kernel, angles)
 
-    outcomes = _lockstep(lanes, objective)
-    plus, minus = outcomes[:len(starts)], outcomes[len(starts):]
-    if negated_seed is None:
-        return _best(plus)
-    return PairedOutcome(_best(plus), _best(minus))
+    return _best([_nelder_mead(objective, x0, max_evals) for x0 in starts])
 
 
 def sample_candidates(state: np.ndarray, shots: int, seed=None) -> list[int]:

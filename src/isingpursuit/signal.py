@@ -65,7 +65,8 @@ def _read_count(value, name: str) -> int:
 
 def _read_seed(value, name: str = "seed") -> int:
     """A seed: an integer as _read_int reads one, of at least 0, as
-    np.random.default_rng takes one."""
+    np.random.default_rng takes one; also any count that may be 0, such as
+    optimize's restarts."""
     value = _read_int(value, name)
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")

@@ -11,9 +11,9 @@ The absolute value is handled by solving both the maximization and the
 minimization of h and keeping whichever extremum is larger in magnitude.
 The chain backend fills the max and the min tables in one fused sweep that
 records its choices, exact because IEEE negation commutes with its sums and
-comparisons; the QAOA backend picks both targets' angles in one `optimize`
-batch over H's diagonal, with -H's circuits as H's circuits with their
-gammas negated.
+comparisons; the QAOA backend picks both targets' angles in one ramp
+`optimize` call, one batch over H's diagonal, with -H's circuits as H's
+circuits with their gammas negated.
 
 The QAOA backend evolves under H normalised: its diagonal d divided by the
 spread s = max|d - mean d| (`IsingHamiltonian.normalized`), so that the
@@ -210,9 +210,9 @@ def qaoa_solve(
     """Best-effort support detection through one QAOA run over two targets.
 
     One `optimize` call under the ramp schedule picks angles for the top of
-    h and, in mirrored rows on H's diagonal, the top of -h; each target
-    keeps its own seed stream for its samples, spawned from seed, which is
-    read by _read_seed unless None.  The spec gives the depth and the shots;
+    h and, in mirrored rows on H's diagonal, the top of -h; the ramp reads
+    no seed.  Each target keeps its own seed stream for its samples, spawned
+    from seed, which is read by _read_seed unless None.  The spec gives the depth and the shots;
     its backend, restarts and max_evals are not read.  The angles, both states
     and their samples run under H normalised, with diagonal d / s for H's
     diagonal d and its spread s (1.0 where the spread is zero or not
@@ -236,10 +236,10 @@ def qaoa_solve(
             z, abs(column_dot(z, r, ms)), {"backend": "qaoa", "flat": True}
         )
     H, scale = H.normalized()  # from here on H is d / s; rescoring reads r
+    # the samples read seeds[1] and seeds[3] of four spawned streams; the
+    # other two go unread, and this layout keeps every seeded result bitwise
     seeds = np.random.SeedSequence(seed).spawn(4)
-    # the ramp reads no seed: seeds[2] only asks it for -H, and the samples
-    # keep seeds[1] and seeds[3]
-    out = qaoa.optimize(H, p=spec.depth, negated_seed=seeds[2], schedule="ramp")
+    out = qaoa.optimize(H, p=spec.depth, schedule="ramp")
     states = qaoa.ansatz_state(H, [out.plus.params, out.minus.params.mirrored()])
     diagnostics: dict = {"backend": "qaoa", "scale": scale}
     for label, best in (("max", out.plus), ("min", out.minus)):

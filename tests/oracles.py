@@ -30,9 +30,10 @@ diagonal.
 select each gate qubit's halves of the state, and each RX as one
 `x_mix_rows` step, which the axis-moving `simulate_gates` must match bit
 for bit.
-`qaoa_solve_two_calls` is the QAOA backend with one `optimize` call on
-normalised H and one on normalised `negated(H)`, each sampled from its own
-target's state, which the one-call `qaoa_solve` must match bit for bit.  It
+`qaoa_solve_two_calls` is the QAOA backend with one ramp `optimize` call
+on normalised H and one on normalised `negated(H)`, each keeping its own
+diagonal's best (`.plus`) and sampled from its own target's state, which
+the one-call `qaoa_solve` must match bit for bit.  It
 rescores its pooled candidates one `column_dot` call each
 (`rescore_per_candidate`), which the one-pass `measurement.column_dots` and
 `solvers._rescore` must match.
@@ -42,8 +43,8 @@ helpers: `column_norm_sq` and `column_dot` each build the chosen column,
 deflation builds it a third time, and the residual norm is
 `np.linalg.norm`.  The one-mask `matching_pursuit` must match it bit for
 bit.  `optimize`'s reference is scipy's Nelder-Mead, run start by start
-(`scipy_optimize`) on H and on `negated(H)`; `scipy_nelder_mead` is one
-such run on the kernel's objective.  The other helpers materialize what
+(`scipy_optimize`); `scipy_nelder_mead` is one such run on the kernel's
+objective.  The other helpers materialize what
 the package keeps implicit.
 """
 
@@ -349,9 +350,9 @@ def simulate_gates_selectors(state: np.ndarray, gates) -> np.ndarray:
 
 def qaoa_solve_two_calls(ms: MeasurementSet, r: np.ndarray, spec: SolverSpec, seed) -> SolverOutcome:
     """qaoa_solve as two ramp optimize calls, one on H and one on
-    negated(H), both normalised, each followed by the ansatz state and
-    samples of its own target.  -H's diagonal has H's spread, so both divide
-    by one scale."""
+    negated(H), both normalised, each keeping the best for its own diagonal
+    and followed by the ansatz state and samples of its own target.  -H's
+    diagonal has H's spread, so both divide by one scale."""
     H = build_hamiltonian(ms, r)
     if H.max_support_size() == 0:
         z = 0
@@ -362,7 +363,7 @@ def qaoa_solve_two_calls(ms: MeasurementSet, r: np.ndarray, spec: SolverSpec, se
     candidates: set[int] = set()
     diagnostics: dict = {"backend": "qaoa", "scale": scale}
     for label, target, sample_seed in (("max", plus, seeds[1]), ("min", minus, seeds[3])):
-        out = qaoa.optimize(target, p=spec.depth, schedule="ramp")
+        out = qaoa.optimize(target, p=spec.depth, schedule="ramp").plus
         state = qaoa.ansatz_state(target, out.params)
         candidates.update(qaoa.sample_candidates(state, spec.shots, seed=sample_seed))
         diagnostics[f"{label}_expectation"] = out.expectation

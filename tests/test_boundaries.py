@@ -479,15 +479,26 @@ def test_optimize_rejects_an_empty_evaluation_budget(max_evals):
     {frozenset({1}): 1e308, frozenset({2}): 1e308},  # the diagonal is [inf, 0, 0, -inf]
     {frozenset({1}): math.nan},
 ], ids=["overflow", "nan"])
-@pytest.mark.parametrize("negated_seed", [None, 1])
-def test_optimize_refuses_a_diagonal_that_is_not_finite(coefficients, negated_seed):
-    # every expectation is NaN, so no start or grid row is best; this used to
-    # raise a TypeError
+@pytest.mark.parametrize("seed", [None, 1])
+def test_optimize_refuses_a_diagonal_that_is_not_finite(coefficients, seed):
+    # every expectation is NaN, so no start or grid row is best, of H or of
+    # the ramp's -H; this used to raise a TypeError
     H = IsingHamiltonian(2, coefficients)
     for schedule in qaoa.SCHEDULES:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="diagonal is not finite"):
-            qaoa.optimize(H, 1, restarts=1, max_evals=5, seed=0, negated_seed=negated_seed,
-                          schedule=schedule)
+            qaoa.optimize(H, 1, restarts=1, max_evals=5, seed=seed, schedule=schedule)
+
+
+@pytest.mark.parametrize("schedule", qaoa.SCHEDULES)
+@given(restarts=st.integers(-2**70, -1))
+@example(restarts=-3)
+def test_optimize_refuses_a_negative_restart_count(schedule, restarts):
+    # beside a warm start, -3 used to run as no restarts at all, and the
+    # ramp took it
+    H = IsingHamiltonian(2, {frozenset({1}): 1.0})
+    init = ONE_LAYER if schedule == "search" else None
+    with pytest.raises(ValueError, match=f"^restarts must be >= 0, got {restarts}$"):
+        qaoa.optimize(H, 1, restarts=restarts, init=init, schedule=schedule)
 
 
 # n = 1, one pattern per value of bit 1: H's diagonal is r, as built
@@ -531,13 +542,17 @@ def test_qaoa_solve_refuses_a_diagonal_that_is_not_finite():
         qaoa_solve(ms, r, SolverSpec("qaoa", 2, 1, 5, 8), seed=0)
 
 
-# every public entry that takes a seed, and the plan's master seed
+# every public entry that takes a seed as a number, and the plan's master
+# seed; sample_candidates takes the SeedSequence that qaoa_solve spawns, so it
+# is not one of them
 SEEDED = {
     "random_sparse_signal": (lambda v: random_sparse_signal(6, 1, seed=v), "seed"),
     "random_quadruplet_patterns": (lambda v: random_quadruplet_patterns(6, 1, seed=v), "seed"),
     "qaoa_solve": (lambda v: qaoa_solve(ONE_BIT, np.array([1.0, 0.5]), SolverSpec("qaoa", 2),
                                         seed=v), "seed"),
     "ExperimentPlan": (lambda v: ExperimentPlan(6, 2, master_seed=v), "master_seed"),
+    "optimize": (lambda v: qaoa.optimize(IsingHamiltonian(1, {frozenset({1}): 1.0}), 1,
+                                         restarts=1, max_evals=3, seed=v), "seed"),
 }
 
 

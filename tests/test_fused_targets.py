@@ -1,31 +1,19 @@
 """qaoa_solve's one ramp batch over H and -H against the two-call path in
 `oracles`, bit for bit: position, score, diagnostics, both sampled states
-and their samples.  Each target of a paired ramp is checked against a ramp
-on its own diagonal.  A mirrored search lane, which runs -H on H's
-diagonal with its gammas negated by `_mirrored`'s row sign, is also checked
-on its own, from starts whose gammas are exactly zero, on H as built and
-normalised; and lanes of both targets in any order must each return what
-they return run alone."""
+and their samples.  Each target of a paired ramp, whose -H rows run on H's
+diagonal with their gammas negated, is checked against a ramp on its own
+diagonal, as built and normalised."""
 
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingpursuit import qaoa
 from isingpursuit.hamiltonian import IsingHamiltonian, build_hamiltonian
 from isingpursuit.measurement import MeasurementSet, Pattern, nearest_neighbor_patterns
-from isingpursuit.qaoa import (
-    QaoaParams,
-    _expectations,
-    _StateBuffers,
-    _lockstep,
-    _mirrored,
-    _nelder_mead,
-    optimize,
-)
+from isingpursuit.qaoa import optimize
 from isingpursuit.solvers import SolverSpec, qaoa_solve
 
 from oracles import negated, qaoa_solve_two_calls
@@ -102,95 +90,11 @@ def test_each_target_of_a_paired_ramp_is_bitwise_a_ramp_on_its_own_diagonal(H, p
     neg_H = negated(H)
     if normalise:
         (H, _), (neg_H, _) = H.normalized(), neg_H.normalized()
-    paired = optimize(H, p, negated_seed=0, schedule="ramp")
+    paired = optimize(H, p, schedule="ramp")
     for got, target in ((paired.plus, H), (paired.minus, neg_H)):
-        alone = optimize(target, p, schedule="ramp")
+        alone = optimize(target, p, schedule="ramp").plus
         assert repr(got) == repr(alone)
         assert alone.evaluations == len(qaoa.ramp_grid(p))
-
-
-ZERO_GAMMAS = (IsingHamiltonian(2, {frozenset({1}): 1.0}), 2, np.array([0.0, -0.0, 1.3, 0.4]), 50)
-# At all-zero angles the state stays uniform and <H> = <Z_1> is exactly zero.
-ALL_ZERO = (IsingHamiltonian(2, {frozenset({1}): 1.0}), 1, np.zeros(2), 3)
-
-
-def starts(p: int):
-    """A start of 2p angles in [0, 2*pi], signed zeros among them."""
-    return st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 2 * np.pi)),
-                    min_size=2 * p, max_size=2 * p).map(np.array)
-
-
-# (H, p, a start of 2p angles, max_evals)
-LANE_CASES = st.integers(1, 4).flatmap(lambda p: st.tuples(
-    hamiltonians(max_n=8), st.just(p), starts(p), st.integers(1, 60)))
-
-
-@settings(max_examples=100 * DEPTH)
-@given(LANE_CASES, st.booleans())
-@example(ZERO_GAMMAS, False)
-@example(ALL_ZERO, False)
-@example((IsingHamiltonian(2, {frozenset({1}): 1.5, frozenset(): 0.25}), 2,
-          np.array([0.0, 0.7, 1.3, 0.4]), 50), True)  # d = [1.75, 1.75, -1.25, -1.25], s = 1.5
-def test_mirrored_lane_is_bitwise_a_lane_on_negated_h(case, normalise):
-    H, p, x0, max_evals = case
-    neg_H = negated(H)
-    if normalise:
-        (H, _), (neg_H, _) = H.normalized(), neg_H.normalized()
-    check_mirrored_lane(H, neg_H, p, x0, max_evals)
-
-
-def check_mirrored_lane(H, neg_H, p, x0, max_evals):
-    """One Nelder-Mead lane mirrored over H's diagonal against the same lane
-    run plainly over neg_H's, and the two lanes' states."""
-    diag, neg_diag = H.diagonal(), neg_H.diagonal()
-    kernel = _StateBuffers(2 * p + 1, H.n, diag)
-    neg_kernel = _StateBuffers(2 * p + 1, H.n, neg_diag)
-    lane = _mirrored(_nelder_mead(x0, max_evals), np.repeat([-1.0, 1.0], p))
-    ((x, fun, nfev),) = _lockstep([lane], lambda angles: -_expectations(kernel, angles))
-    ((ref_x, ref_fun, ref_nfev),) = _lockstep([_nelder_mead(x0, max_evals)],
-                                              lambda angles: -_expectations(neg_kernel, angles))
-    assert (x.tobytes(), repr(fun), nfev) == (ref_x.tobytes(), repr(ref_fun), ref_nfev)
-    params = QaoaParams.from_vector(x)
-    state = qaoa.ansatz_state(H, params.mirrored())
-    assert state.tobytes() == qaoa.ansatz_state(neg_H, params).tobytes()
-
-
-@st.composite
-def mixed_lanes(draw):
-    """H, a depth p, one to five lanes of one budget, each (mirrored, x0),
-    so that lanes over H and over -H interleave in any order, and a
-    workspace width that may split a lane's simplex across batches."""
-    H, p = draw(hamiltonians(max_n=6)), draw(st.integers(1, 4))
-    lanes = draw(st.lists(st.tuples(st.booleans(), starts(p)), min_size=1, max_size=5))
-    max_evals = draw(st.integers(1, 60))
-    K = draw(st.integers(1, len(lanes) * min(2 * p + 1, max_evals)))
-    return H, p, lanes, max_evals, K
-
-
-@settings(max_examples=100 * DEPTH)
-@given(mixed_lanes())
-@example((IsingHamiltonian(2, {frozenset({1}): 1.0}), 2,
-          [(True, np.array([0.0, -0.0, 1.3, 0.4])), (False, np.array([0.5, 2.0, 1.0, 0.1])),
-           (True, np.array([3.0, 0.2, 0.0, 4.0]))], 40, 15))
-def test_lockstep_runs_every_lane_as_alone_in_any_order(case):
-    """Lanes over H and mirrored lanes over -H, in any order, driven
-    together as `optimize` drives them, first round on shared prefixes:
-    each returns what it returns run alone, over H's diagonal, or over
-    negated(H)'s when mirrored."""
-    H, p, lanes, max_evals, K = case
-    sign = np.repeat([-1.0, 1.0], p)
-    kernel = _StateBuffers(K, H.n, H.diagonal())
-    first_round = iter([min(2 * p + 1, max_evals)])
-    together = _lockstep(
-        [_mirrored(_nelder_mead(x0, max_evals), sign) if mirrored else _nelder_mead(x0, max_evals)
-         for mirrored, x0 in lanes],
-        lambda angles: -_expectations(kernel, angles, next(first_round, 0)))
-    alone = {mirrored: _StateBuffers(2 * p + 1, H.n, (negated(H) if mirrored else H).diagonal())
-             for mirrored in (False, True)}
-    for (mirrored, x0), (x, fun, nfev) in zip(lanes, together):
-        ((ref_x, ref_fun, ref_nfev),) = _lockstep(
-            [_nelder_mead(x0, max_evals)], lambda angles: -_expectations(alone[mirrored], angles))
-        assert repr((x.tolist(), fun, nfev)) == repr((ref_x.tolist(), ref_fun, ref_nfev))
 
 
 def test_qaoa_solve_makes_one_optimize_call_and_one_diagonal():
@@ -239,12 +143,3 @@ def test_qaoa_solve_reads_no_search_budget():
             for restarts, max_evals in ((1, 1), (10, 200), (3, 7))]
     assert len({repr(out) for out in outs}) == 1
     assert outs[0].diagnostics["max_evaluations"] == len(qaoa.ramp_grid(2))
-
-
-def test_warm_start_alone_cannot_serve_negated_target():
-    H = IsingHamiltonian(1, {frozenset({1}): 1.0})
-    init = QaoaParams((0.1,), (0.2,))
-    with pytest.raises(ValueError, match="-H needs at least one restart"):
-        optimize(H, p=1, restarts=0, init=init, negated_seed=1)
-    paired = optimize(H, p=1, restarts=1, max_evals=5, init=init, seed=0, negated_seed=1)
-    assert paired.plus.evaluations == 5 + 5 and paired.minus.evaluations == 5

@@ -1,5 +1,5 @@
 """Statevector engine against dense linear-algebra oracles (scipy expm),
-gate-decomposition fidelity, optimizer behavior, and the lockstep
+gate-decomposition fidelity, optimizer behavior, and the package's
 Nelder-Mead against scipy.optimize.minimize, which it must match exactly,
 in shrinks cut short at every length (`test_lockstep_oracle.py` runs whole
 `optimize` calls against scipy)."""
@@ -24,7 +24,7 @@ from isingpursuit.qaoa import (
     simulate_gates,
     uniform_state,
 )
-from isingpursuit.qaoa import _expectations, _lockstep, _nelder_mead, _StateBuffers
+from isingpursuit.qaoa import _expectations, _nelder_mead, _StateBuffers
 
 from oracles import (
     apply_mixer_layer,
@@ -240,10 +240,12 @@ def test_ramp_keeps_the_first_best_grid_row(H, p):
     grid = ramp_grid(p)
     values = expectations_per_row(evolve_per_qubit(H.diagonal(), H.n, grid), H.diagonal())
     best = int(np.argmax(values))  # the first maximum
-    out = optimize(H, p, schedule="ramp")
+    paired = optimize(H, p, schedule="ramp")
+    out = paired.plus
     assert out.params.to_vector().tobytes() == grid[best].tobytes()
     assert repr(out.expectation) == repr(float(values[best]))
     assert out.evaluations == len(grid) == 5
+    assert paired.evaluations == 2 * len(grid)
 
 
 def test_ramp_reads_no_search_settings():
@@ -374,9 +376,9 @@ def test_lockstep_nelder_mead_matches_scipy_when_a_shrink_runs_out():
                 batches.append(len(angles))
                 return objective(angles)
 
-            ((x, fun, nfev),) = _lockstep([_nelder_mead(x0, maxfev)], recording)
+            x, fun, nfev = _nelder_mead(recording, x0, maxfev)
             ref = scipy_nelder_mead(objective, x0, maxfev)
             assert (x.tobytes(), fun, nfev) == (ref.x.tobytes(), ref.fun, ref.nfev)
-            # after the initial simplex, one lane sends several points only in a shrink
+            # after the initial simplex, only a shrink passes several points at once
             shrink_sizes.update(b for b in batches[1:] if b > 1)
     assert shrink_sizes == {2, 3, 4}

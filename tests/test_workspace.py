@@ -9,10 +9,7 @@ Also: each workspace keeps the most rows the batch budget allows, and
 `apply_phase_layer` none; a ramp `optimize` and a QAOA solve at n = 10
 give the same outcomes with the ramp's rows split into batches as in one
 batch; a state that `ansatz_state` returned is never written over.  And
-a mixer sweep, and a whole batch, that make no numpy iterator buffer.  A
-first `optimize` round on shared prefixes must give the plain batch's
-values bit for bit, and four full lanes must evolve p**2 + 2p row-layers
-each."""
+a mixer sweep, and a whole batch, that make no numpy iterator buffer."""
 
 import tracemalloc
 from unittest import mock
@@ -30,7 +27,6 @@ from isingpursuit.qaoa import (
     QaoaParams,
     _evolve,
     _expectations,
-    _nelder_mead,
     _StateBuffers,
     ansatz_state,
     apply_phase_layer,
@@ -155,79 +151,6 @@ def test_one_workspace_through_many_row_counts_is_bitwise_the_per_qubit_kernel(r
         assert phased.tobytes() == phase_rows(psi[None], diag, np.array([gamma])).tobytes()
 
 
-def first_round_case(n: int, p: int, lanes: int, mirrored: int, max_evals: int, seed: int,
-                     K: int | None = None, zeros=()):
-    """The first round of an `optimize` run with `lanes` lanes, the last
-    `mirrored` of them over -H: each lane's initial simplex, min(2p + 1,
-    max_evals) rows from `_nelder_mead`, in lane order, and the mirrored
-    rows' gammas negated by `_mirrored`'s row sign.  The starts are random,
-    with the (lane, coordinate, value) entries of `zeros` written in, as a
-    warm start may hold them.  With a workspace of K rows, the round's width
-    unless given, over a normal diagonal."""
-    rng = np.random.default_rng(seed)
-    diag = rng.normal(size=1 << n)
-    starts = rng.uniform(0.0, 2.0 * np.pi, size=(lanes, 2 * p))
-    for lane, coordinate, value in zeros:
-        starts[lane, coordinate] = value
-    batch = np.concatenate([next(_nelder_mead(x0, max_evals)) for x0 in starts])
-    simplex = min(2 * p + 1, max_evals)
-    batch[(lanes - mirrored) * simplex:] *= np.repeat([-1.0, 1.0], p)
-    return diag, n, K or len(batch), batch, simplex
-
-
-@st.composite
-def first_round_cases(draw):
-    """Up to four lanes, some mirrored, some of their starts holding zero
-    coordinates (the simplex's absolute step), budgets that truncate the
-    simplex, and workspaces that split lanes across batches."""
-    n, p, lanes = draw(st.integers(1, 8)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
-    max_evals = draw(st.integers(1, 2 * p + 3))
-    zeros = draw(st.lists(st.tuples(st.integers(0, lanes - 1), st.integers(0, 2 * p - 1),
-                                    st.sampled_from([0.0, -0.0])), max_size=4))
-    mirrored, seed = draw(st.integers(0, lanes)), draw(st.integers(0, 2**32 - 1))
-    K = draw(st.integers(1, lanes * min(2 * p + 1, max_evals)))
-    return first_round_case(n, p, lanes, mirrored, max_evals, seed, K, zeros)
-
-
-@settings(max_examples=100 * DEPTH)
-@given(first_round_cases())
-@example(first_round_case(6, 3, 4, 2, 60, 0))
-@example(first_round_case(4, 5, 3, 1, 60, 1, K=8, zeros=[(0, 0, 0.0), (1, 7, -0.0)]))
-@example(first_round_case(5, 4, 2, 0, 6, 2, K=5))  # a simplex cut to 6 of its 9 rows
-@example(first_round_case(18, 2, 1, 0, 60, 3))  # K = 1: every vertex starts from the uniform state
-def test_a_first_round_on_shared_prefixes_is_bitwise_the_plain_batch(case):
-    diag, n, K, batch, simplex = case
-    shared = _expectations(_StateBuffers(K, n, diag), batch, simplex)
-    plain = _expectations(_StateBuffers(K, n, diag), batch)
-    assert shared.tobytes() == plain.tobytes()
-
-
-def counted_row_layers(rows: list):
-    """Patch `_StateBuffers._bind` so that every phase step appends its
-    batch's row count to rows: one row-layer per row."""
-    bind = _StateBuffers._bind
-
-    def counting(self, count):
-        views = bind(self, count)
-
-        def phase(psi, jg):
-            rows.append(count)
-            return views.phase(psi, jg)
-        return views._replace(phase=phase)
-    return mock.patch.object(_StateBuffers, "_bind", counting)
-
-
-def test_four_full_lanes_evolve_p_squared_plus_2p_row_layers_each():
-    H = quad_hamiltonian()
-    for p in range(1, 7):
-        rows = []
-        with counted_row_layers(rows):
-            # a budget of 2p + 1 ends every lane after its initial simplex
-            shared = optimize(H, p, restarts=2, max_evals=2 * p + 1, seed=p, negated_seed=p + 100)
-        assert shared.evaluations == 4 * (2 * p + 1)
-        assert sum(rows) == 4 * (p * p + 2 * p), p  # 4 * p * (2p + 1) as a plain batch
-
-
 def test_signed_zeros_are_two_levels():
     kernel = _StateBuffers(1, 2, np.array([0.0, -0.0, 0.0, -0.0]))
     levels = kernel.level_rows[0]
@@ -252,10 +175,11 @@ def recording_workspaces(kernels: list):
 def test_optimize_builds_one_workspace_for_its_widest_round():
     H = quad_hamiltonian()
     with mock.patch.object(qaoa, "_StateBuffers", wraps=_StateBuffers) as built:
-        paired = optimize(H, p=2, restarts=2, max_evals=30, seed=0, negated_seed=1)
-    assert paired.evaluations == 4 * 30
-    # 2 starts on H and 2 on -H, each with a 2p + 1 point initial simplex
-    assert [c.args[:2] for c in built.call_args_list] == [(4 * 5, 4)]
+        out = optimize(H, p=2, restarts=2, max_evals=30, seed=0)
+    assert out.evaluations == 2 * 30
+    # the starts run one after another, and the widest batch is one start's
+    # 2p + 1 point initial simplex
+    assert [c.args[:2] for c in built.call_args_list] == [(5, 4)]
 
 
 def test_the_phase_layer_reference_builds_no_workspace():
@@ -270,11 +194,10 @@ def test_optimize_workspace_is_capped_by_the_batch_budget():
     H = quad_hamiltonian()
     kernels = []
     with recording_workspaces(kernels), mock.patch.object(qaoa, "_BATCH_BYTES", 3 << (H.n + 4)):
-        capped = optimize(H, p=2, restarts=2, max_evals=30, seed=0, negated_seed=1)
+        capped = optimize(H, p=2, restarts=2, max_evals=30, seed=0)
     assert [len(kernel.bufs[0]) for kernel in kernels] == [3]
-    # batches split across the 3 rows give the same bits
-    paired = optimize(H, p=2, restarts=2, max_evals=30, seed=0, negated_seed=1)
-    assert repr(capped) == repr(paired)
+    # initial simplexes split across the 3 rows give the same bits
+    assert repr(capped) == repr(optimize(H, p=2, restarts=2, max_evals=30, seed=0))
 
 
 def test_ansatz_state_evolves_within_the_batch_budget():
@@ -308,7 +231,7 @@ def test_split_ramp_batches_give_the_one_batch_outcomes(p):
     for budget in (1 << 22, qaoa._BATCH_BYTES):
         kernels = []
         with recording_workspaces(kernels), mock.patch.object(qaoa, "_BATCH_BYTES", budget):
-            runs.append((repr(optimize(H, p, negated_seed=p, schedule="ramp")),
+            runs.append((repr(optimize(H, p, schedule="ramp")),
                          repr(qaoa_solve(ms, r, SolverSpec("qaoa", 2 * p, shots=64), seed=p))))
         widths.append(len(kernels[0].bufs[0]))
     assert widths[0] == 10 > widths[1]
@@ -323,7 +246,8 @@ def test_ansatz_state_is_not_written_over_by_later_calls():
     ansatz_state(H, batch[1])
     ansatz_state(H, batch[::-1])
     again = ansatz_state(H, batch[0])
-    optimize(H, p=2, restarts=2, max_evals=20, seed=3, negated_seed=4)
+    optimize(H, p=2, restarts=2, max_evals=20, seed=3)
+    optimize(H, p=2, schedule="ramp")
     apply_mixer_layer(state.copy(), 0.5)
     apply_phase_layer(state.copy(), H, 0.5)
     apply_phase_layer(states[0].copy(), H, 0.5)
