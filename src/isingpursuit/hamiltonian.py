@@ -30,41 +30,52 @@ order depends on the memory layout, a matrix product's on the BLAS), and
 np.bincount adds the entries, run by run, to totals started at +0.0.  Keys
 go in the order in which the set's runs first name them, whatever r holds.
 
-Every Hamiltonian holds supports, their int64 bit masks (a set's
-`_support_masks`, made once for a dict), float64 totals and a keep mask, and
-makes the `terms` dict only when `terms` is first read: the kept supports in
-order, each with its total as a float.  The builder keeps its summed totals
-and prune mask, a dict's coefficients are copied and all kept, and
-`normalized` divides the totals.  No chain or QAOA solve makes the dict.
+Every Hamiltonian holds int64 support masks (1 << (n - b) summed over the
+1-based qubits b), float64 totals and a keep mask, and makes the `terms` dict
+only when `terms` is first read: each kept mask, in order, as the frozenset
+`_mask_support` makes, with its total as a float.  The builder keeps its plan's
+masks, summed totals and prune mask, a dict's keys are read into masks and its
+coefficients copied and all kept, and `normalized` divides the totals.  No
+chain or QAOA solve makes the dict.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import compress
 
 import numpy as np
 
-from .measurement import MeasurementSet, _bit_masks, _per_pattern
+from .measurement import MeasurementSet, _per_pattern
 from .signal import _check_bit_count, _check_dense_size, _read_float, _read_int
 
 # Exact cancellations occur for complete value-assignment groups; drop the dust.
 COEFF_PRUNE_TOL = 1e-15
 
 
+def _mask_support(n: int, mask: int) -> frozenset[int]:
+    """The 1-based qubits of a mask, inserted in ascending order by a walk
+    over its set bits from the highest: qubit 1 is 1 << (n - 1)."""
+    qubits = []
+    while mask:
+        qubits.append(n + 1 - mask.bit_length())
+        mask ^= 1 << (n - qubits[-1])
+    return frozenset(qubits)
+
+
 class IsingHamiltonian:
     """Map from Z-string supports (frozensets of 1-based qubits) to coefficients.
 
     Every Hamiltonian, from a dict or from `build_hamiltonian`, holds its
-    supports, totals and keep mask, and makes its `terms` dict when `terms`
-    is first read (see the module docstring); a dict given here is copied,
-    so later changes to it do not reach the Hamiltonian.  n and every qubit
-    are read by _read_int, so a support of integral floats is the support of
-    their ints, n is checked by _check_bit_count when built, as signals and
-    pattern sets check theirs, and every coefficient is read by _read_float,
-    which keeps inf and NaN.  Its diagonal is made on the first `diagonal()`
-    call and kept, read-only.
+    supports' masks, totals and keep mask, and makes its `terms` dict when
+    `terms` is first read (see the module docstring); a dict given here is
+    copied, so later changes to it do not reach the Hamiltonian.  n and every
+    qubit are read by _read_int, so a key of integral floats is the support of
+    their ints; a key names each qubit once, and no two keys one support.  n
+    is checked by _check_bit_count when built, as signals and pattern sets
+    check theirs, and every coefficient is read by _read_float, which keeps
+    inf and NaN.  Its diagonal is made on the first `diagonal()` call and
+    kept, read-only.
     """
 
     _diagonal: np.ndarray | None = None
@@ -72,32 +83,38 @@ class IsingHamiltonian:
     def __init__(self, n: int, terms: dict[frozenset[int], float] | None = None):
         n, terms = _read_int(n, "n"), {} if terms is None else terms
         _check_bit_count(n)
-        supports = list(terms)
-        for i, support in enumerate(supports):
+        masks: dict[int, None] = {}  # in key order
+        for support in terms:
+            mask = 0
             for j in support:
                 if type(j) is not int or not 1 <= j <= n:  # plain ints in range need no reading
-                    qubit = _read_int(j, "qubit")
-                    if not 1 <= qubit <= n:
-                        raise ValueError(f"qubit {qubit} outside [1, {n}]")
-                    supports[i] = frozenset(_read_int(j, "qubit") for j in support)
-        self.n, self._supports, self._keep = n, tuple(supports), np.ones(len(terms), bool)
-        self._masks = _bit_masks(n, supports)
+                    j = _read_int(j, "qubit")
+                    if not 1 <= j <= n:
+                        raise ValueError(f"qubit {j} outside [1, {n}]")
+                if mask >> (n - j) & 1:
+                    raise ValueError(f"qubit {j} named twice in one support")
+                mask |= 1 << (n - j)
+            if mask in masks:
+                raise ValueError(f"support {sorted(_mask_support(n, mask))} named twice")
+            masks[mask] = None
+        self.n, self._keep = n, np.ones(len(terms), bool)
+        self._masks = np.fromiter(masks, np.int64, len(masks))
         self._totals = np.fromiter((_read_float(c, "coefficient", finite=False)
                                     for c in terms.values()), float, len(terms))
 
     @classmethod
-    def _built(cls, n: int, supports: tuple[frozenset[int], ...], masks: np.ndarray,
-               totals: np.ndarray, keep: np.ndarray) -> "IsingHamiltonian":
-        """The terms on the supports that keep selects, made when first read;
-        the supports, with their masks, already lie in [1, n]; totals is float64."""
+    def _built(cls, n: int, masks: np.ndarray, totals: np.ndarray,
+               keep: np.ndarray) -> "IsingHamiltonian":
+        """The terms on the int64 masks that keep selects, made when first
+        read; the masks already lie below 2**n; totals is float64."""
         H = cls.__new__(cls)
-        H.n, H._supports, H._masks, H._totals, H._keep = n, supports, masks, totals, keep
+        H.n, H._masks, H._totals, H._keep = n, masks, totals, keep
         return H
 
     @cached_property
     def terms(self) -> dict[frozenset[int], float]:
-        keep = self._keep.tolist()
-        return dict(zip(compress(self._supports, keep), compress(self._totals.tolist(), keep)))
+        masks, totals = self._masks[self._keep].tolist(), self._totals[self._keep].tolist()
+        return dict(zip([_mask_support(self.n, mask) for mask in masks], totals))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -149,14 +166,14 @@ class IsingHamiltonian:
             scale = float(np.ldexp(np.abs(shrunk - shrunk.mean()).max(), e))
         if not (math.isfinite(scale) and scale > 0.0):
             scale = 1.0
-        scaled = self._built(self.n, self._supports, self._masks, self._totals / scale, self._keep)
+        scaled = self._built(self.n, self._masks, self._totals / scale, self._keep)
         diag = d / scale
         diag.flags.writeable = False
         scaled._diagonal = diag
         return scaled, scale
 
     def max_support_size(self) -> int:
-        return max(map(len, compress(self._supports, self._keep.tolist())), default=0)
+        return int(np.bitwise_count(self._masks[self._keep]).max(initial=0))
 
 
 def build_hamiltonian(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltonian:
@@ -170,11 +187,10 @@ def build_hamiltonian(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltonian:
     the order the runs name them (see the module docstring).
     """
     r = _per_pattern(r, ms)
-    supports, ids, groups = ms._transform_plan
+    masks, ids, groups = ms._transform_plan
     entries = np.empty(len(ids))
     for index, rows, places in groups:
         entries[places] = np.add.accumulate(r[index][:, :, None] * rows, axis=1)[:, -1]
     totals = np.bincount(ids, weights=entries)
     # the set bounded every support when it was built
-    return IsingHamiltonian._built(ms.n, supports, ms._support_masks, totals,
-                                   np.abs(totals) >= COEFF_PRUNE_TOL)
+    return IsingHamiltonian._built(ms.n, masks, totals, np.abs(totals) >= COEFF_PRUNE_TOL)

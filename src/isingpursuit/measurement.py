@@ -31,10 +31,10 @@ addends in the same order, from a +0.0 start, so the result is bit for bit
 the table kernel's.
 
 The Hamiltonian builder reads the same runs as Walsh-Hadamard transforms
-(`_transform_plan`), H's diagonal and the chain solver place the plan's
-supports through `_support_masks` and `_chain_slots`, and
-`nearest_neighbor_patterns` builds its set once per n, so the masks, table
-runs, plan and slots of a nearest-neighbour set are made once per process.
+(`_transform_plan`), which name each support by its int64 bit mask alone; H's
+diagonal and the chain solver (`_chain_slots`) read those masks, and
+`nearest_neighbor_patterns` builds its set once per n, so the table runs,
+plan and slots of a nearest-neighbour set are made once per process.
 """
 
 from __future__ import annotations
@@ -165,57 +165,45 @@ class MeasurementSet:
         return k
 
     @cached_property
-    def _transform_plan(self) -> tuple[tuple[frozenset[int], ...], np.ndarray,
+    def _transform_plan(self) -> tuple[np.ndarray, np.ndarray,
                                        tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
-        """(supports, ids, groups) for the Hamiltonian builder.  Entry s of a
+        """(masks, ids, groups) for the Hamiltonian builder.  Entry s of a
         run's transform belongs to the positions whose table bits s sets; ids
-        names that support for every entry, run by run, and supports go in the
-        order the runs first name them.  A group holds the runs with the same
+        names that support for every entry, run by run, and masks (int64) go in
+        the order the runs first name them.  A group holds the runs with the same
         table size k and pattern count m: their (runs, m) indices into r, the
         (runs, m, 2**k) transform rows (-1)**popcount(slot & s) / 2**k of
         their patterns, and the (runs, 2**k) places of their entries in ids."""
-        ids: dict[frozenset[int], int] = {}
-        named: dict[tuple[int, ...], list[int]] = {}
+        ids: dict[int, int] = {}
         support_ids: list[int] = []
         groups: dict[tuple[int, int], list[tuple[int, int, np.ndarray]]] = {}
         for start, stop, bits, slots in self._table_runs:
             k = len(bits)
-            if bits not in named:
-                named[bits] = [ids.setdefault(frozenset(b for i, b in enumerate(bits)
-                                                        if s >> (k - 1 - i) & 1), len(ids))
-                               for s in range(1 << k)]
+            masks = [0]  # masks[s]: the first position is the top bit of s
+            for b in reversed(bits):
+                masks += [mask | 1 << (self.n - b) for mask in masks]
             groups.setdefault((k, stop - start), []).append(
                 (start, len(support_ids), np.arange(1 << k) if slots is None else slots))
-            support_ids.extend(named[bits])
+            support_ids.extend(ids.setdefault(mask, len(ids)) for mask in masks)
         plan = []
         for (k, m), runs in groups.items():
             starts, firsts, slots = (np.array(column) for column in zip(*runs))
             values = np.arange(1 << k)
             rows = np.ldexp(_signs(k)[slots[:, :, None] & values], -k)
             plan.append((starts[:, None] + np.arange(m), rows, firsts[:, None] + values))
-        return tuple(ids), np.array(support_ids), tuple(plan)
-
-    @cached_property
-    def _support_masks(self) -> np.ndarray:  # of the `_transform_plan` supports
-        return _bit_masks(self.n, self._transform_plan[0])
+        return np.fromiter(ids, np.int64, len(ids)), np.array(support_ids), tuple(plan)
 
     @cached_property
     def _chain_slots(self) -> np.ndarray:
-        """Each `_transform_plan` support's cell in the chain solver's flat
-        list of 2n + 2: 0 for the constant, i for the field at site i, 2n - i
-        for the coupling of sites (i, i+1), and 2n + 1 for a support that no
-        chain holds."""
+        """Each `_transform_plan` mask's cell in the chain solver's flat list
+        of 2n + 2: 0 for the constant, i for the field at site i (1 << (n - i)),
+        2n - i for the coupling of sites (i, i+1) (3 << (n - i - 1)), and
+        2n + 1 for a support that no chain holds."""
         n = self.n
-        slots = []
-        for support in self._transform_plan[0]:
-            bits = sorted(support)
-            if len(bits) <= 1:
-                slots.append(sum(bits))
-            elif len(bits) == 2 and bits[1] == bits[0] + 1:
-                slots.append(2 * n - bits[0])
-            else:
-                slots.append(2 * n + 1)
-        return np.array(slots, dtype=np.intp)
+        cells = {0: 0} | {1 << (n - i): i for i in range(1, n + 1)}
+        cells |= {3 << (n - i - 1): 2 * n - i for i in range(1, n)}
+        return np.array([cells.get(mask, 2 * n + 1) for mask in self._transform_plan[0].tolist()],
+                        dtype=np.intp)
 
     def _read_index(self, z) -> int:
         """z as an index in [0, 2**n): an integer as _read_int reads one."""
@@ -251,11 +239,6 @@ class MeasurementSet:
     @classmethod
     def from_json(cls, text: str) -> "MeasurementSet":
         return cls.from_dict(json.loads(text))
-
-
-def _bit_masks(n: int, supports) -> np.ndarray:
-    """The int64 mask of each support: the sum of 1 << (n - b) over its 1-based bits b."""
-    return np.fromiter((sum(1 << (n - b) for b in s) for s in supports), np.int64, len(supports))
 
 
 @lru_cache(maxsize=None)

@@ -291,7 +291,8 @@ def _mixer_factors(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def apply_phase_layer(state: np.ndarray, H: IsingHamiltonian, gamma: float) -> np.ndarray:
-    """amplitude_z *= exp(i * gamma * h(z)); exact, norm preserving."""
+    """amplitude_z *= exp(i * gamma * h(z)), gamma read by _read_float; exact, norm preserving."""
+    gamma = _read_float(gamma, "gamma")
     if num_qubits(state) != H.n:
         raise ValueError(f"state has {num_qubits(state)} qubits but H has {H.n}")
     return np.multiply(state, np.exp(1j * gamma * H.diagonal()))  # the kernel's operand order
@@ -586,8 +587,8 @@ def decompose_evolution(H: IsingHamiltonian, t: float) -> list[Gate]:
     """Gate list for exp(i*t*H): per Z string of size k, a CNOT parity ladder,
     one RZ(-2*t*coeff) on the last support qubit, and the reversed ladder,
     i.e. 2(k-1) CNOTs and 1 RZ.  Identity terms are a global phase and emit
-    no gates.
-    """
+    no gates.  t is read by _read_float, as QaoaParams reads its angles."""
+    t = _read_float(t, "t")
     gates: list[Gate] = []
     for support in sorted(H.terms, key=lambda s: (len(s), sorted(s))):
         if not support:

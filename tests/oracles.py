@@ -15,6 +15,11 @@ builder's order, which it must match bit for bit.
 `itertools` and sums pattern by pattern: the same Hamiltonian in another
 summation order, so the builder must give it the same supports and
 coefficients up to rounding.
+`transform_supports` names the builder's supports as frozensets, in the
+order the set's patterns first name them, and `chain_slot` is the chain
+solver's cell rule on such a frozenset: the builder's plan masks and the
+mask-read `MeasurementSet._chain_slots` must match them
+(`plan_masks_and_slots`).
 `chain_dp_solve_arrays` is the chain dynamic program on numpy arrays and
 scalars, which the float-list `chain_dp_solve` must match exactly.
 `evolve_per_qubit` is the ansatz kernel with a fresh array for every phase
@@ -143,7 +148,7 @@ def diagonal_walsh(H: IsingHamiltonian) -> np.ndarray:
     n = H.n
     v = [0.0] * (1 << n)
     for support, coeff in H.terms.items():
-        v[sum(2 ** (n - j) for j in support)] = coeff
+        v[support_mask(n, support)] = coeff
     h = len(v) // 2
     for _ in range(n):
         v = [x for a, b in zip(v[:h], v[h:]) for x in (a + b, a - b)]
@@ -197,6 +202,42 @@ def build_hamiltonian_walsh(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltoni
     for support, total in entries:
         terms[support] += total
     return IsingHamiltonian(ms.n, pruned(terms))
+
+
+def transform_supports(ms: MeasurementSet) -> list[frozenset[int]]:
+    """Every subset of every pattern's fixed bits, in the order the patterns
+    and, within one, the transform entries s (bit i of the sorted bits read
+    from the top of s) first name it."""
+    named: dict[frozenset[int], None] = {}
+    for p in ms.patterns:
+        bits = sorted(b for b, _ in p.constraints)
+        k = len(bits)
+        for s in range(1 << k):
+            named.setdefault(frozenset(b for i, b in enumerate(bits) if s >> (k - 1 - i) & 1))
+    return list(named)
+
+
+def support_mask(n: int, support) -> int:
+    """The sum of 2**(n - b) over the support's 1-based qubits b."""
+    return sum(2 ** (n - b) for b in support)
+
+
+def chain_slot(n: int, support: frozenset[int]) -> int:
+    """The support's cell in the chain solver's flat list of 2n + 2: 0 for
+    the constant, i for the field at site i, 2n - i for the coupling of sites
+    (i, i+1), and 2n + 1 for a support that no chain holds."""
+    bits = sorted(support)
+    if len(bits) <= 1:
+        return sum(bits)
+    if len(bits) == 2 and bits[1] == bits[0] + 1:
+        return 2 * n - bits[0]
+    return 2 * n + 1
+
+
+def plan_masks_and_slots(ms: MeasurementSet) -> tuple[list[int], list[int]]:
+    """The mask and the chain slot of each of `transform_supports(ms)`."""
+    supports = transform_supports(ms)
+    return [support_mask(ms.n, s) for s in supports], [chain_slot(ms.n, s) for s in supports]
 
 
 def _chain_params_arrays(H: IsingHamiltonian) -> tuple[float, np.ndarray, np.ndarray]:

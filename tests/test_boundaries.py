@@ -5,8 +5,9 @@ pattern, the 63-bit width of the index masks, the cap on 2**n-entry arrays,
 integer fields of the JSON loaders, of records built in Python and of the
 generators, the counts of the QAOA entry points, empty solver budgets and
 every other count below one, QAOA angles and Hamiltonian coefficients that
-are not numbers, diagonals whose spread QAOA cannot divide by or whose mean
-overflows, and a solver choice whose column no pattern measures."""
+are not numbers, Hamiltonian keys that name a qubit or a support twice,
+diagonals whose spread QAOA cannot divide by or whose mean overflows, and a
+solver choice whose column no pattern measures."""
 
 import math
 import re
@@ -294,6 +295,26 @@ def test_a_hamiltonian_reads_integral_qubits_as_ints(qubit):
     assert H.diagonal().tobytes() == twin.diagonal().tobytes()
 
 
+@pytest.mark.parametrize("n, support, qubit", [(3, (2, 2), 2), (2, (1, 1), 1),
+                                               (4, (3, 1, 3.0), 3), (63, (np.int64(1), 1), 1)],
+                         ids=["n3", "n2", "integral-float", "numpy-int-n63"])
+def test_a_hamiltonian_refuses_a_qubit_named_twice(n, support, qubit):
+    # the mask summed the qubit's bit twice: at n = 3, {(2, 2): 1.0} had Z_1's
+    # diagonal, and at n = 2, {(1, 1): 1.0} raised an IndexError in diagonal()
+    with pytest.raises(ValueError, match=f"^qubit {qubit} named twice in one support$"):
+        IsingHamiltonian(n, {support: 1.0})
+
+
+def test_a_hamiltonian_reads_any_iterable_of_qubits_as_a_frozenset_named_once():
+    # a key of plain ints in range used to come back as given, so (1, 2) and
+    # (2, 1) were two terms on one support
+    H = IsingHamiltonian(3, {(2, 1): 1.0, range(3, 4): 2.0})
+    assert [type(s) for s in H.terms] == [frozenset, frozenset]
+    assert H.terms == {frozenset({1, 2}): 1.0, frozenset({3}): 2.0}
+    with pytest.raises(ValueError, match=r"^support \[1, 2\] named twice$"):
+        IsingHamiltonian(3, {(1, 2): 1.0, (2, 1.0): 2.0})
+
+
 # Booleans, strings, null, non-finite floats and integers beyond the float
 # range: no JSON value a float field may hold.
 NOT_NUMBERS = st.one_of(
@@ -442,16 +463,25 @@ def test_qaoa_counts_must_be_integers(call, name):
         call(H)
 
 
-@pytest.mark.parametrize("name", ["gammas", "betas"])
+ANGLE_READERS = {
+    "gammas": lambda value: qaoa.QaoaParams((0.3, value), (0.2,)),
+    "betas": lambda value: qaoa.QaoaParams((0.1,), (0.3, value)),
+    "gamma": lambda value: qaoa.apply_phase_layer(qaoa.uniform_state(2), TWO_QUBITS, value),
+    "t": lambda value: qaoa.decompose_evolution(TWO_QUBITS, value),
+}
+
+
+@pytest.mark.parametrize("name", ANGLE_READERS)
 @given(value=NOT_NUMBERS)
 @example(value="0.1")
 @example(value=True)
 @example(value=math.nan)
 def test_qaoa_angles_must_be_finite_numbers(name, value):
-    # float() used to read "0.1" as 0.1 and True as 1.0, and kept NaN angles
-    angles = {"gammas": (0.1,), "betas": (0.2,), name: (0.3, value)}
+    # float() used to read "0.1" as 0.1 and True as 1.0, and kept NaN angles;
+    # apply_phase_layer and decompose_evolution ran True as 1, gave a NaN
+    # state or RZ angle for NaN and inf, and raised a TypeError for "1"
     with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
-        qaoa.QaoaParams(**angles)
+        ANGLE_READERS[name](value)
 
 
 @given(value=st.one_of(st.booleans(), st.text(max_size=4), st.none(),

@@ -8,8 +8,11 @@ against the oracle's term-by-term split of its terms on every draw of the
 solver's property, pruned terms and empty Hamiltonians among them; the
 solver also runs on quadruplet sets whose non-chain terms prune away, and
 refuses those whose non-chain terms survive, without making the terms
-dict."""
+dict.  The plan's support masks and their chain slots are checked against
+the frozenset rule of `oracles.chain_slot` at every nearest-neighbour width
+and on quadruplet sets."""
 
+import math
 import re
 
 import numpy as np
@@ -27,7 +30,8 @@ from isingpursuit.solvers import (
     chain_dp_solve,
 )
 
-from oracles import _chain_max_arrays, _chain_params_arrays, chain_dp_solve_arrays
+from oracles import (_chain_max_arrays, _chain_params_arrays, chain_dp_solve_arrays,
+                     plan_masks_and_slots)
 from strategies import DEPTH, SCALED_ENTRIES, TIED
 
 # Tied entries give fields and couplings that tie, so the DP's tie rule
@@ -82,6 +86,19 @@ def test_chain_dp_matches_the_array_oracle(case):
     scattered = chain_terms(*_chain_params(H, ms._chain_slots), ms.n)
     assert scattered == chain_terms(*_chain_params_arrays(H), ms.n)
     assert fingerprint(chain_dp_solve(ms, r)) == fingerprint(chain_dp_solve_arrays(ms, r))
+
+
+@pytest.mark.parametrize("kind", ["nn", "quad"])
+def test_chain_slots_follow_the_frozenset_rule_at_every_width(kind):
+    # every nearest-neighbour width up to the index-width cap, where qubit 1
+    # is 1 << 62; quadruplet sets hold non-adjacent pairs and larger supports
+    if kind == "nn":
+        sets = [nearest_neighbor_patterns(n) for n in range(2, 64)]
+    else:
+        sets = [random_quadruplet_patterns(n, min(n, math.comb(n, 4)), seed=seed)
+                for n in (4, 5, 6, 10, 16, 40, 63) for seed in range(2)]
+    for ms in sets:
+        assert (ms._transform_plan[0].tolist(), ms._chain_slots.tolist()) == plan_masks_and_slots(ms)
 
 
 def two_pass_extrema(const, fields, couplings, n):

@@ -1,5 +1,6 @@
 """Pauli-Z assembly checked by hand expansions, hand values of
-`H.diagonal()`, and `H.normalized()`'s division by the diagonal's spread.
+`H.diagonal()`, `H.normalized()`'s division by the diagonal's spread, and
+each support mask turned into its qubits and back.
 The identity H.diagonal()[z] == column_dot(z, r, ms), to rounding, is
 acceptance criterion 1; `test_table_kernel` holds the diagonal bit for bit
 to a sign product per term."""
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isingpursuit.hamiltonian import IsingHamiltonian, build_hamiltonian
+from isingpursuit.hamiltonian import IsingHamiltonian, _mask_support, build_hamiltonian
 from isingpursuit.measurement import (
     MeasurementSet,
     Pattern,
@@ -69,6 +70,20 @@ def test_rejects_qubits_outside_range():
 def test_rejects_qubit_zero():
     with pytest.raises(ValueError, match="outside"):
         IsingHamiltonian(2, {frozenset({0}): 1.0})
+
+
+@given(st.integers(1, 63).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+@example((63, 1 << 62))  # qubit 1 at the index-width cap
+@example((63, (1 << 63) - 1))
+@example((1, 0))
+def test_a_mask_turns_into_its_support_and_back(case):
+    n, mask = case
+    qubits = [b for b in range(1, n + 1) if mask >> (n - b) & 1]
+    support = _mask_support(n, mask)
+    # inserted in ascending order, so its repr is the ascending one
+    assert repr(support) == repr(frozenset(qubits))
+    H = IsingHamiltonian(n, {support: 1.0})
+    assert H._masks.tolist() == [mask] and H.max_support_size() == len(qubits)
 
 
 @settings(max_examples=60)

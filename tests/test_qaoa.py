@@ -1,7 +1,7 @@
 """Statevector engine against dense linear-algebra oracles (scipy expm),
 gate-decomposition fidelity, optimizer behavior, and the package's
 Nelder-Mead against scipy.optimize.minimize, which it must match exactly,
-in shrinks cut short at every length (`test_lockstep_oracle.py` runs whole
+in shrinks cut short at every length (`test_nelder_mead_oracle.py` runs whole
 `optimize` calls against scipy)."""
 
 import numpy as np
@@ -355,7 +355,7 @@ def test_full_ansatz_gate_list_matches_statevector():
     assert _fidelity(direct, gated) >= 1 - 1e-10
 
 
-def test_lockstep_nelder_mead_matches_scipy_when_a_shrink_runs_out():
+def test_nelder_mead_matches_scipy_when_a_shrink_runs_out():
     # on a flat landscape almost every iteration shrinks, so this budget
     # sweep stops inside shrinks of every length (2p = 4 angles)
     n = 3

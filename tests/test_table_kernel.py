@@ -30,6 +30,7 @@ from oracles import (
     build_hamiltonian_walsh,
     diagonal_per_term,
     diagonal_walsh,
+    plan_masks_and_slots,
 )
 from strategies import (
     DEPTH,
@@ -302,6 +303,8 @@ def test_build_hamiltonian_is_bitwise_the_walsh_oracle_and_the_itertools_sum_up_
     # one transform row per pattern: m * 2**k products for a run of m patterns
     rows = [rows for _, rows, _ in ms._transform_plan[2]]
     assert sum(a.size for a in rows) == sum(1 << len(p.constraints) for p in ms.patterns)
+    # the plan names each support by its mask, and the chain slots read the masks
+    assert (ms._transform_plan[0].tolist(), ms._chain_slots.tolist()) == plan_masks_and_slots(ms)
     H, oracle = build_hamiltonian(ms, r), build_hamiltonian_walsh(ms, r)
     assert list(H.terms) == list(oracle.terms)
     assert np.array_equal(bits_of(list(H.terms.values())), bits_of(list(oracle.terms.values())))
