@@ -15,12 +15,12 @@ rows, and the diagonal's distinct values as complex levels, kept tiled in
 one row per state row, with an int64 index from each entry to its level.
 A workspace keeps as many rows as it is asked for, up to the `_BATCH_BYTES`
 budget, and every batch evolves in the first rows of it.  `optimize` makes
-one per run, asked for its widest batch.  `ansatz_state` makes one per
-call, asked for a row for each set of angles it is given, so a QAOA solve
-evolves its two sampled states as one batch (up to n = 11) over the
-diagonal its `optimize` run made (the Hamiltonian keeps it); it copies each
-batch into the array it returns, so no later call writes over a state it
-returned.  No other function makes one.  A layer's phase step
+one per run, a row per ramp row or one for the search.  `ansatz_state`
+makes one per call, asked for a row for each set of angles it is given, so
+a QAOA solve evolves its two sampled states as one batch (up to n = 11)
+over the diagonal its `optimize` run made (the Hamiltonian keeps it); it
+copies each batch into the array it returns, so no later call writes over
+a state it returned.  No other function makes one.  A layer's phase step
 is one exp per row and level, in a (rows, levels) table made by one
 same-shape product of the layer's i*gamma, filled across a factor row,
 with the level rows; then one gather of the table into full rows and one
@@ -65,9 +65,9 @@ gamma*(-h(z)); the amplitudes then differ at most in the sign of an exact
 zero, which |amp|**2 drops; and each row's dot with -h is its negated dot
 with h, except that an exact zero sum is +0.0 both ways, as 0.0 - <H> gives.
 
-The "search" schedule, `optimize`'s default, runs a Nelder-Mead search
-from each start in turn, each step for step as scipy's minimize runs it,
-while the package itself does not depend on scipy.
+The "search" schedule, `optimize`'s default, runs scipy's Nelder-Mead
+from each start in turn on a one-row workspace, and imports scipy.optimize
+only then: importing the package and every ramp solve leave it unloaded.
 """
 
 from __future__ import annotations
@@ -186,12 +186,13 @@ class _StateBuffers:
 
     Asked for `rows` rows, it keeps K = min(rows, _BATCH_BYTES >> (n + 4))
     of them, and at least one: up to 64 rows at n = 6, 4 at n = 10 and one
-    from n = 12.  `optimize` makes one workspace per run, as wide as its
-    widest batch, and `ansatz_state` one per call, a row for each set of
-    angles it is given; both evolve in batches of at most K rows.  A batch
-    of `rows` rows works in `[:rows]` views.  `_views` binds them once per
-    row count, with the levels and factor rows, into that batch's phase
-    step, mixer sweep and |amp|**2 view, and keeps the three in `by_rows`.  The phase step writes buffer 0, so every mixer sweep
+    from n = 12.  `optimize` makes one workspace per run, a row per ramp
+    row or one for the search, and `ansatz_state` one per call, a row for
+    each set of angles it is given; all evolve in batches of at most K
+    rows.  A batch of `rows` rows works in `[:rows]` views.  `_views` binds
+    them once per row count, with the levels and factor rows, into that
+    batch's phase step, mixer sweep and |amp|**2 view, and keeps the three
+    in `by_rows`.  The phase step writes buffer 0, so every mixer sweep
     starts there; each step returns the view that holds the state.
 
     A mixer step on qubit q (MSB-first) applies [[c, js], [js, c]] with c
@@ -399,87 +400,6 @@ RAMP_SLOPES = 8.0 * np.arange(1, 6) / 5
 RAMP_MIX = 1.5
 
 
-def _nelder_mead(f, x0: np.ndarray, maxfev: int) -> tuple:
-    """Nelder-Mead minimisation of f from x0, step for step as
-    scipy.optimize.minimize runs it with method="Nelder-Mead" and options
-    maxfev, xatol=XATOL and fatol=FATOL (no bounds, adaptive=False; checked
-    against scipy 1.17).  Returns (x, fun, nfev).
-
-    f is a batch objective: it maps an (m, N) array of points to their m
-    values.  The initial simplex and a shrink pass all their points in one
-    call, every other step one point.  The budget cuts exactly where scipy's
-    does: the initial simplex keeps inf for vertices past maxfev; an
-    expansion or contraction that finds no budget left drops the reflected
-    point; and a shrink that runs out moves the next vertex but keeps its
-    old value.
-
-    Fewer numpy calls give scipy's bits: one spread |sim[-1, 0] - sim[0, 0]|
-    above XATOL (or NaN) fails the convergence test before the full test
-    would; the reflection drops the exact copy rho * sim[-1] (rho = 1); and
-    array methods replace np.max, np.argsort, np.take and np.add.reduce:
-    the same ufunc loops and copies with less dispatch (fancy indexing by
-    the sort order costs about three times `take` on the (N + 1, N) simplex).
-    """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    nonzdelt, zdelt = 0.05, 0.00025
-    N = len(x0)
-    sim = np.empty((N + 1, N), dtype=x0.dtype)
-    sim[0] = x0
-    for k in range(N):
-        sim[k + 1] = x0
-        sim[k + 1, k] = (1 + nonzdelt) * x0[k] if x0[k] != 0 else zdelt
-    fsim = np.full((N + 1,), np.inf, dtype=float)
-    nfev = min(N + 1, maxfev)
-    fsim[:nfev] = f(sim[:nfev])
-    # scipy sorts twice here; argsort need not be stable, so keep both
-    for _ in range(2):
-        ind = fsim.argsort()
-        sim, fsim = sim.take(ind, 0), fsim.take(ind)
-
-    while nfev < maxfev:
-        if (abs(sim[-1, 0] - sim[0, 0]) <= XATOL
-                and np.abs(sim[1:] - sim[0]).max() <= XATOL
-                and np.abs(fsim[0] - fsim[1:]).max() <= FATOL):
-            break
-        xbar = sim[:-1].sum(0) / N
-        xr = (1 + rho) * xbar - sim[-1]
-        (fxr,) = f(xr[None])
-        nfev += 1
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            if nfev < maxfev:
-                (fxe,) = f(xe[None])
-                nfev += 1
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif nfev < maxfev:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                (fxc,) = f(xc[None])
-                nfev += 1
-                doshrink = not fxc <= fxr
-                if not doshrink:
-                    sim[-1], fsim[-1] = xc, fxc
-            else:  # inside contraction
-                xcc = (1 - psi) * xbar + psi * sim[-1]
-                (fxcc,) = f(xcc[None])
-                nfev += 1
-                doshrink = not fxcc < fsim[-1]
-                if not doshrink:
-                    sim[-1], fsim[-1] = xcc, fxcc
-            if doshrink:
-                m = min(N, maxfev - nfev)
-                moved = min(N, m + 1)
-                sim[1:moved + 1] = sim[0] + sigma * (sim[1:moved + 1] - sim[0])
-                if m > 0:
-                    fsim[1:m + 1] = f(sim[1:m + 1])
-                    nfev += m
-        ind = fsim.argsort()
-        sim, fsim = sim.take(ind, 0), fsim.take(ind)
-    return sim[0], fsim.min(), nfev
-
-
 def _best(outcomes: list) -> OptimizeOutcome:
     """The first start with the highest expectation, and all starts' evaluations."""
     best_x, best_val, evaluations = None, -np.inf, 0
@@ -515,13 +435,14 @@ def optimize(
 ) -> OptimizeOutcome | PairedOutcome:
     """Maximize <h> in ansatz_state(H, .) over 2p angles.
 
-    With schedule "search", the default: derivative-free simplex search
-    (Nelder-Mead, at most max_evals evaluations per start) from `restarts`
-    uniform random starts in [0, 2*pi)**(2p), drawn from seed, run one after
-    another; an optional warm start runs first.  Nelder-Mead evaluates its
-    start first and its best vertex never gets worse, so a warm-started
-    result never falls below the warm start's value (on an exact tie it may
-    be another vertex).  Deterministic for a fixed seed and best-effort.
+    With schedule "search", the default: scipy.optimize.minimize's
+    Nelder-Mead (maxfev = max_evals, xatol = XATOL, fatol = FATOL) from
+    `restarts` uniform random starts in [0, 2*pi)**(2p), drawn from seed,
+    run one after another on a one-row workspace; an optional warm start
+    runs first.  Nelder-Mead evaluates its start first and its best vertex
+    never gets worse, so a warm-started result never falls below the warm
+    start's value (on an exact tie it may be another vertex).
+    Deterministic for a fixed seed and best-effort.
 
     With schedule "ramp": no search, and a PairedOutcome for H and -H.
     Every row of `ramp_grid(p)`, and each of them mirrored for -H, is
@@ -565,13 +486,17 @@ def optimize(
             raise ValueError(f"warm start has depth {init.p}, expected {p}")
         starts.append(init.to_vector())
     starts.extend(rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
-    # the widest batch is an initial simplex
-    kernel = _StateBuffers(min(2 * p + 1, max_evals), H.n, H.diagonal())
+    # imported here: scipy.optimize takes about 0.5 s to import (2-core Xeon),
+    # and no QAOA solve, CLI command or bench workload runs the search
+    from scipy.optimize import minimize
+    kernel = _StateBuffers(1, H.n, H.diagonal())
 
-    def objective(angles: np.ndarray) -> np.ndarray:
-        return -_expectations(kernel, angles)
+    def objective(x: np.ndarray) -> float:
+        return -_expectations(kernel, x[None])[0]
 
-    return _best([_nelder_mead(objective, x0, max_evals) for x0 in starts])
+    options = {"maxfev": max_evals, "xatol": XATOL, "fatol": FATOL}
+    runs = [minimize(objective, x0, method="Nelder-Mead", options=options) for x0 in starts]
+    return _best([(res.x, res.fun, res.nfev) for res in runs])
 
 
 def sample_candidates(state: np.ndarray, shots: int, seed=None) -> list[int]:

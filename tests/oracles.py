@@ -48,9 +48,8 @@ helpers: `column_norm_sq` and `column_dot` each build the chosen column,
 deflation builds it a third time, and the residual norm is
 `np.linalg.norm`.  The one-mask `matching_pursuit` must match it bit for
 bit.  `optimize`'s reference is scipy's Nelder-Mead, run start by start
-(`scipy_optimize`); `scipy_nelder_mead` is one such run on the kernel's
-objective.  The other helpers materialize what
-the package keeps implicit.
+(`scipy_optimize`) over a four-row workspace.  The other helpers
+materialize what the package keeps implicit.
 """
 
 from __future__ import annotations
@@ -480,27 +479,21 @@ def matching_pursuit_reference(
     return ReconstructionResult(SparseSignal(n=ms.n, spikes=spikes), tuple(trace), termination)
 
 
-def scipy_nelder_mead(objective, x0, maxfev):
-    """scipy's Nelder-Mead from x0 on a batch objective, one point at a time,
-    with optimize's tolerances."""
-    return minimize(lambda x: objective(x[None])[0], x0, method="Nelder-Mead",
-                    options={"maxfev": maxfev, "xatol": qaoa.XATOL, "fatol": qaoa.FATOL})
-
-
 def scipy_optimize(H: IsingHamiltonian, p: int, restarts: int, max_evals: int, seed, init=None):
     """optimize as one scipy minimize per start, run one after another:
     (params, expectation, evaluations), and every start's (x, fun, nfev)."""
     rng = np.random.default_rng(seed)
     kernel = qaoa._StateBuffers(4, H.n, H.diagonal())
 
-    def objective(angles):
-        return -qaoa._expectations(kernel, angles)
+    def objective(x):
+        return -qaoa._expectations(kernel, x[None])[0]
 
     starts = [] if init is None else [init.to_vector()]
     starts.extend(rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
     best_x, best_val, evaluations, runs = None, -np.inf, 0, []
     for x0 in starts:
-        res = scipy_nelder_mead(objective, x0, max_evals)
+        res = minimize(objective, x0, method="Nelder-Mead",
+                       options={"maxfev": max_evals, "xatol": qaoa.XATOL, "fatol": qaoa.FATOL})
         runs.append((res.x, res.fun, res.nfev))
         evaluations += res.nfev
         if -res.fun > best_val:

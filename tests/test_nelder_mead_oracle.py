@@ -1,20 +1,21 @@
-"""`qaoa.optimize`, whose Nelder-Mead step takes scipy's arrays in fewer
-numpy calls, against scipy's Nelder-Mead run start by start
-(`oracles.scipy_optimize`).  The outcome, and every start's (x, fun, nfev)
-beside scipy's run from the same start, must have the same repr, which
-tells -0.0 from 0.0: every angle, value and evaluation count, over one to
-four starts, budgets that truncate the initial simplex, and warm starts
-with zero coordinates.  So a fault in a start that loses shows too.  A
-warm-started result is never worse than the kernel's value at the warm
-start."""
+"""`qaoa.optimize`, which runs scipy's Nelder-Mead on a one-row workspace,
+against scipy's Nelder-Mead run start by start over a wider one
+(`oracles.scipy_optimize`).  The outcome, and every start's (x, fun, nfev),
+recorded by wrapping `scipy.optimize.minimize`, beside the reference's run
+from the same start, must have the same repr, which tells -0.0 from 0.0:
+every angle, value and evaluation count, over one to four starts, budgets
+that truncate the initial simplex, and warm starts with zero coordinates.
+So a fault in the start order, the objective, the options or a start that
+loses shows too.  A warm-started result is never worse than the kernel's
+value at the warm start."""
 
 from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
-from isingpursuit import qaoa
 from isingpursuit.hamiltonian import IsingHamiltonian
 from isingpursuit.qaoa import (
     OptimizeOutcome,
@@ -68,13 +69,14 @@ FLAT = IsingHamiltonian(3, {frozenset(): 0.9})
           QaoaParams((0.0, 3.93), (-0.4, 5.15))))
 def test_optimize_is_bitwise_sequential_scipy_runs(case):
     H, p, restarts, max_evals, seed, init = case
-    lanes, nelder_mead = [], qaoa._nelder_mead
+    lanes = []
 
-    def recorded(*args):
-        lanes.append(nelder_mead(*args))
-        return lanes[-1]
+    def recorded(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        lanes.append((res.x, res.fun, res.nfev))
+        return res
 
-    with mock.patch.object(qaoa, "_nelder_mead", recorded):
+    with mock.patch("scipy.optimize.minimize", side_effect=recorded):
         out = optimize(H, p, restarts, max_evals, seed, init)
     best, runs = scipy_optimize(H, p, restarts, max_evals, seed, init)
     assert repr(out) == repr(OptimizeOutcome(*best))

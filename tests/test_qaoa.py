@@ -1,8 +1,6 @@
 """Statevector engine against dense linear-algebra oracles (scipy expm),
-gate-decomposition fidelity, optimizer behavior, and the package's
-Nelder-Mead against scipy.optimize.minimize, which it must match exactly,
-in shrinks cut short at every length (`test_nelder_mead_oracle.py` runs whole
-`optimize` calls against scipy)."""
+gate-decomposition fidelity and optimizer behavior
+(`test_nelder_mead_oracle.py` runs whole `optimize` calls against scipy)."""
 
 import numpy as np
 import pytest
@@ -24,14 +22,12 @@ from isingpursuit.qaoa import (
     simulate_gates,
     uniform_state,
 )
-from isingpursuit.qaoa import _expectations, _nelder_mead, _StateBuffers
 
 from oracles import (
     apply_mixer_layer,
     evolve_per_qubit,
     expectation,
     expectations_per_row,
-    scipy_nelder_mead,
 )
 from strategies import hamiltonians
 
@@ -353,32 +349,3 @@ def test_full_ansatz_gate_list_matches_statevector():
     direct = ansatz_state(H, params)
     gated = simulate_gates(uniform_state(3), gates)
     assert _fidelity(direct, gated) >= 1 - 1e-10
-
-
-def test_nelder_mead_matches_scipy_when_a_shrink_runs_out():
-    # on a flat landscape almost every iteration shrinks, so this budget
-    # sweep stops inside shrinks of every length (2p = 4 angles)
-    n = 3
-    diag = np.full(1 << n, 0.9)
-
-    kernel = _StateBuffers(4, n, diag)
-
-    def objective(angles):
-        return -_expectations(kernel, angles)
-
-    shrink_sizes = set()
-    for maxfev in range(1, 70):
-        for x0 in ([0.3, 2.0, 0.0, 5.1], [4.0, 1.0, 2.5, 0.7]):
-            x0 = np.array(x0)
-            batches = []
-
-            def recording(angles):
-                batches.append(len(angles))
-                return objective(angles)
-
-            x, fun, nfev = _nelder_mead(recording, x0, maxfev)
-            ref = scipy_nelder_mead(objective, x0, maxfev)
-            assert (x.tobytes(), fun, nfev) == (ref.x.tobytes(), ref.fun, ref.nfev)
-            # after the initial simplex, only a shrink passes several points at once
-            shrink_sizes.update(b for b in batches[1:] if b > 1)
-    assert shrink_sizes == {2, 3, 4}

@@ -1,15 +1,15 @@
 """One reused kernel workspace against the per-qubit kernel in `oracles`,
 bit for bit: `_evolve` and `_expectations` through a sequence of row
-counts on one `_StateBuffers`, as an `optimize` run drives it, on
-diagonals that are wide, hold a few values with signed zeros among them,
-hold all distinct values or hold one value; and the single phase step,
-whose table of distinct diagonal values must give the per-entry exp.
-Also: each workspace keeps the most rows the batch budget allows, and
-`optimize` and `ansatz_state` each build exactly one, and the reference
-`apply_phase_layer` none; a ramp `optimize` and a QAOA solve at n = 10
-give the same outcomes with the ramp's rows split into batches as in one
-batch; a state that `ansatz_state` returned is never written over.  And
-a mixer sweep, and a whole batch, that make no numpy iterator buffer."""
+counts on one `_StateBuffers`, on diagonals that are wide, hold a few
+values with signed zeros among them, hold all distinct values or hold one
+value; and the single phase step, whose table of distinct diagonal values
+must give the per-entry exp.  Also: each workspace keeps the most rows the
+batch budget allows, `optimize` and `ansatz_state` each build exactly one
+(the search's of one row), and the reference `apply_phase_layer` none; a
+ramp `optimize` and a QAOA solve at n = 10 give the same outcomes with the
+ramp's rows split into batches as in one batch; a state that
+`ansatz_state` returned is never written over.  And a mixer sweep, and a
+whole batch, that make no numpy iterator buffer."""
 
 import tracemalloc
 from unittest import mock
@@ -172,14 +172,13 @@ def recording_workspaces(kernels: list):
     return mock.patch.object(qaoa, "_StateBuffers", side_effect=build)
 
 
-def test_optimize_builds_one_workspace_for_its_widest_round():
+def test_the_search_builds_one_workspace_of_one_row():
     H = quad_hamiltonian()
     with mock.patch.object(qaoa, "_StateBuffers", wraps=_StateBuffers) as built:
         out = optimize(H, p=2, restarts=2, max_evals=30, seed=0)
     assert out.evaluations == 2 * 30
-    # the starts run one after another, and the widest batch is one start's
-    # 2p + 1 point initial simplex
-    assert [c.args[:2] for c in built.call_args_list] == [(5, 4)]
+    # the starts run one after another, and scipy evaluates one point at a time
+    assert [c.args[:2] for c in built.call_args_list] == [(1, 4)]
 
 
 def test_the_phase_layer_reference_builds_no_workspace():
@@ -188,16 +187,6 @@ def test_the_phase_layer_reference_builds_no_workspace():
     with mock.patch.object(qaoa, "_StateBuffers", wraps=_StateBuffers) as built:
         apply_phase_layer(state, H, 0.5)
     assert built.call_count == 0
-
-
-def test_optimize_workspace_is_capped_by_the_batch_budget():
-    H = quad_hamiltonian()
-    kernels = []
-    with recording_workspaces(kernels), mock.patch.object(qaoa, "_BATCH_BYTES", 3 << (H.n + 4)):
-        capped = optimize(H, p=2, restarts=2, max_evals=30, seed=0)
-    assert [len(kernel.bufs[0]) for kernel in kernels] == [3]
-    # initial simplexes split across the 3 rows give the same bits
-    assert repr(capped) == repr(optimize(H, p=2, restarts=2, max_evals=30, seed=0))
 
 
 def test_ansatz_state_evolves_within_the_batch_budget():
