@@ -34,7 +34,7 @@ from .experiment import (
 )
 from .measurement import MeasurementSet, measure
 from .pursuit import DegenerateColumnError, PursuitConfig, matching_pursuit
-from .signal import SparseSignal, _read_float, _read_int, random_sparse_signal
+from .signal import SparseSignal, _json_list, _read_float, _read_int, random_sparse_signal
 
 # A plan file's keys: the plan's fields, then its parameter counts; and its solver's.
 _PLAN_KEYS = (*(f.name for f in fields(ExperimentPlan)), "parameter_counts")
@@ -79,9 +79,7 @@ def _plan_fields(value) -> dict:
     plan = _json_object(value, "plan", _PLAN_KEYS)
     if "solver" in plan:
         _json_object(plan["solver"], "plan solver", _SOLVER_KEYS)
-    counts = plan.get("parameter_counts", [])
-    if type(counts) is not list:
-        raise ValueError(f"parameter_counts must be a JSON list, got {type(counts).__name__}")
+    counts = _json_list(plan.get("parameter_counts", []), "parameter_counts")
     plan["parameter_counts"] = [_read_int(count, "parameter_counts") for count in counts]
     return plan
 

@@ -30,13 +30,13 @@ order depends on the memory layout, a matrix product's on the BLAS), and
 np.bincount adds the entries, run by run, to totals started at +0.0.  Keys
 go in the order in which the set's runs first name them, whatever r holds.
 
-Every Hamiltonian holds int64 support masks (1 << (n - b) summed over the
-1-based qubits b), float64 totals and a keep mask, and makes the `terms` dict
-only when `terms` is first read: each kept mask, in order, as the frozenset
-`_mask_support` makes, with its total as a float.  The builder keeps its plan's
-masks, summed totals and prune mask, a dict's keys are read into masks and its
-coefficients copied and all kept, and `normalized` divides the totals.  No
-chain or QAOA solve makes the dict.
+Every Hamiltonian holds int64 support masks (the measurement module's
+`_bit_masks` of its qubits), float64 totals and a keep mask, and makes the
+`terms` dict only when `terms` is first read: each kept mask's `_mask_bits`,
+in order, as a frozenset, with its total as a float.  The builder keeps its
+plan's masks, summed totals and prune mask, a dict's keys are read into masks
+and its coefficients copied and all kept, and `normalized` divides the
+totals.  No chain or QAOA solve makes the dict.
 """
 
 from __future__ import annotations
@@ -46,36 +46,22 @@ from functools import cached_property
 
 import numpy as np
 
-from .measurement import MeasurementSet, _per_pattern
+from .measurement import MeasurementSet, _bit_masks, _mask_bits, _per_pattern
 from .signal import _check_bit_count, _check_dense_size, _read_float, _read_int
 
 # Exact cancellations occur for complete value-assignment groups; drop the dust.
 COEFF_PRUNE_TOL = 1e-15
 
 
-def _mask_support(n: int, mask: int) -> frozenset[int]:
-    """The 1-based qubits of a mask, inserted in ascending order by a walk
-    over its set bits from the highest: qubit 1 is 1 << (n - 1)."""
-    qubits = []
-    while mask:
-        qubits.append(n + 1 - mask.bit_length())
-        mask ^= 1 << (n - qubits[-1])
-    return frozenset(qubits)
-
-
 class IsingHamiltonian:
-    """Map from Z-string supports (frozensets of 1-based qubits) to coefficients.
-
-    Every Hamiltonian, from a dict or from `build_hamiltonian`, holds its
-    supports' masks, totals and keep mask, and makes its `terms` dict when
-    `terms` is first read (see the module docstring); a dict given here is
-    copied, so later changes to it do not reach the Hamiltonian.  n and every
-    qubit are read by _read_int, so a key of integral floats is the support of
-    their ints; a key names each qubit once, and no two keys one support.  n
-    is checked by _check_bit_count when built, as signals and pattern sets
-    check theirs, and every coefficient is read by _read_float, which keeps
-    inf and NaN.  Its diagonal is made on the first `diagonal()` call and
-    kept, read-only.
+    """Map from Z-string supports (frozensets of 1-based qubits) to
+    coefficients, held as masks, totals and a keep mask (see the module
+    docstring).  A dict given here is copied.  n and every qubit are read by
+    _read_int, so a key of integral floats is the support of their ints; a key
+    names each qubit once, and no two keys one support.  n is checked by
+    _check_bit_count, as signals and pattern sets check theirs, and every
+    coefficient is read by _read_float, which keeps inf and NaN.  The diagonal
+    is made on the first `diagonal()` call and kept, read-only.
     """
 
     _diagonal: np.ndarray | None = None
@@ -85,17 +71,18 @@ class IsingHamiltonian:
         _check_bit_count(n)
         masks: dict[int, None] = {}  # in key order
         for support in terms:
-            mask = 0
+            qubits = []
             for j in support:
                 if type(j) is not int or not 1 <= j <= n:  # plain ints in range need no reading
                     j = _read_int(j, "qubit")
                     if not 1 <= j <= n:
                         raise ValueError(f"qubit {j} outside [1, {n}]")
-                if mask >> (n - j) & 1:
+                if j in qubits:
                     raise ValueError(f"qubit {j} named twice in one support")
-                mask |= 1 << (n - j)
+                qubits.append(j)
+            mask = int(_bit_masks(n, qubits))
             if mask in masks:
-                raise ValueError(f"support {sorted(_mask_support(n, mask))} named twice")
+                raise ValueError(f"support {_mask_bits(n, mask)} named twice")
             masks[mask] = None
         self.n, self._keep = n, np.ones(len(terms), bool)
         self._masks = np.fromiter(masks, np.int64, len(masks))
@@ -114,7 +101,7 @@ class IsingHamiltonian:
     @cached_property
     def terms(self) -> dict[frozenset[int], float]:
         masks, totals = self._masks[self._keep].tolist(), self._totals[self._keep].tolist()
-        return dict(zip([_mask_support(self.n, mask) for mask in masks], totals))
+        return dict(zip([frozenset(_mask_bits(self.n, mask)) for mask in masks], totals))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

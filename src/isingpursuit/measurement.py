@@ -2,8 +2,11 @@
 
 A pattern fixes the values of a chosen uplet of index bits; the measurement
 matrix row it describes is 1 at every index consistent with those fixed bits
-and 0 elsewhere.  The matrix itself is never stored: measuring, column dot
-products and column norms all work directly off the bit constraints.
+and 0 elsewhere.  The matrix is never stored: a `MeasurementSet` is n and two
+int64 arrays, each pattern's mask of fixed bits and want of fixed values (an
+index z matches iff z & mask == want), and measuring, column dots and the
+table runs below all read them.  `_bit_masks` is the one rule that turns
+1-based positions into a mask, here and in the hamiltonian module.
 
 A^T r over all 2**n indices is a sum of small tables: a pattern fixing k
 bits adds r_i at the one entry of a 2**k table, indexed by those bits' values,
@@ -11,7 +14,8 @@ that it matches.  `_add_table` adds such a table to the 2**n accumulator in
 one broadcast add, viewing the accumulator as a block array (one axis per
 run of free bits, one per run of fixed bits) so that it needs no index
 arrays and no masks.  `all_column_dots` adds one table per run of
-consecutive patterns on the same bits with distinct values.  This is bit
+consecutive patterns: a run continues while the mask stays the same and the
+want has not yet appeared in it.  This is bit
 for bit the one-masked-pass-per-pattern sum: an index matches at most one
 pattern of a run, so it receives the same nonzero addends in the same
 order, and the 0.0 added at unmatched entries changes nothing, because the
@@ -47,8 +51,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .signal import (SparseSignal, _check_bit_count, _check_dense_size, _read_count, _read_fields,
-                     _read_int, _read_seed)
+from .signal import (SparseSignal, _check_bit_count, _check_dense_size, _json_fields, _json_list,
+                     _read_count, _read_int, _read_seed)
 
 # The largest n of complete_patterns, whose 2**n patterns form an explicit matrix.
 DENSE_MATRIX_CAP = 10
@@ -77,78 +81,102 @@ class Pattern:
             if val not in (0, 1):
                 raise ValueError(f"fixed value must be 0 or 1, got {val}")
 
-    @classmethod
-    def _unchecked(cls, constraints: tuple[tuple[int, int], ...]) -> "Pattern":
-        """Skip __post_init__'s check, for constraints already known to be valid."""
-        p = cls.__new__(cls)
-        object.__setattr__(p, "constraints", constraints)
-        return p
 
-    def mask_want(self, n: int) -> tuple[int, int]:
-        """(mask, want) such that z matches iff z & mask == want."""
-        mask = 0
-        want = 0
-        for bit, val in self.constraints:
-            shift = n - bit
-            mask |= 1 << shift
-            want |= val << shift
-        return mask, want
+def _bit_masks(n: int, positions, where=True) -> np.ndarray:
+    """The int64 masks of 1-based positions along positions' last axis: the
+    sum of 1 << (n - b) over the positions b at which `where` holds, so that
+    bit 1 is the most significant of n bits.  `where` broadcasts with
+    positions; an empty last axis gives 0."""
+    places = np.left_shift(1, n - np.asarray(positions, dtype=np.int64))
+    return np.bitwise_or.reduce(np.where(where, places, 0), axis=-1)
 
 
-@dataclass(frozen=True)
+def _mask_bits(n: int, mask: int) -> list[int]:
+    """The 1-based positions of a mask's set bits in ascending order, by a
+    walk over them from the highest: position 1 is 1 << (n - 1)."""
+    bits = []
+    while mask:
+        bits.append(n + 1 - mask.bit_length())
+        mask ^= 1 << (n - bits[-1])
+    return bits
+
+
+@lru_cache(maxsize=None)
+def _binary_values(k: int) -> np.ndarray:
+    """Row v: the k bits of v as bools, the first the most significant; shared, never written."""
+    return np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1) & 1 == 1
+
+
+@dataclass(frozen=True, init=False)
 class MeasurementSet:
-    """An ordered list of patterns over a common n-bit index space, kept as a
-    tuple: the cached masks, runs and plans below read it.  n is read by
-    _read_int, as every integer field of a record is."""
+    """An ordered list of patterns over a common n-bit index space, held as n
+    and each pattern's int64 mask and want (see the module docstring).
+
+    `MeasurementSet(n, patterns)` reads n by _read_int, checks every bit
+    against it and keeps the patterns, as a tuple.  The generators build
+    their sets with `_groups`, in numpy, and such a set makes its `patterns`,
+    each in ascending bit order, only when they are read: by `to_dict`,
+    equality, hashing or `repr`."""
+
+    def _read_back(self) -> tuple[Pattern, ...]:
+        """A `_groups` set's patterns, read back from its masks and wants."""
+        return tuple(Pattern(tuple((b, want >> (self.n - b) & 1) for b in _mask_bits(self.n, mask)))
+                     for mask, want in zip(self._masks.tolist(), self._wants.tolist()))
 
     n: int
-    patterns: tuple[Pattern, ...]
+    patterns: tuple[Pattern, ...] = cached_property(_read_back)  # unless __init__ keeps them
 
-    def __post_init__(self):
-        _read_fields(self, _read_int, "n")
-        object.__setattr__(self, "patterns", tuple(self.patterns))
-        _check_bit_count(self.n)
-        if not self.patterns:
+    def __init__(self, n: int, patterns: tuple[Pattern, ...]):
+        n, patterns = _read_int(n, "n"), tuple(patterns)
+        _check_bit_count(n)
+        if not patterns:
             raise ValueError("a measurement set needs at least one pattern")
-        for p in self.patterns:
-            for bit, _ in p.constraints:
-                if bit > self.n:
-                    raise ValueError(f"bit {bit} outside [1, {self.n}]")
+        outside = next((b for p in patterns for b, _ in p.constraints if b > n), None)
+        if outside is not None:
+            raise ValueError(f"bit {outside} outside [1, {n}]")
+        masks = [_bit_masks(n, [b for b, _ in p.constraints]) for p in patterns]
+        wants = [_bit_masks(n, [b for b, v in p.constraints if v]) for p in patterns]
+        vars(self).update(n=n, patterns=patterns, _masks=np.array(masks), _wants=np.array(wants))
+
+    @classmethod
+    def _groups(cls, n: int, positions: np.ndarray) -> "MeasurementSet":
+        """The value-assignment groups on the rows of a (G, k) array of 1-based
+        positions, already checked against n, each in binary value order."""
+        ms = cls.__new__(cls)
+        k = positions.shape[1]
+        vars(ms).update(n=n, _masks=np.repeat(_bit_masks(n, positions), 1 << k),
+                        _wants=_bit_masks(n, positions[:, None], _binary_values(k)).ravel())
+        return ms
 
     def __len__(self) -> int:
-        return len(self.patterns)
-
-    @cached_property
-    def _masks_wants(self) -> tuple[np.ndarray, np.ndarray]:
-        masks = np.empty(len(self.patterns), dtype=np.int64)
-        wants = np.empty(len(self.patterns), dtype=np.int64)
-        for i, p in enumerate(self.patterns):
-            masks[i], wants[i] = p.mask_want(self.n)
-        return masks, wants
+        return len(self._masks)
 
     @cached_property
     def _table_runs(self) -> tuple[tuple[int, int, tuple[int, ...], np.ndarray | None], ...]:
-        """(start, stop, bits, slots) per maximal run of consecutive patterns on
-        the same sorted bit positions with pairwise distinct values.  Pattern
-        start + i fills entry slots[i] of the run's 2**k table; slots is None
-        when the run is the whole value-assignment group in binary order."""
-        runs: list[list] = []
-        for i, p in enumerate(self.patterns):
-            fixed = sorted(p.constraints)
-            bits = tuple(b for b, _ in fixed)
-            slot = 0
-            for _, val in fixed:
-                slot = 2 * slot + val
-            if runs and runs[-1][2] == bits and slot not in runs[-1][3]:
-                runs[-1][1] = i + 1
-                runs[-1][3].append(slot)
-            else:
-                runs.append([i, i + 1, bits, [slot]])
-        return tuple(
-            (start, stop, bits,
-             None if slots == list(range(1 << len(bits))) else np.array(slots))
-            for start, stop, bits, slots in runs
-        )
+        """(start, stop, bits, slots) per run of consecutive patterns, by one
+        rule: a run continues while the mask stays the same and the want has
+        not yet appeared in it.  bits are the mask's positions in ascending
+        order.  Pattern start + i fills entry slots[i] of the run's 2**k
+        table, its want's bits read at those positions, the first one most
+        significant; slots is None when the run is the whole value-assignment
+        group in binary order."""
+        n, masks, wants = self.n, self._masks, self._wants
+        starts, seen, last = [], set(), None
+        for i, (mask, want) in enumerate(zip(masks.tolist(), wants.tolist())):
+            if mask != last or want in seen:
+                starts.append(i)
+                seen, last = set(), mask
+            seen.add(want)
+        slots = np.zeros_like(masks)
+        for shift in range(n - 1, -1, -1):  # from bit 1 down
+            bit = masks >> shift & 1
+            slots = slots << bit | wants >> shift & bit
+        runs = []
+        for start, stop in zip(starts, starts[1:] + [len(masks)]):
+            bits, run = tuple(_mask_bits(n, int(masks[start]))), slots[start:stop]
+            whole = len(run) == 1 << len(bits) and (run == np.arange(len(run))).all()
+            runs.append((start, stop, bits, None if whole else run))
+        return tuple(runs)
 
     @cached_property
     def _window_width(self) -> int | None:
@@ -179,17 +207,15 @@ class MeasurementSet:
         groups: dict[tuple[int, int], list[tuple[int, int, np.ndarray]]] = {}
         for start, stop, bits, slots in self._table_runs:
             k = len(bits)
-            masks = [0]  # masks[s]: the first position is the top bit of s
-            for b in reversed(bits):
-                masks += [mask | 1 << (self.n - b) for mask in masks]
             groups.setdefault((k, stop - start), []).append(
                 (start, len(support_ids), np.arange(1 << k) if slots is None else slots))
-            support_ids.extend(ids.setdefault(mask, len(ids)) for mask in masks)
+            masks = _bit_masks(self.n, bits, _binary_values(k))  # entry s: bits where s is 1
+            support_ids.extend(ids.setdefault(mask, len(ids)) for mask in masks.tolist())
         plan = []
         for (k, m), runs in groups.items():
             starts, firsts, slots = (np.array(column) for column in zip(*runs))
             values = np.arange(1 << k)
-            rows = np.ldexp(_signs(k)[slots[:, :, None] & values], -k)
+            rows = np.ldexp((-1.0) ** np.bitwise_count(slots[:, :, None] & values), -k)
             plan.append((starts[:, None] + np.arange(m), rows, firsts[:, None] + values))
         return np.fromiter(ids, np.int64, len(ids)), np.array(support_ids), tuple(plan)
 
@@ -216,39 +242,25 @@ class MeasurementSet:
     def match_vector(self, z: int) -> np.ndarray:
         """Boolean vector over patterns: the implicit column of A at index z,
         which must be an integer in [0, 2**n)."""
-        masks, wants = self._masks_wants
-        return (self._read_index(z) & masks) == wants
+        return (self._read_index(z) & self._masks) == self._wants
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "patterns": [
-                [{"bit": b, "val": v} for b, v in p.constraints] for p in self.patterns
-            ],
-        }
+        patterns = [[{"bit": b, "val": v} for b, v in p.constraints] for p in self.patterns]
+        return {"n": self.n, "patterns": patterns}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "MeasurementSet":
-        patterns = tuple(Pattern(tuple((c["bit"], c["val"]) for c in row))
-                         for row in data["patterns"])
-        return cls(n=data["n"], patterns=patterns)
+        n, rows = _json_fields(data, "pattern set", "n", "patterns")
+        return cls(n, (Pattern(tuple(_json_fields(c, "constraint", "bit", "val")
+                                     for c in _json_list(row, "pattern")))
+                       for row in _json_list(rows, "patterns")))
 
     @classmethod
     def from_json(cls, text: str) -> "MeasurementSet":
         return cls.from_dict(json.loads(text))
-
-
-@lru_cache(maxsize=None)
-def _signs(k: int) -> np.ndarray:
-    """The 2**k spin products (-1)**popcount(v), read-only."""
-    signs = np.ones(1)
-    for _ in range(k):
-        signs = np.concatenate([signs, -signs])
-    signs.flags.writeable = False
-    return signs
 
 
 @lru_cache(maxsize=1024)
@@ -320,19 +332,6 @@ def _add_table(acc: np.ndarray, n: int, bits: tuple[int, ...], table: np.ndarray
     _add_blocks(acc, n, bits, table)
 
 
-def value_assignment_group(positions: tuple[int, ...]) -> tuple[Pattern, ...]:
-    """All 2**k patterns fixing the given positions, in binary value order.
-
-    The first pattern checks the positions, and the others take them as it
-    read them; the values are 0 or 1 by construction, so the others skip
-    the check.
-    """
-    values = itertools.product((0, 1), repeat=len(positions))
-    first = Pattern(tuple(zip(positions, next(values))))
-    positions = tuple(b for b, _ in first.constraints)
-    return (first,) + tuple(Pattern._unchecked(tuple(zip(positions, v))) for v in values)
-
-
 _NEAREST_NEIGHBOR_SETS: dict[int, MeasurementSet] = {}
 
 
@@ -343,16 +342,15 @@ def nearest_neighbor_patterns(n: int) -> MeasurementSet:
     marginal indices are stable across runs.  The set is built once per n
     and shared, together with its cached masks, table runs, transform plan
     and chain slots; it is frozen, so callers cannot tell the difference.  n
-    is read by _read_int and checked against INDEX_BITS_CAP before any
-    pattern is built.
+    is read by _read_int and checked against INDEX_BITS_CAP before the set is
+    built from its pairs' positions.
     """
     n = _read_int(n, "n")
     if n < 2:
         raise ValueError(f"nearest-neighbor patterns need n >= 2, got {n}")
     _check_bit_count(n)
     if n not in _NEAREST_NEIGHBOR_SETS:
-        patterns = [p for i in range(1, n) for p in value_assignment_group((i, i + 1))]
-        _NEAREST_NEIGHBOR_SETS[n] = MeasurementSet(n=n, patterns=tuple(patterns))
+        _NEAREST_NEIGHBOR_SETS[n] = MeasurementSet._groups(n, np.arange(1, n)[:, None] + [0, 1])
     return _NEAREST_NEIGHBOR_SETS[n]
 
 
@@ -382,10 +380,7 @@ def random_quadruplet_patterns(n: int, q: int, seed=None) -> MeasurementSet:
     rng = np.random.default_rng(seed)
     combos = list(itertools.combinations(range(1, n + 1), 4))
     quadruplets = [combos[i] for i in rng.choice(len(combos), size=q, replace=False)]
-    patterns: list[Pattern] = []
-    for quad in quadruplets:
-        patterns.extend(value_assignment_group(quad))
-    return MeasurementSet(n=n, patterns=tuple(patterns))
+    return MeasurementSet._groups(n, np.array(quadruplets))
 
 
 def complete_patterns(n: int) -> MeasurementSet:
@@ -393,14 +388,15 @@ def complete_patterns(n: int) -> MeasurementSet:
     n = _read_int(n, "n")
     if n > DENSE_MATRIX_CAP:
         raise ValueError(f"complete pattern set has 2**{n} rows (cap {DENSE_MATRIX_CAP})")
-    return MeasurementSet(n=n, patterns=value_assignment_group(tuple(range(1, n + 1))))
+    _check_bit_count(n)
+    return MeasurementSet._groups(n, np.arange(1, n + 1)[None])
 
 
 def measure(signal: SparseSignal, ms: MeasurementSet) -> np.ndarray:
     """Marginals y = A x: y[i] sums spike values consistent with pattern i."""
     if signal.n != ms.n:
         raise ValueError(f"signal has n={signal.n} but measurement set has n={ms.n}")
-    y = np.zeros(len(ms.patterns))
+    y = np.zeros(len(ms))
     for pos, val in signal.spikes:
         y[ms.match_vector(pos)] += val
     return y
@@ -409,8 +405,8 @@ def measure(signal: SparseSignal, ms: MeasurementSet) -> np.ndarray:
 def _per_pattern(v, ms: MeasurementSet, name: str = "residual") -> np.ndarray:
     """v as a float array, checked to be a vector with one entry per pattern of ms."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (len(ms.patterns),):
-        raise ValueError(f"{name} must be a length-{len(ms.patterns)} vector, got shape {v.shape}")
+    if v.shape != (len(ms),):
+        raise ValueError(f"{name} must be a length-{len(ms)} vector, got shape {v.shape}")
     return v
 
 
@@ -433,8 +429,8 @@ def column_dots(zs: list[int], r: np.ndarray, ms: MeasurementSet) -> np.ndarray:
     segmentings.
     """
     r = _per_pattern(r, ms)
-    masks, wants = ms._masks_wants
-    match = (np.array([ms._read_index(z) for z in zs], dtype=np.int64)[:, None] & masks) == wants
+    zs = np.array([ms._read_index(z) for z in zs], dtype=np.int64)
+    match = (zs[:, None] & ms._masks) == ms._wants
     counts = np.count_nonzero(match, axis=1)
     dots = np.empty(len(match))
     for m in set(counts.tolist()):

@@ -83,6 +83,23 @@ def _read_fields(record, reader, *names: str, optional: tuple[str, ...] = ()) ->
             object.__setattr__(record, name, reader(value, name))
 
 
+def _json_fields(record, name: str, *keys: str) -> tuple:
+    """The values of keys in record, a JSON object holding every one of them."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(record).__name__}")
+    for key in keys:
+        if key not in record:
+            raise ValueError(f"{name} has no field {key!r}")
+    return tuple(record[key] for key in keys)
+
+
+def _json_list(value, name: str):
+    """value, which must be a JSON list (or a tuple)."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def _is_finite(value) -> bool:
     """math.isfinite, and False for an integer beyond the float range."""
     try:
@@ -148,7 +165,9 @@ class SparseSignal:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SparseSignal":
-        return cls(n=data["n"], spikes=tuple((s["pos"], s["val"]) for s in data["spikes"]))
+        n, spikes = _json_fields(data, "signal", "n", "spikes")
+        return cls(n, tuple(_json_fields(spike, "spike", "pos", "val")
+                            for spike in _json_list(spikes, "spikes")))
 
     @classmethod
     def from_json(cls, text: str) -> "SparseSignal":

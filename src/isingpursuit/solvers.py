@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qaoa
-from .hamiltonian import IsingHamiltonian, _mask_support, build_hamiltonian
-from .measurement import MeasurementSet, all_column_dots, column_dot, column_dots
+from .hamiltonian import IsingHamiltonian, build_hamiltonian
+from .measurement import MeasurementSet, _mask_bits, all_column_dots, column_dot, column_dots
 from .signal import _read_count, _read_fields, _read_seed
 
 BACKENDS = ("brute", "chain", "qaoa")
@@ -77,7 +77,7 @@ def _chain_params(
     flat = cells.tolist()
     if flat.pop():  # a kept total is never zero, so some kept support is not a chain's
         bad = np.flatnonzero(keep & (slots == 2 * n + 1))[0]
-        support = sorted(_mask_support(n, int(H._masks[bad])))
+        support = _mask_bits(n, int(H._masks[bad]))
         if len(support) == 2:
             raise ChainStructureError(f"non-adjacent coupling {support}")
         raise ChainStructureError(f"interaction of order {len(support)}: {support}")

@@ -1,5 +1,11 @@
 """Reference implementations that the tests compare the package against.
 
+`value_assignment_group` writes out the 2**k `Pattern`s that a generator's
+group on k positions stands for.  `masks_wants`, `table_runs` and
+`transform_plan` derive a set's masks and wants, table runs and transform
+plan from its patterns, one pattern at a time (`mask_want`, sorted
+constraints, a doubled list of support masks): every `MeasurementSet`,
+generated or read, must match them byte for byte.
 `all_column_dots_masked` is the straightforward form of the table
 kernel's caller, one masked pass per pattern, which the kernel must match
 bit for bit.  `diagonal_walsh` is H's diagonal in plain Python floats: the
@@ -97,12 +103,82 @@ def pattern_matches(p: Pattern, z: int, n: int) -> bool:
     return all((z >> (n - bit)) & 1 == val for bit, val in p.constraints)
 
 
+def value_assignment_group(positions) -> tuple[Pattern, ...]:
+    """All 2**k patterns fixing the given positions, in binary value order:
+    the group a generator writes for those positions."""
+    return tuple(Pattern(tuple(zip(positions, values)))
+                 for values in itertools.product((0, 1), repeat=len(positions)))
+
+
+def mask_want(p: Pattern, n: int) -> tuple[int, int]:
+    """(mask, want) such that z matches p iff z & mask == want, one
+    constraint at a time."""
+    mask = want = 0
+    for bit, val in p.constraints:
+        mask |= 1 << (n - bit)
+        want |= val << (n - bit)
+    return mask, want
+
+
+def masks_wants(ms: MeasurementSet) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 masks and wants of ms's patterns, pattern by pattern."""
+    pairs = np.array([mask_want(p, ms.n) for p in ms.patterns], dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0].copy(), pairs[:, 1].copy()
+
+
+def table_runs(ms: MeasurementSet) -> tuple:
+    """(start, stop, bits, slots) per maximal run of consecutive patterns on
+    the same sorted bit positions with pairwise distinct values, pattern by
+    pattern: a slot is the pattern's values in sorted bit order, the first
+    most significant, and slots is None for a whole group in binary order."""
+    runs: list[list] = []
+    for i, p in enumerate(ms.patterns):
+        fixed = sorted(p.constraints)
+        bits = tuple(b for b, _ in fixed)
+        slot = 0
+        for _, val in fixed:
+            slot = 2 * slot + val
+        if runs and runs[-1][2] == bits and slot not in runs[-1][3]:
+            runs[-1][1] = i + 1
+            runs[-1][3].append(slot)
+        else:
+            runs.append([i, i + 1, bits, [slot]])
+    return tuple((start, stop, bits,
+                  None if slots == list(range(1 << len(bits))) else np.array(slots, dtype=np.int64))
+                 for start, stop, bits, slots in runs)
+
+
+def transform_plan(ms: MeasurementSet):
+    """MeasurementSet._transform_plan on `table_runs(ms)`, each run's support
+    masks made by doubling a list, one position at a time from the last:
+    entry s of a run reads its first position at the top bit of s."""
+    ids: dict[int, int] = {}
+    support_ids: list[int] = []
+    groups: dict[tuple[int, int], list[tuple[int, int, np.ndarray]]] = {}
+    for start, stop, bits, slots in table_runs(ms):
+        k = len(bits)
+        masks = [0]
+        for b in reversed(bits):
+            masks += [mask | 1 << (ms.n - b) for mask in masks]
+        groups.setdefault((k, stop - start), []).append(
+            (start, len(support_ids), np.arange(1 << k) if slots is None else slots))
+        support_ids.extend(ids.setdefault(mask, len(ids)) for mask in masks)
+    plan = []
+    for (k, m), runs in groups.items():
+        starts, firsts, slots = (np.array(column) for column in zip(*runs))
+        values = np.arange(1 << k)
+        signs = np.array([(-1.0) ** bin(v).count("1") for v in range(1 << k)])
+        rows = np.ldexp(signs[slots[:, :, None] & values], -k)
+        plan.append((starts[:, None] + np.arange(m), rows, firsts[:, None] + values))
+    return np.fromiter(ids, np.int64, len(ids)), np.array(support_ids), tuple(plan)
+
+
 def dense_matrix(ms: MeasurementSet) -> np.ndarray:
     """Materialize A as an (M, 2**n) 0/1 array."""
     if ms.n > DENSE_MATRIX_CAP:
         raise ValueError(f"dense A at n={ms.n} exceeds cap {DENSE_MATRIX_CAP}")
     zs = np.arange(1 << ms.n, dtype=np.int64)
-    masks, wants = ms._masks_wants
+    masks, wants = masks_wants(ms)
     return ((zs[None, :] & masks[:, None]) == wants[:, None]).astype(float)
 
 
@@ -110,7 +186,7 @@ def all_column_dots_masked(r: np.ndarray, ms: MeasurementSet) -> np.ndarray:
     """A^T r by one masked pass over all 2**n indices per pattern."""
     zs = np.arange(1 << ms.n, dtype=np.int64)
     acc = np.zeros(1 << ms.n)
-    masks, wants = ms._masks_wants
+    masks, wants = masks_wants(ms)
     for mask, want, ri in zip(masks, wants, r):
         acc[(zs & mask) == want] += ri
     return acc
@@ -178,18 +254,11 @@ def build_hamiltonian_walsh(ms: MeasurementSet, r: np.ndarray) -> IsingHamiltoni
     """build_hamiltonian in plain Python, summed in the same order: each
     run's transform entry over the run's patterns in set order, then each
     support's entries run by run, from 0.0."""
-    runs: list[tuple[tuple[int, ...], dict[int, float]]] = []  # (bits, {value: r_i})
-    for p, ri in zip(ms.patterns, r):
-        fixed = sorted(p.constraints)
-        bits = tuple(b for b, _ in fixed)
-        value = sum(val << (len(fixed) - 1 - i) for i, (_, val) in enumerate(fixed))
-        if runs and runs[-1][0] == bits and value not in runs[-1][1]:
-            runs[-1][1][value] = float(ri)
-        else:
-            runs.append((bits, {value: float(ri)}))
+    r = np.asarray(r, dtype=float).tolist()
     entries = []  # (support, transform entry) in run order
-    for bits, table in runs:
+    for start, stop, bits, slots in table_runs(ms):
         k = len(bits)
+        table = dict(zip(range(1 << k) if slots is None else slots.tolist(), r[start:stop]))
         for s in range(1 << k):
             support = frozenset(b for i, b in enumerate(bits) if (s >> (k - 1 - i)) & 1)
             total = None

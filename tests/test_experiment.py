@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
+from isingpursuit import measurement
 from isingpursuit.experiment import (
     CSV_HEADER,
     ExperimentPlan,
@@ -20,6 +21,7 @@ from isingpursuit.experiment import (
     trial_seeds,
     wilson_interval,
 )
+from isingpursuit.measurement import Pattern
 
 
 def tiny_plan(**kwargs):
@@ -187,6 +189,21 @@ def test_n10_quad_ramp_verdicts_are_pinned_beside_brute_force():
         verdicts[backend] = "".join(str(int(run_single(plan, seed)[2]))
                                     for seed in range(300000, 300020))
     assert verdicts == {"qaoa": "1" * 20, "brute": "1" * 20}
+
+
+def test_no_trial_makes_a_pattern(monkeypatch):
+    # a trial reads its set's masks and wants, never its patterns; every
+    # quadruplet trial builds a fresh set, and the nearest-neighbour cache
+    # is emptied so that the chain trial builds one too
+    made = []
+    check = Pattern.__post_init__
+    monkeypatch.setattr(Pattern, "__post_init__", lambda p: made.append(p) or check(p))
+    monkeypatch.setattr(measurement, "_NEAREST_NEIGHBOR_SETS", {})
+    for backend, kind in (("qaoa", "quad"), ("brute", "quad"), ("chain", "nn")):
+        plan = ExperimentPlan(n=10, sparsity=3, pattern_kind=kind, quadruplets=10,
+                              solver=SolverSpec(backend, 5, shots=64), max_iterations=3)
+        assert run_single(plan, 300000)[2]
+    assert made == []
 
 
 def test_easy_regime_succeeds_with_both_exact_solvers():

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isingpursuit.hamiltonian import IsingHamiltonian, _mask_support, build_hamiltonian
+from isingpursuit.hamiltonian import IsingHamiltonian, build_hamiltonian
 from isingpursuit.measurement import (
     MeasurementSet,
     Pattern,
+    _mask_bits,
     nearest_neighbor_patterns,
     random_quadruplet_patterns,
 )
@@ -79,7 +80,7 @@ def test_rejects_qubit_zero():
 def test_a_mask_turns_into_its_support_and_back(case):
     n, mask = case
     qubits = [b for b in range(1, n + 1) if mask >> (n - b) & 1]
-    support = _mask_support(n, mask)
+    support = frozenset(_mask_bits(n, mask))
     # inserted in ascending order, so its repr is the ascending one
     assert repr(support) == repr(frozenset(qubits))
     H = IsingHamiltonian(n, {support: 1.0})

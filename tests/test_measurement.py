@@ -1,5 +1,7 @@
 """Pattern generators and the implicit measurement matrix, checked against a
-dense 0/1 materialization of A wherever n is small enough to afford one."""
+dense 0/1 materialization of A wherever n is small enough to afford one, and
+every set's masks, wants, table runs, transform plan and chain slots against
+their per-pattern derivation in `oracles`, byte for byte."""
 
 import inspect
 import itertools
@@ -8,12 +10,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingpursuit.measurement import (
+    DENSE_MATRIX_CAP,
     MeasurementSet,
     Pattern,
+    _bit_masks,
     all_column_dots,
     column_dot,
     column_dots,
@@ -21,17 +25,22 @@ from isingpursuit.measurement import (
     measure,
     nearest_neighbor_patterns,
     random_quadruplet_patterns,
-    value_assignment_group,
 )
 from isingpursuit.signal import SparseSignal, random_sparse_signal
 
-from oracles import column_norm_sq, dense_matrix, dense_vector, pattern_matches
+from oracles import (column_norm_sq, dense_matrix, dense_vector, masks_wants, pattern_matches,
+                     plan_masks_and_slots, table_runs, transform_plan, value_assignment_group)
 from strategies import measurement_sets
 
 
 def test_mask_want():
-    p = Pattern(((1, 1), (3, 0)))
-    assert p.mask_want(4) == (0b1010, 0b1000)
+    assert int(_bit_masks(4, [1, 3])) == 0b1010
+    assert int(_bit_masks(4, [1, 3], [True, False])) == 0b1000
+    ms = MeasurementSet(4, (Pattern(((1, 1), (3, 0))), Pattern(())))
+    assert (ms._masks.tolist(), ms._wants.tolist()) == ([0b1010, 0], [0b1000, 0])
+    # at the int64 width, bit 1 is 2**62 and all 63 bits stay below the sign bit
+    assert int(_bit_masks(63, [1])) == 1 << 62
+    assert int(_bit_masks(63, range(1, 64))) == 2**63 - 1
 
 
 def test_pattern_rejects_duplicate_bits():
@@ -89,11 +98,10 @@ def test_value_assignment_group_orders_binary():
 
 @given(st.integers(1, 10).flatmap(
     lambda n: st.lists(st.integers(1, n), unique=True, max_size=min(n, 5))))
-def test_value_assignment_group_patterns_pass_the_check_they_skip(positions):
+def test_value_assignment_group_fixes_its_positions_to_every_value_once(positions):
     group = value_assignment_group(tuple(positions))
     assert len(set(group)) == 1 << len(positions)
-    for p in group:
-        assert Pattern(p.constraints) == p
+    assert {tuple(b for b, _ in p.constraints) for p in group} == {tuple(positions)}
 
 
 @pytest.mark.parametrize("positions", [(2, 2), (0, 1), (3, -1)])
@@ -179,8 +187,7 @@ def test_nearest_neighbor_sets_come_from_a_plain_function_built_once_per_n():
     ms = nearest_neighbor_patterns(7)
     groups = (value_assignment_group((i, i + 1)) for i in range(1, 7))
     assert ms == MeasurementSet(7, sum(groups, ()))
-    with mock.patch("isingpursuit.measurement.value_assignment_group",
-                    side_effect=AssertionError("built again")):
+    with mock.patch.object(MeasurementSet, "_groups", side_effect=AssertionError("built again")):
         assert nearest_neighbor_patterns(7) is ms
     assert nearest_neighbor_patterns(8) is not ms
 
@@ -188,8 +195,7 @@ def test_nearest_neighbor_sets_come_from_a_plain_function_built_once_per_n():
 @pytest.mark.parametrize("n", [64, 20000])
 def test_nearest_neighbors_check_the_mask_cap_before_building(n):
     # the cap used to be checked only by MeasurementSet, after all 4(n-1) patterns
-    with mock.patch("isingpursuit.measurement.value_assignment_group",
-                    side_effect=AssertionError("built")):
+    with mock.patch.object(MeasurementSet, "_groups", side_effect=AssertionError("built")):
         with pytest.raises(ValueError, match="exceeds 63"):
             nearest_neighbor_patterns(n)
 
@@ -364,3 +370,73 @@ def test_nonnegative_signals_give_nonnegative_dots(seed):
 @given(measurement_sets(max_n=6))
 def test_pattern_json_round_trip(ms):
     assert MeasurementSet.from_json(ms.to_json()) == ms
+
+
+def test_a_set_read_from_a_file_names_a_missing_field_or_a_wrong_type():
+    # these raised KeyError('val') and "string indices must be integers"
+    with pytest.raises(ValueError, match="^constraint has no field 'val'$"):
+        MeasurementSet.from_dict({"n": 6, "patterns": [[{"bit": 1}]]})
+    with pytest.raises(ValueError, match="^patterns must be a JSON list, got str$"):
+        MeasurementSet.from_dict({"n": 6, "patterns": "ab"})
+    with pytest.raises(ValueError, match="^pattern set has no field 'n'$"):
+        MeasurementSet.from_dict({"patterns": [[]]})
+    with pytest.raises(ValueError, match="^pattern must be a JSON list, got int$"):
+        MeasurementSet.from_dict({"n": 6, "patterns": [3]})
+    with pytest.raises(ValueError, match="^constraint must be a JSON object, got list$"):
+        MeasurementSet.from_dict({"n": 6, "patterns": [[[1, 0]]]})
+    with pytest.raises(ValueError, match="^pattern set must be a JSON object, got list$"):
+        MeasurementSet.from_json("[]")
+
+
+def fingerprint(value):
+    """value with every array as its dtype, shape and bytes, so that two
+    fingerprints are equal iff the values are byte-equal."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (tuple, list)):
+        return tuple(map(fingerprint, value))
+    return value
+
+
+def nn_case(n):
+    """The nearest-neighbour set and the oracle's groups for it."""
+    return nearest_neighbor_patterns(n), sum((value_assignment_group((i, i + 1))
+                                              for i in range(1, n)), ())
+
+
+def quad_case(n, q, seed):
+    """A quadruplet set and the oracle's groups, on quadruplets drawn as the
+    generator documents its draw."""
+    combos = list(itertools.combinations(range(1, n + 1), 4))
+    picks = np.random.default_rng(seed).choice(len(combos), size=q, replace=False)
+    groups = sum((value_assignment_group(combos[i]) for i in picks), ())
+    return random_quadruplet_patterns(n, q, seed=seed), groups
+
+
+@st.composite
+def generated_sets(draw):
+    """A generated set at n = 2..16 or 63, and the oracle's groups for it."""
+    n = draw(st.sampled_from([*range(2, 17), 63]))
+    kind = draw(st.sampled_from(("nn", "quad", "complete")))
+    if kind == "quad" and n >= 4:
+        return quad_case(n, draw(st.integers(1, min(16, math.comb(n, 4)))),
+                         draw(st.integers(0, 2**31)))
+    if kind == "complete" and n <= DENSE_MATRIX_CAP:
+        return complete_patterns(n), value_assignment_group(range(1, n + 1))
+    return nn_case(n)
+
+
+@given(st.one_of(measurement_sets(max_n=10).map(lambda ms: (ms, ms.patterns)), generated_sets()))
+@example(nn_case(63))
+@example(quad_case(63, 62, 0))
+@example((complete_patterns(1), value_assignment_group((1,))))
+def test_a_set_is_byte_equal_to_the_per_pattern_oracle(case):
+    ms, patterns = case
+    oracle = MeasurementSet(ms.n, patterns)  # the oracles read its n and patterns alone
+    assert fingerprint((ms._masks, ms._wants)) == fingerprint(masks_wants(oracle))
+    assert fingerprint(ms._table_runs) == fingerprint(table_runs(oracle))
+    assert fingerprint(ms._transform_plan) == fingerprint(transform_plan(oracle))
+    slots = np.array(plan_masks_and_slots(oracle)[1], dtype=np.intp)
+    assert fingerprint(ms._chain_slots) == fingerprint(slots)
+    assert ms.patterns == patterns
+    assert ms.to_json() == oracle.to_json()

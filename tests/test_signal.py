@@ -122,3 +122,16 @@ def test_generator_rejects_bad_sparsity(monkeypatch):
 def test_generator_can_fill_the_whole_space():
     sig = random_sparse_signal(2, 4, seed=0)
     assert sig.positions() == {0, 1, 2, 3}
+
+
+def test_a_signal_read_from_a_file_names_a_missing_field_or_a_wrong_type():
+    with pytest.raises(ValueError, match="^spike has no field 'val'$"):
+        SparseSignal.from_dict({"n": 6, "spikes": [{"pos": 3}]})
+    with pytest.raises(ValueError, match="^spikes must be a JSON list, got str$"):
+        SparseSignal.from_dict({"n": 6, "spikes": "ab"})
+    with pytest.raises(ValueError, match="^signal has no field 'spikes'$"):
+        SparseSignal.from_dict({"n": 6})
+    with pytest.raises(ValueError, match="^spike must be a JSON object, got list$"):
+        SparseSignal.from_dict({"n": 6, "spikes": [[3, 0.5]]})
+    with pytest.raises(ValueError, match="^signal must be a JSON object, got str$"):
+        SparseSignal.from_json('"abc"')

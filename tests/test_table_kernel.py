@@ -20,7 +20,6 @@ from isingpursuit.measurement import (
     complete_patterns,
     nearest_neighbor_patterns,
     random_quadruplet_patterns,
-    value_assignment_group,
 )
 from isingpursuit.signal import DENSE_VECTOR_CAP
 
@@ -31,6 +30,7 @@ from oracles import (
     diagonal_per_term,
     diagonal_walsh,
     plan_masks_and_slots,
+    value_assignment_group,
 )
 from strategies import (
     DEPTH,
