@@ -14,8 +14,8 @@ and w[2i + 1] = v[i] - v[i + h] for h = 2**(n-1), so every entry sums its
 signed totals in one fixed tree.  The diagonal is made on the first call
 and kept on the Hamiltonian, read-only.  `normalized` divides it once by its
 spread max|d - mean d| into a second Hamiltonian that keeps the quotient:
-a QAOA solve evolves that one, reading the quotient in `optimize` and again
-for its sampled states.
+a QAOA solve evolves that one, reading the quotient for its ramp's states
+and again for their expectations.
 
 `build_hamiltonian` works on the set's table runs (see the measurement
 module): a run on k positions holds a 2**k table of residuals, 0.0 where no

@@ -14,13 +14,12 @@ same few numpy calls for K rows as for one.  Its steps live in a workspace,
 rows, and the diagonal's distinct values as complex levels, kept tiled in
 one row per state row, with an int64 index from each entry to its level.
 A workspace keeps as many rows as it is asked for, up to the `_BATCH_BYTES`
-budget, and every batch evolves in the first rows of it.  `optimize` makes
-one per run, a row per ramp row or one for the search.  `ansatz_state`
-makes one per call, asked for a row for each set of angles it is given, so
-a QAOA solve evolves its two sampled states as one batch (up to n = 11)
-over the diagonal its `optimize` run made (the Hamiltonian keeps it); it
-copies each batch into the array it returns, so no later call writes over
-a state it returned.  No other function makes one.  A layer's phase step
+budget, and every batch evolves in the first rows of it.  `ansatz_state`
+makes one per call, a row for each set of angles it is given, and copies
+each batch into the array it returns, so no later call writes over a state
+it returned; the search makes one of one row, and no other function makes
+one.  The ramp is one `ansatz_state` call, whose states a QAOA solve
+samples, so a solve evolves each ramp row once.  A layer's phase step
 is one exp per row and level, in a (rows, levels) table made by one
 same-shape product of the layer's i*gamma, filled across a factor row,
 with the level rows; then one gather of the table into full rows and one
@@ -42,7 +41,7 @@ diagonal bits give equal phase products and exps, and every amplitude
 meets the same operands, in the same order, as with an exp per entry,
 fresh arrays and broadcast factors.  So each row comes out bitwise equal to
 evolving it alone, which pins two details: the phase multiply's operand
-order and a 1-D dot per row for the expectation.
+order and, in `_energies`, the one expectation formula, a 1-D dot per row.
 
 `optimize` picks angles by one of two schedules.  The "ramp" schedule,
 the one `qaoa_solve` runs, searches nothing.  `ramp_grid(p)` holds one row
@@ -53,17 +52,17 @@ QAOA (Quantum 5, 491 (2021)), run with no optimiser as in linear-ramp QAOA
 (Montanez-Barrera and Michielsen, 2024).  No other mix won: b = 0 leaves the
 uniform state, and of a 5 x 5 grid with b in linspace(-3, 3, 5), no b <= 0
 row was ever chosen.  The ramp picks angles for the top of H and of -H at
-once: all rows of both go through the kernel in one `_expectations` call,
-and each target keeps its first best row: one free number, a.
+once: all rows of both evolve in one `ansatz_state` call, and each target
+keeps its first best row, and its state: one free number, a.
 
 -H's rows run over H's diagonal: exp(i*gamma*(-h)) = exp(i*(-gamma)*h), so
-they are H's rows times a row sign that negates their gammas.  Each value
-v = -<H> of such a row is mapped back to -<-H> as -(0.0 - -v), and every
-value is bit for bit the one -H's own diagonal gives.  IEEE products and
-sums commute with negation, so each phase angle (-gamma)*h(z) equals
-gamma*(-h(z)); the amplitudes then differ at most in the sign of an exact
-zero, which |amp|**2 drops; and each row's dot with -h is its negated dot
-with h, except that an exact zero sum is +0.0 both ways, as 0.0 - <H> gives.
+they are H's rows times a row sign that negates their gammas.  The value
+<H> of such a row is mapped to <-H> as 0.0 - <H>, bit for bit the one -H's
+own diagonal gives.  IEEE products and sums commute with negation, so each
+phase angle (-gamma)*h(z) equals gamma*(-h(z)); the amplitudes then differ
+at most in the sign of an exact zero, which |amp|**2 drops, so the state
+samples as -H's own; and each row's dot with -h is its negated dot with h,
+except that an exact zero sum is +0.0 both ways, as 0.0 - <H> gives.
 
 The "search" schedule, `optimize`'s default, runs scipy's Nelder-Mead
 from each start in turn on a one-row workspace, and imports scipy.optimize
@@ -74,7 +73,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,10 +109,6 @@ class QaoaParams:
 
     def to_vector(self) -> np.ndarray:
         return np.array(self.gammas + self.betas)
-
-    def mirrored(self) -> "QaoaParams":
-        """The gammas negated: these angles on H give the state these give on -H."""
-        return QaoaParams(tuple(-g for g in self.gammas), self.betas)
 
 
 @dataclass(frozen=True)
@@ -173,7 +168,7 @@ def uniform_state(n: int) -> np.ndarray:
 # against 26 MiB kept (tracemalloc).
 _BATCH_BYTES = 1 << 16
 
-_Views = namedtuple("_Views", "phase mix probs")
+_Views = namedtuple("_Views", "phase mix")
 _SWAP = np.array([1, 0])  # a qubit's two halves, exchanged by `take`
 
 
@@ -186,13 +181,13 @@ class _StateBuffers:
 
     Asked for `rows` rows, it keeps K = min(rows, _BATCH_BYTES >> (n + 4))
     of them, and at least one: up to 64 rows at n = 6, 4 at n = 10 and one
-    from n = 12.  `optimize` makes one workspace per run, a row per ramp
-    row or one for the search, and `ansatz_state` one per call, a row for
-    each set of angles it is given; all evolve in batches of at most K
-    rows.  A batch of `rows` rows works in `[:rows]` views.  `_views` binds
-    them once per row count, with the levels and factor rows, into that
-    batch's phase step, mixer sweep and |amp|**2 view, and keeps the three
-    in `by_rows`.  The phase step writes buffer 0, so every mixer sweep
+    from n = 12.  `ansatz_state` makes one workspace per call, a row for
+    each set of angles it is given (the ramp's call gives it all ten ramp
+    rows), and the search one of one row; all evolve in batches of at most
+    K rows.  A batch of `rows` rows works in `[:rows]` views.  `_views`
+    binds them once per row count, with the levels and factor rows, into
+    that batch's phase step and mixer sweep, and keeps the two in
+    `by_rows`.  The phase step writes buffer 0, so every mixer sweep
     starts there; each step returns the view that holds the state.
 
     A mixer step on qubit q (MSB-first) applies [[c, js], [js, c]] with c
@@ -218,8 +213,8 @@ class _StateBuffers:
         self.level_rows = np.tile(bits.view(float).astype(complex), (K, 1))
 
     def _views(self, rows: int) -> _Views:
-        """The phase step and mixer sweep of a batch of `rows` rows, and the
-        view that `_expectations` squares into, built on first use."""
+        """The phase step and mixer sweep of a batch of `rows` rows, built on
+        first use."""
         if rows not in self.by_rows:
             self.by_rows[rows] = self._bind(rows)
         return self.by_rows[rows]
@@ -279,8 +274,7 @@ class _StateBuffers:
                 add(dst, src, dst)
             return mixed
 
-        probs = self.bufs[2].reshape(-1).view(float)[:rows << self.n].reshape(rows, -1)
-        return _Views(phase, mix, probs)
+        return _Views(phase, mix)
 
 
 def _mixer_factors(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +310,7 @@ def _evolve(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
     p = angles.shape[1] // 2
     jg = 1j * angles[:, :p].T[:, :, None].astype(complex)  # (p, rows, 1)
     c, js = _mixer_factors(angles[:, p:].T[:, :, None])  # (p, rows, 1)
-    phase, mix, _ = kernel._views(len(angles))
+    phase, mix = kernel._views(len(angles))
     psi = kernel.start  # the first phase layer broadcasts it to every entry
     for layer_jg, layer_c, layer_js in zip(jg, c, js):
         phase(psi, layer_jg)
@@ -324,19 +318,13 @@ def _evolve(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
     return psi
 
 
-def _expectations(kernel: _StateBuffers, angles: np.ndarray) -> np.ndarray:
-    """<h> for each row of angles, in batches of up to the workspace's K
-    rows, through |amp|**2 in the temporary.  np.vecdot runs a 1-D dot on
+def _energies(states: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """<h> for each row of a (rows, 2**n) array of states: |amp|**2 in one
+    float array, squared in place, then np.vecdot, which runs a 1-D dot on
     each contiguous row: a matrix-vector product would sum in another order."""
-    K = len(kernel.bufs[0])
-    out = np.empty(len(angles))
-    for lo in range(0, len(angles), K):
-        batch = angles[lo:lo + K]
-        probs = kernel._views(len(batch)).probs
-        np.abs(_evolve(kernel, batch), out=probs)
-        np.square(probs, out=probs)  # what `** 2` runs
-        np.vecdot(probs, kernel.diag, out=out[lo:lo + K])
-    return out
+    probs = np.abs(states)
+    np.square(probs, out=probs)  # what `** 2` runs
+    return np.vecdot(probs, diag)
 
 
 def ansatz_state(H: IsingHamiltonian, params: QaoaParams | Sequence[QaoaParams]) -> np.ndarray:
@@ -373,10 +361,12 @@ class OptimizeOutcome:
 @dataclass(frozen=True)
 class PairedOutcome:
     """The ramp's outcome over H and -H: each target's first best grid row,
-    with `minus` in -H's own angles and expectation."""
+    with `minus` in -H's own angles and expectation, and the two rows'
+    states as evolved on H, `plus`'s then `minus`'s at its gammas negated."""
 
     plus: OptimizeOutcome
     minus: OptimizeOutcome
+    states: np.ndarray = field(repr=False, compare=False)
 
     @property
     def evaluations(self) -> int:
@@ -400,17 +390,17 @@ RAMP_SLOPES = 8.0 * np.arange(1, 6) / 5
 RAMP_MIX = 1.5
 
 
-def _best(outcomes: list) -> OptimizeOutcome:
-    """The first start with the highest expectation, and all starts' evaluations."""
-    best_x, best_val, evaluations = None, -np.inf, 0
-    for x, fun, nfev in outcomes:
-        evaluations += nfev
-        if -fun > best_val:
-            best_val, best_x = -float(fun), x
-    if best_x is None:  # only a diagonal holding inf, -inf or NaN gets here
+def _best(values: list[float]) -> int:
+    """The index of the first highest of a list of expectations: the one
+    rule by which a ramp row or a search start wins.  NaN never wins."""
+    best, best_val = None, -np.inf
+    for k, value in enumerate(values):
+        if value > best_val:
+            best, best_val = k, value
+    if best is None:  # only a diagonal holding inf, -inf or NaN gets here
         raise ValueError("no start reached an expectation that is not NaN: "
                          "the Hamiltonian's diagonal is not finite")
-    return OptimizeOutcome(QaoaParams.from_vector(best_x), best_val, evaluations)
+    return best
 
 
 def ramp_grid(p: int) -> np.ndarray:
@@ -445,12 +435,12 @@ def optimize(
     Deterministic for a fixed seed and best-effort.
 
     With schedule "ramp": no search, and a PairedOutcome for H and -H.
-    Every row of `ramp_grid(p)`, and each of them mirrored for -H, is
-    evaluated in one `_expectations` call, over H's diagonal, and each
-    target's first best row wins; its evaluation count is its rows
-    evaluated, and its result is bitwise the one a ramp on its own diagonal
-    gives.  The ramp reads neither restarts, max_evals nor seed (they are
-    still checked) and takes no warm start.
+    Every row of `ramp_grid(p)`, and each of them mirrored for -H, evolves
+    in one `ansatz_state` call on H, and each target's first best row wins
+    and keeps its state; its evaluation count is its rows evaluated, and
+    its result is bitwise the one a ramp on its own diagonal gives.  The
+    ramp reads neither restarts, max_evals nor seed (they are still
+    checked) and takes no warm start.
 
     Raises ValueError for an unknown schedule, for a p, max_evals or
     restarts that is not an integer (as _read_int reads one), for a p or
@@ -471,11 +461,14 @@ def optimize(
             raise ValueError("a warm start needs the search schedule")
         grid = ramp_grid(p)
         # -H's rows: H's with their gammas negated (see the module docstring)
-        rows = np.vstack([grid, grid * np.repeat([-1.0, 1.0], p)])
-        values = (-_expectations(_StateBuffers(len(rows), H.n, H.diagonal()), rows)).tolist()
-        plus = [(x, v, 1) for x, v in zip(grid, values)]
-        minus = [(x, -(0.0 - -v), 1) for x, v in zip(grid, values[len(grid):])]
-        return PairedOutcome(_best(plus), _best(minus))
+        rows = np.vstack([grid, grid * np.repeat([-1.0, 1.0], p)]).tolist()
+        params = [QaoaParams.from_vector(x) for x in rows]
+        states = ansatz_state(H, params)
+        values, g = _energies(states, H.diagonal()).tolist(), len(grid)
+        plus, minus = values[:g], [0.0 - v for v in values[g:]]
+        i, j = _best(plus), _best(minus)
+        return PairedOutcome(OptimizeOutcome(params[i], plus[i], g),
+                             OptimizeOutcome(params[j], minus[j], g), states[[i, g + j]])
 
     if restarts < 1 and init is None:
         raise ValueError("need at least one restart or a warm start")
@@ -492,11 +485,14 @@ def optimize(
     kernel = _StateBuffers(1, H.n, H.diagonal())
 
     def objective(x: np.ndarray) -> float:
-        return -_expectations(kernel, x[None])[0]
+        return -_energies(_evolve(kernel, x[None]), kernel.diag)[0]
 
     options = {"maxfev": max_evals, "xatol": XATOL, "fatol": FATOL}
     runs = [minimize(objective, x0, method="Nelder-Mead", options=options) for x0 in starts]
-    return _best([(res.x, res.fun, res.nfev) for res in runs])
+    values = [-float(res.fun) for res in runs]
+    best = _best(values)
+    return OptimizeOutcome(QaoaParams.from_vector(runs[best].x), values[best],
+                           sum(res.nfev for res in runs))
 
 
 def sample_candidates(state: np.ndarray, shots: int, seed=None) -> list[int]:

@@ -12,8 +12,9 @@ minimization of h and keeping whichever extremum is larger in magnitude.
 The chain backend fills the max and the min tables in one fused sweep that
 records its choices, exact because IEEE negation commutes with its sums and
 comparisons; the QAOA backend picks both targets' angles in one ramp
-`optimize` call, one batch over H's diagonal, with -H's circuits as H's
-circuits with their gammas negated.
+`optimize` call, one `ansatz_state` call over H's diagonal, with -H's
+circuits as H's circuits with their gammas negated, and samples the two
+winning states that call made.
 
 The QAOA backend evolves under H normalised: its diagonal d divided by the
 spread s = max|d - mean d| (`IsingHamiltonian.normalized`), so that the
@@ -217,10 +218,10 @@ def qaoa_solve(
     and their samples run under H normalised, with diagonal d / s for H's
     diagonal d and its spread s (1.0 where the spread is zero or not
     finite; see the module docstring): H makes d once, and the normalised
-    Hamiltonian keeps d / s, which `optimize` and the states' batch both
-    read.  Both chosen states
-    (-h's as H's state at its gammas negated) come from one `ansatz_state`
-    batch.  The candidates sampled from them are pooled in one set and
+    Hamiltonian keeps d / s, which the ramp's states and their expectations
+    both read.  The two states sampled are the ones the ramp evolved and
+    kept (-h's as H's state at its gammas negated); the solve evolves no
+    state again.  The candidates sampled from them are pooled in one set and
     rescored by |column_dot| on r in one pass (`column_dots`); the
     best-scoring candidate wins (ties to the smallest index).  The
     diagnostics report s as `scale`, then each target's expectation, in
@@ -240,7 +241,6 @@ def qaoa_solve(
     # other two go unread, and this layout keeps every seeded result bitwise
     seeds = np.random.SeedSequence(seed).spawn(4)
     out = qaoa.optimize(H, p=spec.depth, schedule="ramp")
-    states = qaoa.ansatz_state(H, [out.plus.params, out.minus.params.mirrored()])
     diagnostics: dict = {"backend": "qaoa", "scale": scale}
     for label, best in (("max", out.plus), ("min", out.minus)):
         diagnostics[f"{label}_expectation"] = best.expectation
@@ -248,6 +248,6 @@ def qaoa_solve(
     # a set, not np.unique, whose plain form imports numpy.ma (1.5 MB)
     candidates = sorted(set().union(*(
         qaoa.sample_candidates(state, spec.shots, seed=sample_seed)
-        for state, sample_seed in zip(states, seeds[1::2]))))
+        for state, sample_seed in zip(out.states, seeds[1::2]))))
     diagnostics["candidates"] = len(candidates)
     return SolverOutcome(*_rescore(candidates, r, ms), diagnostics)

@@ -31,8 +31,9 @@ scalars, which the float-list `chain_dp_solve` must match exactly.
 `evolve_per_qubit` is the ansatz kernel with a fresh array for every phase
 and every qubit's mixer, and `expectations_per_row` a 1-D dot per row:
 the buffer kernel `qaoa._evolve`, one reused `qaoa._StateBuffers`
-workspace at every row count it is driven through, its one-row phase step
-and `apply_mixer_layer` must match them bit for bit, and so must
+workspace at every row count it is driven through, its one-row phase step,
+`apply_mixer_layer` and the expectation formula `qaoa._energies` must
+match them bit for bit, and so must
 `qaoa.apply_phase_layer`, which builds no workspace: it is `phase_rows`'s
 per-entry formula on one row.  `apply_mixer_layer` is no reference: it
 runs the package's mixer sweep alone, in a one-row workspace over a zero
@@ -53,9 +54,7 @@ rescores its pooled candidates one `column_dot` call each
 helpers: `column_norm_sq` and `column_dot` each build the chosen column,
 deflation builds it a third time, and the residual norm is
 `np.linalg.norm`.  The one-mask `matching_pursuit` must match it bit for
-bit.  `optimize`'s reference is scipy's Nelder-Mead, run start by start
-(`scipy_optimize`) over a four-row workspace.  The other helpers
-materialize what the package keeps implicit.
+bit.  The other helpers materialize what the package keeps implicit.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import minimize
 
 from isingpursuit import qaoa
 from isingpursuit.hamiltonian import COEFF_PRUNE_TOL, IsingHamiltonian, build_hamiltonian
@@ -546,25 +544,3 @@ def matching_pursuit_reference(
                 break
     spikes = tuple((pos, val) for pos, val in sorted(coeffs.items()) if val != 0.0)
     return ReconstructionResult(SparseSignal(n=ms.n, spikes=spikes), tuple(trace), termination)
-
-
-def scipy_optimize(H: IsingHamiltonian, p: int, restarts: int, max_evals: int, seed, init=None):
-    """optimize as one scipy minimize per start, run one after another:
-    (params, expectation, evaluations), and every start's (x, fun, nfev)."""
-    rng = np.random.default_rng(seed)
-    kernel = qaoa._StateBuffers(4, H.n, H.diagonal())
-
-    def objective(x):
-        return -qaoa._expectations(kernel, x[None])[0]
-
-    starts = [] if init is None else [init.to_vector()]
-    starts.extend(rng.uniform(0.0, 2.0 * np.pi, size=2 * p) for _ in range(restarts))
-    best_x, best_val, evaluations, runs = None, -np.inf, 0, []
-    for x0 in starts:
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxfev": max_evals, "xatol": qaoa.XATOL, "fatol": qaoa.FATOL})
-        runs.append((res.x, res.fun, res.nfev))
-        evaluations += res.nfev
-        if -res.fun > best_val:
-            best_val, best_x = -float(res.fun), res.x
-    return (qaoa.QaoaParams.from_vector(best_x), best_val, evaluations), runs

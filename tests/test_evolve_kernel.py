@@ -2,7 +2,7 @@
 in `oracles`, bit for bit; `simulate_gates` against the selector form in
 `oracles`, whose RX gates are per-qubit mixer steps, on circuits of CX, RZ
 and RX gates on 1 to 12 qubits, RX-only ones among them; and a gate list
-against its gates one call each.  `_evolve` and `_expectations` meet the
+against its gates one call each.  `_evolve` and `_energies` meet the
 per-qubit kernel in `test_workspace.py`."""
 
 import numpy as np

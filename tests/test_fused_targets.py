@@ -36,23 +36,17 @@ def solve_cases(draw):
 
 
 def recorded(solve, ms, r, spec, seed):
-    """solve's outcome, with the bytes of every ansatz state it makes, row by
-    row of a batched call, and every list of samples it draws, in call order."""
+    """solve's outcome, with the bytes of every state it samples and every
+    list of samples it draws, in call order."""
     states, samples = [], []
-    ansatz_state, sample_candidates = qaoa.ansatz_state, qaoa.sample_candidates
+    sample_candidates = qaoa.sample_candidates
 
-    def record_state(*args, **kwargs):
-        state = ansatz_state(*args, **kwargs)
-        states.extend(row.tobytes() for row in np.atleast_2d(state))
-        return state
+    def record_samples(state, *args, **kwargs):
+        states.append(state.tobytes())
+        samples.append(sample_candidates(state, *args, **kwargs))
+        return samples[-1]
 
-    def record_samples(*args, **kwargs):
-        drawn = sample_candidates(*args, **kwargs)
-        samples.append(drawn)
-        return drawn
-
-    with mock.patch.object(qaoa, "ansatz_state", record_state), \
-            mock.patch.object(qaoa, "sample_candidates", record_samples):
+    with mock.patch.object(qaoa, "sample_candidates", record_samples):
         out = solve(ms, r, spec, seed)
     return out, states, samples
 
@@ -110,7 +104,8 @@ def test_qaoa_solve_makes_one_optimize_call_and_one_diagonal():
         return calls[-1][2]
 
     def ansatz_state(H, params):
-        evolved.append(H)
+        # an optimize call is listed only once it returns
+        evolved.append((H, len(params), len(calls)))
         return real_ansatz_state(H, params)
 
     def diagonal(H):
@@ -124,13 +119,16 @@ def test_qaoa_solve_makes_one_optimize_call_and_one_diagonal():
     ((args, kwargs, paired),) = calls
     scaled = args[0]
     assert isinstance(scaled, IsingHamiltonian) and kwargs["p"] == spec.depth
-    assert len(evolved) == 1 and evolved[0] is scaled
+    # one evolution of every ramp row, inside the optimize call; the solve
+    # samples the states that call returns
+    ((evolved_H, rows, finished),) = evolved
+    assert evolved_H is scaled and rows == 2 * len(qaoa.ramp_grid(spec.depth)) and finished == 0
     assert paired.evaluations == (out.diagnostics["max_evaluations"]
                                   + out.diagnostics["min_evaluations"])
-    # one raw diagonal, then the scaled one, made once and read by optimize
-    # and by the sampled states' batch
-    (H, d), (by_optimize, scaled_d), (by_states, states_d) = diagonals
-    assert H is not scaled and by_optimize is by_states is scaled and states_d is scaled_d
+    # one raw diagonal, then the scaled one, made once and read by the ramp's
+    # states and by its expectations
+    (H, d), (by_states, scaled_d), (by_values, values_d) = diagonals
+    assert H is not scaled and by_states is by_values is scaled and values_d is scaled_d
     s = out.diagnostics["scale"]
     assert s == np.abs(d - d.mean()).max() and s > 0.0
     assert scaled_d.tobytes() == (d / s).tobytes() and not scaled_d.flags.writeable

@@ -324,11 +324,6 @@ def test_dense_matrix_cap():
         dense_matrix(MeasurementSet(11, (Pattern(((1, 0),)),)))
 
 
-@given(measurement_sets(max_n=10))
-def test_built_patterns_pass_the_check_they_skip(ms):
-    assert all(Pattern(p.constraints) == p for p in ms.patterns)
-
-
 @settings(max_examples=60)
 @given(measurement_sets(), st.integers(0, 2**31))
 def test_measure_matches_dense_product(ms, seed):

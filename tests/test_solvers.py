@@ -18,7 +18,7 @@ from isingpursuit.measurement import (
     nearest_neighbor_patterns,
     random_quadruplet_patterns,
 )
-from isingpursuit.signal import SparseSignal
+from isingpursuit.signal import SparseSignal, random_sparse_signal
 from isingpursuit.solvers import (
     ChainStructureError,
     SolverSpec,
@@ -187,3 +187,93 @@ def test_brute_prefers_smallest_index_on_ties():
     r[2] = 1.0
     r[6] = 1.0
     assert brute_force_solve(ms, r).position == 2
+
+
+# (n, pattern kind, param_count) and the outcome's repr: its position, its
+# score and every diagnostic, bit for bit.  Each case draws its set, signal
+# and samples from the seed 100 * n + param_count, on q = 3 quadruplets at
+# n = 6 and q = n above, with 1,024 shots at n = 6 and 64 above.
+PINNED_SOLVES = [
+    ((6, "nn", 5),
+     "SolverOutcome(position=13, score=4.262330854546038, "
+     "diagnostics={'backend': 'qaoa', 'scale': 2.6465337676235774, "
+     "'max_expectation': 1.348429984418536, 'max_evaluations': 5, "
+     "'min_expectation': -0.186231687166505, 'min_evaluations': 5, 'candidates': 60})"),
+    ((6, "nn", 9),
+     "SolverOutcome(position=44, score=5.74305305881136, "
+     "diagnostics={'backend': 'qaoa', 'scale': 3.918196178180378, "
+     "'max_expectation': 1.3305440978776801, 'max_evaluations': 5, "
+     "'min_expectation': -0.08057023386408867, 'min_evaluations': 5, "
+     "'candidates': 59})"),
+    ((6, "nn", 21),
+     "SolverOutcome(position=33, score=3.5035632641528265, "
+     "diagnostics={'backend': 'qaoa', 'scale': 2.213462794686099, "
+     "'max_expectation': 1.5103680901419545, 'max_evaluations': 5, "
+     "'min_expectation': -0.07673725126407252, 'min_evaluations': 5, "
+     "'candidates': 48})"),
+    ((6, "quad", 5),
+     "SolverOutcome(position=13, score=2.0482811345035308, "
+     "diagnostics={'backend': 'qaoa', 'scale': 1.8059115714651621, "
+     "'max_expectation': 0.44807064875974284, 'max_evaluations': 5, "
+     "'min_expectation': -0.050433436187741425, 'min_evaluations': 5, "
+     "'candidates': 64})"),
+    ((6, "quad", 9),
+     "SolverOutcome(position=44, score=2.5098908301516403, "
+     "diagnostics={'backend': 'qaoa', 'scale': 2.236162298056993, "
+     "'max_expectation': 0.5278858599650436, 'max_evaluations': 5, "
+     "'min_expectation': -0.03358895633774612, 'min_evaluations': 5, "
+     "'candidates': 64})"),
+    ((6, "quad", 21),
+     "SolverOutcome(position=32, score=1.4075500904989848, "
+     "diagnostics={'backend': 'qaoa', 'scale': 1.2140350200789758, "
+     "'max_expectation': 0.8102520142260692, 'max_evaluations': 5, "
+     "'min_expectation': -0.02691152865984539, 'min_evaluations': 5, "
+     "'candidates': 64})"),
+    ((10, "quad", 5),
+     "SolverOutcome(position=981, score=10.641811483167041, "
+     "diagnostics={'backend': 'qaoa', 'scale': 9.076145546319626, "
+     "'max_expectation': 0.4997087440989526, 'max_evaluations': 5, "
+     "'min_expectation': -0.05803209560351947, 'min_evaluations': 5, "
+     "'candidates': 113})"),
+    ((10, "quad", 9),
+     "SolverOutcome(position=622, score=10.376852056475412, "
+     "diagnostics={'backend': 'qaoa', 'scale': 9.224017808638173, "
+     "'max_expectation': 0.5517209757054915, 'max_evaluations': 5, "
+     "'min_expectation': -0.040015095955920746, 'min_evaluations': 5, "
+     "'candidates': 97})"),
+    ((10, "quad", 21),
+     "SolverOutcome(position=176, score=9.776750138941924, "
+     "diagnostics={'backend': 'qaoa', 'scale': 8.891557187468335, "
+     "'max_expectation': 0.7837874367890454, 'max_evaluations': 5, "
+     "'min_expectation': -0.022052339838607223, 'min_evaluations': 5, "
+     "'candidates': 94})"),
+    ((12, "quad", 5),
+     "SolverOutcome(position=1283, score=10.389459139803188, "
+     "diagnostics={'backend': 'qaoa', 'scale': 9.314359311021915, "
+     "'max_expectation': 0.37122190307334346, 'max_evaluations': 5, "
+     "'min_expectation': -0.045462164818617, 'min_evaluations': 5, 'candidates': 118})"),
+    ((12, "quad", 9),
+     "SolverOutcome(position=1569, score=6.531539024746312, "
+     "diagnostics={'backend': 'qaoa', 'scale': 5.7321237028688365, "
+     "'max_expectation': 0.5543158425498387, 'max_evaluations': 5, "
+     "'min_expectation': -0.04462603784957937, 'min_evaluations': 5, "
+     "'candidates': 119})"),
+    ((12, "quad", 21),
+     "SolverOutcome(position=1242, score=12.263263917892727, "
+     "diagnostics={'backend': 'qaoa', 'scale': 11.027326418689668, "
+     "'max_expectation': 0.7849610001731993, 'max_evaluations': 5, "
+     "'min_expectation': -0.023973478738759373, 'min_evaluations': 5, "
+     "'candidates': 89})"),
+]
+
+
+@pytest.mark.parametrize("case, pinned", PINNED_SOLVES,
+                         ids=[f"{kind}-n{n}-params{params}" for (n, kind, params), _ in PINNED_SOLVES])
+def test_seeded_qaoa_solve_outcomes_are_pinned(case, pinned):
+    n, kind, params = case
+    seed = 100 * n + params
+    ms = nearest_neighbor_patterns(n) if kind == "nn" else \
+        random_quadruplet_patterns(n, 3 if n == 6 else n, seed=seed)
+    r = measure(random_sparse_signal(n, 3, seed=seed), ms)
+    spec = SolverSpec("qaoa", params, shots=1024 if n == 6 else 64)
+    assert repr(qaoa_solve(ms, r, spec, seed=seed)) == pinned

@@ -1,15 +1,18 @@
 """One reused kernel workspace against the per-qubit kernel in `oracles`,
-bit for bit: `_evolve` and `_expectations` through a sequence of row
-counts on one `_StateBuffers`, on diagonals that are wide, hold a few
-values with signed zeros among them, hold all distinct values or hold one
-value; and the single phase step, whose table of distinct diagonal values
-must give the per-entry exp.  Also: each workspace keeps the most rows the
-batch budget allows, `optimize` and `ansatz_state` each build exactly one
-(the search's of one row), and the reference `apply_phase_layer` none; a
-ramp `optimize` and a QAOA solve at n = 10 give the same outcomes with the
-ramp's rows split into batches as in one batch; a state that
-`ansatz_state` returned is never written over.  And a mixer sweep, and a
-whole batch, that make no numpy iterator buffer."""
+bit for bit: `_evolve` through a sequence of row counts on one
+`_StateBuffers`, on diagonals that are wide, hold a few values with signed
+zeros among them, hold all distinct values or hold one value, and the
+expectation formula `_energies` on every batch, as the ramp evaluates its
+rows, and on a batch's first row alone in a one-row workspace, as the
+search evaluates each point; and the single phase step, whose table of
+distinct diagonal values must give the per-entry exp.  Also: each workspace keeps the most rows the batch budget
+allows, the search builds one of one row, `ansatz_state` one, a QAOA solve
+one, in which it evolves each ramp row once, and the reference
+`apply_phase_layer` none; a ramp `optimize` and a QAOA solve at n = 10 give
+the same outcomes with the ramp's rows split into batches as in one batch;
+a state that `ansatz_state` returned is never written over.  And a mixer
+sweep, and a whole batch, that make no numpy iterator buffer, and a QAOA
+solve at n = 14 whose traced peak is the arrays it holds."""
 
 import tracemalloc
 from unittest import mock
@@ -25,8 +28,8 @@ from isingpursuit.measurement import measure, random_quadruplet_patterns
 from isingpursuit.qaoa import (
     Gate,
     QaoaParams,
+    _energies,
     _evolve,
-    _expectations,
     _StateBuffers,
     ansatz_state,
     apply_phase_layer,
@@ -139,14 +142,22 @@ ZEROS_N10 = fixed_run(np.where(np.arange(1 << 10) % 5, np.random.default_rng(4).
 def test_one_workspace_through_many_row_counts_is_bitwise_the_per_qubit_kernel(run):
     diag, n, K, batches, psi, gamma = run
     kernel = _StateBuffers(K, n, diag)
+    K = len(kernel.bufs[0])
     assert len(kernel.level_rows[0]) == len(set(diag.view(np.int64).tolist()))
+    one_row = _StateBuffers(1, n, diag)  # the search's workspace
     with np.errstate(all="ignore"):
         for angles in batches:
             expected = evolve_per_qubit(diag, n, angles)
-            if len(angles) <= len(kernel.bufs[0]):
-                assert _evolve(kernel, angles).tobytes() == expected.tobytes()
+            # in batches of the workspace's rows, each copied out before the
+            # next overwrites it, as `ansatz_state` runs them
+            got = np.vstack([_evolve(kernel, angles[lo:lo + K]).copy()
+                             for lo in range(0, len(angles), K)])
+            if len(angles) <= K:
+                assert got.tobytes() == expected.tobytes()
             values = expectations_per_row(expected, diag)
-            assert _expectations(kernel, angles).tobytes() == values.tobytes()
+            assert _energies(got, diag).tobytes() == values.tobytes()
+            # the first row alone, as the search evaluates each point
+            assert _energies(_evolve(one_row, angles[:1]), diag).tobytes() == values[:1].tobytes()
         phased = _StateBuffers(1, n, diag)._views(1).phase(psi[None], 1j * np.array([[gamma]]))
         assert phased.tobytes() == phase_rows(psi[None], diag, np.array([gamma])).tobytes()
 
@@ -179,6 +190,28 @@ def test_the_search_builds_one_workspace_of_one_row():
     assert out.evaluations == 2 * 30
     # the starts run one after another, and scipy evaluates one point at a time
     assert [c.args[:2] for c in built.call_args_list] == [(1, 4)]
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_a_qaoa_solve_builds_one_workspace_and_evolves_each_ramp_row_once(n):
+    """At n = 6 the ramp's 10 rows run as one batch; at n = 10 the workspace
+    keeps 4 rows, so they run in batches of 4, 4 and 2.  Sampling evolves
+    no row again."""
+    ms = random_quadruplet_patterns(n, n, seed=n)
+    r = measure(random_sparse_signal(n, 3, seed=n), ms)
+    spec = SolverSpec("qaoa", 5, shots=64)
+    widths = []
+
+    def evolve(kernel, angles):
+        widths.append(len(angles))
+        return _evolve(kernel, angles)
+
+    with mock.patch.object(qaoa, "_StateBuffers", wraps=_StateBuffers) as built, \
+            mock.patch.object(qaoa, "_evolve", side_effect=evolve):
+        qaoa_solve(ms, r, spec, seed=n)
+    assert built.call_count == 1
+    assert sum(widths) == 2 * len(qaoa.ramp_grid(spec.depth))
+    assert len(widths) == (1 if n == 6 else 3)
 
 
 def test_the_phase_layer_reference_builds_no_workspace():
@@ -269,20 +302,45 @@ def test_a_mixer_sweep_allocates_no_iterator_buffer():
 
 
 def test_a_kernel_batch_allocates_only_its_set_up():
-    """A whole `_expectations` batch on a warmed workspace makes only the
-    angle set-up's small arrays: the level table as an outer product of
-    i*gamma and the levels, or the first layer's multiply by a broadcast
-    (1, 2**n) start, would make numpy allocate up to 198 KB here."""
+    """A whole `_evolve` batch on a warmed workspace makes only the angle
+    set-up's small arrays: the level table as an outer product of i*gamma
+    and the levels, or the first layer's multiply by a broadcast (1, 2**n)
+    start, would make numpy allocate up to 198 KB here."""
     rng = np.random.default_rng(0)
     kernel = _StateBuffers(4, 10, rng.normal(size=1 << 10))  # the most rows kept at n = 10
-    batches = [rng.uniform(-2.0 * np.pi, 4.0 * np.pi, size=(rows, 6)) for rows in (4, 2)]
+    batches = [rng.uniform(-2.0 * np.pi, 4.0 * np.pi, size=(rows, 6)) for rows in (4, 2, 1)]
     for angles in batches:
-        _expectations(kernel, angles)  # first use of each row count's views
+        _evolve(kernel, angles)  # first use of each row count's views
     for angles in batches:
         tracemalloc.start()
         try:
-            _expectations(kernel, angles)
+            _evolve(kernel, angles)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4096, (len(angles), peak)
+
+
+def test_a_qaoa_solve_at_n14_holds_its_ramp_states_one_workspace_and_two_samples():
+    """The traced peak of one solve at n = 14, bounded by what it holds per
+    index-space entry: the ramp's 10 states, a one-row workspace (two state
+    buffers, the temporary and two factor rows, the int64 level index, and
+    at most one complex level per entry), the two sampled rows and H's raw
+    and normalised diagonals.  Squaring |amp| into a second float array, as
+    `np.square(np.abs(states))` does, passes it (`np.abs(states) ** 2`
+    does not here: numpy reuses a temporary of 256 KiB or more)."""
+    n = 14
+    ms = random_quadruplet_patterns(n, n, seed=n)
+    r = measure(random_sparse_signal(n, 3, seed=n), ms)
+    spec = SolverSpec("qaoa", 5, shots=64)
+    qaoa_solve(ms, r, spec, seed=1)  # the set's cached plan, made on first use
+    tracemalloc.start()
+    try:
+        qaoa_solve(ms, r, spec, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    amp, real = 16, 8  # bytes of a complex128 and of a float64 or int64
+    states = 2 * len(qaoa.ramp_grid(spec.depth)) * amp
+    workspace = 5 * amp + real + amp
+    assert peak <= (states + workspace + 2 * amp + 2 * real) << n, peak
